@@ -10,7 +10,7 @@ import sys
 
 from . import rings as rg
 from . import serialize as ser
-from .errors import NCSpecError, ParseError
+from .errors import NCSpecError, ParseError, SchemaViolation
 from .latspace import PidLattice, build_semilattice
 from .rings import SkewLaurentRing
 from .sheafspec import PidNCSpec, is_prim, ncspec, ncspec_morphism, recover_hom
@@ -195,16 +195,32 @@ def cmd_qcoh_check(args):
     for triple in doc["scalars"]:
         i, j, v = int(triple[0]) - 1, int(triple[1]) - 1, ser.parse_rational(triple[2])
         scalars[(i, j)] = v
+    box = doc.get("box", 2)
+    if type(box) is not int or box < 0:
+        raise SchemaViolation("box must be a non-negative integer", "qcoh.box")
     X = build_proj(r)
-    datum = SkewQcohDatum(X, M, scalars, box=int(doc.get("box", 2)))
+    datum = SkewQcohDatum(X, M, scalars, box=box)
     rep = qcoh_cocycle_check(datum)
     payload = {"failures": rep["failures"], "charts": X.n}
     return _emit(args, _report("qcoh-check", rep["status"], payload,
                                provenance={"box": datum.box}))
 
 
+def _proj_window(args):
+    """The --window pair, after checking it and the truncation bounds."""
+    lo, hi = args.window
+    if lo > hi:
+        raise ParseError(f"--window {lo} {hi}: the low degree exceeds the high one")
+    if args.box < 0:
+        raise ParseError(f"--box {args.box}: the truncation depth must be >= 0")
+    if args.k_max < 1:
+        raise ParseError(f"--k-max {args.k_max}: the saturation depth must be >= 1")
+    return lo, hi
+
+
 def cmd_proj_gamma(args):
     from .skewproj import build_proj, free_presentation, gamma
+    window = _proj_window(args)
     r = ser.parse_ring(_load(args.ring))
     if not isinstance(r, SkewLaurentRing):
         raise ParseError("proj-gamma expects a skew Laurent ring")
@@ -213,7 +229,7 @@ def cmd_proj_gamma(args):
     else:
         M = free_presentation(r)
     X = build_proj(r)
-    g = gamma(X, M, (args.window[0], args.window[1]), box=args.box, k_max=args.k_max)
+    g = gamma(X, M, window, box=args.box, k_max=args.k_max)
     dims = {str(d): g["dims"][d] for d in sorted(g["dims"])}
     payload = {"ring": repr(r), "dims": dims, "psi_cocycles": X.psi_report["status"]}
     text = "\n".join(f"{d:>4}  {v}" for d, v in dims.items()) + "\n"
@@ -226,6 +242,9 @@ def cmd_proj_gamma(args):
 
 def cmd_serre_check(args):
     from .skewproj import build_proj, free_presentation, serre_unit
+    window = _proj_window(args)
+    if args.torsion_bound < 1:
+        raise ParseError(f"--torsion-bound {args.torsion_bound}: the bound must be >= 1")
     r = ser.parse_ring(_load(args.ring))
     if not isinstance(r, SkewLaurentRing):
         raise ParseError("serre-check expects a skew Laurent ring")
@@ -234,7 +253,7 @@ def cmd_serre_check(args):
     else:
         M = free_presentation(r)
     X = build_proj(r)
-    rep = serre_unit(X, M, (args.window[0], args.window[1]),
+    rep = serre_unit(X, M, window,
                      box=args.box, k_max=args.k_max,
                      torsion_bound=args.torsion_bound)
     degrees = {}

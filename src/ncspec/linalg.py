@@ -1,50 +1,74 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact sparse linear algebra over the rationals.
 
 Row-echelon based primitives used by the section solvers: rank, kernel
-bases, membership of a vector in a row span, and coset reduction.  Rows
-are lists of Fraction; everything is exact.
+bases, membership of a vector in a row span, coordinates in a reduced
+basis, and coset reduction.  A vector is a dict {column: value} holding
+only its nonzero entries; values are Fraction (int inputs are accepted
+and converted once).  Everything is exact.
 """
 
 from fractions import Fraction
 
 
+def _sparse(vec) -> dict:
+    """A fresh copy of vec without zero entries, every value a Fraction."""
+    return {j: x if type(x) is Fraction else Fraction(x)
+            for j, x in vec.items() if x}
+
+
 class Echelon:
     """Reduced row echelon form of a growing set of rows.
 
-    Maintains rows normalized to a leading 1 with zeros above and below
-    each pivot.  `pivots` maps pivot column -> row index.
+    Rows are sparse, normalized to a leading 1 (the pivot, their smallest
+    column), and zero in every other row's pivot column.  `pivots` maps
+    pivot column -> row index, in row order.  `width` is the number of
+    columns of the ambient space.
     """
 
     def __init__(self, width: int):
         self.width = width
-        self.rows: list[list[Fraction]] = []
+        self.rows: list[dict] = []
         self.pivots: dict[int, int] = {}
 
-    def reduce(self, vec) -> list[Fraction]:
-        """Return vec reduced modulo the current row span."""
-        v = [Fraction(c) for c in vec]
-        for col, ri in self.pivots.items():
-            c = v[col]
-            if c:
-                row = self.rows[ri]
-                for j in range(col, self.width):
-                    v[j] -= c * row[j]
+    def reduce(self, vec) -> dict:
+        """Return vec reduced modulo the current row span.
+
+        Subtracting a row changes no other pivot column, so one pass over
+        the pivot columns present in vec clears all of them.
+        """
+        v = _sparse(vec)
+        pivots, rows = self.pivots, self.rows
+        for col in [j for j in v if j in pivots]:
+            c = v.pop(col)
+            for j, x in rows[pivots[col]].items():
+                if j != col:
+                    y = v.get(j, 0) - c * x
+                    if y:
+                        v[j] = y
+                    else:
+                        del v[j]
         return v
 
     def add(self, vec) -> bool:
         """Insert vec; returns True if it enlarged the span."""
         v = self.reduce(vec)
-        lead = next((j for j in range(self.width) if v[j]), None)
-        if lead is None:
+        if not v:
             return False
+        lead = min(v)
         inv = 1 / v[lead]
-        v = [c * inv for c in v]
+        if inv != 1:
+            v = {j: x * inv for j, x in v.items()}
         # clear the new pivot column in existing rows
         for row in self.rows:
-            c = row[lead]
-            if c:
-                for j in range(lead, self.width):
-                    row[j] -= c * v[j]
+            c = row.pop(lead, None)
+            if c is not None:
+                for j, x in v.items():
+                    if j != lead:
+                        y = row.get(j, 0) - c * x
+                        if y:
+                            row[j] = y
+                        else:
+                            del row[j]
         self.rows.append(v)
         self.pivots[lead] = len(self.rows) - 1
         return True
@@ -54,7 +78,17 @@ class Echelon:
         return len(self.rows)
 
     def contains(self, vec) -> bool:
-        return all(c == 0 for c in self.reduce(vec))
+        return not self.reduce(vec)
+
+    def coordinates(self, vec):
+        """{row index: coefficient} expressing vec in the rows, or None when
+        vec is outside their span.  Each row is the only one with a nonzero
+        entry in its pivot column, so the coefficients are vec's entries
+        there; the residual check confirms the combination."""
+        if self.reduce(vec):
+            return None
+        pivots = self.pivots
+        return _sparse({pivots[j]: x for j, x in vec.items() if j in pivots})
 
 
 def rank(rows, width: int) -> int:
@@ -64,36 +98,29 @@ def rank(rows, width: int) -> int:
     return ech.rank
 
 
-def kernel_basis(rows, width: int) -> list[list[Fraction]]:
-    """Basis of {x : A x = 0} for the matrix with the given rows."""
+def kernel_basis(rows, width: int) -> list[dict]:
+    """Basis of {x : A x = 0} for the matrix with the given rows, one
+    vector per free column in increasing order."""
     ech = Echelon(width)
     for r in rows:
         ech.add(r)
-    free = [j for j in range(width) if j not in ech.pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * width
-        vec[f] = Fraction(1)
-        for col, ri in ech.pivots.items():
-            vec[col] = -ech.rows[ri][f]
-        basis.append(vec)
-    return basis
+    basis = {f: {f: Fraction(1)} for f in range(width) if f not in ech.pivots}
+    for col, ri in ech.pivots.items():
+        for f, x in ech.rows[ri].items():
+            if f != col:
+                basis[f][col] = -x
+    return list(basis.values())
 
 
 def solve(rows, width: int, target):
-    """One solution x of A^T-style system sum x_i row_i = target, or None."""
-    ech = Echelon(width)
-    tagged = []
-    n = len(rows)
+    """One solution x of sum x_i row_i = target as {i: x_i}, or None."""
     # augment each row with an identity tag so coordinates can be recovered
+    full = Echelon(width + len(rows))
     for i, r in enumerate(rows):
-        aug = list(r) + [Fraction(1 if j == i else 0) for j in range(n)]
-        tagged.append(aug)
-    wide = width + n
-    full = Echelon(wide)
-    for r in tagged:
-        full.add(r)
-    red = full.reduce(list(target) + [Fraction(0)] * n)
-    if any(red[j] != 0 for j in range(width)):
+        aug = dict(r)
+        aug[width + i] = 1
+        full.add(aug)
+    red = full.reduce(target)
+    if any(j < width for j in red):
         return None
-    return [-red[width + j] for j in range(n)]
+    return {j - width: -x for j, x in red.items()}

@@ -17,13 +17,15 @@ from fractions import Fraction
 from . import skewpoly
 from . import rings as rg
 from .errors import (
+    ArityMismatch,
     BoundInconclusive,
     BoxTooSmall,
+    CocycleViolation,
     InhomogeneousRelation,
     OwnerMismatch,
     UnsupportedClass,
 )
-from .linalg import Echelon, kernel_basis, solve
+from .linalg import Echelon, kernel_basis
 from .rings import RingElement, SkewLaurentRing, UnivariatePolyRing, skew_ring
 
 
@@ -56,7 +58,9 @@ class GradedModulePresentation:
         if self.ring.inverted:
             raise UnsupportedClass("presentations live over the uninverted ring")
         for row in self.relations:
-            assert len(row) == len(self.gen_degrees)
+            if len(row) != len(self.gen_degrees):
+                raise ArityMismatch(f"relation row has {len(row)} entries for "
+                                    f"{len(self.gen_degrees)} generators")
             degs = set()
             for t, payload in enumerate(row):
                 terms = skewpoly.from_canonical(payload)
@@ -143,29 +147,25 @@ def _raw_space(pres: GradedModulePresentation, S, d: int, box: int) -> RawSpace:
             columns.append((t, a))
     index = {c: i for i, c in enumerate(columns)}
     ech = Echelon(len(columns))
+
+    def relation_vector(b, entries):
+        vec = {}
+        for t, terms in entries:
+            for e, c in skewpoly.mul(lam, {b: Fraction(1)}, terms).items():
+                col = index.get((t, e))
+                if col is None:
+                    return None   # the product fell outside the truncation
+                vec[col] = vec.get(col, 0) + c
+        return vec
+
     for row in pres.relations:
         D = pres.row_degree(row)
         if D is None:
             continue
+        entries = [(t, skewpoly.from_canonical(payload)) for t, payload in enumerate(row)]
         for b in _cone(n, S, d - D, box):
-            vec = [Fraction(0)] * len(columns)
-            touched = False
-            for t, payload in enumerate(row):
-                terms = skewpoly.from_canonical(payload)
-                if not terms:
-                    continue
-                prod = skewpoly.mul(lam, {tuple(b): Fraction(1)}, terms)
-                for e, c in prod.items():
-                    key = (t, e)
-                    if key not in index:
-                        # the product fell outside the truncation; drop the row
-                        touched = None
-                        break
-                    vec[index[key]] += c
-                    touched = True
-                if touched is None:
-                    break
-            if touched:
+            vec = relation_vector(b, entries)
+            if vec is not None:
                 ech.add(vec)
     return RawSpace(tuple(columns), index, ech)
 
@@ -175,34 +175,29 @@ class StablePiece:
     """Image of the depth-box space inside the deeper space at box + k_max."""
 
     raw: RawSpace        # the big space at box + k_max
-    basis: tuple         # reduced, independent vectors over raw.columns
+    span: Echelon        # the image in reduced row echelon form over raw.columns
+
+    @property
+    def basis(self):
+        return self.span.rows
 
     @property
     def dim(self):
-        return len(self.basis)
+        return self.span.rank
 
 
 def _stable_piece(pres, S, d, box, k_max: int = 1) -> StablePiece:
-    small_cols = []
+    big = _raw_space(pres, S, d, box + max(1, k_max))
+    img = Echelon(len(big.columns))
     n = pres.ring.nvars
     for t, gdeg in enumerate(pres.gen_degrees):
         for a in _cone(n, S, d - gdeg, box):
-            small_cols.append((t, a))
-    big = _raw_space(pres, S, d, box + max(1, k_max))
-    img = Echelon(len(big.columns))
-    for c in small_cols:
-        vec = [Fraction(0)] * len(big.columns)
-        vec[big.index[c]] = Fraction(1)
-        img.add(big.ech.reduce(vec))
-    return StablePiece(big, tuple(tuple(row) for row in img.rows))
+            img.add(big.ech.reduce({big.index[(t, a)]: Fraction(1)}))
+    return StablePiece(big, img)
 
 
 def _map_into(piece_vec, src: RawSpace, dst: RawSpace):
-    out = [Fraction(0)] * len(dst.columns)
-    for i, c in enumerate(src.columns):
-        if piece_vec[i]:
-            out[dst.index[c]] += piece_vec[i]
-    return dst.ech.reduce(out)
+    return dst.ech.reduce({dst.index[src.columns[ci]]: c for ci, c in piece_vec.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +338,15 @@ def module_sheaf(X: ProjSpace, M: GradedModulePresentation) -> SkewQcohDatum:
             if i != j:
                 scalars[(i, j)] = Fraction(1)
     datum = SkewQcohDatum(X, M, scalars)
-    rep = qcoh_cocycle_check(datum)
-    assert rep["status"] == "pass"
+    _require_cocycles(datum, 0)
     return datum
+
+
+def _require_cocycles(d: SkewQcohDatum, degree: int):
+    rep = qcoh_cocycle_check(d, degree=degree)
+    if rep["status"] != "pass":
+        raise CocycleViolation(f"degree {degree}: the chart data are not a qcoh datum",
+                               witness=rep["failures"])
 
 
 @dataclass
@@ -361,10 +362,8 @@ class TwistedSheaf:
 def twist(d: SkewQcohDatum, n: int) -> TwistedSheaf:
     """Chart pieces move to degree n; the cocycle scalars are unchanged
     because rational multiples commute with the degree shift."""
-    tw = TwistedSheaf(d, n)
-    rep = qcoh_cocycle_check(d, degree=n)
-    assert rep["status"] == "pass"
-    return tw
+    _require_cocycles(d, n)
+    return TwistedSheaf(d, n)
 
 
 def qcoh_cocycle_check(d: SkewQcohDatum, degree: int = 0) -> dict:
@@ -386,16 +385,15 @@ def qcoh_cocycle_check(d: SkewQcohDatum, degree: int = 0) -> dict:
         if d.scalars[(i, j)] * d.scalars[(j, k)] != d.scalars[(i, k)]:
             failures.append({"condition": "triple", "triple": (i, j, k)})
 
+    pieces = [_stable_piece(M, frozenset({i}), degree, d.box) for i in range(n)]
     for (i, j) in X.overlaps:
-        pi = _stable_piece(M, frozenset({i}), degree, d.box)
-        pj = _stable_piece(M, frozenset({j}), degree, d.box)
         ov = _stable_piece(M, frozenset({i, j}), degree, d.box)
-        span_i = _base_changed_span(M, pi, ov, frozenset({i, j}), d.box)
-        span_j = _base_changed_span(M, pj, ov, frozenset({i, j}), d.box)
+        span_i = _base_changed_span(M, pieces[i], ov, frozenset({i, j}), d.box)
+        span_j = _base_changed_span(M, pieces[j], ov, frozenset({i, j}), d.box)
         # both sides must generate the stable overlap window (the two spans
         # also carry truncation fringe beyond the window, which may differ)
-        covers = all(span_i.contains(list(r)) for r in ov.basis) and all(
-            span_j.contains(list(r)) for r in ov.basis)
+        covers = all(span_i.contains(r) for r in ov.basis) and all(
+            span_j.contains(r) for r in ov.basis)
         if not covers:
             failures.append({"condition": "chart_identification", "pair": (i, j)})
     return {"status": "pass" if not failures else "fail", "failures": failures}
@@ -411,19 +409,16 @@ def _base_changed_span(M, piece: StablePiece, ov: StablePiece, S, box) -> Echelo
     multipliers = _cone(n, S, 0, box)
     for v in piece.basis:
         for w in multipliers:
-            out = [Fraction(0)] * len(ov.raw.columns)
+            out = {}
             ok = True
-            for ci, c in enumerate(v):
-                if not c:
-                    continue
+            for ci, c in v.items():
                 t, e = piece.raw.columns[ci]
-                prod = skewpoly.mul(lam, {tuple(w): Fraction(1)}, {e: Fraction(1)})
-                (e2, tw), = prod.items()
-                key = (t, e2)
-                if key not in ov.raw.index:
+                e2, x = skewpoly.term_mul(lam, w, 1, e, c)
+                col = ov.raw.index.get((t, e2))
+                if col is None:
                     ok = False
                     break
-                out[ov.raw.index[key]] += c * tw
+                out[col] = out.get(col, 0) + x
             if ok:
                 span.add(ov.raw.ech.reduce(out))
     return span
@@ -441,7 +436,7 @@ class SectionSpace:
     chart_pieces: tuple
     chart_dims: tuple
     offsets: tuple
-    vectors: tuple        # kernel basis: concatenated chart coefficients
+    vectors: tuple        # kernel basis, sparse over the concatenated chart coordinates
 
     @property
     def dim(self):
@@ -454,29 +449,20 @@ def _sections_once(M: GradedModulePresentation, nvars, d, box, k_max=1) -> Secti
     offsets = [0]
     for k in dims:
         offsets.append(offsets[-1] + k)
-    N = offsets[-1]
     rows = []
     for i in range(nvars):
         for j in range(i + 1, nvars):
             ov = _raw_space(M, frozenset({i, j}), d, box + max(1, k_max))
-            mapped_i = [_map_into(v, pieces[i].raw, ov) for v in pieces[i].basis]
-            mapped_j = [_map_into(v, pieces[j].raw, ov) for v in pieces[j].basis]
-            for co in range(len(ov.columns)):
-                row = [Fraction(0)] * N
-                nonzero = False
-                for a, mv in enumerate(mapped_i):
-                    if mv[co]:
-                        row[offsets[i] + a] = mv[co]
-                        nonzero = True
-                for b, mv in enumerate(mapped_j):
-                    if mv[co]:
-                        row[offsets[j] + b] = -mv[co]
-                        nonzero = True
-                if nonzero:
-                    rows.append(row)
-    vectors = kernel_basis(rows, N)
+            # one row per overlap column: chart i's coefficient minus chart j's
+            by_col = {}
+            for k, sign in ((i, 1), (j, -1)):
+                for a, v in enumerate(pieces[k].basis):
+                    for co, x in _map_into(v, pieces[k].raw, ov).items():
+                        by_col.setdefault(co, {})[offsets[k] + a] = sign * x
+            rows.extend(by_col[co] for co in sorted(by_col))
+    vectors = kernel_basis(rows, offsets[-1])
     return SectionSpace(d, box, tuple(pieces), tuple(dims), tuple(offsets),
-                        tuple(tuple(v) for v in vectors))
+                        tuple(vectors))
 
 
 def gamma(X: ProjSpace, M: GradedModulePresentation, window, box: int = 2,
@@ -516,17 +502,17 @@ def _ambient_basis(space: RawSpace):
     return [i for i in range(len(space.columns)) if i not in space.ech.pivots]
 
 
-def _gamma_image(M, amb: RawSpace, col: int, sec: SectionSpace):
+def _gamma_image(amb: RawSpace, col: int, sec: SectionSpace) -> dict:
     """Coordinates of the section induced by an ambient basis column."""
-    coords = []
-    for piece in sec.chart_pieces:
-        vec = [Fraction(0)] * len(piece.raw.columns)
-        vec[piece.raw.index[amb.columns[col]]] = Fraction(1)
-        red = piece.raw.ech.reduce(vec)
-        sol = solve(list(piece.basis), len(piece.raw.columns), red)
-        assert sol is not None, "an honest module element must be a stable section"
-        coords.extend(sol)
-    return coords
+    image = {}
+    for i, (piece, off) in enumerate(zip(sec.chart_pieces, sec.offsets)):
+        red = piece.raw.ech.reduce({piece.raw.index[amb.columns[col]]: Fraction(1)})
+        coords = piece.span.coordinates(red)
+        if coords is None:
+            raise BoxTooSmall(f"degree {sec.degree}: module column {amb.columns[col]} "
+                              f"is not a stable section on chart {i}")
+        image.update((off + a, x) for a, x in coords.items())
+    return image
 
 
 def serre_unit(X: ProjSpace, M: GradedModulePresentation, window,
@@ -542,31 +528,40 @@ def serre_unit(X: ProjSpace, M: GradedModulePresentation, window,
     g = gamma(X, M, window, box, k_max)
     out = {"window": (lo, hi), "box": box, "k_max": k_max,
            "torsion_bound": torsion_bound, "degrees": {}}
+    # the image of every degree first: the cokernel probes of a degree
+    # test membership in the images of the degrees above it
+    parts = {}
     for d in range(lo, hi + 1):
         amb = _ambient_space(M, d)
         basis_cols = _ambient_basis(amb)
-        sec = g["spaces"][d]
-        images = [_gamma_image(M, amb, c, sec) for c in basis_cols]
-        img_ech = Echelon(sum(sec.chart_dims))
+        images = [_gamma_image(amb, c, g["spaces"][d]) for c in basis_cols]
+        img_ech = Echelon(sum(g["spaces"][d].chart_dims))
         for v in images:
             img_ech.add(v)
+        parts[d] = (amb, basis_cols, images, img_ech)
+    img_echs = {d: part[3] for d, part in parts.items()}
+    for d in range(lo, hi + 1):
+        amb, basis_cols, images, img_ech = parts[d]
+        sec = g["spaces"][d]
         injective = img_ech.rank == len(basis_cols)
         surjective = img_ech.rank == sec.dim
 
         kernel_elts = []
         if not injective:
-            coeff_rows = [[images[m][c] for m in range(len(basis_cols))]
-                          for c in range(sum(sec.chart_dims))]
-            for cv in kernel_basis(coeff_rows, len(basis_cols)):
+            coeff_rows = {}
+            for m, v in enumerate(images):
+                for c, x in v.items():
+                    coeff_rows.setdefault(c, {})[m] = x
+            for cv in kernel_basis(list(coeff_rows.values()), len(basis_cols)):
                 kernel_elts.append(_columns_to_element(M, amb, basis_cols, cv, d))
 
         kernel_torsion = all(
-            is_torsion(M, elt, torsion_bound) for elt in kernel_elts) if kernel_elts else True
+            is_torsion(M, elt, torsion_bound, box) for elt in kernel_elts) if kernel_elts else True
 
         cokernel_dim = sec.dim - img_ech.rank
         cok_torsion = None
         if cokernel_dim:
-            cok_torsion = _cokernel_torsion(M, X, g, d, img_ech, window, box)
+            cok_torsion = _cokernel_torsion(M, g, d, hi, img_echs)
 
         out["degrees"][d] = {
             "module_dim": len(basis_cols),
@@ -584,10 +579,9 @@ def serre_unit(X: ProjSpace, M: GradedModulePresentation, window,
 def _columns_to_element(M, amb: RawSpace, basis_cols, coeffs, d):
     """A kernel coefficient vector as a per-generator skew polynomial."""
     polys = [dict() for _ in M.gen_degrees]
-    for c, col in zip(coeffs, basis_cols):
-        if c:
-            t, e = amb.columns[col]
-            polys[t][e] = polys[t].get(e, Fraction(0)) + c
+    for m, c in coeffs.items():
+        t, e = amb.columns[basis_cols[m]]
+        polys[t][e] = c
     return {"degree": d, "components": tuple(skewpoly.canonical(p) for p in polys)}
 
 
@@ -597,28 +591,30 @@ def element_from_payloads(M: GradedModulePresentation, payloads, degree: int):
         for p in payloads)}
 
 
-def _reduce_element(M: GradedModulePresentation, elt) -> list:
+def _element_vector(space: RawSpace, elt) -> dict:
+    """An element's coordinates over the columns of a raw space."""
+    return {space.index[(t, e)]: c
+            for t, payload in enumerate(elt["components"])
+            for e, c in skewpoly.from_canonical(payload).items()}
+
+
+def _reduce_element(M: GradedModulePresentation, elt) -> dict:
     """The ambient-space coordinates of an element, reduced by the relations."""
-    d = elt["degree"]
-    amb = _ambient_space(M, d)
-    vec = [Fraction(0)] * len(amb.columns)
-    for t, payload in enumerate(elt["components"]):
-        for e, c in skewpoly.from_canonical(payload).items():
-            vec[amb.index[(t, e)]] += c
-    return amb.ech.reduce(vec)
+    amb = _ambient_space(M, elt["degree"])
+    return amb.ech.reduce(_element_vector(amb, elt))
 
 
-def is_torsion(M: GradedModulePresentation, elt, bound: int) -> bool:
+def is_torsion(M: GradedModulePresentation, elt, bound: int, box: int = 2) -> bool:
     """True when x_i^bound kills the element for every i.
 
     If some power survives, the element's class in the localization at that
-    variable decides: nonzero image certifies non-torsion; a zero image
-    with surviving powers means the bound was too small.
+    variable (truncated at depth `box`) decides: nonzero image certifies
+    non-torsion; a zero image with surviving powers means the bound was too
+    small.
     """
     lam = rg.lam_map(M.ring)
     n = M.ring.nvars
     d = elt["degree"]
-    all_killed = True
     survivors = []
     for i in range(n):
         power = [0] * n
@@ -629,51 +625,36 @@ def is_torsion(M: GradedModulePresentation, elt, bound: int) -> bool:
             shifted.append(skewpoly.canonical(
                 skewpoly.mul(lam, {tuple(power): Fraction(1)}, terms)))
         moved = {"degree": d + bound, "components": tuple(shifted)}
-        if any(c != 0 for c in _reduce_element(M, moved)):
-            all_killed = False
+        if _reduce_element(M, moved):
             survivors.append(i)
-    if all_killed:
+    if not survivors:
         return True
     for i in survivors:
-        piece = _stable_piece(M, frozenset({i}), d, 2)
-        vec = [Fraction(0)] * len(piece.raw.columns)
-        for t, payload in enumerate(elt["components"]):
-            for e, c in skewpoly.from_canonical(payload).items():
-                vec[piece.raw.index[(t, e)]] += c
-        red = piece.raw.ech.reduce(vec)
-        if any(c != 0 for c in red):
+        piece = _stable_piece(M, frozenset({i}), d, box)
+        if piece.raw.ech.reduce(_element_vector(piece.raw, elt)):
             return False
     raise BoundInconclusive(
         f"powers up to {bound} neither kill the element nor show it alive")
 
 
-def _cokernel_torsion(M, X, g, d, img_ech, window, box):
+def _cokernel_torsion(M, g, d, hi, img_echs):
     """Push cokernel representatives up by variable powers into the image."""
-    lo, hi = window
     sec = g["spaces"][d]
     reps = []
     probe = Echelon(sum(sec.chart_dims))
-    for row in img_ech.rows:
-        probe.add(list(row))
+    for row in img_echs[d].rows:
+        probe.add(row)
     for v in sec.vectors:
-        if probe.add(list(v)):
+        if probe.add(v):
             reps.append(v)
     for rep_vec in reps:
         certified = False
-        for k in range(1, hi - d + 1):
-            target_deg = d + k
-            if target_deg > hi:
-                break
-            amb_t = _ambient_space(M, target_deg)
-            basis_t = _ambient_basis(amb_t)
+        for target_deg in range(d + 1, hi + 1):
             sec_t = g["spaces"][target_deg]
-            image_t = Echelon(sum(sec_t.chart_dims))
-            for c in basis_t:
-                image_t.add(_gamma_image(M, amb_t, c, sec_t))
             ok = True
             for i in range(M.ring.nvars):
-                moved = _multiply_section(M, sec, rep_vec, i, k, sec_t)
-                if moved is None or not image_t.contains(moved):
+                moved = _multiply_section(M, sec, rep_vec, i, target_deg - d, sec_t)
+                if moved is None or not img_echs[target_deg].contains(moved):
                     ok = False
                     break
             if ok:
@@ -688,34 +669,28 @@ def _multiply_section(M, sec: SectionSpace, vec, i, k, sec_target):
     """x_i^k times a section, re-expressed in the target degree's coordinates."""
     lam = rg.lam_map(M.ring)
     n = M.ring.nvars
-    power = [0] * n
-    power[i] = k
-    coords = []
-    pos = 0
-    for piece, piece_t in zip(sec.chart_pieces, sec_target.chart_pieces):
-        dim = len(piece.basis)
-        chart_vec = [Fraction(0)] * len(piece.raw.columns)
-        for a in range(dim):
-            c = vec[pos + a]
+    power = tuple(k if v == i else 0 for v in range(n))
+    coords = {}
+    for piece, piece_t, off, off_t in zip(sec.chart_pieces, sec_target.chart_pieces,
+                                          sec.offsets, sec_target.offsets):
+        chart_vec = {}
+        for a, bv in enumerate(piece.basis):
+            c = vec.get(off + a)
             if c:
-                for ci, bv in enumerate(piece.basis[a]):
-                    if bv:
-                        chart_vec[ci] += c * bv
-        pos += dim
-        lifted = [Fraction(0)] * len(piece_t.raw.columns)
-        for ci, c in enumerate(chart_vec):
+                for ci, x in bv.items():
+                    chart_vec[ci] = chart_vec.get(ci, 0) + c * x
+        lifted = {}
+        for ci, c in chart_vec.items():
             if not c:
                 continue
             t, e = piece.raw.columns[ci]
-            prod = skewpoly.mul(lam, {tuple(power): Fraction(1)}, {e: Fraction(1)})
-            (e2, tw), = prod.items()
-            key = (t, e2)
-            if key not in piece_t.raw.index:
+            e2, x = skewpoly.term_mul(lam, power, 1, e, c)
+            col = piece_t.raw.index.get((t, e2))
+            if col is None:
                 return None
-            lifted[piece_t.raw.index[key]] += c * tw
-        red = piece_t.raw.ech.reduce(lifted)
-        sol = solve(list(piece_t.basis), len(piece_t.raw.columns), red)
+            lifted[col] = lifted.get(col, 0) + x
+        sol = piece_t.span.coordinates(piece_t.raw.ech.reduce(lifted))
         if sol is None:
             return None
-        coords.extend(sol)
+        coords.update((off_t + a, x) for a, x in sol.items())
     return coords

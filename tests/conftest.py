@@ -104,6 +104,78 @@ def sympy_squarefree_part(coeffs):
     return tuple(Fraction(str(c)) for c in reversed(p.all_coeffs()))
 
 
+class DenseEchelon:
+    """Dense reduced row echelon form: the reference for `ncspec.linalg`.
+
+    Rows are lists of Fraction, normalized to a leading 1 with zeros above
+    and below each pivot.  `pivots` maps pivot column -> row index.
+    """
+
+    def __init__(self, width: int):
+        self.width = width
+        self.rows: list[list[Fraction]] = []
+        self.pivots: dict[int, int] = {}
+
+    def reduce(self, vec) -> list[Fraction]:
+        v = [Fraction(c) for c in vec]
+        for col, ri in self.pivots.items():
+            c = v[col]
+            if c:
+                row = self.rows[ri]
+                for j in range(col, self.width):
+                    v[j] -= c * row[j]
+        return v
+
+    def add(self, vec) -> bool:
+        v = self.reduce(vec)
+        lead = next((j for j in range(self.width) if v[j]), None)
+        if lead is None:
+            return False
+        inv = 1 / v[lead]
+        v = [c * inv for c in v]
+        for row in self.rows:
+            c = row[lead]
+            if c:
+                for j in range(lead, self.width):
+                    row[j] -= c * v[j]
+        self.rows.append(v)
+        self.pivots[lead] = len(self.rows) - 1
+        return True
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def contains(self, vec) -> bool:
+        return all(c == 0 for c in self.reduce(vec))
+
+
+def dense_kernel_basis(rows, width: int) -> list[list[Fraction]]:
+    ech = DenseEchelon(width)
+    for r in rows:
+        ech.add(r)
+    basis = []
+    for f in (j for j in range(width) if j not in ech.pivots):
+        vec = [Fraction(0)] * width
+        vec[f] = Fraction(1)
+        for col, ri in ech.pivots.items():
+            vec[col] = -ech.rows[ri][f]
+        basis.append(vec)
+    return basis
+
+
+def dense_solve(rows, width: int, target):
+    """One x with sum x_i row_i = target, via identity-tagged rows, or None."""
+    n = len(rows)
+    full = DenseEchelon(width + n)
+    for i, r in enumerate(rows):
+        full.add(list(r) + [Fraction(1 if j == i else 0) for j in range(n)])
+    red = full.reduce(list(target) + [Fraction(0)] * n)
+    if any(red[j] != 0 for j in range(width)):
+        return None
+    return [-red[width + j] for j in range(n)]
+
+
 def seeded_random():
     return random.Random(20260809)
 

@@ -235,3 +235,26 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     code, out = run_cli(capsys, "ncspec", "--ring", str(bad))
     assert code == 2
     assert json.loads(out)["payload"]["error"] in ("ParseError", "SchemaViolation")
+    # skew-Proj arguments and documents that used to be answered misleadingly
+    skew = {"kind": "skew_laurent", "nvars": 2, "lambda": [[1, 2, "2"]], "inverted": []}
+    ring = write(tmp_path, "skew.json", dict(skew, schema="ncspec.ring/1"))
+    window = ("--ring", ring, "--window", "0", "2")
+    cases = [
+        ("proj-gamma", "--ring", ring, "--window", "3", "1"),
+        ("proj-gamma", *window, "--box", "-1"),
+        ("proj-gamma", *window, "--k-max", "0"),
+        ("serre-check", "--ring", ring, "--window", "2", "0"),
+        ("serre-check", *window, "--box", "-1"),
+        ("serre-check", *window, "--k-max", "0"),
+        ("serre-check", *window, "--torsion-bound", "0"),
+    ]
+    for box in (-1, True, "2"):
+        datum = write(tmp_path, "qcoh.json", {
+            "schema": "ncspec.qcoh/1", "ring": skew,
+            "module": {"schema": "ncspec.module/1", "generators": [{"degree": 0}]},
+            "scalars": [[1, 2, "1"], [2, 1, "1"]], "box": box})
+        cases.append(("qcoh-check", "--datum", datum))
+    for argv in cases:
+        code, out = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert json.loads(out)["payload"]["error"] in ("ParseError", "SchemaViolation"), argv

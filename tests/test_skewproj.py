@@ -6,7 +6,9 @@ import pytest
 from ncspec import rings as rg
 from ncspec import skewpoly
 from ncspec.errors import (
+    ArityMismatch,
     BoundInconclusive,
+    CocycleViolation,
     InhomogeneousRelation,
     OwnerMismatch,
     UnsupportedClass,
@@ -104,6 +106,8 @@ def test_presentation_homogeneity_checks():
     with pytest.raises(InhomogeneousRelation):
         presentation_from_rows(SK2, (0,), [[{(1, 0): 1, (0, 0): 1}]])
     presentation_from_rows(SK2, (0,), [[{(1, 0): 1, (0, 1): 1}]])
+    with pytest.raises(ArityMismatch):
+        presentation_from_rows(SK2, (0,), [[{(1, 0): 1}, {(0, 1): 1}]])
     with pytest.raises(UnsupportedClass):
         free_presentation(skew_ring(2, {(0, 1): 2}, inverted=[0]))
 
@@ -154,6 +158,11 @@ def test_gamma_plane_counts_match_binomials():
     Xc = build_proj(skew_ring(3, {(0, 1): 1, (0, 2): 1, (1, 2): 1}))
     gc = gamma(Xc, free_presentation(Xc.ring), (0, 3))
     assert [gc["dims"][d] for d in range(4)] == [comb(d + 2, 2) for d in range(4)]
+    for n, hi in ((4, 3), (5, 2)):
+        r = skew_ring(n, {(i, j): i + j + 2 for i in range(n) for j in range(i + 1, n)})
+        g = gamma(build_proj(r), free_presentation(r), (0, hi))
+        assert [g["dims"][d] for d in range(hi + 1)] == [
+            comb(d + n - 1, n - 1) for d in range(hi + 1)]
 
 
 def test_gamma_kills_torsion_module():
@@ -258,6 +267,17 @@ def test_is_torsion_classification():
     assert is_torsion(part, gen0, 2) is True
     with pytest.raises(BoundInconclusive):
         is_torsion(part, gen0, 1)
+    # R/(x^4, y): x^4 only reaches the degree-0 piece of the x-chart at
+    # depth 3, so the localization probe must use the caller's box
+    deep = presentation_from_rows(SK2, (0,), [[{(4, 0): 1}], [{(0, 1): 1}]])
+    gen0 = element_from_payloads(deep, [{(0, 0): 1}], 0)
+    with pytest.raises(BoundInconclusive):
+        is_torsion(deep, gen0, 2, box=3)
+    X = build_proj(SK2)
+    with pytest.raises(BoundInconclusive):
+        serre_unit(X, deep, (0, 0), box=3, torsion_bound=2)
+    assert serre_unit(X, deep, (0, 0), box=3, torsion_bound=4)["degrees"][0][
+        "kernel_torsion"] is True
 
 
 # --- twists and cocycle data ----------------------------------------------------
@@ -294,9 +314,13 @@ def test_scaled_cocycle_fails():
     datum = module_sheaf(X, free_presentation(SK2))
     bad_scalars = dict(datum.scalars)
     bad_scalars[(0, 1)] = Fraction(2)
-    rep = qcoh_cocycle_check(SkewQcohDatum(X, datum.presentation, bad_scalars))
+    bad = SkewQcohDatum(X, datum.presentation, bad_scalars)
+    rep = qcoh_cocycle_check(bad)
     assert rep["status"] == "fail"
     assert any(f["condition"] == "inverse" for f in rep["failures"])
+    with pytest.raises(CocycleViolation) as exc:
+        twist(bad, 1)
+    assert exc.value.witness == qcoh_cocycle_check(bad, degree=1)["failures"]
 
 
 def test_triple_scalar_condition_n3():
