@@ -4,6 +4,7 @@ import pytest
 
 from conftest import brute_is_unit
 
+from ncspec import qpoly
 from ncspec import rings as rg
 from ncspec.errors import (
     ArityMismatch,
@@ -13,6 +14,7 @@ from ncspec.errors import (
     NotAHomomorphism,
 )
 from ncspec.rings import (
+    LocalizedPolyRing,
     MatrixRing,
     ModularRing,
     PrimeField,
@@ -219,3 +221,59 @@ def test_descriptor_invariants():
         SemisimpleAlgebra(Rationals(), ())
     with pytest.raises(ValueError):
         PrimeField(4)
+
+
+def _pin_cases():
+    F2, Q = PrimeField(2), Rationals()
+    half = Fraction(1, 2)
+    a = ((1, 1), (0, 1))
+    return [
+        # (ring, samples, their element_str, unit, cardinality, commutative,
+        #  first and last enumerated payloads or None)
+        (ZeroRing(), [0], ["0"], 0, 1, True, (0, 0)),
+        (ModularRing(6), [0, 5, 3], ["0", "5", "3"], 5, 6, True, (0, 5)),
+        (rg.product_ring([ModularRing(2), ModularRing(3)]), [(1, 2), (0, 0)],
+         ["(1, 2)", "(0, 0)"], (1, 2), 6, True, ((0, 0), (1, 2))),
+        (MatrixRing(F2, 2), [a], ["((1, 1), (0, 1))"], a, 16, False,
+         (((0, 0), (0, 0)), ((1, 1), (1, 1)))),
+        (MatrixRing(Q, 2), [((1, half), (0, 3))],
+         ["((Fraction(1, 1), Fraction(1, 2)), (Fraction(0, 1), Fraction(3, 1)))"],
+         ((1, half), (0, 3)), None, False, None),
+        (SemisimpleAlgebra(F2, (1, 2)), [(((1,),), a)], ["(((1,),), ((1, 1), (0, 1)))"],
+         (((1,),), a), 32, False,
+         ((((0,),), ((0, 0), (0, 0))), (((1,),), ((1, 1), (1, 1))))),
+        # a single block shows as a one-tuple, not as a parenthesised block
+        (SemisimpleAlgebra(F2, (2,)), [(a,)], ["(((1, 1), (0, 1)),)"], (a,), 16, False,
+         ((((0, 0), (0, 0)),), (((1, 1), (1, 1)),))),
+        (SemisimpleAlgebra(Q, (1, 2)), [(((half,),), ((1, 0), (2, 1)))],
+         ["(((Fraction(1, 2),),), ((Fraction(1, 1), Fraction(0, 1)), "
+          "(Fraction(2, 1), Fraction(1, 1))))"],
+         (((half,),), ((1, 0), (2, 1))), None, False, None),
+        (UnivariatePolyRing(), [[half, -1, 3], [], [0, 1]],
+         ["1/2 + -1*x + 3*x^2", "0", "x"], [Fraction(-2, 3)], None, True, None),
+        (LocalizedPolyRing(qpoly.poly([-1, 0, 1])),
+         [([1, 1], [-1, 0, 1]), ([2], [1]), ([0, 3], [-1, 1])],
+         ["(1)/(-1 + x)", "2", "(3*x)/(-1 + x)"], ([-1, 1], [1]), None, True, None),
+        (skew_ring(2, {(0, 1): 2}, inverted=(0,)), [{(-1, 2): 3, (1, 0): half}, {}],
+         ["3*x1^-1*x2^2 + 1/2*x1", "0"], {(-1, 0): 3}, None, False, None),
+    ]
+
+
+def test_per_class_outputs_pinned():
+    for r, samples, shown, unit, card, comm, ends in _pin_cases():
+        xs = [rg.element(r, s) for s in samples]
+        assert [rg.element_str(x) for x in xs] == shown, r
+        for x in xs:
+            assert rg.canonical_payload(r, x.payload) == x.payload, r
+        u = rg.element(r, unit)
+        w = rg.inverse(r, u)
+        assert w * u == rg.one(r) and u * w == rg.one(r), r
+        assert rg.cardinality(r) == card, r
+        assert rg.is_commutative(r) is comm, r
+        if ends is None:
+            with pytest.raises(InfiniteRing):
+                rg.enumerate_elements(r)
+        else:
+            elems = rg.enumerate_elements(r)
+            assert (elems[0].payload, elems[-1].payload) == ends, r
+            assert len(elems) == card, r
