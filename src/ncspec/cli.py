@@ -195,8 +195,8 @@ def cmd_qcoh_check(args):
     for triple in doc["scalars"]:
         i, j, v = int(triple[0]) - 1, int(triple[1]) - 1, ser.parse_rational(triple[2])
         scalars[(i, j)] = v
-    box = doc.get("box", 2)
-    if type(box) is not int or box < 0:
+    box = ser.parse_int(doc.get("box", 2), "qcoh.box")
+    if box < 0:
         raise SchemaViolation("box must be a non-negative integer", "qcoh.box")
     X = build_proj(r)
     datum = SkewQcohDatum(X, M, scalars, box=box)

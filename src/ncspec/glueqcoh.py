@@ -20,14 +20,12 @@ from .errors import (
     OreConditionFails,
     UnsupportedClass,
 )
-from .localization import Localization, connecting_map, localize
+from .localization import Localization, connecting_map, localize, subgroup_closure
 from .rings import (
     ModularRing,
-    ProductRing,
     RingElement,
     RingHom,
     SkewLaurentRing,
-    ZeroRing,
     hom_validate,
 )
 from .sheafspec import NCSpecSpace, ncspec, ncspec_morphism
@@ -213,20 +211,6 @@ def module_homs(M: FiniteModule, N: FiniteModule):
     return [ModuleHom(M, N, combo) for combo in iproduct(*pools)]
 
 
-def _subgroup_closure(M: FiniteModule, gens):
-    acc = {M.zero()} | set(gens)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(acc):
-            for b in list(acc):
-                s = M.add(a, b)
-                if s not in acc:
-                    acc.add(s)
-                    changed = True
-    return frozenset(acc)
-
-
 @dataclass(frozen=True)
 class QuotientPart:
     """One cyclic-factor slice of a base-changed module: M / N_j."""
@@ -248,7 +232,7 @@ def _quotient_part(M: FiniteModule, modulus: int, scalar_of) -> QuotientPart:
         t = scalar_of(r_val)
         for m in M.elements():
             gens.add(M.add(M.smul(r_val, m), M.neg(M.smul(t, m))))
-    N = _subgroup_closure(M, gens)
+    N = subgroup_closure(M.zero(), gens, M.add)
     cosets = {}
     index = {}
     for m in M.elements():
@@ -277,7 +261,7 @@ class TensorModule:
 
     def pure(self, l: RingElement, m) -> tuple:
         """The class of the pure tensor l (x) m."""
-        comps = _cyclic_components(l)
+        comps = rg.cyclic_components(l)
         return tuple(p.coset(p.module.smul(c, m)) for p, c in zip(self.parts, comps))
 
     def size(self):
@@ -295,7 +279,7 @@ class TensorModule:
         return tuple(out)
 
     def act(self, t: RingElement, x):
-        comps = _cyclic_components(t)
+        comps = rg.cyclic_components(t)
         return tuple(p.coset(p.module.smul(c, _rep(p, a)))
                      for p, c, a in zip(self.parts, comps, x))
 
@@ -307,37 +291,18 @@ def _rep(p: QuotientPart, idx: int):
     raise KeyError(idx)
 
 
-def _cyclic_components(l: RingElement):
-    r = l.owner
-    if isinstance(r, ModularRing):
-        return (l.payload,)
-    if isinstance(r, ProductRing):
-        return tuple(l.payload)
-    if isinstance(r, ZeroRing):
-        return ()
-    raise UnsupportedClass(f"{r!r} is not a product of cyclic rings")
-
-
-def _cyclic_moduli(r):
-    if isinstance(r, ModularRing):
-        return (r.n,)
-    if isinstance(r, ProductRing):
-        return tuple(f.n for f in r.factors)
-    if isinstance(r, ZeroRing):
-        return ()
-    raise UnsupportedClass(f"{r!r} is not a product of cyclic rings")
-
-
 def tensor_module(theta: RingHom, M: FiniteModule) -> TensorModule:
     """TensorModule for theta: R -> T with T a product of cyclic rings."""
     hom_validate(theta)
     assert theta.source == M.ring
-    moduli = _cyclic_moduli(theta.target)
+    moduli = rg.cyclic_moduli(theta.target)
+    if moduli is None:
+        raise UnsupportedClass(f"{theta.target!r} is not a product of cyclic rings")
     parts = []
     for j, mj in enumerate(moduli):
         def scalar_of(r_val, j=j):
             img = theta(RingElement(M.ring, r_val % M.ring.n))
-            return _cyclic_components(img)[j]
+            return rg.cyclic_components(img)[j]
         parts.append(_quotient_part(M, mj, scalar_of))
     return TensorModule(theta, M, tuple(parts))
 
@@ -348,14 +313,14 @@ def tensor_restriction(T1: TensorModule, T2: TensorModule, p: RingHom):
     Each target factor is fed by exactly the source factor whose idempotent
     p keeps; returns a dict on elements.
     """
-    src_moduli = _cyclic_moduli(T1.hom.target)
-    tgt_moduli = _cyclic_moduli(T2.hom.target)
+    nsrc = len(T1.parts)
+    tgt_moduli = rg.cyclic_moduli(T2.hom.target)
     feeder = []
     for jj in range(len(tgt_moduli)):
         hits = []
-        for par in range(len(src_moduli)):
-            e_par = _idempotent_at(T1.hom.target, par)
-            if _cyclic_components(p(e_par))[jj] % tgt_moduli[jj] == 1 % tgt_moduli[jj]:
+        for par in range(nsrc):
+            e_par = rg.cyclic_element(T1.hom.target, [int(i == par) for i in range(nsrc)])
+            if rg.cyclic_components(p(e_par))[jj] % tgt_moduli[jj] == 1 % tgt_moduli[jj]:
                 hits.append(par)
         assert len(hits) == 1, "each target factor must come from one source factor"
         feeder.append(hits[0])
@@ -367,14 +332,6 @@ def tensor_restriction(T1: TensorModule, T2: TensorModule, p: RingHom):
             img.append(T2.parts[jj].coset(rep))
         out[x] = tuple(img)
     return out
-
-
-def _idempotent_at(r, index) -> RingElement:
-    if isinstance(r, ModularRing):
-        assert index == 0
-        return rg.one(r)
-    payload = tuple(1 if i == index else 0 for i in range(len(r.factors)))
-    return RingElement(r, payload)
 
 
 def tensor_induced(T1: TensorModule, T2: TensorModule, f: ModuleHom):

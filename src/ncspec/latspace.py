@@ -22,8 +22,6 @@ from .errors import (
 from .localization import Localization, idempotent_power, localize
 from .rings import (
     MatrixRing,
-    ModularRing,
-    ProductRing,
     RingElement,
     SemisimpleAlgebra,
     UnivariatePolyRing,
@@ -320,7 +318,7 @@ def build_semilattice(r):
         cell = _cell(r, (), key=0)
         return LocalizationLattice(r, [cell], [[True]], lambda f: 0)
 
-    if isinstance(r, (ModularRing, ProductRing)) and rg.is_commutative(r) and rg.is_finite(r):
+    if rg.cyclic_moduli(r) is not None:
         return _build_finite_commutative(r)
 
     if isinstance(r, SemisimpleAlgebra):
@@ -377,9 +375,8 @@ def _build_semisimple(r):
     subsets.sort(key=lambda Z: (-len(Z), sorted(Z)))
 
     def idem(Z):
-        payload = tuple(
-            rg._mat_scalar(r.base, d, 1 if i in Z else 0) for i, d in enumerate(r.dims))
-        return RingElement(r, payload)
+        return RingElement(r, tuple(
+            f.from_int(1 if i in Z else 0) for i, f in enumerate(r.factors)))
 
     cells = [_cell(r, (idem(Z),), key=Z) for Z in subsets]
     n = len(cells)

@@ -11,6 +11,7 @@ the fraction class of the squarefree part of prod(E); skew Laurent rings
 localize at monomials by enlarging the inverted cone.
 """
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd as igcd
@@ -79,7 +80,8 @@ def idempotent_power(r, x: RingElement) -> RingElement:
     e = x
     for _ in range(j - 1):
         e = e * x
-    assert e * e == e
+    if e * e != e:
+        raise UnsupportedClass(f"no idempotent power of {x!r}: {r!r} is not associative")
     return e
 
 
@@ -103,7 +105,7 @@ def _localize_cached(r, E: tuple) -> Localization:
     if not E or all(rg.is_unit(r, a) for a in E):
         return _finish(r, E, r, hom_validate(RingHom(r, r, IdentityRule())))
 
-    if isinstance(r, (ModularRing, ProductRing)) and rg.is_commutative(r) and rg.is_finite(r):
+    if rg.cyclic_moduli(r) is not None:
         return _localize_finite_commutative(r, E)
 
     if isinstance(r, MatrixRing):
@@ -174,10 +176,8 @@ def _localize_finite_commutative(r, E) -> Localization:
     for a in E:
         f = f * a
     e = idempotent_power(r, f)
-    mods = [g.n for g in (r.factors if isinstance(r, ProductRing) else (r,))]
-    parts = e.payload if isinstance(r, ProductRing) else (e.payload,)
     kept = []
-    for i, (ei, ni) in enumerate(zip(parts, mods)):
+    for i, (ei, ni) in enumerate(zip(rg.cyclic_components(e), rg.cyclic_moduli(r))):
         m = ni // igcd(ei, ni)
         if m > 1:
             kept.append((i, m))
@@ -204,8 +204,10 @@ def _finish(r, E, result, insertion) -> Localization:
     for a in E:
         img = insertion(a)
         w = rg.inverse(result, img)
-        assert w is not None, f"{a!r} fails to invert in {result!r}"
-        assert img * w == rg.one(result) and w * img == rg.one(result)
+        if w is None:
+            raise UnsupportedClass(f"{a!r} fails to invert in {result!r}")
+        if img * w != rg.one(result) or w * img != rg.one(result):
+            raise UnsupportedClass(f"{w!r} is not a two-sided inverse of {img!r}")
         witnesses.append((a, w))
     return Localization(r, tuple(E), result, insertion, tuple(witnesses))
 
@@ -348,7 +350,8 @@ def localization_square(theta: RingHom, A, B) -> LocalizationSquare:
         bottom=induced_map(theta, B),
         right=_under_map(theta.target, localize(theta.target, tA), localize(theta.target, tB)),
     )
-    assert sq.commutes(), "localization square fails to commute"
+    if not sq.commutes():
+        raise UnverifiableSquare("localization square fails to commute")
     return sq
 
 
@@ -451,7 +454,7 @@ def _pushout_by_kernels(sq: LocalizationSquare) -> bool:
             raise UnsupportedClass("square is not of quotient type")
     ker = {x for x in elems if sq.top(x) == rg.zero(sq.top.target)}
     ker |= {x for x in elems if sq.left(x) == rg.zero(sq.left.target)}
-    ideal = _subgroup_closure(tl, ker)
+    ideal = subgroup_closure(rg.zero(tl), ker, operator.add)
     kappa = {x: sq.bottom(sq.left(x)) for x in elems}
     if len(set(kappa.values())) != rg.cardinality(sq.bottom.target):
         return False
@@ -459,16 +462,16 @@ def _pushout_by_kernels(sq: LocalizationSquare) -> bool:
     return kernel_of_kappa == ideal
 
 
-def _subgroup_closure(r, gens):
-    """Additive closure of gens (an ideal when gens come from hom kernels)."""
-    acc = {rg.zero(r)} | set(gens)
+def subgroup_closure(zero, gens, add):
+    """Closure of gens and zero under add (an ideal when gens come from hom kernels)."""
+    acc = {zero} | set(gens)
     changed = True
     while changed:
         changed = False
         for a in list(acc):
             for b in list(acc):
-                s = a + b
+                s = add(a, b)
                 if s not in acc:
                     acc.add(s)
                     changed = True
-    return acc
+    return frozenset(acc)

@@ -4,14 +4,19 @@ Supported classes: the zero ring, Z/n, finite products, matrix rings over
 Q or a prime field, semisimple algebras (products of matrix rings),
 Q[x], and skew Laurent rings with quasi-commuting variables.  Every
 element carries its owner descriptor and a canonical payload, so equality
-is structural equality of canonical forms.
+is structural equality of canonical forms.  Each descriptor class owns
+its payload arithmetic (see `Descriptor`), and each hom rule class owns
+how it applies and how it is checked on an infinite source (see `Rule`);
+the module-level functions check ownership and delegate.
 """
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iproduct
 from math import gcd as igcd
+from math import lcm
 
 from . import qpoly, skewpoly
 from .errors import (
@@ -26,46 +31,198 @@ from .errors import (
 
 
 # ---------------------------------------------------------------------------
-# field tags and descriptors
+# field tags
 
 @dataclass(frozen=True)
 class Rationals:
+    """The field Q: scalars are Fractions; `order` is None (infinite)."""
+
+    order = None
+    scalar = staticmethod(Fraction)
+    add = staticmethod(operator.add)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
+
+    def inv(self, a):
+        return 1 / a
+
     def __repr__(self):
         return "Q"
 
 
 @dataclass(frozen=True)
 class PrimeField:
+    """The field F_p: scalars are ints in range(p); `order` is p."""
+
     p: int
 
     def __post_init__(self):
         if self.p < 2 or any(self.p % d == 0 for d in range(2, int(self.p ** 0.5) + 1)):
             raise ValueError(f"{self.p} is not prime")
 
+    @property
+    def order(self):
+        return self.p
+
+    def scalar(self, v):
+        return int(v) % self.p
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def neg(self, a):
+        return (-a) % self.p
+
+    def mul(self, a, b):
+        return (a * b) % self.p
+
+    def inv(self, a):
+        return pow(a, -1, self.p)
+
     def __repr__(self):
         return f"F{self.p}"
 
 
+# ---------------------------------------------------------------------------
+# descriptors
+
+class Descriptor:
+    """The payload-level protocol of a ring class.
+
+    A new class implements `canonical(payload)` (normalize a raw payload),
+    `from_int(k)`, `add(a, b)`, `neg(a)`, `mul(a, b)`, `is_unit(a)`,
+    `inverse(a)` (called on units only) and `is_commutative()`; every
+    payload it returns is canonical.  The defaults below fit an infinite
+    carrier; a finite class overrides `cardinality()` and `elements()`
+    (every canonical payload once, in a fixed order).  `show(a)` renders
+    a payload.
+    """
+
+    def cardinality(self):
+        return None
+
+    def elements(self):
+        raise InfiniteRing(f"{self!r} has an infinite carrier")
+
+    def show(self, a):
+        return repr(a)
+
+
 @dataclass(frozen=True)
-class ZeroRing:
+class ZeroRing(Descriptor):
+    def canonical(self, payload):
+        return 0
+
+    from_int = neg = inverse = canonical
+
+    def add(self, a, b):
+        return 0
+
+    mul = add
+
+    def is_unit(self, a):
+        return True
+
+    def cardinality(self):
+        return 1
+
+    def is_commutative(self):
+        return True
+
+    def elements(self):
+        return [0]
+
+    show = staticmethod(str)
+
     def __repr__(self):
         return "0-ring"
 
 
 @dataclass(frozen=True)
-class ModularRing:
+class ModularRing(Descriptor):
     n: int
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("modulus must be >= 1")
 
+    def canonical(self, payload):
+        return int(payload) % self.n
+
+    from_int = canonical
+
+    def add(self, a, b):
+        return (a + b) % self.n
+
+    def neg(self, a):
+        return (-a) % self.n
+
+    def mul(self, a, b):
+        return (a * b) % self.n
+
+    def is_unit(self, a):
+        return igcd(a, self.n) == 1
+
+    def inverse(self, a):
+        return pow(a, -1, self.n)
+
+    def cardinality(self):
+        return self.n
+
+    def is_commutative(self):
+        return True
+
+    def elements(self):
+        return range(self.n)
+
+    show = staticmethod(str)
+
     def __repr__(self):
         return f"Z/{self.n}"
 
 
+class _Componentwise(Descriptor):
+    """A product whose payloads are tuples of payloads of its `factors`."""
+
+    def canonical(self, payload):
+        return tuple([f.canonical(p) for f, p in zip(self.factors, payload)])
+
+    def from_int(self, k):
+        return tuple([f.from_int(k) for f in self.factors])
+
+    def add(self, a, b):
+        return tuple([f.add(x, y) for f, x, y in zip(self.factors, a, b)])
+
+    def neg(self, a):
+        return tuple([f.neg(x) for f, x in zip(self.factors, a)])
+
+    def mul(self, a, b):
+        return tuple([f.mul(x, y) for f, x, y in zip(self.factors, a, b)])
+
+    def is_unit(self, a):
+        return all(f.is_unit(x) for f, x in zip(self.factors, a))
+
+    def inverse(self, a):
+        return tuple([f.inverse(x) for f, x in zip(self.factors, a)])
+
+    def cardinality(self):
+        total = 1
+        for f in self.factors:
+            c = f.cardinality()
+            if c is None:
+                return None
+            total *= c
+        return total
+
+    def is_commutative(self):
+        return all(f.is_commutative() for f in self.factors)
+
+    def elements(self):
+        return iproduct(*[f.elements() for f in self.factors])
+
+
 @dataclass(frozen=True)
-class ProductRing:
+class ProductRing(_Componentwise):
     factors: tuple
 
     def __post_init__(self):
@@ -74,12 +231,15 @@ class ProductRing:
         if any(isinstance(f, ProductRing) and len(f.factors) == 1 for f in self.factors):
             raise ValueError("nested single-factor product")
 
+    def show(self, a):
+        return "(" + ", ".join(f.show(x) for f, x in zip(self.factors, a)) + ")"
+
     def __repr__(self):
         return " x ".join(repr(f) for f in self.factors)
 
 
 @dataclass(frozen=True)
-class MatrixRing:
+class MatrixRing(Descriptor):
     base: object
     size: int
 
@@ -87,12 +247,55 @@ class MatrixRing:
         if self.size < 1:
             raise ValueError("matrix size must be >= 1")
 
+    def canonical(self, rows):
+        s = self.base.scalar
+        return tuple(tuple(s(v) for v in row) for row in rows)
+
+    def from_int(self, k):
+        d, z = self.base.scalar(k), self.base.scalar(0)
+        return tuple(tuple(d if i == j else z for j in range(self.size))
+                     for i in range(self.size))
+
+    def add(self, A, B):
+        f = self.base.add
+        return tuple([tuple(map(f, ra, rb)) for ra, rb in zip(A, B)])
+
+    def neg(self, A):
+        f = self.base.neg
+        return tuple([tuple(map(f, row)) for row in A])
+
+    def mul(self, A, B):
+        # entries are exact, so one reduction per summed entry is enough
+        s, cols = self.base.scalar, list(zip(*B))
+        return tuple([tuple([s(sum(map(operator.mul, row, col))) for col in cols])
+                      for row in A])
+
+    def is_unit(self, A):
+        return mat_det(self.base, A) != 0
+
+    def inverse(self, A):
+        return mat_inv(self.base, A)
+
+    def cardinality(self):
+        q = self.base.order
+        return None if q is None else q ** (self.size ** 2)
+
+    def is_commutative(self):
+        return self.size == 1
+
+    def elements(self):
+        q, n = self.base.order, self.size
+        if q is None:
+            return super().elements()
+        return [tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
+                for flat in iproduct(range(q), repeat=n * n)]
+
     def __repr__(self):
         return f"M{self.size}({self.base!r})"
 
 
 @dataclass(frozen=True)
-class SemisimpleAlgebra:
+class SemisimpleAlgebra(_Componentwise):
     base: object
     dims: tuple
 
@@ -100,28 +303,94 @@ class SemisimpleAlgebra:
         if not self.dims or any(d < 1 for d in self.dims):
             raise ValueError("dims must be a nonempty list of positive sizes")
 
+    @cached_property
+    def factors(self):
+        """The matrix blocks; a payload is the tuple of their payloads."""
+        return tuple(MatrixRing(self.base, d) for d in self.dims)
+
+    def elements(self):
+        if self.base.order is None:
+            return Descriptor.elements(self)
+        return super().elements()
+
     def __repr__(self):
         return " x ".join(f"M{d}({self.base!r})" for d in self.dims)
 
 
 @dataclass(frozen=True)
-class UnivariatePolyRing:
+class UnivariatePolyRing(Descriptor):
+    canonical = staticmethod(qpoly.poly)
+    add = staticmethod(qpoly.add)
+    neg = staticmethod(qpoly.neg)
+    mul = staticmethod(qpoly.mul)
+    show = staticmethod(qpoly.to_string)
+
+    def from_int(self, k):
+        return qpoly.poly([k])
+
+    def is_unit(self, a):
+        return qpoly.deg(a) == 0
+
+    def inverse(self, a):
+        return qpoly.poly([1 / a[0]])
+
+    def is_commutative(self):
+        return True
+
     def __repr__(self):
         return "Q[x]"
 
 
 @dataclass(frozen=True)
-class LocalizedPolyRing:
+class LocalizedPolyRing(Descriptor):
     """Q[x] with a squarefree monic denominator inverted (symbolic fraction class)."""
 
     denominator: tuple  # qpoly, squarefree monic, degree >= 1
+
+    def canonical(self, payload):
+        num, den = payload
+        return _locpoly_normalize(qpoly.poly(num), qpoly.poly(den))
+
+    def from_int(self, k):
+        return (qpoly.poly([k]), qpoly.ONE)
+
+    def add(self, a, b):
+        (n1, d1), (n2, d2) = a, b
+        return _locpoly_normalize(
+            qpoly.add(qpoly.mul(n1, d2), qpoly.mul(n2, d1)), qpoly.mul(d1, d2))
+
+    def neg(self, a):
+        num, den = a
+        return (qpoly.neg(num), den)
+
+    def mul(self, a, b):
+        (n1, d1), (n2, d2) = a, b
+        return _locpoly_normalize(qpoly.mul(n1, n2), qpoly.mul(d1, d2))
+
+    def is_unit(self, a):
+        num, _den = a
+        return (not qpoly.is_zero(num)
+                and qpoly.divides(qpoly.squarefree_part(num), self.denominator))
+
+    def inverse(self, a):
+        num, den = a
+        return self.canonical((den, num))
+
+    def is_commutative(self):
+        return True
+
+    def show(self, a):
+        num, den = a
+        if den == qpoly.ONE:
+            return qpoly.to_string(num)
+        return f"({qpoly.to_string(num)})/({qpoly.to_string(den)})"
 
     def __repr__(self):
         return f"Q[x][1/({qpoly.to_string(self.denominator)})]"
 
 
 @dataclass(frozen=True)
-class SkewLaurentRing:
+class SkewLaurentRing(Descriptor):
     nvars: int
     lam: tuple  # sorted tuple of ((i, j), Fraction) for 0 <= i < j < nvars
     inverted: frozenset
@@ -130,6 +399,10 @@ class SkewLaurentRing:
         if self.nvars < 2:
             raise ValueError("skew rings need at least two variables")
         seen = dict(self.lam)
+        for i, j in seen:
+            if not 0 <= i < j < self.nvars:
+                raise ValueError(
+                    f"commutation scalar index ({i}, {j}) outside 0 <= i < j < {self.nvars}")
         for i in range(self.nvars):
             for j in range(i + 1, self.nvars):
                 v = seen.get((i, j))
@@ -137,6 +410,46 @@ class SkewLaurentRing:
                     raise ValueError(f"missing or zero commutation scalar for ({i}, {j})")
         if any(i < 0 or i >= self.nvars for i in self.inverted):
             raise ValueError("inverted index out of range")
+
+    def canonical(self, payload):
+        terms = skewpoly.from_canonical(payload) if not isinstance(payload, dict) else payload
+        for e in terms:
+            if not skewpoly.in_cone(e, self.inverted):
+                raise ValueError(f"exponent {e} outside the inverted cone of {self!r}")
+        return skewpoly.canonical(terms)
+
+    def from_int(self, k):
+        return skewpoly.canonical(skewpoly.monomial(self.nvars, (0,) * self.nvars, k))
+
+    def add(self, a, b):
+        return skewpoly.canonical(
+            skewpoly.add(skewpoly.from_canonical(a), skewpoly.from_canonical(b)))
+
+    def neg(self, a):
+        return skewpoly.canonical(skewpoly.neg(skewpoly.from_canonical(a)))
+
+    def mul(self, a, b):
+        return skewpoly.canonical(skewpoly.mul(
+            lam_map(self), skewpoly.from_canonical(a), skewpoly.from_canonical(b)))
+
+    def is_unit(self, a):
+        terms = skewpoly.from_canonical(a)
+        if len(terms) != 1:
+            return False
+        (e, c), = terms.items()
+        return c != 0 and all(v == 0 or i in self.inverted for i, v in enumerate(e))
+
+    def inverse(self, a):
+        (e, c), = skewpoly.from_canonical(a).items()
+        einv = tuple(-v for v in e)
+        t = skewpoly.twist(lam_map(self), e, einv)
+        return self.canonical({einv: 1 / (c * t)})
+
+    def is_commutative(self):
+        return all(v == 1 for _, v in self.lam)
+
+    def show(self, a):
+        return skewpoly.to_string(skewpoly.from_canonical(a))
 
     def __repr__(self):
         inv = "".join(f",x{i + 1}^-1" for i in sorted(self.inverted))
@@ -162,6 +475,59 @@ def product_ring(factors):
 @lru_cache(maxsize=None)
 def lam_map(r: SkewLaurentRing) -> dict:
     return dict(r.lam)
+
+
+def _locpoly_normalize(num, den):
+    if qpoly.is_zero(den):
+        raise ZeroDivisionError("zero denominator")
+    if qpoly.is_zero(num):
+        return (qpoly.ZERO, qpoly.ONE)
+    g = qpoly.gcd(num, den)
+    num = qpoly.divmod_(num, g)[0]
+    den = qpoly.divmod_(den, g)[0]
+    lead = den[-1]
+    return (qpoly.scale(num, 1 / lead), qpoly.scale(den, 1 / lead))
+
+
+def mat_det(base, A):
+    """Exact determinant by Gaussian elimination over a field tag (Q or F_p)."""
+    n = len(A)
+    M = [list(row) for row in A]
+    det = base.scalar(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
+        if piv is None:
+            return base.scalar(0)
+        if piv != col:
+            M[col], M[piv] = M[piv], M[col]
+            det = base.neg(det)
+        det = base.mul(det, M[col][col])
+        inv = base.inv(M[col][col])
+        for r in range(col + 1, n):
+            f = base.mul(M[r][col], inv)
+            if f == 0:
+                continue
+            for c in range(col, n):
+                M[r][c] = base.add(M[r][c], base.neg(base.mul(f, M[col][c])))
+    return det
+
+
+def mat_inv(base, A):
+    """Inverse matrix, or None if singular."""
+    n = len(A)
+    M = [list(row) + [base.scalar(int(i == j)) for j in range(n)] for i, row in enumerate(A)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
+        if piv is None:
+            return None
+        M[col], M[piv] = M[piv], M[col]
+        inv = base.inv(M[col][col])
+        M[col] = [base.mul(v, inv) for v in M[col]]
+        for r in range(n):
+            if r != col and M[r][col] != 0:
+                f = M[r][col]
+                M[r] = [base.add(a, base.neg(base.mul(f, b))) for a, b in zip(M[r], M[col])]
+    return tuple(tuple(row[n:]) for row in M)
 
 
 # ---------------------------------------------------------------------------
@@ -194,147 +560,20 @@ def _check_owner(r, *xs):
             raise ElementOwnershipMismatch(f"element of {x.owner!r} used in {r!r}")
 
 
-def _field_add(base, a, b):
-    return (a + b) % base.p if isinstance(base, PrimeField) else a + b
-
-
-def _field_mul(base, a, b):
-    return (a * b) % base.p if isinstance(base, PrimeField) else a * b
-
-
-def _field_neg(base, a):
-    return (-a) % base.p if isinstance(base, PrimeField) else -a
-
-
-def _field_scalar(base, v):
-    return int(v) % base.p if isinstance(base, PrimeField) else Fraction(v)
-
-
-def _mat_add(base, A, B):
-    return tuple(tuple(_field_add(base, a, b) for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def _mat_neg(base, A):
-    return tuple(tuple(_field_neg(base, a) for a in row) for row in A)
-
-
-def _mat_mul(base, A, B):
-    n = len(A)
-    zero = _field_scalar(base, 0)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            s = zero
-            for k in range(n):
-                s = _field_add(base, s, _field_mul(base, A[i][k], B[k][j]))
-            row.append(s)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _mat_scalar(base, n, v):
-    d = _field_scalar(base, v)
-    zero = _field_scalar(base, 0)
-    return tuple(tuple(d if i == j else zero for j in range(n)) for i in range(n))
-
-
-def mat_det(base, A):
-    """Exact determinant by Gaussian elimination over Q or F_p."""
-    n = len(A)
-    M = [list(row) for row in A]
-    det = _field_scalar(base, 1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            return _field_scalar(base, 0)
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = _field_neg(base, det)
-        det = _field_mul(base, det, M[col][col])
-        inv = (
-            pow(M[col][col], -1, base.p)
-            if isinstance(base, PrimeField)
-            else 1 / M[col][col]
-        )
-        for r in range(col + 1, n):
-            f = _field_mul(base, M[r][col], inv)
-            if f == 0:
-                continue
-            for c in range(col, n):
-                M[r][c] = _field_add(base, M[r][c], _field_neg(base, _field_mul(base, f, M[col][c])))
-    return det
-
-
-def mat_inv(base, A):
-    """Inverse matrix, or None if singular."""
-    n = len(A)
-    M = [list(row) + [(_field_scalar(base, 1) if i == j else _field_scalar(base, 0)) for j in range(n)] for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            return None
-        M[col], M[piv] = M[piv], M[col]
-        inv = pow(M[col][col], -1, base.p) if isinstance(base, PrimeField) else 1 / M[col][col]
-        M[col] = [_field_mul(base, v, inv) for v in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [_field_add(base, a, _field_neg(base, _field_mul(base, f, b))) for a, b in zip(M[r], M[col])]
-    return tuple(tuple(row[n:]) for row in M)
-
-
 def matrix_element(r, rows) -> RingElement:
-    base, n = (r.base, r.size)
-    rows = tuple(tuple(_field_scalar(base, v) for v in row) for row in rows)
-    if len(rows) != n or any(len(row) != n for row in rows):
+    rows = r.canonical(rows)
+    if len(rows) != r.size or any(len(row) != r.size for row in rows):
         raise ValueError("matrix shape mismatch")
     return RingElement(r, rows)
 
 
 def canonical_payload(r, payload):
     """Normalize a raw payload into canonical form for descriptor r."""
-    if isinstance(r, ZeroRing):
-        return 0
-    if isinstance(r, ModularRing):
-        return int(payload) % r.n
-    if isinstance(r, ProductRing):
-        return tuple(canonical_payload(f, p) for f, p in zip(r.factors, payload))
-    if isinstance(r, MatrixRing):
-        return tuple(tuple(_field_scalar(r.base, v) for v in row) for row in payload)
-    if isinstance(r, SemisimpleAlgebra):
-        return tuple(
-            tuple(tuple(_field_scalar(r.base, v) for v in row) for row in block)
-            for block in payload
-        )
-    if isinstance(r, UnivariatePolyRing):
-        return qpoly.poly(payload)
-    if isinstance(r, LocalizedPolyRing):
-        num, den = payload
-        return _locpoly_normalize(qpoly.poly(num), qpoly.poly(den))
-    if isinstance(r, SkewLaurentRing):
-        terms = skewpoly.from_canonical(payload) if not isinstance(payload, dict) else payload
-        for e in terms:
-            if not skewpoly.in_cone(e, r.inverted):
-                raise ValueError(f"exponent {e} outside the inverted cone of {r!r}")
-        return skewpoly.canonical(terms)
-    raise UnsupportedClass(f"{r!r}")
+    return r.canonical(payload)
 
 
 def element(r, payload) -> RingElement:
-    return RingElement(r, canonical_payload(r, payload))
-
-
-def _locpoly_normalize(num, den):
-    if qpoly.is_zero(den):
-        raise ZeroDivisionError("zero denominator")
-    if qpoly.is_zero(num):
-        return (qpoly.ZERO, qpoly.ONE)
-    g = qpoly.gcd(num, den)
-    num = qpoly.divmod_(num, g)[0]
-    den = qpoly.divmod_(den, g)[0]
-    lead = den[-1]
-    return (qpoly.scale(num, 1 / lead), qpoly.scale(den, 1 / lead))
+    return RingElement(r, r.canonical(payload))
 
 
 def zero(r) -> RingElement:
@@ -347,99 +586,22 @@ def one(r) -> RingElement:
 
 def from_int(r, k: int) -> RingElement:
     """The image of the integer k under Z -> R."""
-    if isinstance(r, ZeroRing):
-        return RingElement(r, 0)
-    if isinstance(r, ModularRing):
-        return RingElement(r, k % r.n)
-    if isinstance(r, ProductRing):
-        return RingElement(r, tuple(from_int(f, k).payload for f in r.factors))
-    if isinstance(r, MatrixRing):
-        return RingElement(r, _mat_scalar(r.base, r.size, k))
-    if isinstance(r, SemisimpleAlgebra):
-        return RingElement(r, tuple(_mat_scalar(r.base, d, k) for d in r.dims))
-    if isinstance(r, UnivariatePolyRing):
-        return RingElement(r, qpoly.poly([k]))
-    if isinstance(r, LocalizedPolyRing):
-        return RingElement(r, (qpoly.poly([k]), qpoly.ONE))
-    if isinstance(r, SkewLaurentRing):
-        return RingElement(r, skewpoly.canonical(skewpoly.monomial(r.nvars, (0,) * r.nvars, k)))
-    raise UnsupportedClass(f"{r!r}")
+    return RingElement(r, r.from_int(k))
 
 
 def add(r, x: RingElement, y: RingElement) -> RingElement:
     _check_owner(r, x, y)
-    if isinstance(r, ZeroRing):
-        return x
-    if isinstance(r, ModularRing):
-        return RingElement(r, (x.payload + y.payload) % r.n)
-    if isinstance(r, ProductRing):
-        return RingElement(r, tuple(
-            add(f, RingElement(f, a), RingElement(f, b)).payload
-            for f, a, b in zip(r.factors, x.payload, y.payload)))
-    if isinstance(r, MatrixRing):
-        return RingElement(r, _mat_add(r.base, x.payload, y.payload))
-    if isinstance(r, SemisimpleAlgebra):
-        return RingElement(r, tuple(_mat_add(r.base, a, b) for a, b in zip(x.payload, y.payload)))
-    if isinstance(r, UnivariatePolyRing):
-        return RingElement(r, qpoly.add(x.payload, y.payload))
-    if isinstance(r, LocalizedPolyRing):
-        (n1, d1), (n2, d2) = x.payload, y.payload
-        return RingElement(r, _locpoly_normalize(
-            qpoly.add(qpoly.mul(n1, d2), qpoly.mul(n2, d1)), qpoly.mul(d1, d2)))
-    if isinstance(r, SkewLaurentRing):
-        s = skewpoly.add(skewpoly.from_canonical(x.payload), skewpoly.from_canonical(y.payload))
-        return RingElement(r, skewpoly.canonical(s))
-    raise UnsupportedClass(f"{r!r}")
+    return RingElement(r, r.add(x.payload, y.payload))
 
 
 def neg(r, x: RingElement) -> RingElement:
     _check_owner(r, x)
-    if isinstance(r, ZeroRing):
-        return x
-    if isinstance(r, ModularRing):
-        return RingElement(r, (-x.payload) % r.n)
-    if isinstance(r, ProductRing):
-        return RingElement(r, tuple(
-            neg(f, RingElement(f, a)).payload for f, a in zip(r.factors, x.payload)))
-    if isinstance(r, MatrixRing):
-        return RingElement(r, _mat_neg(r.base, x.payload))
-    if isinstance(r, SemisimpleAlgebra):
-        return RingElement(r, tuple(_mat_neg(r.base, a) for a in x.payload))
-    if isinstance(r, UnivariatePolyRing):
-        return RingElement(r, qpoly.neg(x.payload))
-    if isinstance(r, LocalizedPolyRing):
-        n1, d1 = x.payload
-        return RingElement(r, (qpoly.neg(n1), d1))
-    if isinstance(r, SkewLaurentRing):
-        return RingElement(r, skewpoly.canonical(skewpoly.neg(skewpoly.from_canonical(x.payload))))
-    raise UnsupportedClass(f"{r!r}")
+    return RingElement(r, r.neg(x.payload))
 
 
 def mul(r, x: RingElement, y: RingElement) -> RingElement:
     _check_owner(r, x, y)
-    if isinstance(r, ZeroRing):
-        return x
-    if isinstance(r, ModularRing):
-        return RingElement(r, (x.payload * y.payload) % r.n)
-    if isinstance(r, ProductRing):
-        return RingElement(r, tuple(
-            mul(f, RingElement(f, a), RingElement(f, b)).payload
-            for f, a, b in zip(r.factors, x.payload, y.payload)))
-    if isinstance(r, MatrixRing):
-        return RingElement(r, _mat_mul(r.base, x.payload, y.payload))
-    if isinstance(r, SemisimpleAlgebra):
-        return RingElement(r, tuple(_mat_mul(r.base, a, b) for a, b in zip(x.payload, y.payload)))
-    if isinstance(r, UnivariatePolyRing):
-        return RingElement(r, qpoly.mul(x.payload, y.payload))
-    if isinstance(r, LocalizedPolyRing):
-        (n1, d1), (n2, d2) = x.payload, y.payload
-        return RingElement(r, _locpoly_normalize(qpoly.mul(n1, n2), qpoly.mul(d1, d2)))
-    if isinstance(r, SkewLaurentRing):
-        s = skewpoly.mul(lam_map(r),
-                         skewpoly.from_canonical(x.payload),
-                         skewpoly.from_canonical(y.payload))
-        return RingElement(r, skewpoly.canonical(s))
-    raise UnsupportedClass(f"{r!r}")
+    return RingElement(r, r.mul(x.payload, y.payload))
 
 
 _ARITY = {"add": 2, "mul": 2, "neg": 1, "eq": 2, "one": 0, "zero": 0}
@@ -472,84 +634,19 @@ def ring_eval(r, op: str, args):
 def is_unit(r, x: RingElement) -> bool:
     """Two-sided invertibility, decided per class."""
     _check_owner(r, x)
-    if isinstance(r, ZeroRing):
-        return True
-    if isinstance(r, ModularRing):
-        if r.n == 1:
-            return True
-        return igcd(x.payload, r.n) == 1
-    if isinstance(r, ProductRing):
-        return all(is_unit(f, RingElement(f, a)) for f, a in zip(r.factors, x.payload))
-    if isinstance(r, MatrixRing):
-        return mat_det(r.base, x.payload) != 0
-    if isinstance(r, SemisimpleAlgebra):
-        return all(mat_det(r.base, a) != 0 for a in x.payload)
-    if isinstance(r, UnivariatePolyRing):
-        return qpoly.deg(x.payload) == 0
-    if isinstance(r, LocalizedPolyRing):
-        num, _den = x.payload
-        if qpoly.is_zero(num):
-            return False
-        return qpoly.divides(qpoly.squarefree_part(num), r.denominator)
-    if isinstance(r, SkewLaurentRing):
-        terms = skewpoly.from_canonical(x.payload)
-        if len(terms) != 1:
-            return False
-        (e, c), = terms.items()
-        return c != 0 and all(v == 0 or i in r.inverted for i, v in enumerate(e))
-    raise UnsupportedClass(f"{r!r}")
+    return r.is_unit(x.payload)
 
 
 def inverse(r, x: RingElement):
-    """A two-sided inverse, or None.  Only for classes where units are easy."""
+    """A two-sided inverse, or None."""
     if not is_unit(r, x):
         return None
-    if isinstance(r, ZeroRing):
-        return x
-    if isinstance(r, ModularRing):
-        return RingElement(r, pow(x.payload, -1, r.n) if r.n > 1 else 0)
-    if isinstance(r, ProductRing):
-        return RingElement(r, tuple(
-            inverse(f, RingElement(f, a)).payload for f, a in zip(r.factors, x.payload)))
-    if isinstance(r, MatrixRing):
-        return RingElement(r, mat_inv(r.base, x.payload))
-    if isinstance(r, SemisimpleAlgebra):
-        return RingElement(r, tuple(mat_inv(r.base, a) for a in x.payload))
-    if isinstance(r, UnivariatePolyRing):
-        return RingElement(r, qpoly.poly([1 / x.payload[0]]))
-    if isinstance(r, LocalizedPolyRing):
-        num, den = x.payload
-        return element(r, (den, num))
-    if isinstance(r, SkewLaurentRing):
-        terms = skewpoly.from_canonical(x.payload)
-        (e, c), = terms.items()
-        einv = tuple(-v for v in e)
-        t = skewpoly.twist(lam_map(r), e, einv)
-        return element(r, {einv: 1 / (c * t)})
-    raise UnsupportedClass(f"{r!r}")
+    return RingElement(r, r.inverse(x.payload))
 
 
 def cardinality(r):
     """Number of elements, or None for infinite carriers."""
-    if isinstance(r, ZeroRing):
-        return 1
-    if isinstance(r, ModularRing):
-        return r.n
-    if isinstance(r, ProductRing):
-        total = 1
-        for f in r.factors:
-            c = cardinality(f)
-            if c is None:
-                return None
-            total *= c
-        return total
-    if isinstance(r, MatrixRing):
-        return r.base.p ** (r.size ** 2) if isinstance(r.base, PrimeField) else None
-    if isinstance(r, SemisimpleAlgebra):
-        if isinstance(r.base, PrimeField):
-            return r.base.p ** sum(d * d for d in r.dims)
-        return None
-    return None
+    return r.cardinality()
 
 
 def is_finite(r) -> bool:
@@ -561,91 +658,112 @@ def is_zero_ring(r) -> bool:
 
 
 def is_commutative(r) -> bool:
-    if isinstance(r, (ZeroRing, ModularRing, UnivariatePolyRing, LocalizedPolyRing)):
-        return True
-    if isinstance(r, ProductRing):
-        return all(is_commutative(f) for f in r.factors)
-    if isinstance(r, MatrixRing):
-        return r.size == 1
-    if isinstance(r, SemisimpleAlgebra):
-        return all(d == 1 for d in r.dims)
-    if isinstance(r, SkewLaurentRing):
-        return all(v == 1 for _, v in r.lam)
-    return False
-
-
-def _matrix_space(base, n):
-    entries = list(range(base.p))
-    for flat in iproduct(entries, repeat=n * n):
-        yield tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
+    return r.is_commutative()
 
 
 def enumerate_elements(r):
     """All elements of a finite ring, each exactly once, in a fixed order."""
-    if isinstance(r, ZeroRing):
-        return [RingElement(r, 0)]
-    if isinstance(r, ModularRing):
-        return [RingElement(r, v) for v in range(r.n)]
-    if isinstance(r, ProductRing):
-        factor_payloads = []
-        for f in r.factors:
-            factor_payloads.append([e.payload for e in enumerate_elements(f)])
-        return [RingElement(r, combo) for combo in iproduct(*factor_payloads)]
-    if isinstance(r, MatrixRing) and isinstance(r.base, PrimeField):
-        return [RingElement(r, m) for m in _matrix_space(r.base, r.size)]
-    if isinstance(r, SemisimpleAlgebra) and isinstance(r.base, PrimeField):
-        blocks = [list(_matrix_space(r.base, d)) for d in r.dims]
-        return [RingElement(r, combo) for combo in iproduct(*blocks)]
-    raise InfiniteRing(f"{r!r} has an infinite carrier")
+    return [RingElement(r, p) for p in r.elements()]
 
 
 def element_str(x: RingElement) -> str:
-    r = x.owner
-    if isinstance(r, (ZeroRing, ModularRing)):
-        return str(x.payload)
+    return x.owner.show(x.payload)
+
+
+# ---------------------------------------------------------------------------
+# rings viewed as products of cyclic rings
+
+def cyclic_moduli(r):
+    """The moduli of r as a product of cyclic rings, or None.
+
+    () for the zero ring, (n,) for Z/n and one modulus per factor for a
+    product of Z/n's; None for every other descriptor.
+    """
+    if isinstance(r, ZeroRing):
+        return ()
+    if isinstance(r, ModularRing):
+        return (r.n,)
+    if isinstance(r, ProductRing) and all(isinstance(f, ModularRing) for f in r.factors):
+        return tuple(f.n for f in r.factors)
+    return None
+
+
+def cyclic_components(x: RingElement) -> tuple:
+    """The coordinates of x, one per modulus of cyclic_moduli(x.owner)."""
+    if isinstance(x.owner, ProductRing):
+        return x.payload
+    return () if isinstance(x.owner, ZeroRing) else (x.payload,)
+
+
+def cyclic_element(r, comps) -> RingElement:
+    """The element of a product of cyclic rings r with the given coordinates."""
     if isinstance(r, ProductRing):
-        return "(" + ", ".join(
-            element_str(RingElement(f, p)) for f, p in zip(r.factors, x.payload)) + ")"
-    if isinstance(r, (MatrixRing, SemisimpleAlgebra)):
-        return repr(x.payload)
-    if isinstance(r, UnivariatePolyRing):
-        return qpoly.to_string(x.payload)
-    if isinstance(r, LocalizedPolyRing):
-        num, den = x.payload
-        if den == qpoly.ONE:
-            return qpoly.to_string(num)
-        return f"({qpoly.to_string(num)})/({qpoly.to_string(den)})"
-    if isinstance(r, SkewLaurentRing):
-        return skewpoly.to_string(skewpoly.from_canonical(x.payload))
-    return repr(x.payload)
+        return RingElement(r, tuple(comps))
+    return RingElement(r, comps[0] if comps else 0)
 
 
 # ---------------------------------------------------------------------------
 # homomorphism rules
 
+class Rule:
+    """How a hom computes: `apply(h, x)` is h(x).
+
+    A rule that is valid on an infinite source also has `check(h)`, which
+    raises NotAHomomorphism when h breaks the rule's shape.  `hom_validate`
+    uses it for identity and collapse rules and for infinite sources, and
+    checks every other hom exhaustively.  `table` is the lookup table of a
+    TableRule and None for every other rule.
+    """
+
+    table = None
+
+    def check(self, h):
+        raise UnsupportedClass(f"cannot validate rule {self!r} on {h.source!r}")
+
+
 @dataclass(frozen=True)
-class TableRule:
+class TableRule(Rule):
     pairs: tuple  # sorted tuple of (source payload, target payload)
+    table: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "table", dict(self.pairs))
+
+    def apply(self, h, x):
+        return RingElement(h.target, self.table[x.payload])
 
 
 @dataclass(frozen=True)
-class IdentityRule:
-    pass
+class IdentityRule(Rule):
+    def apply(self, h, x):
+        return RingElement(h.target, x.payload)
+
+    def check(self, h):
+        if h.source != h.target:
+            raise NotAHomomorphism("identity rule between distinct descriptors")
 
 
 @dataclass(frozen=True)
-class ToZeroRule:
-    pass
+class ToZeroRule(Rule):
+    def apply(self, h, x):
+        return zero(h.target)
+
+    def check(self, h):
+        if not is_zero_ring(h.target):
+            raise NotAHomomorphism("collapse rule into a nonzero ring")
 
 
 @dataclass(frozen=True)
-class QuotientRule:
+class QuotientRule(Rule):
     """Z/n -> Z/m for m | n, r -> r mod m."""
     m: int
 
+    def apply(self, h, x):
+        return RingElement(h.target, x.payload % self.m)
+
 
 @dataclass(frozen=True)
-class CommLocRule:
+class CommLocRule(Rule):
     """Finite commutative localization insertion r -> e r in canonical coordinates.
 
     The source is a product of cyclic factors (a bare Z/n counts as one
@@ -654,46 +772,62 @@ class CommLocRule:
     """
     kept: tuple
 
+    def apply(self, h, x):
+        comps = cyclic_components(x)
+        return cyclic_element(h.target, [comps[i] % m for i, m in self.kept])
+
 
 @dataclass(frozen=True)
-class ProjRule:
-    index: int
-
-
-@dataclass(frozen=True)
-class SsaProjRule:
+class SsaProjRule(Rule):
     """Semisimple localization insertion a -> a * sum of kept idempotents."""
     kept: tuple
 
+    def apply(self, h, x):
+        return RingElement(h.target, tuple(x.payload[i] for i in self.kept))
+
+    def check(self, h):
+        if not isinstance(h.source, (SemisimpleAlgebra, MatrixRing)):
+            raise NotAHomomorphism("projection rule shape mismatch")
+
 
 @dataclass(frozen=True)
-class PolyMapRule:
-    """Q[x] -> target by substituting an image for x (payload of the target)."""
-    image: object
-
-
-@dataclass(frozen=True)
-class PolyInsertRule:
+class PolyInsertRule(Rule):
     """Q[x] -> Q[x][1/g], p -> p/1."""
-    pass
+
+    def apply(self, h, x):
+        return RingElement(h.target, (x.payload, qpoly.ONE))
+
+    def check(self, h):
+        if not (isinstance(h.source, UnivariatePolyRing)
+                and isinstance(h.target, LocalizedPolyRing)):
+            raise NotAHomomorphism("insertion rule shape mismatch")
 
 
 @dataclass(frozen=True)
-class PolyFracRule:
+class PolyFracRule(Rule):
     """Q[x][1/g1] -> Q[x][1/g2] (requires sf(g1) | g2): identity on fractions."""
-    pass
+
+    def apply(self, h, x):
+        return element(h.target, x.payload)
+
+    def check(self, h):
+        if not qpoly.divides(qpoly.squarefree_part(h.source.denominator),
+                             h.target.denominator):
+            raise NotAHomomorphism("denominator does not invert in the target cell")
 
 
 @dataclass(frozen=True)
-class SkewExpandRule:
+class SkewExpandRule(Rule):
     """Skew ring into the same ring with a larger inverted cone."""
-    pass
 
+    def apply(self, h, x):
+        return RingElement(h.target, x.payload)
 
-@dataclass(frozen=True)
-class GeneratorImagesRule:
-    """Images of the canonical generating set (class-specific meaning)."""
-    images: tuple  # payloads of target elements
+    def check(self, h):
+        r, t = h.source, h.target
+        if not (isinstance(r, SkewLaurentRing) and isinstance(t, SkewLaurentRing)
+                and r.nvars == t.nvars and r.lam == t.lam and r.inverted <= t.inverted):
+            raise NotAHomomorphism("cone expansion shape mismatch")
 
 
 class RingHom:
@@ -707,58 +841,15 @@ class RingHom:
         self.source = source
         self.target = target
         self.rule = rule
-        self._table = None
+        self._table = rule.table
         self.validated = False
-
-    # -- application ------------------------------------------------------
 
     def __call__(self, x: RingElement) -> RingElement:
         if x.owner != self.source:
             raise ElementOwnershipMismatch(f"{x!r} is not in {self.source!r}")
         if self._table is not None:
             return RingElement(self.target, self._table[x.payload])
-        return self._apply(x)
-
-    def _apply(self, x: RingElement) -> RingElement:
-        r, t, rule = self.source, self.target, self.rule
-        if isinstance(rule, TableRule):
-            return RingElement(t, dict(rule.pairs)[x.payload])
-        if isinstance(rule, IdentityRule):
-            return RingElement(t, x.payload)
-        if isinstance(rule, ToZeroRule):
-            return zero(t)
-        if isinstance(rule, QuotientRule):
-            return RingElement(t, x.payload % rule.m)
-        if isinstance(rule, CommLocRule):
-            src_factors = r.factors if isinstance(r, ProductRing) else (r,)
-            payloads = x.payload if isinstance(r, ProductRing) else (x.payload,)
-            vals = [payloads[i] % m for i, m in rule.kept]
-            if isinstance(t, ZeroRing):
-                return zero(t)
-            if isinstance(t, ModularRing):
-                return RingElement(t, vals[0])
-            return RingElement(t, tuple(vals))
-        if isinstance(rule, ProjRule):
-            return RingElement(t, x.payload[rule.index])
-        if isinstance(rule, SsaProjRule):
-            if isinstance(t, ZeroRing):
-                return zero(t)
-            return RingElement(t, tuple(x.payload[i] for i in rule.kept))
-        if isinstance(rule, PolyMapRule):
-            img = RingElement(t, rule.image)
-            acc = zero(t)
-            for k in range(qpoly.deg(x.payload), -1, -1):
-                acc = add(t, mul(t, acc, img), _scalar_in(t, x.payload[k]))
-            return acc
-        if isinstance(rule, PolyInsertRule):
-            return RingElement(t, (x.payload, qpoly.ONE))
-        if isinstance(rule, PolyFracRule):
-            return element(t, x.payload)
-        if isinstance(rule, SkewExpandRule):
-            return RingElement(t, x.payload)
-        if isinstance(rule, GeneratorImagesRule):
-            return _apply_generator_images(self, x)
-        raise UnsupportedClass(f"hom rule {rule!r}")
+        return self.rule.apply(self, x)
 
     # -- canonicalization ---------------------------------------------------
 
@@ -768,7 +859,8 @@ class RingHom:
             if not is_finite(self.source):
                 raise InfiniteRing(f"{self.source!r} is infinite")
             self._table = {
-                x.payload: self._apply(x).payload for x in enumerate_elements(self.source)
+                x.payload: self.rule.apply(self, x).payload
+                for x in enumerate_elements(self.source)
             }
         return self._table
 
@@ -785,49 +877,6 @@ class RingHom:
 
     def __repr__(self):
         return f"RingHom({self.source!r} -> {self.target!r}, {self.rule})"
-
-
-def _scalar_in(t, q: Fraction):
-    """Image of a rational scalar in a Q-algebra target."""
-    q = Fraction(q)
-    if isinstance(t, UnivariatePolyRing):
-        return element(t, [q])
-    if isinstance(t, LocalizedPolyRing):
-        return element(t, ([q], [1]))
-    if isinstance(t, SkewLaurentRing):
-        return element(t, {(0,) * t.nvars: q})
-    if isinstance(t, (MatrixRing, SemisimpleAlgebra)) and isinstance(t.base, Rationals):
-        if isinstance(t, MatrixRing):
-            return RingElement(t, _mat_scalar(t.base, t.size, q))
-        return RingElement(t, tuple(_mat_scalar(t.base, d, q) for d in t.dims))
-    if q.denominator == 1:
-        return from_int(t, q.numerator)
-    raise UnsupportedClass(f"no image of {q} in {t!r}")
-
-
-def _apply_generator_images(h: RingHom, x: RingElement) -> RingElement:
-    r, t = h.source, h.target
-    images = [RingElement(t, p) for p in h.rule.images]
-    if isinstance(r, UnivariatePolyRing):
-        acc = zero(t)
-        for k in range(qpoly.deg(x.payload), -1, -1):
-            acc = add(t, mul(t, acc, images[0]), _scalar_in(t, x.payload[k]))
-        return acc
-    if isinstance(r, SkewLaurentRing):
-        acc = zero(t)
-        for e, c in skewpoly.from_canonical(x.payload).items():
-            term = _scalar_in(t, c)
-            for i, v in enumerate(e):
-                if v == 0:
-                    continue
-                base = images[i] if v > 0 else inverse(t, images[i])
-                if base is None:
-                    raise UnsupportedClass("negative power of a non-unit image")
-                for _ in range(abs(v)):
-                    term = mul(t, term, base)
-            acc = add(t, acc, term)
-        return acc
-    raise UnsupportedClass(f"generator images for {r!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -863,8 +912,10 @@ def hom_from_callable(source, target, fn) -> RingHom:
 def hom_validate(h: RingHom) -> RingHom:
     """Check the ring laws; finite sources are checked exhaustively.
 
-    Raises NotAHomomorphism (with a witness pair) or IdentityNotPreserved.
-    Returns h with the certificate flag set.
+    Identity and collapse rules, and every hom out of an infinite source,
+    are checked by their rule instead.  Raises NotAHomomorphism (with a
+    witness pair) or IdentityNotPreserved.  Returns h with the certificate
+    flag set.
     """
     if h.validated:
         return h
@@ -872,13 +923,9 @@ def hom_validate(h: RingHom) -> RingHom:
         raise IdentityNotPreserved(f"1 -> {h(one(h.source))!r}", witness=one(h.source))
     if h(zero(h.source)) != zero(h.target):
         raise NotAHomomorphism("0 not preserved", witness=zero(h.source))
-    if isinstance(h.rule, IdentityRule):
-        if h.source != h.target:
-            raise NotAHomomorphism("identity rule between distinct descriptors")
-    elif isinstance(h.rule, ToZeroRule):
-        if not is_zero_ring(h.target):
-            raise NotAHomomorphism("collapse rule into a nonzero ring")
-    elif is_finite(h.source):
+    if isinstance(h.rule, (IdentityRule, ToZeroRule)) or not is_finite(h.source):
+        h.rule.check(h)
+    else:
         elems = enumerate_elements(h.source)
         h.as_table()
         for x in elems:
@@ -889,8 +936,6 @@ def hom_validate(h: RingHom) -> RingHom:
                 if h(x * y) != h(x) * h(y):
                     raise NotAHomomorphism(
                         f"multiplicativity fails at ({x!r}, {y!r})", witness=(x, y))
-    else:
-        _validate_infinite_source(h)
     # units must map to units; checked on a small deterministic sample
     for u in _unit_sample(h.source):
         if not is_unit(h.target, h(u)):
@@ -909,47 +954,6 @@ def _unit_sample(r):
         for i in sorted(r.inverted):
             out.append(element(r, {tuple(-1 if j == i else 0 for j in range(r.nvars)): 1}))
     return out
-
-
-def _validate_infinite_source(h: RingHom):
-    r, rule = h.source, h.rule
-    if isinstance(rule, (IdentityRule, ToZeroRule)):
-        if isinstance(rule, IdentityRule) and r != h.target:
-            raise NotAHomomorphism("identity rule between distinct descriptors")
-        return
-    if isinstance(rule, PolyInsertRule):
-        if not (isinstance(r, UnivariatePolyRing) and isinstance(h.target, LocalizedPolyRing)):
-            raise NotAHomomorphism("insertion rule shape mismatch")
-        return
-    if isinstance(rule, PolyFracRule):
-        if not qpoly.divides(qpoly.squarefree_part(r.denominator), h.target.denominator):
-            raise NotAHomomorphism("denominator does not invert in the target cell")
-        return
-    if isinstance(rule, (PolyMapRule, GeneratorImagesRule)) and isinstance(r, UnivariatePolyRing):
-        return  # x is free: any image defines a homomorphism
-    if isinstance(rule, SkewExpandRule):
-        if not (isinstance(r, SkewLaurentRing) and isinstance(h.target, SkewLaurentRing)
-                and r.nvars == h.target.nvars and r.lam == h.target.lam
-                and r.inverted <= h.target.inverted):
-            raise NotAHomomorphism("cone expansion shape mismatch")
-        return
-    if isinstance(rule, GeneratorImagesRule) and isinstance(r, SkewLaurentRing):
-        imgs = [RingElement(h.target, p) for p in rule.images]
-        lam = lam_map(r)
-        for i in range(r.nvars):
-            for j in range(i + 1, r.nvars):
-                lhs = mul(h.target, imgs[i], imgs[j])
-                rhs = mul(h.target, _scalar_in(h.target, lam[(i, j)]),
-                          mul(h.target, imgs[j], imgs[i]))
-                if lhs != rhs:
-                    raise NotAHomomorphism(
-                        f"images break the commutation law at ({i}, {j})", witness=(i, j))
-        return
-    if isinstance(rule, SsaProjRule):
-        if not isinstance(r, (SemisimpleAlgebra, MatrixRing)):
-            raise NotAHomomorphism("projection rule shape mismatch")
-        return
-    raise UnsupportedClass(f"cannot validate rule {rule!r} on {r!r}")
 
 
 def hom_compose(g: RingHom, f: RingHom) -> RingHom:
@@ -980,15 +984,6 @@ def hom_compose(g: RingHom, f: RingHom) -> RingHom:
 # ---------------------------------------------------------------------------
 # exhaustive hom enumeration (finite commutative classes)
 
-def _cyclic_factors(r):
-    """View a finite commutative descriptor as an ordered list of cyclic moduli."""
-    if isinstance(r, ModularRing):
-        return [r.n]
-    if isinstance(r, ProductRing) and all(isinstance(f, ModularRing) for f in r.factors):
-        return [f.n for f in r.factors]
-    return None
-
-
 @lru_cache(maxsize=None)
 def all_homs(source, target) -> tuple:
     """Every unital ring homomorphism source -> target, as validated table homs.
@@ -1004,9 +999,8 @@ def all_homs(source, target) -> tuple:
         return ()
     if is_zero_ring(target):
         return (hom_validate(hom_from_callable(source, target, lambda x: zero(target))),)
-    mods = _cyclic_factors(source)
-    tmods = _cyclic_factors(target)
-    if mods is None or tmods is None:
+    mods = cyclic_moduli(source)
+    if mods is None or cyclic_moduli(target) is None:
         raise UnsupportedClass(
             f"hom enumeration needs products of cyclic rings, got {source!r} -> {target!r}")
     targets = enumerate_elements(target)
@@ -1024,9 +1018,8 @@ def all_homs(source, target) -> tuple:
             if remaining != zero(target):
                 return
             def fn(x, chosen=tuple(chosen)):
-                payload = x.payload if len(mods) > 1 else (x.payload,)
                 acc = zero(target)
-                for v, t in zip(payload, chosen):
+                for v, t in zip(cyclic_components(x), chosen):
                     acc = acc + scalar_mult(v, t)
                 return acc
             try:
@@ -1047,8 +1040,4 @@ def all_homs(source, target) -> tuple:
 
 
 def _exponent(r) -> int:
-    mods = _cyclic_factors(r)
-    if mods is None:
-        raise UnsupportedClass(f"{r!r}")
-    from math import lcm
-    return lcm(*mods)
+    return lcm(*cyclic_moduli(r))

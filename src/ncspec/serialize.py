@@ -57,6 +57,13 @@ def parse_rational(v, path="") -> Fraction:
     raise SchemaViolation(f"not an exact rational: {v!r}", path)
 
 
+def parse_int(v, path="") -> int:
+    """An exact JSON integer; bools, strings and floats are rejected."""
+    if type(v) is not int:
+        raise SchemaViolation(f"not an integer: {v!r}", path)
+    return v
+
+
 def rational_str(q: Fraction) -> str:
     return str(Fraction(q))
 
@@ -89,27 +96,28 @@ def parse_ring(doc, path="ring", *, top=True):
         if kind == "zero":
             return ZeroRing()
         if kind == "modular":
-            return ModularRing(int(doc["n"]))
+            return ModularRing(parse_int(doc["n"], path))
         if kind == "product":
             factors = [parse_ring(f, f"{path}.factors[{i}]", top=False)
                        for i, f in enumerate(doc["factors"])]
             return rg.product_ring(factors)
         if kind == "matrix":
-            return MatrixRing(_parse_base(doc["base"], path), int(doc["size"]))
+            return MatrixRing(_parse_base(doc["base"], path), parse_int(doc["size"], path))
         if kind == "semisimple":
             return SemisimpleAlgebra(_parse_base(doc["base"], path),
-                                     tuple(int(d) for d in doc["dims"]))
+                                     tuple(parse_int(d, path) for d in doc["dims"]))
         if kind == "poly":
             return UnivariatePolyRing()
         if kind == "skew_laurent":
-            nvars = int(doc["nvars"])
+            nvars = parse_int(doc["nvars"], path)
             lam = {}
             for triple in doc["lambda"]:
                 if not isinstance(triple, (list, tuple)) or len(triple) != 3:
                     raise SchemaViolation("lambda entries are [i, j, value]", path)
-                i, j, v = int(triple[0]), int(triple[1]), parse_rational(triple[2], path)
+                i, j = parse_int(triple[0], path), parse_int(triple[1], path)
+                v = parse_rational(triple[2], path)
                 lam[(i - 1, j - 1)] = v
-            inverted = [int(i) - 1 for i in doc.get("inverted", [])]
+            inverted = [parse_int(i, path) - 1 for i in doc.get("inverted", [])]
             return skew_ring(nvars, lam, inverted)
     except SchemaViolation:
         raise

@@ -608,8 +608,9 @@ def is_torsion(M: GradedModulePresentation, elt, bound: int, box: int = 2) -> bo
     """True when x_i^bound kills the element for every i.
 
     If some power survives, the element's class in the localization at that
-    variable (truncated at depth `box`) decides: nonzero image certifies
-    non-torsion; a zero image with surviving powers means the bound was too
+    variable decides: an image that is nonzero at depth `box` and again at
+    `box + 1` (the stability rule of `gamma`) certifies non-torsion; any
+    other outcome with surviving powers means the bound or the box was too
     small.
     """
     lam = rg.lam_map(M.ring)
@@ -630,8 +631,8 @@ def is_torsion(M: GradedModulePresentation, elt, bound: int, box: int = 2) -> bo
     if not survivors:
         return True
     for i in survivors:
-        piece = _stable_piece(M, frozenset({i}), d, box)
-        if piece.raw.ech.reduce(_element_vector(piece.raw, elt)):
+        probes = (_stable_piece(M, frozenset({i}), d, b) for b in (box, box + 1))
+        if all(p.raw.ech.reduce(_element_vector(p.raw, elt)) for p in probes):
             return False
     raise BoundInconclusive(
         f"powers up to {bound} neither kill the element nor show it alive")

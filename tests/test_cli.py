@@ -63,6 +63,10 @@ def test_malformed_lambda_shape_rejected():
     with pytest.raises(SchemaViolation):
         ser.parse_ring({"schema": "ncspec.ring/1", "kind": "skew_laurent",
                         "nvars": 2, "lambda": ["1", "2", "2"]})
+    # an index out of range is named as such, not as a missing scalar
+    with pytest.raises(SchemaViolation, match=r"\(0, 4\) outside"):
+        ser.parse_ring({"schema": "ncspec.ring/1", "kind": "skew_laurent",
+                        "nvars": 2, "lambda": [[1, 5, "2"]]})
 
 
 def test_element_round_trips():
@@ -130,6 +134,17 @@ def test_cli_ncspec_dot_diamond(tmp_path, capsys):
     assert code == 0
     assert out.count("->") == 4      # the diamond has four covering edges
     assert "generic" in out
+
+
+def test_cli_mixed_product_is_unsupported(tmp_path, capsys):
+    for other in ({"kind": "matrix", "base": "f2", "size": 1},
+                  {"kind": "semisimple", "base": "f2", "dims": [1]}):
+        ring = write(tmp_path, "mixed.json", {
+            "schema": "ncspec.ring/1", "kind": "product",
+            "factors": [{"kind": "modular", "n": 2}, other]})
+        code, out = run_cli(capsys, "ncspec", "--ring", ring)
+        assert code == 2, other
+        assert json.loads(out)["payload"]["error"] == "UnsupportedClass", other
 
 
 def test_cli_deterministic_reports(tmp_path, capsys):
@@ -254,6 +269,22 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
             "module": {"schema": "ncspec.module/1", "generators": [{"degree": 0}]},
             "scalars": [[1, 2, "1"], [2, 1, "1"]], "box": box})
         cases.append(("qcoh-check", "--datum", datum))
+    # ring documents read with strict integers and checked lambda indices
+    bad_rings = [
+        {"kind": "modular", "n": True},
+        {"kind": "modular", "n": "12"},
+        {"kind": "matrix", "base": "f2", "size": 2.7},
+        {"kind": "semisimple", "base": "f2", "dims": [1, "2"]},
+        dict(skew, nvars=2.0),
+        dict(skew, inverted=[True]),
+        dict(skew, **{"lambda": [["1", 2, "2"]]}),
+        dict(skew, **{"lambda": [[1, 2, "2"], [2, 1, "3"]]}),
+        dict(skew, **{"lambda": [[1, 2, "2"], [0, 3, "5"]]}),
+        dict(skew, **{"lambda": [[1, 5, "2"]]}),
+    ]
+    for i, doc in enumerate(bad_rings):
+        cases.append(("ring-validate", "--ring",
+                      write(tmp_path, f"bad{i}.json", dict(doc, schema="ncspec.ring/1"))))
     for argv in cases:
         code, out = run_cli(capsys, *argv)
         assert code == 2, argv

@@ -5,7 +5,7 @@ import pytest
 from conftest import classic_fraction_localization_size, small_commutative_rings
 
 from ncspec import rings as rg
-from ncspec.errors import NonMonomialSkewSubset, NotComparable
+from ncspec.errors import NonMonomialSkewSubset, NotComparable, UnsupportedClass
 from ncspec.localization import (
     LocalizationSquare,
     connecting_map,
@@ -20,6 +20,7 @@ from ncspec.localization import (
 from ncspec.rings import (
     MatrixRing,
     ModularRing,
+    PrimeField,
     Rationals,
     SemisimpleAlgebra,
     UnivariatePolyRing,
@@ -220,6 +221,16 @@ def test_commutative_product_rule():
                 assert L_pair.result == L_prod.result
                 for x in rg.enumerate_elements(r):
                     assert L_pair.insertion(x) == L_prod.insertion(x)
+
+
+def test_mixed_finite_products_are_unsupported():
+    # commutative and finite, but not a product of cyclic rings
+    F2 = PrimeField(2)
+    for other in (MatrixRing(F2, 1), SemisimpleAlgebra(F2, (1,))):
+        r = rg.product_ring([ModularRing(2), other])
+        assert rg.is_commutative(r) and rg.is_finite(r)
+        with pytest.raises(UnsupportedClass):
+            localize(r, (rg.zero(r),))
 
 
 def test_skew_localization_grows_cone():

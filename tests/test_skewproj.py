@@ -273,6 +273,10 @@ def test_is_torsion_classification():
     gen0 = element_from_payloads(deep, [{(0, 0): 1}], 0)
     with pytest.raises(BoundInconclusive):
         is_torsion(deep, gen0, 2, box=3)
+    # at the default box the probe is still blind to x^4; the box+1 re-run
+    # must see the image vanish instead of certifying the generator alive
+    with pytest.raises(BoundInconclusive):
+        is_torsion(deep, gen0, 2)
     X = build_proj(SK2)
     with pytest.raises(BoundInconclusive):
         serre_unit(X, deep, (0, 0), box=3, torsion_bound=2)
