@@ -13,7 +13,7 @@ from . import serialize as ser
 from .errors import NCSpecError, ParseError, SchemaViolation
 from .latspace import PidLattice, build_semilattice
 from .rings import SkewLaurentRing
-from .sheafspec import PidNCSpec, is_prim, ncspec, ncspec_morphism, recover_hom
+from .sheafspec import PidNCSpec, ncspec, ncspec_morphism, recover_hom
 
 
 def _load(path):

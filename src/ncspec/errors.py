@@ -71,6 +71,10 @@ class NotACover(NCSpecError):
     pass
 
 
+class PresheafLawViolation(NCSpecError):
+    pass
+
+
 # commutative bridge level
 
 class NotCommutative(NCSpecError):
@@ -110,6 +114,10 @@ class CocycleViolation(NCSpecError):
 
 
 class NotOre(NCSpecError):
+    pass
+
+
+class NotAModule(NCSpecError):
     pass
 
 

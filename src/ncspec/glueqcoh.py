@@ -16,11 +16,19 @@ from . import rings as rg
 from .errors import (
     ClosureBoundExceeded,
     CocycleViolation,
+    NotAHomomorphism,
+    NotAModule,
     NotOre,
     OreConditionFails,
     UnsupportedClass,
 )
-from .localization import Localization, connecting_map, localize, subgroup_closure
+from .localization import (
+    Localization,
+    connecting_map,
+    descend,
+    localize,
+    subgroup_closure,
+)
 from .rings import (
     ModularRing,
     RingElement,
@@ -136,9 +144,11 @@ class FiniteModule:
     orders: tuple
 
     def __post_init__(self):
-        assert isinstance(self.ring, ModularRing)
+        if not isinstance(self.ring, ModularRing):
+            raise UnsupportedClass(f"finite modules are built over Z/n, not {self.ring!r}")
         for d in self.orders:
-            assert d >= 2 and self.ring.n % d == 0, "cyclic orders must divide the modulus"
+            if d < 2 or self.ring.n % d:
+                raise NotAModule(f"cyclic orders must be divisors >= 2 of {self.ring.n}, got {d}")
 
     def elements(self):
         if not self.orders:
@@ -193,8 +203,9 @@ class ModuleHom:
 
     def __post_init__(self):
         for d, img in zip(self.source.orders, self.images):
-            assert self.target.smul(d, img) == self.target.zero(), \
-                "generator image must be killed by the generator's order"
+            if self.target.smul(d, img) != self.target.zero():
+                raise NotAHomomorphism(
+                    "generator image must be killed by the generator's order", witness=img)
 
     def __call__(self, x):
         acc = self.target.zero()
@@ -698,26 +709,12 @@ def _extend_iso(d: GlueDatum, locs, a, b, c) -> dict:
     iso = d.ring_isos[(a, b)]
     La, Lb = locs[(a, b)], locs[(b, a)]
     Da, Db = _double_loc(d, a, b, c), _double_loc(d, b, a, c)
-    pa = _under_table(d.pieces[a], La, Da)
-    pb = _under_table(d.pieces[b], Lb, Db)
-    out = {}
-    for y in rg.enumerate_elements(La.result):
-        key = pa[y]
-        val = pb[iso(y)]
-        if key in out and out[key] != val:
-            raise CocycleViolation("extension to the double overlap is inconsistent")
-        out[key] = val
-    if len(out) != rg.cardinality(Da.result):
-        raise CocycleViolation("extension is not total on the double overlap")
-    return out
-
-
-def _under_table(r, LA: Localization, LB: Localization) -> dict:
-    out = {}
-    for x in rg.enumerate_elements(r):
-        key = LA.insertion(x)
-        out[key] = LB.insertion(x)
-    return out
+    pa = connecting_map(d.pieces[a], La.subset, Da.subset)
+    pb = connecting_map(d.pieces[b], Lb.subset, Db.subset)
+    pairs = ((pa(y), pb(iso(y))) for y in rg.enumerate_elements(La.result))
+    return descend(pairs, rg.cardinality(Da.result), CocycleViolation,
+                   "extension to the double overlap is inconsistent",
+                   "extension is not total on the double overlap")
 
 
 # ---------------------------------------------------------------------------
@@ -816,8 +813,6 @@ def _double_tensor(d: QcohDatum, a, b, c) -> TensorModule:
 
 def _extend_cocycle(d: QcohDatum, tensors, a, b, c) -> dict:
     """phi_ab pushed to the double overlap; surjective, so a table push works."""
-    La = localize(d.glue.pieces[a], tuple(d.glue.overlaps[(a, b)]))
-    Lb = localize(d.glue.pieces[b], tuple(d.glue.overlaps[(b, a)]))
     Ta, Tb = tensors[(a, b)], tensors[(b, a)]
     Da, Db = _double_tensor(d, a, b, c), _double_tensor(d, b, a, c)
     Ea = tuple(d.glue.overlaps[(a, b)]) + tuple(d.glue.overlaps[(a, c)])
@@ -827,13 +822,6 @@ def _extend_cocycle(d: QcohDatum, tensors, a, b, c) -> dict:
     push_a = tensor_restriction(Ta, Da, pa)
     push_b = tensor_restriction(Tb, Db, pb)
     phi = d.cocycles[(a, b)]
-    out = {}
-    for y in Ta.elements():
-        key = push_a[y]
-        val = push_b[phi[y]]
-        if key in out and out[key] != val:
-            raise CocycleViolation("cocycle extension inconsistent")
-        out[key] = val
-    if len(out) != Da.size():
-        raise CocycleViolation("cocycle extension not total")
-    return out
+    pairs = ((push_a[y], push_b[phi[y]]) for y in Ta.elements())
+    return descend(pairs, Da.size(), CocycleViolation,
+                   "cocycle extension inconsistent", "cocycle extension not total")

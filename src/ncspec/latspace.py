@@ -430,12 +430,6 @@ class PidLattice:
     def join(self, h: RingElement, g: RingElement):
         return self.join_keys(self.cell_key(h), self.cell_key(g))
 
-    def bottom_key(self):
-        return qpoly.ONE
-
-    def top_key(self):
-        return qpoly.ZERO
-
 
 @dataclass(frozen=True)
 class PidPoint:

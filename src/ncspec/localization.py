@@ -8,7 +8,9 @@ Matrix rings localize to themselves or collapse to the zero ring;
 semisimple algebras localize to the sub-product indexed by the blocks
 that every member of E leaves nonsingular; Q[x] localizes symbolically to
 the fraction class of the squarefree part of prod(E); skew Laurent rings
-localize at monomials by enlarging the inverted cone.
+localize at monomials by enlarging the inverted cone.  For A <= B the
+connecting map loc(R, A) -> loc(R, B) is the insertion of loc(R, A) at
+the image of B, so `_localized` is the only per-class code.
 """
 
 import operator
@@ -43,7 +45,6 @@ from .rings import (
     ZeroRing,
     all_homs,
     hom_compose,
-    hom_from_callable,
     hom_validate,
 )
 
@@ -98,19 +99,36 @@ def _localize_cached(r, E: tuple) -> Localization:
     for a in E:
         if a.owner != r:
             raise rg.ElementOwnershipMismatch(f"{a!r} not owned by {r!r}")
+    if all(rg.is_unit(r, a) for a in E):
+        result, rule = r, None
+    else:
+        result, rule = _localized(r, E)
+    if result == r:
+        insertion = rg.identity_hom(r)
+    elif rg.is_zero_ring(result):
+        insertion = rg.to_zero_hom(r, result)
+    else:
+        insertion = hom_validate(RingHom(r, result, rule))
+    return _finish(r, E, result, insertion)
 
-    if isinstance(r, ZeroRing):
-        return _finish(r, E, r, hom_validate(RingHom(r, r, IdentityRule())))
 
-    if not E or all(rg.is_unit(r, a) for a in E):
-        return _finish(r, E, r, hom_validate(RingHom(r, r, IdentityRule())))
-
+def _localized(r, E):
+    """(loc(r, E), insertion rule) when E holds a non-unit; the rule of a zero result is unused."""
     if rg.cyclic_moduli(r) is not None:
-        return _localize_finite_commutative(r, E)
+        f = rg.one(r)
+        for a in E:
+            f = f * a
+        e = idempotent_power(r, f)
+        kept = []
+        for i, (ei, ni) in enumerate(zip(rg.cyclic_components(e), rg.cyclic_moduli(r))):
+            m = ni // igcd(ei, ni)
+            if m > 1:
+                kept.append((i, m))
+        return canonical_modular_product([m for _, m in kept]), CommLocRule(tuple(kept))
 
     if isinstance(r, MatrixRing):
         # some member is singular: the usual rank-one collapse kills 1
-        return _finish(r, E, ZeroRing(), hom_validate(RingHom(r, ZeroRing(), ToZeroRule())))
+        return ZeroRing(), None
 
     if isinstance(r, SemisimpleAlgebra):
         kept = [
@@ -118,75 +136,40 @@ def _localize_cached(r, E: tuple) -> Localization:
             if all(rg.mat_det(r.base, a.payload[j]) != 0 for a in E)
         ]
         if not kept:
-            return _finish(r, E, ZeroRing(), hom_validate(RingHom(r, ZeroRing(), ToZeroRule())))
-        result = SemisimpleAlgebra(r.base, tuple(r.dims[j] for j in kept))
-        ins = hom_validate(RingHom(r, result, rg.SsaProjRule(tuple(kept))))
-        return _finish(r, E, result, ins)
+            return ZeroRing(), None
+        return (SemisimpleAlgebra(r.base, tuple(r.dims[j] for j in kept)),
+                rg.SsaProjRule(tuple(kept)))
 
     if isinstance(r, UnivariatePolyRing):
         f = qpoly.ONE
         for a in E:
             f = qpoly.mul(f, a.payload)
         if qpoly.is_zero(f):
-            return _finish(r, E, ZeroRing(), hom_validate(RingHom(r, ZeroRing(), ToZeroRule())))
-        sf = qpoly.squarefree_part(f)
-        if sf == qpoly.ONE:
-            return _finish(r, E, r, hom_validate(RingHom(r, r, IdentityRule())))
-        result = LocalizedPolyRing(sf)
-        ins = hom_validate(RingHom(r, result, PolyInsertRule()))
-        return _finish(r, E, result, ins)
+            return ZeroRing(), None
+        return LocalizedPolyRing(qpoly.squarefree_part(f)), PolyInsertRule()
 
     if isinstance(r, LocalizedPolyRing):
         sf = r.denominator
         for a in E:
             num, _den = a.payload
             if qpoly.is_zero(num):
-                return _finish(r, E, ZeroRing(),
-                               hom_validate(RingHom(r, ZeroRing(), ToZeroRule())))
+                return ZeroRing(), None
             sf = qpoly.mul(sf, num)
-        sf = qpoly.squarefree_part(sf)
-        if sf == qpoly.squarefree_part(r.denominator):
-            return _finish(r, E, r, hom_validate(RingHom(r, r, IdentityRule())))
-        result = LocalizedPolyRing(sf)
-        ins = hom_validate(RingHom(r, result, PolyFracRule()))
-        return _finish(r, E, result, ins)
+        return LocalizedPolyRing(qpoly.squarefree_part(sf)), PolyFracRule()
 
     if isinstance(r, SkewLaurentRing):
         new_inverted = set(r.inverted)
         for a in E:
             terms = skewpoly.from_canonical(a.payload)
             if not terms:
-                return _finish(r, E, ZeroRing(),
-                               hom_validate(RingHom(r, ZeroRing(), ToZeroRule())))
+                return ZeroRing(), None
             if len(terms) != 1:
                 raise NonMonomialSkewSubset(f"{a!r} is not a scalar multiple of a monomial")
             (e, _c), = terms.items()
             new_inverted.update(i for i, v in enumerate(e) if v != 0)
-        if frozenset(new_inverted) == r.inverted:
-            return _finish(r, E, r, hom_validate(RingHom(r, r, IdentityRule())))
-        result = SkewLaurentRing(r.nvars, r.lam, frozenset(new_inverted))
-        ins = hom_validate(RingHom(r, result, SkewExpandRule()))
-        return _finish(r, E, result, ins)
+        return SkewLaurentRing(r.nvars, r.lam, frozenset(new_inverted)), SkewExpandRule()
 
     raise UnsupportedClass(f"cannot localize {r!r}")
-
-
-def _localize_finite_commutative(r, E) -> Localization:
-    f = rg.one(r)
-    for a in E:
-        f = f * a
-    e = idempotent_power(r, f)
-    kept = []
-    for i, (ei, ni) in enumerate(zip(rg.cyclic_components(e), rg.cyclic_moduli(r))):
-        m = ni // igcd(ei, ni)
-        if m > 1:
-            kept.append((i, m))
-    result = canonical_modular_product([m for _, m in kept])
-    if isinstance(result, ZeroRing):
-        ins = hom_validate(RingHom(r, result, ToZeroRule()))
-    else:
-        ins = hom_validate(RingHom(r, result, CommLocRule(tuple(kept))))
-    return _finish(r, E, result, ins)
 
 
 def canonical_modular_product(mods):
@@ -225,48 +208,21 @@ def connecting_map(r, A, B) -> RingHom:
     """The unique p: loc(R, A) -> loc(R, B) under R; requires A <= B."""
     if not subset_leq(r, A, B):
         raise NotComparable(f"{list(A)!r} is not below {list(B)!r} in {r!r}")
-    LA, LB = localize(r, A), localize(r, B)
-    return _under_map(r, LA, LB)
+    return _under_map(localize(r, A), localize(r, B))
 
 
-def _under_map(r, LA: Localization, LB: Localization) -> RingHom:
-    """The map loc_A -> loc_B commuting with the insertions (insertion epis)."""
-    if LA.result == LB.result and LA.insertion == LB.insertion:
-        return hom_validate(RingHom(LA.result, LB.result, IdentityRule()))
-    if isinstance(LB.result, ZeroRing):
-        return hom_validate(RingHom(LA.result, LB.result, ToZeroRule()))
-    if rg.is_finite(r):
-        table = {}
-        for x in rg.enumerate_elements(r):
-            key = LA.insertion(x)
-            val = LB.insertion(x)
-            if key in table and table[key] != val:
-                raise NotComparable("insertion images are incompatible")
-            table[key] = val
-        if len(table) != rg.cardinality(LA.result):
-            raise NotComparable("insertion is not surjective; no table map")
-        return hom_validate(rg.table_hom(LA.result, LB.result, table))
-    if isinstance(LA.result, UnivariatePolyRing) and isinstance(LB.result, LocalizedPolyRing):
-        return hom_validate(RingHom(LA.result, LB.result, PolyInsertRule()))
-    if isinstance(LA.result, LocalizedPolyRing) and isinstance(LB.result, LocalizedPolyRing):
-        return hom_validate(RingHom(LA.result, LB.result, PolyFracRule()))
-    if isinstance(LA.result, SkewLaurentRing) and isinstance(LB.result, SkewLaurentRing):
-        return hom_validate(RingHom(LA.result, LB.result, SkewExpandRule()))
-    if isinstance(LA.result, UnivariatePolyRing) and isinstance(LB.result, UnivariatePolyRing):
-        return hom_validate(RingHom(LA.result, LB.result, IdentityRule()))
-    if isinstance(LA.result, SemisimpleAlgebra) and isinstance(LB.result, SemisimpleAlgebra):
-        ka, kb = _ssa_kept(LA), _ssa_kept(LB)
-        if not set(kb) <= set(ka):
-            raise NotComparable("block sets do not nest")
-        positions = tuple(ka.index(j) for j in kb)
-        return hom_validate(RingHom(LA.result, LB.result, rg.SsaProjRule(positions)))
-    raise UnsupportedClass(f"no connecting map {LA.result!r} -> {LB.result!r}")
+def _under_map(LA: Localization, LB: Localization) -> RingHom:
+    """The map loc_A -> loc_B under the ring: the insertion of loc_A at the image of B."""
+    p = localize(LA.result, tuple(LA.insertion(b) for b in LB.subset)).insertion
+    if p.target != LB.result:
+        raise NotComparable(f"{LA.result!r} localizes to {p.target!r}, not {LB.result!r}")
+    return p
 
 
-def _ssa_kept(L: Localization):
-    if isinstance(L.insertion.rule, rg.SsaProjRule):
-        return tuple(L.insertion.rule.kept)
-    return tuple(range(len(L.source.dims)))
+def _ssa_kept(h: RingHom):
+    if isinstance(h.rule, rg.SsaProjRule):
+        return tuple(h.rule.kept)
+    return tuple(range(len(h.source.dims)))
 
 
 def induced_map(theta: RingHom, A) -> RingHom:
@@ -275,34 +231,39 @@ def induced_map(theta: RingHom, A) -> RingHom:
     LA = localize(theta.source, tuple(A))
     LB = localize(theta.target, tuple(theta(a) for a in A))
     if isinstance(LB.result, ZeroRing):
-        return hom_validate(RingHom(LA.result, LB.result, ToZeroRule()))
+        return rg.to_zero_hom(LA.result, LB.result)
     if rg.is_finite(theta.source):
-        table = {}
-        for x in rg.enumerate_elements(theta.source):
-            key = LA.insertion(x)
-            val = LB.insertion(theta(x))
-            if key in table and table[key] != val:
-                raise UnsupportedClass("induced map is not well-defined on the table")
-            table[key] = val
-        if len(table) != rg.cardinality(LA.result):
-            raise UnsupportedClass("insertion not surjective")
+        pairs = ((LA.insertion(x), LB.insertion(theta(x)))
+                 for x in rg.enumerate_elements(theta.source))
+        table = descend(pairs, rg.cardinality(LA.result), UnsupportedClass,
+                        "induced map is not well-defined on the table",
+                        "insertion not surjective")
         return hom_validate(rg.table_hom(LA.result, LB.result, table))
     if isinstance(theta.rule, IdentityRule):
-        return _under_map(theta.source, LA, LB)
-    if isinstance(theta.source, SemisimpleAlgebra) and isinstance(
-            theta.rule, (rg.SsaProjRule, IdentityRule)):
-        # all four maps are block projections, so positions compose
-        keptA = _ssa_kept(LA)
-        K = (tuple(theta.rule.kept) if isinstance(theta.rule, rg.SsaProjRule)
-             else tuple(range(len(theta.source.dims))))
-        if isinstance(LB.result, SemisimpleAlgebra):
-            keptB_rel = (tuple(LB.insertion.rule.kept)
-                         if isinstance(LB.insertion.rule, rg.SsaProjRule)
-                         else tuple(range(len(theta.target.dims))))
-            kept_abs = [K[p] for p in keptB_rel]
-            positions = tuple(keptA.index(b) for b in kept_abs)
-            return hom_validate(RingHom(LA.result, LB.result, rg.SsaProjRule(positions)))
+        return _under_map(LA, LB)
+    if isinstance(theta.source, SemisimpleAlgebra) and isinstance(LB.result, SemisimpleAlgebra):
+        # all four maps are block projections, so kept positions compose
+        keptA = _ssa_kept(LA.insertion)
+        kept_abs = _ssa_kept(hom_compose(LB.insertion, theta))
+        positions = tuple(keptA.index(b) for b in kept_abs)
+        return hom_validate(RingHom(LA.result, LB.result, rg.SsaProjRule(positions)))
     raise UnsupportedClass(f"induced map unsupported for {theta!r}")
+
+
+def descend(pairs, size, error, clash, partial) -> dict:
+    """The table map read off (key, value) pairs.
+
+    Raises error(clash) when a key meets two values and error(partial)
+    when the keys miss some of the `size` elements of the domain.
+    """
+    table = {}
+    for key, val in pairs:
+        if key in table and table[key] != val:
+            raise error(clash)
+        table[key] = val
+    if len(table) != size:
+        raise error(partial)
+    return table
 
 
 @dataclass(frozen=True)
@@ -348,7 +309,7 @@ def localization_square(theta: RingHom, A, B) -> LocalizationSquare:
         top=induced_map(theta, A),
         left=connecting_map(theta.source, A, B),
         bottom=induced_map(theta, B),
-        right=_under_map(theta.target, localize(theta.target, tA), localize(theta.target, tB)),
+        right=_under_map(localize(theta.target, tA), localize(theta.target, tB)),
     )
     if not sq.commutes():
         raise UnverifiableSquare("localization square fails to commute")

@@ -62,13 +62,6 @@ def scale(p: Poly, c) -> Poly:
     return tuple(a * c for a in p)
 
 
-def pow_(p: Poly, n: int) -> Poly:
-    out = ONE
-    for _ in range(n):
-        out = mul(out, p)
-    return out
-
-
 def divmod_(p: Poly, q: Poly):
     if is_zero(q):
         raise ZeroDivisionError("polynomial division by zero")

@@ -969,12 +969,9 @@ def hom_compose(g: RingHom, f: RingHom) -> RingHom:
         return hom_validate(RingHom(f.source, g.target, f.rule))
     if isinstance(g.rule, ToZeroRule):
         return hom_validate(RingHom(f.source, g.target, ToZeroRule()))
-    if isinstance(f.rule, PolyInsertRule) and isinstance(g.rule, PolyFracRule):
-        return hom_validate(RingHom(f.source, g.target, PolyInsertRule()))
-    if isinstance(f.rule, PolyFracRule) and isinstance(g.rule, PolyFracRule):
-        return hom_validate(RingHom(f.source, g.target, PolyFracRule()))
-    if isinstance(f.rule, SkewExpandRule) and isinstance(g.rule, SkewExpandRule):
-        return hom_validate(RingHom(f.source, g.target, SkewExpandRule()))
+    if isinstance(g.rule, (PolyFracRule, SkewExpandRule)):
+        # g keeps payloads: g after f is f's rule into g's target, checked by that rule
+        return hom_validate(RingHom(f.source, g.target, f.rule))
     if isinstance(f.rule, SsaProjRule) and isinstance(g.rule, SsaProjRule):
         kept = tuple(f.rule.kept[p] for p in g.rule.kept)
         return hom_validate(RingHom(f.source, g.target, SsaProjRule(kept)))

@@ -26,7 +26,6 @@ from .rings import (
 RING_SCHEMA = "ncspec.ring/1"
 MORPHISM_SCHEMA = "ncspec.morphism/1"
 MODULE_SCHEMA = "ncspec.module/1"
-FINMOD_SCHEMA = "ncspec.finmod/1"
 GLUE_SCHEMA = "ncspec.glue/1"
 QCOH_SCHEMA = "ncspec.qcoh/1"
 REPORT_SCHEMA = "ncspec.report/1"
@@ -157,7 +156,7 @@ def parse_element(r, doc, path="element") -> RingElement:
         if isinstance(r, ZeroRing):
             return rg.zero(r)
         if isinstance(r, ModularRing):
-            return rg.element(r, int(doc))
+            return rg.element(r, parse_int(doc, path))
         if isinstance(r, ProductRing):
             return RingElement(r, tuple(
                 parse_element(f, d, f"{path}[{i}]").payload
@@ -221,13 +220,19 @@ def parse_morphism(doc, path="morphism") -> RingHom:
             raise SchemaViolation("canonical_quotient needs modular rings", path)
         return rg.quotient_hom(source.n, target.n)
     if kind == "table":
-        mapping = {}
-        for i, pair in enumerate(rule["pairs"]):
-            src = parse_element(source, pair[0], f"{path}.rule.pairs[{i}][0]")
-            tgt = parse_element(target, pair[1], f"{path}.rule.pairs[{i}][1]")
-            mapping[src] = tgt
-        return rg.hom_validate(rg.table_hom(source, target, mapping))
+        return _parse_table(source, target, rule["pairs"], f"{path}.rule")
     raise SchemaViolation(f"unknown rule kind {kind!r}", path)
+
+
+def _parse_table(source, target, pairs, path) -> RingHom:
+    """A validated table hom that lists every element of the source."""
+    mapping = {}
+    for i, pair in enumerate(pairs):
+        src = parse_element(source, pair[0], f"{path}.pairs[{i}][0]")
+        mapping[src] = parse_element(target, pair[1], f"{path}.pairs[{i}][1]")
+    if len(mapping) != rg.cardinality(source):
+        raise SchemaViolation(f"a table rule must list every element of {source!r}", path)
+    return rg.hom_validate(rg.table_hom(source, target, mapping))
 
 
 def morphism_doc(h: RingHom) -> dict:
@@ -257,7 +262,7 @@ def parse_graded_module(r, doc, path="module"):
     degrees = []
     for i, g in enumerate(doc["generators"]):
         _require_keys(g, ["degree"], (), f"{path}.generators[{i}]")
-        degrees.append(int(g["degree"]))
+        degrees.append(parse_int(g["degree"], f"{path}.generators[{i}].degree"))
     rows = []
     for i, row in enumerate(doc.get("relations", [])):
         if len(row) != len(degrees):
@@ -274,14 +279,6 @@ def parse_graded_module(r, doc, path="module"):
     return presentation_from_rows(r, degrees, rows)
 
 
-def parse_finite_module(r, doc, path="module"):
-    from .glueqcoh import FiniteModule
-    _require_keys(doc, ["schema", "orders"], (), path)
-    if doc["schema"] != FINMOD_SCHEMA:
-        raise SchemaViolation(f"expected schema {FINMOD_SCHEMA}", path)
-    return FiniteModule(r, tuple(int(d) for d in doc["orders"]))
-
-
 def parse_glue(doc, path="glue"):
     from .glueqcoh import GlueDatum
     from .localization import localize
@@ -293,14 +290,16 @@ def parse_glue(doc, path="glue"):
     overlaps = {}
     for i, ov in enumerate(doc["overlaps"]):
         _require_keys(ov, ["from", "to", "subset"], (), f"{path}.overlaps[{i}]")
-        a, b = int(ov["from"]), int(ov["to"])
+        a = _piece_index(ov, "from", pieces, f"{path}.overlaps[{i}]")
+        b = _piece_index(ov, "to", pieces, f"{path}.overlaps[{i}]")
         overlaps[(a, b)] = tuple(
             parse_element(pieces[a], e, f"{path}.overlaps[{i}].subset[{k}]")
             for k, e in enumerate(ov["subset"]))
     isos = {}
     for i, iso in enumerate(doc["isos"]):
         _require_keys(iso, ["from", "to", "rule"], (), f"{path}.isos[{i}]")
-        a, b = int(iso["from"]), int(iso["to"])
+        a = _piece_index(iso, "from", pieces, f"{path}.isos[{i}]")
+        b = _piece_index(iso, "to", pieces, f"{path}.isos[{i}]")
         La = localize(pieces[a], overlaps[(a, b)])
         Lb = localize(pieces[b], overlaps[(b, a)])
         rule = iso["rule"]
@@ -308,13 +307,18 @@ def parse_glue(doc, path="glue"):
         if rule["kind"] == "identity":
             isos[(a, b)] = rg.hom_validate(RingHom(La.result, Lb.result, rg.IdentityRule()))
         elif rule["kind"] == "table":
-            mapping = {}
-            for pair in rule["pairs"]:
-                mapping[parse_element(La.result, pair[0])] = parse_element(Lb.result, pair[1])
-            isos[(a, b)] = rg.hom_validate(rg.table_hom(La.result, Lb.result, mapping))
+            isos[(a, b)] = _parse_table(La.result, Lb.result, rule["pairs"],
+                                        f"{path}.isos[{i}].rule")
         else:
             raise SchemaViolation(f"unknown iso rule {rule['kind']!r}", path)
     return GlueDatum(pieces, overlaps, isos)
+
+
+def _piece_index(doc, key, pieces, path) -> int:
+    i = parse_int(doc[key], f"{path}.{key}")
+    if not 0 <= i < len(pieces):
+        raise SchemaViolation(f"no piece {i}: the glue has {len(pieces)}", f"{path}.{key}")
+    return i
 
 
 # ---------------------------------------------------------------------------

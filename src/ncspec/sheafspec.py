@@ -11,7 +11,7 @@ known closed form: the block union).
 from dataclasses import dataclass, field
 
 from . import rings as rg
-from .errors import NotACover, NotOpen, UnsupportedClass
+from .errors import NotACover, NotComparable, NotOpen, PresheafLawViolation, UnsupportedClass
 from .latspace import (
     AlexandrovSpace,
     LocalizationLattice,
@@ -30,11 +30,8 @@ from .localization import (
     localize,
 )
 from .rings import (
-    ModularRing,
-    ProductRing,
     RingHom,
     SemisimpleAlgebra,
-    UnivariatePolyRing,
     ZeroRing,
     hom_compose,
     hom_validate,
@@ -53,7 +50,8 @@ class SheafOnBase:
 
     def restriction(self, i: int, j: int) -> RingHom:
         """res from the basic open at cell i into the smaller one at cell j >= i."""
-        assert self.lattice.leq(i, j), "restriction goes to a smaller basic open"
+        if not self.lattice.leq(i, j):
+            raise NotComparable("restriction goes to a smaller basic open")
         key = (i, j)
         if key not in self._res_cache:
             self._res_cache[key] = connecting_map(
@@ -66,8 +64,8 @@ class SheafOnBase:
     def check_presheaf_laws(self):
         lat = self.lattice
         for i in range(lat.n):
-            r_ii = self.restriction(i, i)
-            assert r_ii == identity_hom(self.assignment[i])
+            if self.restriction(i, i) != identity_hom(self.assignment[i]):
+                raise PresheafLawViolation(f"restriction {i} -> {i} is not the identity")
             for j in range(lat.n):
                 if not lat.leq(i, j):
                     continue
@@ -75,7 +73,9 @@ class SheafOnBase:
                     if not lat.leq(j, k):
                         continue
                     left = hom_compose(self.restriction(j, k), self.restriction(i, j))
-                    assert left == self.restriction(i, k), "restrictions fail to compose"
+                    if left != self.restriction(i, k):
+                        raise PresheafLawViolation(
+                            f"restrictions {i} -> {j} -> {k} fail to compose")
 
 
 @dataclass
@@ -122,7 +122,8 @@ def ncspec(r) -> "NCSpecSpace | PidNCSpec":
     if rg.is_finite(r) or lat.n <= 8:
         sheaf.check_presheaf_laws()
     sp = NCSpecSpace(r, lat, X, sober, sheaf)
-    assert assignment[lat.bottom] == r, "global sections must be the ring itself"
+    if assignment[lat.bottom] != r:
+        raise PresheafLawViolation("global sections must be the ring itself")
     _ncspec_cache[r] = sp
     return sp
 

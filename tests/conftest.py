@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ncspec import rings as rg
+from ncspec.localization import localize
 from ncspec.rings import ModularRing, ZeroRing
 
 
@@ -13,6 +14,23 @@ def brute_is_unit(r, x) -> bool:
     """Exhaustive two-sided inverse search (finite rings)."""
     one = rg.one(r)
     return any(x * y == one and y * x == one for y in rg.enumerate_elements(r))
+
+
+def brute_under_map(r, A, B):
+    """The map loc(r, A) -> loc(r, B) under a finite r, read off every element.
+
+    Each x of r sends the image of x in loc(r, A) to its image in
+    loc(r, B); the result is an unvalidated table hom.
+    """
+    LA, LB = localize(r, A), localize(r, B)
+    table = {}
+    for x in rg.enumerate_elements(r):
+        key, val = LA.insertion(x), LB.insertion(x)
+        if table.setdefault(key, val) != val:
+            raise AssertionError(f"insertion images clash at {x!r}")
+    if len(table) != rg.cardinality(LA.result):
+        raise AssertionError("the insertion of loc(r, A) is not surjective")
+    return rg.table_hom(LA.result, LB.result, table)
 
 
 def classic_fraction_localization_size(n: int, f: int) -> int:

@@ -244,6 +244,26 @@ def test_cli_serre_check(tmp_path, capsys):
                for v in rep["payload"]["degrees"].values())
 
 
+def _z6_glue(overlap_from=0, iso_from=0, subset=(2,), pairs=((0, 0), (1, 1), (2, 2))):
+    """Two copies of Z/6 glued along their Z/3 charts by table isos."""
+    z6 = {"kind": "modular", "n": 6}
+    table = {"kind": "table", "pairs": [list(p) for p in pairs]}
+    return {
+        "schema": "ncspec.glue/1",
+        "pieces": [z6, z6],
+        "overlaps": [{"from": overlap_from, "to": 1, "subset": list(subset)},
+                     {"from": 1, "to": 0, "subset": [2]}],
+        "isos": [{"from": iso_from, "to": 1, "rule": table},
+                 {"from": 1, "to": 0, "rule": table}],
+    }
+
+
+def test_cli_glue_along_table_isos(tmp_path, capsys):
+    code, out = run_cli(capsys, "glue", "--glue", write(tmp_path, "g.json", _z6_glue()))
+    assert code == 0
+    assert json.loads(out)["payload"]["points"] == 6
+
+
 def test_cli_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
@@ -285,6 +305,31 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     for i, doc in enumerate(bad_rings):
         cases.append(("ring-validate", "--ring",
                       write(tmp_path, f"bad{i}.json", dict(doc, schema="ncspec.ring/1"))))
+    # table rules must list every source element; glue indices and Z/n
+    # payloads are strict integers, and glue indices name a piece
+    z4, z2 = {"kind": "modular", "n": 4}, {"kind": "modular", "n": 2}
+    bad_morphisms = [
+        {"source": z4, "target": z2, "rule": {"kind": "table",
+                                              "pairs": [[0, 0], [1, 1], [2, 0]]}},
+        {"source": z2, "target": z2, "rule": {"kind": "table",
+                                              "pairs": [["0", 0], [1, 1]]}},
+    ]
+    for i, doc in enumerate(bad_morphisms):
+        cases.append(("morphism", "--morphism", write(
+            tmp_path, f"badm{i}.json", dict(doc, schema="ncspec.morphism/1"))))
+    bad_glues = [
+        _z6_glue(overlap_from=5),
+        _z6_glue(overlap_from="0"),
+        _z6_glue(overlap_from=0.9),
+        _z6_glue(iso_from=-1),
+        _z6_glue(subset=["2"]),
+        _z6_glue(pairs=[[0, 0], [1, 1]]),
+    ]
+    for i, doc in enumerate(bad_glues):
+        cases.append(("glue", "--glue", write(tmp_path, f"badg{i}.json", doc)))
+    module = write(tmp_path, "degree.json", {"schema": "ncspec.module/1",
+                                             "generators": [{"degree": "0"}]})
+    cases.append(("proj-gamma", *window, "--module", module))
     for argv in cases:
         code, out = run_cli(capsys, *argv)
         assert code == 2, argv

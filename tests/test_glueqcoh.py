@@ -4,7 +4,13 @@ from math import gcd
 import pytest
 
 from ncspec import rings as rg
-from ncspec.errors import CocycleViolation, OreConditionFails
+from ncspec.errors import (
+    CocycleViolation,
+    NotAHomomorphism,
+    NotAModule,
+    OreConditionFails,
+    UnsupportedClass,
+)
 from ncspec.glueqcoh import (
     FiniteModule,
     GlueDatum,
@@ -117,6 +123,17 @@ def test_tilde_of_free_module_is_structure_sheaf():
 def test_module_axioms_hold_exhaustively():
     for orders in ((), (2,), (3,), (6,), (2, 3)):
         assert FiniteModule(Z6, orders).check_axioms()
+
+
+def test_module_checks_are_typed_errors():
+    # typed errors, so the checks survive python -O
+    for orders in ((4,), (1,), (6, 0)):
+        with pytest.raises(NotAModule):
+            FiniteModule(Z6, orders)
+    with pytest.raises(UnsupportedClass):
+        FiniteModule(MatrixRing(PrimeField(2), 1), (2,))
+    with pytest.raises(NotAHomomorphism):
+        ModuleHom(FiniteModule(Z6, (2,)), FiniteModule(Z6, (3,)), ((1,),))
 
 
 def test_tilde_module_delegates_skew_rings():

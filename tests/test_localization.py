@@ -2,7 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import classic_fraction_localization_size, small_commutative_rings
+from conftest import (
+    brute_under_map,
+    classic_fraction_localization_size,
+    small_commutative_rings,
+)
 
 from ncspec import rings as rg
 from ncspec.errors import NonMonomialSkewSubset, NotComparable, UnsupportedClass
@@ -18,11 +22,18 @@ from ncspec.localization import (
     subset_leq,
 )
 from ncspec.rings import (
+    IdentityRule,
+    LocalizedPolyRing,
     MatrixRing,
     ModularRing,
+    PolyFracRule,
+    PolyInsertRule,
     PrimeField,
     Rationals,
     SemisimpleAlgebra,
+    SkewExpandRule,
+    SsaProjRule,
+    ToZeroRule,
     UnivariatePolyRing,
     ZeroRing,
     skew_ring,
@@ -273,3 +284,109 @@ def test_universal_property_bruteforce_singletons():
                         if all(lam(L.insertion(x)) == theta(x)
                                for x in rg.enumerate_elements(r))]
                     assert len(mediators) == 1
+
+
+# ---------------------------------------------------------------------------
+# connecting maps by re-localization against the brute-force under-map
+
+def _differential_rings():
+    F2, F3 = PrimeField(2), PrimeField(3)
+    out = [ModularRing(n) for n in range(2, 61)]
+    out += [rg.product_ring([ModularRing(m) for m in mods])
+            for mods in [(2, 3), (2, 4), (3, 3), (2, 6), (4, 6), (2, 2, 3), (3, 4, 5)]]
+    out.append(rg.product_ring([ModularRing(2)] * 3))    # F2 x F2 x F2
+    out += [SemisimpleAlgebra(F2, (1, 2)), SemisimpleAlgebra(F2, (1, 1, 1)),
+            SemisimpleAlgebra(F3, (1, 1)), MatrixRing(F2, 2)]
+    return out
+
+
+def _cells(r):
+    """One subset per cell of r: idempotent singletons, one per distinct insertion.
+
+    Localizing at x is localizing at an idempotent (its idempotent power in
+    the commutative case, a block idempotent in the semisimple one).
+    """
+    reps = {}
+    for x in rg.enumerate_elements(r):
+        if x * x == x:
+            reps.setdefault(localize(r, (x,)).insertion, (x,))
+    return list(reps.values())
+
+
+def test_connecting_maps_match_the_brute_force_under_map():
+    compared = refused = 0
+    for r in _differential_rings():
+        cells = _cells(r)
+        for A in cells:
+            for B in cells:
+                if not subset_leq(r, A, B):
+                    with pytest.raises(NotComparable):
+                        connecting_map(r, A, B)
+                    refused += 1
+                    continue
+                p = connecting_map(r, A, B)
+                assert p.validated and p == brute_under_map(r, A, B), (r, A, B)
+                compared += 1
+    assert (compared, refused) == (645, 611)
+
+
+def _ssa_element(r, *invertible):
+    """The element of r that is 1 on the listed blocks and 0 on the others."""
+    return rg.element(r, [[[int(b in invertible and i == j) for j in range(d)]
+                           for i in range(d)] for b, d in enumerate(r.dims)])
+
+
+def test_connecting_maps_of_infinite_classes_are_pinned():
+    Q = Rationals()
+    qx = UnivariatePolyRing()
+    x, x1 = rg.element(qx, [0, 1]), rg.element(qx, [1, 1])
+    sk = skew_ring(2, {(0, 1): 2})
+    u, v = rg.element(sk, {(1, 0): 1}), rg.element(sk, {(0, 1): 1})
+    ssa = SemisimpleAlgebra(Q, (1, 1, 2))
+    m2 = MatrixRing(Q, 2)
+    F = Fraction
+    cases = [
+        (qx, (), (x,), PolyInsertRule, LocalizedPolyRing((F(0), F(1)))),
+        (qx, (x,), (x, x1), PolyFracRule, LocalizedPolyRing((F(0), F(1), F(1)))),
+        (qx, (x,), (x * x,), IdentityRule, LocalizedPolyRing((F(0), F(1)))),
+        (qx, (x,), (rg.zero(qx),), ToZeroRule, ZeroRing()),
+        (sk, (), (u,), SkewExpandRule, skew_ring(2, {(0, 1): 2}, (0,))),
+        (sk, (u,), (u, v), SkewExpandRule, skew_ring(2, {(0, 1): 2}, (0, 1))),
+        (ssa, (), (_ssa_element(ssa, 1, 2),), SsaProjRule, SemisimpleAlgebra(Q, (1, 2))),
+        (ssa, (_ssa_element(ssa, 1, 2),), (_ssa_element(ssa, 1, 2), _ssa_element(ssa, 0, 2)),
+         SsaProjRule, SemisimpleAlgebra(Q, (2,))),
+        (ssa, (_ssa_element(ssa, 1, 2),), (_ssa_element(ssa, 1, 2), _ssa_element(ssa, 0)),
+         ToZeroRule, ZeroRing()),
+        (m2, (), (rg.matrix_element(m2, [[1, 0], [0, 0]]),), ToZeroRule, ZeroRing()),
+        (m2, (), (rg.matrix_element(m2, [[1, 2], [3, 4]]),), IdentityRule, m2),
+    ]
+    for r, A, B, rule, target in cases:
+        p = connecting_map(r, A, B)
+        assert type(p.rule) is rule and p.target == target, (r, A, B)
+        assert p.source == localize(r, A).result and p.validated
+    # kept blocks are positions in the source cell: block 2 sits at position 1
+    assert connecting_map(ssa, cases[7][1], cases[7][2]).rule.kept == (1,)
+
+
+def test_composites_of_connecting_maps_are_the_direct_maps():
+    qx = UnivariatePolyRing()
+    x, x1, x2 = (rg.element(qx, [c, 1]) for c in (0, 1, 2))
+    sk = skew_ring(3, {(0, 1): 2, (0, 2): 3, (1, 2): Fraction(1, 2)})
+    g = [rg.element(sk, {tuple(int(k == i) for k in range(3)): 1}) for i in range(3)]
+    ssa = SemisimpleAlgebra(Rationals(), (1, 1, 2))
+    s12, s02 = _ssa_element(ssa, 1, 2), _ssa_element(ssa, 0, 2)
+    z60 = ModularRing(60)
+    chains = [
+        (qx, [(), (x,), (x, x1), (x, x1, x2)]),      # PolyInsert, then PolyFrac twice
+        (sk, [(), (g[0],), (g[0], g[1]), tuple(g)]),  # SkewExpand three times
+        (ssa, [(), (s12,), (s12, s02)]),              # SsaProj twice
+        (z60, [(), E(z60, 2), E(z60, 2, 3), E(z60, 2, 3, 5)]),
+    ]
+    for r, subsets in chains:
+        for start in range(len(subsets) - 2):
+            composite = connecting_map(r, subsets[start], subsets[start + 1])
+            for A, B in zip(subsets[start + 1:], subsets[start + 2:]):
+                composite = rg.hom_compose(connecting_map(r, A, B), composite)
+            direct = connecting_map(r, subsets[start], subsets[-1])
+            # homs out of an infinite ring are equal when their rules are
+            assert composite == direct, (r, start)

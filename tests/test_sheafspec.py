@@ -1,7 +1,8 @@
 import pytest
 
 from ncspec import rings as rg
-from ncspec.errors import NotACover, NotOpen
+from ncspec import sheafspec
+from ncspec.errors import NotACover, NotComparable, NotOpen, PresheafLawViolation
 from ncspec.latspace import PidLattice
 from ncspec.localization import localize
 from ncspec.rings import (
@@ -306,3 +307,27 @@ def test_prim_locality():
     assert prim_is_local_check(bad, [bad.target.space.carrier()]) is False
     with pytest.raises(NotACover):
         prim_is_local_check(m, [sp6.space.up[c2]])
+
+
+def test_wrong_restriction_is_a_typed_presheaf_law_error(monkeypatch):
+    p22 = rg.product_ring([ModularRing(2), ModularRing(2)])
+    swap = rg.hom_validate(rg.hom_from_callable(
+        p22, p22, lambda x: rg.element(p22, (x.payload[1], x.payload[0]))))
+    connecting_map = sheafspec.connecting_map
+
+    def twisted(r, A, B):
+        # restrictions out of the global sections precomposed with the swap
+        p = connecting_map(r, A, B)
+        return rg.hom_compose(p, swap) if p.source == p22 else p
+
+    monkeypatch.setattr(sheafspec, "_ncspec_cache", {})
+    monkeypatch.setattr(sheafspec, "connecting_map", twisted)
+    with pytest.raises(PresheafLawViolation):
+        ncspec(p22)
+
+
+def test_restriction_needs_a_smaller_basic_open():
+    sp = z6_space()
+    two, three = mid_cells(sp)
+    with pytest.raises(NotComparable):
+        sp.sheaf.restriction(two, three)
