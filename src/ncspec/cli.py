@@ -192,9 +192,14 @@ def cmd_qcoh_check(args):
         raise ParseError("qcoh-check expects a skew Laurent chart cover")
     M = ser.parse_graded_module(r, doc["module"])
     scalars = {}
-    for triple in doc["scalars"]:
-        i, j, v = int(triple[0]) - 1, int(triple[1]) - 1, ser.parse_rational(triple[2])
-        scalars[(i, j)] = v
+    for k, triple in enumerate(doc["scalars"]):
+        at = f"qcoh.scalars[{k}]"
+        if not isinstance(triple, list) or len(triple) != 3:
+            raise SchemaViolation("scalars entries are [i, j, value]", at)
+        i, j = (ser.parse_int(v, at) for v in triple[:2])
+        if not (1 <= i <= r.nvars and 1 <= j <= r.nvars):
+            raise SchemaViolation(f"chart index outside 1..{r.nvars}: [{i}, {j}]", at)
+        scalars[(i - 1, j - 1)] = ser.parse_rational(triple[2], at)
     box = ser.parse_int(doc.get("box", 2), "qcoh.box")
     if box < 0:
         raise SchemaViolation("box must be a non-negative integer", "qcoh.box")

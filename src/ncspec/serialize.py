@@ -172,7 +172,7 @@ def parse_element(r, doc, path="element") -> RingElement:
             terms = {}
             for pair in doc:
                 exps, coeff = pair
-                terms[tuple(int(e) for e in exps)] = parse_rational(coeff, path)
+                terms[tuple(parse_int(e, path) for e in exps)] = parse_rational(coeff, path)
             return rg.element(r, terms)
     except SchemaViolation:
         raise
@@ -269,11 +269,10 @@ def parse_graded_module(r, doc, path="module"):
             raise SchemaViolation("relation row width mismatch", f"{path}.relations[{i}]")
         parsed = []
         for j, entry in enumerate(row):
+            at = f"{path}.relations[{i}][{j}]"
             terms = {}
-            for pair in entry:
-                exps, coeff = pair
-                terms[tuple(int(e) for e in exps)] = parse_rational(
-                    coeff, f"{path}.relations[{i}][{j}]")
+            for exps, coeff in entry:
+                terms[tuple(parse_int(e, at) for e in exps)] = parse_rational(coeff, at)
             parsed.append(terms)
         rows.append(parsed)
     return presentation_from_rows(r, degrees, rows)
@@ -300,6 +299,10 @@ def parse_glue(doc, path="glue"):
         _require_keys(iso, ["from", "to", "rule"], (), f"{path}.isos[{i}]")
         a = _piece_index(iso, "from", pieces, f"{path}.isos[{i}]")
         b = _piece_index(iso, "to", pieces, f"{path}.isos[{i}]")
+        for pair in ((a, b), (b, a)):
+            if pair not in overlaps:
+                raise SchemaViolation(f"iso {a} -> {b} needs an overlap {pair}",
+                                      f"{path}.isos[{i}]")
         La = localize(pieces[a], overlaps[(a, b)])
         Lb = localize(pieces[b], overlaps[(b, a)])
         rule = iso["rule"]
@@ -311,6 +314,9 @@ def parse_glue(doc, path="glue"):
                                         f"{path}.isos[{i}].rule")
         else:
             raise SchemaViolation(f"unknown iso rule {rule['kind']!r}", path)
+    for a, b in overlaps:
+        if a != b and (a, b) not in isos:
+            raise SchemaViolation(f"overlap ({a}, {b}) has no iso", f"{path}.isos")
     return GlueDatum(pieces, overlaps, isos)
 
 

@@ -11,7 +11,15 @@ known closed form: the block union).
 from dataclasses import dataclass, field
 
 from . import rings as rg
-from .errors import NotACover, NotComparable, NotOpen, PresheafLawViolation, UnsupportedClass
+from .errors import (
+    NotACover,
+    NotComparable,
+    NotIrreducibleCertificate,
+    NotJoinPreserving,
+    NotOpen,
+    PresheafLawViolation,
+    UnsupportedClass,
+)
 from .latspace import (
     AlexandrovSpace,
     LocalizationLattice,
@@ -288,7 +296,8 @@ class RingedSpaceMorphism:
 def _sections_restriction(sp: NCSpecSpace, U, V) -> RingHom:
     """Restriction map of sp's sheaf between opens V <= U (principal or empty)."""
     U, V = frozenset(U), frozenset(V)
-    assert V <= U
+    if not V <= U:
+        raise NotComparable("restriction goes to a smaller open")
     SU, SV = sections(sp, U), sections(sp, V)
     if not V:
         return to_zero_hom(SU, SV)
@@ -314,26 +323,30 @@ def ncspec_morphism(theta: RingHom) -> RingedSpaceMorphism:
         t[i] = X.lattice.cell_of_subset(image)
     for i in range(Y.lattice.n):
         for j in range(Y.lattice.n):
-            assert t[Y.lattice.join(i, j)] == X.lattice.join(t[i], t[j]), \
-                "cell map must preserve joins"
+            if t[Y.lattice.join(i, j)] != X.lattice.join(t[i], t[j]):
+                raise NotJoinPreserving("cell map must preserve joins", witness=(i, j))
 
     point_map = {}
     for xi, C in enumerate(X.sober.points):
         pre = frozenset(i for i in range(Y.lattice.n) if t[i] in C.members)
         match = [yi for yi, D in enumerate(Y.sober.points) if D.members == pre]
-        assert len(match) == 1, "preimage of an irreducible closed set must be a point"
+        if len(match) != 1:
+            raise NotIrreducibleCertificate(
+                f"preimage of point {xi} is not a single point: {match}")
         point_map[xi] = match[0]
 
     comap = {}
     for j, cell in enumerate(Y.lattice.cells):
         comap[j] = induced_map(theta, cell.representative)
-        assert comap[j].target == X.sheaf.assignment[t[j]], \
-            "induced map must land in the preimage cell's sections"
+        if comap[j].target != X.sheaf.assignment[t[j]]:
+            raise PresheafLawViolation(
+                f"induced map at cell {j} must land in the sections of cell {t[j]}")
 
     m = RingedSpaceMorphism(X, Y, point_map, comap)
     # basic-open preimage formula
     for j in range(Y.lattice.n):
-        assert m.preimage_base_open(Y.basic_open(j)) == X.space.up[t[j]]
+        if m.preimage_base_open(Y.basic_open(j)) != X.space.up[t[j]]:
+            raise NotOpen(f"preimage of basic open {j} is not the basic open of cell {t[j]}")
     return m
 
 

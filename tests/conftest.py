@@ -33,6 +33,25 @@ def brute_under_map(r, A, B):
     return rg.table_hom(LA.result, LB.result, table)
 
 
+def brute_is_hom(h) -> bool:
+    """Whether h's rule computes a unital ring hom, checked on every pair.
+
+    The rule is applied to each element of the finite source; a rule that
+    fails to produce an element of the target there defines no map.
+    """
+    S, T = h.source, h.target
+    elems = rg.enumerate_elements(S)
+    try:
+        img = {x.payload: h.rule.apply(h, x) for x in elems}
+        if img[rg.one(S).payload] != rg.one(T) or img[rg.zero(S).payload] != rg.zero(T):
+            return False
+        return all(img[(x + y).payload] == img[x.payload] + img[y.payload]
+                   and img[(x * y).payload] == img[x.payload] * img[y.payload]
+                   for x in elems for y in elems)
+    except (ArithmeticError, IndexError, TypeError, ValueError):
+        return False
+
+
 def classic_fraction_localization_size(n: int, f: int) -> int:
     """The commutative localization of Z/n at the powers of f, computed as
     fraction pairs (a, f^k) under the saturation equivalence."""

@@ -1,0 +1,138 @@
+"""Homs certified by construction: rule checks against the exhaustive oracle."""
+
+import pytest
+from conftest import brute_is_hom, small_commutative_rings
+
+from ncspec import localization, sheafspec
+from ncspec import rings as rg
+from ncspec.errors import NotAHomomorphism
+from ncspec.rings import (
+    CommLocRule,
+    MatrixRing,
+    ModularRing,
+    PrimeField,
+    QuotientRule,
+    RingHom,
+    SemisimpleAlgebra,
+    SsaProjRule,
+    ZeroRing,
+)
+
+F2, F3 = PrimeField(2), PrimeField(3)
+SMALL_SSAS = [SemisimpleAlgebra(F2, d) for d in [(1,), (2,), (1, 1), (1, 2), (2, 1), (1, 1, 1)]]
+SMALL_SSAS += [SemisimpleAlgebra(F3, d) for d in [(1,), (1, 1)]]
+SSA_TARGETS = SMALL_SSAS + [SemisimpleAlgebra(F2, (1, 1, 1, 1)), SemisimpleAlgebra(F3, (2,)),
+                            MatrixRing(F2, 1), MatrixRing(F2, 2), ZeroRing(), ModularRing(2)]
+
+
+def _divisor_or_not(rng, n):
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    return rng.choice(divisors) if rng.random() < 0.6 else rng.randint(1, 13)
+
+
+def _cyclic_product(moduli):
+    if not moduli:
+        return ZeroRing()
+    return rg.product_ring([ModularRing(m) for m in moduli])
+
+
+def comm_loc_instances(rng, count):
+    """Random CommLocRule homs: kept moduli that divide or not, indices in
+    range or not, and the target the rule names or a wrong one."""
+    rings = small_commutative_rings()
+    for _ in range(count):
+        source = rng.choice(rings)
+        mods = rg.cyclic_moduli(source)
+        kept = []
+        for _ in range(rng.randint(0, 3)):
+            i = rng.randint(-1, len(mods)) if rng.random() < 0.2 else rng.randrange(max(len(mods), 1))
+            n = mods[i] if -len(mods) <= i < len(mods) else 12
+            kept.append((i, _divisor_or_not(rng, n)))
+        target = _cyclic_product([m for _, m in kept])
+        if rng.random() < 0.3:
+            target = rng.choice(rings)
+        yield RingHom(source, target, CommLocRule(tuple(kept)))
+
+
+def quotient_instances(rng, count):
+    """Random QuotientRule homs over cyclic and non-cyclic sources."""
+    rings = small_commutative_rings()
+    for _ in range(count):
+        source = rng.choice(rings)
+        n = rg.cardinality(source)
+        m = _divisor_or_not(rng, n)
+        target = ModularRing(m) if rng.random() < 0.7 else rng.choice(rings)
+        yield RingHom(source, target, QuotientRule(m))
+
+
+def ssa_proj_instances(rng, count):
+    """Random SsaProjRule homs: kept blocks in range or not, empty or
+    repeated, and the target the blocks name or a wrong one."""
+    for _ in range(count):
+        source = rng.choice(SMALL_SSAS)
+        k = len(source.dims)
+        kept = tuple(rng.randint(-1, k) if rng.random() < 0.2 else rng.randrange(k)
+                     for _ in range(rng.randint(0, 3)))
+        try:
+            target = SemisimpleAlgebra(source.base, tuple(source.dims[i] for i in kept))
+        except (IndexError, ValueError):
+            target = rng.choice(SSA_TARGETS)
+        if rng.random() < 0.3:
+            target = rng.choice(SSA_TARGETS)
+        yield RingHom(source, target, SsaProjRule(kept))
+
+
+@pytest.mark.parametrize("instances", [comm_loc_instances, quotient_instances,
+                                       ssa_proj_instances])
+def test_rule_checks_agree_with_the_exhaustive_oracle(rng, instances):
+    seen = {True: 0, False: 0}
+    for h in instances(rng, 400):
+        try:
+            h.rule.check(h)
+            certified = True
+        except NotAHomomorphism:
+            certified = False
+        assert certified == brute_is_hom(h), (h, certified)
+        seen[certified] += 1
+        # hom_validate trusts the check and never applies a rule it rejects
+        try:
+            assert rg.hom_validate(RingHom(h.source, h.target, h.rule)).validated == certified
+        except NotAHomomorphism:
+            assert not certified
+    assert min(seen.values()) >= 40, seen
+
+
+def test_composite_with_an_unvalidated_non_hom_is_rejected():
+    z6 = ModularRing(6)
+    square = rg.table_hom(z6, z6, {x: x * x for x in rg.enumerate_elements(z6)})
+    assert not square.validated
+    ident = rg.identity_hom(z6)
+    for g, f in ((ident, square), (square, ident)):
+        with pytest.raises(NotAHomomorphism):
+            rg.hom_compose(g, f)
+    # composites of validated homs are certified as built
+    h = rg.hom_compose(rg.quotient_hom(6, 3), rg.quotient_hom(12, 6))
+    assert h.validated and h == rg.quotient_hom(12, 3)
+
+
+@pytest.mark.parametrize("ring,points", [
+    (ModularRing(210), 16),
+    (SemisimpleAlgebra(F2, (1, 1, 1, 1, 1)), 32),
+])
+def test_ncspec_makes_no_pairwise_checks(monkeypatch, ring, points):
+    calls = []
+    check_all_pairs = rg._check_all_pairs
+
+    def counted(h):
+        calls.append(h)
+        check_all_pairs(h)
+
+    monkeypatch.setattr(rg, "_check_all_pairs", counted)
+    monkeypatch.setattr(sheafspec, "_ncspec_cache", {})
+    localization._localize_cached.cache_clear()
+    assert sheafspec.ncspec(ring).point_count() == points
+    assert calls == []
+    # the counter sees the tables that are still checked pairwise
+    z4, z2 = ModularRing(4), ModularRing(2)
+    rg.hom_validate(rg.hom_from_callable(z4, z2, lambda x: rg.element(z2, x.payload)))
+    assert len(calls) == 1

@@ -283,8 +283,8 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         ("serre-check", *window, "--k-max", "0"),
         ("serre-check", *window, "--torsion-bound", "0"),
     ]
-    for box in (-1, True, "2"):
-        datum = write(tmp_path, "qcoh.json", {
+    for k, box in enumerate((-1, True, "2")):
+        datum = write(tmp_path, f"qcoh{k}.json", {
             "schema": "ncspec.qcoh/1", "ring": skew,
             "module": {"schema": "ncspec.module/1", "generators": [{"degree": 0}]},
             "scalars": [[1, 2, "1"], [2, 1, "1"]], "box": box})
@@ -325,11 +325,35 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         _z6_glue(subset=["2"]),
         _z6_glue(pairs=[[0, 0], [1, 1]]),
     ]
+    # isos and overlaps must pair up
+    unpaired = _z6_glue()
+    unpaired["overlaps"] = unpaired["overlaps"][:1]
+    bad_glues.append(unpaired)
+    bad_glues.append(dict(_z6_glue(), isos=[]))
+    # skew exponents are strict integers in element documents too
+    skew_piece = dict(skew, inverted=[1])
+    bad_glues.append({
+        "schema": "ncspec.glue/1", "pieces": [skew_piece, skew_piece],
+        "overlaps": [{"from": 0, "to": 1, "subset": [[[[0, 1.0], "1"]]]},
+                     {"from": 1, "to": 0, "subset": [[[[0, 1], "1"]]]}],
+        "isos": [{"from": 0, "to": 1, "rule": {"kind": "identity"}},
+                 {"from": 1, "to": 0, "rule": {"kind": "identity"}}]})
     for i, doc in enumerate(bad_glues):
         cases.append(("glue", "--glue", write(tmp_path, f"badg{i}.json", doc)))
     module = write(tmp_path, "degree.json", {"schema": "ncspec.module/1",
                                              "generators": [{"degree": "0"}]})
     cases.append(("proj-gamma", *window, "--module", module))
+    exponent = write(tmp_path, "exponent.json", {
+        "schema": "ncspec.module/1", "generators": [{"degree": 0}],
+        "relations": [[[[["1", 0], "1"]]]]})
+    cases.append(("proj-gamma", *window, "--module", exponent))
+    # qcoh scalar indices are strict integers naming a chart
+    for k, scalar in enumerate(([1.9, 2, "1"], [1, 7, "1"], ["1", 2, "1"], [1, 2])):
+        datum = write(tmp_path, f"scalars{k}.json", {
+            "schema": "ncspec.qcoh/1", "ring": skew,
+            "module": {"schema": "ncspec.module/1", "generators": [{"degree": 0}]},
+            "scalars": [scalar, [2, 1, "1"]]})
+        cases.append(("qcoh-check", "--datum", datum))
     for argv in cases:
         code, out = run_cli(capsys, *argv)
         assert code == 2, argv

@@ -33,3 +33,44 @@ def test_unused_import_detector():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def validated_writers(source: str) -> list:
+    """The functions that assign a `.validated` attribute (None at module level)."""
+    writers = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        if any(isinstance(t, ast.Attribute) and t.attr == "validated" for t in targets):
+            writers.append(func)
+        if (isinstance(node, ast.Call) and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant) and node.args[1].value == "validated"):
+            writers.append(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return writers
+
+
+def test_validated_writer_detector():
+    src = ("def hom_validate(h):\n    h.validated = True\n"
+           "def cheat(h):\n    h.validated |= True\n    setattr(h, 'validated', True)\n"
+           "x.validated = False\n")
+    assert validated_writers(src) == ["hom_validate", "cheat", "cheat", None]
+
+
+def test_only_validation_and_composition_certify_homs():
+    # a hom is marked validated only after a check or by composing validated homs
+    for path in sorted(PACKAGE.glob("*.py")):
+        writers = validated_writers(path.read_text(encoding="utf-8"))
+        if path.name == "rings.py":
+            assert sorted(set(writers)) == ["hom_compose", "hom_validate"]
+        else:
+            assert writers == [], path.name

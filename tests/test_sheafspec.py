@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from ncspec import rings as rg
@@ -331,3 +336,51 @@ def test_restriction_needs_a_smaller_basic_open():
     two, three = mid_cells(sp)
     with pytest.raises(NotComparable):
         sp.sheaf.restriction(two, three)
+
+
+# Wrong cell maps under the identity of Z/6: one breaks join preservation,
+# the other swaps the two middle cells so the comaps land in the wrong
+# sections.  A restriction to an open that is not smaller is refused too.
+MORPHISM_CHECKS = """
+from ncspec import latspace, sheafspec
+from ncspec import rings as rg
+from ncspec.errors import NCSpecError
+
+z6 = rg.ModularRing(6)
+sp = sheafspec.ncspec(z6)
+lat = sp.lattice
+two, three = [i for i in range(lat.n) if i not in (lat.bottom, lat.top)]
+cell_of_subset = latspace.LocalizationLattice.cell_of_subset
+
+
+def error_name(fn, *args):
+    try:
+        fn(*args)
+    except NCSpecError as exc:
+        return type(exc).__name__
+    return None
+
+
+def with_cell_map(remap):
+    def wrong(self, E):
+        i = cell_of_subset(self, E)
+        return remap.get(i, i)
+    latspace.LocalizationLattice.cell_of_subset = wrong
+    try:
+        return error_name(sheafspec.ncspec_morphism, rg.identity_hom(z6))
+    finally:
+        latspace.LocalizationLattice.cell_of_subset = cell_of_subset
+
+
+print(with_cell_map({lat.bottom: two}), with_cell_map({two: three, three: two}),
+      error_name(sheafspec._sections_restriction, sp, sp.space.up[two], sp.space.up[three]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_morphism_checks_are_typed_errors(flags):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, *flags, "-c", MORPHISM_CHECKS], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["NotJoinPreserving", "PresheafLawViolation", "NotComparable"]
