@@ -1,25 +1,31 @@
 """Ore certification, gluing of the sober ringed spaces, and quasicoherent
 module data at desk scale.
 
-Finite modules over Z/n are sums of cyclic groups with the integer action;
-base change along a ring map into a product of cyclic rings is computed as
-the quotient of the free table on the module by the bilinearity relations,
-one cyclic factor at a time.  Cocycle data for glued spaces are plain
-lookup tables checked against the identity, inverse, triple, and
-semilinearity conditions.
+Finite modules over Z/n are sums of cyclic groups Z/d_i with the integer
+action.  Base change along a ring map into a product of cyclic rings Z/m_j
+has the closed form M (x) Z/m_j = sum_i Z/gcd(d_i, m_j): a ring map out of
+Z/n is reduction, so the bilinearity relations span m_j M, and a tensor
+element is one residue vector per cyclic factor.  Cocycle data for glued
+spaces are plain lookup tables checked against the identity, inverse,
+triple, and semilinearity conditions.
 """
 
 from dataclasses import dataclass
 from itertools import product as iproduct
+from math import gcd, prod
 
 from . import rings as rg
 from .errors import (
+    ArityMismatch,
     ClosureBoundExceeded,
     CocycleViolation,
+    CompositionMismatch,
+    ElementOwnershipMismatch,
     NotAHomomorphism,
     NotAModule,
     NotOre,
     OreConditionFails,
+    PresheafLawViolation,
     UnsupportedClass,
 )
 from .localization import (
@@ -27,7 +33,6 @@ from .localization import (
     connecting_map,
     descend,
     localize,
-    subgroup_closure,
 )
 from .rings import (
     ModularRing,
@@ -72,7 +77,8 @@ def _mult_closure(r, E, bound):
 
 def certify_ore(r, E, bound: int, side: str = "right") -> OreCertificate:
     """Search Ore witnesses: right means r*s' = s*r' with s' in the closure."""
-    assert side in ("left", "right")
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     E = tuple(E)
     if isinstance(r, SkewLaurentRing):
         return _certify_ore_skew(r, E, bound, side)
@@ -138,7 +144,13 @@ def _certify_ore_skew(r, E, bound, side) -> OreCertificate:
 
 @dataclass(frozen=True)
 class FiniteModule:
-    """A finite module over Z/n: a sum of cyclic groups Z/d_i with d_i | n."""
+    """A finite module over Z/n: a sum of cyclic groups Z/d_i with d_i | n.
+
+    The checks below are all the module laws need.  Every abelian group is
+    a Z-module under k.(a_i) = (k a_i mod d_i); when each d_i divides n, k
+    and k + n act alike, so that action factors through Z/n, and it stays
+    unital, associative and distributive.
+    """
 
     ring: ModularRing
     orders: tuple
@@ -161,14 +173,12 @@ class FiniteModule:
     def add(self, x, y):
         return tuple((a + b) % d for a, b, d in zip(x, y, self.orders))
 
-    def neg(self, x):
-        return tuple((-a) % d for a, d in zip(x, self.orders))
-
     def smul(self, k: int, x):
         return tuple((k * a) % d for a, d in zip(x, self.orders))
 
     def act(self, r: RingElement, x):
-        assert r.owner == self.ring
+        if r.owner != self.ring:
+            raise ElementOwnershipMismatch(f"scalar of {r.owner!r} on a module over {self.ring!r}")
         return self.smul(r.payload, x)
 
     def size(self):
@@ -177,18 +187,9 @@ class FiniteModule:
             out *= d
         return out
 
-    def check_axioms(self):
-        """Exhaustive module laws; cheap because the carriers are tiny."""
-        scalars = rg.enumerate_elements(self.ring)
-        elems = self.elements()
-        for m in elems:
-            assert self.act(rg.one(self.ring), m) == m
-        for r in scalars:
-            for s in scalars:
-                for m in elems:
-                    assert self.act(r * s, m) == self.act(r, self.act(s, m))
-                    assert self.act(r + s, m) == self.add(self.act(r, m), self.act(s, m))
-        return True
+
+def _reduce(x, orders):
+    return tuple(a % g for a, g in zip(x, orders))
 
 
 def free_module(r: ModularRing) -> FiniteModule:
@@ -223,99 +224,53 @@ def module_homs(M: FiniteModule, N: FiniteModule):
 
 
 @dataclass(frozen=True)
-class QuotientPart:
-    """One cyclic-factor slice of a base-changed module: M / N_j."""
-
-    modulus: int
-    module: FiniteModule
-    subgroup: frozenset
-    coset_of: tuple      # mapping element -> coset index, as sorted pairs
-    size: int
-
-    def coset(self, x) -> int:
-        return dict(self.coset_of)[x]
-
-
-def _quotient_part(M: FiniteModule, modulus: int, scalar_of) -> QuotientPart:
-    """M modulo the relations r*m = theta_j(r)*m for the given component."""
-    gens = set()
-    for r_val in range(M.ring.n):
-        t = scalar_of(r_val)
-        for m in M.elements():
-            gens.add(M.add(M.smul(r_val, m), M.neg(M.smul(t, m))))
-    N = subgroup_closure(M.zero(), gens, M.add)
-    cosets = {}
-    index = {}
-    for m in M.elements():
-        cl = frozenset(M.add(m, w) for w in N)
-        if cl not in index:
-            index[cl] = len(index)
-        cosets[m] = index[cl]
-    return QuotientPart(modulus, M, N, tuple(sorted(cosets.items())), len(index))
-
-
-@dataclass(frozen=True)
 class TensorModule:
-    """Base change of a finite module along a hom into a product of cyclics."""
+    """Base change of a finite module along a hom into a product of cyclics.
+
+    Factor j is M / m_j M = sum_i Z/gcd(d_i, m_j), and an element holds one
+    residue vector per factor.
+    """
 
     hom: RingHom          # theta: M.ring -> product of cyclic rings (or zero)
     module: FiniteModule
-    parts: tuple          # QuotientPart per cyclic factor of the target
+    orders: tuple         # per cyclic factor m_j of the target: (gcd(d_i, m_j))_i
 
     def zero(self):
-        return (0,) * len(self.parts)
+        return tuple((0,) * len(o) for o in self.orders)
 
     def elements(self):
-        if not self.parts:
-            return [()]
-        return [tuple(t) for t in iproduct(*[range(p.size) for p in self.parts])]
+        return list(iproduct(*(iproduct(*map(range, o)) for o in self.orders)))
 
     def pure(self, l: RingElement, m) -> tuple:
         """The class of the pure tensor l (x) m."""
         comps = rg.cyclic_components(l)
-        return tuple(p.coset(p.module.smul(c, m)) for p, c in zip(self.parts, comps))
+        return tuple(_reduce((c * a for a in m), o) for c, o in zip(comps, self.orders))
 
     def size(self):
-        out = 1
-        for p in self.parts:
-            out *= p.size
-        return out
+        return prod(prod(o) for o in self.orders)
 
     def add(self, x, y):
-        out = []
-        for p, a, b in zip(self.parts, x, y):
-            ra = _rep(p, a)
-            rb = _rep(p, b)
-            out.append(p.coset(p.module.add(ra, rb)))
-        return tuple(out)
+        return tuple(_reduce(map(sum, zip(a, b)), o) for a, b, o in zip(x, y, self.orders))
 
     def act(self, t: RingElement, x):
         comps = rg.cyclic_components(t)
-        return tuple(p.coset(p.module.smul(c, _rep(p, a)))
-                     for p, c, a in zip(self.parts, comps, x))
-
-
-def _rep(p: QuotientPart, idx: int):
-    for m, i in p.coset_of:
-        if i == idx:
-            return m
-    raise KeyError(idx)
+        return tuple(_reduce((c * v for v in a), o) for c, a, o in zip(comps, x, self.orders))
 
 
 def tensor_module(theta: RingHom, M: FiniteModule) -> TensorModule:
-    """TensorModule for theta: R -> T with T a product of cyclic rings."""
+    """TensorModule for theta: R -> T with T a product of cyclic rings Z/m_j.
+
+    A ring hom out of Z/n sends 1 to 1, so its factor j is reduction mod
+    m_j, and the relations r m = theta_j(r) m span m_j M.
+    """
     hom_validate(theta)
-    assert theta.source == M.ring
+    if theta.source != M.ring:
+        raise CompositionMismatch(f"base change along a hom out of {theta.source!r} "
+                                  f"of a module over {M.ring!r}")
     moduli = rg.cyclic_moduli(theta.target)
     if moduli is None:
         raise UnsupportedClass(f"{theta.target!r} is not a product of cyclic rings")
-    parts = []
-    for j, mj in enumerate(moduli):
-        def scalar_of(r_val, j=j):
-            img = theta(RingElement(M.ring, r_val % M.ring.n))
-            return rg.cyclic_components(img)[j]
-        parts.append(_quotient_part(M, mj, scalar_of))
-    return TensorModule(theta, M, tuple(parts))
+    return TensorModule(theta, M, tuple(tuple(gcd(d, m) for d in M.orders) for m in moduli))
 
 
 def tensor_restriction(T1: TensorModule, T2: TensorModule, p: RingHom):
@@ -324,37 +279,30 @@ def tensor_restriction(T1: TensorModule, T2: TensorModule, p: RingHom):
     Each target factor is fed by exactly the source factor whose idempotent
     p keeps; returns a dict on elements.
     """
-    nsrc = len(T1.parts)
-    tgt_moduli = rg.cyclic_moduli(T2.hom.target)
+    src_moduli = rg.cyclic_moduli(T1.hom.target)
     feeder = []
-    for jj in range(len(tgt_moduli)):
+    for jj, m in enumerate(rg.cyclic_moduli(T2.hom.target)):
         hits = []
-        for par in range(nsrc):
-            e_par = rg.cyclic_element(T1.hom.target, [int(i == par) for i in range(nsrc)])
-            if rg.cyclic_components(p(e_par))[jj] % tgt_moduli[jj] == 1 % tgt_moduli[jj]:
+        for par in range(len(src_moduli)):
+            # reduced, so the idempotent of a Z/1 factor is its 0
+            e_par = rg.cyclic_element(
+                T1.hom.target, [int(i == par) % mi for i, mi in enumerate(src_moduli)])
+            if rg.cyclic_components(p(e_par))[jj] % m == 1 % m:
                 hits.append(par)
-        assert len(hits) == 1, "each target factor must come from one source factor"
+        if len(hits) != 1:
+            raise UnsupportedClass(
+                f"target factor {jj} must come from one source factor, not {len(hits)}")
         feeder.append(hits[0])
-    out = {}
-    for x in T1.elements():
-        img = []
-        for jj, par in enumerate(feeder):
-            rep = _rep(T1.parts[par], x[par])
-            img.append(T2.parts[jj].coset(rep))
-        out[x] = tuple(img)
-    return out
+    return {x: tuple(_reduce(x[par], o) for par, o in zip(feeder, T2.orders))
+            for x in T1.elements()}
 
 
 def tensor_induced(T1: TensorModule, T2: TensorModule, f: ModuleHom):
     """1 (x) f for a module hom between the underlying modules."""
-    assert len(T1.parts) == len(T2.parts)
-    out = {}
-    for x in T1.elements():
-        img = []
-        for p1, p2, a in zip(T1.parts, T2.parts, x):
-            img.append(p2.coset(f(_rep(p1, a))))
-        out[x] = tuple(img)
-    return out
+    if len(T1.orders) != len(T2.orders):
+        raise ArityMismatch(f"{len(T1.orders)} cyclic factors against {len(T2.orders)}")
+    return {x: tuple(_reduce(f(a), o) for a, o in zip(x, T2.orders))
+            for x in T1.elements()}
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +332,6 @@ def tilde_module(r, M) -> "ModuleSheaf":
         return module_sheaf(build_proj(r), M)
     if not isinstance(r, ModularRing):
         raise UnsupportedClass("module sheaves are built over Z/n here")
-    M.check_axioms()
     sp = ncspec(r)
     stalks = []
     for cell in sp.lattice.cells:
@@ -392,19 +339,16 @@ def tilde_module(r, M) -> "ModuleSheaf":
     sheaf = ModuleSheaf(sp, M, tuple(stalks))
     # presheaf laws on the module level
     lat = sp.lattice
+    res = {(i, j): sheaf.restriction_map(i, j)
+           for i in range(lat.n) for j in range(lat.n) if lat.leq(i, j)}
     for i in range(lat.n):
-        ident = sheaf.restriction_map(i, i)
-        assert all(ident[x] == x for x in sheaf.stalks[i].elements())
-        for j in range(lat.n):
-            if not lat.leq(i, j):
-                continue
-            for k in range(lat.n):
-                if not lat.leq(j, k):
-                    continue
-                rij = sheaf.restriction_map(i, j)
-                rjk = sheaf.restriction_map(j, k)
-                rik = sheaf.restriction_map(i, k)
-                assert all(rjk[rij[x]] == rik[x] for x in sheaf.stalks[i].elements())
+        if any(res[i, i][x] != x for x in sheaf.stalks[i].elements()):
+            raise PresheafLawViolation(f"restriction at cell {i} is not the identity")
+    for (i, j), rij in res.items():
+        for k in range(lat.n):
+            if lat.leq(j, k) and any(res[j, k][rij[x]] != res[i, k][x]
+                                     for x in sheaf.stalks[i].elements()):
+                raise PresheafLawViolation(f"restrictions {i} -> {j} -> {k} do not compose")
     return sheaf
 
 
@@ -417,10 +361,8 @@ def qcoh_roundtrip(r, M: FiniteModule) -> dict:
     """Gamma of the sheaf of M is M, and base-changing Gamma rebuilds the sheaf."""
     sheaf = tilde_module(r, M)
     bottom = global_sections_module(sheaf)
-    gamma_iso = bottom.size() == M.size() and all(
-        bottom.pure(rg.one(r), m) != bottom.pure(rg.one(r), m2)
-        for m in M.elements() for m2 in M.elements() if m != m2
-    )
+    gamma_iso = bottom.size() == M.size() == len(
+        {bottom.pure(rg.one(r), m) for m in M.elements()})
     rebuild_ok = True
     for i, cell in enumerate(sheaf.space.lattice.cells):
         T = sheaf.stalks[i]
@@ -442,7 +384,8 @@ def tensor_sequence_report(theta: RingHom, f: ModuleHom, g: ModuleHom) -> dict:
     Reports injectivity of the first induced map, exactness in the middle,
     and surjectivity of the second.
     """
-    assert f.target == g.source
+    if f.target != g.source:
+        raise CompositionMismatch("the first map must land in the source of the second")
     TA = tensor_module(theta, f.source)
     TB = tensor_module(theta, f.target)
     TC = tensor_module(theta, g.target)

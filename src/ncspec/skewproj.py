@@ -382,7 +382,8 @@ def qcoh_cocycle_check(d: SkewQcohDatum, degree: int = 0) -> dict:
         if cij is None or cji is None or cij * cji != 1:
             failures.append({"condition": "inverse", "pair": (i, j)})
     for (i, j, k) in X.triples:
-        if d.scalars[(i, j)] * d.scalars[(j, k)] != d.scalars[(i, k)]:
+        cij, cjk, cik = (d.scalars.get(p) for p in ((i, j), (j, k), (i, k)))
+        if None in (cij, cjk, cik) or cij * cjk != cik:
             failures.append({"condition": "triple", "triple": (i, j, k)})
 
     pieces = [_stable_piece(M, frozenset({i}), degree, d.box) for i in range(n)]

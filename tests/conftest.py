@@ -2,11 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from ncspec import rings as rg
-from ncspec.localization import localize
+from ncspec.localization import localize, subgroup_closure
 from ncspec.rings import ModularRing, ZeroRing
 
 
@@ -50,6 +51,43 @@ def brute_is_hom(h) -> bool:
                    for x in elems for y in elems)
     except (ArithmeticError, IndexError, TypeError, ValueError):
         return False
+
+
+def brute_tensor_factor(M, theta, j) -> dict:
+    """Factor j of M (x) T along theta: R -> T, as coset indices of M.
+
+    The bilinearity relations r*m - theta_j(r)*m over every scalar r and
+    element m generate a subgroup N of M; each element maps to the index
+    of its coset M / N in order of first appearance.  Plain tuple
+    arithmetic, so the oracle shares no code with the module classes.
+    """
+    orders = M.orders
+
+    def add(x, y):
+        return tuple((a + b) % d for a, b, d in zip(x, y, orders))
+
+    elems = list(product(*map(range, orders)))
+    shifts = {r - rg.cyclic_components(theta(rg.element(M.ring, r)))[j]
+              for r in range(M.ring.n)}
+    gens = {tuple(k * a % d for a, d in zip(m, orders)) for k in shifts for m in elems}
+    N = subgroup_closure((0,) * len(orders), gens, add)
+    coset_of, count = {}, 0
+    for m in elems:
+        if m not in coset_of:
+            coset_of.update((add(m, w), count) for w in N)
+            count += 1
+    return coset_of
+
+
+def brute_module_axioms(M) -> bool:
+    """The module laws of M over its ring, checked on every scalar and element."""
+    scalars = rg.enumerate_elements(M.ring)
+    elems = M.elements()
+    if any(M.act(rg.one(M.ring), m) != m for m in elems):
+        return False
+    return all(M.act(r * s, m) == M.act(r, M.act(s, m))
+               and M.act(r + s, m) == M.add(M.act(r, m), M.act(s, m))
+               for r in scalars for s in scalars for m in elems)
 
 
 def classic_fraction_localization_size(n: int, f: int) -> int:

@@ -232,6 +232,24 @@ def test_cli_qcoh_check(tmp_path, capsys):
     assert code2 == 1 and json.loads(out2)["status"] == "fail"
 
 
+def test_cli_qcoh_check_reports_missing_scalars(tmp_path, capsys):
+    # three charts, scalars only between the first two: every triple meets a gap
+    doc = {
+        "schema": "ncspec.qcoh/1",
+        "ring": {"kind": "skew_laurent", "nvars": 3,
+                 "lambda": [[1, 2, "2"], [1, 3, "1"], [2, 3, "1"]], "inverted": []},
+        "module": {"schema": "ncspec.module/1", "generators": [{"degree": 0}]},
+        "scalars": [[1, 2, "1"], [2, 1, "1"]],
+    }
+    code, out = run_cli(capsys, "qcoh-check", "--datum", write(tmp_path, "qcoh3.json", doc))
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["status"] == "fail"
+    failures = rep["payload"]["failures"]
+    assert {"condition": "inverse", "pair": [0, 2]} in failures
+    assert any(f["condition"] == "triple" for f in failures)
+
+
 def test_cli_serre_check(tmp_path, capsys):
     ring = write(tmp_path, "skew.json", {
         "schema": "ncspec.ring/1", "kind": "skew_laurent", "nvars": 2,

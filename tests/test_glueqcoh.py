@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
+from conftest import brute_module_axioms, brute_tensor_factor
 
 from ncspec import rings as rg
 from ncspec.errors import (
@@ -122,7 +127,77 @@ def test_tilde_of_free_module_is_structure_sheaf():
 
 def test_module_axioms_hold_exhaustively():
     for orders in ((), (2,), (3,), (6,), (2, 3)):
-        assert FiniteModule(Z6, orders).check_axioms()
+        assert brute_module_axioms(FiniteModule(Z6, orders))
+
+
+def divisor_patterns(n):
+    """Modules over Z/n with zero, one or two cyclic summands, the latter in
+    invariant-factor form d1 | d2: every such module is isomorphic to one."""
+    divs = [d for d in range(2, n + 1) if n % d == 0]
+    return [()] + [(d,) for d in divs] + [(a, b) for a in divs for b in divs if b % a == 0]
+
+
+def residues_against_oracle(T, oracle):
+    """The residues of each element of T.module in T, checked against the
+    coset oracle factor by factor; oracle caches it by orders and scalars."""
+    M, theta = T.module, T.hom
+    elems = M.elements()
+    one = rg.one(theta.target)
+    res = {m: T.pure(one, m) for m in elems}
+    cosets = 1
+    for j in range(len(T.orders)):
+        # the oracle sees theta only through its j-th scalars
+        key = (M.orders, tuple(rg.cyclic_components(theta(x))[j]
+                               for x in rg.enumerate_elements(M.ring)))
+        if key not in oracle:
+            oracle[key] = brute_tensor_factor(M, theta, j)
+        coset_of = oracle[key]
+        count = len(set(coset_of.values()))
+        assert len({(coset_of[m], res[m][j]) for m in elems}) == count
+        assert len({res[m][j] for m in elems}) == count
+        cosets *= count
+    assert T.size() == cosets == len(set(res.values()))
+    assert set(res.values()) == set(T.elements())
+    return res
+
+
+def test_tensor_residues_match_the_coset_oracle():
+    """Residue vectors name the cosets of the bilinearity relations, and the
+    restriction and induced maps send the residues of m to those of m."""
+    for n in range(1, 31):
+        r = ModularRing(n)
+        lat = ncspec(r).lattice
+        quotients = [rg.quotient_hom(n, m) for m in range(1, n + 1) if n % m == 0]
+        free = free_module(r)
+        oracle = {}
+        for orders in divisor_patterns(n):
+            M = FiniteModule(r, orders)
+            elems = M.elements()
+            # every summand into the free module, and the free module onto M
+            into = ModuleHom(M, free, tuple((n // d,) for d in orders))
+            onto = ModuleHom(free, M, ((1,) * len(orders),) * len(free.orders))
+            into_of = {m: into(m) for m in elems}
+            onto_of = {x: onto(x) for x in free.elements()}
+            sheaf = tilde_module(r, M)
+            # onto Z/1 the relations span all of M and closing them takes
+            # |M|^2 additions, so that quotient runs on cyclic modules only
+            tensors = sheaf.stalks + tuple(
+                tensor_module(q, M) for q in quotients[len(orders) > 1:])
+            residues = []
+            for T in tensors:
+                res = residues_against_oracle(T, oracle)
+                residues.append(res)
+                Tf = tensor_module(T.hom, free)
+                one = rg.one(T.hom.target)
+                to_free = tensor_induced(T, Tf, into)
+                assert all(to_free[res[m]] == Tf.pure(one, into_of[m]) for m in elems)
+                from_free = tensor_induced(Tf, T, onto)
+                assert all(from_free[Tf.pure(one, x)] == res[y] for x, y in onto_of.items())
+            for i in range(lat.n):
+                for j in range(lat.n):
+                    if lat.leq(i, j):
+                        rij = sheaf.restriction_map(i, j)
+                        assert all(rij[residues[i][m]] == residues[j][m] for m in elems)
 
 
 def test_module_checks_are_typed_errors():
@@ -134,6 +209,71 @@ def test_module_checks_are_typed_errors():
         FiniteModule(MatrixRing(PrimeField(2), 1), (2,))
     with pytest.raises(NotAHomomorphism):
         ModuleHom(FiniteModule(Z6, (2,)), FiniteModule(Z6, (3,)), ((1,),))
+
+
+# Each input or law check of the module layer, run in a child process so the
+# same script also runs under python -O: a bare assert would vanish there.
+MODULE_CHECKS = """
+from ncspec import glueqcoh as gq
+from ncspec import rings as rg
+from ncspec.errors import NCSpecError
+
+z4, z6, z30 = rg.ModularRing(4), rg.ModularRing(6), rg.ModularRing(30)
+crt = rg.product_ring([rg.ModularRing(2), rg.ModularRing(3)])
+M = gq.FiniteModule(z6, (6,))
+split = rg.hom_from_callable(z6, crt, lambda x: rg.element(crt, (x.payload % 2, x.payload % 3)))
+join = rg.hom_from_callable(crt, z6, lambda x: rg.element(z6, 3 * x.payload[0] + 4 * x.payload[1]))
+T_split = gq.tensor_module(split, M)
+T_id = gq.tensor_module(rg.identity_hom(z6), M)
+ident = gq.ModuleHom(M, M, ((1,),))
+
+
+def error_name(fn, *args):
+    try:
+        fn(*args)
+    except (NCSpecError, ValueError) as exc:
+        return type(exc).__name__
+    return None
+
+
+def with_restriction(wrong):
+    right = gq.tensor_restriction
+    gq.tensor_restriction = lambda T1, T2, p: wrong(T1, T2, right(T1, T2, p))
+    try:
+        return error_name(gq.tilde_module, z30, gq.FiniteModule(z30, (30,)))
+    finally:
+        gq.tensor_restriction = right
+
+
+def nudge(T, y):
+    return T.add(y, T.pure(rg.one(T.hom.target), (1,)))
+
+
+print(error_name(M.act, rg.element(z4, 1), (1,)),
+      error_name(gq.tensor_module, rg.identity_hom(z4), M),
+      error_name(gq.tensor_restriction, T_split, T_id, join),
+      error_name(gq.tensor_induced, T_id, T_split, ident),
+      # a non-identity restriction at a cell, then one that breaks Z/30 -> Z/15 -> Z/5
+      with_restriction(lambda T1, T2, m: {x: T2.zero() for x in m}
+                       if T1 is T2 and T1.size() > 1 else m),
+      with_restriction(lambda T1, T2, m: {x: nudge(T2, y) for x, y in m.items()}
+                       if (T1.size(), T2.size()) == (30, 5) else m),
+      error_name(gq.tensor_sequence_report, rg.identity_hom(z6), ident,
+                 gq.ModuleHom(gq.FiniteModule(z6, (2,)), M, ((3,),))),
+      error_name(gq.certify_ore, z6, (rg.element(z6, 2),), 4, "middle"))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_module_checks_survive_optimization(flags):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, *flags, "-c", MODULE_CHECKS], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == [
+        "ElementOwnershipMismatch", "CompositionMismatch", "UnsupportedClass",
+        "ArityMismatch", "PresheafLawViolation", "PresheafLawViolation",
+        "CompositionMismatch", "ValueError"]
 
 
 def test_tilde_module_delegates_skew_rings():

@@ -74,3 +74,31 @@ def test_only_validation_and_composition_certify_homs():
             assert sorted(set(writers)) == ["hom_compose", "hom_validate"]
         else:
             assert writers == [], path.name
+
+
+def assert_owners(source: str) -> list:
+    """The enclosing function of each `assert` statement (None at module level)."""
+    owners = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Assert):
+            owners.append(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return owners
+
+
+def test_assert_owner_detector():
+    src = "assert x\ndef f():\n    assert y\n    def g():\n        assert z\n"
+    assert assert_owners(src) == [None, "f", "g"]
+
+
+def test_module_layer_checks_are_not_asserts():
+    # asserts vanish under python -O; only the twist-law invariants of the
+    # skew Ore witnesses stay asserts in glueqcoh
+    owners = assert_owners((PACKAGE / "glueqcoh.py").read_text(encoding="utf-8"))
+    assert set(owners) <= {"_certify_ore_skew"}
