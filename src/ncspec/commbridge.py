@@ -16,6 +16,7 @@ from .errors import (
     BaseNotMultiplicative,
     InfiniteRing,
     NotCommutative,
+    NotIrreducibleCertificate,
     NotT0,
     NotTComplete,
     UnsupportedClass,
@@ -46,46 +47,28 @@ class PrimeSpectrum:
         return BasedSpace(self.n, tuple(sorted(base, key=lambda B: (len(B), sorted(B)))))
 
 
-def _all_ideals(r):
-    """Every ideal, as the +-closure of the principal ideals (finite rings)."""
-    elems = rg.enumerate_elements(r)
-    principal = []
-    seen = set()
-    for a in elems:
-        gen = frozenset(x * a for x in elems)
-        if gen not in seen:
-            seen.add(gen)
-            principal.append(gen)
-    ideals = set(principal)
-    frontier = list(principal)
-    while frontier:
-        nxt = []
-        for I in frontier:
-            for J in principal:
-                s = {a + b for a in I for b in J}
-                s = frozenset(s)
-                if s not in ideals:
-                    ideals.add(s)
-                    nxt.append(s)
-        frontier = nxt
-    return sorted(ideals, key=lambda I: (len(I), tuple(sorted(repr(x.payload) for x in I))))
-
-
-def _is_prime_ideal(r, I, elems) -> bool:
-    if len(I) == len(elems):
-        return False
-    outside = [x for x in elems if x not in I]
-    return all((a * b) not in I for a in outside for b in outside)
-
-
 def spec(r) -> PrimeSpectrum:
-    """All prime ideals of a finite commutative ring, by exhaustive search."""
+    """The prime ideals of a finite commutative ring, one per local factor.
+
+    Lifting idempotents splits a finite commutative ring as R = prod R_l of
+    local rings (Atiyah-Macdonald ch. 8), one factor per primitive
+    idempotent: an a != 0 with a*b in (0, a) for every idempotent b.  Every
+    prime of R is maximal, so the primes are the m_l, maximal ideal of R_l
+    in factor l and everything in the others.  x*a + (1 - a) is x on the
+    factor of a and 1 on the others, and a unit of R_l is exactly an
+    element outside its maximal ideal, so
+    m_a = {x : x*a + (1 - a) is not a unit}.
+    """
     if not rg.is_finite(r):
         raise InfiniteRing(f"{r!r}")
     if not rg.is_commutative(r):
         raise NotCommutative(f"{r!r}")
     elems = tuple(rg.enumerate_elements(r))
-    primes = [I for I in _all_ideals(r) if _is_prime_ideal(r, I, elems)]
+    zero, one = rg.zero(r), rg.one(r)
+    idem = [e for e in elems if e * e == e]
+    primitive = [a for a in idem if a != zero and all(a * b in (zero, a) for b in idem)]
+    primes = [frozenset(x for x in elems if not rg.is_unit(r, x * a + one - a))
+              for a in primitive]
     primes.sort(key=lambda I: (len(I), tuple(sorted(repr(x.payload) for x in I))))
     return PrimeSpectrum(r, tuple(primes), elems)
 
@@ -194,15 +177,17 @@ def _check_t_complete_semilattice(E: ExponentialSpace):
     for p in pts:
         for q in pts:
             j = E.join(p, q)
-            assert E.leq(p, j) and E.leq(q, j)
+            if not (E.leq(p, j) and E.leq(q, j)):
+                raise NotTComplete("a join is not an upper bound", witness=(p, q))
             for u in pts:
-                if E.leq(p, u) and E.leq(q, u):
-                    assert E.leq(j, u)
+                if E.leq(p, u) and E.leq(q, u) and not E.leq(j, u):
+                    raise NotTComplete("a join is not the least upper bound",
+                                       witness=(p, q, u))
     for bi, img in enumerate(E.base):
         for p in pts:
             for q in pts:
-                in_both = p in img and q in img
-                assert in_both == (E.join(p, q) in img), "sup axiom fails on a pair"
+                if (p in img and q in img) != (E.join(p, q) in img):
+                    raise NotTComplete("sup axiom fails on a pair", witness=(p, q, bi))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +220,9 @@ def embed_phi(r) -> SpecEmbedding:
     for pi, P in enumerate(spectrum.primes):
         members = _cells_outside(sp, P)
         match = [i for i, C in enumerate(sp.sober.points) if C.members == members]
-        assert len(match) == 1, "the complement of a prime must give a sober point"
+        if len(match) != 1:
+            raise NotIrreducibleCertificate(
+                f"the complement of prime {pi} gives {len(match)} sober points, not one")
         point_map[pi] = match[0]
 
     checks = {}
@@ -293,7 +280,9 @@ def spec_functor_map(theta: RingHom):
     for qi, Q in enumerate(sS.primes):
         pre = frozenset(x for x in sR.elements if theta(x) in Q)
         match = [pi for pi, P in enumerate(sR.primes) if P == pre]
-        assert len(match) == 1, "preimage of a prime must be prime"
+        if len(match) != 1:
+            raise NotIrreducibleCertificate(
+                f"the preimage of prime {qi} matches {len(match)} primes, not one")
         out[qi] = match[0]
     return out, sS, sR
 
@@ -343,7 +332,9 @@ def spec_exponential_iso(r) -> dict:
         u = frozenset().union(*chosen) if chosen else frozenset()
         members = _cells_outside(sp, u)
         match = [i for i, C in enumerate(sp.sober.points) if C.members == members]
-        assert len(match) == 1
+        if len(match) != 1:
+            raise NotIrreducibleCertificate(
+                f"exponential point {p} gives {len(match)} sober points, not one")
         gamma[p] = match[0]
 
     ok = len(set(gamma.values())) == E.n == sp.sober.n
@@ -410,7 +401,8 @@ class TCompleteLattice:
     def join(self, i, j):
         ubs = [k for k in self.leq[i] if k in self.leq[j]]
         least = [k for k in ubs if all(m in self.leq[k] for m in ubs)]
-        assert len(least) == 1
+        if len(least) != 1:
+            raise NotTComplete(f"no least upper bound for {i} and {j}", witness=(i, j))
         return least[0]
 
     def sup(self, points):
@@ -456,11 +448,15 @@ def exp_factorization(X: BasedSpace, theta: dict, Y: TCompleteLattice) -> dict:
     E = exponential(X)
     hat = {p: Y.sup(theta[x] for x in E.reps[p]) for p in range(E.n)}
     emb = E.embedding()
-    assert all(hat[emb[x]] == theta[x] for x in range(X.n)), "triangle fails"
+    bad = [x for x in range(X.n) if hat[emb[x]] != theta[x]]
+    if bad:
+        raise NotTComplete("the triangle fails", witness=bad)
     for p in range(E.n):
         for q in range(E.n):
-            assert hat[E.join(p, q)] == Y.join(hat[p], hat[q]), "binary joins break"
-    assert hat[E.bottom()] == Y.sup([]), "empty join breaks"
+            if hat[E.join(p, q)] != Y.join(hat[p], hat[q]):
+                raise NotTComplete("binary joins break", witness=(p, q))
+    if hat[E.bottom()] != Y.sup([]):
+        raise NotTComplete("empty join breaks")
 
     unique = None
     if Y.n ** E.n <= 200_000:

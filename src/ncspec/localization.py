@@ -424,15 +424,18 @@ def _pushout_by_kernels(sq: LocalizationSquare) -> bool:
 
 
 def subgroup_closure(zero, gens, add):
-    """Closure of gens and zero under add (an ideal when gens come from hom kernels)."""
-    acc = {zero} | set(gens)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(acc):
-            for b in list(acc):
-                s = add(a, b)
-                if s not in acc:
-                    acc.add(s)
-                    changed = True
+    """Closure of gens and zero under add in a finite group (an ideal when
+    gens come from hom kernels).
+
+    Each generator g joins by cosets: with H the subgroup built so far,
+    H + g, H + 2g, ... are new until the first multiple of g in H, and
+    their union with H is the subgroup generated by H and g.
+    """
+    acc = {zero}
+    for g in gens:
+        base = list(acc)
+        x = g
+        while x not in acc:
+            acc |= {add(a, x) for a in base}
+            x = add(x, g)
     return frozenset(acc)

@@ -3,9 +3,10 @@ space of a ring, induced morphisms, and the pushout-characterized maps.
 
 A basic open is a principal upper set of the semilattice and carries the
 localization at the cell's subset; restriction maps are the connecting
-maps under the ring.  Sections over a non-basic open are computed as the
-finite limit of the basic sections inside it (semisimple algebras use the
-known closed form: the block union).
+maps under the ring.  Sections over a non-basic open are the limit of the
+basic sections inside it, read off in closed form: the product of the
+local factors (the blocks, for a semisimple algebra) in the union of the
+supports of its charts.
 """
 
 from dataclasses import dataclass, field
@@ -99,7 +100,8 @@ class NCSpecSpace:
     @property
     def generic(self) -> int:
         g = self.sober.generic()
-        assert g is not None, "the semilattice always has a top cell"
+        if g is None:
+            raise NotIrreducibleCertificate("the space has no generic point")
         return g
 
     def basic_open(self, cell: int) -> frozenset:
@@ -150,8 +152,15 @@ class PidNCSpec:
 def sections(sp: NCSpecSpace, U):
     """Section ring over any open set of the sober space (by base open).
 
-    Principal opens are basic and return the assigned localization; other
-    opens are finite limits of the basic sections they contain.
+    A principal open is basic and returns its assigned localization.  On a
+    non-basic open the section ring is the limit of the basic sections
+    inside U.  Over a finite commutative ring R = prod R_l the basic open
+    at the cell of an idempotent e carries eR, the product of the local
+    factors R_l in the support of e, and two charts of U agree exactly on
+    the factors in the overlap of their supports.  So the limit is the
+    product of the local factors in the union of the supports: the cells
+    of U just below the top.  For a semisimple algebra that is the block
+    union; for a product of cyclic rings each local factor is Z/p^k.
     """
     U = frozenset(U)
     if not sp.space.is_open(U):
@@ -166,71 +175,12 @@ def sections(sp: NCSpecSpace, U):
         for c in U:
             union |= sp.lattice.cells[c].key
         return sp.lattice.cells[sp.lattice._key_index[union]].localized.result
-    if rg.is_finite(sp.ring) and rg.is_commutative(sp.ring):
-        return _sections_limit(sp, U, mins)
+    if rg.cyclic_moduli(sp.ring) is not None:
+        top, up = sp.lattice.top, sp.space.up
+        return canonical_modular_product(sorted(
+            (rg.cardinality(sp.sheaf.assignment[c])
+             for c in U if c != top and up[c] == {c, top}), reverse=True))
     raise UnsupportedClass(f"sections over non-basic opens of {sp.ring!r}")
-
-
-def _sections_limit(sp: NCSpecSpace, U, mins):
-    """Limit of the basic sections over the inclusion diagram inside U."""
-    from itertools import product as iproduct
-
-    rings_at = [sp.sheaf.assignment[m] for m in mins]
-    elems = [rg.enumerate_elements(t) for t in rings_at]
-    restrict = {}
-    for a, m in enumerate(mins):
-        for z in U:
-            if sp.lattice.leq(m, z):
-                restrict[(a, z)] = sp.sheaf.restriction(m, z)
-    compatible = []
-    for tup in iproduct(*elems):
-        ok = True
-        for a in range(len(mins)):
-            for b in range(a + 1, len(mins)):
-                for z in U:
-                    ra, rb = restrict.get((a, z)), restrict.get((b, z))
-                    if ra is not None and rb is not None and ra(tup[a]) != rb(tup[b]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            compatible.append(tup)
-    return _recognize_product_of_cyclics(rings_at, compatible)
-
-
-def _recognize_product_of_cyclics(rings_at, tuples):
-    """Identify a finite commutative limit ring with a product of Z/m."""
-
-    def t_mul(x, y):
-        return tuple(a * b for a, b in zip(x, y))
-
-    def t_add(x, y):
-        return tuple(a + b for a, b in zip(x, y))
-
-    one = tuple(rg.one(t) for t in rings_at)
-    zero_t = tuple(rg.zero(t) for t in rings_at)
-    assert one in tuples and zero_t in tuples
-    idem = [x for x in tuples if t_mul(x, x) == x and x != zero_t]
-    atoms = [
-        e for e in idem
-        if not any(f != e and t_mul(e, f) == f for f in idem)
-    ]
-    orders = []
-    for e in atoms:
-        k, acc = 1, e
-        while acc != zero_t:
-            acc = t_add(acc, e)
-            k += 1
-        orders.append(k)
-    orders.sort(reverse=True)
-    total = 1
-    for k in orders:
-        total *= k
-    assert total == len(tuples), "limit ring is not a product of cyclic blocks"
-    return canonical_modular_product(orders)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +326,9 @@ def check_functoriality(theta: RingHom, phi: RingHom) -> dict:
 def _cell_of_preimage(m: RingedSpaceMorphism, j: int) -> int:
     pre = m.preimage_base_open(m.target.basic_open(j))
     mins = m.source.space.minimal_elements(pre)
-    assert len(mins) == 1
+    if len(mins) != 1:
+        raise NotIrreducibleCertificate(
+            f"the preimage of basic open {j} is not a basic open: {sorted(pre)}")
     return mins[0]
 
 
@@ -451,5 +403,7 @@ def prim_is_local_check(m: RingedSpaceMorphism, cover) -> bool:
         _prim_on_cells(m, [j for j in range(Y.lattice.n) if j in frozenset(U)], probes)
         for U in cover
     )
-    assert whole == pieces, "primness must be a local property"
+    if whole != pieces:
+        raise PresheafLawViolation(
+            f"primness must be a local property: {whole} on the whole, {pieces} on the cover")
     return whole

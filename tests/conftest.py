@@ -7,8 +7,8 @@ from itertools import product
 import pytest
 
 from ncspec import rings as rg
-from ncspec.localization import localize, subgroup_closure
-from ncspec.rings import ModularRing, ZeroRing
+from ncspec.localization import canonical_modular_product, localize, subgroup_closure
+from ncspec.rings import MatrixRing, ModularRing, PrimeField, SemisimpleAlgebra, ZeroRing
 
 
 def brute_is_unit(r, x) -> bool:
@@ -163,6 +163,79 @@ def brute_prime_ideals(r):
     return primes
 
 
+def brute_spec_primes(r):
+    """The prime ideals of a finite commutative ring, sorted as `spec` sorts.
+
+    Every ideal is a sum of principal ideals, so closing the principal
+    ideals under pairwise sums gives all of them; the primes are the
+    proper ones whose complement is closed under products.
+    """
+    elems = rg.enumerate_elements(r)
+    principal = list({frozenset(x * a for x in elems) for a in elems})
+    ideals = set(principal)
+    frontier = list(principal)
+    while frontier:
+        nxt = []
+        for I in frontier:
+            for J in principal:
+                s = frozenset(a + b for a in I for b in J)
+                if s not in ideals:
+                    ideals.add(s)
+                    nxt.append(s)
+        frontier = nxt
+    primes = []
+    for I in ideals:
+        outside = [x for x in elems if x not in I]
+        if outside and all((a * b) not in I for a in outside for b in outside):
+            primes.append(I)
+    return sorted(primes, key=lambda I: (len(I), tuple(sorted(repr(x.payload) for x in I))))
+
+
+def brute_sections_limit(sp, U):
+    """The limit of the basic sections inside a non-basic open U of a
+    product of cyclic rings, as a canonical product of Z/m.
+
+    Scans every tuple of sections over the minimal cells of U and keeps
+    those whose restrictions agree on every cell of U above two of them.
+    The limit ring is then identified by its atoms: the minimal nonzero
+    idempotent tuples, each of the additive order of its cyclic block.
+    """
+    mins = sp.space.minimal_elements(U)
+    rings_at = [sp.sheaf.assignment[m] for m in mins]
+    restrict = {(a, z): sp.sheaf.restriction(m, z)
+                for a, m in enumerate(mins) for z in U if sp.lattice.leq(m, z)}
+    pairs = [(a, b, restrict[(a, z)], restrict[(b, z)])
+             for a in range(len(mins)) for b in range(a + 1, len(mins))
+             for z in U if (a, z) in restrict and (b, z) in restrict]
+    tuples = [t for t in product(*map(rg.enumerate_elements, rings_at))
+              if all(ra(t[a]) == rb(t[b]) for a, b, ra, rb in pairs)]
+
+    def t_mul(x, y):
+        return tuple(a * b for a, b in zip(x, y))
+
+    def t_add(x, y):
+        return tuple(a + b for a, b in zip(x, y))
+
+    zero_t = tuple(rg.zero(t) for t in rings_at)
+    if tuple(rg.one(t) for t in rings_at) not in tuples or zero_t not in tuples:
+        raise AssertionError("the limit is not a subring")
+    idem = [x for x in tuples if t_mul(x, x) == x and x != zero_t]
+    atoms = [e for e in idem if not any(f != e and t_mul(e, f) == f for f in idem)]
+    orders = []
+    for e in atoms:
+        k, acc = 1, e
+        while acc != zero_t:
+            acc = t_add(acc, e)
+            k += 1
+        orders.append(k)
+    total = 1
+    for k in orders:
+        total *= k
+    if total != len(tuples):
+        raise AssertionError("the limit ring is not a product of cyclic blocks")
+    return canonical_modular_product(sorted(orders, reverse=True))
+
+
 def sympy_squarefree_part(coeffs):
     """Monic squarefree part via an independent computer-algebra system."""
     import sympy
@@ -275,3 +348,18 @@ def small_commutative_rings(max_size=12):
         if size <= max_size:
             out.append(rg.product_ring([ModularRing(m) for m in mods]))
     return out
+
+
+def finite_commutative_grid():
+    """Every finite commutative class the library accepts, 70 rings in all:
+    the zero ring, Z/2..Z/60, products of cyclic rings, commutative
+    semisimple algebras, a 1x1 matrix ring and a mixed product."""
+    def cyclic(*mods):
+        return rg.product_ring([ModularRing(m) for m in mods])
+
+    f2, f3 = PrimeField(2), PrimeField(3)
+    return ([ZeroRing()] + [ModularRing(n) for n in range(2, 61)]
+            + [cyclic(2, 6), cyclic(4, 6), cyclic(2, 2, 2), cyclic(2, 2, 2, 2),
+               cyclic(3, 4, 5), cyclic(12, 10),
+               SemisimpleAlgebra(f2, (1, 1, 1)), SemisimpleAlgebra(f3, (1, 1)),
+               MatrixRing(f2, 1), rg.product_ring([ModularRing(2), MatrixRing(f3, 1)])])

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from conftest import brute_prime_ideals
+from conftest import brute_prime_ideals, brute_spec_primes, finite_commutative_grid
 
 from ncspec import rings as rg
 from ncspec.commbridge import (
@@ -55,6 +60,18 @@ def test_spec_matches_bruteforce_subset_scan():
         ours = {P for P in spec(r).primes}
         brute = set(brute_prime_ideals(r))
         assert ours == brute
+
+
+def test_spec_matches_the_ideal_closure_oracle():
+    grid = finite_commutative_grid()
+    assert len(grid) == 70
+    for r in grid:
+        assert spec(r).primes == tuple(brute_spec_primes(r)), r
+
+
+def test_spec_beyond_the_reach_of_the_ideal_closure():
+    s = spec(ModularRing(2310))
+    assert sorted(len(P) for P in s.primes) == sorted(2310 // p for p in (2, 3, 5, 7, 11))
 
 
 def test_spec_rejections():
@@ -271,3 +288,25 @@ def test_not_t_complete_is_rejected():
     with pytest.raises(NotTComplete) as exc:
         bad.verify()
     assert exc.value.witness is not None
+
+
+JOIN_WITHOUT_BOUND = """
+from ncspec.commbridge import TCompleteLattice
+from ncspec.errors import NCSpecError
+
+top = frozenset({0, 1, 2})
+Y = TCompleteLattice(3, (top,), (top, frozenset({1}), frozenset({2})))
+try:
+    Y.join(1, 2)
+except NCSpecError as exc:
+    print(type(exc).__name__)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_join_without_a_least_upper_bound_is_a_typed_error(flags):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, *flags, "-c", JOIN_WITHOUT_BOUND], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["NotTComplete"]

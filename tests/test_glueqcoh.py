@@ -179,10 +179,7 @@ def test_tensor_residues_match_the_coset_oracle():
             into_of = {m: into(m) for m in elems}
             onto_of = {x: onto(x) for x in free.elements()}
             sheaf = tilde_module(r, M)
-            # onto Z/1 the relations span all of M and closing them takes
-            # |M|^2 additions, so that quotient runs on cyclic modules only
-            tensors = sheaf.stalks + tuple(
-                tensor_module(q, M) for q in quotients[len(orders) > 1:])
+            tensors = sheaf.stalks + tuple(tensor_module(q, M) for q in quotients)
             residues = []
             for T in tensors:
                 res = residues_against_oracle(T, oracle)

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import brute_sections_limit, finite_commutative_grid
+
 from ncspec import rings as rg
 from ncspec import sheafspec
 from ncspec.errors import NotACover, NotComparable, NotOpen, PresheafLawViolation
@@ -91,6 +93,28 @@ def test_sections_reassemble_ring_from_coprime_charts():
     assert got == rg.product_ring([ModularRing(5), ModularRing(3), ModularRing(2)])
     U2 = sp.space.up[cells[0]] | sp.space.up[cells[1]]
     assert sections(sp, U2) == rg.product_ring([ModularRing(5), ModularRing(3)])
+
+
+def test_sections_match_the_limit_scan_oracle():
+    checked = 0
+    for r in finite_commutative_grid():
+        if rg.cyclic_moduli(r) is None or rg.cardinality(r) > 60:
+            continue
+        sp = ncspec(r)
+        for U in sp.all_opens():
+            if len(sp.space.minimal_elements(U)) > 1:
+                assert sections(sp, U) == brute_sections_limit(sp, U), (r, sorted(U))
+                checked += 1
+    assert checked == 259
+
+
+def test_sections_over_every_open_of_z210():
+    sp = ncspec(ModularRing(210))
+    for U in sp.all_opens():
+        assert 210 % rg.cardinality(sections(sp, U)) == 0, sorted(U)
+    punctured = sp.space.carrier() - {sp.lattice.bottom}
+    assert sections(sp, punctured) == rg.product_ring(
+        [ModularRing(7), ModularRing(5), ModularRing(3), ModularRing(2)])
 
 
 def test_semisimple_sections_are_block_unions():
