@@ -1,14 +1,27 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from ncspec import rings as rg
 from ncspec.localization import canonical_modular_product, localize, subgroup_closure
 from ncspec.rings import MatrixRing, ModularRing, PrimeField, SemisimpleAlgebra, ZeroRing
+
+
+def python_stdout(flags, source) -> str:
+    """The standard output of source run by a fresh interpreter with flags,
+    importing ncspec from this checkout's src."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *flags, "-c", source], env=env,
+                          capture_output=True, text=True, check=True).stdout
 
 
 def brute_is_unit(r, x) -> bool:

@@ -1,11 +1,11 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-from conftest import brute_prime_ideals, brute_spec_primes, finite_commutative_grid
+from conftest import (
+    brute_prime_ideals,
+    brute_spec_primes,
+    finite_commutative_grid,
+    python_stdout,
+)
 
 from ncspec import rings as rg
 from ncspec.commbridge import (
@@ -305,8 +305,5 @@ except NCSpecError as exc:
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
 def test_join_without_a_least_upper_bound_is_a_typed_error(flags):
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, *flags, "-c", JOIN_WITHOUT_BOUND], env=env,
-                         capture_output=True, text=True, check=True).stdout
+    out = python_stdout(flags, JOIN_WITHOUT_BOUND)
     assert out.split() == ["NotTComplete"]

@@ -1,12 +1,8 @@
-import os
-import subprocess
-import sys
 from fractions import Fraction
 from math import gcd
-from pathlib import Path
 
 import pytest
-from conftest import brute_module_axioms, brute_tensor_factor
+from conftest import brute_module_axioms, brute_tensor_factor, python_stdout
 
 from ncspec import rings as rg
 from ncspec.errors import (
@@ -263,10 +259,7 @@ print(error_name(M.act, rg.element(z4, 1), (1,)),
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
 def test_module_checks_survive_optimization(flags):
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, *flags, "-c", MODULE_CHECKS], env=env,
-                         capture_output=True, text=True, check=True).stdout
+    out = python_stdout(flags, MODULE_CHECKS)
     assert out.split() == [
         "ElementOwnershipMismatch", "CompositionMismatch", "UnsupportedClass",
         "ArityMismatch", "PresheafLawViolation", "PresheafLawViolation",

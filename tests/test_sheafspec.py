@@ -1,11 +1,6 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-from conftest import brute_sections_limit, finite_commutative_grid
+from conftest import brute_sections_limit, finite_commutative_grid, python_stdout
 
 from ncspec import rings as rg
 from ncspec import sheafspec
@@ -403,8 +398,5 @@ print(with_cell_map({lat.bottom: two}), with_cell_map({two: three, three: two}),
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
 def test_morphism_checks_are_typed_errors(flags):
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, *flags, "-c", MORPHISM_CHECKS], env=env,
-                         capture_output=True, text=True, check=True).stdout
+    out = python_stdout(flags, MORPHISM_CHECKS)
     assert out.split() == ["NotJoinPreserving", "PresheafLawViolation", "NotComparable"]
