@@ -90,8 +90,7 @@ def cmd_ncspec(args):
         "generic": sp.generic,
         "cells": [c.label for c in sp.lattice.cells],
         "sections_on_basics": [repr(d) for d in sp.sheaf.assignment],
-        "specialization": [
-            sorted(sp.sober.specialization_up(i)) for i in range(sp.sober.n)],
+        "specialization": [sorted(sp.space.up[i]) for i in range(sp.space.n)],
     }
     text = f"points: {payload['points']}, generic: {payload['generic']}\n"
     return _emit(args, _report("ncspec", "pass", payload),

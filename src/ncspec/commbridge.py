@@ -197,7 +197,7 @@ def _check_t_complete_semilattice(E: ExponentialSpace):
 class SpecEmbedding:
     spectrum: PrimeSpectrum
     space: NCSpecSpace
-    point_map: dict        # prime index -> sober point index
+    point_map: dict        # prime index -> point index
     report: dict
 
 
@@ -216,14 +216,8 @@ def embed_phi(r) -> SpecEmbedding:
     lat = sp.lattice
     elems = spectrum.elements
 
-    point_map = {}
-    for pi, P in enumerate(spectrum.primes):
-        members = _cells_outside(sp, P)
-        match = [i for i, C in enumerate(sp.sober.points) if C.members == members]
-        if len(match) != 1:
-            raise NotIrreducibleCertificate(
-                f"the complement of prime {pi} gives {len(match)} sober points, not one")
-        point_map[pi] = match[0]
+    point_map = {pi: sp.space.point_of(_cells_outside(sp, P))
+                 for pi, P in enumerate(spectrum.primes)}
 
     checks = {}
     checks["injective"] = len(set(point_map.values())) == len(point_map)
@@ -232,8 +226,7 @@ def embed_phi(r) -> SpecEmbedding:
     ok = True
     for g in elems:
         cell = lat.cell_of_element(g)
-        img = sp.sober.open_image(sp.space.up[cell])
-        pre = frozenset(pi for pi, x in point_map.items() if x in img)
+        pre = frozenset(pi for pi, x in point_map.items() if x in sp.space.up[cell])
         if pre != spectrum.distinguished(g):
             ok = False
     checks["preimage_formula"] = ok
@@ -243,9 +236,8 @@ def embed_phi(r) -> SpecEmbedding:
     ok = True
     for g in elems:
         cell = lat.cell_of_element(g)
-        img_open = sp.sober.open_image(sp.space.up[cell])
         want = frozenset(point_map[pi] for pi in spectrum.distinguished(g))
-        if want != (image & img_open):
+        if want != (image & sp.space.up[cell]):
             ok = False
     checks["homeomorphism_onto_image"] = ok
 
@@ -262,7 +254,7 @@ def embed_phi(r) -> SpecEmbedding:
     gamma = sp.generic
     ok = True
     for U in sp.space.all_open_sets():
-        pts = sp.sober.open_image(U) - {gamma}
+        pts = U - {gamma}
         if pts and not (pts & image):
             ok = False
     checks["dense_in_complement_of_generic"] = ok
@@ -296,7 +288,7 @@ def union_of_primes_bijection(r) -> dict:
         chosen = [spectrum.primes[i] for i in range(spectrum.n) if mask >> i & 1]
         u = frozenset().union(*chosen) if chosen else frozenset()
         unions.setdefault(u, mask)
-    closed_sets = {C.members for C in sp.sober.points}
+    closed_sets = {sp.space.down(x) for x in range(sp.space.n)}
     mapped = {}
     ok = True
     for u in unions:
@@ -330,33 +322,27 @@ def spec_exponential_iso(r) -> dict:
     for p in range(E.n):
         chosen = [spectrum.primes[i] for i in E.reps[p]]
         u = frozenset().union(*chosen) if chosen else frozenset()
-        members = _cells_outside(sp, u)
-        match = [i for i, C in enumerate(sp.sober.points) if C.members == members]
-        if len(match) != 1:
-            raise NotIrreducibleCertificate(
-                f"exponential point {p} gives {len(match)} sober points, not one")
-        gamma[p] = match[0]
+        gamma[p] = sp.space.point_of(_cells_outside(sp, u))
 
-    ok = len(set(gamma.values())) == E.n == sp.sober.n
+    ok = len(set(gamma.values())) == E.n == sp.space.n
     # base members correspond: the image of D(f)-tilde is U_f-tilde
     for f in spectrum.elements:
         Df = spectrum.distinguished(f)
         bi = X.base.index(Df)
         lhs = frozenset(gamma[p] for p in E.base[bi])
         cell = sp.lattice.cell_of_element(f)
-        rhs = sp.sober.open_image(sp.space.up[cell])
-        if lhs != rhs:
+        if lhs != sp.space.up[cell]:
             ok = False
     # joins go to joins: the class of a union lands on the intersection of
     # the member sets (complements of unions of primes intersect)
     for p in range(E.n):
         for q in range(E.n):
             j = E.join(p, q)
-            meet = sp.sober.points[gamma[p]].members & sp.sober.points[gamma[q]].members
-            if sp.sober.points[gamma[j]].members != meet:
+            meet = sp.space.down(gamma[p]) & sp.space.down(gamma[q])
+            if sp.space.down(gamma[j]) != meet:
                 ok = False
     return {"status": "pass" if ok else "fail",
-            "exponential_points": E.n, "sober_points": sp.sober.n,
+            "exponential_points": E.n, "sober_points": sp.space.n,
             "gamma": gamma, "exponential": E, "space": sp, "spectrum": spectrum}
 
 
@@ -399,11 +385,7 @@ class TCompleteLattice:
     leq: tuple     # leq[i] = frozenset of j >= i
 
     def join(self, i, j):
-        ubs = [k for k in self.leq[i] if k in self.leq[j]]
-        least = [k for k in ubs if all(m in self.leq[k] for m in ubs)]
-        if len(least) != 1:
-            raise NotTComplete(f"no least upper bound for {i} and {j}", witness=(i, j))
-        return least[0]
+        return self.sup((i, j))
 
     def sup(self, points):
         points = list(points)

@@ -53,6 +53,10 @@ class UnverifiableSquare(NCSpecError):
 
 # poset / space level
 
+class NotAPartialOrder(NCSpecError):
+    pass
+
+
 class NotOpen(NCSpecError):
     pass
 

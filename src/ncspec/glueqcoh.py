@@ -411,7 +411,7 @@ class ChartIso:
     ambient: NCSpecSpace
     localization: Localization
     chart: NCSpecSpace
-    point_map: dict        # ambient sober point (inside the open) -> chart point
+    point_map: dict        # ambient point (inside the open) -> chart point
     report: dict
 
 
@@ -458,24 +458,16 @@ def ore_chart_iso(r, E, certificate: OreCertificate = None) -> ChartIso:
             if len(img) != rg.cardinality(ind.source) or len(img) != rg.cardinality(tgt):
                 rings_ok = False
 
-    # triangle: inclusion of the open equals the induced morphism after the iso
-    triangle_ok = True
+    # triangle: inclusion of the open equals the induced morphism after the
+    # iso; points are cells, so the point map is the cell map
     alpha_hat = ncspec_morphism(L.insertion)  # chart space -> ambient space
-    point_map = {}
-    for i in inside:
-        pt_ambient = next(
-            k for k, C in enumerate(sp.sober.points) if C.apex == i)
-        pt_chart = next(
-            k for k, C in enumerate(spL.sober.points) if C.apex == cell_map[i])
-        point_map[pt_ambient] = pt_chart
-        if alpha_hat.point_map[pt_chart] != pt_ambient:
-            triangle_ok = False
+    triangle_ok = all(alpha_hat.point_map[cell_map[i]] == i for i in inside)
 
     status = "pass" if bijective and rings_ok and triangle_ok else "fail"
     report = {"status": status, "bijective": bijective,
               "section_isos": rings_ok, "triangle": triangle_ok,
               "chart_points": latL.n, "open_points": len(inside)}
-    return ChartIso(sp, L, spL, point_map, report)
+    return ChartIso(sp, L, spL, cell_map, report)
 
 
 @dataclass
@@ -541,7 +533,7 @@ def glue(d: GlueDatum) -> GluedSpace:
             parent[rx] = ry
 
     for a in range(k):
-        for pt in range(spaces[a].sober.n):
+        for pt in range(spaces[a].space.n):
             find((a, pt))
     for x, y in pairs:
         union(x, y)
@@ -555,9 +547,9 @@ def glue(d: GlueDatum) -> GluedSpace:
     n = len(classes)
     leq = [[i == j for j in range(n)] for i in range(n)]
     for a in range(k):
-        sob = spaces[a].sober
-        for p in range(sob.n):
-            for q in sob.specialization_up(p):
+        space = spaces[a].space
+        for p in range(space.n):
+            for q in space.up[p]:
                 leq[class_of[(a, p)]][class_of[(a, q)]] = True
     changed = True
     while changed:
@@ -581,20 +573,18 @@ def glue(d: GlueDatum) -> GluedSpace:
     for c in range(n):
         cards = set()
         for a, p in classes[c]:
-            apex = spaces[a].sober.points[p].apex
-            cards.add(rg.cardinality(spaces[a].sheaf.assignment[apex]))
+            cards.add(rg.cardinality(spaces[a].sheaf.assignment[p]))
         if len(cards) != 1:
             raise CocycleViolation(f"class {c} mixes section rings of different size")
         a, p = sorted(classes[c], key=repr)[0]
-        apex = spaces[a].sober.points[p].apex
-        sections.append(spaces[a].sheaf.assignment[apex])
+        sections.append(spaces[a].sheaf.assignment[p])
 
-    embeddings = tuple({p: class_of[(a, p)] for p in range(spaces[a].sober.n)}
+    embeddings = tuple({p: class_of[(a, p)] for p in range(spaces[a].space.n)}
                        for a in range(k))
     leq_sets = tuple(frozenset(j for j in range(n) if leq[i][j]) for i in range(n))
     for a in range(k):
         image = set(embeddings[a].values())
-        if len(image) != spaces[a].sober.n:
+        if len(image) != spaces[a].space.n:
             raise CocycleViolation(f"piece {a} fails to embed")
         # the embedded piece must be open: up-closed in the glued order
         for c in image:

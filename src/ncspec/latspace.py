@@ -1,19 +1,23 @@
-"""The localization semilattice of a ring, its Alexandrov topology, and
-soberification.
+"""The localization semilattice of a ring and its Alexandrov topology.
 
 Cells of the lattice are localizations at finite subsets up to mutual
 invertibility.  For finite commutative rings a cell is identified by the
 idempotent power of the product of its subset, for semisimple algebras by
 the index set of surviving blocks, and for matrix rings there are exactly
-two cells.  Q[x] gets a lazy lattice driven by squarefree divisibility
-plus the symbolic point model for its soberification.
+two cells.  A materialized lattice carries one poset, the finite
+Alexandrov space on its cells, which holds the order, the joins and the
+law checks.  That space is already sober, so it is its own
+soberification: point i stands for the irreducible closed set down(i).
+Q[x] gets a lazy lattice driven by squarefree divisibility plus the
+symbolic point model for its soberification.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import qpoly
 from . import rings as rg
 from .errors import (
+    NotAPartialOrder,
     NotIrreducibleCertificate,
     NotJoinPreserving,
     NotOpen,
@@ -34,19 +38,44 @@ from .rings import (
 
 @dataclass(frozen=True)
 class AlexandrovSpace:
-    """A finite poset; opens are exactly the upper sets."""
+    """A finite poset; opens are exactly the upper sets.
+
+    The space is T0 and it is its own soberification.  A closed set is a
+    down-set, and it is irreducible iff it is nonempty and directed.  A
+    finite directed set has a top x, so an irreducible closed set is
+    down(x), the closure of the point x; and x is the only point with that
+    closure, because down(x) = down(y) forces x = y.  So every irreducible
+    closed set has exactly one generic point: the space is sober, and the
+    point x stands for the irreducible closed set down(x).
+    """
 
     up: tuple      # up[i] = frozenset of j >= i (reflexive)
     labels: tuple
+    _downs: tuple = field(init=False, repr=False, compare=False)
+    _by_up: dict = field(init=False, repr=False, compare=False)     # up[i] -> i
+    _by_down: dict = field(init=False, repr=False, compare=False)   # down(i) -> i
 
     def __post_init__(self):
-        n = self.n
-        for i in range(n):
-            assert i in self.up[i], "order must be reflexive"
-            for j in self.up[i]:
-                assert self.up[j] <= self.up[i], "order must be transitive"
-                if i != j:
-                    assert i not in self.up[j], "order must be antisymmetric"
+        whole = self.carrier()
+        downs = [[] for _ in self.up]
+        for i, U in enumerate(self.up):
+            if not U <= whole:
+                raise NotAPartialOrder(f"up[{i}] = {sorted(U)} leaves the carrier")
+            if i not in U:
+                raise NotAPartialOrder(f"the order is not reflexive at {i}")
+            for j in U:
+                downs[j].append(i)
+        for i, U in enumerate(self.up):
+            for j in U:
+                if not self.up[j] <= U:
+                    raise NotAPartialOrder(f"the order is not transitive at ({i}, {j})")
+        by_up = {U: i for i, U in enumerate(self.up)}
+        if len(by_up) != self.n:
+            raise NotAPartialOrder("the order is not antisymmetric: two points share an up-set")
+        downs = tuple(map(frozenset, downs))
+        object.__setattr__(self, "_downs", downs)
+        object.__setattr__(self, "_by_up", by_up)
+        object.__setattr__(self, "_by_down", {C: i for i, C in enumerate(downs)})
 
     @property
     def n(self) -> int:
@@ -56,11 +85,23 @@ class AlexandrovSpace:
         return j in self.up[i]
 
     def down(self, i: int) -> frozenset:
-        return frozenset(j for j in range(self.n) if self.leq(j, i))
+        return self._downs[i]
+
+    def point_of(self, closed) -> int:
+        """The point whose closure is the closed set `closed`."""
+        closed = frozenset(closed)
+        if closed not in self._by_down:
+            raise NotIrreducibleCertificate(
+                f"{sorted(closed)} is not the closure of a point")
+        return self._by_down[closed]
+
+    def generic(self):
+        """The point whose closure is everything, if the carrier is directed."""
+        return self._by_down.get(self.carrier())
 
     def is_open(self, U) -> bool:
         U = frozenset(U)
-        return all(self.up[i] <= U for i in U)
+        return U <= self.carrier() and all(self.up[i] <= U for i in U)
 
     def carrier(self) -> frozenset:
         return frozenset(range(self.n))
@@ -74,14 +115,14 @@ class AlexandrovSpace:
 
     def minimal_elements(self, S):
         S = frozenset(S)
-        return [i for i in S if not any(j != i and self.leq(j, i) for j in S)]
+        return [i for i in S if self.down(i) & S == {i}]
 
     def join(self, i: int, j: int) -> int:
-        ubs = [k for k in self.up[i] if k in self.up[j]]
-        least = [k for k in ubs if all(self.leq(k, m) for m in ubs)]
-        if len(least) != 1:
+        """The least upper bound: the point whose up-set is up[i] & up[j]."""
+        k = self._by_up.get(self.up[i] & self.up[j])
+        if k is None:
             raise UnsupportedClass(f"no join for ({i}, {j})")
-        return least[0]
+        return k
 
     def hasse_edges(self):
         out = []
@@ -89,8 +130,7 @@ class AlexandrovSpace:
             for j in self.up[i]:
                 if j == i:
                     continue
-                if any(k != i and k != j and self.leq(i, k) and self.leq(k, j)
-                       for k in range(self.n)):
+                if any(k != i and k != j and self.leq(k, j) for k in self.up[i]):
                     continue
                 out.append((i, j))
         return out
@@ -122,111 +162,28 @@ def is_completely_union_irreducible(X: AlexandrovSpace, U) -> bool:
     return len(mins) == 1 and X.up[mins[0]] == U
 
 
-@dataclass(frozen=True)
-class IrreducibleClosed:
-    members: frozenset
-    apex: int
-
-    def __contains__(self, i):
-        return i in self.members
-
-
-def irreducible_closed_sets(X: AlexandrovSpace):
-    """All nonempty directed lower sets; in a finite poset these are the
-    principal down-sets, one per point."""
-    out = []
-    for x in range(X.n):
-        C = X.down(x)
-        for a in C:
-            for b in C:
-                if not any(X.leq(a, z) and X.leq(b, z) for z in C):
-                    raise AssertionError("down-set not directed")
-        out.append(IrreducibleClosed(C, x))
-    return out
-
-
-@dataclass(frozen=True)
-class SoberSpace:
-    """The soberification of a finite Alexandrov space.
-
-    Points are the irreducible closed subsets; the open U of the base maps
-    to {C : C meets U}, which here is {C : apex(C) in U}.
-    """
-
-    base: AlexandrovSpace
-    points: tuple  # of IrreducibleClosed, indexed like the base carrier
-
-    @property
-    def n(self):
-        return len(self.points)
-
-    def q(self, x: int) -> int:
-        """Closure of a base point, as a point index here."""
-        target = self.base.down(x)
-        for idx, p in enumerate(self.points):
-            if p.members == target:
-                return idx
-        raise KeyError(x)
-
-    def open_image(self, U) -> frozenset:
-        """The open set of this space induced by the base open U."""
-        U = frozenset(U)
-        if not self.base.is_open(U):
-            raise NotOpen(f"{sorted(U)} is not open downstairs")
-        return frozenset(i for i, p in enumerate(self.points) if p.apex in U)
-
-    def generic(self):
-        """Index of the point whose closure is everything, if the carrier is directed."""
-        whole = self.base.carrier()
-        for i, p in enumerate(self.points):
-            if p.members == whole:
-                return i
-        return None
-
-    def specialization_up(self, i: int) -> frozenset:
-        """Points whose closed set contains this one (the 'more generic' ones)."""
-        return frozenset(
-            j for j, p in enumerate(self.points) if self.points[i].members <= p.members)
-
-
-def soberify(X: AlexandrovSpace) -> SoberSpace:
-    pts = tuple(irreducible_closed_sets(X))
-    S = SoberSpace(X, pts)
-    assert S.n == X.n
-    if X.n <= 14:
-        for U in X.all_open_sets():
-            img = S.open_image(U)
-            back = frozenset(x for x in range(X.n) if S.q(x) in img)
-            assert back == U, "q fails to pull the induced opens back"
-    return S
+def soberify(X: AlexandrovSpace) -> AlexandrovSpace:
+    """The soberification of a finite Alexandrov space, which is the space
+    itself (see `AlexandrovSpace`)."""
+    return X
 
 
 def sober_map_from_join_hom(P: AlexandrovSpace, Q: AlexandrovSpace, f):
-    """From a monotone join-preserving f: P -> Q, the continuous map
-    S(Q) -> S(P), C -> f^{-1}(C).  Returns the point map as a dict
-    index-of-S(Q) -> index-of-S(P)."""
+    """From a join-preserving f: P -> Q, the continuous map Q -> P sending
+    the point c to the point whose closure is f^{-1}(down(c)).  Returns the
+    point map as a dict point-of-Q -> point-of-P."""
     fmap = dict(f) if not callable(f) else {i: f(i) for i in range(P.n)}
-    for i in range(P.n):
-        for j in P.up[i]:
-            if not Q.leq(fmap[i], fmap[j]):
-                raise NotJoinPreserving(f"not monotone at ({i}, {j})", witness=(i, j))
     for i in range(P.n):
         for j in range(P.n):
             if Q.join(fmap[i], fmap[j]) != fmap[P.join(i, j)]:
                 raise NotJoinPreserving(
                     f"join of ({i}, {j}) is not preserved", witness=(i, j))
-    SP, SQ = soberify(P), soberify(Q)
-    point_map = {}
-    for ci, C in enumerate(SQ.points):
-        pre = frozenset(x for x in range(P.n) if fmap[x] in C.members)
-        match = [pi for pi, D in enumerate(SP.points) if D.members == pre]
-        assert len(match) == 1, "preimage of an irreducible closed set must be one"
-        point_map[ci] = match[0]
-    # preimage formula on every basic open of S(P)
+    point_map = {
+        c: P.point_of(x for x in range(P.n) if fmap[x] in Q.down(c)) for c in range(Q.n)}
+    # preimage formula on every basic open of P
     for a in range(P.n):
-        lhs = frozenset(ci for ci, pi in point_map.items() if pi in SP.open_image(P.up[a]))
-        rhs = SQ.open_image(Q.up[fmap[a]])
-        assert lhs == rhs, "basic-open preimage formula fails"
+        if frozenset(c for c, p in point_map.items() if p in P.up[a]) != Q.up[fmap[a]]:
+            raise NotOpen(f"the preimage of the basic open of {a} is not that of {fmap[a]}")
     return point_map
 
 
@@ -242,32 +199,35 @@ class LocalizationCell:
 
 
 class LocalizationLattice:
-    """Materialized localization semilattice of a finite-sided ring."""
+    """Materialized localization semilattice of a finite-sided ring.
 
-    def __init__(self, ring, cells, leq_matrix, key_of_element):
+    `up[i]` lists the cells j >= i; the order and its joins are those of
+    `self.space`, the Alexandrov space on the cells.
+    """
+
+    def __init__(self, ring, cells, up, key_of_element):
         self.ring = ring
         self.cells = cells
-        self._leq = leq_matrix
+        self.space = AlexandrovSpace(tuple(up), tuple(c.label for c in cells))
         self._key_of_element = key_of_element
         self._key_index = {c.key: i for i, c in enumerate(cells)}
-        bottoms = [i for i in range(self.n) if all(self.leq(i, j) for j in range(self.n))]
-        tops = [i for i in range(self.n) if all(self.leq(j, i) for j in range(self.n))]
-        assert len(bottoms) == 1 and len(tops) == 1, "lattice must be bounded"
-        self.bottom, self.top = bottoms[0], tops[0]
-        self._check_laws()
+        whole = self.space.carrier()
+        bottoms = [i for i in range(self.n) if self.space.up[i] == whole]
+        top = self.space.generic()
+        if not bottoms or top is None:
+            raise NotAPartialOrder("the localization lattice must be bounded")
+        self.bottom, self.top = bottoms[0], top
+        self._check_joins()
 
     @property
     def n(self):
         return len(self.cells)
 
     def leq(self, i, j) -> bool:
-        return self._leq[i][j]
+        return self.space.leq(i, j)
 
     def join(self, i, j) -> int:
-        cand = [k for k in range(self.n) if self.leq(i, k) and self.leq(j, k)]
-        least = [k for k in cand if all(self.leq(k, m) for m in cand)]
-        assert len(least) == 1
-        return least[0]
+        return self.space.join(i, j)
 
     def cell_of_element(self, f: RingElement) -> int:
         return self._key_index[self._key_of_element(f)]
@@ -286,37 +246,25 @@ class LocalizationLattice:
             idx = self.join(idx, self.cell_of_element(a))
         return idx
 
-    def alexandrov_space(self) -> AlexandrovSpace:
-        up = tuple(
-            frozenset(j for j in range(self.n) if self.leq(i, j)) for i in range(self.n))
-        return AlexandrovSpace(up, tuple(c.label for c in self.cells))
-
     def hasse_edges(self):
-        return self.alexandrov_space().hasse_edges()
+        return self.space.hasse_edges()
 
-    def _check_laws(self):
-        n = self.n
-        for i in range(n):
-            assert self.leq(i, i)
-            for j in range(n):
-                if self.leq(i, j) and self.leq(j, i):
-                    assert i == j
-                for k in range(n):
-                    if self.leq(i, j) and self.leq(j, k):
-                        assert self.leq(i, k)
-        for i in range(n):
-            for j in range(n):
-                J = self.join(i, j)
-                union = tuple(self.cells[i].representative) + tuple(self.cells[j].representative)
-                assert J == self.cell_of_subset(union), "join must be the union cell"
-        assert all(self.leq(self.bottom, i) and self.leq(i, self.top) for i in range(n))
+    def _check_joins(self):
+        """The join of two cells is the cell of the union of their subsets."""
+        for i in range(self.n):
+            for j in range(self.n):
+                union = self.cells[i].representative + self.cells[j].representative
+                if self.join(i, j) != self.cell_of_subset(union):
+                    raise NotJoinPreserving(
+                        f"the join of cells {i} and {j} is not the cell of the union",
+                        witness=(i, j))
 
 
 def build_semilattice(r):
     """The localization semilattice; lazy for Q[x], materialized otherwise."""
     if isinstance(r, ZeroRing) or (rg.is_finite(r) and rg.cardinality(r) == 1):
         cell = _cell(r, (), key=0)
-        return LocalizationLattice(r, [cell], [[True]], lambda f: 0)
+        return LocalizationLattice(r, [cell], [frozenset({0})], lambda f: 0)
 
     if rg.cyclic_moduli(r) is not None:
         return _build_finite_commutative(r)
@@ -327,12 +275,12 @@ def build_semilattice(r):
     if isinstance(r, MatrixRing):
         bottom = _cell(r, (rg.one(r),), key=1)
         top = _cell(r, (rg.zero(r),), key=0)
-        leq = [[True, True], [False, True]]
+        up = [frozenset({0, 1}), frozenset({1})]
 
         def key_of(f):
             return 1 if rg.is_unit(r, f) or rg.mat_det(r.base, f.payload) != 0 else 0
 
-        return LocalizationLattice(r, [bottom, top], leq, key_of)
+        return LocalizationLattice(r, [bottom, top], up, key_of)
 
     if isinstance(r, UnivariatePolyRing):
         return PidLattice(r)
@@ -357,13 +305,14 @@ def _build_finite_commutative(r):
     cells = [_cell(r, (e,), key=e.payload) for e in idem_order]
     n = len(cells)
     elems = {e.payload: e for e in idem_order}
-    leq = [[(elems[cells[i].key] * elems[cells[j].key]).payload == cells[j].key
-            for j in range(n)] for i in range(n)]
+    up = [frozenset(j for j in range(n)
+                    if (elems[cells[i].key] * elems[cells[j].key]).payload == cells[j].key)
+          for i in range(n)]
 
     def key_of(f):
         return idempotent_power(r, f).payload
 
-    return LocalizationLattice(r, cells, leq, key_of)
+    return LocalizationLattice(r, cells, up, key_of)
 
 
 def _build_semisimple(r):
@@ -380,13 +329,13 @@ def _build_semisimple(r):
 
     cells = [_cell(r, (idem(Z),), key=Z) for Z in subsets]
     n = len(cells)
-    leq = [[cells[j].key <= cells[i].key for j in range(n)] for i in range(n)]
+    up = [frozenset(j for j in range(n) if cells[j].key <= cells[i].key) for i in range(n)]
 
     def key_of(f):
         return frozenset(
             j for j in range(k) if rg.mat_det(r.base, f.payload[j]) != 0)
 
-    return LocalizationLattice(r, cells, leq, key_of)
+    return LocalizationLattice(r, cells, up, key_of)
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +393,11 @@ class PidPoint:
     primes: tuple = ()             # monic irreducible polynomials (qpoly tuples)
 
     def __post_init__(self):
-        assert self.kind in ("generic", "zero_ideal", "prime_set")
+        if self.kind not in ("generic", "zero_ideal", "prime_set"):
+            raise NotIrreducibleCertificate(f"no point kind {self.kind!r}")
         if self.kind == "prime_set":
-            assert self.primes, "empty prime list is the generic point"
+            if not self.primes:
+                raise NotIrreducibleCertificate("an empty prime list is the generic point")
             seen = set()
             for p in self.primes:
                 if qpoly.deg(p) < 1 or p[-1] != 1:

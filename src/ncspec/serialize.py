@@ -341,20 +341,13 @@ def semilattice_dot(lat) -> str:
 
 
 def space_dot(sp) -> str:
-    """Specialization order of the sober points, generic on top."""
+    """Specialization order of the points, generic on top."""
     lines = ["digraph space {", "  rankdir=BT;"]
-    order = [(i, p) for i, p in enumerate(sp.sober.points)]
-    for i, p in order:
-        label = sp.lattice.cells[p.apex].label
+    for i, cell in enumerate(sp.lattice.cells):
         mark = " (generic)" if i == sp.generic else ""
-        lines.append(f'  p{i} [label="{label}{mark}"];')
-    for i, p in order:
-        for j, q in order:
-            if i == j or not p.members < q.members:
-                continue
-            if any(p.members < r.members < q.members for _, r in order):
-                continue
-            lines.append(f"  p{i} -> p{j};")
+        lines.append(f'  p{i} [label="{cell.label}{mark}"];')
+    for i, j in sorted(sp.space.hasse_edges()):
+        lines.append(f"  p{i} -> p{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

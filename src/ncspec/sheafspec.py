@@ -16,7 +16,6 @@ from .errors import (
     NotACover,
     NotComparable,
     NotIrreducibleCertificate,
-    NotJoinPreserving,
     NotOpen,
     PresheafLawViolation,
     UnsupportedClass,
@@ -25,9 +24,9 @@ from .latspace import (
     AlexandrovSpace,
     LocalizationLattice,
     PidLattice,
-    SoberSpace,
     build_semilattice,
     is_completely_union_irreducible,
+    sober_map_from_join_hom,
     soberify,
 )
 from .localization import (
@@ -89,17 +88,19 @@ class SheafOnBase:
 
 @dataclass
 class NCSpecSpace:
-    """The sober ringed space of a ring with its sheaf on the basic opens."""
+    """The sober ringed space of a ring with its sheaf on the basic opens.
+
+    `space` is the Alexandrov space of the lattice, which is its own
+    soberification (see `latspace.AlexandrovSpace`)."""
 
     ring: object
     lattice: LocalizationLattice
     space: AlexandrovSpace
-    sober: SoberSpace
     sheaf: SheafOnBase
 
     @property
     def generic(self) -> int:
-        g = self.sober.generic()
+        g = self.space.generic()
         if g is None:
             raise NotIrreducibleCertificate("the space has no generic point")
         return g
@@ -111,7 +112,7 @@ class NCSpecSpace:
         return self.space.all_open_sets()
 
     def point_count(self) -> int:
-        return self.sober.n
+        return self.space.n
 
 
 _ncspec_cache: dict = {}
@@ -125,13 +126,12 @@ def ncspec(r) -> "NCSpecSpace | PidNCSpec":
         sp = PidNCSpec(r, lat)
         _ncspec_cache[r] = sp
         return sp
-    X = lat.alexandrov_space()
-    sober = soberify(X)
+    X = soberify(lat.space)
     assignment = tuple(c.localized.result for c in lat.cells)
     sheaf = SheafOnBase(lat, assignment)
     if rg.is_finite(r) or lat.n <= 8:
         sheaf.check_presheaf_laws()
-    sp = NCSpecSpace(r, lat, X, sober, sheaf)
+    sp = NCSpecSpace(r, lat, X, sheaf)
     if assignment[lat.bottom] != r:
         raise PresheafLawViolation("global sections must be the ring itself")
     _ncspec_cache[r] = sp
@@ -150,7 +150,7 @@ class PidNCSpec:
 
 
 def sections(sp: NCSpecSpace, U):
-    """Section ring over any open set of the sober space (by base open).
+    """Section ring over any open set of the space.
 
     A principal open is basic and returns its assigned localization.  On a
     non-basic open the section ring is the limit of the basic sections
@@ -188,7 +188,7 @@ def sections(sp: NCSpecSpace, U):
 
 @dataclass
 class RingedSpaceMorphism:
-    """point_map sends sober points of the source space to the target's;
+    """point_map sends points of the source space to the target's;
     comap[j] is the ring map on the basic open at target cell j."""
 
     source: NCSpecSpace
@@ -196,14 +196,12 @@ class RingedSpaceMorphism:
     point_map: dict     # source point index -> target point index
     comap: dict         # target cell index -> RingHom
 
-    def preimage_points(self, target_open) -> frozenset:
-        target_pts = self.target.sober.open_image(target_open)
-        return frozenset(x for x, y in self.point_map.items() if y in target_pts)
-
     def preimage_base_open(self, target_open) -> frozenset:
-        """The source base open inducing the preimage (points are indexed by apex)."""
-        pts = self.preimage_points(target_open)
-        U = frozenset(self.source.sober.points[i].apex for i in pts)
+        """The preimage of an open of the target, an open of the source."""
+        target_open = frozenset(target_open)
+        if not self.target.space.is_open(target_open):
+            raise NotOpen(f"{sorted(target_open)} is not open in the target")
+        U = frozenset(x for x, y in self.point_map.items() if y in target_open)
         if not self.source.space.is_open(U):
             raise NotOpen("preimage is not open; the point map is not continuous")
         return U
@@ -266,24 +264,12 @@ def ncspec_morphism(theta: RingHom) -> RingedSpaceMorphism:
     if isinstance(Y, PidNCSpec) or isinstance(X, PidNCSpec):
         raise UnsupportedClass("induced morphisms need materialized lattices")
 
-    # the join-preserving cell map under theta
+    # the join-preserving cell map under theta, and its continuous point map
     t = {}
     for i, cell in enumerate(Y.lattice.cells):
         image = tuple(theta(a) for a in cell.representative)
         t[i] = X.lattice.cell_of_subset(image)
-    for i in range(Y.lattice.n):
-        for j in range(Y.lattice.n):
-            if t[Y.lattice.join(i, j)] != X.lattice.join(t[i], t[j]):
-                raise NotJoinPreserving("cell map must preserve joins", witness=(i, j))
-
-    point_map = {}
-    for xi, C in enumerate(X.sober.points):
-        pre = frozenset(i for i in range(Y.lattice.n) if t[i] in C.members)
-        match = [yi for yi, D in enumerate(Y.sober.points) if D.members == pre]
-        if len(match) != 1:
-            raise NotIrreducibleCertificate(
-                f"preimage of point {xi} is not a single point: {match}")
-        point_map[xi] = match[0]
+    point_map = sober_map_from_join_hom(Y.space, X.space, t)
 
     comap = {}
     for j, cell in enumerate(Y.lattice.cells):
@@ -292,12 +278,7 @@ def ncspec_morphism(theta: RingHom) -> RingedSpaceMorphism:
             raise PresheafLawViolation(
                 f"induced map at cell {j} must land in the sections of cell {t[j]}")
 
-    m = RingedSpaceMorphism(X, Y, point_map, comap)
-    # basic-open preimage formula
-    for j in range(Y.lattice.n):
-        if m.preimage_base_open(Y.basic_open(j)) != X.space.up[t[j]]:
-            raise NotOpen(f"preimage of basic open {j} is not the basic open of cell {t[j]}")
-    return m
+    return RingedSpaceMorphism(X, Y, point_map, comap)
 
 
 def recover_hom(m: RingedSpaceMorphism) -> RingHom:

@@ -136,6 +136,35 @@ def brute_upper_sets(up):
     return out
 
 
+def brute_poset_laws(up) -> bool:
+    """Whether up[i] = frozenset of j >= i is a partial order on 0..n-1,
+    by the triple loop over reflexivity, antisymmetry and transitivity."""
+    n = len(up)
+    if any(not 0 <= j < n for U in up for j in U):
+        return False
+
+    def leq(i, j):
+        return j in up[i]
+
+    for i in range(n):
+        if not leq(i, i):
+            return False
+        for j in range(n):
+            if leq(i, j) and leq(j, i) and i != j:
+                return False
+            for k in range(n):
+                if leq(i, j) and leq(j, k) and not leq(i, k):
+                    return False
+    return True
+
+
+def brute_join(up, i, j):
+    """The least upper bound of i and j by a scan of the upper bounds, or None."""
+    ubs = [k for k in up[i] if k in up[j]]
+    least = [k for k in ubs if all(m in up[k] for m in ubs)]
+    return least[0] if len(least) == 1 else None
+
+
 def brute_directed_lower_sets(up):
     n = len(up)
 

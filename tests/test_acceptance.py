@@ -279,20 +279,17 @@ def _crafted_negatives():
     sp0 = ncspec(ZeroRing())
     z6 = ModularRing(6)
     c2 = sp6.lattice.cell_of_element(rg.element(z6, 2))
-    pt = next(i for i, C in enumerate(sp6.sober.points) if C.apex == c2)
+    pt = c2
     comap = {j: rg.to_zero_hom(sp6.sheaf.assignment[j]) for j in range(sp6.lattice.n)}
     out.append(RingedSpaceMorphism(sp0, sp6, {0: pt}, comap))
 
     sp3 = ncspec(ModularRing(3))
-    bot6 = next(i for i, C in enumerate(sp6.sober.points)
-                if C.apex == sp6.lattice.bottom)
-    closed3 = next(i for i in range(sp3.sober.n) if i != sp3.generic)
+    bot6 = sp6.lattice.bottom
+    closed3 = next(i for i in range(sp3.space.n) if i != sp3.generic)
     pm = {sp3.generic: sp6.generic, closed3: bot6}
     comap_b = {}
     for j in range(sp6.lattice.n):
-        pre_pts = frozenset(x for x, y in pm.items()
-                            if y in sp6.sober.open_image(sp6.space.up[j]))
-        U = frozenset(sp3.sober.points[i].apex for i in pre_pts)
+        U = frozenset(x for x, y in pm.items() if y in sp6.space.up[j])
         tgt = sections(sp3, U)
         src = sp6.sheaf.assignment[j]
         if rg.is_zero_ring(tgt):
@@ -312,7 +309,7 @@ def _crafted_negatives():
                    else rg.identity_hom(sp22.sheaf.assignment[j]))
                for j in range(sp22.lattice.n)}
     out.append(RingedSpaceMorphism(
-        sp22, sp22, {i: i for i in range(sp22.sober.n)}, comap_c))
+        sp22, sp22, {i: i for i in range(sp22.space.n)}, comap_c))
     return out
 
 

@@ -103,8 +103,8 @@ def test_embed_phi_z6_point_images():
                   if ideal_payloads(P) == [0, 2, 4])
     prime3 = next(i for i, P in enumerate(emb.spectrum.primes)
                   if ideal_payloads(P) == [0, 3])
-    assert sp.sober.points[emb.point_map[prime2]].apex == c3
-    assert sp.sober.points[emb.point_map[prime3]].apex == c2
+    assert emb.point_map[prime2] == c3
+    assert emb.point_map[prime3] == c2
     # two of the three non-generic points are hit
     assert len(set(emb.point_map.values())) == 2
     assert sp.generic not in emb.point_map.values()
@@ -115,7 +115,7 @@ def test_embed_phi_field_case():
     assert emb.report["status"] == "pass"
     sp = emb.space
     assert sp.point_count() == 2
-    closed = next(i for i in range(sp.sober.n) if i != sp.generic)
+    closed = next(i for i in range(sp.space.n) if i != sp.generic)
     assert emb.point_map[0] == closed
 
 

@@ -400,7 +400,7 @@ def sierpinski_datum(pieces=2):
 def test_glue_single_piece_is_itself():
     m2 = MatrixRing(PrimeField(2), 2)
     gl = glue(GlueDatum((m2,), {}, {}))
-    assert gl.n == ncspec(m2).sober.n
+    assert gl.n == ncspec(m2).space.n
 
 
 def test_glue_two_sierpinski_along_generic():

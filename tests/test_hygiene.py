@@ -104,7 +104,7 @@ def test_module_layer_checks_are_not_asserts():
     assert set(owners) <= {"_certify_ore_skew"}
 
 
-@pytest.mark.parametrize("name", ["commbridge.py", "sheafspec.py"])
+@pytest.mark.parametrize("name", ["commbridge.py", "latspace.py", "sheafspec.py"])
 def test_bridge_and_sheaf_checks_are_not_asserts(name):
     # every check in these modules must survive python -O
     assert assert_owners((PACKAGE / name).read_text(encoding="utf-8")) == []

@@ -1,22 +1,32 @@
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
 from conftest import (
     brute_directed_lower_sets,
+    brute_join,
+    brute_poset_laws,
     brute_upper_sets,
+    finite_commutative_grid,
+    python_stdout,
     sympy_squarefree_part,
 )
 
 from ncspec import qpoly
 from ncspec import rings as rg
-from ncspec.errors import NotIrreducibleCertificate, NotJoinPreserving, NotOpen
+from ncspec.errors import (
+    NotAPartialOrder,
+    NotIrreducibleCertificate,
+    NotJoinPreserving,
+    NotOpen,
+    UnsupportedClass,
+)
 from ncspec.latspace import (
     AlexandrovSpace,
     PidLattice,
     build_semilattice,
     generic_pid_point,
-    irreducible_closed_sets,
     is_completely_union_irreducible,
     lower_set,
     pid_point_in_open,
@@ -40,10 +50,31 @@ from ncspec.rings import (
 CHAIN3 = AlexandrovSpace(
     (frozenset({0, 1, 2}), frozenset({1, 2}), frozenset({2})), ("a", "b", "c"))
 ANTICHAIN2 = AlexandrovSpace((frozenset({0}), frozenset({1})), ("a", "b"))
+GRID2x3 = AlexandrovSpace(
+    (
+        frozenset({0, 1, 2, 3, 4, 5}),   # (0,0)
+        frozenset({1, 2, 4, 5}),          # (0,1)
+        frozenset({2, 5}),                # (0,2)
+        frozenset({3, 4, 5}),             # (1,0)
+        frozenset({4, 5}),                # (1,1)
+        frozenset({5}),                   # (1,2)
+    ),
+    tuple("abcdef"))
 
 
 def diamond():
-    return build_semilattice(ModularRing(6)).alexandrov_space()
+    return build_semilattice(ModularRing(6)).space
+
+
+@cache
+def grid_lattices():
+    """The lattice of every grid ring that has one (all but the mixed
+    product) and of F2^k for k <= 6."""
+    rings = [r for r in finite_commutative_grid()
+             if not (isinstance(r, rg.ProductRing) and rg.cyclic_moduli(r) is None)]
+    rings += [SemisimpleAlgebra(PrimeField(2), (1,) * k) for k in range(1, 7)]
+    assert len(rings) == 75
+    return tuple(build_semilattice(r) for r in rings)
 
 
 def test_matrix_lattice_two_cells():
@@ -164,12 +195,67 @@ def test_completely_union_irreducible_classification():
         is_completely_union_irreducible(D, frozenset({lat.bottom}))
 
 
+def test_open_sets_stay_inside_the_carrier():
+    D = diamond()
+    assert not D.is_open(D.carrier() | {-4})
+    assert not D.is_open({D.n})
+    with pytest.raises(NotOpen):
+        is_completely_union_irreducible(D, D.carrier() | {-1})
+
+
+def test_lookup_join_matches_the_scan_on_every_grid_lattice():
+    for lat in grid_lattices():
+        up = lat.space.up
+        assert brute_poset_laws(up)
+        for i in range(lat.n):
+            for j in range(lat.n):
+                assert lat.join(i, j) == brute_join(up, i, j), (lat.ring, i, j)
+    assert brute_join(ANTICHAIN2.up, 0, 1) is None
+    with pytest.raises(UnsupportedClass):
+        ANTICHAIN2.join(0, 1)
+
+
+def toggled(up, i, j):
+    return up[:i] + (up[i] ^ {j},) + up[i + 1:]
+
+
+def test_typed_law_checks_match_the_oracle_on_perturbed_orders(rng):
+    # every single-entry change of each grid order (a sample of them past
+    # 16 cells), including entries outside the carrier: the typed checks
+    # reject exactly what the triple loop rejects, and on what stays a
+    # poset the lookup join agrees with the scan
+    for lat in grid_lattices():
+        n, up = lat.n, lat.space.up
+        flips = [(i, j) for i in range(n) for j in range(-1, n + 1)]
+        if n > 16:
+            flips = rng.sample(flips, 8)
+        for i, j in flips:
+            changed = toggled(up, i, j)
+            try:
+                X = AlexandrovSpace(changed, lat.space.labels)
+            except NotAPartialOrder:
+                assert not brute_poset_laws(changed), (lat.ring, i, j)
+                continue
+            assert brute_poset_laws(changed), (lat.ring, i, j)
+            for a in range(n):
+                for b in range(n):
+                    want = brute_join(changed, a, b)
+                    if want is None:
+                        with pytest.raises(UnsupportedClass):
+                            X.join(a, b)
+                    else:
+                        assert X.join(a, b) == want
+
+
 def test_irreducible_closed_sets_match_bruteforce():
-    for X in (CHAIN3, ANTICHAIN2, diamond()):
-        ours = {C.members for C in irreducible_closed_sets(X)}
+    # the irreducible closed sets are the closures down(x), one per point
+    small = [lat.space for lat in grid_lattices() if lat.n <= 8]
+    for X in [CHAIN3, ANTICHAIN2, diamond(), GRID2x3] + small:
+        ours = {X.down(x) for x in range(X.n)}
         brute = set(brute_directed_lower_sets(X.up))
         assert ours == brute
         assert len(ours) == X.n
+        assert all(X.down(X.point_of(C)) == C for C in brute)
 
 
 def test_soberify_counts_and_generic():
@@ -180,40 +266,44 @@ def test_soberify_counts_and_generic():
     D = soberify(diamond())
     lat = build_semilattice(ModularRing(6))
     assert D.n == 4
-    assert D.points[D.generic()].members == frozenset(range(4))
-
-
-GRID2x3 = AlexandrovSpace(
-    (
-        frozenset({0, 1, 2, 3, 4, 5}),   # (0,0)
-        frozenset({1, 2, 4, 5}),          # (0,1)
-        frozenset({2, 5}),                # (0,2)
-        frozenset({3, 4, 5}),             # (1,0)
-        frozenset({4, 5}),                # (1,1)
-        frozenset({5}),                   # (1,2)
-    ),
-    tuple("abcdef"))
+    assert D.down(D.generic()) == frozenset(range(4))
+    assert D.generic() == lat.top
 
 
 def test_soberification_topology_bijection():
-    # U -> open image is a bijection preserving meets and joins,
-    # exhaustively up to six-point carriers
+    # the open U of the base induces {C irreducible closed : C meets U}; as
+    # points (each C by the point it is the closure of) that is U itself, a
+    # bijection preserving meets and joins, exhaustively up to six-point
+    # carriers
     for X in (CHAIN3, diamond(), GRID2x3):
         S = soberify(X)
+        closed = brute_directed_lower_sets(X.up)
+
+        def image(U):
+            return frozenset(S.point_of(C) for C in closed if C & U)
+
         opens = X.all_open_sets()
-        images = {U: S.open_image(U) for U in opens}
+        images = {U: image(U) for U in opens}
+        assert all(images[U] == U and S.is_open(U) for U in opens)
         assert len(set(images.values())) == len(opens)
         for U in opens:
             for V in opens:
-                assert images[U] & images[V] == S.open_image(U & V)
-                assert images[U] | images[V] == S.open_image(U | V)
+                assert images[U] & images[V] == image(U & V)
+                assert images[U] | images[V] == image(U | V)
 
 
 def test_sierpinski_soberification_is_itself():
     X = AlexandrovSpace((frozenset({0, 1}), frozenset({1})), ("closed", "open"))
     S = soberify(X)
     assert S.n == 2
-    assert {S.q(x) for x in range(2)} == {0, 1}
+    assert {S.point_of(X.down(x)) for x in range(2)} == {0, 1}
+
+
+def test_soberify_keeps_the_point_indices():
+    for X in [CHAIN3, ANTICHAIN2, GRID2x3] + [lat.space for lat in grid_lattices()]:
+        S = soberify(X)
+        assert S == X
+        assert all(S.point_of(X.down(x)) == x for x in range(X.n))
 
 
 def test_sober_map_restriction_to_principal_ideal():
@@ -223,9 +313,9 @@ def test_sober_map_restriction_to_principal_ideal():
     P = AlexandrovSpace((frozenset({0, 1}), frozenset({1})), ("bot", "mid"))
     pm = sober_map_from_join_hom(P, D, {0: lat.bottom, 1: c2})
     SD, SP = soberify(D), soberify(P)
-    for ci, C in enumerate(SD.points):
-        pre = frozenset(x for x in range(2) if {0: lat.bottom, 1: c2}[x] in C.members)
-        assert SP.points[pm[ci]].members == pre
+    for ci in range(SD.n):
+        pre = frozenset(x for x in range(2) if {0: lat.bottom, 1: c2}[x] in SD.down(ci))
+        assert SP.down(pm[ci]) == pre
 
 
 def test_join_breaking_map_rejected():
@@ -287,3 +377,49 @@ def test_pid_point_certificates():
     prime_set_point([[1, 0, 0, 0, 1]])
     # degree <= 3 irreducibles pass the check
     prime_set_point([[1, 0, 1], [2, 0, 0, 1]])
+
+
+# Each former assert of latspace, as a typed error that survives python -O:
+# up-sets outside the carrier, the three order laws, an unbounded lattice,
+# a join that is not the union cell, and malformed Q[x] points.
+LATSPACE_CHECKS = """
+from ncspec import latspace
+from ncspec import rings as rg
+from ncspec.errors import NCSpecError
+
+
+def error_name(fn, *args):
+    try:
+        fn(*args)
+    except NCSpecError as exc:
+        return type(exc).__name__
+    return None
+
+
+def space(*up):
+    return latspace.AlexandrovSpace(tuple(map(frozenset, up)), tuple("abc"[:len(up)]))
+
+
+lat = latspace.build_semilattice(rg.ModularRing(6))
+two, three = [i for i in range(lat.n) if i not in (lat.bottom, lat.top)]
+cells = [lat.cells[i] for i in (lat.bottom, two, three, lat.top)]
+
+
+def lattice(cells, up):
+    return latspace.LocalizationLattice(
+        lat.ring, cells, [frozenset(U) for U in up], lat._key_of_element)
+
+
+print(error_name(space, {0, 5}), error_name(space, {1}, {1}),
+      error_name(space, {0, 1}, {1, 2}, {2}), error_name(space, {0, 1}, {0, 1}),
+      error_name(lattice, cells[1:3], [{0}, {1}]),
+      error_name(lattice, cells, [{0, 1, 2, 3}, {1, 2, 3}, {2, 3}, {3}]),
+      error_name(latspace.PidPoint, "bogus"), error_name(latspace.prime_set_point, []))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_order_and_point_checks_are_typed_errors(flags):
+    out = python_stdout(flags, LATSPACE_CHECKS)
+    assert out.split() == ["NotAPartialOrder"] * 5 + [
+        "NotJoinPreserving", "NotIrreducibleCertificate", "NotIrreducibleCertificate"]

@@ -167,7 +167,7 @@ def test_induced_morphism_preimage_formula():
 def test_identity_morphism_is_identity():
     z6 = ModularRing(6)
     m = ncspec_morphism(rg.identity_hom(z6))
-    assert m.point_map == {i: i for i in range(m.source.sober.n)}
+    assert m.point_map == {i: i for i in range(m.source.space.n)}
     assert recover_hom(m) == rg.identity_hom(z6)
     assert m.verify()
 
@@ -185,10 +185,7 @@ def test_point_map_on_diamond():
     z6, z3 = ModularRing(6), ModularRing(3)
     c2_6 = Y.lattice.cell_of_element(rg.element(z6, 2))
     c2_3 = X.lattice.cell_of_element(rg.element(z3, 2))
-    pt_closed_3 = next(i for i, C in enumerate(X.sober.points)
-                       if C.apex == X.lattice.bottom)
-    want = next(i for i, C in enumerate(Y.sober.points) if C.apex == c2_6)
-    assert m.point_map[pt_closed_3] == want
+    assert m.point_map[X.lattice.bottom] == c2_6
     assert m.point_map[X.generic] == Y.generic
 
 
@@ -234,7 +231,7 @@ def test_crt_isomorphism_induces_space_isomorphism():
     p23 = rg.product_ring([ModularRing(2), ModularRing(3)])
     (crt,) = rg.all_homs(p23, z6)
     m = ncspec_morphism(crt)
-    assert len(set(m.point_map.values())) == m.source.sober.n == m.target.sober.n
+    assert len(set(m.point_map.values())) == m.source.space.n == m.target.space.n
     assert is_prim(m)
     assert recover_hom(m) == crt
 
@@ -243,23 +240,19 @@ def crafted_zero_to_closed_point():
     sp6 = z6_space()
     sp0 = ncspec(ZeroRing())
     c2, _ = mid_cells(sp6)
-    pt = next(i for i, C in enumerate(sp6.sober.points) if C.apex == c2)
+    pt = c2
     comap = {j: rg.to_zero_hom(sp6.sheaf.assignment[j]) for j in range(sp6.lattice.n)}
     return RingedSpaceMorphism(sp0, sp6, {0: pt}, comap)
 
 
 def crafted_z3_to_bottom_point():
     sp6, sp3 = z6_space(), ncspec(ModularRing(3))
-    bot6 = next(i for i, C in enumerate(sp6.sober.points)
-                if C.apex == sp6.lattice.bottom)
-    closed3 = next(i for i in range(sp3.sober.n) if i != sp3.generic)
+    bot6 = sp6.lattice.bottom
+    closed3 = next(i for i in range(sp3.space.n) if i != sp3.generic)
     pm = {sp3.generic: sp6.generic, closed3: bot6}
     comap = {}
     for j in range(sp6.lattice.n):
-        pre_pts = frozenset(
-            x for x, y in pm.items()
-            if y in sp6.sober.open_image(sp6.space.up[j]))
-        U = frozenset(sp3.sober.points[i].apex for i in pre_pts)
+        U = frozenset(x for x, y in pm.items() if y in sp6.space.up[j])
         tgt = sections(sp3, U)
         src = sp6.sheaf.assignment[j]
         if rg.is_zero_ring(tgt):
@@ -283,7 +276,7 @@ def crafted_swapped_global_comap():
             comap[j] = swap
         else:
             comap[j] = rg.identity_hom(sp.sheaf.assignment[j])
-    return RingedSpaceMorphism(sp, sp, {i: i for i in range(sp.sober.n)}, comap)
+    return RingedSpaceMorphism(sp, sp, {i: i for i in range(sp.space.n)}, comap)
 
 
 def test_crafted_morphisms_fail_prim():
@@ -314,9 +307,8 @@ def test_generic_point_in_every_nonempty_open():
     for r in (ModularRing(6), ModularRing(12), MatrixRing(PrimeField(2), 2)):
         sp = ncspec(r)
         for U in sp.space.all_open_sets():
-            img = sp.sober.open_image(U)
-            if img:
-                assert sp.generic in img
+            if U:
+                assert sp.generic in U
 
 
 def test_prim_locality():
@@ -331,6 +323,15 @@ def test_prim_locality():
     assert prim_is_local_check(bad, [bad.target.space.carrier()]) is False
     with pytest.raises(NotACover):
         prim_is_local_check(m, [sp6.space.up[c2]])
+
+
+def test_opens_naming_points_outside_the_carrier_are_rejected():
+    sp6 = z6_space()
+    with pytest.raises(NotOpen):
+        sections(sp6, {0, 1, 2, 3, -4})
+    m = ncspec_morphism(rg.quotient_hom(6, 3))
+    with pytest.raises(NotACover, match="not open"):
+        prim_is_local_check(m, [m.target.space.carrier() | {-1}])
 
 
 def test_wrong_restriction_is_a_typed_presheaf_law_error(monkeypatch):
