@@ -31,7 +31,6 @@ from .errors import (
 from .localization import (
     Localization,
     connecting_map,
-    descend,
     localize,
 )
 from .rings import (
@@ -39,6 +38,7 @@ from .rings import (
     RingElement,
     RingHom,
     SkewLaurentRing,
+    descend,
     hom_validate,
 )
 from .sheafspec import NCSpecSpace, ncspec, ncspec_morphism

@@ -250,9 +250,13 @@ class LocalizationLattice:
         return self.space.hasse_edges()
 
     def _check_joins(self):
-        """The join of two cells is the cell of the union of their subsets."""
+        """The join of two cells is the cell of the union of their subsets.
+
+        Both sides are symmetric in i and j, so each unordered pair is
+        checked once.
+        """
         for i in range(self.n):
-            for j in range(self.n):
+            for j in range(i, self.n):
                 union = self.cells[i].representative + self.cells[j].representative
                 if self.join(i, j) != self.cell_of_subset(union):
                     raise NotJoinPreserving(

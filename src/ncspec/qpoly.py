@@ -115,7 +115,8 @@ def squarefree_part(p: Poly) -> Poly:
         return ONE
     g = gcd(p, derivative(p))
     q, r = divmod_(p, g)
-    assert is_zero(r)
+    if not is_zero(r):
+        raise ArithmeticError(f"gcd(p, p') = {g} leaves the remainder {r} on p = {p}")
     return monic(q)
 
 

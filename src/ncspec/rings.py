@@ -16,7 +16,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product as iproduct
 from math import gcd as igcd
-from math import lcm
 
 from . import qpoly, skewpoly
 from .errors import (
@@ -94,8 +93,8 @@ class Descriptor:
     `inverse(a)` (called on units only) and `is_commutative()`; every
     payload it returns is canonical.  The defaults below fit an infinite
     carrier; a finite class overrides `cardinality()` and `elements()`
-    (every canonical payload once, in a fixed order).  `show(a)` renders
-    a payload.
+    (every canonical payload once, in a fixed order) and may override
+    `generators`.  `show(a)` renders a payload.
     """
 
     def cardinality(self):
@@ -103,6 +102,16 @@ class Descriptor:
 
     def elements(self):
         raise InfiniteRing(f"{self!r} has an infinite carrier")
+
+    @cached_property
+    def generators(self):
+        """Payloads of an additive generating set of a finite carrier.
+
+        A hom out of the ring is additive, so it is fixed by its images of
+        these.  The default is every element.  The tuple is cached on the
+        descriptor, so it lives exactly as long as the descriptor does.
+        """
+        return tuple(self.elements())
 
     def show(self, a):
         return repr(a)
@@ -132,6 +141,7 @@ class ZeroRing(Descriptor):
     def elements(self):
         return [0]
 
+    generators = ()
     show = staticmethod(str)
 
     def __repr__(self):
@@ -174,6 +184,10 @@ class ModularRing(Descriptor):
 
     def elements(self):
         return range(self.n)
+
+    @cached_property
+    def generators(self):
+        return (self.canonical(1),)
 
     show = staticmethod(str)
 
@@ -219,6 +233,13 @@ class _Componentwise(Descriptor):
 
     def elements(self):
         return iproduct(*[f.elements() for f in self.factors])
+
+    @cached_property
+    def generators(self):
+        """Each factor's generators, padded with zeros in the other factors."""
+        zeros = self.from_int(0)
+        return tuple(zeros[:i] + (g,) + zeros[i + 1:]
+                     for i, f in enumerate(self.factors) for g in f.generators)
 
 
 @dataclass(frozen=True)
@@ -289,6 +310,16 @@ class MatrixRing(Descriptor):
             return super().elements()
         return [tuple(tuple(flat[i * n + j] for j in range(n)) for i in range(n))
                 for flat in iproduct(range(q), repeat=n * n)]
+
+    @cached_property
+    def generators(self):
+        """The matrix units, which span M_n(F_p) additively."""
+        if self.base.order is None:
+            raise InfiniteRing(f"{self!r} has an infinite carrier")
+        n, z, o = self.size, self.base.scalar(0), self.base.scalar(1)
+        return tuple(tuple(tuple(o if (r, c) == (i, j) else z for c in range(n))
+                           for r in range(n))
+                     for i in range(n) for j in range(n))
 
     def __repr__(self):
         return f"M{self.size}({self.base!r})"
@@ -666,6 +697,11 @@ def enumerate_elements(r):
     return [RingElement(r, p) for p in r.elements()]
 
 
+def generator_elements(r):
+    """The additive generators of a finite ring (`Descriptor.generators`)."""
+    return [RingElement(r, p) for p in r.generators]
+
+
 def element_str(x: RingElement) -> str:
     return x.owner.show(x.payload)
 
@@ -733,13 +769,15 @@ def _cyclic_order(r):
 class Rule:
     """How a hom computes: `apply(h, x)` is h(x).
 
-    A `TableRule` is a table given from outside (a document, `induced_map`,
-    `all_homs`), and `hom_validate` checks it exhaustively.  Every other
-    rule is certified by its construction: its `check(h)` is complete, so
-    it raises NotAHomomorphism exactly when `apply` does not compute a
-    ring hom h.source -> h.target, and it looks at the descriptors and
-    the rule's data only, never at elements.  `table` is the lookup table
-    of a TableRule and None for every other rule.
+    A `TableRule` is a table.  One given from outside (a document, a test)
+    is checked exhaustively by `hom_validate`; one read off validated homs
+    by `hom_descend`, or built by `hom_compose` from validated factors, is
+    certified as built.  Every other rule is certified by its
+    construction: its `check(h)` is complete, so it raises
+    NotAHomomorphism exactly when `apply` does not compute a ring hom
+    h.source -> h.target, and it looks at the descriptors and the rule's
+    data only, never at the elements of the source.  `table` is the lookup
+    table of a TableRule and None for every other rule.
     """
 
     table = None
@@ -853,6 +891,52 @@ class SsaProjRule(Rule):
 
 
 @dataclass(frozen=True)
+class CyclicImagesRule(Rule):
+    """prod Z/n_i -> T, x -> sum_i x_i t_i, where t_i is the image of e_i.
+
+    A ring hom out of a product of cyclic rings is exactly a choice of
+    idempotents t_i that are pairwise orthogonal both ways, satisfy
+    n_i t_i = 0 and sum to 1, in any target: integers are central, so in
+    h(x) h(y) = sum x_i y_j t_i t_j only the terms i = j survive, and
+    n_i t_i = 0 makes x_i t_i independent of the residue chosen.  So the
+    O(k^2) `check` is complete.
+    """
+    images: tuple  # one target payload per cyclic factor of the source
+
+    def apply(self, h, x):
+        T = h.target
+        acc = T.from_int(0)
+        for c, t in zip(cyclic_components(x), self.images, strict=True):
+            acc = T.add(acc, T.mul(T.from_int(c), t))
+        return RingElement(T, acc)
+
+    def check(self, h):
+        mods, T = cyclic_moduli(h.source), h.target
+        if mods is None or len(mods) != len(self.images):
+            raise NotAHomomorphism(
+                f"{len(self.images)} images do not fit the factors of {h.source!r}")
+        try:
+            # apply reduces every product, so only the canonical forms matter
+            ts = [T.canonical(t) for t in self.images]
+        except (TypeError, ValueError):
+            raise NotAHomomorphism(f"the images are not elements of {T!r}") from None
+        zero = T.from_int(0)
+        for i, (n, t) in enumerate(zip(mods, ts)):
+            if T.mul(t, t) != t:
+                raise NotAHomomorphism(f"the image of e_{i} is not idempotent")
+            if T.mul(T.from_int(n), t) != zero:
+                raise NotAHomomorphism(f"{n} does not kill the image of e_{i}")
+            for j, s in enumerate(ts[:i]):
+                if T.mul(s, t) != zero or T.mul(t, s) != zero:
+                    raise NotAHomomorphism(f"the images of e_{j} and e_{i} are not orthogonal")
+        total = zero
+        for t in ts:
+            total = T.add(total, t)
+        if total != T.from_int(1):
+            raise NotAHomomorphism("the images of the e_i do not sum to 1")
+
+
+@dataclass(frozen=True)
 class PolyInsertRule(Rule):
     """Q[x] -> Q[x][1/g], p -> p/1."""
 
@@ -895,10 +979,18 @@ class SkewExpandRule(Rule):
 class RingHom:
     """A ring homomorphism with a validation certificate.
 
-    Finite-source homs canonicalize to full lookup tables, so equality of
-    validated homs with finite source is pointwise equality.  `validated`
-    is set only by `hom_validate` and by `hom_compose` (for a composite of
-    validated homs).
+    A validated hom out of a finite ring is additive, so it is fixed by
+    its `images` of the source's additive generators (`generators`: the
+    e_i of a product of cyclic rings, the matrix units of each block,
+    nothing for the zero ring).  Two validated homs with the same source
+    and target are equal iff their images are.  If either side is
+    unvalidated they compare by full table, so a validated hom still
+    compares correctly with an oracle table.  The hash is always the
+    images (equal tables give equal images), so it does not change when
+    a hom is validated or its table is filled in.  Homs out of infinite
+    rings compare by rule.  `validated` is set only by `hom_validate`,
+    `hom_compose` (a composite of validated homs) and `hom_descend` (a
+    map read off validated homs).
     """
 
     validated = False
@@ -929,16 +1021,26 @@ class RingHom:
             }
         return self._table
 
-    def key(self):
-        if is_finite(self.source):
-            return (self.source, self.target, tuple(sorted(self.as_table().items())))
-        return (self.source, self.target, self.rule)
+    @cached_property
+    def images(self):
+        """The image payloads of the source's generators (finite sources only)."""
+        return tuple(self(x).payload for x in generator_elements(self.source))
 
     def __eq__(self, other):
-        return isinstance(other, RingHom) and self.key() == other.key()
+        if not isinstance(other, RingHom):
+            return False
+        if (self.source, self.target) != (other.source, other.target):
+            return False
+        if not is_finite(self.source):
+            return self.rule == other.rule
+        if self.validated and other.validated:
+            return self.images == other.images
+        return self.as_table() == other.as_table()
 
     def __hash__(self):
-        return hash(self.key())
+        if is_finite(self.source):
+            return hash((self.source, self.target, self.images))
+        return hash((self.source, self.target, self.rule))
 
     def __repr__(self):
         return f"RingHom({self.source!r} -> {self.target!r}, {self.rule})"
@@ -1017,92 +1119,125 @@ def _check_all_pairs(h: RingHom):
 
 
 def hom_compose(g: RingHom, f: RingHom) -> RingHom:
-    """g after f, validated; finite sources produce a table.
+    """g after f, validated.
 
+    An identity factor gives the other factor itself, validated, a
+    collapse gives the collapse, and block projections compose by index.
     A composite of ring homs is a ring hom, so when f and g are both
-    validated the composite's table is certified as built.  Otherwise it
-    is checked like any other table.
+    validated the composite is certified as built: out of a product of
+    cyclic rings it is the `CyclicImagesRule` of the g(f(e_i)), whose
+    check costs O(k^2), and out of any other finite ring a table.  A
+    finite composite of unvalidated factors is a table, checked pair by
+    pair.
     """
     if f.target != g.source:
         raise CompositionMismatch(f"{f.target!r} != {g.source!r}")
+    if isinstance(f.rule, IdentityRule):
+        hom_validate(f)
+        return hom_validate(g)
+    if isinstance(g.rule, IdentityRule):
+        hom_validate(g)
+        return hom_validate(f)
+    if isinstance(f.rule, ToZeroRule) or isinstance(g.rule, ToZeroRule):
+        return to_zero_hom(f.source, g.target)
+    if isinstance(f.rule, SsaProjRule) and isinstance(g.rule, SsaProjRule):
+        hom_validate(f)
+        hom_validate(g)
+        kept = tuple(f.rule.kept[p] for p in g.rule.kept)
+        return hom_validate(RingHom(f.source, g.target, SsaProjRule(kept)))
+    if f.validated and g.validated and cyclic_moduli(f.source) is not None:
+        images = tuple(g(f(x)).payload for x in generator_elements(f.source))
+        return hom_validate(RingHom(f.source, g.target, CyclicImagesRule(images)))
     if is_finite(f.source):
         comp = hom_from_callable(f.source, g.target, lambda x: g(f(x)))
         if f.validated and g.validated:
             comp.validated = True
             return comp
         return hom_validate(comp)
-    if isinstance(f.rule, IdentityRule):
-        return hom_validate(RingHom(f.source, g.target, g.rule))
-    if isinstance(g.rule, IdentityRule):
-        return hom_validate(RingHom(f.source, g.target, f.rule))
-    if isinstance(g.rule, ToZeroRule):
-        return hom_validate(RingHom(f.source, g.target, ToZeroRule()))
     if isinstance(g.rule, (PolyFracRule, SkewExpandRule)):
         # g keeps payloads: g after f is f's rule into g's target, checked by that rule
         return hom_validate(RingHom(f.source, g.target, f.rule))
-    if isinstance(f.rule, SsaProjRule) and isinstance(g.rule, SsaProjRule):
-        kept = tuple(f.rule.kept[p] for p in g.rule.kept)
-        return hom_validate(RingHom(f.source, g.target, SsaProjRule(kept)))
     raise UnsupportedClass(f"cannot compose {f.rule!r} with {g.rule!r}")
 
 
+def descend(pairs, size, error, clash, partial) -> dict:
+    """The table map read off (key, value) pairs.
+
+    Raises error(clash) when a key meets two values and error(partial)
+    when the keys miss some of the `size` elements of the domain.
+    """
+    table = {}
+    for key, val in pairs:
+        if key in table and table[key] != val:
+            raise error(clash)
+        table[key] = val
+    if len(table) != size:
+        raise error(partial)
+    return table
+
+
+def hom_descend(alpha: RingHom, psi: RingHom) -> RingHom:
+    """The hom phi with phi after alpha = psi, read off the pairs (alpha(x), psi(x)).
+
+    alpha and psi are homs out of one finite ring R, validated first.
+    When no alpha(x) meets two values and every element of alpha's target
+    is met (alpha is onto), phi is a ring hom by construction:
+    phi(alpha(x)) + phi(alpha(y)) = psi(x) + psi(y) = psi(x + y)
+    = phi(alpha(x) + alpha(y)), likewise for products, and
+    phi(1) = psi(1) = 1.  So it is certified after |R| evaluations, not
+    |R|^2.  Raises UnsupportedClass otherwise.
+    """
+    if alpha.source != psi.source:
+        raise CompositionMismatch(f"{alpha.source!r} != {psi.source!r}")
+    hom_validate(alpha)
+    hom_validate(psi)
+    pairs = ((alpha(x).payload, psi(x).payload) for x in enumerate_elements(alpha.source))
+    table = descend(pairs, cardinality(alpha.target), UnsupportedClass,
+                    f"{psi!r} is not constant on the fibres of {alpha!r}",
+                    f"{alpha!r} is not onto")
+    phi = RingHom(alpha.target, psi.target, TableRule(tuple(sorted(table.items()))))
+    phi.validated = True
+    return phi
+
+
 # ---------------------------------------------------------------------------
-# exhaustive hom enumeration (finite commutative classes)
+# hom enumeration (finite commutative classes)
 
 @lru_cache(maxsize=None)
 def all_homs(source, target) -> tuple:
-    """Every unital ring homomorphism source -> target, as validated table homs.
+    """Every unital ring homomorphism source -> target, validated.
 
     Supported for the zero ring and finite products of cyclic rings; a hom
     out of a product is determined by an orthogonal idempotent
     decomposition of 1 in the target, one idempotent per factor, killed by
-    the factor's characteristic.
+    the factor's characteristic.  Each such choice is a `CyclicImagesRule`,
+    certified by its check.
     """
-    if is_zero_ring(source):
-        if is_zero_ring(target):
-            return (hom_validate(hom_from_callable(source, target, lambda x: zero(target))),)
-        return ()
     if is_zero_ring(target):
-        return (hom_validate(hom_from_callable(source, target, lambda x: zero(target))),)
+        return (to_zero_hom(source, target),)
+    if is_zero_ring(source):
+        return ()
     mods = cyclic_moduli(source)
     if mods is None or cyclic_moduli(target) is None:
         raise UnsupportedClass(
             f"hom enumeration needs products of cyclic rings, got {source!r} -> {target!r}")
-    targets = enumerate_elements(target)
-    idem = [t for t in targets if t * t == t]
+    z = zero(target)
+    idem = [t for t in enumerate_elements(target) if t * t == t]
     out = []
-
-    def scalar_mult(k, t):
-        acc = zero(target)
-        for _ in range(k % _exponent(target)):
-            acc = acc + t
-        return acc
 
     def rec(i, chosen, remaining):
         if i == len(mods):
-            if remaining != zero(target):
-                return
-            def fn(x, chosen=tuple(chosen)):
-                acc = zero(target)
-                for v, t in zip(cyclic_components(x), chosen):
-                    acc = acc + scalar_mult(v, t)
-                return acc
-            try:
-                out.append(hom_validate(hom_from_callable(source, target, fn)))
-            except NotAHomomorphism:
-                pass
+            if remaining == z:
+                rule = CyclicImagesRule(tuple(t.payload for t in chosen))
+                out.append(hom_validate(RingHom(source, target, rule)))
             return
         for t in idem:
             # orthogonal to everything chosen, killed by the factor modulus
-            if any((t * c) != zero(target) for c in chosen):
+            if any((t * c) != z for c in chosen):
                 continue
-            if scalar_mult(mods[i], t) != zero(target):
+            if from_int(target, mods[i]) * t != z:
                 continue
             rec(i + 1, chosen + [t], remaining - t)
 
     rec(0, [], one(target))
     return tuple(out)
-
-
-def _exponent(r) -> int:
-    return lcm(*cyclic_moduli(r))

@@ -231,7 +231,7 @@ class RingedSpaceMorphism:
         return (
             self.source.ring, self.target.ring,
             tuple(sorted(self.point_map.items())),
-            tuple(sorted((j, h.key()) for j, h in self.comap.items())),
+            tuple(sorted(self.comap.items(), key=lambda jh: jh[0])),
         )
 
     def __eq__(self, other):

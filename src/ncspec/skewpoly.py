@@ -82,7 +82,8 @@ def monomial(nvars: int, exps, coeff=1) -> Terms:
     if c == 0:
         return {}
     e = tuple(exps)
-    assert len(e) == nvars
+    if len(e) != nvars:
+        raise ValueError(f"exponent {e} has {len(e)} entries, not {nvars}")
     return {e: c}
 
 

@@ -237,7 +237,9 @@ def chart_ring_descriptor(r: SkewLaurentRing, i: int):
             ba = skewpoly.mul(lam, {ub: Fraction(1)}, {ua: Fraction(1)})
             (e1, c1), = ab.items()
             (e2, c2), = ba.items()
-            assert e1 == e2
+            if e1 != e2:
+                raise UnsupportedClass(
+                    f"chart generators {ua} and {ub} of {r!r} do not quasi-commute")
             table[(a, b)] = c1 / c2
     return skew_ring(len(gens), table), tuple(gens)
 

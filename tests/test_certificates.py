@@ -115,11 +115,9 @@ def test_composite_with_an_unvalidated_non_hom_is_rejected():
     assert h.validated and h == rg.quotient_hom(12, 3)
 
 
-@pytest.mark.parametrize("ring,points", [
-    (ModularRing(210), 16),
-    (SemisimpleAlgebra(F2, (1, 1, 1, 1, 1)), 32),
-])
-def test_ncspec_makes_no_pairwise_checks(monkeypatch, ring, points):
+@pytest.fixture
+def pairwise_calls(monkeypatch):
+    """The homs checked pair by pair from here on, with every hom cache cleared."""
     calls = []
     check_all_pairs = rg._check_all_pairs
 
@@ -130,9 +128,35 @@ def test_ncspec_makes_no_pairwise_checks(monkeypatch, ring, points):
     monkeypatch.setattr(rg, "_check_all_pairs", counted)
     monkeypatch.setattr(sheafspec, "_ncspec_cache", {})
     localization._localize_cached.cache_clear()
+    rg.all_homs.cache_clear()
+    return calls
+
+
+@pytest.mark.parametrize("ring,points", [
+    (ModularRing(210), 16),
+    (SemisimpleAlgebra(F2, (1, 1, 1, 1, 1)), 32),
+])
+def test_ncspec_makes_no_pairwise_checks(pairwise_calls, ring, points):
+    calls = pairwise_calls
     assert sheafspec.ncspec(ring).point_count() == points
     assert calls == []
     # the counter sees the tables that are still checked pairwise
     z4, z2 = ModularRing(4), ModularRing(2)
     rg.hom_validate(rg.hom_from_callable(z4, z2, lambda x: rg.element(z2, x.payload)))
     assert len(calls) == 1
+
+
+def test_a_quotient_query_makes_no_pairwise_checks(pairwise_calls):
+    # the queries of a warm session: the induced morphism, its check, its
+    # primness with the pushout probes, and the recovered hom
+    theta = rg.quotient_hom(30, 6)
+    m = sheafspec.ncspec_morphism(theta)
+    assert m.verify()
+    report = sheafspec.is_prim_report(m)
+    assert report["prim"] and report["probes"] == [
+        "0-ring", "Z/30", "Z/15", "Z/10", "Z/6", "Z/5", "Z/3", "Z/2"]
+    assert sheafspec.recover_hom(m) == theta
+    probes = sheafspec.default_prim_probes(m)
+    homs = [h for S in probes for T in probes for h in rg.all_homs(S, T)]
+    assert len(homs) > len(probes) and all(h.validated for h in homs)
+    assert pairwise_calls == []

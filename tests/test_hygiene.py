@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import pytest
+from conftest import python_stdout
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ncspec"
 
@@ -67,11 +68,12 @@ def test_validated_writer_detector():
 
 
 def test_only_validation_and_composition_certify_homs():
-    # a hom is marked validated only after a check or by composing validated homs
+    # a hom is marked validated only after a check, by composing validated
+    # homs, or by descending one validated hom through another
     for path in sorted(PACKAGE.glob("*.py")):
         writers = validated_writers(path.read_text(encoding="utf-8"))
         if path.name == "rings.py":
-            assert sorted(set(writers)) == ["hom_compose", "hom_validate"]
+            assert sorted(set(writers)) == ["hom_compose", "hom_descend", "hom_validate"]
         else:
             assert writers == [], path.name
 
@@ -104,7 +106,40 @@ def test_module_layer_checks_are_not_asserts():
     assert set(owners) <= {"_certify_ore_skew"}
 
 
-@pytest.mark.parametrize("name", ["commbridge.py", "latspace.py", "sheafspec.py"])
+@pytest.mark.parametrize("name", ["commbridge.py", "latspace.py", "sheafspec.py", "rings.py",
+                                  "localization.py", "qpoly.py", "skewpoly.py", "skewproj.py"])
 def test_bridge_and_sheaf_checks_are_not_asserts(name):
     # every check in these modules must survive python -O
     assert assert_owners((PACKAGE / name).read_text(encoding="utf-8")) == []
+
+
+# The former asserts of qpoly, skewpoly and skewproj, as typed errors that
+# survive python -O.  The first and last guard facts of exact arithmetic,
+# so a broken gcd or product stands in for the failure.
+ARITHMETIC_CHECKS = """
+from ncspec import qpoly, skewpoly, skewproj
+from ncspec import rings as rg
+from ncspec.errors import UnsupportedClass
+
+
+def error_name(fn, *args):
+    try:
+        fn(*args)
+    except (ArithmeticError, ValueError, UnsupportedClass) as exc:
+        return type(exc).__name__
+    return None
+
+
+print(error_name(skewpoly.monomial, 2, (1, 2, 3)))
+qpoly.gcd = lambda p, q: qpoly.poly([1, 1])
+print(error_name(qpoly.squarefree_part, qpoly.poly([0, 0, 1])))
+skewpoly.mul = lambda lam, p, q: dict(p)
+ring = rg.skew_ring(3, {(0, 1): 2, (0, 2): 3, (1, 2): 5})
+print(error_name(skewproj.chart_ring_descriptor, ring, 0))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_polynomial_invariants_are_typed_errors(flags):
+    out = python_stdout(flags, ARITHMETIC_CHECKS)
+    assert out.split() == ["ValueError", "ArithmeticError", "UnsupportedClass"]

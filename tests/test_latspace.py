@@ -24,6 +24,7 @@ from ncspec.errors import (
 )
 from ncspec.latspace import (
     AlexandrovSpace,
+    LocalizationLattice,
     PidLattice,
     build_semilattice,
     generic_pid_point,
@@ -245,6 +246,22 @@ def test_typed_law_checks_match_the_oracle_on_perturbed_orders(rng):
                             X.join(a, b)
                     else:
                         assert X.join(a, b) == want
+
+
+def test_join_check_rejects_every_changed_order_of_a_grid_lattice():
+    # the ring fixes the join of two cells (the cell of the union), and the
+    # joins fix the order, so each single-entry change of a grid order must
+    # be rejected, although the join check visits each unordered pair once
+    for lat in grid_lattices():
+        if lat.n > 16:
+            continue
+        up = lat.space.up
+        LocalizationLattice(lat.ring, lat.cells, list(up), lat._key_of_element)
+        for i in range(lat.n):
+            for j in range(lat.n):
+                changed = list(toggled(up, i, j))
+                with pytest.raises((NotAPartialOrder, NotJoinPreserving, UnsupportedClass)):
+                    LocalizationLattice(lat.ring, lat.cells, changed, lat._key_of_element)
 
 
 def test_irreducible_closed_sets_match_bruteforce():
