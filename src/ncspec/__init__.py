@@ -17,6 +17,7 @@ from . import (  # noqa: F401
     latspace,
     localization,
     qpoly,
+    records,
     rings,
     serialize,
     sheafspec,
@@ -31,6 +32,7 @@ __all__ = [
     "latspace",
     "localization",
     "qpoly",
+    "records",
     "rings",
     "serialize",
     "sheafspec",

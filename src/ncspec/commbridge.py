@@ -8,7 +8,6 @@ spectra this reproduces the sober localization space exactly, which is
 what the bridge checks.
 """
 
-from dataclasses import dataclass
 from itertools import product as iproduct
 
 from . import rings as rg
@@ -21,6 +20,7 @@ from .errors import (
     NotTComplete,
     UnsupportedClass,
 )
+from .records import record
 from .rings import RingElement, RingHom, hom_validate
 from .sheafspec import NCSpecSpace, ncspec
 
@@ -28,7 +28,7 @@ from .sheafspec import NCSpecSpace, ncspec
 # ---------------------------------------------------------------------------
 # prime spectra
 
-@dataclass
+@record
 class PrimeSpectrum:
     ring: object
     primes: tuple          # each prime is a frozenset of RingElement
@@ -76,7 +76,7 @@ def spec(r) -> PrimeSpectrum:
 # ---------------------------------------------------------------------------
 # based spaces and the exponential
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BasedSpace:
     """A finite T0 space presented by a multiplicative base of opens."""
 
@@ -105,7 +105,7 @@ class BasedSpace:
         return frozenset(i for i, B in enumerate(self.base) if subset <= B)
 
 
-@dataclass
+@record
 class ExponentialSpace:
     """The exponential of a based space: subsets modulo base signature."""
 
@@ -193,7 +193,7 @@ def _check_t_complete_semilattice(E: ExponentialSpace):
 # ---------------------------------------------------------------------------
 # bridging Spec and the sober localization space
 
-@dataclass
+@record
 class SpecEmbedding:
     spectrum: PrimeSpectrum
     space: NCSpecSpace
@@ -376,7 +376,7 @@ def exp_idempotence_check(X: BasedSpace) -> bool:
 # ---------------------------------------------------------------------------
 # the universal property of the exponential
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TCompleteLattice:
     """A finite T-complete join-semilattice: based space plus order."""
 

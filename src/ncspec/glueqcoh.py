@@ -10,7 +10,6 @@ spaces are plain lookup tables checked against the identity, inverse,
 triple, and semilinearity conditions.
 """
 
-from dataclasses import dataclass
 from itertools import product as iproduct
 from math import gcd, prod
 
@@ -33,6 +32,7 @@ from .localization import (
     connecting_map,
     localize,
 )
+from .records import record
 from .rings import (
     ModularRing,
     RingElement,
@@ -48,7 +48,7 @@ from . import skewpoly
 # ---------------------------------------------------------------------------
 # Ore certification
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OreCertificate:
     ring: object
     subset: tuple
@@ -142,7 +142,7 @@ def _certify_ore_skew(r, E, bound, side) -> OreCertificate:
 # ---------------------------------------------------------------------------
 # finite modules and base change
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FiniteModule:
     """A finite module over Z/n: a sum of cyclic groups Z/d_i with d_i | n.
 
@@ -196,7 +196,7 @@ def free_module(r: ModularRing) -> FiniteModule:
     return FiniteModule(r, (r.n,)) if r.n > 1 else FiniteModule(r, ())
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ModuleHom:
     source: FiniteModule
     target: FiniteModule
@@ -223,7 +223,7 @@ def module_homs(M: FiniteModule, N: FiniteModule):
     return [ModuleHom(M, N, combo) for combo in iproduct(*pools)]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TensorModule:
     """Base change of a finite module along a hom into a product of cyclics.
 
@@ -308,7 +308,7 @@ def tensor_induced(T1: TensorModule, T2: TensorModule, f: ModuleHom):
 # ---------------------------------------------------------------------------
 # module sheaves on an affine space
 
-@dataclass
+@record
 class ModuleSheaf:
     """The sheaf of base-changed modules on the basic opens of an affine space."""
 
@@ -404,7 +404,7 @@ def tensor_sequence_report(theta: RingHom, f: ModuleHom, g: ModuleHom) -> dict:
 # ---------------------------------------------------------------------------
 # gluing along localization isomorphisms
 
-@dataclass
+@record
 class ChartIso:
     """The basic open at a subset against the space of the localization."""
 
@@ -470,7 +470,7 @@ def ore_chart_iso(r, E, certificate: OreCertificate = None) -> ChartIso:
     return ChartIso(sp, L, spL, cell_map, report)
 
 
-@dataclass
+@record
 class GlueDatum:
     """Pieces with overlap subsets and ring isomorphisms between the
     localizations, in the style of gluing along Ore charts."""
@@ -480,7 +480,7 @@ class GlueDatum:
     ring_isos: dict          # (a, b) -> RingHom loc(R_a, E_ab) -> loc(R_b, E_ba)
 
 
-@dataclass
+@record
 class GluedSpace:
     pieces: tuple            # NCSpecSpace per index
     classes: tuple           # frozensets of (piece index, point index)
@@ -653,7 +653,7 @@ def _extend_iso(d: GlueDatum, locs, a, b, c) -> dict:
 # ---------------------------------------------------------------------------
 # quasicoherent data over glued pieces
 
-@dataclass
+@record
 class QcohDatum:
     """Chart modules with cocycle tables over the overlap localizations."""
 

@@ -12,7 +12,6 @@ Q[x] gets a lazy lattice driven by squarefree divisibility plus the
 symbolic point model for its soberification.
 """
 
-from dataclasses import dataclass, field
 
 from . import qpoly
 from . import rings as rg
@@ -24,6 +23,7 @@ from .errors import (
     UnsupportedClass,
 )
 from .localization import Localization, idempotent_power, localize
+from .records import field, record
 from .rings import (
     MatrixRing,
     RingElement,
@@ -36,7 +36,7 @@ from .rings import (
 # ---------------------------------------------------------------------------
 # finite posets with the Alexandrov topology
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AlexandrovSpace:
     """A finite poset; opens are exactly the upper sets.
 
@@ -190,7 +190,7 @@ def sober_map_from_join_hom(P: AlexandrovSpace, Q: AlexandrovSpace, f):
 # ---------------------------------------------------------------------------
 # the localization semilattice
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LocalizationCell:
     representative: tuple      # subset E of the ambient ring
     localized: Localization
@@ -237,7 +237,7 @@ class LocalizationLattice:
         if not E:
             return self.bottom
         if rg.is_commutative(self.ring):
-            f = rg.one(self.ring)
+            f = self.ring.one
             for a in E:
                 f = f * a
             return self.cell_of_element(f)
@@ -384,7 +384,7 @@ class PidLattice:
         return self.join_keys(self.cell_key(h), self.cell_key(g))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PidPoint:
     """A point of the soberification of the Q[x] lattice.
 

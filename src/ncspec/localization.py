@@ -14,7 +14,6 @@ the image of B, so `_localized` is the only per-class code.
 """
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd as igcd
 
@@ -26,6 +25,7 @@ from .errors import (
     UnsupportedClass,
     UnverifiableSquare,
 )
+from .records import record
 from .rings import (
     CommLocRule,
     IdentityRule,
@@ -49,7 +49,7 @@ from .rings import (
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Localization:
     source: object
     subset: tuple                 # the localized elements, canonical order
@@ -249,7 +249,7 @@ def induced_map(theta: RingHom, A) -> RingHom:
     raise UnsupportedClass(f"induced map unsupported for {theta!r}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LocalizationSquare:
     """A commuting square of ring homs.
 

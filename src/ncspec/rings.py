@@ -11,7 +11,6 @@ functions check ownership and delegate.
 """
 
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product as iproduct
@@ -27,12 +26,13 @@ from .errors import (
     NotAHomomorphism,
     UnsupportedClass,
 )
+from .records import FrozenInstanceError, field, record
 
 
 # ---------------------------------------------------------------------------
 # field tags
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Rationals:
     """The field Q: scalars are Fractions; `order` is None (infinite)."""
 
@@ -49,7 +49,7 @@ class Rationals:
         return "Q"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PrimeField:
     """The field F_p: scalars are ints in range(p); `order` is p."""
 
@@ -94,7 +94,8 @@ class Descriptor:
     payload it returns is canonical.  The defaults below fit an infinite
     carrier; a finite class overrides `cardinality()` and `elements()`
     (every canonical payload once, in a fixed order) and may override
-    `generators`.  `show(a)` renders a payload.
+    `generators`.  `show(a)` renders a payload.  `one` and `zero` are
+    the elements 1 and 0, built once per descriptor.
     """
 
     def cardinality(self):
@@ -113,11 +114,21 @@ class Descriptor:
         """
         return tuple(self.elements())
 
+    @cached_property
+    def one(self):
+        """The element 1, built once per descriptor."""
+        return RingElement(self, self.from_int(1))
+
+    @cached_property
+    def zero(self):
+        """The element 0, built once per descriptor."""
+        return RingElement(self, self.from_int(0))
+
     def show(self, a):
         return repr(a)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ZeroRing(Descriptor):
     def canonical(self, payload):
         return 0
@@ -148,7 +159,7 @@ class ZeroRing(Descriptor):
         return "0-ring"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ModularRing(Descriptor):
     n: int
 
@@ -242,7 +253,7 @@ class _Componentwise(Descriptor):
                      for i, f in enumerate(self.factors) for g in f.generators)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ProductRing(_Componentwise):
     factors: tuple
 
@@ -259,7 +270,7 @@ class ProductRing(_Componentwise):
         return " x ".join(repr(f) for f in self.factors)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MatrixRing(Descriptor):
     base: object
     size: int
@@ -325,7 +336,7 @@ class MatrixRing(Descriptor):
         return f"M{self.size}({self.base!r})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SemisimpleAlgebra(_Componentwise):
     base: object
     dims: tuple
@@ -348,7 +359,7 @@ class SemisimpleAlgebra(_Componentwise):
         return " x ".join(f"M{d}({self.base!r})" for d in self.dims)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class UnivariatePolyRing(Descriptor):
     canonical = staticmethod(qpoly.poly)
     add = staticmethod(qpoly.add)
@@ -372,7 +383,7 @@ class UnivariatePolyRing(Descriptor):
         return "Q[x]"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LocalizedPolyRing(Descriptor):
     """Q[x] with a squarefree monic denominator inverted (symbolic fraction class)."""
 
@@ -420,7 +431,7 @@ class LocalizedPolyRing(Descriptor):
         return f"Q[x][1/({qpoly.to_string(self.denominator)})]"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SkewLaurentRing(Descriptor):
     nvars: int
     lam: tuple  # sorted tuple of ((i, j), Fraction) for 0 <= i < j < nvars
@@ -564,10 +575,38 @@ def mat_inv(base, A):
 # ---------------------------------------------------------------------------
 # elements
 
-@dataclass(frozen=True)
 class RingElement:
-    owner: object
-    payload: object
+    """An element: its owner descriptor and a canonical payload.
+
+    A frozen value class written out by hand, with `__slots__`, because
+    a session builds elements by the hundred thousand.  It behaves as
+    `@record(frozen=True)` with the fields `owner` and `payload` would,
+    and `repr` is the owner's rendering of the payload.
+    """
+
+    __slots__ = ("owner", "payload")
+    __match_args__ = __slots__
+
+    def __init__(self, owner, payload):
+        _set_owner(self, owner)
+        _set_payload(self, payload)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.owner, self.payload) == (other.owner, other.payload)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.owner, self.payload))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return RingElement, (self.owner, self.payload)
 
     def __add__(self, other):
         return add(self.owner, self, other)
@@ -585,9 +624,13 @@ class RingElement:
         return element_str(self)
 
 
+_set_owner = RingElement.owner.__set__
+_set_payload = RingElement.payload.__set__
+
+
 def _check_owner(r, *xs):
     for x in xs:
-        if x.owner != r:
+        if x.owner is not r and x.owner != r:
             raise ElementOwnershipMismatch(f"element of {x.owner!r} used in {r!r}")
 
 
@@ -608,11 +651,11 @@ def element(r, payload) -> RingElement:
 
 
 def zero(r) -> RingElement:
-    return from_int(r, 0)
+    return r.zero
 
 
 def one(r) -> RingElement:
-    return from_int(r, 1)
+    return r.one
 
 
 def from_int(r, k: int) -> RingElement:
@@ -783,7 +826,7 @@ class Rule:
     table = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TableRule(Rule):
     pairs: tuple  # sorted tuple of (source payload, target payload)
     table: dict = field(init=False, repr=False, compare=False)
@@ -795,7 +838,7 @@ class TableRule(Rule):
         return RingElement(h.target, self.table[x.payload])
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IdentityRule(Rule):
     def apply(self, h, x):
         return RingElement(h.target, x.payload)
@@ -805,7 +848,7 @@ class IdentityRule(Rule):
             raise NotAHomomorphism("identity rule between distinct descriptors")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ToZeroRule(Rule):
     def apply(self, h, x):
         return zero(h.target)
@@ -815,7 +858,7 @@ class ToZeroRule(Rule):
             raise NotAHomomorphism("collapse rule into a nonzero ring")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class QuotientRule(Rule):
     """Z/n -> Z/m for m | n, r -> r mod m."""
     m: int
@@ -834,7 +877,7 @@ class QuotientRule(Rule):
             raise NotAHomomorphism(f"quotient rule lands in Z/{e}, not in {h.target!r}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CommLocRule(Rule):
     """Finite commutative localization insertion r -> e r in canonical coordinates.
 
@@ -868,7 +911,7 @@ class CommLocRule(Rule):
                 f"localization rule {self.kept} does not land in {h.target!r}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SsaProjRule(Rule):
     """Semisimple localization insertion a -> a * sum of kept idempotents."""
     kept: tuple
@@ -890,7 +933,7 @@ class SsaProjRule(Rule):
             raise NotAHomomorphism(f"projection lands in {image!r}, not {h.target!r}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CyclicImagesRule(Rule):
     """prod Z/n_i -> T, x -> sum_i x_i t_i, where t_i is the image of e_i.
 
@@ -936,7 +979,7 @@ class CyclicImagesRule(Rule):
             raise NotAHomomorphism("the images of the e_i do not sum to 1")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PolyInsertRule(Rule):
     """Q[x] -> Q[x][1/g], p -> p/1."""
 
@@ -949,7 +992,7 @@ class PolyInsertRule(Rule):
             raise NotAHomomorphism("insertion rule shape mismatch")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PolyFracRule(Rule):
     """Q[x][1/g1] -> Q[x][1/g2] (requires sf(g1) | g2): identity on fractions."""
 
@@ -962,7 +1005,7 @@ class PolyFracRule(Rule):
             raise NotAHomomorphism("denominator does not invert in the target cell")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SkewExpandRule(Rule):
     """Skew ring into the same ring with a larger inverted cone."""
 
@@ -1002,7 +1045,7 @@ class RingHom:
         self._table = rule.table
 
     def __call__(self, x: RingElement) -> RingElement:
-        if x.owner != self.source:
+        if x.owner is not self.source and x.owner != self.source:
             raise ElementOwnershipMismatch(f"{x!r} is not in {self.source!r}")
         if self._table is not None:
             return RingElement(self.target, self._table[x.payload])
@@ -1095,10 +1138,11 @@ def hom_validate(h: RingHom) -> RingHom:
     by_table = isinstance(h.rule, TableRule)
     if not by_table:
         h.rule.check(h)
-    if h(one(h.source)) != one(h.target):
-        raise IdentityNotPreserved(f"1 -> {h(one(h.source))!r}", witness=one(h.source))
-    if h(zero(h.source)) != zero(h.target):
-        raise NotAHomomorphism("0 not preserved", witness=zero(h.source))
+    source, target = h.source, h.target
+    if h(source.one) != target.one:
+        raise IdentityNotPreserved(f"1 -> {h(source.one)!r}", witness=source.one)
+    if h(source.zero) != target.zero:
+        raise NotAHomomorphism("0 not preserved", witness=source.zero)
     if by_table:
         _check_all_pairs(h)
     h.validated = True

@@ -9,7 +9,6 @@ local factors (the blocks, for a semisimple algebra) in the union of the
 supports of its charts.
 """
 
-from dataclasses import dataclass, field
 
 from . import rings as rg
 from .errors import (
@@ -37,6 +36,7 @@ from .localization import (
     is_pushout,
     localize,
 )
+from .records import field, record
 from .rings import (
     RingHom,
     SemisimpleAlgebra,
@@ -48,13 +48,13 @@ from .rings import (
 )
 
 
-@dataclass
+@record
 class SheafOnBase:
     """Ring-valued sheaf data on the principal upper sets of a lattice."""
 
     lattice: LocalizationLattice
     assignment: tuple                 # cell index -> descriptor
-    _res_cache: dict = field(default_factory=dict)
+    _res_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def restriction(self, i: int, j: int) -> RingHom:
         """res from the basic open at cell i into the smaller one at cell j >= i."""
@@ -86,7 +86,7 @@ class SheafOnBase:
                             f"restrictions {i} -> {j} -> {k} fail to compose")
 
 
-@dataclass
+@record
 class NCSpecSpace:
     """The sober ringed space of a ring with its sheaf on the basic opens.
 
@@ -138,7 +138,7 @@ def ncspec(r) -> "NCSpecSpace | PidNCSpec":
     return sp
 
 
-@dataclass
+@record
 class PidNCSpec:
     """Q[x]: the lazy lattice plus the symbolic point model of the sober space."""
 
@@ -186,7 +186,7 @@ def sections(sp: NCSpecSpace, U):
 # ---------------------------------------------------------------------------
 # morphisms of the sober ringed spaces
 
-@dataclass
+@record
 class RingedSpaceMorphism:
     """point_map sends points of the source space to the target's;
     comap[j] is the ring map on the basic open at target cell j."""

@@ -11,7 +11,6 @@ exact linear system forcing chart elements to agree in every pairwise
 overlap; a stability re-run with a deeper box guards the truncation.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import skewpoly
@@ -26,6 +25,7 @@ from .errors import (
     UnsupportedClass,
 )
 from .linalg import Echelon, kernel_basis
+from .records import record
 from .rings import RingElement, SkewLaurentRing, UnivariatePolyRing, skew_ring
 
 
@@ -45,7 +45,7 @@ def twist_scalar(r: SkewLaurentRing, a, b) -> Fraction:
 # ---------------------------------------------------------------------------
 # graded presentations
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GradedModulePresentation:
     """Generators with degrees and homogeneous relation rows (one skew
     polynomial per generator, padded with zero)."""
@@ -129,7 +129,7 @@ def graded_piece_basis(r: SkewLaurentRing, inverted, d: int, box: int):
     return _cone(r.nvars, frozenset(inverted), d, box)
 
 
-@dataclass
+@record
 class RawSpace:
     """Degree-d monomial columns over a cone plus the relation echelon."""
 
@@ -170,7 +170,7 @@ def _raw_space(pres: GradedModulePresentation, S, d: int, box: int) -> RawSpace:
     return RawSpace(tuple(columns), index, ech)
 
 
-@dataclass
+@record
 class StablePiece:
     """Image of the depth-box space inside the deeper space at box + k_max."""
 
@@ -203,7 +203,7 @@ def _map_into(piece_vec, src: RawSpace, dst: RawSpace):
 # ---------------------------------------------------------------------------
 # the Proj cover
 
-@dataclass
+@record
 class ProjSpace:
     ring: SkewLaurentRing
     chart_rings: tuple       # descriptor per chart (the degree-zero subring)
@@ -321,7 +321,7 @@ def build_proj(r: SkewLaurentRing) -> ProjSpace:
 # ---------------------------------------------------------------------------
 # quasicoherent data and twists over the Proj cover
 
-@dataclass
+@record
 class SkewQcohDatum:
     """Chart modules identified through the ambient localization; the
     cocycles are rational multiples of that canonical identification."""
@@ -351,7 +351,7 @@ def _require_cocycles(d: SkewQcohDatum, degree: int):
                                witness=rep["failures"])
 
 
-@dataclass
+@record
 class TwistedSheaf:
     base: SkewQcohDatum
     n: int
@@ -430,7 +430,7 @@ def _base_changed_span(M, piece: StablePiece, ov: StablePiece, S, box) -> Echelo
 # ---------------------------------------------------------------------------
 # global sections
 
-@dataclass
+@record
 class SectionSpace:
     """Solutions of the overlap-compatibility system in one degree."""
 

@@ -1,5 +1,6 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import dataclasses
 import os
 import random
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 
 from ncspec import rings as rg
 from ncspec.localization import canonical_modular_product, localize, subgroup_closure
+from ncspec.records import _MISSING
 from ncspec.rings import MatrixRing, ModularRing, PrimeField, SemisimpleAlgebra, ZeroRing
 
 
@@ -22,6 +24,28 @@ def python_stdout(flags, source) -> str:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, *flags, "-c", source], env=env,
                           capture_output=True, text=True, check=True).stdout
+
+
+def dataclass_twin(cls, frozen: bool):
+    """The `dataclasses` class with the fields, bases and own methods of record cls.
+
+    The members `record` made (functions of `ncspec.records`) are left
+    out, so `dataclass` makes its own; a method the class defines itself,
+    such as `__repr__` or `__post_init__`, is kept.
+    """
+    made = ("__dict__", "__weakref__", "__match_args__", "__record_fields__")
+    ns = {k: v for k, v in vars(cls).items()
+          if k not in made and (k, v) != ("__hash__", None)
+          and getattr(v, "__module__", None) != "ncspec.records"}
+    for name, f in cls.__record_fields__.items():
+        spec = {"init": f.init, "repr": f.repr, "compare": f.compare}
+        if f.default is not _MISSING:
+            spec["default"] = f.default
+        if f.default_factory is not _MISSING:
+            spec["default_factory"] = f.default_factory
+        ns[name] = dataclasses.field(**spec)
+    ns["__qualname__"] = cls.__qualname__
+    return dataclasses.dataclass(frozen=frozen)(type(cls.__name__, cls.__bases__, ns))
 
 
 def brute_is_unit(r, x) -> bool:

@@ -143,3 +143,36 @@ print(error_name(skewproj.chart_ring_descriptor, ring, 0))
 def test_polynomial_invariants_are_typed_errors(flags):
     out = python_stdout(flags, ARITHMETIC_CHECKS)
     assert out.split() == ["ValueError", "ArithmeticError", "UnsupportedClass"]
+
+
+def generated_code(source: str) -> list:
+    """Imports of `dataclasses` and calls of `exec`, `eval` or `compile`, by line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names if a.name == "dataclasses"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            found.append((node.lineno, "dataclasses"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("exec", "eval", "compile")):
+            found.append((node.lineno, node.func.id))
+    return found
+
+
+def test_generated_code_detector():
+    src = "import dataclasses\nfrom dataclasses import field\nexec('1')\nx.eval(2)\ncompile(s)\n"
+    assert generated_code(src) == [(1, "dataclasses"), (2, "dataclasses"), (3, "exec"),
+                                   (5, "compile")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_generated_code(path):
+    # value classes come from ncspec.records, which compiles nothing
+    assert generated_code(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_import_loads_no_code_generation_modules():
+    out = python_stdout([], "import sys, ncspec.cli\n"
+                            "print(*[m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize')"
+                            " if m in sys.modules])")
+    assert out.split() == []

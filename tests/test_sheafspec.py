@@ -358,6 +358,15 @@ def test_restriction_needs_a_smaller_basic_open():
         sp.sheaf.restriction(two, three)
 
 
+def test_sheaf_equals_a_fresh_twin_after_a_restriction():
+    # the restriction cache takes part in neither == nor repr
+    sp = z6_space()
+    twin = sheafspec.SheafOnBase(sp.lattice, sp.sheaf.assignment)
+    sp.sheaf.restriction(sp.lattice.bottom, sp.lattice.top)
+    assert sp.sheaf._res_cache and not twin._res_cache
+    assert sp.sheaf == twin and repr(sp.sheaf) == repr(twin)
+
+
 # Wrong cell maps under the identity of Z/6: one breaks join preservation,
 # the other swaps the two middle cells so the comaps land in the wrong
 # sections.  A restriction to an open that is not smaller is refused too.
