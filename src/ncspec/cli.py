@@ -37,12 +37,16 @@ def _report(subcommand, status, payload, provenance=None):
 
 
 def _emit(args, report, dot=None, text=None):
-    if args.format == "dot" and dot is not None:
-        sys.stdout.write(dot)
-    elif args.format == "text" and text is not None:
-        sys.stdout.write(text)
+    """Write the report in the requested format; a format with no rendering
+    for this report raises ParseError."""
+    if args.format == "json":
+        out = json.dumps(report, indent=2, sort_keys=False) + "\n"
     else:
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=False) + "\n")
+        out = dot if args.format == "dot" else text
+        if out is None:
+            raise ParseError(f"{args.subcommand} has no {args.format} rendering "
+                             f"for this input; use --format json")
+    sys.stdout.write(out)
     return 0 if report["status"] == "pass" else 1
 
 

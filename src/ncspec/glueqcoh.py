@@ -511,6 +511,12 @@ def glue(d: GlueDatum) -> GluedSpace:
         iso = d.ring_isos[(a, b)]
         ca = ore_chart_iso(d.pieces[a], tuple(E))
         cb = ore_chart_iso(d.pieces[b], tuple(d.overlaps[(b, a)]))
+        for piece, chart in ((a, ca), (b, cb)):
+            if chart.report["status"] != "pass":
+                failed = sorted(key for key, ok in chart.report.items() if ok is False)
+                raise CocycleViolation(
+                    f"overlap ({a}, {b}): the chart of piece {piece} fails {failed}",
+                    witness=(a, b))
         psi_hat = ncspec_morphism(iso)   # chart_b space -> chart_a space
         inv_b = {v: kk for kk, v in cb.point_map.items()}
         for pa, qa in ca.point_map.items():

@@ -1,12 +1,13 @@
 """The localization semilattice of a ring and its Alexandrov topology.
 
 Cells of the lattice are localizations at finite subsets up to mutual
-invertibility.  For finite commutative rings a cell is identified by the
-idempotent power of the product of its subset, for semisimple algebras by
-the index set of surviving blocks, and for matrix rings there are exactly
-two cells.  A materialized lattice carries one poset, the finite
-Alexandrov space on its cells, which holds the order, the joins and the
-law checks.  That space is already sober, so it is its own
+invertibility.  For a product of cyclic rings a cell is identified by the
+idempotent that is 1 exactly on the prime-power parts where the product
+of its subset is a unit (`rings.unit_idempotent`), for semisimple
+algebras by the index set of surviving blocks, and for matrix rings
+there are exactly two cells.  A materialized lattice carries one poset,
+the finite Alexandrov space on its cells, which holds the order, the
+joins and the law checks.  That space is already sober, so it is its own
 soberification: point i stands for the irreducible closed set down(i).
 Q[x] gets a lazy lattice driven by squarefree divisibility plus the
 symbolic point model for its soberification.
@@ -22,7 +23,7 @@ from .errors import (
     NotOpen,
     UnsupportedClass,
 )
-from .localization import Localization, idempotent_power, localize
+from .localization import Localization, localize
 from .records import field, record
 from .rings import (
     MatrixRing,
@@ -299,23 +300,16 @@ def _cell(r, E, key) -> LocalizationCell:
 
 
 def _build_finite_commutative(r):
-    idem_order = []
-    seen = set()
-    for f in rg.enumerate_elements(r):
-        e = idempotent_power(r, f)
-        if e.payload not in seen:
-            seen.add(e.payload)
-            idem_order.append(e)
-    cells = [_cell(r, (e,), key=e.payload) for e in idem_order]
-    n = len(cells)
-    elems = {e.payload: e for e in idem_order}
-    up = [frozenset(j for j in range(n)
-                    if (elems[cells[i].key] * elems[cells[j].key]).payload == cells[j].key)
-          for i in range(n)]
+    mods = rg.cyclic_moduli(r)
 
     def key_of(f):
-        return idempotent_power(r, f).payload
+        return rg.cyclic_element(r, [rg.unit_idempotent(n, c) for n, c in
+                                     zip(mods, rg.cyclic_components(f))]).payload
 
+    # the cells in the order their idempotents first occur among the elements
+    idem = [RingElement(r, p) for p in dict.fromkeys(map(key_of, rg.enumerate_elements(r)))]
+    cells = [_cell(r, (e,), key=e.payload) for e in idem]
+    up = [frozenset(j for j, b in enumerate(idem) if a * b == b) for a in idem]
     return LocalizationLattice(r, cells, up, key_of)
 
 

@@ -788,22 +788,29 @@ def cyclic_element(r, comps) -> RingElement:
     return RingElement(r, c)
 
 
-def _reduced_modulus(n, m):
-    """e when x -> x % m on the residues 0..n-1 is the ring map Z/n -> Z/e, else None.
+def unit_part(n, c):
+    """The largest divisor of n prime to c, so that Z/n[1/c] = Z/unit_part(n, c).
 
-    A residue below n is left alone by reduction modulo m >= n, so e is
-    min(m, n), and the map is a ring hom exactly when e divides n.
+    Each pass divides out gcd(m, c), so the loop ends when m shares no
+    prime with c.  unit_part(n, 0) is 1.
     """
-    e = min(m, n)
-    return e if e >= 1 and n % e == 0 else None
+    m, g = n, igcd(n, c)
+    while g > 1:
+        m //= g
+        g = igcd(m, c)
+    return m
 
 
-def _cyclic_order(r):
-    """n when r is Z/n, 1 for the zero ring, and None for every other ring."""
-    mods = cyclic_moduli(r)
-    if mods is None or len(mods) > 1:
-        return None
-    return mods[0] if mods else 1
+def unit_idempotent(n, c):
+    """The idempotent of Z/n that is 1 on the prime-power parts of n prime to c
+    and 0 on the others, which is the one idempotent among the powers of c.
+
+    With m = unit_part(n, c), m and k = n / m are coprime, and by CRT
+    k * (k^-1 mod m) is 1 mod m and 0 mod k.
+    """
+    m = unit_part(n, c)
+    k = n // m
+    return k * pow(k, -1, m) % n
 
 
 # ---------------------------------------------------------------------------
@@ -856,59 +863,6 @@ class ToZeroRule(Rule):
     def check(self, h):
         if not is_zero_ring(h.target):
             raise NotAHomomorphism("collapse rule into a nonzero ring")
-
-
-@record(frozen=True)
-class QuotientRule(Rule):
-    """Z/n -> Z/m for m | n, r -> r mod m."""
-    m: int
-
-    def apply(self, h, x):
-        return RingElement(h.target, x.payload % self.m)
-
-    def check(self, h):
-        n = _cyclic_order(h.source)
-        if n is None:
-            raise NotAHomomorphism(f"quotient rule on {h.source!r}, which is not Z/n")
-        e = _reduced_modulus(n, self.m)
-        if e is None:
-            raise NotAHomomorphism(f"{self.m} does not divide {n}")
-        if _cyclic_order(h.target) != e:
-            raise NotAHomomorphism(f"quotient rule lands in Z/{e}, not in {h.target!r}")
-
-
-@record(frozen=True)
-class CommLocRule(Rule):
-    """Finite commutative localization insertion r -> e r in canonical coordinates.
-
-    The source is a product of cyclic factors (a bare Z/n counts as one
-    factor); `kept` lists (factor index, new modulus) for the factors that
-    survive, in order.  The target is the canonical product of those Z/m.
-    """
-    kept: tuple
-
-    def apply(self, h, x):
-        comps = cyclic_components(x)
-        return cyclic_element(h.target, [comps[i] % m for i, m in self.kept])
-
-    def check(self, h):
-        mods = cyclic_moduli(h.source)
-        if mods is None:
-            raise NotAHomomorphism(
-                f"localization rule on {h.source!r}, which is not a product of cyclic rings")
-        image = []
-        for i, m in self.kept:
-            try:
-                n = mods[i]
-            except (IndexError, TypeError):
-                raise NotAHomomorphism(f"{h.source!r} has no factor {i}") from None
-            e = _reduced_modulus(n, m)
-            if e is None:
-                raise NotAHomomorphism(f"{m} does not divide the modulus {n} of factor {i}")
-            image.append(e)
-        if cyclic_moduli(h.target) != tuple(image):
-            raise NotAHomomorphism(
-                f"localization rule {self.kept} does not land in {h.target!r}")
 
 
 @record(frozen=True)
@@ -1103,7 +1057,7 @@ def to_zero_hom(r, z=None) -> RingHom:
 def quotient_hom(n: int, m: int) -> RingHom:
     if n % m:
         raise NotAHomomorphism(f"{m} does not divide {n}")
-    return hom_validate(RingHom(ModularRing(n), ModularRing(m), QuotientRule(m)))
+    return hom_validate(RingHom(ModularRing(n), ModularRing(m), CyclicImagesRule((1 % m,))))
 
 
 def table_hom(source, target, mapping) -> RingHom:

@@ -469,13 +469,14 @@ def _sections_once(M: GradedModulePresentation, nvars, d, box, k_max=1) -> Secti
 
 
 def gamma(X: ProjSpace, M: GradedModulePresentation, window, box: int = 2,
-          k_max: int = 1, check_stability: bool = True) -> dict:
+          k_max: int = 1) -> dict:
     """Per-degree dimensions of the global sections over the window.
 
     `box` bounds the negative-exponent depth of the truncation; `k_max`
     is the saturation depth (honest classes are images of the depth-box
-    space under k_max more steps).  The run is repeated with the box
-    enlarged by one; a drift in any reported dimension raises BoxTooSmall.
+    space under k_max more steps).  Every degree is always computed again
+    with the box enlarged by one, and a drift in its dimension raises
+    BoxTooSmall.
     """
     lo, hi = window
     dims = {}
@@ -484,11 +485,9 @@ def gamma(X: ProjSpace, M: GradedModulePresentation, window, box: int = 2,
         s = _sections_once(M, X.n, d, box, k_max)
         spaces[d] = s
         dims[d] = s.dim
-        if check_stability:
-            again = _sections_once(M, X.n, d, box + 1, k_max)
-            if again.dim != s.dim:
-                raise BoxTooSmall(
-                    f"degree {d}: dimension moved {s.dim} -> {again.dim}")
+        again = _sections_once(M, X.n, d, box + 1, k_max)
+        if again.dim != s.dim:
+            raise BoxTooSmall(f"degree {d}: dimension moved {s.dim} -> {again.dim}")
     return {"window": (lo, hi), "box": box, "k_max": k_max,
             "dims": dims, "spaces": spaces}
 

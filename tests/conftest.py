@@ -54,6 +54,21 @@ def brute_is_unit(r, x) -> bool:
     return any(x * y == one and y * x == one for y in rg.enumerate_elements(r))
 
 
+def brute_idempotent_power(x):
+    """The idempotent in the multiplicative orbit x, x^2, ... of an element of
+    a finite ring, found by walking the orbit until it enters its cycle."""
+    orbit, index = [], {}
+    cur = x
+    while cur.payload not in index:
+        index[cur.payload] = len(orbit)
+        orbit.append(cur)
+        cur = cur * x
+    idem = [e for e in orbit[index[cur.payload]:] if e * e == e]
+    if len(idem) != 1:
+        raise AssertionError(f"the orbit of {x!r} has {len(idem)} idempotents in its cycle")
+    return idem[0]
+
+
 def brute_under_map(r, A, B):
     """The map loc(r, A) -> loc(r, B) under a finite r, read off every element.
 

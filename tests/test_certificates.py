@@ -7,11 +7,10 @@ from ncspec import localization, sheafspec
 from ncspec import rings as rg
 from ncspec.errors import NotAHomomorphism
 from ncspec.rings import (
-    CommLocRule,
+    CyclicImagesRule,
     MatrixRing,
     ModularRing,
     PrimeField,
-    QuotientRule,
     RingHom,
     SemisimpleAlgebra,
     SsaProjRule,
@@ -36,9 +35,20 @@ def _cyclic_product(moduli):
     return rg.product_ring([ModularRing(m) for m in moduli])
 
 
+def _units_sum(target, slots):
+    """The payload of the sum of the units e_j of a cyclic product target over slots."""
+    acc = target.zero
+    for j in slots:
+        acc = acc + rg.RingElement(target, target.generators[j])
+    return acc.payload
+
+
 def comm_loc_instances(rng, count):
-    """Random CommLocRule homs: kept moduli that divide or not, indices in
-    range or not, and the target the rule names or a wrong one."""
+    """Random CyclicImagesRule homs shaped like a localization insertion:
+    each (factor index, modulus) of `kept` is one factor of the target,
+    whose unit is the image of e_i.  Kept moduli divide n_i or not, an
+    index out of range leaves its unit nobody's image, and the target is
+    the one the images name or a wrong one."""
     rings = small_commutative_rings()
     for _ in range(count):
         source = rng.choice(rings)
@@ -49,20 +59,23 @@ def comm_loc_instances(rng, count):
             n = mods[i] if -len(mods) <= i < len(mods) else 12
             kept.append((i, _divisor_or_not(rng, n)))
         target = _cyclic_product([m for _, m in kept])
+        images = tuple(_units_sum(target, [j for j, (k, _) in enumerate(kept) if k == i])
+                       for i in range(len(mods)))
         if rng.random() < 0.3:
             target = rng.choice(rings)
-        yield RingHom(source, target, CommLocRule(tuple(kept)))
+        yield RingHom(source, target, CyclicImagesRule(images))
 
 
 def quotient_instances(rng, count):
-    """Random QuotientRule homs over cyclic and non-cyclic sources."""
+    """Random quotient-shaped CyclicImagesRule homs, e_0 -> 1 mod m, over
+    cyclic and non-cyclic sources."""
     rings = small_commutative_rings()
     for _ in range(count):
         source = rng.choice(rings)
         n = rg.cardinality(source)
         m = _divisor_or_not(rng, n)
         target = ModularRing(m) if rng.random() < 0.7 else rng.choice(rings)
-        yield RingHom(source, target, QuotientRule(m))
+        yield RingHom(source, target, CyclicImagesRule((1 % m,)))
 
 
 def ssa_proj_instances(rng, count):

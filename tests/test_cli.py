@@ -376,3 +376,48 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
         code, out = run_cli(capsys, *argv)
         assert code == 2, argv
         assert json.loads(out)["payload"]["error"] in ("ParseError", "SchemaViolation"), argv
+
+
+_SKEW2 = {"kind": "skew_laurent", "nvars": 2, "lambda": [[1, 2, "2"]], "inverted": []}
+# input document per name; the flag each subcommand takes it with
+FORMAT_DOCS = {
+    "z6": {"schema": "ncspec.ring/1", "kind": "modular", "n": 6},
+    "qx": {"schema": "ncspec.ring/1", "kind": "poly"},
+    "skew": dict(_SKEW2, schema="ncspec.ring/1"),
+    "quotient": {"schema": "ncspec.morphism/1", "source": {"kind": "modular", "n": 6},
+                 "target": {"kind": "modular", "n": 3},
+                 "rule": {"kind": "canonical_quotient"}},
+    "glue": _z6_glue(),
+    "qcoh": {"schema": "ncspec.qcoh/1", "ring": _SKEW2,
+             "module": {"schema": "ncspec.module/1", "generators": [{"degree": 0}]},
+             "scalars": [[1, 2, "1"], [2, 1, "1"]]},
+}
+WINDOW = ("--window", "0", "1")
+# (subcommand, flag, document, extra arguments, formats it cannot render)
+UNRENDERED = [
+    ("ring-validate", "--ring", "z6", (), ("dot", "text")),
+    ("ncspec", "--ring", "qx", (), ("dot", "text")),
+    ("semilattice", "--ring", "qx", (), ("dot", "text")),
+    ("morphism", "--morphism", "quotient", (), ("dot", "text")),
+    ("prim-check", "--morphism", "quotient", (), ("dot", "text")),
+    ("spec", "--ring", "z6", (), ("dot", "text")),
+    ("embed", "--ring", "z6", (), ("dot", "text")),
+    ("exp", "--ring", "z6", (), ("dot", "text")),
+    ("glue", "--glue", "glue", (), ("text",)),
+    ("qcoh-check", "--datum", "qcoh", (), ("dot", "text")),
+    ("proj-gamma", "--ring", "skew", WINDOW, ("dot",)),
+    ("serre-check", "--ring", "skew", WINDOW, ("dot", "text")),
+]
+
+
+@pytest.mark.parametrize("sub, flag, doc, extra, fmt", [
+    (sub, flag, doc, extra, fmt) for sub, flag, doc, extra, fmts in UNRENDERED
+    for fmt in fmts])
+def test_cli_rejects_a_format_it_cannot_render(tmp_path, capsys, sub, flag, doc, extra, fmt):
+    path = write(tmp_path, f"{doc}.json", FORMAT_DOCS[doc])
+    code, out = run_cli(capsys, sub, flag, path, *extra, "--format", fmt)
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["subcommand"] == sub and rep["status"] == "fail"
+    assert rep["payload"]["error"] == "ParseError"
+    assert fmt in rep["payload"]["message"]

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 from conftest import brute_module_axioms, brute_tensor_factor, python_stdout
 
+from ncspec import glueqcoh
 from ncspec import rings as rg
 from ncspec.errors import (
     CocycleViolation,
@@ -428,6 +429,28 @@ def test_glue_z6_along_mid_chart():
     assert gl.n == 6
 
 
+@pytest.mark.parametrize("side", [0, 1])
+def test_glue_rejects_a_failing_chart_report(monkeypatch, side):
+    real = glueqcoh.ore_chart_iso
+    calls = []
+
+    def failing_on_one_side(r, E, certificate=None):
+        chart = real(r, E, certificate)
+        calls.append(chart)
+        if (len(calls) - 1) % 2 != side:
+            return chart
+        return glueqcoh.ChartIso(chart.ambient, chart.localization, chart.chart,
+                                 chart.point_map,
+                                 {**chart.report, "status": "fail", "triangle": False})
+
+    monkeypatch.setattr(glueqcoh, "ore_chart_iso", failing_on_one_side)
+    id3 = rg.identity_hom(ModularRing(3))
+    datum = GlueDatum((Z6, Z6), {(0, 1): (e6(2),), (1, 0): (e6(2),)},
+                      {(0, 1): id3, (1, 0): id3})
+    with pytest.raises(CocycleViolation, match=r"overlap \(0, 1\).*\['triangle'\]"):
+        glue(datum)
+
+
 def test_glue_rejects_broken_inverse():
     # glue two copies of Z/2 x Z/2 along everything, but return with the
     # swap only one way: the inverse condition fails
@@ -464,6 +487,53 @@ def test_qcoh_cocycle_check_finite_charts():
     rep = qcoh_cocycle_check(bad)
     assert rep["status"] == "fail"
     assert any(f["condition"] == "inverse" for f in rep["failures"])
+
+
+def three_chart_qcoh(change=None):
+    """Three copies of the free module over Z/6 glued along their Z/3 charts
+    at 2, with identity cocycles except where change(T, overlaps, cocycles)
+    edits them."""
+    id3 = rg.identity_hom(ModularRing(3))
+    pairs = [(a, b) for a in range(3) for b in range(3) if a != b]
+    overlaps = {p: (e6(2),) for p in pairs}
+    T = tensor_module(localize(Z6, (e6(2),)).insertion, free_module(Z6))
+    cocycles = {p: {x: x for x in T.elements()} for p in pairs}
+    if change is not None:
+        change(T, overlaps, cocycles)
+    datum = GlueDatum((Z6,) * 3, overlaps, {p: id3 for p in pairs})
+    return QcohDatum(datum, (free_module(Z6),) * 3, cocycles)
+
+
+def _times_two(T, overlaps, cocycles):
+    doubled = {x: T.act(rg.element(ModularRing(3), 2), x) for x in T.elements()}
+    cocycles[(0, 1)] = cocycles[(1, 0)] = doubled
+
+
+def _swap_zero(T, overlaps, cocycles):
+    # an involution of Z/3 that moves 0: it keeps the inverse law only
+    x0, x1, x2 = T.elements()
+    cocycles[(0, 1)] = cocycles[(1, 0)] = {x0: x1, x1: x0, x2: x2}
+
+
+def _non_identity_self_overlap(T, overlaps, cocycles):
+    # piece 0 meets itself everywhere, along a cocycle that is not the identity
+    overlaps[(0, 0)] = (e6(1),)
+    T00 = tensor_module(localize(Z6, (e6(1),)).insertion, free_module(Z6))
+    cocycles[(0, 0)] = {x: T00.act(e6(5), x) for x in T00.elements()}
+
+
+@pytest.mark.parametrize("change, failed", [
+    (None, set()),
+    # x2 is its own inverse on Z/3, but x2 on (0, 1) against the identity
+    # on (1, 2) and (0, 2) breaks the triple condition only
+    (_times_two, {"triple"}),
+    (_swap_zero, {"additive", "semilinear", "triple"}),
+    (_non_identity_self_overlap, {"identity"}),
+])
+def test_qcoh_cocycle_check_three_charts(change, failed):
+    rep = qcoh_cocycle_check(three_chart_qcoh(change))
+    assert {f["condition"] for f in rep["failures"]} == failed
+    assert rep["status"] == ("fail" if failed else "pass")
 
 
 def test_every_restricted_global_module_passes_cocycle_check():

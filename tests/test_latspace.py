@@ -78,6 +78,14 @@ def grid_lattices():
     return tuple(build_semilattice(r) for r in rings)
 
 
+def test_large_cyclic_lattice_builds_by_the_closed_form():
+    # Z/100000 = Z/32 x Z/3125: its four cells are its four idempotents.  An
+    # orbit walk per element did not finish in minutes
+    n = 100000
+    keys = [c.key for c in build_semilattice(ModularRing(n)).cells]
+    assert len(set(keys)) == 4 and all(k * k % n == k for k in keys)
+
+
 def test_matrix_lattice_two_cells():
     for base in (PrimeField(3), Rationals()):
         lat = build_semilattice(MatrixRing(base, 2))

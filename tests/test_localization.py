@@ -3,18 +3,27 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    brute_idempotent_power,
     brute_under_map,
     classic_fraction_localization_size,
+    finite_commutative_grid,
     small_commutative_rings,
 )
 
+from ncspec import qpoly
 from ncspec import rings as rg
-from ncspec.errors import NonMonomialSkewSubset, NotComparable, UnsupportedClass
+from ncspec.errors import (
+    NonMonomialSkewSubset,
+    NotComparable,
+    UnsupportedClass,
+    UnverifiableSquare,
+)
+from ncspec.latspace import build_semilattice
+from ncspec.sheafspec import is_prim_report, ncspec_morphism
 from ncspec.localization import (
     LocalizationSquare,
     connecting_map,
     default_probes,
-    idempotent_power,
     induced_map,
     is_pushout,
     localization_square,
@@ -30,6 +39,8 @@ from ncspec.rings import (
     PolyInsertRule,
     PrimeField,
     Rationals,
+    RingElement,
+    RingHom,
     SemisimpleAlgebra,
     SkewExpandRule,
     SsaProjRule,
@@ -71,10 +82,40 @@ def test_z6_at_two_is_z3():
     L = localize(z6, E(z6, 2))
     assert L.result == ModularRing(3)
     # the insertion is reduction, matching multiplication by the idempotent 4
-    e = idempotent_power(z6, rg.element(z6, 2))
+    e = brute_idempotent_power(rg.element(z6, 2))
     assert e.payload == 4
     for x in rg.enumerate_elements(z6):
         assert L.insertion(x).payload == (4 * x.payload) % 6 % 3
+
+
+def cyclic_oracle_rings():
+    """The products of cyclic rings of the grid, Z/a x Z/b for a <= b in
+    2, 3, 4, 6, 8, 9, 12, and five triple products."""
+    mods = (2, 3, 4, 6, 8, 9, 12)
+    pairs = [(a, b) for a in mods for b in mods if a <= b]
+    triples = [(2, 2, 3), (2, 3, 4), (2, 4, 8), (3, 3, 4), (2, 6, 9)]
+    return ([r for r in finite_commutative_grid() if rg.cyclic_moduli(r) is not None]
+            + [rg.product_ring([ModularRing(m) for m in ms]) for ms in pairs + triples])
+
+
+def test_cyclic_localization_and_cells_agree_with_the_orbit_oracle():
+    # loc(r, f) = e r with insertion x -> e x, where e is the idempotent in
+    # the orbit of f; the cells come in the order their e first occur
+    for r in cyclic_oracle_rings():
+        lat = build_semilattice(r)
+        elems = rg.enumerate_elements(r)
+        first = {}
+        for f in elems:
+            e = brute_idempotent_power(f)
+            first.setdefault(e.payload, None)
+            assert lat.cells[lat.cell_of_element(f)].key == e.payload, (r, f)
+            L = localize(r, (f,))
+            table = {}
+            for x in elems:
+                y = L.insertion(x)
+                assert table.setdefault((e * x).payload, y) == y, (r, f, x)
+            assert len(set(table.values())) == len(table) == rg.cardinality(L.result), (r, f)
+        assert [c.key for c in lat.cells] == list(first), r
 
 
 def test_inverse_witnesses_hold():
@@ -162,6 +203,22 @@ def test_functor_square_of_composites():
         assert lhs == rhs
 
 
+def test_square_whose_legs_do_not_compose_raises():
+    # x -> -x on Q[x] agrees with the identity at 0 and 1, so a comparison
+    # at those two points alone would call this square commuting
+    class NegateX(rg.Rule):
+        def apply(self, h, x):
+            return RingElement(h.target, qpoly.poly(
+                c if i % 2 == 0 else -c for i, c in enumerate(x.payload)))
+
+    qx = UnivariatePolyRing()
+    ins = localize(qx, (rg.element(qx, qpoly.X),)).insertion
+    sq = LocalizationSquare(top=RingHom(qx, qx, NegateX()), left=rg.identity_hom(qx),
+                            bottom=ins, right=ins)
+    with pytest.raises(UnsupportedClass):
+        sq.commutes()
+
+
 def test_localization_square_commutes_and_pushes_out():
     theta = rg.quotient_hom(6, 3)
     z6 = ModularRing(6)
@@ -182,6 +239,28 @@ def test_pushout_rejects_wrong_corner():
         right=rg.to_zero_hom(sq.right.source))
     assert bad.commutes()
     assert not is_pushout(bad, (ModularRing(3), ZeroRing()))
+
+
+def test_quotient_squares_of_semisimple_algebras_are_decided_by_kernels():
+    # semisimple algebras have no hom enumeration, so the probes cannot
+    # decide these squares and the kernels of the legs do
+    F2 = PrimeField(2)
+    pair, one_block = SemisimpleAlgebra(F2, (1, 1)), SemisimpleAlgebra(F2, (1,))
+    theta = rg.hom_validate(RingHom(SemisimpleAlgebra(F2, (1, 2)), SemisimpleAlgebra(F2, (2,)),
+                                    SsaProjRule((1,))))
+    assert is_prim_report(ncspec_morphism(theta))["prim"]
+    # F2 <- F2 x F2 -> F2 by the same projection pushes out to F2, not to 0
+    proj = rg.hom_validate(RingHom(pair, one_block, SsaProjRule((0,))))
+    collapse = rg.to_zero_hom(one_block)
+    sq = LocalizationSquare(top=proj, left=proj, bottom=collapse, right=collapse)
+    assert sq.commutes() and not is_pushout(sq)
+    # a leg that is not onto leaves the square outside the quotient case
+    diag = rg.hom_validate(rg.hom_from_callable(
+        one_block, pair, lambda x: RingElement(pair, (x.payload[0], x.payload[0]))))
+    sq = LocalizationSquare(top=diag, left=diag, bottom=proj, right=proj)
+    assert sq.commutes()
+    with pytest.raises(UnverifiableSquare):
+        is_pushout(sq)
 
 
 def test_degenerate_identity_square_is_pushout():
