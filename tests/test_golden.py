@@ -75,6 +75,7 @@ DOCS = {
     "F2^4": _product(2, 2, 2, 2),
     "SSA-F2-1-2": _ring(kind="semisimple", base="f2", dims=[1, 2]),
     "SSA-Q-2-3": _ring(kind="semisimple", base="q", dims=[2, 3]),
+    "SSA-Q-1-1-1-1": _ring(kind="semisimple", base="q", dims=[1, 1, 1, 1]),
     "M2-F2": _ring(kind="matrix", base="f2", size=2),
     "Qx": _ring(kind="poly"),
     **{f"Z{n}-Z{m}": _quotient(n, m)
@@ -171,6 +172,8 @@ CALLS = (
     + [("glue", g, ("--format", fmt)) for g in ("M2-F2-2chart", "Z6-3chart")
        for fmt in ("json", "dot")]
     + [("proj-gamma", "SK2", _window(0, 4, "--format", "text"))]
+    # larger lattices: 32 cells for the embedding, 16 infinite cells for the sheaf
+    + [("embed", "Z2310", ()), ("ncspec", "SSA-Q-1-1-1-1", ())]
 )
 
 
