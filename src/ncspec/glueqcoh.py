@@ -326,6 +326,14 @@ def tilde_module(r, M) -> "ModuleSheaf":
 
     Skew Laurent rings hand off to the graded chart construction; finite
     cyclic rings get the cell-by-cell base change below.
+
+    The presheaf laws are checked through q_i: M -> T_i, m -> 1 (x) m,
+    which is onto T_i = M / m_i M.  Both q_i and the restriction maps
+    (reductions of the kept factors) are additive, so
+    res(i, j) . q_i = q_j on the cyclic generators of M gives it on all of
+    M.  Since q_i is onto, that fixes res(i, i) = id, and for i <= j <= k
+    it makes res(j, k) . res(i, j) and res(i, k) agree, as both give q_k
+    after q_i.
     """
     if isinstance(r, SkewLaurentRing):
         from .skewproj import build_proj, module_sheaf
@@ -333,22 +341,17 @@ def tilde_module(r, M) -> "ModuleSheaf":
     if not isinstance(r, ModularRing):
         raise UnsupportedClass("module sheaves are built over Z/n here")
     sp = ncspec(r)
-    stalks = []
-    for cell in sp.lattice.cells:
-        stalks.append(tensor_module(cell.localized.insertion, M))
-    sheaf = ModuleSheaf(sp, M, tuple(stalks))
-    # presheaf laws on the module level
-    lat = sp.lattice
-    res = {(i, j): sheaf.restriction_map(i, j)
-           for i in range(lat.n) for j in range(lat.n) if lat.leq(i, j)}
-    for i in range(lat.n):
-        if any(res[i, i][x] != x for x in sheaf.stalks[i].elements()):
-            raise PresheafLawViolation(f"restriction at cell {i} is not the identity")
-    for (i, j), rij in res.items():
-        for k in range(lat.n):
-            if lat.leq(j, k) and any(res[j, k][rij[x]] != res[i, k][x]
-                                     for x in sheaf.stalks[i].elements()):
-                raise PresheafLawViolation(f"restrictions {i} -> {j} -> {k} do not compose")
+    stalks = tuple(tensor_module(cell.localized.insertion, M) for cell in sp.lattice.cells)
+    sheaf = ModuleSheaf(sp, M, stalks)
+    n = len(M.orders)
+    gens = [tuple(int(a == b) for b in range(n)) for a in range(n)]
+    q = [[T.pure(rg.one(T.hom.target), g) for g in gens] for T in stalks]
+    for i in range(sp.lattice.n):
+        for j in sp.space.up[i]:
+            res = sheaf.restriction_map(i, j)
+            if [res[x] for x in q[i]] != q[j]:
+                raise PresheafLawViolation(
+                    f"restriction {i} -> {j} does not commute with m -> 1 (x) m")
     return sheaf
 
 
@@ -503,14 +506,19 @@ def glue(d: GlueDatum) -> GluedSpace:
     }
     _check_glue_cocycles(d, locs)
 
-    # point-level identifications through the chart isomorphisms
+    # point-level identifications through the chart isomorphisms; a chart
+    # depends only on its piece and subset, so each is built once
     pairs = set()
+    charts = {}
     for (a, b), E in d.overlaps.items():
         if a == b:
             continue
         iso = d.ring_isos[(a, b)]
-        ca = ore_chart_iso(d.pieces[a], tuple(E))
-        cb = ore_chart_iso(d.pieces[b], tuple(d.overlaps[(b, a)]))
+        sides = ((a, tuple(E)), (b, tuple(d.overlaps[(b, a)])))
+        for key in sides:
+            if key not in charts:
+                charts[key] = ore_chart_iso(d.pieces[key[0]], key[1])
+        ca, cb = (charts[key] for key in sides)
         for piece, chart in ((a, ca), (b, cb)):
             if chart.report["status"] != "pass":
                 failed = sorted(key for key, ok in chart.report.items() if ok is False)
@@ -549,27 +557,26 @@ def glue(d: GlueDatum) -> GluedSpace:
     classes = tuple(
         frozenset(x for x in parent if class_of[x] == c) for c in range(len(roots)))
 
-    # specialization order generated by the piece orders
+    # specialization order generated by the piece orders: the classes
+    # reachable from c along the piece orders lie above c
     n = len(classes)
-    leq = [[i == j for j in range(n)] for i in range(n)]
+    succ = [set() for _ in range(n)]
     for a in range(k):
         space = spaces[a].space
         for p in range(space.n):
-            for q in space.up[p]:
-                leq[class_of[(a, p)]][class_of[(a, q)]] = True
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            for j in range(n):
-                if leq[i][j]:
-                    for m in range(n):
-                        if leq[j][m] and not leq[i][m]:
-                            leq[i][m] = True
-                            changed = True
+            succ[class_of[(a, p)]].update(class_of[(a, q)] for q in space.up[p])
+    leq_sets = []
+    for c in range(n):
+        seen, stack = {c}, [c]
+        while stack:
+            fresh = succ[stack.pop()] - seen
+            seen |= fresh
+            stack.extend(fresh)
+        leq_sets.append(frozenset(seen))
+    leq_sets = tuple(leq_sets)
     for i in range(n):
-        for j in range(n):
-            if i != j and leq[i][j] and leq[j][i]:
+        for j in sorted(leq_sets[i]):
+            if i != j and i in leq_sets[j]:
                 raise CocycleViolation("identifications destroy antisymmetry",
                                        witness=(i, j))
 
@@ -587,7 +594,6 @@ def glue(d: GlueDatum) -> GluedSpace:
 
     embeddings = tuple({p: class_of[(a, p)] for p in range(spaces[a].space.n)}
                        for a in range(k))
-    leq_sets = tuple(frozenset(j for j in range(n) if leq[i][j]) for i in range(n))
     for a in range(k):
         image = set(embeddings[a].values())
         if len(image) != spaces[a].space.n:

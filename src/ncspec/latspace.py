@@ -126,15 +126,9 @@ class AlexandrovSpace:
         return k
 
     def hasse_edges(self):
-        out = []
-        for i in range(self.n):
-            for j in self.up[i]:
-                if j == i:
-                    continue
-                if any(k != i and k != j and self.leq(k, j) for k in self.up[i]):
-                    continue
-                out.append((i, j))
-        return out
+        """The covering pairs: j > i with nothing strictly between."""
+        return [(i, j) for i in range(self.n) for j in self.up[i]
+                if j != i and self.up[i] & self._downs[j] == {i, j}]
 
 
 def upper_set(X: AlexandrovSpace, seed) -> frozenset:
@@ -353,12 +347,6 @@ class PidLattice:
     def cell_key(self, f: RingElement):
         return qpoly.squarefree_part(f.payload)
 
-    def cell_of_subset(self, E):
-        f = rg.one(self.ring)
-        for a in E:
-            f = f * a
-        return self.cell_key(f)
-
     def leq_keys(self, h, g) -> bool:
         if qpoly.is_zero(g):
             return True
@@ -368,14 +356,6 @@ class PidLattice:
 
     def leq(self, h: RingElement, g: RingElement) -> bool:
         return self.leq_keys(self.cell_key(h), self.cell_key(g))
-
-    def join_keys(self, h, g):
-        if qpoly.is_zero(h) or qpoly.is_zero(g):
-            return qpoly.ZERO
-        return qpoly.squarefree_part(qpoly.mul(h, g))
-
-    def join(self, h: RingElement, g: RingElement):
-        return self.join_keys(self.cell_key(h), self.cell_key(g))
 
 
 @record(frozen=True)

@@ -841,9 +841,6 @@ class TableRule(Rule):
     def __post_init__(self):
         object.__setattr__(self, "table", dict(self.pairs))
 
-    def apply(self, h, x):
-        return RingElement(h.target, self.table[x.payload])
-
 
 @record(frozen=True)
 class IdentityRule(Rule):

@@ -43,7 +43,6 @@ from .rings import (
     ZeroRing,
     hom_compose,
     hom_validate,
-    identity_hom,
     to_zero_hom,
 )
 
@@ -70,20 +69,23 @@ class SheafOnBase:
         return self._res_cache[key]
 
     def check_presheaf_laws(self):
+        """res(i, j) . ins_i = ins_j for every cell i and every j >= i.
+
+        The insertion ins_i: R -> R_i of a cell is a universal
+        localization, hence a ring epimorphism (Cohn), so a map out of R_i
+        is fixed by what it does after ins_i.  At j = i the condition says
+        res(i, i) = id.  For i <= j <= k both res(j, k) . res(i, j) and
+        res(i, k) give ins_k after ins_i, so they are equal.  One check
+        per comparable pair thus implies both presheaf laws.
+        """
         lat = self.lattice
-        for i in range(lat.n):
-            if self.restriction(i, i) != identity_hom(self.assignment[i]):
-                raise PresheafLawViolation(f"restriction {i} -> {i} is not the identity")
-            for j in range(lat.n):
-                if not lat.leq(i, j):
-                    continue
-                for k in range(lat.n):
-                    if not lat.leq(j, k):
-                        continue
-                    left = hom_compose(self.restriction(j, k), self.restriction(i, j))
-                    if left != self.restriction(i, k):
-                        raise PresheafLawViolation(
-                            f"restrictions {i} -> {j} -> {k} fail to compose")
+        for i, cell in enumerate(lat.cells):
+            ins_i = cell.localized.insertion
+            for j in lat.space.up[i]:
+                ins_j = lat.cells[j].localized.insertion
+                if hom_compose(self.restriction(i, j), ins_i) != ins_j:
+                    raise PresheafLawViolation(
+                        f"restriction {i} -> {j} does not commute with the insertions")
 
 
 @record
@@ -129,8 +131,7 @@ def ncspec(r) -> "NCSpecSpace | PidNCSpec":
     X = soberify(lat.space)
     assignment = tuple(c.localized.result for c in lat.cells)
     sheaf = SheafOnBase(lat, assignment)
-    if rg.is_finite(r) or lat.n <= 8:
-        sheaf.check_presheaf_laws()
+    sheaf.check_presheaf_laws()
     sp = NCSpecSpace(r, lat, X, sheaf)
     if assignment[lat.bottom] != r:
         raise PresheafLawViolation("global sections must be the ring itself")

@@ -38,10 +38,6 @@ def skew_mul(p: RingElement, q: RingElement) -> RingElement:
     return rg.mul(p.owner, p, q)
 
 
-def twist_scalar(r: SkewLaurentRing, a, b) -> Fraction:
-    return skewpoly.twist(rg.lam_map(r), tuple(a), tuple(b))
-
-
 # ---------------------------------------------------------------------------
 # graded presentations
 

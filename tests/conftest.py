@@ -197,6 +197,88 @@ def brute_poset_laws(up) -> bool:
     return True
 
 
+def brute_presheaf_laws(sheaf) -> bool:
+    """The presheaf laws of a ring sheaf on a localization lattice, by the
+    triple loop: res(i, i) is the identity, and res(j, k) . res(i, j) is
+    res(i, k) for every comparable triple i <= j <= k."""
+    lat = sheaf.lattice
+    for i in range(lat.n):
+        if sheaf.restriction(i, i) != rg.identity_hom(sheaf.assignment[i]):
+            return False
+        for j in range(lat.n):
+            if not lat.leq(i, j):
+                continue
+            for k in range(lat.n):
+                if lat.leq(j, k) and (rg.hom_compose(sheaf.restriction(j, k),
+                                                     sheaf.restriction(i, j))
+                                      != sheaf.restriction(i, k)):
+                    return False
+    return True
+
+
+def brute_module_presheaf_laws(sheaf) -> bool:
+    """The presheaf laws of a module sheaf, by the triple loop over every
+    element of each stalk."""
+    lat = sheaf.space.lattice
+    res = {(i, j): sheaf.restriction_map(i, j)
+           for i in range(lat.n) for j in range(lat.n) if lat.leq(i, j)}
+    for i in range(lat.n):
+        if any(res[i, i][x] != x for x in sheaf.stalks[i].elements()):
+            return False
+    for (i, j), rij in res.items():
+        for k in range(lat.n):
+            if lat.leq(j, k) and any(res[j, k][rij[x]] != res[i, k][x]
+                                     for x in sheaf.stalks[i].elements()):
+                return False
+    return True
+
+
+def brute_t_complete(E) -> bool:
+    """Whether every pair of points of an exponential space has a least upper
+    bound lying in exactly the base members holding both, by the triple
+    loop over points; a missing join is a failure."""
+    pts = range(E.n)
+    try:
+        for p in pts:
+            for q in pts:
+                j = E.join(p, q)
+                if not (E.leq(p, j) and E.leq(q, j)):
+                    return False
+                if any(E.leq(p, u) and E.leq(q, u) and not E.leq(j, u) for u in pts):
+                    return False
+        return all((p in img and q in img) == (E.join(p, q) in img)
+                   for img in E.base for p in pts for q in pts)
+    except ValueError:
+        return False
+
+
+def brute_dense_off_point(up, g, S) -> bool:
+    """Whether S meets U - {g} for every upper set U with a point other than g."""
+    return all(S & (U - {g}) for U in brute_upper_sets(up) if U - {g})
+
+
+def brute_hasse_edges(up):
+    """The covering pairs (i, j) of up[i] = frozenset of j >= i, in the order
+    of up[i], by a scan of every third point."""
+    return [(i, j) for i in range(len(up)) for j in up[i]
+            if j != i and not any(k not in (i, j) and j in up[k] for k in up[i])]
+
+
+def brute_order_closure(n, pairs):
+    """The reflexive-transitive closure of pairs on 0..n-1 as up-sets, by
+    the triple loop run to a fixed point."""
+    leq = [[i == j or (i, j) in pairs for j in range(n)] for i in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            for j in range(n):
+                for m in range(n):
+                    if leq[i][j] and leq[j][m] and not leq[i][m]:
+                        leq[i][m] = changed = True
+    return tuple(frozenset(j for j in range(n) if leq[i][j]) for i in range(n))
+
+
 def brute_join(up, i, j):
     """The least upper bound of i and j by a scan of the upper bounds, or None."""
     ubs = [k for k in up[i] if k in up[j]]

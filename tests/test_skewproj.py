@@ -29,7 +29,6 @@ from ncspec.skewproj import (
     serre_unit,
     skew_mul,
     twist,
-    twist_scalar,
 )
 
 SK2 = skew_ring(2, {(0, 1): 2})
