@@ -67,13 +67,17 @@ _SK4 = _skew(4, {(i, j): 2 for i in range(1, 5) for j in range(i + 1, 5)})
 _ZERO_2X2 = [[0, 0], [0, 0]]
 
 DOCS = {
-    **{f"Z{n}": _ring(kind="modular", n=n) for n in (1, 6, 8, 12, 30, 36, 60, 100, 210, 2310)},
+    **{f"Z{n}": _ring(kind="modular", n=n)
+       for n in (1, 6, 8, 12, 30, 36, 60, 100, 210, 2310, 30030)},
     "zero": _ring(kind="zero"),
     "Z2xZ4": _product(2, 4),
     "Z6xZ10": _product(6, 10),
     "Z2xZ3xZ4": _product(2, 3, 4),
+    "Z2xZ6xZ9": _product(2, 6, 9),
+    "Z1xZ6": _product(1, 6),
     "F2^4": _product(2, 2, 2, 2),
     "SSA-F2-1-2": _ring(kind="semisimple", base="f2", dims=[1, 2]),
+    "SSA-F2-1-2-1": _ring(kind="semisimple", base="f2", dims=[1, 2, 1]),
     "SSA-Q-2-3": _ring(kind="semisimple", base="q", dims=[2, 3]),
     "SSA-Q-1-1-1-1": _ring(kind="semisimple", base="q", dims=[1, 1, 1, 1]),
     "M2-F2": _ring(kind="matrix", base="f2", size=2),
@@ -174,6 +178,11 @@ CALLS = (
     + [("proj-gamma", "SK2", _window(0, 4, "--format", "text"))]
     # larger lattices: 32 cells for the embedding, 16 infinite cells for the sheaf
     + [("embed", "Z2310", ()), ("ncspec", "SSA-Q-1-1-1-1", ())]
+    # the cell order of cyclic products: 64 cells, a shared prime with a
+    # prime square, a Z/1 factor; and a noncommutative semisimple algebra
+    + [("ncspec", "Z30030", ()), ("semilattice", "Z30030", ("--format", "text")),
+       ("semilattice", "Z2xZ6xZ9", ()), ("ncspec", "Z1xZ6", ()),
+       ("ncspec", "SSA-F2-1-2-1", ())]
 )
 
 
