@@ -36,16 +36,20 @@ def _report(subcommand, status, payload, provenance=None):
     }
 
 
+def _no_rendering(args):
+    return ParseError(f"{args.subcommand} has no {args.format} rendering "
+                      f"for this input; use --format json")
+
+
 def _emit(args, report, dot=None, text=None):
-    """Write the report in the requested format; a format with no rendering
-    for this report raises ParseError."""
+    """Write the report in the requested format; `main` has checked that
+    the subcommand renders it, and a lazy Q[x] report raises ParseError."""
     if args.format == "json":
         out = json.dumps(report, indent=2, sort_keys=False) + "\n"
     else:
         out = dot if args.format == "dot" else text
         if out is None:
-            raise ParseError(f"{args.subcommand} has no {args.format} rendering "
-                             f"for this input; use --format json")
+            raise _no_rendering(args)
     sys.stdout.write(out)
     return 0 if report["status"] == "pass" else 1
 
@@ -285,17 +289,18 @@ def build_parser():
     p = argparse.ArgumentParser(prog="ncspec", description=__doc__)
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp):
+    def common(sp, *renders):
         sp.add_argument("--format", choices=["json", "dot", "text"], default="json")
+        sp.set_defaults(formats=("json",) + renders)
 
     sp = sub.add_parser("ring-validate"); sp.add_argument("--ring", required=True)
     common(sp); sp.set_defaults(fn=cmd_ring_validate)
 
     sp = sub.add_parser("semilattice"); sp.add_argument("--ring", required=True)
-    common(sp); sp.set_defaults(fn=cmd_semilattice)
+    common(sp, "dot", "text"); sp.set_defaults(fn=cmd_semilattice)
 
     sp = sub.add_parser("ncspec"); sp.add_argument("--ring", required=True)
-    common(sp); sp.set_defaults(fn=cmd_ncspec)
+    common(sp, "dot", "text"); sp.set_defaults(fn=cmd_ncspec)
 
     sp = sub.add_parser("morphism"); sp.add_argument("--morphism", required=True)
     common(sp); sp.set_defaults(fn=cmd_morphism)
@@ -315,7 +320,7 @@ def build_parser():
     common(sp); sp.set_defaults(fn=cmd_exp)
 
     sp = sub.add_parser("glue"); sp.add_argument("--glue", required=True)
-    common(sp); sp.set_defaults(fn=cmd_glue)
+    common(sp, "dot"); sp.set_defaults(fn=cmd_glue)
 
     sp = sub.add_parser("qcoh-check"); sp.add_argument("--datum", required=True)
     common(sp); sp.set_defaults(fn=cmd_qcoh_check)
@@ -329,7 +334,7 @@ def build_parser():
     sp.add_argument("--module", default=None)
     sp.add_argument("--window", nargs=2, type=int, required=True)
     bounds(sp)
-    common(sp); sp.set_defaults(fn=cmd_proj_gamma)
+    common(sp, "text"); sp.set_defaults(fn=cmd_proj_gamma)
 
     sp = sub.add_parser("serre-check")
     sp.add_argument("--ring", required=True)
@@ -345,6 +350,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.format not in args.formats:
+            raise _no_rendering(args)
         return args.fn(args)
     except NCSpecError as exc:
         report = _report(args.subcommand, "fail",

@@ -1,11 +1,13 @@
 """The localization semilattice of a ring and its Alexandrov topology.
 
 Cells of the lattice are localizations at finite subsets up to mutual
-invertibility.  For a product of cyclic rings a cell is identified by the
-idempotent that is 1 exactly on the prime-power parts where the product
-of its subset is a unit (`rings.unit_idempotent`), for semisimple
-algebras by the index set of surviving blocks, and for matrix rings
-there are exactly two cells.  A materialized lattice carries one poset,
+invertibility.  A finite ring here is a product of blocks (the local
+factors Z/p^a of a product of cyclic rings, the matrix blocks of a
+semisimple algebra, the one block of a matrix ring), and loc(R, E) keeps
+the blocks where every member of E is a unit.  So a cell is keyed by the
+frozenset of blocks it keeps, and its subset is one idempotent: for a
+product of cyclic rings the CRT idempotent (`rings.unit_idempotent`).
+A materialized lattice carries one poset,
 the finite Alexandrov space on its cells, which holds the order, the
 joins and the law checks.  That space is already sober, so it is its own
 soberification: point i stands for the irreducible closed set down(i).
@@ -13,6 +15,8 @@ Q[x] gets a lazy lattice driven by squarefree divisibility plus the
 symbolic point model for its soberification.
 """
 
+from itertools import combinations, product as iproduct
+from math import prod
 
 from . import qpoly
 from . import rings as rg
@@ -30,7 +34,6 @@ from .rings import (
     RingElement,
     SemisimpleAlgebra,
     UnivariatePolyRing,
-    ZeroRing,
 )
 
 
@@ -190,7 +193,7 @@ class LocalizationCell:
     representative: tuple      # subset E of the ambient ring
     localized: Localization
     label: str
-    key: object                # canonical identity: idempotent payload / block set / 0-1
+    key: frozenset             # the blocks the cell keeps
 
 
 class LocalizationLattice:
@@ -228,18 +231,13 @@ class LocalizationLattice:
         return self._key_index[self._key_of_element(f)]
 
     def cell_of_subset(self, E) -> int:
+        """The cell of loc(R, E): the blocks where every member of E is a unit."""
         E = tuple(E)
-        if not E:
-            return self.bottom
-        if rg.is_commutative(self.ring):
-            f = self.ring.one
-            for a in E:
-                f = f * a
-            return self.cell_of_element(f)
-        idx = self.cell_of_element(E[0])
-        for a in E[1:]:
-            idx = self.join(idx, self.cell_of_element(a))
-        return idx
+        rg._check_owner(self.ring, *E)
+        key = self.cells[self.bottom].key
+        for a in E:
+            key = key & self._key_of_element(a)
+        return self._key_index[key]
 
     def hasse_edges(self):
         return self.space.hasse_edges()
@@ -247,13 +245,16 @@ class LocalizationLattice:
     def _check_joins(self):
         """The join of two cells is the cell of the union of their subsets.
 
-        Both sides are symmetric in i and j, so each unordered pair is
-        checked once.
+        A product is a unit on a block iff every factor is: the blocks are
+        local rings, and det is multiplicative on a matrix block.  So the
+        cell of E_i + E_j keeps k_i & k_j, where k_i is the key of the cell
+        of E_i, and each unordered pair is checked once by set arithmetic.
+        At i = j this says that each cell's subset lies in that cell.
         """
+        keys = [self.cells[self.cell_of_subset(c.representative)].key for c in self.cells]
         for i in range(self.n):
             for j in range(i, self.n):
-                union = self.cells[i].representative + self.cells[j].representative
-                if self.join(i, j) != self.cell_of_subset(union):
+                if self.join(i, j) != self._key_index.get(keys[i] & keys[j]):
                     raise NotJoinPreserving(
                         f"the join of cells {i} and {j} is not the cell of the union",
                         witness=(i, j))
@@ -261,72 +262,59 @@ class LocalizationLattice:
 
 def build_semilattice(r):
     """The localization semilattice; lazy for Q[x], materialized otherwise."""
-    if isinstance(r, ZeroRing) or (rg.is_finite(r) and rg.cardinality(r) == 1):
-        cell = _cell(r, (), key=0)
-        return LocalizationLattice(r, [cell], [frozenset({0})], lambda f: 0)
-
-    if rg.cyclic_moduli(r) is not None:
-        return _build_finite_commutative(r)
-
-    if isinstance(r, SemisimpleAlgebra):
-        return _build_semisimple(r)
-
-    if isinstance(r, MatrixRing):
-        bottom = _cell(r, (rg.one(r),), key=1)
-        top = _cell(r, (rg.zero(r),), key=0)
-        up = [frozenset({0, 1}), frozenset({1})]
-
-        def key_of(f):
-            return 1 if rg.is_unit(r, f) or rg.mat_det(r.base, f.payload) != 0 else 0
-
-        return LocalizationLattice(r, [bottom, top], up, key_of)
-
     if isinstance(r, UnivariatePolyRing):
         return PidLattice(r)
+
+    if rg.cardinality(r) == 1:
+        return _block_lattice(r, [(frozenset(), ())], lambda f: frozenset())
+
+    mods = rg.cyclic_moduli(r)
+    if mods is not None:
+        primes = [rg.prime_factors(n) for n in mods]
+
+        def kept(comps):
+            return frozenset((i, p) for i, ps in enumerate(primes) for p in ps if comps[i] % p)
+
+        # The least f in Z/n that is a unit exactly at a set S of primes is
+        # 0 for S empty and otherwise the product of the primes outside S.
+        # A product lists its elements lexicographically, so this is the
+        # order in which the cells' keys first occur among the elements.
+        firsts = [[0] + sorted(prod(T) for k in range(len(ps)) for T in combinations(ps, k))
+                  for ps in primes]
+        return _block_lattice(r, [
+            (kept(f), (rg.cyclic_element(r, map(rg.unit_idempotent, mods, f)),))
+            for f in iproduct(*firsts)], lambda f: kept(rg.cyclic_components(f)))
+
+    if isinstance(r, SemisimpleAlgebra):
+        # larger block sets first, each size in lexicographic order
+        blocks = range(len(r.dims))
+        subsets = [frozenset(Z) for k in reversed(range(len(r.dims) + 1))
+                   for Z in combinations(blocks, k)]
+
+        def idem(Z):
+            return RingElement(r, tuple(
+                f.from_int(1 if i in Z else 0) for i, f in enumerate(r.factors)))
+
+        return _block_lattice(r, [(Z, (idem(Z),)) for Z in subsets], lambda f: frozenset(
+            i for i, b, x in zip(blocks, r.factors, f.payload) if b.is_unit(x)))
+
+    if isinstance(r, MatrixRing):
+        block = frozenset({0})
+        return _block_lattice(r, [(block, (rg.one(r),)), (frozenset(), (rg.zero(r),))],
+                              lambda f: block if rg.is_unit(r, f) else frozenset())
 
     raise UnsupportedClass(f"no semilattice construction for {r!r}")
 
 
-def _cell(r, E, key) -> LocalizationCell:
-    loc = localize(r, E)
-    label = "R[" + ",".join(rg.element_str(a) for a in E) + "]" if E else "R"
-    return LocalizationCell(tuple(E), loc, label, key)
-
-
-def _build_finite_commutative(r):
-    mods = rg.cyclic_moduli(r)
-
-    def key_of(f):
-        return rg.cyclic_element(r, [rg.unit_idempotent(n, c) for n, c in
-                                     zip(mods, rg.cyclic_components(f))]).payload
-
-    # the cells in the order their idempotents first occur among the elements
-    idem = [RingElement(r, p) for p in dict.fromkeys(map(key_of, rg.enumerate_elements(r)))]
-    cells = [_cell(r, (e,), key=e.payload) for e in idem]
-    up = [frozenset(j for j, b in enumerate(idem) if a * b == b) for a in idem]
-    return LocalizationLattice(r, cells, up, key_of)
-
-
-def _build_semisimple(r):
-    k = len(r.dims)
-    subsets = []
-    for mask in range(2 ** k):
-        Z = frozenset(i for i in range(k) if mask >> i & 1)
-        subsets.append(Z)
-    subsets.sort(key=lambda Z: (-len(Z), sorted(Z)))
-
-    def idem(Z):
-        return RingElement(r, tuple(
-            f.from_int(1 if i in Z else 0) for i, f in enumerate(r.factors)))
-
-    cells = [_cell(r, (idem(Z),), key=Z) for Z in subsets]
-    n = len(cells)
-    up = [frozenset(j for j in range(n) if cells[j].key <= cells[i].key) for i in range(n)]
-
-    def key_of(f):
-        return frozenset(
-            j for j in range(k) if rg.mat_det(r.base, f.payload[j]) != 0)
-
+def _block_lattice(r, blocks_and_subsets, key_of) -> LocalizationLattice:
+    """The lattice of the given (kept blocks, subset) cells: j >= i iff cell
+    j keeps a subset of the blocks cell i keeps.  key_of(f) is the set of
+    blocks where f is a unit."""
+    cells = []
+    for key, E in blocks_and_subsets:
+        label = "R[" + ",".join(rg.element_str(a) for a in E) + "]" if E else "R"
+        cells.append(LocalizationCell(E, localize(r, E), label, key))
+    up = [frozenset(j for j, b in enumerate(cells) if b.key <= a.key) for a in cells]
     return LocalizationLattice(r, cells, up, key_of)
 
 

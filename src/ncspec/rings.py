@@ -801,6 +801,17 @@ def unit_part(n, c):
     return m
 
 
+def prime_factors(n):
+    """The primes dividing n, in increasing order, by trial division."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            n = unit_part(n, p)
+        p += 1
+    return primes + [n] * (n > 1)
+
+
 def unit_idempotent(n, c):
     """The idempotent of Z/n that is 1 on the prime-power parts of n prime to c
     and 0 on the others, which is the one idempotent among the powers of c.

@@ -223,11 +223,11 @@ def brute_module_presheaf_laws(sheaf) -> bool:
     res = {(i, j): sheaf.restriction_map(i, j)
            for i in range(lat.n) for j in range(lat.n) if lat.leq(i, j)}
     for i in range(lat.n):
-        if any(res[i, i][x] != x for x in sheaf.stalks[i].elements()):
+        if any(res[i, i](x) != x for x in sheaf.stalks[i].elements()):
             return False
     for (i, j), rij in res.items():
         for k in range(lat.n):
-            if lat.leq(j, k) and any(res[j, k][rij[x]] != res[i, k][x]
+            if lat.leq(j, k) and any(res[j, k](rij(x)) != res[i, k](x)
                                      for x in sheaf.stalks[i].elements()):
                 return False
     return True
@@ -277,6 +277,32 @@ def brute_order_closure(n, pairs):
                     if leq[i][j] and leq[j][m] and not leq[i][m]:
                         leq[i][m] = changed = True
     return tuple(frozenset(j for j in range(n) if leq[i][j]) for i in range(n))
+
+
+def brute_cyclic_cell_idempotents(r):
+    """The cell order of a product of cyclic rings by a scan of every
+    element: the CRT idempotents (`rings.unit_idempotent` per coordinate)
+    as coordinate tuples, in the order they first occur."""
+    mods = rg.cyclic_moduli(r)
+    return list(dict.fromkeys(tuple(map(rg.unit_idempotent, mods, rg.cyclic_components(f)))
+                              for f in rg.enumerate_elements(r)))
+
+
+def brute_cell_of_subset(lat, E):
+    """The cell of loc(R, E) by ring arithmetic: the cell of the product of
+    E in a commutative ring, the join of its members' cells otherwise."""
+    E = tuple(E)
+    if not E:
+        return lat.bottom
+    if rg.is_commutative(lat.ring):
+        f = rg.one(lat.ring)
+        for a in E:
+            f = f * a
+        return lat.cell_of_element(f)
+    cell = lat.cell_of_element(E[0])
+    for a in E[1:]:
+        cell = lat.join(cell, lat.cell_of_element(a))
+    return cell
 
 
 def brute_join(up, i, j):

@@ -421,3 +421,13 @@ def test_cli_rejects_a_format_it_cannot_render(tmp_path, capsys, sub, flag, doc,
     assert rep["subcommand"] == sub and rep["status"] == "fail"
     assert rep["payload"]["error"] == "ParseError"
     assert fmt in rep["payload"]["message"]
+
+
+def test_cli_rejects_a_format_before_the_work(tmp_path, capsys, monkeypatch):
+    import ncspec.commbridge as cb
+    calls = []
+    monkeypatch.setattr(cb, "spec_exponential_iso", calls.append)
+    path = write(tmp_path, "z6.json", FORMAT_DOCS["z6"])
+    code, out = run_cli(capsys, "exp", "--ring", path, "--format", "dot")
+    assert code == 2 and json.loads(out)["payload"]["error"] == "ParseError"
+    assert calls == []

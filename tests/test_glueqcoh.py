@@ -191,7 +191,7 @@ def test_tensor_residues_match_the_coset_oracle():
                 for j in range(lat.n):
                     if lat.leq(i, j):
                         rij = sheaf.restriction_map(i, j)
-                        assert all(rij[residues[i][m]] == residues[j][m] for m in elems)
+                        assert all(rij(residues[i][m]) == residues[j][m] for m in elems)
 
 
 def test_module_checks_are_typed_errors():
@@ -248,9 +248,9 @@ print(error_name(M.act, rg.element(z4, 1), (1,)),
       error_name(gq.tensor_restriction, T_split, T_id, join),
       error_name(gq.tensor_induced, T_id, T_split, ident),
       # a non-identity restriction at a cell, then one that breaks Z/30 -> Z/15 -> Z/5
-      with_restriction(lambda T1, T2, m: {x: T2.zero() for x in m}
+      with_restriction(lambda T1, T2, m: (lambda x: T2.zero())
                        if T1 is T2 and T1.size() > 1 else m),
-      with_restriction(lambda T1, T2, m: {x: nudge(T2, y) for x, y in m.items()}
+      with_restriction(lambda T1, T2, m: (lambda x: nudge(T2, m(x)))
                        if (T1.size(), T2.size()) == (30, 5) else m),
       error_name(gq.tensor_sequence_report, rg.identity_hom(z6), ident,
                  gq.ModuleHom(gq.FiniteModule(z6, (2,)), M, ((3,),))),
@@ -310,7 +310,7 @@ def test_sheaf_hom_determined_by_global_component():
                 rM = sheaf_M.restriction_map(i, j)
                 rN = sheaf_N.restriction_map(i, j)
                 for x in sheaf_M.stalks[i].elements():
-                    assert rN[comps[i][x]] == comps[j][rM[x]]
+                    assert rN(comps[i][x]) == comps[j][rM(x)]
         # determination: the global component pins down every other one
         # because the restrictions out of the bottom cell are surjective
         bot = lat.bottom
@@ -318,7 +318,7 @@ def test_sheaf_hom_determined_by_global_component():
             rM = sheaf_M.restriction_map(bot, i)
             seen = {}
             for x in sheaf_M.stalks[bot].elements():
-                seen[rM[x]] = comps[bot][x]
+                seen[rM(x)] = comps[bot][x]
             assert set(seen) == set(sheaf_M.stalks[i].elements())
 
 
@@ -562,4 +562,4 @@ def test_tensor_restriction_presheaf_triangle():
     r2 = sheaf.restriction_map(c2, top)
     r3 = sheaf.restriction_map(bot, top)
     for x in sheaf.stalks[bot].elements():
-        assert r2[r1[x]] == r3[x]
+        assert r2(r1(x)) == r3(x)

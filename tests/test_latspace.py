@@ -4,6 +4,8 @@ from functools import cache
 import pytest
 
 from conftest import (
+    brute_cell_of_subset,
+    brute_cyclic_cell_idempotents,
     brute_directed_lower_sets,
     brute_join,
     brute_poset_laws,
@@ -13,9 +15,10 @@ from conftest import (
     sympy_squarefree_part,
 )
 
-from ncspec import qpoly
+from ncspec import qpoly, sheafspec
 from ncspec import rings as rg
 from ncspec.errors import (
+    ElementOwnershipMismatch,
     NotAPartialOrder,
     NotIrreducibleCertificate,
     NotJoinPreserving,
@@ -82,8 +85,8 @@ def test_large_cyclic_lattice_builds_by_the_closed_form():
     # Z/100000 = Z/32 x Z/3125: its four cells are its four idempotents.  An
     # orbit walk per element did not finish in minutes
     n = 100000
-    keys = [c.key for c in build_semilattice(ModularRing(n)).cells]
-    assert len(set(keys)) == 4 and all(k * k % n == k for k in keys)
+    idems = [c.representative[0].payload for c in build_semilattice(ModularRing(n)).cells]
+    assert len(set(idems)) == 4 and all(e * e % n == e for e in idems)
 
 
 def test_matrix_lattice_two_cells():
@@ -168,6 +171,72 @@ def test_join_is_union_cell():
             ea, eb = rg.element(z30, a), rg.element(z30, b)
             assert lat.join(lat.cell_of_element(ea), lat.cell_of_element(eb)) \
                 == lat.cell_of_subset((ea, eb))
+
+
+def cyclic(*mods):
+    return rg.product_ring([ModularRing(m) for m in mods])
+
+
+# products with a Z/1 factor, shared primes and prime powers
+CYCLIC_EXTRAS = [cyclic(*ms) for ms in ((1, 6), (6, 1), (1, 1, 4), (4, 9), (2, 6, 9),
+                                        (9, 4, 1), (12, 18), (8, 12), (5, 25, 3))]
+
+
+def test_cyclic_cell_order_is_the_first_occurrence_order():
+    # the closed form lists the cells in the order the element scan finds them
+    rings = ([ModularRing(n) for n in range(2, 400)] + CYCLIC_EXTRAS
+             + [r for r in finite_commutative_grid() if rg.cyclic_moduli(r) is not None])
+    for r in rings:
+        if rg.cardinality(r) == 1:
+            continue
+        lat = build_semilattice(r)
+        got = [rg.cyclic_components(c.representative[0]) for c in lat.cells]
+        assert [tuple(e) for e in got] == brute_cyclic_cell_idempotents(r), r
+
+
+def random_element(r, rng):
+    """A random element; matrix entries over Q are drawn from 0..2."""
+    if rg.is_finite(r):
+        return rng.choice(rg.enumerate_elements(r))
+    return rg.element(r, tuple(tuple(tuple(rng.randrange(3) for _ in range(d)) for _ in range(d))
+                               for d in r.dims))
+
+
+def test_cell_of_subset_agrees_with_the_product_and_fold_oracle(rng):
+    f2, q = PrimeField(2), Rationals()
+    rings = ([r for r in finite_commutative_grid() if rg.cyclic_moduli(r) is not None]
+             + CYCLIC_EXTRAS
+             + [SemisimpleAlgebra(f2, dims) for dims in ((1, 2, 1), (2, 2), (1, 1, 1, 1))]
+             + [SemisimpleAlgebra(q, dims) for dims in ((1, 2), (2, 1, 1), (1, 1, 1))])
+    for r in rings:
+        lat = build_semilattice(r)
+        for _ in range(40):
+            E = [random_element(r, rng) for _ in range(rng.randrange(4))]
+            assert lat.cell_of_subset(E) == brute_cell_of_subset(lat, E), (r, E)
+    for r in (MatrixRing(f2, 2), MatrixRing(q, 2)):
+        lat = build_semilattice(r)
+        for E in ((), (rg.one(r),), (rg.zero(r),), (rg.one(r), rg.zero(r))):
+            assert lat.cell_of_subset(E) == brute_cell_of_subset(lat, E), (r, E)
+
+
+def test_cell_of_subset_rejects_a_foreign_element():
+    for r in (ModularRing(6), cyclic(2, 3), SemisimpleAlgebra(PrimeField(2), (1, 2))):
+        with pytest.raises(ElementOwnershipMismatch):
+            build_semilattice(r).cell_of_subset((rg.one(r), rg.one(ModularRing(5))))
+
+
+def test_cyclic_lattices_enumerate_no_element(monkeypatch):
+    calls = []
+    for cls in vars(rg).values():
+        if isinstance(cls, type) and "elements" in vars(cls):
+            def counted(self, elements=vars(cls)["elements"]):
+                calls.append(self)
+                return elements(self)
+            monkeypatch.setattr(cls, "elements", counted)
+    monkeypatch.setattr(sheafspec, "_ncspec_cache", {})
+    assert sheafspec.ncspec(ModularRing(510510)).point_count() == 128
+    assert build_semilattice(cyclic(6, 10, 9)).n == 32
+    assert calls == []
 
 
 def test_upper_and_lower_sets():
