@@ -446,15 +446,14 @@ def ore_chart_iso(r, E, certificate: OreCertificate = None) -> ChartIso:
         and len(set(cell_map.values())) == len(cell_map)
 
     # ring-level comparison on every chart cell: the induced map of the
-    # insertion, which ncspec_morphism has checked to land in the chart's
-    # assigned sections, must be an isomorphism onto them
+    # insertion must be an isomorphism onto the chart's assigned sections
     alpha_hat = ncspec_morphism(L.insertion)  # chart space -> ambient space
     rings_ok = True
     for i in inside:
         ind = alpha_hat.comap[i]
         if rg.is_finite(ind.source):
             img = {ind(x) for x in rg.enumerate_elements(ind.source)}
-            if len(img) != rg.cardinality(ind.source) or len(img) != rg.cardinality(ind.target):
+            if not len(img) == rg.cardinality(ind.source) == rg.cardinality(ind.target):
                 rings_ok = False
 
     # triangle: inclusion of the open equals the induced morphism after the

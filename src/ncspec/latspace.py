@@ -7,10 +7,10 @@ semisimple algebra, the one block of a matrix ring), and loc(R, E) keeps
 the blocks where every member of E is a unit.  So a cell is keyed by the
 frozenset of blocks it keeps, and its subset is one idempotent: for a
 product of cyclic rings the CRT idempotent (`rings.unit_idempotent`).
-A materialized lattice carries one poset,
-the finite Alexandrov space on its cells, which holds the order, the
-joins and the law checks.  That space is already sober, so it is its own
-soberification: point i stands for the irreducible closed set down(i).
+A materialized lattice carries one poset, the finite Alexandrov space on
+its cells, which holds the order, the joins and the law checks.  That
+space is already sober, so it is its own soberification: point i stands
+for the irreducible closed set down(i).
 Q[x] gets a lazy lattice driven by squarefree divisibility plus the
 symbolic point model for its soberification.
 """

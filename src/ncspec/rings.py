@@ -809,7 +809,7 @@ def prime_factors(n):
             primes.append(p)
             n = unit_part(n, p)
         p += 1
-    return primes + [n] * (n > 1)
+    return primes + [n] if n > 1 else primes
 
 
 def unit_idempotent(n, c):

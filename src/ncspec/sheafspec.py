@@ -172,7 +172,9 @@ def sections(sp: NCSpecSpace, U):
     if len(mins) == 1:
         return sp.sheaf.assignment[mins[0]]
     if isinstance(sp.ring, SemisimpleAlgebra):
-        union = frozenset().union(*(sp.lattice.cells[c].key for c in U))
+        union = frozenset()
+        for c in U:
+            union |= sp.lattice.cells[c].key
         return sp.lattice.cells[sp.lattice._key_index[union]].localized.result
     if rg.cyclic_moduli(sp.ring) is not None:
         top, up = sp.lattice.top, sp.space.up

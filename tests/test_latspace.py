@@ -198,7 +198,7 @@ def random_element(r, rng):
     """A random element; matrix entries over Q are drawn from 0..2."""
     if rg.is_finite(r):
         return rng.choice(rg.enumerate_elements(r))
-    return rg.element(r, tuple(tuple(tuple(rng.randrange(3) for _ in range(d)) for _ in range(d))
+    return rg.element(r, tuple([[rng.randrange(3) for _ in range(d)] for _ in range(d)]
                                for d in r.dims))
 
 

@@ -277,3 +277,10 @@ def test_per_class_outputs_pinned():
             elems = rg.enumerate_elements(r)
             assert (elems[0].payload, elems[-1].payload) == ends, r
             assert len(elems) == card, r
+
+
+def test_prime_factors_against_a_sieve():
+    for n in range(1, 500):
+        want = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+        assert rg.prime_factors(n) == want, n
+    assert rg.prime_factors(9699690) == [2, 3, 5, 7, 11, 13, 17, 19]
