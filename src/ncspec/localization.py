@@ -15,6 +15,7 @@ the image of B, so `_localized` is the only per-class code.
 """
 
 import operator
+from collections import Counter
 from functools import lru_cache
 
 from . import qpoly, skewpoly
@@ -342,21 +343,23 @@ def _hom_is_iso(h: RingHom):
 
 
 def _pushout_by_probes(sq: LocalizationSquare, probes) -> bool:
+    """Each agreeing pair (lam, mu) into a probe has exactly one mediating
+    rho; the rhos are counted once per probe by (rho . right, rho . bottom)."""
     tl, tr, bl, br = sq.corners
     for T in probes:
         lams = all_homs(tr, T)
         mus = all_homs(bl, T)
         rhos = all_homs(br, T)
+        mediating = None
         for lam in lams:
             lam_top = hom_compose(lam, sq.top)
             for mu in mus:
                 if hom_compose(mu, sq.left) != lam_top:
                     continue
-                mediating = [
-                    rho for rho in rhos
-                    if hom_compose(rho, sq.right) == lam and hom_compose(rho, sq.bottom) == mu
-                ]
-                if len(mediating) != 1:
+                if mediating is None:
+                    mediating = Counter((hom_compose(rho, sq.right), hom_compose(rho, sq.bottom))
+                                        for rho in rhos)
+                if mediating[(lam, mu)] != 1:
                     return False
     return True
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 from . import rings as rg
 from .errors import ParseError, SchemaViolation
+from .latspace import AlexandrovSpace
 from .rings import (
     MatrixRing,
     ModularRing,
@@ -157,28 +158,35 @@ def parse_element(r, doc, path="element") -> RingElement:
             return rg.zero(r)
         if isinstance(r, ModularRing):
             return rg.element(r, parse_int(doc, path))
-        if isinstance(r, ProductRing):
+        if isinstance(r, (ProductRing, SemisimpleAlgebra)):
+            # a semisimple algebra is the product of its matrix blocks
+            if len(doc) != len(r.factors):
+                raise SchemaViolation(
+                    f"expected {len(r.factors)} coordinates, got {len(doc)}", path)
             return RingElement(r, tuple(
                 parse_element(f, d, f"{path}[{i}]").payload
                 for i, (f, d) in enumerate(zip(r.factors, doc))))
         if isinstance(r, MatrixRing):
             return rg.matrix_element(r, [[parse_rational(v, path) for v in row] for row in doc])
-        if isinstance(r, SemisimpleAlgebra):
-            return rg.element(r, [[[parse_rational(v, path) for v in row] for row in block]
-                                  for block in doc])
         if isinstance(r, UnivariatePolyRing):
             return rg.element(r, [parse_rational(v, path) for v in doc])
         if isinstance(r, SkewLaurentRing):
-            terms = {}
-            for pair in doc:
-                exps, coeff = pair
-                terms[tuple(parse_int(e, path) for e in exps)] = parse_rational(coeff, path)
-            return rg.element(r, terms)
+            return rg.element(r, _parse_terms(r.nvars, doc, path))
     except SchemaViolation:
         raise
     except (TypeError, ValueError, IndexError) as exc:
         raise SchemaViolation(f"bad element: {exc}", path)
     raise SchemaViolation(f"no element form for {r!r}", path)
+
+
+def _parse_terms(nvars, doc, path) -> dict:
+    """{exponent vector: coefficient} of a skew polynomial written as [[exps, coeff], ...]."""
+    terms = {}
+    for exps, coeff in doc:
+        if len(exps) != nvars:
+            raise SchemaViolation(f"exponent vector {exps!r} needs {nvars} entries", path)
+        terms[tuple(parse_int(e, path) for e in exps)] = parse_rational(coeff, path)
+    return terms
 
 
 def element_doc(x: RingElement):
@@ -187,12 +195,10 @@ def element_doc(x: RingElement):
         return 0
     if isinstance(r, ModularRing):
         return x.payload
-    if isinstance(r, ProductRing):
+    if isinstance(r, (ProductRing, SemisimpleAlgebra)):
         return [element_doc(RingElement(f, p)) for f, p in zip(r.factors, x.payload)]
     if isinstance(r, MatrixRing):
         return [[rational_str(v) for v in row] for row in x.payload]
-    if isinstance(r, SemisimpleAlgebra):
-        return [[[rational_str(v) for v in row] for row in block] for block in x.payload]
     if isinstance(r, UnivariatePolyRing):
         return [rational_str(v) for v in x.payload]
     if isinstance(r, SkewLaurentRing):
@@ -264,17 +270,14 @@ def parse_graded_module(r, doc, path="module"):
         _require_keys(g, ["degree"], (), f"{path}.generators[{i}]")
         degrees.append(parse_int(g["degree"], f"{path}.generators[{i}].degree"))
     rows = []
-    for i, row in enumerate(doc.get("relations", [])):
-        if len(row) != len(degrees):
-            raise SchemaViolation("relation row width mismatch", f"{path}.relations[{i}]")
-        parsed = []
-        for j, entry in enumerate(row):
-            at = f"{path}.relations[{i}][{j}]"
-            terms = {}
-            for exps, coeff in entry:
-                terms[tuple(parse_int(e, at) for e in exps)] = parse_rational(coeff, at)
-            parsed.append(terms)
-        rows.append(parsed)
+    try:
+        for i, row in enumerate(doc.get("relations", [])):
+            if len(row) != len(degrees):
+                raise SchemaViolation("relation row width mismatch", f"{path}.relations[{i}]")
+            rows.append([_parse_terms(r.nvars, entry, f"{path}.relations[{i}][{j}]")
+                         for j, entry in enumerate(row)])
+    except (TypeError, ValueError) as exc:
+        raise SchemaViolation(f"bad relation: {exc}", f"{path}.relations")
     return presentation_from_rows(r, degrees, rows)
 
 
@@ -353,17 +356,11 @@ def space_dot(sp) -> str:
 
 
 def glued_dot(gl) -> str:
+    labels = tuple(",".join(f"{a}:{p}" for a, p in sorted(members)) for members in gl.classes)
     lines = ["digraph glued {", "  rankdir=BT;"]
-    for c in range(gl.n):
-        members = ",".join(f"{a}:{p}" for a, p in sorted(gl.classes[c]))
-        lines.append(f'  c{c} [label="{members}"];')
-    for i in range(gl.n):
-        for j in gl.leq[i]:
-            if j == i:
-                continue
-            if any(k != i and k != j and k in gl.leq[i] and j in gl.leq[k]
-                   for k in range(gl.n)):
-                continue
-            lines.append(f"  c{i} -> c{j};")
+    for c, label in enumerate(labels):
+        lines.append(f'  c{c} [label="{label}"];')
+    for i, j in AlexandrovSpace(gl.leq, labels).hasse_edges():
+        lines.append(f"  c{i} -> c{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -210,23 +210,29 @@ class RingedSpaceMorphism:
     def verify(self) -> bool:
         """Continuity plus compatibility of the comaps with restrictions."""
         Y, X = self.target, self.source
+        pre = {}
         for j in range(Y.lattice.n):
-            pre = self.preimage_base_open(Y.basic_open(j))
+            pre[j] = self.preimage_base_open(Y.basic_open(j))
             h = self.comap[j]
-            if h.source != Y.sheaf.assignment[j] or h.target != sections(X, pre):
+            if h.source != Y.sheaf.assignment[j] or h.target != sections(X, pre[j]):
                 return False
-        for j1 in range(Y.lattice.n):
-            for j2 in range(Y.lattice.n):
-                if not Y.lattice.leq(j1, j2):
-                    continue
-                pre1 = self.preimage_base_open(Y.basic_open(j1))
-                pre2 = self.preimage_base_open(Y.basic_open(j2))
-                resX = _sections_restriction(X, pre1, pre2)
-                lhs = hom_compose(self.comap[j2], Y.sheaf.restriction(j1, j2))
-                rhs = hom_compose(resX, self.comap[j1])
-                if lhs != rhs:
-                    return False
-        return True
+        return all(sq.commutes() for _pair, sq in self.restriction_squares(pre))
+
+    def restriction_squares(self, pre: dict):
+        """((j1, j2), square) for each comparable pair j1 <= j2 of the cells of
+        `pre` (target cell -> its preimage), in `pre` order: comap[j1] on top,
+        the target's restriction on the left, comap[j2] at the bottom and the
+        source's restriction between the two preimages on the right."""
+        Y, X = self.target, self.source
+        for j1, pre1 in pre.items():
+            for j2, pre2 in pre.items():
+                if Y.lattice.leq(j1, j2):
+                    yield (j1, j2), LocalizationSquare(
+                        top=self.comap[j1],
+                        left=Y.sheaf.restriction(j1, j2),
+                        bottom=self.comap[j2],
+                        right=_sections_restriction(X, pre1, pre2),
+                    )
 
     def key(self):
         return (
@@ -340,33 +346,17 @@ def is_prim_report(m: RingedSpaceMorphism, probes=None) -> dict:
             "probes": [repr(p) for p in probes]}
 
 
-def _prim_on_cells(m: RingedSpaceMorphism, cells, probes) -> bool:
-    return _prim_witness(m, cells, probes) is None
-
-
 def _prim_witness(m: RingedSpaceMorphism, cells, probes):
     Y, X = m.target, m.source
-    cells = list(cells)
+    pre = {}
     for j in cells:
-        pre = m.preimage_base_open(Y.basic_open(j))
-        if not is_completely_union_irreducible(X.space, pre):
+        pre[j] = m.preimage_base_open(Y.basic_open(j))
+        if not is_completely_union_irreducible(X.space, pre[j]):
             return {"condition": "preimage_not_union_irreducible",
-                    "basic_open": j, "preimage": sorted(pre)}
-    for j1 in cells:
-        for j2 in cells:
-            if not Y.lattice.leq(j1, j2):
-                continue
-            pre1 = m.preimage_base_open(Y.basic_open(j1))
-            pre2 = m.preimage_base_open(Y.basic_open(j2))
-            sq = LocalizationSquare(
-                top=m.comap[j1],
-                left=Y.sheaf.restriction(j1, j2),
-                bottom=m.comap[j2],
-                right=_sections_restriction(X, pre1, pre2),
-            )
-            if not is_pushout(sq, probes):
-                return {"condition": "restriction_square_not_pushout",
-                        "pair": (j1, j2)}
+                    "basic_open": j, "preimage": sorted(pre[j])}
+    for pair, sq in m.restriction_squares(pre):
+        if not is_pushout(sq, probes):
+            return {"condition": "restriction_square_not_pushout", "pair": pair}
     return None
 
 
@@ -381,10 +371,7 @@ def prim_is_local_check(m: RingedSpaceMorphism, cover) -> bool:
         raise NotACover("the pieces do not cover the space")
     probes = default_prim_probes(m)
     whole = is_prim(m, probes)
-    pieces = all(
-        _prim_on_cells(m, [j for j in range(Y.lattice.n) if j in frozenset(U)], probes)
-        for U in cover
-    )
+    pieces = all(_prim_witness(m, sorted(frozenset(U)), probes) is None for U in cover)
     if whole != pieces:
         raise PresheafLawViolation(
             f"primness must be a local property: {whole} on the whole, {pieces} on the cover")

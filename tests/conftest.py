@@ -12,9 +12,17 @@ from pathlib import Path
 import pytest
 
 from ncspec import rings as rg
-from ncspec.localization import canonical_modular_product, localize, subgroup_closure
+from ncspec.latspace import is_completely_union_irreducible
+from ncspec.localization import (
+    LocalizationSquare,
+    canonical_modular_product,
+    is_pushout,
+    localize,
+    subgroup_closure,
+)
 from ncspec.records import _MISSING
 from ncspec.rings import MatrixRing, ModularRing, PrimeField, SemisimpleAlgebra, ZeroRing
+from ncspec.sheafspec import _sections_restriction, sections
 
 
 def python_stdout(flags, source) -> str:
@@ -214,6 +222,58 @@ def brute_presheaf_laws(sheaf) -> bool:
                                       != sheaf.restriction(i, k)):
                     return False
     return True
+
+
+def brute_verify(m) -> bool:
+    """`RingedSpaceMorphism.verify` by the pair loop: the endpoints of each
+    comap, then comap[j2] . res(j1, j2) = res . comap[j1] composed for every
+    comparable pair, with both preimages recomputed per pair."""
+    Y, X = m.target, m.source
+    for j in range(Y.lattice.n):
+        pre = m.preimage_base_open(Y.basic_open(j))
+        h = m.comap[j]
+        if h.source != Y.sheaf.assignment[j] or h.target != sections(X, pre):
+            return False
+    for j1 in range(Y.lattice.n):
+        for j2 in range(Y.lattice.n):
+            if not Y.lattice.leq(j1, j2):
+                continue
+            pre1 = m.preimage_base_open(Y.basic_open(j1))
+            pre2 = m.preimage_base_open(Y.basic_open(j2))
+            resX = _sections_restriction(X, pre1, pre2)
+            lhs = rg.hom_compose(m.comap[j2], Y.sheaf.restriction(j1, j2))
+            rhs = rg.hom_compose(resX, m.comap[j1])
+            if lhs != rhs:
+                return False
+    return True
+
+
+def brute_prim_witness(m, cells, probes):
+    """The first failing prim condition on the given target cells, by the
+    pair loop that builds each restriction square from fresh preimages."""
+    Y, X = m.target, m.source
+    cells = list(cells)
+    for j in cells:
+        pre = m.preimage_base_open(Y.basic_open(j))
+        if not is_completely_union_irreducible(X.space, pre):
+            return {"condition": "preimage_not_union_irreducible",
+                    "basic_open": j, "preimage": sorted(pre)}
+    for j1 in cells:
+        for j2 in cells:
+            if not Y.lattice.leq(j1, j2):
+                continue
+            pre1 = m.preimage_base_open(Y.basic_open(j1))
+            pre2 = m.preimage_base_open(Y.basic_open(j2))
+            sq = LocalizationSquare(
+                top=m.comap[j1],
+                left=Y.sheaf.restriction(j1, j2),
+                bottom=m.comap[j2],
+                right=_sections_restriction(X, pre1, pre2),
+            )
+            if not is_pushout(sq, probes):
+                return {"condition": "restriction_square_not_pushout",
+                        "pair": (j1, j2)}
+    return None
 
 
 def brute_module_presheaf_laws(sheaf) -> bool:
@@ -537,6 +597,17 @@ def small_commutative_rings(max_size=12):
         if size <= max_size:
             out.append(rg.product_ring([ModularRing(m) for m in mods]))
     return out
+
+
+def hom_corpus(max_mod=12):
+    """Every canonical quotient Z/m -> Z/n and every collapse Z/m -> 0, m <= max_mod."""
+    homs = []
+    for m in range(2, max_mod + 1):
+        for n in range(2, max_mod + 1):
+            if m % n == 0:
+                homs.append(rg.quotient_hom(m, n))
+        homs.append(rg.to_zero_hom(ModularRing(m)))
+    return homs
 
 
 def finite_commutative_grid():

@@ -8,6 +8,7 @@ budget.
 import time
 
 import sympy
+from conftest import hom_corpus
 
 from ncspec import rings as rg
 from ncspec.commbridge import (
@@ -263,16 +264,6 @@ def test_criterion_06_exponential():
         assert rep2["map"] == {p: p for p in range(E.n)} and rep2["unique"] is True
 
 
-def _hom_corpus(max_mod=12):
-    homs = []
-    for m in range(2, max_mod + 1):
-        for n in range(2, max_mod + 1):
-            if m % n == 0:
-                homs.append(rg.quotient_hom(m, n))
-        homs.append(rg.to_zero_hom(ModularRing(m)))
-    return homs
-
-
 def _crafted_negatives():
     out = []
     sp6 = ncspec(ModularRing(6))
@@ -315,7 +306,7 @@ def _crafted_negatives():
 
 def test_criterion_07_functor_suite():
     with budget(7, 30.0, "induced morphisms of every Z/m hom, m <= 12"):
-        corpus = _hom_corpus(12)
+        corpus = hom_corpus(12)
         morphisms = {}
         for theta in corpus:
             m = ncspec_morphism(theta)

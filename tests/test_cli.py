@@ -76,10 +76,13 @@ def test_element_round_trips():
         (UnivariatePolyRing(), ["1/2", 0, 1]),
         (skew_ring(2, {(0, 1): 2}), [[[1, 2], "3/4"]]),
         (skew_ring(2, {(0, 1): 2}, inverted=[0]), [[[-1, 2], "3/4"]]),
+        (SemisimpleAlgebra(Rationals(), (1, 2)), [[["1/2"]], [["1", "0"], ["0", "-3"]]]),
     ]
     for r, doc in cases:
         x = ser.parse_element(r, doc)
         assert ser.parse_element(r, ser.element_doc(x)) == x
+    # a semisimple element is written block by block
+    assert ser.element_doc(x) == doc
 
 
 def test_morphism_round_trip():
@@ -431,3 +434,48 @@ def test_cli_rejects_a_format_before_the_work(tmp_path, capsys, monkeypatch):
     code, out = run_cli(capsys, "exp", "--ring", path, "--format", "dot")
     assert code == 2 and json.loads(out)["payload"]["error"] == "ParseError"
     assert calls == []
+
+
+def test_cli_rejects_malformed_coordinates_and_exponents(tmp_path, capsys):
+    # a product or semisimple element needs one coordinate per factor, each
+    # block is a square matrix of its size, a skew exponent vector has one
+    # entry per variable, and a relation is a list of [exponents, scalar]
+    p23 = {"kind": "product", "factors": [{"kind": "modular", "n": 2},
+                                          {"kind": "modular", "n": 3}]}
+    pairs = [[[a, b], [a, b]] for a in range(2) for b in range(3)]
+    ssa = {"kind": "semisimple", "base": "f2", "dims": [1, 1]}
+    blocks = [[[[a]], [[b]]] for a in range(2) for b in range(2)]
+    bad_pairs = [
+        (p23, [[[1], [0, 0]]] + pairs[1:]),
+        (ssa, [[[[[0]]], blocks[0]]] + [[x, x] for x in blocks[1:]]),
+        (ssa, [[[[[0, 1]], [[1]]], blocks[1]]] + [[x, x] for x in blocks[:1] + blocks[2:]]),
+    ]
+    cases = []
+    for i, (ring, table) in enumerate(bad_pairs):
+        cases.append(("morphism", "--morphism", write(tmp_path, f"m{i}.json", {
+            "schema": "ncspec.morphism/1", "source": ring, "target": ring,
+            "rule": {"kind": "table", "pairs": table}})))
+    glue = {"schema": "ncspec.glue/1", "pieces": [p23, p23],
+            "overlaps": [{"from": 0, "to": 1, "subset": [[1]]},
+                         {"from": 1, "to": 0, "subset": [[1, 1]]}],
+            "isos": [{"from": 0, "to": 1, "rule": {"kind": "identity"}},
+                     {"from": 1, "to": 0, "rule": {"kind": "identity"}}]}
+    cases.append(("glue", "--glue", write(tmp_path, "g.json", glue)))
+    ring = write(tmp_path, "skew.json", dict(_SKEW2, schema="ncspec.ring/1"))
+    # relations are rows of entries, and an entry is a list of terms
+    entries = [[[[1], "1"]], [[[1, 0, 0], "1"]], [1], [[[0, 0], "1", 3]]]
+    for k, rel in enumerate([[[e]] for e in entries] + [[5]]):
+        module = write(tmp_path, f"rel{k}.json", {
+            "schema": "ncspec.module/1", "generators": [{"degree": 0}], "relations": rel})
+        cases.append(("proj-gamma", "--ring", ring, "--window", "0", "2", "--module", module))
+    skew_piece = dict(_SKEW2, inverted=[1])
+    cases.append(("glue", "--glue", write(tmp_path, "gs.json", {
+        "schema": "ncspec.glue/1", "pieces": [skew_piece, skew_piece],
+        "overlaps": [{"from": 0, "to": 1, "subset": [[[[1], "1"]]]},
+                     {"from": 1, "to": 0, "subset": [[[[1, 0], "1"]]]}],
+        "isos": [{"from": 0, "to": 1, "rule": {"kind": "identity"}},
+                 {"from": 1, "to": 0, "rule": {"kind": "identity"}}]})))
+    for argv in cases:
+        code, out = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert json.loads(out)["payload"]["error"] == "SchemaViolation", argv

@@ -1,6 +1,7 @@
 """Source hygiene checks on `src/ncspec`, using only the standard library."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -176,3 +177,32 @@ def test_cli_import_loads_no_code_generation_modules():
                             "print(*[m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize')"
                             " if m in sys.modules])")
     assert out.split() == []
+
+
+def traced_names(source: str) -> dict:
+    """The literal `SPANS`, `METHODS` and `ARITH` tables of a tracer module."""
+    tables = {}
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id in ("SPANS", "METHODS", "ARITH")):
+            tables[node.targets[0].id] = ast.literal_eval(node.value)
+    return tables
+
+
+def test_traced_entry_points_resolve():
+    # the benchmark's tracer wraps these names by lookup, so a renamed
+    # entry point would otherwise fail only in the benchmark's own checks
+    layers = PACKAGE.parent.parent / "perfbench" / "layers.py"
+    tables = traced_names(layers.read_text(encoding="utf-8"))
+    names = list(tables["SPANS"])
+    names += [(m, f"{cls}.{meth}") for m, cls, meth, _span in tables["METHODS"]]
+    names += [("rings", f) for f in tables["ARITH"]]
+    missing = []
+    for modname, dotted in names:
+        obj = importlib.import_module(f"ncspec.{modname}")
+        for part in dotted.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append((modname, dotted))
+    assert names and missing == []

@@ -10,7 +10,7 @@ from conftest import (
     small_commutative_rings,
 )
 
-from ncspec import qpoly
+from ncspec import localization, qpoly
 from ncspec import rings as rg
 from ncspec.errors import (
     NonMonomialSkewSubset,
@@ -242,6 +242,30 @@ def test_pushout_rejects_wrong_corner():
         right=rg.to_zero_hom(sq.right.source))
     assert bad.commutes()
     assert not is_pushout(bad, (ModularRing(3), ZeroRing()))
+
+
+def test_probes_reject_a_square_with_two_mediating_maps(monkeypatch):
+    # Z/2 <- Z/2 x Z/2 -> Z/2 by the first projection, closed by the
+    # diagonal into Z/2 x Z/2: both projections out of the corner restrict
+    # to the identity, so the corner is not the pushout Z/2
+    z2 = ModularRing(2)
+    p22 = rg.product_ring([z2, z2])
+    first = rg.hom_validate(rg.hom_from_callable(
+        p22, z2, lambda x: rg.element(z2, x.payload[0])))
+    diag = rg.hom_validate(rg.hom_from_callable(
+        z2, p22, lambda x: rg.element(p22, (x.payload, x.payload))))
+    sq = LocalizationSquare(top=first, left=first, bottom=diag, right=diag)
+    assert sq.commutes()
+    verdicts = []
+    by_probes = localization._pushout_by_probes
+
+    def spy(square, probes):
+        verdicts.append(by_probes(square, probes))
+        return verdicts[-1]
+
+    monkeypatch.setattr(localization, "_pushout_by_probes", spy)
+    assert is_pushout(sq) is False
+    assert verdicts == [False]
 
 
 def test_quotient_squares_of_semisimple_algebras_are_decided_by_kernels():

@@ -1,6 +1,13 @@
 import pytest
 
-from conftest import brute_sections_limit, finite_commutative_grid, python_stdout
+from conftest import (
+    brute_prim_witness,
+    brute_sections_limit,
+    brute_verify,
+    finite_commutative_grid,
+    hom_corpus,
+    python_stdout,
+)
 
 from ncspec import rings as rg
 from ncspec import sheafspec
@@ -291,6 +298,87 @@ def test_crafted_morphisms_fail_prim():
     assert not rep_b["prim"]  # but not induced by any ring map
     assert rep_b["witness"]["condition"] == "restriction_square_not_pushout"
     assert not is_prim(crafted_swapped_global_comap())
+
+
+def discontinuous_endomorphisms():
+    """Hand-built Z/6 -> Z/6 morphisms whose point maps swap the bottom
+    with a middle point, so a later cell has a preimage that is not open;
+    earlier cells fail the endpoint or the irreducibility check first."""
+    sp = z6_space()
+    n, bottom = sp.lattice.n, sp.lattice.bottom
+    two, three = mid_cells(sp)
+    out = []
+    for top_image in (sp.generic, two):
+        pm = {sp.generic: top_image, bottom: two, two: bottom, three: three}
+        for wrong in (None, bottom):
+            comap = {j: (rg.to_zero_hom(sp.sheaf.assignment[j]) if j == wrong
+                         else rg.identity_hom(sp.sheaf.assignment[j])) for j in range(n)}
+            out.append(RingedSpaceMorphism(sp, sp, pm, comap))
+    return out
+
+
+def outcome(fn, *args):
+    """fn's value, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def answer_kind(result):
+    """The error name, witness condition or plain value of an outcome."""
+    if isinstance(result, tuple):
+        return result[0]
+    if isinstance(result, dict):
+        return result["condition"]
+    return result
+
+
+def test_square_walk_matches_the_pair_loops():
+    # verify and the prim witness walk each restriction square once; the
+    # pair loops that rebuild both preimages per square are the oracle
+    morphisms = [ncspec_morphism(theta) for theta in hom_corpus(12)]
+    morphisms += [crafted_zero_to_closed_point(), crafted_z3_to_bottom_point(),
+                  crafted_swapped_global_comap()]
+    morphisms += discontinuous_endomorphisms()
+    kinds = []
+    for m in morphisms:
+        got = outcome(m.verify)
+        assert got == outcome(brute_verify, m)
+        probes = sheafspec.default_prim_probes(m)
+        want = outcome(brute_prim_witness, m, range(m.target.lattice.n), probes)
+        report = outcome(sheafspec.is_prim_report, m)
+        assert (report["witness"] if isinstance(report, dict) else report) == want
+        kinds.append((answer_kind(got), answer_kind(want)))
+    # a discontinuous morphism fails at its first bad cell: an endpoint or
+    # irreducibility failure there comes before the later preimage error
+    assert kinds[-4:] == [("NotOpen", "NotOpen"), (False, "NotOpen"),
+                          ("NotOpen", "preimage_not_union_irreducible"),
+                          (False, "preimage_not_union_irreducible")]
+    assert {k for pair in kinds for k in pair} == {
+        True, False, None, "NotOpen", "preimage_not_union_irreducible",
+        "restriction_square_not_pushout"}
+
+
+def test_prim_locality_matches_the_pair_loops():
+    m = ncspec_morphism(rg.quotient_hom(6, 3))
+    sp6 = m.target
+    c2, c3 = mid_cells(sp6)
+    up = sp6.space.up
+    bad = crafted_z3_to_bottom_point()
+    cases = [(m, [sp6.space.carrier()]),
+             (m, [sp6.space.carrier(), up[c2] | up[c3]]),
+             (m, [sp6.space.carrier(), up[c2], up[c3]]),
+             (bad, [bad.target.space.carrier()])]
+    for mm, cover in cases:
+        probes = sheafspec.default_prim_probes(mm)
+        n = mm.target.lattice.n
+        whole = brute_prim_witness(mm, range(n), probes)
+        for U in cover:
+            cells = [j for j in range(n) if j in frozenset(U)]
+            assert (sheafspec._prim_witness(mm, sorted(U), probes)
+                    == brute_prim_witness(mm, cells, probes))
+        assert prim_is_local_check(mm, cover) is (whole is None)
 
 
 def test_fullness_on_prim_morphisms():
