@@ -83,7 +83,8 @@ DOCS = {
     "M2-F2": _ring(kind="matrix", base="f2", size=2),
     "Qx": _ring(kind="poly"),
     **{f"Z{n}-Z{m}": _quotient(n, m)
-       for n, m in ((6, 3), (30, 6), (12, 4), (12, 6), (100, 10), (210, 42), (8, 2))},
+       for n, m in ((6, 3), (30, 6), (12, 4), (12, 6), (100, 10), (210, 42), (8, 2),
+                     (2310, 210))},
     "Z6-Z4": _quotient(6, 4),
     "Z6-Z2xZ3": _morphism(_mod(6), {"kind": "product", "factors": [_mod(2), _mod(3)]},
                           {"kind": "table", "pairs": [[k, [k % 2, k % 3]]
@@ -124,6 +125,11 @@ DOCS = {
                             "ring": {k: v for k, v in _SK2.items() if k != "schema"},
                             "module": _FREE, "scalars": [[1, 2, "2"], [2, 1, "1"]]},
     "SK4-qcoh": _trivial_qcoh(_SK4),
+    # prim-check probe lists: Z/6 without its factor Z/3; Z/6 with both
+    # factors and a probe that is not a product of cyclic rings
+    "probes-Z6-Z2": [_mod(6), _mod(2), {"kind": "zero"}],
+    "probes-Z6-Z2-Z3-SSA": [_mod(6), _mod(2), _mod(3),
+                            {"kind": "semisimple", "base": "f2", "dims": [1, 2]}],
 }
 
 _FLAG = {"morphism": "--morphism", "prim-check": "--morphism", "glue": "--glue",
@@ -183,6 +189,10 @@ CALLS = (
     + [("ncspec", "Z30030", ()), ("semilattice", "Z30030", ("--format", "text")),
        ("semilattice", "Z2xZ6xZ9", ()), ("ncspec", "Z1xZ6", ()),
        ("ncspec", "SSA-F2-1-2-1", ())]
+    # an induced morphism and its prim check over 32 target cells
+    + [(sub, "Z2310-Z210", ()) for sub in ("morphism", "prim-check")]
+    + [("prim-check", m, ("--probes", p)) for m in ("Z30-Z6", "Z6-Z2xZ3", "Z210-Z42")
+       for p in ("probes-Z6-Z2", "probes-Z6-Z2-Z3-SSA")]
 )
 
 
@@ -196,7 +206,7 @@ def call_argv(docdir, sub, doc, extra):
     args = iter(extra)
     for a in args:
         argv.append(a)
-        if a == "--module":
+        if a in ("--module", "--probes"):
             argv.append(str(docdir / f"{next(args)}.json"))
     return argv
 
