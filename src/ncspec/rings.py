@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product as iproduct
 from math import gcd as igcd
+from math import prod
 
 from . import qpoly, skewpoly
 from .errors import (
@@ -1183,26 +1184,60 @@ def descend(pairs, size, error, clash, partial) -> dict:
 
 
 def hom_descend(alpha: RingHom, psi: RingHom) -> RingHom:
-    """The hom phi with phi after alpha = psi, read off the pairs (alpha(x), psi(x)).
+    """The hom phi with phi after alpha = psi, for homs out of one finite ring R.
 
-    alpha and psi are homs out of one finite ring R, validated first.
-    When no alpha(x) meets two values and every element of alpha's target
-    is met (alpha is onto), phi is a ring hom by construction:
-    phi(alpha(x)) + phi(alpha(y)) = psi(x) + psi(y) = psi(x + y)
-    = phi(alpha(x) + alpha(y)), likewise for products, and
+    alpha and psi are validated first.  When alpha's source and target
+    are products of cyclic rings and every generator g of the target is
+    alpha(x) for a generator x of R, alpha is onto (the generators span
+    the target), so phi is fixed by phi(g) = psi(x).  That candidate is
+    the `CyclicImagesRule` of those images, certified by its O(k^2)
+    check; then phi after alpha and psi are additive, so they are equal
+    iff they agree on R's generators.  Any descent phi' has
+    phi'(g) = phi'(alpha(x)) = psi(x), so it is the candidate: when
+    either check fails there is none, and the element-wise read below
+    would meet a clash.
+
+    Every other alpha is read off the pairs (alpha(x), psi(x)) of all
+    x in R.  When no alpha(x) meets two values and every element of
+    alpha's target is met (alpha is onto), phi is a ring hom by
+    construction: phi(alpha(x)) + phi(alpha(y)) = psi(x) + psi(y)
+    = psi(x + y) = phi(alpha(x) + alpha(y)), likewise for products, and
     phi(1) = psi(1) = 1.  So it is certified after |R| evaluations, not
-    |R|^2.  Raises UnsupportedClass otherwise.
+    |R|^2.  Raises UnsupportedClass when no descent exists.
     """
     if alpha.source != psi.source:
         raise CompositionMismatch(f"{alpha.source!r} != {psi.source!r}")
     hom_validate(alpha)
     hom_validate(psi)
+    clash = f"{psi!r} is not constant on the fibres of {alpha!r}"
+    phi = _descend_by_generators(alpha, psi, clash)
+    if phi is not None:
+        return phi
     pairs = ((alpha(x).payload, psi(x).payload) for x in enumerate_elements(alpha.source))
     table = descend(pairs, cardinality(alpha.target), UnsupportedClass,
-                    f"{psi!r} is not constant on the fibres of {alpha!r}",
-                    f"{alpha!r} is not onto")
+                    clash, f"{alpha!r} is not onto")
     phi = RingHom(alpha.target, psi.target, TableRule(tuple(sorted(table.items()))))
     phi.validated = True
+    return phi
+
+
+def _descend_by_generators(alpha: RingHom, psi: RingHom, clash: str):
+    """hom_descend between products of cyclic rings whose target generators
+    are images of source generators; None when that does not apply."""
+    if cyclic_moduli(alpha.source) is None or cyclic_moduli(alpha.target) is None:
+        return None
+    gens = generator_elements(alpha.source)
+    preimage = {alpha(x).payload: x for x in gens}
+    if any(g not in preimage for g in alpha.target.generators):
+        return None
+    images = tuple(psi(preimage[g]).payload for g in alpha.target.generators)
+    phi = RingHom(alpha.target, psi.target, CyclicImagesRule(images))
+    try:
+        hom_validate(phi)
+    except NotAHomomorphism:
+        raise UnsupportedClass(clash) from None
+    if any(phi(alpha(x)) != psi(x) for x in gens):
+        raise UnsupportedClass(clash)
     return phi
 
 
@@ -1217,7 +1252,8 @@ def all_homs(source, target) -> tuple:
     out of a product is determined by an orthogonal idempotent
     decomposition of 1 in the target, one idempotent per factor, killed by
     the factor's characteristic.  Each such choice is a `CyclicImagesRule`,
-    certified by its check.
+    certified by its check.  The candidates are the target's idempotents
+    (`cyclic_idempotents`), in the order the target enumerates them.
     """
     if is_zero_ring(target):
         return (to_zero_hom(source, target),)
@@ -1228,7 +1264,7 @@ def all_homs(source, target) -> tuple:
         raise UnsupportedClass(
             f"hom enumeration needs products of cyclic rings, got {source!r} -> {target!r}")
     z = zero(target)
-    idem = [t for t in enumerate_elements(target) if t * t == t]
+    idem = cyclic_idempotents(target)
     out = []
 
     def rec(i, chosen, remaining):
@@ -1247,3 +1283,20 @@ def all_homs(source, target) -> tuple:
 
     rec(0, [], one(target))
     return tuple(out)
+
+
+def cyclic_idempotents(r):
+    """The idempotents of a product of cyclic rings r, in element order.
+
+    By CRT an idempotent of Z/n is 1 on some prime-power parts of n and 0
+    on the others, so Z/n has one per set of primes of n: the
+    `unit_idempotent` at their product.  An idempotent of a product is
+    one per factor, and `elements` lists a product lexicographically.
+    """
+    per_factor = []
+    for n in cyclic_moduli(r):
+        primes = prime_factors(n)
+        per_factor.append(sorted(
+            unit_idempotent(n, prod(p for p, keep in zip(primes, mask) if keep))
+            for mask in iproduct((0, 1), repeat=len(primes))))
+    return [cyclic_element(r, comps) for comps in iproduct(*per_factor)]

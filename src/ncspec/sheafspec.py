@@ -222,8 +222,10 @@ class RingedSpaceMorphism:
         """((j1, j2), square) for each comparable pair j1 <= j2 of the cells of
         `pre` (target cell -> its preimage), in `pre` order: comap[j1] on top,
         the target's restriction on the left, comap[j2] at the bottom and the
-        source's restriction between the two preimages on the right."""
+        source's restriction between the two preimages on the right.  The
+        minimal cells of each preimage are computed once."""
         Y, X = self.target, self.source
+        mins = {j: X.space.minimal_elements(U) for j, U in pre.items()}
         for j1, pre1 in pre.items():
             for j2, pre2 in pre.items():
                 if Y.lattice.leq(j1, j2):
@@ -231,7 +233,7 @@ class RingedSpaceMorphism:
                         top=self.comap[j1],
                         left=Y.sheaf.restriction(j1, j2),
                         bottom=self.comap[j2],
-                        right=_sections_restriction(X, pre1, pre2),
+                        right=_restriction_at_minima(X, pre1, mins[j1], pre2, mins[j2]),
                     )
 
     def key(self):
@@ -248,18 +250,18 @@ class RingedSpaceMorphism:
         return hash(self.key())
 
 
-def _sections_restriction(sp: NCSpecSpace, U, V) -> RingHom:
-    """Restriction map of sp's sheaf between opens V <= U (principal or empty)."""
-    U, V = frozenset(U), frozenset(V)
+def _restriction_at_minima(sp: NCSpecSpace, U, minsU, V, minsV) -> RingHom:
+    """Restriction map of sp's sheaf between opens V <= U (principal or
+    empty), given the minimal cells of each: between principal opens the
+    restriction of their minima, into the empty open the zero hom."""
     if not V <= U:
         raise NotComparable("restriction goes to a smaller open")
-    SU, SV = sections(sp, U), sections(sp, V)
-    if not V:
-        return to_zero_hom(SU, SV)
-    minsU = sp.space.minimal_elements(U)
-    minsV = sp.space.minimal_elements(V)
     if len(minsU) == 1 and len(minsV) == 1:
         return sp.sheaf.restriction(minsU[0], minsV[0])
+    SU = sp.sheaf.assignment[minsU[0]] if len(minsU) == 1 else sections(sp, U)
+    if not V:
+        return to_zero_hom(SU, ZeroRing())
+    sections(sp, V)  # a non-basic open without section ring raises here first
     raise UnsupportedClass("restriction between non-principal opens")
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from ncspec import rings as rg
+from ncspec.errors import NotComparable, UnsupportedClass
 from ncspec.latspace import is_completely_union_irreducible
 from ncspec.localization import (
     LocalizationSquare,
@@ -22,7 +23,7 @@ from ncspec.localization import (
 )
 from ncspec.records import _MISSING
 from ncspec.rings import MatrixRing, ModularRing, PrimeField, SemisimpleAlgebra, ZeroRing
-from ncspec.sheafspec import _sections_restriction, sections
+from ncspec.sheafspec import sections
 
 
 def python_stdout(flags, source) -> str:
@@ -92,6 +93,48 @@ def brute_under_map(r, A, B):
     if len(table) != rg.cardinality(LA.result):
         raise AssertionError("the insertion of loc(r, A) is not surjective")
     return rg.table_hom(LA.result, LB.result, table)
+
+
+def brute_hom_descend(alpha, psi):
+    """The hom phi with phi . alpha = psi, read off the pairs (alpha(x), psi(x))
+    of every element of the finite source; raises UnsupportedClass with
+    the messages of `rings.hom_descend` on a clash or a map that is not onto."""
+    rg.hom_validate(alpha)
+    rg.hom_validate(psi)
+    pairs = ((alpha(x).payload, psi(x).payload) for x in rg.enumerate_elements(alpha.source))
+    table = rg.descend(pairs, rg.cardinality(alpha.target), UnsupportedClass,
+                       f"{psi!r} is not constant on the fibres of {alpha!r}",
+                       f"{alpha!r} is not onto")
+    return rg.RingHom(alpha.target, psi.target, rg.TableRule(tuple(sorted(table.items()))))
+
+
+def brute_all_homs(source, target):
+    """Every hom out of a product of cyclic rings into another, in the order
+    of `rings.all_homs`: one idempotent per factor, drawn from an
+    enumeration of the target, orthogonal to those before it and killed by
+    the factor's modulus, with sum 1."""
+    if rg.is_zero_ring(target):
+        return [rg.to_zero_hom(source, target)]
+    if rg.is_zero_ring(source):
+        return []
+    mods = rg.cyclic_moduli(source)
+    z = rg.zero(target)
+    idem = [t for t in rg.enumerate_elements(target) if t * t == t]
+    out = []
+
+    def rec(chosen, remaining):
+        i = len(chosen)
+        if i == len(mods):
+            if remaining == z:
+                rule = rg.CyclicImagesRule(tuple(t.payload for t in chosen))
+                out.append(rg.hom_validate(rg.RingHom(source, target, rule)))
+            return
+        for t in idem:
+            if all(t * c == z for c in chosen) and rg.from_int(target, mods[i]) * t == z:
+                rec(chosen + [t], remaining - t)
+
+    rec([], rg.one(target))
+    return out
 
 
 def brute_is_hom(h) -> bool:
@@ -224,6 +267,22 @@ def brute_presheaf_laws(sheaf) -> bool:
     return True
 
 
+def brute_sections_restriction(sp, U, V):
+    """The restriction map between opens V <= U (principal or empty) of a
+    space, with the section rings and minimal cells of both recomputed."""
+    U, V = frozenset(U), frozenset(V)
+    if not V <= U:
+        raise NotComparable("restriction goes to a smaller open")
+    SU, SV = sections(sp, U), sections(sp, V)
+    if not V:
+        return rg.to_zero_hom(SU, SV)
+    minsU = sp.space.minimal_elements(U)
+    minsV = sp.space.minimal_elements(V)
+    if len(minsU) == 1 and len(minsV) == 1:
+        return sp.sheaf.restriction(minsU[0], minsV[0])
+    raise UnsupportedClass("restriction between non-principal opens")
+
+
 def brute_verify(m) -> bool:
     """`RingedSpaceMorphism.verify` by the pair loop: the endpoints of each
     comap, then comap[j2] . res(j1, j2) = res . comap[j1] composed for every
@@ -240,7 +299,7 @@ def brute_verify(m) -> bool:
                 continue
             pre1 = m.preimage_base_open(Y.basic_open(j1))
             pre2 = m.preimage_base_open(Y.basic_open(j2))
-            resX = _sections_restriction(X, pre1, pre2)
+            resX = brute_sections_restriction(X, pre1, pre2)
             lhs = rg.hom_compose(m.comap[j2], Y.sheaf.restriction(j1, j2))
             rhs = rg.hom_compose(resX, m.comap[j1])
             if lhs != rhs:
@@ -268,7 +327,7 @@ def brute_prim_witness(m, cells, probes):
                 top=m.comap[j1],
                 left=Y.sheaf.restriction(j1, j2),
                 bottom=m.comap[j2],
-                right=_sections_restriction(X, pre1, pre2),
+                right=brute_sections_restriction(X, pre1, pre2),
             )
             if not is_pushout(sq, probes):
                 return {"condition": "restriction_square_not_pushout",

@@ -145,7 +145,7 @@ def _window(lo, hi, *rest):
     return ("--window", str(lo), str(hi), *rest)
 
 
-# (subcommand, document, extra arguments); a module rides in the extras
+# (subcommand, document, extra arguments); a module or a probe list rides in the extras
 CALLS = (
     # the finite pool of perfbench
     [("ncspec", r, ()) for r in ("Z6", "Z12", "Z30", "Z60", "F2^4", "SSA-F2-1-2",

@@ -490,7 +490,8 @@ def with_cell_map(remap):
 
 
 print(with_cell_map({lat.bottom: two}), with_cell_map({two: three, three: two}),
-      error_name(sheafspec._sections_restriction, sp, sp.space.up[two], sp.space.up[three]))
+      error_name(sheafspec._restriction_at_minima,
+                 sp, sp.space.up[two], [two], sp.space.up[three], [three]))
 """
 
 
