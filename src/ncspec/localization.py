@@ -15,7 +15,6 @@ the image of B, so `_localized` is the only per-class code.
 """
 
 import operator
-from collections import Counter
 from functools import lru_cache
 
 from . import qpoly, skewpoly
@@ -43,7 +42,6 @@ from .rings import (
     ToZeroRule,
     UnivariatePolyRing,
     ZeroRing,
-    all_homs,
     hom_compose,
     hom_validate,
 )
@@ -246,15 +244,26 @@ class LocalizationSquare:
     def commutes(self) -> bool:
         """right . top == bottom . left; on finite legs, validated first,
         both sides are additive, so comparing them on the generators of TL
-        suffices.  On infinite legs the two composites are compared, and
-        legs that `hom_compose` cannot compose raise its UnsupportedClass."""
+        suffices, and when all four corners are products of cyclic rings
+        the homs compare by their local maps: (g . f).local_map[l] is
+        f.local_map[g.local_map[l]].  On infinite legs the two composites
+        are compared, and legs that `hom_compose` cannot compose raise its
+        UnsupportedClass."""
         tl = self.top.source
         if rg.is_finite(tl):
             for h in (self.top, self.left, self.bottom, self.right):
                 rg.hom_validate(h)
+            if _all_cyclic(self.corners):
+                top, left = self.top.local_map, self.left.local_map
+                return all(top[r] == left[b] for r, b in
+                           zip(self.right.local_map, self.bottom.local_map))
             return all(self.right(self.top(x)) == self.bottom(self.left(x))
                        for x in rg.generator_elements(tl))
         return hom_compose(self.right, self.top) == hom_compose(self.bottom, self.left)
+
+
+def _all_cyclic(rings) -> bool:
+    return all(r.local_factors is not None for r in rings)
 
 
 def localization_square(theta: RingHom, A, B) -> LocalizationSquare:
@@ -325,16 +334,31 @@ def is_pushout(sq: LocalizationSquare, probes=None) -> bool:
 
 
 def _hom_is_identity(h: RingHom) -> bool:
-    # a validated finite hom compares by its images of the generators
-    return h.source == h.target and h == rg.identity_hom(h.source)
+    """A validated finite hom is the identity iff it fixes the generators."""
+    if h.source != h.target:
+        return False
+    if rg.is_finite(h.source):
+        return h.images == h.source.generators
+    return isinstance(h.rule, IdentityRule)
 
 
 def _hom_is_iso(h: RingHom):
-    """True/False when decidable, None otherwise."""
+    """True/False when decidable, None otherwise.
+
+    A validated hom between products of cyclic rings is x -> x mod q^c
+    from the source factor `local_map` names into each target factor
+    Z/q^c (see `RingHom.local_map`), so it is bijective iff every source
+    factor feeds exactly one target factor, of the same prime power.
+    """
     if isinstance(h.rule, IdentityRule):
         return True
     if isinstance(h.rule, ToZeroRule):
         return rg.is_zero_ring(h.source)
+    src, tgt = h.source.local_factors, h.target.local_factors
+    if src is not None and tgt is not None:
+        hom_validate(h)
+        return (sorted(h.local_map) == list(range(len(src)))
+                and all(src[s][2] == q for s, (_j, _p, q) in zip(h.local_map, tgt)))
     if rg.is_finite(h.source) and rg.is_finite(h.target):
         image = {h(x) for x in rg.enumerate_elements(h.source)}
         return (len(image) == rg.cardinality(h.source)
@@ -343,60 +367,71 @@ def _hom_is_iso(h: RingHom):
 
 
 def _pushout_by_probes(sq: LocalizationSquare, probes) -> bool:
-    """Each agreeing pair (lam, mu) into a probe has exactly one mediating
-    rho; the rhos are counted once per probe by (rho . right, rho . bottom).
+    """Phi_T: Hom(BR, T) -> {(lam, mu) in Hom(TR, T) x Hom(BL, T) : lam . top
+    == mu . left}, rho -> (rho . right, rho . bottom), is a bijection for
+    every probe T; the square commutes, so Phi_T lands in that set.
 
-    That is, Phi_T: Hom(BR, T) -> {(lam, mu) agreeing on TL} is a
-    bijection for every probe T.  Hom(X, T1 x T2) = Hom(X, T1) x
-    Hom(X, T2) naturally in X, so Phi_{T1 x T2} = Phi_T1 x Phi_T2, which
-    is a bijection when both factors are.  Hom(X, 0) is one point for
-    every X, so Phi_0 is always a bijection.  `_essential_probes` drops
-    exactly the probes these two facts decide, so the verdict is that of
-    the whole list.
+    A probe that is a product of cyclic rings is the product of its local
+    factors T_l = Z/p^c, and Hom(X, T1 x T2) = Hom(X, T1) x Hom(X, T2)
+    naturally in X, so Phi_T is the product of the Phi_{T_l}.  A product
+    of maps is a bijection iff some domain and some codomain are empty
+    (both products are empty), or every domain and codomain is nonempty
+    and every factor is a bijection.  The zero ring, an empty product, is
+    always decided True: every ring has exactly one hom into it.  Each
+    distinct Z/p^c is decided once per square by `_local_phi`.
+
+    A probe that is not a product of cyclic rings raises UnsupportedClass
+    where it stands in the list, unless TR, BL and BR are all zero rings
+    (then Hom(BR, T) and the pairs are both empty), and so does any probe
+    but the zero ring when a corner is not a product of cyclic rings; the
+    caller then hands the square to the kernel check.
     """
-    tl, tr, bl, br = sq.corners
-    for T in _essential_probes(tuple(probes)):
-        lams = all_homs(tr, T)
-        mus = all_homs(bl, T)
-        rhos = all_homs(br, T)
-        mediating = None
-        for lam in lams:
-            lam_top = hom_compose(lam, sq.top)
-            for mu in mus:
-                if hom_compose(mu, sq.left) != lam_top:
-                    continue
-                if mediating is None:
-                    mediating = Counter((hom_compose(rho, sq.right), hom_compose(rho, sq.bottom))
-                                        for rho in rhos)
-                if mediating[(lam, mu)] != 1:
-                    return False
+    _tl, tr, bl, br = sq.corners
+    cyclic = _all_cyclic(sq.corners)
+    decided = {}
+    for T in probes:
+        factors = T.local_factors
+        if factors == () or (factors is None and rg.is_zero_ring(T)):
+            continue
+        if factors is None or not cyclic:
+            if all(rg.is_zero_ring(c) for c in (tr, bl, br)):
+                continue
+            raise UnsupportedClass(f"no local maps into {T!r} for corners {sq.corners!r}")
+        dom_empty = cod_empty = False
+        every = True
+        for _j, p, q in factors:
+            phi = decided.get((p, q))
+            if phi is None:
+                phi = decided[p, q] = _local_phi(sq, p, q)
+            dom_empty |= phi[0]
+            cod_empty |= phi[1]
+            every &= phi[2]
+        if not (every or (dom_empty and cod_empty)):
+            return False
     return True
 
 
-@lru_cache(maxsize=None)
-def _essential_probes(probes: tuple) -> tuple:
-    """The probes whose check `_pushout_by_probes` cannot skip, in list order.
+def _local_phi(sq: LocalizationSquare, p, q):
+    """(domain empty, codomain empty, bijective with both nonempty) for
+    Phi_{Z/q}, q = p^c.
 
-    Skipped: the zero ring, and a product of cyclic rings with two or
-    more local factors Z/p^a when each of them is a probe too; its check
-    is implied by theirs.  A probe that is not a product of cyclic rings
-    raises UnsupportedClass where it stands in the list (`all_homs` has no
-    rule for it), so with one in the list no product is skipped: a factor
-    checked after it could not refute the square before it raises.
+    Hom(X, Z/q) is one hom per local factor Z/p^a of X with q | p^a (the
+    projection onto it), so a hom into Z/q is the index of its factor in
+    `X.local_factors`, and composing it with a leg h is the lookup
+    h.local_map[index].
     """
-    uniform = all(rg.cyclic_moduli(T) is not None for T in probes)
+    _tl, tr, bl, br = sq.corners
 
-    def implied(T):
-        if rg.is_zero_ring(T):
-            return True
-        mods = rg.cyclic_moduli(T)
-        if not uniform or mods is None:
-            return False
-        local = [ModularRing(n // rg.unit_part(n, p))
-                 for n in mods for p in rg.prime_factors(n)]
-        return len(local) >= 2 and all(f in probes for f in local)
+    def homs(X):
+        return [s for s, (_j, pp, qq) in enumerate(X.local_factors) if pp == p and qq % q == 0]
 
-    return tuple(T for T in probes if not implied(T))
+    top, left = sq.top.local_map, sq.left.local_map
+    right, bottom = sq.right.local_map, sq.bottom.local_map
+    pairs = {(lam, mu) for lam in homs(tr) for mu in homs(bl) if top[lam] == left[mu]}
+    rhos = homs(br)
+    image = {(right[rho], bottom[rho]) for rho in rhos}
+    return (not rhos, not pairs,
+            bool(rhos) and bool(pairs) and len(image) == len(rhos) and image == pairs)
 
 
 def _pushout_by_kernels(sq: LocalizationSquare) -> bool:

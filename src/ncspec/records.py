@@ -73,7 +73,7 @@ def record(cls=None, /, *, frozen=False):
             setattr(cls, name, spec.default)
         fields[name] = spec
     init_names = tuple(n for n, f in fields.items() if f.init)
-    arity = len(init_names)
+    arity, init_set = len(init_names), frozenset(init_names)
     late = tuple((n, f.default_factory) for n, f in fields.items()
                  if not f.init and f.default_factory is not _MISSING)
     shown = tuple(n for n, f in fields.items() if f.repr)
@@ -85,30 +85,37 @@ def record(cls=None, /, *, frozen=False):
     explicit_hash = not (own_hash is _MISSING or (own_hash is None and "__eq__" in cls.__dict__))
 
     def bind(args, kwargs):
+        """The field values of a call, in declaration order."""
         if len(args) > arity:
             raise TypeError(f"{qualname}() takes {arity} arguments, got {len(args)}")
-        values = dict(zip(init_names, args))
-        for name, value in kwargs.items():
-            if name not in init_names or name in values:
+        for name in kwargs:
+            if name not in init_set or name in init_names[:len(args)]:
                 raise TypeError(f"{qualname}() got an unexpected or repeated argument {name!r}")
-            values[name] = value
+        values = dict(zip(init_names, args))
         for name in init_names[len(args):]:
-            if name not in values:
-                f = fields[name]
-                if f.default_factory is not _MISSING:
-                    values[name] = f.default_factory()
-                elif f.default is not _MISSING:
-                    values[name] = f.default
-                else:
-                    raise TypeError(f"{qualname}() missing argument {name!r}")
+            if name in kwargs:
+                values[name] = kwargs[name]
+                continue
+            f = fields[name]
+            if f.default_factory is not _MISSING:
+                values[name] = f.default_factory()
+            elif f.default is not _MISSING:
+                values[name] = f.default
+            else:
+                raise TypeError(f"{qualname}() missing argument {name!r}")
         values.update((name, factory()) for name, factory in late)
         return values
 
     def __init__(self, *args, **kwargs):
-        if kwargs or late or len(args) != arity:
-            self.__dict__.update(bind(args, kwargs))
+        # every init field given once, all by position or all by keyword,
+        # needs no binding; anything else goes through `bind` and its errors
+        if not late and not kwargs and len(args) == arity:
+            values = zip(init_names, args)
+        elif not late and not args and kwargs.keys() == init_set:
+            values = [(name, kwargs[name]) for name in init_names]
         else:
-            self.__dict__.update(zip(init_names, args))
+            values = bind(args, kwargs)
+        self.__dict__.update(values)
         if post_init:
             self.__post_init__()
 

@@ -116,6 +116,22 @@ class Descriptor:
         return tuple(self.elements())
 
     @cached_property
+    def local_factors(self):
+        """The local factors Z/p^b of a product of cyclic rings, or None.
+
+        One (factor j, prime p, p^b) per prime p of each modulus n_j, with
+        p^b the largest power of p dividing n_j, by factor and then by
+        prime; () for the zero ring and None for every other descriptor.
+        By CRT the ring is the product of its Z/p^b.  The tuple is cached
+        on the descriptor, like `generators`.
+        """
+        mods = cyclic_moduli(self)
+        if mods is None:
+            return None
+        return tuple((j, p, n // unit_part(n, p))
+                     for j, n in enumerate(mods) for p in prime_factors(n))
+
+    @cached_property
     def one(self):
         """The element 1, built once per descriptor."""
         return RingElement(self, self.from_int(1))
@@ -1032,6 +1048,25 @@ class RingHom:
         """The image payloads of the source's generators (finite sources only)."""
         return tuple(self(x).payload for x in generator_elements(self.source))
 
+    @cached_property
+    def local_map(self):
+        """Which local factor of the source feeds each local factor of the target.
+
+        For a validated hom between products of cyclic rings: entry l is
+        the index in `source.local_factors` of the factor feeding the l-th
+        of `target.local_factors`.  The images t_i of the e_i are
+        orthogonal idempotents summing to 1, so on a local factor Z/q^c
+        of the target, whose only idempotents are 0 and 1, exactly one t_i
+        is 1; and n_i t_i = 0 makes q^c divide n_i, so factor i has a
+        local factor at q, of exponent at least c.  The hom is x -> x mod
+        q^c on that factor, so it is fixed by this map, and
+        (g . f).local_map[l] = f.local_map[g.local_map[l]].
+        """
+        index = {(i, p): s for s, (i, p, _q) in enumerate(self.source.local_factors)}
+        images = [cyclic_components(RingElement(self.target, t)) for t in self.images]
+        return tuple(index[next(i for i, t in enumerate(images) if t[j] % q == 1), p]
+                     for j, p, q in self.target.local_factors)
+
     def __eq__(self, other):
         if not isinstance(other, RingHom):
             return False
@@ -1209,21 +1244,26 @@ def hom_descend(alpha: RingHom, psi: RingHom) -> RingHom:
         raise CompositionMismatch(f"{alpha.source!r} != {psi.source!r}")
     hom_validate(alpha)
     hom_validate(psi)
-    clash = f"{psi!r} is not constant on the fibres of {alpha!r}"
+
+    def clash():
+        # formatted only when raised: the reprs cost more than a descent
+        return f"{psi!r} is not constant on the fibres of {alpha!r}"
+
     phi = _descend_by_generators(alpha, psi, clash)
     if phi is not None:
         return phi
     pairs = ((alpha(x).payload, psi(x).payload) for x in enumerate_elements(alpha.source))
-    table = descend(pairs, cardinality(alpha.target), UnsupportedClass,
-                    clash, f"{alpha!r} is not onto")
+    table = descend(pairs, cardinality(alpha.target), lambda msg: UnsupportedClass(msg()),
+                    clash, lambda: f"{alpha!r} is not onto")
     phi = RingHom(alpha.target, psi.target, TableRule(tuple(sorted(table.items()))))
     phi.validated = True
     return phi
 
 
-def _descend_by_generators(alpha: RingHom, psi: RingHom, clash: str):
+def _descend_by_generators(alpha: RingHom, psi: RingHom, clash):
     """hom_descend between products of cyclic rings whose target generators
-    are images of source generators; None when that does not apply."""
+    are images of source generators; None when that does not apply.
+    clash() is the message of the UnsupportedClass raised when none exists."""
     if cyclic_moduli(alpha.source) is None or cyclic_moduli(alpha.target) is None:
         return None
     gens = generator_elements(alpha.source)
@@ -1235,9 +1275,9 @@ def _descend_by_generators(alpha: RingHom, psi: RingHom, clash: str):
     try:
         hom_validate(phi)
     except NotAHomomorphism:
-        raise UnsupportedClass(clash) from None
+        raise UnsupportedClass(clash()) from None
     if any(phi(alpha(x)) != psi(x) for x in gens):
-        raise UnsupportedClass(clash)
+        raise UnsupportedClass(clash())
     return phi
 
 

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -12,11 +13,13 @@ from pathlib import Path
 import pytest
 
 from ncspec import rings as rg
-from ncspec.errors import NotComparable, UnsupportedClass
+from ncspec.errors import NotComparable, UnsupportedClass, UnverifiableSquare
 from ncspec.latspace import is_completely_union_irreducible
 from ncspec.localization import (
     LocalizationSquare,
+    _pushout_by_kernels,
     canonical_modular_product,
+    default_probes,
     is_pushout,
     localize,
     subgroup_closure,
@@ -333,6 +336,77 @@ def brute_prim_witness(m, cells, probes):
                 return {"condition": "restriction_square_not_pushout",
                         "pair": (j1, j2)}
     return None
+
+
+def brute_commutes(sq) -> bool:
+    """right . top == bottom . left, with the legs validated and both
+    composites built by `hom_compose` and compared as homs."""
+    for h in (sq.top, sq.left, sq.bottom, sq.right):
+        rg.hom_validate(h)
+    return rg.hom_compose(sq.right, sq.top) == rg.hom_compose(sq.bottom, sq.left)
+
+
+def brute_is_iso(h):
+    """True/False for a hom between finite rings by the image of every
+    element, the answer of an identity or collapse rule; None otherwise."""
+    if isinstance(h.rule, rg.IdentityRule):
+        return True
+    if isinstance(h.rule, rg.ToZeroRule):
+        return rg.is_zero_ring(h.source)
+    if rg.is_finite(h.source) and rg.is_finite(h.target):
+        image = {h(x) for x in rg.enumerate_elements(h.source)}
+        return len(image) == rg.cardinality(h.source) == rg.cardinality(h.target)
+    return None
+
+
+def brute_pushout_by_probes(sq, probes) -> bool:
+    """The probe loop over every probe T: each pair (lam, mu) out of the two
+    mid corners that agrees on the top-left corner has exactly one
+    mediating rho out of the bottom-right corner, counted over all of
+    Hom(BR, T) by (rho . right, rho . bottom).  `all_homs` raises
+    UnsupportedClass for a probe or a corner it cannot enumerate into."""
+    _tl, tr, bl, br = sq.corners
+    for T in probes:
+        lams = rg.all_homs(tr, T)
+        mus = rg.all_homs(bl, T)
+        rhos = rg.all_homs(br, T)
+        mediating = None
+        for lam in lams:
+            lam_top = rg.hom_compose(lam, sq.top)
+            for mu in mus:
+                if rg.hom_compose(mu, sq.left) != lam_top:
+                    continue
+                if mediating is None:
+                    mediating = Counter((rg.hom_compose(rho, sq.right),
+                                         rg.hom_compose(rho, sq.bottom)) for rho in rhos)
+                if mediating[(lam, mu)] != 1:
+                    return False
+    return True
+
+
+def brute_is_pushout(sq, probes=None) -> bool:
+    """`localization.is_pushout` with commutation by composites, the identity
+    leg by comparison with `identity_hom`, invertibility by element images
+    and `brute_pushout_by_probes`; the kernel check is the library's."""
+    if not brute_commutes(sq):
+        return False
+    if probes is None:
+        probes = default_probes(sq)
+    for leg, opposite in ((sq.top, sq.bottom), (sq.left, sq.right)):
+        if leg.source == leg.target and leg == rg.identity_hom(leg.source):
+            verdict = brute_is_iso(opposite)
+            if verdict is not None:
+                return verdict
+    try:
+        return brute_pushout_by_probes(sq, probes)
+    except UnsupportedClass:
+        pass
+    if all(rg.is_finite(c) for c in sq.corners):
+        try:
+            return _pushout_by_kernels(sq)
+        except UnsupportedClass as exc:
+            raise UnverifiableSquare(str(exc))
+    raise UnverifiableSquare(f"no decision procedure applies to corners {sq.corners!r}")
 
 
 def brute_module_presheaf_laws(sheaf) -> bool:

@@ -6,17 +6,21 @@ off the generators; the table descent over every element is the oracle.
 `all_homs` lists the target's idempotents by CRT; the enumeration of the
 target is the oracle.  The square walk reads each right leg off the
 minimal cells of the preimages; the restriction that recomputes the
-section rings of both opens is the oracle.  `is_pushout` skips the probes that the others
-decide (the zero ring, and products whose local factors are all probes);
-the same check over every probe is the oracle.
+section rings of both opens is the oracle.  Squares of products of
+cyclic rings commute and push out by the local-factor maps of their legs;
+composites, element tables and the probe loop over every hom into every
+probe are the oracles.
 """
 
+from collections import Counter
 from functools import cache
-from unittest import mock
 
 from conftest import (
     brute_all_homs,
+    brute_commutes,
     brute_hom_descend,
+    brute_is_iso,
+    brute_is_pushout,
     brute_prim_witness,
     brute_sections_restriction,
     finite_commutative_grid,
@@ -158,22 +162,15 @@ def test_all_homs_match_the_enumeration_oracle_in_order():
 
 
 # ---------------------------------------------------------------------------
-# pushouts on local probes
+# squares by local-factor maps
 
-def all_probes_outcome(sq, probes):
-    """is_pushout with every probe checked: the oracle of the skipping."""
-    with mock.patch.object(localization, "_essential_probes", tuple):
-        return outcome(is_pushout, sq, probes)
-
-
-def _grid_morphisms():
-    """Induced morphisms of every hom between grid rings of at most 8
-    elements (but not both of 8) and of the quotients of Z/30 and Z/60."""
+def _grid_homs():
+    """Every hom between grid products of cyclic rings of at most 8
+    elements (but not both of 8) and the quotients of Z/30 and Z/60."""
     small = [r for r in cyclic_grid() if rg.cardinality(r) <= 8]
     homs = [h for S in small for T in small if rg.cardinality(S) * rg.cardinality(T) < 64
             for h in rg.all_homs(S, T)]
-    homs += [rg.quotient_hom(n, m) for n in (30, 60) for m in range(2, n) if n % m == 0]
-    return [sheafspec.ncspec_morphism(h) for h in homs]
+    return homs + [rg.quotient_hom(n, m) for n in (30, 60) for m in range(2, n) if n % m == 0]
 
 
 def _squares(m):
@@ -195,71 +192,149 @@ def _two_mediating_square(n):
     return LocalizationSquare(top=first, left=first, bottom=diag, right=diag)
 
 
+z = ModularRing
 CUSTOM_PROBES = [
-    (ModularRing(6), ZeroRing()),                    # Z/6 without its factors
-    (ModularRing(6), ModularRing(2)),                # Z/6 without Z/3
+    (z(6), ZeroRing()),                              # Z/6 without its factors
+    (z(6), z(2)),                                    # Z/6 without Z/3
     (ZeroRing(),),                                   # the zero ring only
-    (ModularRing(12), ModularRing(4), ModularRing(3), cyclic(2, 2), ModularRing(2)),
-    (ModularRing(6), SemisimpleAlgebra(F2, (1, 2)), ModularRing(2), ModularRing(3)),
-    (SemisimpleAlgebra(F2, (1, 1)), ModularRing(6), ModularRing(2), ModularRing(3)),
+    (z(6),),                                         # Z/6 alone
+    (z(15),),                                        # Z/15 alone
+    (z(4),),                                         # no hom into it from a Z/2
+    (z(12), z(4), z(3), cyclic(2, 2), z(2)),
+    (z(30), z(6), z(2), z(3), z(5), ZeroRing(), z(4), z(12), cyclic(2, 2), z(1)),
+    (z(6), SemisimpleAlgebra(F2, (1, 2)), z(2), z(3)),
+    (z(6), SemisimpleAlgebra(F2, (1, 2)), z(2), z(3), ZeroRing()),
+    (SemisimpleAlgebra(F2, (1, 1)), z(6), z(2), z(3)),
 ]
 
 
-def test_pushouts_on_local_probes_match_every_probe():
+@cache
+def pushout_cases():
+    """(square, probe list) pairs: every restriction square of the grid
+    morphisms and of the three crafted non-prim morphisms of
+    `test_acceptance.py`, each with its morphism's default probes and the
+    custom lists; the same squares with one leg swapped for another hom
+    between its corners (most of these fail to commute); and
+    the two-mediating squares over Z/2, Z/3 and Z/6 and a square out of
+    Q[x], with their default probes and the custom lists."""
     squares = {}
-    for m in _grid_morphisms():
+    for m in [sheafspec.ncspec_morphism(h) for h in _grid_homs()] + _crafted_negatives():
         for sq in _squares(m):
             squares.setdefault(sq, sheafspec.default_prim_probes(m))
-    verdicts = set()
-    for sq, probes in squares.items():
-        for ps in (probes, *CUSTOM_PROBES):
-            got = outcome(is_pushout, sq, ps)
-            assert got == all_probes_outcome(sq, ps), (sq, ps)
-            verdicts.add(got[0] if got[0] != "ok" else got)
-    assert len(squares) > 200, len(squares)
-    assert verdicts == {("ok", True), "UnverifiableSquare"}, verdicts
+    for sq in list(squares):
+        for leg in ("top", "left", "bottom", "right"):
+            h = getattr(sq, leg)
+            for other in rg.all_homs(h.source, h.target):
+                if other != h:
+                    legs = {name: getattr(sq, name) for name in ("top", "left", "bottom", "right")}
+                    squares.setdefault(LocalizationSquare(**{**legs, leg: other}), squares[sq])
+    for n in (2, 3, 6):
+        sq = _two_mediating_square(n)
+        squares[sq] = localization.default_probes(sq)
+    # Q[x] onto the zero ring: no probe has a hom out of the zero corners,
+    # so even the probe Q[x] decides the square
+    collapse, zero = rg.to_zero_hom(rg.UnivariatePolyRing()), rg.identity_hom(ZeroRing())
+    sq = LocalizationSquare(top=collapse, left=collapse, bottom=zero, right=zero)
+    squares[sq] = localization.default_probes(sq)
+    return tuple((sq, ps) for sq, probes in squares.items() for ps in (probes, *CUSTOM_PROBES))
 
 
-def test_pushouts_on_local_probes_refuse_what_every_probe_refuses():
-    for n in (2, 6):
+def test_pushouts_by_local_maps_match_the_probe_loop():
+    seen = Counter()
+    for sq, probes in pushout_cases():
+        got = outcome(is_pushout, sq, probes)
+        assert got == outcome(brute_is_pushout, sq, probes), (sq, probes)
+        seen[got if got[0] == "ok" else got[0]] += 1
+    assert sum(seen.values()) >= 2000, seen
+    assert set(seen) == {("ok", True), ("ok", False), "UnverifiableSquare"}, seen
+
+
+def test_squares_commute_by_local_maps_as_by_composites():
+    seen = Counter()
+    for sq in dict.fromkeys(sq for sq, _probes in pushout_cases()):
+        got = sq.commutes()
+        assert got == brute_commutes(sq), sq
+        seen[got] += 1
+    assert seen[True] > 400 and seen[False] > 100, seen
+
+
+def test_pushouts_by_local_maps_refuse_what_the_probe_loop_refuses():
+    for n in (2, 3, 6):
         sq = _two_mediating_square(n)
         for ps in (localization.default_probes(sq), *CUSTOM_PROBES):
-            assert outcome(is_pushout, sq, ps) == all_probes_outcome(sq, ps), (n, ps)
+            assert outcome(is_pushout, sq, ps) == outcome(brute_is_pushout, sq, ps), (n, ps)
         assert is_pushout(sq) is False
     # Z/6 refutes the square over Z/6 before the semisimple probe raises
     # and leaves it to the kernels, which cannot decide it
-    mixed = (ModularRing(6), SemisimpleAlgebra(F2, (1, 2)), ModularRing(2), ModularRing(3))
+    mixed = (z(6), SemisimpleAlgebra(F2, (1, 2)), z(2), z(3))
     assert is_pushout(_two_mediating_square(6), mixed) is False
+    # the product rule, not a split into local probes: no corner of the
+    # square over Z/3 maps to Z/2, so Z/6 finds both sides of Phi empty
+    # and passes, while Z/3 sees two mediating maps
+    assert is_pushout(_two_mediating_square(3), (z(6),)) is True
+    assert is_pushout(_two_mediating_square(3), (z(3),)) is False
     for bad in _crafted_negatives():
         probes = sheafspec.default_prim_probes(bad)
         witness = sheafspec.is_prim_report(bad, probes)["witness"]
         assert witness is not None
-        cells = range(bad.target.lattice.n)
-        assert witness == brute_prim_witness(bad, cells, probes)
-        for sq in _squares(bad):
-            for ps in (probes, *CUSTOM_PROBES):
-                assert outcome(is_pushout, sq, ps) == all_probes_outcome(sq, ps), (bad, ps)
+        assert witness == brute_prim_witness(bad, range(bad.target.lattice.n), probes)
 
 
-def test_essential_probes_skip_only_decided_probes():
-    z = ModularRing
-    probes = (z(30), z(6), z(2), z(3), z(5), ZeroRing(), z(4), z(12), cyclic(2, 2), z(1))
-    assert localization._essential_probes(probes) == (z(2), z(3), z(5), z(4))
-    # a product missing a factor stays, and so does one beside a probe
-    # that is not a product of cyclic rings
-    assert localization._essential_probes((z(6), z(2))) == (z(6), z(2))
-    ssa = SemisimpleAlgebra(F2, (1, 2))
-    assert localization._essential_probes((z(6), ssa, z(2), z(3), ZeroRing())) == \
-        (z(6), ssa, z(2), z(3))
-    assert localization._essential_probes((ZeroRing(),)) == ()
+def test_local_maps_compose_and_decide_isos_as_element_tables():
+    """Every hom between grid products of cyclic rings, but not both of
+    more than 24 elements; composites of those between rings of at most
+    12 elements."""
+    homs = [h for S in cyclic_grid() for T in cyclic_grid()
+            if rg.cardinality(S) <= 24 or rg.cardinality(T) <= 24 for h in rg.all_homs(S, T)]
+    small = [h for h in homs if rg.cardinality(h.source) <= 12 and rg.cardinality(h.target) <= 12]
+    by_source = {}
+    for h in small:
+        by_source.setdefault(h.source, []).append(h)
+    for h in homs:
+        # each target local factor Z/q is x mod q on the factor that feeds it
+        src, tgt = h.source.local_factors, h.target.local_factors
+        for x in rg.enumerate_elements(h.source):
+            xs, ys = rg.cyclic_components(x), rg.cyclic_components(h(x))
+            assert all(ys[j] % q == xs[src[s][0]] % q
+                       for s, (j, _p, q) in zip(h.local_map, tgt)), (h, x)
+    composed = kinds = 0
+    iso_kinds = set()
+    for f in small:
+        for g in by_source.get(f.target, ()):
+            gf = rg.hom_compose(g, f)
+            assert gf.local_map == tuple(f.local_map[k] for k in g.local_map), (f, g)
+            composed += 1
+    for f in homs:
+        identity = f.source == f.target and f.as_table() == {
+            x: x for x in f.source.elements()}
+        assert localization._hom_is_identity(f) == identity, f
+        kinds += identity
+        assert localization._hom_is_iso(f) == brute_is_iso(f), f
+        iso_kinds.add(brute_is_iso(f))
+    assert composed > 1000 and kinds > 20 and iso_kinds == {True, False}, (composed, kinds)
 
 
-def test_probes_are_reduced_once_per_probe_list():
-    m = sheafspec.ncspec_morphism(rg.quotient_hom(210, 42))
-    localization._essential_probes.cache_clear()
+def test_warm_prim_check_builds_no_hom(monkeypatch):
+    m = sheafspec.ncspec_morphism(rg.quotient_hom(2310, 210))
     assert sheafspec.is_prim_report(m)["prim"]
-    info = localization._essential_probes.cache_info()
-    assert info.misses == 1 and info.hits > 10, info
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("all_homs", "hom_compose", "identity_hom"):
+        fn = getattr(rg, name)
+        for module in (rg, localization, sheafspec):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted(name, fn))
+    for cls in vars(rg).values():
+        if isinstance(cls, type) and "elements" in vars(cls):
+            monkeypatch.setattr(cls, "elements", counted("elements", vars(cls)["elements"]))
+    assert sheafspec.is_prim_report(m)["prim"]
+    assert calls == Counter(), calls
 
 
 # ---------------------------------------------------------------------------

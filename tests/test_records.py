@@ -198,6 +198,40 @@ def test_constructor_arity_errors():
         ModularRing(m=2)
 
 
+def test_keyword_calls_build_what_positional_calls_build():
+    """Every field by keyword, in any order, gives the record of the
+    positional call, with the fields in declaration order as `dataclasses`
+    sets them; a call that misses, repeats or misnames a field raises the
+    TypeError that its dataclass twin raises."""
+    @record(frozen=True)
+    class Square:
+        top: int
+        left: int
+        bottom: int = 0
+
+    twin = dataclass_twin(Square, frozen=True)
+    for kwargs in ({"top": 1, "left": 2, "bottom": 3}, {"bottom": 3, "left": 2, "top": 1},
+                   {"left": 2, "top": 1}):
+        got = Square(**kwargs)
+        assert got == Square(kwargs["top"], kwargs["left"], kwargs.get("bottom", 0))
+        assert list(vars(got)) == list(vars(twin(**kwargs))) == ["top", "left", "bottom"]
+        assert (repr(got), hash(got)) == (repr(twin(**kwargs)), hash(twin(**kwargs)))
+    bad = [((), {"top": 1}), ((1,), {"top": 1, "left": 2}),
+           ((), {"top": 1, "left": 2, "bottom": 3, "right": 4}), ((), {"left": 2, "bottom": 3}),
+           ((1, 2, 3, 4), {})]
+    for args, kwargs in bad:
+        with pytest.raises(TypeError):
+            twin(*args, **kwargs)
+        with pytest.raises(TypeError):
+            Square(*args, **kwargs)
+    # the library's squares are built by keyword
+    from ncspec.localization import LocalizationSquare
+    h = rg.identity_hom(Z2)
+    sq = LocalizationSquare(right=h, bottom=h, left=h, top=h)
+    assert sq == LocalizationSquare(h, h, h, h)
+    assert list(vars(sq)) == ["top", "left", "bottom", "right"]
+
+
 def test_ring_elements_agree_with_a_dataclass():
     @dataclasses.dataclass(frozen=True)
     class RingElement:
