@@ -8,7 +8,9 @@ spectra this reproduces the sober localization space exactly, which is
 what the bridge checks.
 """
 
+from functools import cached_property
 from itertools import product as iproduct
+from math import prod
 
 from . import rings as rg
 from .errors import (
@@ -20,6 +22,7 @@ from .errors import (
     NotTComplete,
     UnsupportedClass,
 )
+from .localization import localize
 from .records import record
 from .rings import RingElement, RingHom, hom_validate
 from .sheafspec import NCSpecSpace, ncspec
@@ -30,21 +33,54 @@ from .sheafspec import NCSpecSpace, ncspec
 
 @record
 class PrimeSpectrum:
+    """The primes of a finite commutative ring, one per local factor.
+
+    Prime i is m_i = {x : x*a_i + (1 - a_i) is not a unit}, where a_i is
+    the primitive idempotent of its local factor (see `spec`).  The
+    element sets `primes` and `elements` are built on first use, for
+    reports; `distinguished` and `based_space` do not need them.
+    """
+
     ring: object
-    primes: tuple          # each prime is a frozenset of RingElement
-    elements: tuple
+    idempotents: tuple     # a_i, in the order of the primes
 
     @property
     def n(self):
-        return len(self.primes)
+        return len(self.idempotents)
+
+    @cached_property
+    def elements(self) -> tuple:
+        return tuple(rg.enumerate_elements(self.ring))
+
+    @cached_property
+    def primes(self) -> tuple:
+        """Each prime as a frozenset of RingElement."""
+        return tuple(_prime_ideal(self.ring, a, self.elements) for a in self.idempotents)
 
     def distinguished(self, f: RingElement) -> frozenset:
         """D(f): indices of the primes not containing f."""
-        return frozenset(i for i, P in enumerate(self.primes) if f not in P)
+        one = rg.one(self.ring)
+        return frozenset(i for i, a in enumerate(self.idempotents)
+                         if rg.is_unit(self.ring, f * a + one - a))
 
     def based_space(self) -> "BasedSpace":
-        base = {self.distinguished(f) for f in self.elements}
+        """The distinguished opens D(f) of every f, as a based space.
+
+        D(f) is the set of local factors where f is a unit, and the sum
+        e_S of the a_i over a set S of primes is 1 on those factors and 0
+        on the others, so D(e_S) = S and every D(f) is D(e_{D(f)}).  The
+        base is thus read off the 2^n sums e_S.
+        """
+        zero = rg.zero(self.ring)
+        base = {self.distinguished(sum((a for i, a in enumerate(self.idempotents)
+                                        if mask >> i & 1), zero))
+                for mask in range(2 ** self.n)}
         return BasedSpace(self.n, tuple(sorted(base, key=lambda B: (len(B), sorted(B)))))
+
+
+def _prime_ideal(r, a, elems) -> frozenset:
+    one = rg.one(r)
+    return frozenset(x for x in elems if not rg.is_unit(r, x * a + one - a))
 
 
 def spec(r) -> PrimeSpectrum:
@@ -58,19 +94,38 @@ def spec(r) -> PrimeSpectrum:
     factor of a and 1 on the others, and a unit of R_l is exactly an
     element outside its maximal ideal, so
     m_a = {x : x*a + (1 - a) is not a unit}.
+
+    On a product of cyclic rings the local factors are the Z/p^c of
+    `local_factors`, a is the CRT idempotent that is 1 on Z/p^c, and m_a
+    holds the |R|/p elements whose coordinate there is divisible by p.
+    Other rings find their primitive idempotents among their elements.
+    The primes are sorted by size and then by the reprs of their
+    elements; those are built only for primes of equal size.
     """
     if not rg.is_finite(r):
         raise InfiniteRing(f"{r!r}")
     if not rg.is_commutative(r):
         raise NotCommutative(f"{r!r}")
-    elems = tuple(rg.enumerate_elements(r))
-    zero, one = rg.zero(r), rg.one(r)
-    idem = [e for e in elems if e * e == e]
-    primitive = [a for a in idem if a != zero and all(a * b in (zero, a) for b in idem)]
-    primes = [frozenset(x for x in elems if not rg.is_unit(r, x * a + one - a))
-              for a in primitive]
-    primes.sort(key=lambda I: (len(I), tuple(sorted(repr(x.payload) for x in I))))
-    return PrimeSpectrum(r, tuple(primes), elems)
+    mods = rg.cyclic_moduli(r)
+    if mods is not None:
+        idem = [rg.cyclic_element(r, [rg.unit_idempotent(n, n // q) if i == j else 0
+                                      for i, n in enumerate(mods)])
+                for j, _p, q in r.local_factors]
+        sizes = [rg.cardinality(r) // p for _j, p, _q in r.local_factors]
+    else:
+        elems = rg.enumerate_elements(r)
+        zero = rg.zero(r)
+        every = [e for e in elems if e * e == e]
+        idem = [a for a in every if a != zero and all(a * b in (zero, a) for b in every)]
+        sizes = [len(_prime_ideal(r, a, elems)) for a in idem]
+
+    def order(i):
+        if sizes.count(sizes[i]) == 1:
+            return sizes[i], ()
+        ideal = _prime_ideal(r, idem[i], rg.enumerate_elements(r))
+        return sizes[i], tuple(sorted(repr(x.payload) for x in ideal))
+
+    return PrimeSpectrum(r, tuple(idem[i] for i in sorted(range(len(idem)), key=order)))
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +249,23 @@ class SpecEmbedding:
     report: dict
 
 
-def _cells_outside(sp: NCSpecSpace, avoid) -> frozenset:
-    """{cell of f : f not in avoid} as a member set of the lattice."""
-    lat = sp.lattice
-    return frozenset(lat.cell_of_element(f) for f in rg.enumerate_elements(sp.ring)
-                     if f not in avoid)
+def _cell_elements(sp: NCSpecSpace) -> tuple:
+    """One element f per cell of the lattice: the product of the cell's subset.
+
+    The blocks of a commutative lattice are its local factors, and f is
+    a unit at a local factor exactly when it avoids that factor's prime.
+    So D(f) is the key of f's cell, read through the primes: it depends
+    on f only through its cell, and D of this f stands for every f there.
+    """
+    return tuple(prod(cell.representative, start=rg.one(sp.ring)) for cell in sp.lattice.cells)
+
+
+def _cells_outside(supports: tuple, chosen) -> frozenset:
+    """{cell of f : f outside the union of the chosen primes}: f avoids
+    prime i exactly when i is in D(f), and `supports` holds D(f) per cell
+    (see `_cell_elements`)."""
+    chosen = frozenset(chosen)
+    return frozenset(c for c, D in enumerate(supports) if chosen <= D)
 
 
 def _dense_off_point(X, g: int, S) -> bool:
@@ -212,45 +279,39 @@ def _dense_off_point(X, g: int, S) -> bool:
 
 def embed_phi(r) -> SpecEmbedding:
     """The continuous one-to-one map P -> {cells inverted away from P},
-    with all the comparison checks the bridge promises."""
+    with all the comparison checks the bridge promises.
+
+    The preimage formula, the homeomorphism check and the comap check
+    compare objects of an element f that depend on f only through its
+    cell: D(f) (see `_cell_elements`), the basic open of its cell, and
+    loc(R, f), since Z/n[1/f] = Z/unit_part(n, f) keeps the factors
+    where f is a unit.  So each runs on one f per cell.
+    """
     spectrum = spec(r)
     sp = ncspec(r)
-    lat = sp.lattice
-    elems = spectrum.elements
+    up = sp.space.up
+    elems = _cell_elements(sp)
+    supports = tuple(map(spectrum.distinguished, elems))
 
-    point_map = {pi: sp.space.point_of(_cells_outside(sp, P))
-                 for pi, P in enumerate(spectrum.primes)}
+    point_map = {pi: sp.space.point_of(_cells_outside(supports, {pi}))
+                 for pi in range(spectrum.n)}
 
     checks = {}
     checks["injective"] = len(set(point_map.values())) == len(point_map)
 
     # preimage of every basic open is the distinguished open of the same element
-    ok = True
-    for g in elems:
-        cell = lat.cell_of_element(g)
-        pre = frozenset(pi for pi, x in point_map.items() if x in sp.space.up[cell])
-        if pre != spectrum.distinguished(g):
-            ok = False
-    checks["preimage_formula"] = ok
+    checks["preimage_formula"] = all(
+        frozenset(pi for pi, x in point_map.items() if x in up[c]) == D
+        for c, D in enumerate(supports))
 
     # homeomorphism onto the image: the image of D(g) is image-and-basic-open
     image = frozenset(point_map.values())
-    ok = True
-    for g in elems:
-        cell = lat.cell_of_element(g)
-        want = frozenset(point_map[pi] for pi in spectrum.distinguished(g))
-        if want != (image & sp.space.up[cell]):
-            ok = False
-    checks["homeomorphism_onto_image"] = ok
+    checks["homeomorphism_onto_image"] = all(
+        frozenset(point_map[pi] for pi in D) == image & up[c] for c, D in enumerate(supports))
 
     # the section rings over matching basic opens coincide (canonical comap)
-    from .localization import localize
-    ok = True
-    for g in elems:
-        cell = lat.cell_of_element(g)
-        if localize(r, (g,)).result != sp.sheaf.assignment[cell]:
-            ok = False
-    checks["comap_isomorphism"] = ok
+    checks["comap_isomorphism"] = all(
+        localize(r, (f,)).result == sp.sheaf.assignment[c] for c, f in enumerate(elems))
 
     checks["dense_in_complement_of_generic"] = _dense_off_point(sp.space, sp.generic, image)
 
@@ -275,31 +336,26 @@ def spec_functor_map(theta: RingHom):
 
 
 def union_of_primes_bijection(r) -> dict:
-    """Unions of primes against irreducible closed subsets of the lattice."""
+    """Unions of primes against irreducible closed subsets of the lattice.
+
+    Whether f lies in a union of primes depends on f only through its
+    cell (see `_cell_elements`), and every cell holds an element, so a
+    union is fixed by the cells outside it, and two unions are equal
+    exactly when those cell sets are.
+    """
     spectrum = spec(r)
     sp = ncspec(r)
-    unions = {}
-    for mask in range(2 ** spectrum.n):
-        chosen = [spectrum.primes[i] for i in range(spectrum.n) if mask >> i & 1]
-        u = frozenset().union(*chosen) if chosen else frozenset()
-        unions.setdefault(u, mask)
+    supports = tuple(map(spectrum.distinguished, _cell_elements(sp)))
+    unions = {_cells_outside(supports, (i for i in range(spectrum.n) if mask >> i & 1))
+              for mask in range(2 ** spectrum.n)}
     closed_sets = {sp.space.down(x) for x in range(sp.space.n)}
-    mapped = {}
-    ok = True
-    for u in unions:
-        members = _cells_outside(sp, u)
-        if members not in closed_sets:
-            ok = False
-        if members in mapped.values():
-            ok = False
-        mapped[u] = members
-    report = {
-        "status": "pass" if ok and len(unions) == len(closed_sets) else "fail",
+    bijection = unions <= closed_sets and len(unions) == len(closed_sets)
+    return {
+        "status": "pass" if bijection else "fail",
         "union_count": len(unions),
         "irreducible_closed_count": len(closed_sets),
-        "bijection": ok and len(unions) == len(closed_sets),
+        "bijection": bijection,
     }
-    return report
 
 
 def spec_exponential_iso(r) -> dict:
@@ -307,26 +363,22 @@ def spec_exponential_iso(r) -> dict:
 
     gamma sends the class of a set of primes to the sober point of its
     union; the check verifies a bijection matching base opens both ways.
+    The base check depends on f only through D(f) and f's cell, so it
+    runs on one f per cell (see `_cell_elements`).
     """
     spectrum = spec(r)
     sp = ncspec(r)
     X = spectrum.based_space()
     E = exponential(X)
+    supports = tuple(map(spectrum.distinguished, _cell_elements(sp)))
 
-    gamma = {}
-    for p in range(E.n):
-        chosen = [spectrum.primes[i] for i in E.reps[p]]
-        u = frozenset().union(*chosen) if chosen else frozenset()
-        gamma[p] = sp.space.point_of(_cells_outside(sp, u))
+    gamma = {p: sp.space.point_of(_cells_outside(supports, E.reps[p])) for p in range(E.n)}
 
     ok = len(set(gamma.values())) == E.n == sp.space.n
     # base members correspond: the image of D(f)-tilde is U_f-tilde
-    for f in spectrum.elements:
-        Df = spectrum.distinguished(f)
-        bi = X.base.index(Df)
-        lhs = frozenset(gamma[p] for p in E.base[bi])
-        cell = sp.lattice.cell_of_element(f)
-        if lhs != sp.space.up[cell]:
+    for c, Df in enumerate(supports):
+        lhs = frozenset(gamma[p] for p in E.base[X.base.index(Df)])
+        if lhs != sp.space.up[c]:
             ok = False
     # joins go to joins: the class of a union lands on the intersection of
     # the member sets (complements of unions of primes intersect)

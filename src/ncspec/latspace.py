@@ -169,10 +169,11 @@ def soberify(X: AlexandrovSpace) -> AlexandrovSpace:
 def sober_map_from_join_hom(P: AlexandrovSpace, Q: AlexandrovSpace, f):
     """From a join-preserving f: P -> Q, the continuous map Q -> P sending
     the point c to the point whose closure is f^{-1}(down(c)).  Returns the
-    point map as a dict point-of-Q -> point-of-P."""
+    point map as a dict point-of-Q -> point-of-P.  Joins are symmetric on
+    both sides, so each unordered pair is checked once."""
     fmap = dict(f) if not callable(f) else {i: f(i) for i in range(P.n)}
     for i in range(P.n):
-        for j in range(P.n):
+        for j in range(i, P.n):
             if Q.join(fmap[i], fmap[j]) != fmap[P.join(i, j)]:
                 raise NotJoinPreserving(
                     f"join of ({i}, {j}) is not preserved", witness=(i, j))

@@ -16,11 +16,13 @@ the image of B, so `_localized` is the only per-class code.
 
 import operator
 from functools import lru_cache
+from math import prod
 
 from . import qpoly, skewpoly
 from . import rings as rg
 from .errors import (
     NonMonomialSkewSubset,
+    NotAHomomorphism,
     NotComparable,
     UnsupportedClass,
     UnverifiableSquare,
@@ -204,14 +206,23 @@ def _ssa_kept(h: RingHom):
 def induced_map(theta: RingHom, A) -> RingHom:
     """theta_A: loc(R, A) -> loc(S, theta(A)) closing the localization square.
 
-    On a finite source it is LB.insertion . theta descended through the
-    onto insertion of loc(R, A), certified by `hom_descend`.
+    Between products of cyclic rings it is read off the local maps
+    (`descend_by_local_maps`); on any other finite source it is
+    LB.insertion . theta descended through the onto insertion of
+    loc(R, A), certified by `hom_descend`.
     """
     hom_validate(theta)
     LA = localize(theta.source, tuple(A))
     LB = localize(theta.target, tuple(theta(a) for a in A))
     if isinstance(LB.result, ZeroRing):
         return rg.to_zero_hom(LA.result, LB.result)
+    if _all_cyclic((theta.source, theta.target)):
+        phi = descend_by_local_maps(
+            LA.insertion, tuple(theta.local_map[s] for s in LB.insertion.local_map), LB.result)
+        if phi is None:
+            raise UnsupportedClass(
+                f"{LB.insertion!r} . {theta!r} is not constant on the fibres of {LA.insertion!r}")
+        return phi
     if rg.is_finite(theta.source):
         return rg.hom_descend(LA.insertion, hom_compose(LB.insertion, theta))
     if isinstance(theta.rule, IdentityRule):
@@ -223,6 +234,47 @@ def induced_map(theta: RingHom, A) -> RingHom:
         positions = tuple(keptA.index(b) for b in kept_abs)
         return hom_validate(RingHom(LA.result, LB.result, rg.SsaProjRule(positions)))
     raise UnsupportedClass(f"induced map unsupported for {theta!r}")
+
+
+def descend_by_local_maps(alpha: RingHom, psi_map: tuple, target):
+    """The validated hom phi: alpha.target -> target with phi . alpha = psi,
+    where psi: R -> target is given by its local map (see
+    `RingHom.local_map`); None when there is none.
+
+    All rings are products of cyclic rings and alpha is validated.  alpha
+    must be onto, so that phi is unique; it is onto exactly when no local
+    factor of R feeds two of alpha's target (the image of Z/p^a in
+    Z/p^b x Z/p^c is the diagonal).  (phi . alpha).local_map[l] =
+    alpha.local_map[phi.local_map[l]], so phi.local_map[l] is the
+    position of psi_map[l] in alpha.local_map.  Then phi sends e_i to the
+    idempotent that is 1 on the local factors of the target fed by
+    factor i of alpha.target and 0 on the others: on factor Z/n of the
+    target that is `unit_idempotent(n, c)`, with c the product of the
+    primes of n fed by other factors.  Its `CyclicImagesRule` is
+    certified by `hom_validate`, and phi's own local map, composed with
+    alpha's, is compared with psi_map.  Into the zero ring phi is the
+    collapse.
+    """
+    lmap = alpha.local_map
+    if len(set(lmap)) != len(lmap) or not set(psi_map) <= set(lmap):
+        return None
+    if isinstance(target, ZeroRing):
+        return rg.to_zero_hom(alpha.target, target)
+    source, mods = alpha.target, rg.cyclic_moduli(target)
+    owner = [source.local_factors[lmap.index(s)][0] for s in psi_map]
+    images = tuple(
+        rg.cyclic_element(target, [
+            rg.unit_idempotent(n, prod(p for (f, p, _q), o in zip(target.local_factors, owner)
+                                       if f == j and o != i))
+            for j, n in enumerate(mods)]).payload
+        for i in range(len(rg.cyclic_moduli(source))))
+    try:
+        phi = hom_validate(RingHom(source, target, rg.CyclicImagesRule(images)))
+    except NotAHomomorphism:
+        return None
+    if tuple(lmap[s] for s in phi.local_map) != psi_map:
+        return None
+    return phi
 
 
 @record(frozen=True)

@@ -1221,24 +1221,15 @@ def descend(pairs, size, error, clash, partial) -> dict:
 def hom_descend(alpha: RingHom, psi: RingHom) -> RingHom:
     """The hom phi with phi after alpha = psi, for homs out of one finite ring R.
 
-    alpha and psi are validated first.  When alpha's source and target
-    are products of cyclic rings and every generator g of the target is
-    alpha(x) for a generator x of R, alpha is onto (the generators span
-    the target), so phi is fixed by phi(g) = psi(x).  That candidate is
-    the `CyclicImagesRule` of those images, certified by its O(k^2)
-    check; then phi after alpha and psi are additive, so they are equal
-    iff they agree on R's generators.  Any descent phi' has
-    phi'(g) = phi'(alpha(x)) = psi(x), so it is the candidate: when
-    either check fails there is none, and the element-wise read below
-    would meet a clash.
-
-    Every other alpha is read off the pairs (alpha(x), psi(x)) of all
-    x in R.  When no alpha(x) meets two values and every element of
-    alpha's target is met (alpha is onto), phi is a ring hom by
-    construction: phi(alpha(x)) + phi(alpha(y)) = psi(x) + psi(y)
-    = psi(x + y) = phi(alpha(x) + alpha(y)), likewise for products, and
-    phi(1) = psi(1) = 1.  So it is certified after |R| evaluations, not
-    |R|^2.  Raises UnsupportedClass when no descent exists.
+    alpha and psi are validated first, and phi is read off the pairs
+    (alpha(x), psi(x)) of all x in R.  When no alpha(x) meets two values
+    and every element of alpha's target is met (alpha is onto), phi is a
+    ring hom by construction: phi(alpha(x)) + phi(alpha(y)) = psi(x) +
+    psi(y) = psi(x + y) = phi(alpha(x) + alpha(y)), likewise for
+    products, and phi(1) = psi(1) = 1.  So it is certified after |R|
+    evaluations, not |R|^2.  Raises UnsupportedClass when no descent
+    exists.  Between products of cyclic rings,
+    `localization.descend_by_local_maps` reads phi off local maps instead.
     """
     if alpha.source != psi.source:
         raise CompositionMismatch(f"{alpha.source!r} != {psi.source!r}")
@@ -1249,35 +1240,11 @@ def hom_descend(alpha: RingHom, psi: RingHom) -> RingHom:
         # formatted only when raised: the reprs cost more than a descent
         return f"{psi!r} is not constant on the fibres of {alpha!r}"
 
-    phi = _descend_by_generators(alpha, psi, clash)
-    if phi is not None:
-        return phi
     pairs = ((alpha(x).payload, psi(x).payload) for x in enumerate_elements(alpha.source))
     table = descend(pairs, cardinality(alpha.target), lambda msg: UnsupportedClass(msg()),
                     clash, lambda: f"{alpha!r} is not onto")
     phi = RingHom(alpha.target, psi.target, TableRule(tuple(sorted(table.items()))))
     phi.validated = True
-    return phi
-
-
-def _descend_by_generators(alpha: RingHom, psi: RingHom, clash):
-    """hom_descend between products of cyclic rings whose target generators
-    are images of source generators; None when that does not apply.
-    clash() is the message of the UnsupportedClass raised when none exists."""
-    if cyclic_moduli(alpha.source) is None or cyclic_moduli(alpha.target) is None:
-        return None
-    gens = generator_elements(alpha.source)
-    preimage = {alpha(x).payload: x for x in gens}
-    if any(g not in preimage for g in alpha.target.generators):
-        return None
-    images = tuple(psi(preimage[g]).payload for g in alpha.target.generators)
-    phi = RingHom(alpha.target, psi.target, CyclicImagesRule(images))
-    try:
-        hom_validate(phi)
-    except NotAHomomorphism:
-        raise UnsupportedClass(clash()) from None
-    if any(phi(alpha(x)) != psi(x) for x in gens):
-        raise UnsupportedClass(clash())
     return phi
 
 

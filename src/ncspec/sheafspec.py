@@ -30,8 +30,10 @@ from .latspace import (
 )
 from .localization import (
     LocalizationSquare,
+    _all_cyclic,
     canonical_modular_product,
     connecting_map,
+    descend_by_local_maps,
     induced_map,
     is_pushout,
     localize,
@@ -208,7 +210,19 @@ class RingedSpaceMorphism:
         return U
 
     def verify(self) -> bool:
-        """Continuity plus compatibility of the comaps with restrictions."""
+        """Continuity plus compatibility of the comaps with restrictions.
+
+        Only the squares (bottom, j) are checked, one per target cell.
+        Let j1 <= j2, b the bottom cell, and write res for the
+        restrictions of both spaces.  The presheaf laws, which `ncspec`
+        has certified on both sides, give res(j1, j2) . res(b, j1) =
+        res(b, j2), and likewise between the preimages.  So after
+        res(b, j1), the route through comap[j1] is res . comap[b] by the
+        square (b, j1), and the route through comap[j2] is res . comap[b]
+        by the square (b, j2).  Now res(b, j1) is the insertion of the
+        cell j1, a universal localization and hence an epimorphism
+        (Cohn), so the square (j1, j2) commutes.
+        """
         Y, X = self.target, self.source
         pre = {}
         for j in range(Y.lattice.n):
@@ -216,17 +230,20 @@ class RingedSpaceMorphism:
             h = self.comap[j]
             if h.source != Y.sheaf.assignment[j] or h.target != sections(X, pre[j]):
                 return False
-        return all(sq.commutes() for _pair, sq in self.restriction_squares(pre))
+        squares = self.restriction_squares(pre, lows=(Y.lattice.bottom,))
+        return all(sq.commutes() for _pair, sq in squares)
 
-    def restriction_squares(self, pre: dict):
+    def restriction_squares(self, pre: dict, lows=None):
         """((j1, j2), square) for each comparable pair j1 <= j2 of the cells of
-        `pre` (target cell -> its preimage), in `pre` order: comap[j1] on top,
-        the target's restriction on the left, comap[j2] at the bottom and the
-        source's restriction between the two preimages on the right.  The
-        minimal cells of each preimage are computed once."""
+        `pre` (target cell -> its preimage), in `pre` order, with j1 drawn
+        from `lows` when given: comap[j1] on top, the target's restriction
+        on the left, comap[j2] at the bottom and the source's restriction
+        between the two preimages on the right.  The minimal cells of each
+        preimage are computed once."""
         Y, X = self.target, self.source
         mins = {j: X.space.minimal_elements(U) for j, U in pre.items()}
-        for j1, pre1 in pre.items():
+        for j1 in (pre if lows is None else lows):
+            pre1 = pre[j1]
             for j2, pre2 in pre.items():
                 if Y.lattice.leq(j1, j2):
                     yield (j1, j2), LocalizationSquare(
@@ -274,20 +291,53 @@ def ncspec_morphism(theta: RingHom) -> RingedSpaceMorphism:
         raise UnsupportedClass("induced morphisms need materialized lattices")
 
     # the join-preserving cell map under theta, and its continuous point map
-    t = {}
-    for i, cell in enumerate(Y.lattice.cells):
-        image = tuple(theta(a) for a in cell.representative)
-        t[i] = X.lattice.cell_of_subset(image)
+    t = _cell_map(theta, Y, X)
     point_map = sober_map_from_join_hom(Y.space, X.space, t)
-
-    comap = {}
-    for j, cell in enumerate(Y.lattice.cells):
-        comap[j] = induced_map(theta, cell.representative)
-        if comap[j].target != X.sheaf.assignment[t[j]]:
-            raise PresheafLawViolation(
-                f"induced map at cell {j} must land in the sections of cell {t[j]}")
-
+    comap = {j: _comap(theta, Y, X, j, t[j]) for j in range(Y.lattice.n)}
     return RingedSpaceMorphism(X, Y, point_map, comap)
+
+
+def _cell_map(theta: RingHom, Y: NCSpecSpace, X: NCSpecSpace) -> dict:
+    """Each cell of Y to the cell of X of the image of its subset.
+
+    Between products of cyclic rings theta is x -> x mod q^c from source
+    local factor theta.local_map[l] into target local factor l, and
+    reduction keeps units, so theta(f) is a unit at l exactly when f is
+    a unit at local_map[l].  The cell that keeps the blocks K thus goes
+    to the cell keeping {l : local_map[l] in K}, and nothing evaluates
+    theta.  Otherwise the image of the subset is located by its elements.
+    """
+    if not _all_cyclic((theta.source, theta.target)):
+        return {i: X.lattice.cell_of_subset(tuple(theta(a) for a in cell.representative))
+                for i, cell in enumerate(Y.lattice.cells)}
+    source = [(j, p) for j, p, _q in theta.source.local_factors]
+    target = [(j, p) for j, p, _q in theta.target.local_factors]
+    index = X.lattice._key_index
+    return {i: index[frozenset(b for b, s in zip(target, theta.local_map) if source[s] in cell.key)]
+            for i, cell in enumerate(Y.lattice.cells)}
+
+
+def _comap(theta: RingHom, Y: NCSpecSpace, X: NCSpecSpace, j: int, tj: int) -> RingHom:
+    """The induced map from the sections of cell j of Y into those of cell
+    tj of X, which must close the square ins_tj . theta = comap . ins_j.
+
+    Between products of cyclic rings it is read off the local maps of
+    theta and the two insertions (`descend_by_local_maps`), which also
+    compares both sides of the square; a square that no map closes
+    raises PresheafLawViolation.
+    """
+    cell, image = Y.lattice.cells[j], X.lattice.cells[tj]
+    if _all_cyclic((theta.source, theta.target)):
+        ins = image.localized.insertion
+        h = descend_by_local_maps(cell.localized.insertion,
+                                  tuple(theta.local_map[s] for s in ins.local_map), ins.target)
+    else:
+        h = induced_map(theta, cell.representative)
+        if h.target != image.localized.result:
+            h = None
+    if h is None:
+        raise PresheafLawViolation(f"induced map at cell {j} must land in the sections of cell {tj}")
+    return h
 
 
 def recover_hom(m: RingedSpaceMorphism) -> RingHom:

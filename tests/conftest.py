@@ -13,8 +13,14 @@ from pathlib import Path
 import pytest
 
 from ncspec import rings as rg
-from ncspec.errors import NotComparable, UnsupportedClass, UnverifiableSquare
-from ncspec.latspace import is_completely_union_irreducible
+from ncspec.commbridge import BasedSpace, exponential
+from ncspec.errors import (
+    NotComparable,
+    PresheafLawViolation,
+    UnsupportedClass,
+    UnverifiableSquare,
+)
+from ncspec.latspace import is_completely_union_irreducible, sober_map_from_join_hom
 from ncspec.localization import (
     LocalizationSquare,
     _pushout_by_kernels,
@@ -26,7 +32,7 @@ from ncspec.localization import (
 )
 from ncspec.records import _MISSING
 from ncspec.rings import MatrixRing, ModularRing, PrimeField, SemisimpleAlgebra, ZeroRing
-from ncspec.sheafspec import sections
+from ncspec.sheafspec import RingedSpaceMorphism, ncspec, sections
 
 
 def python_stdout(flags, source) -> str:
@@ -310,6 +316,36 @@ def brute_verify(m) -> bool:
     return True
 
 
+def brute_induced_map(theta, A):
+    """The induced map loc(R, A) -> loc(S, theta(A)) of a hom out of a finite
+    ring, LB.insertion . theta read off every element through the onto
+    insertion of loc(R, A) by `brute_hom_descend`."""
+    LA = localize(theta.source, tuple(A))
+    LB = localize(theta.target, tuple(theta(a) for a in A))
+    if isinstance(LB.result, ZeroRing):
+        return rg.to_zero_hom(LA.result, LB.result)
+    return brute_hom_descend(LA.insertion, rg.hom_compose(LB.insertion, theta))
+
+
+def brute_ncspec_morphism(theta):
+    """`sheafspec.ncspec_morphism` by elements: each cell's subset is pushed
+    through theta and located by `cell_of_subset`, and each comap is the
+    table descent of `brute_induced_map`, which must land in the sections
+    of the image cell."""
+    rg.hom_validate(theta)
+    Y, X = ncspec(theta.source), ncspec(theta.target)
+    t = {i: X.lattice.cell_of_subset(tuple(theta(a) for a in cell.representative))
+         for i, cell in enumerate(Y.lattice.cells)}
+    point_map = sober_map_from_join_hom(Y.space, X.space, t)
+    comap = {}
+    for j, cell in enumerate(Y.lattice.cells):
+        comap[j] = brute_induced_map(theta, cell.representative)
+        if comap[j].target != X.sheaf.assignment[t[j]]:
+            raise PresheafLawViolation(
+                f"induced map at cell {j} must land in the sections of cell {t[j]}")
+    return RingedSpaceMorphism(X, Y, point_map, comap)
+
+
 def brute_prim_witness(m, cells, probes):
     """The first failing prim condition on the given target cells, by the
     pair loop that builds each restriction square from fresh preimages."""
@@ -571,6 +607,99 @@ def brute_spec_primes(r):
         if outside and all((a * b) not in I for a in outside for b in outside):
             primes.append(I)
     return sorted(primes, key=lambda I: (len(I), tuple(sorted(repr(x.payload) for x in I))))
+
+
+def brute_spec(r):
+    """(primes, elements) of a finite commutative ring by the element scan:
+    the primitive idempotents among all idempotents, each prime the
+    elements x with x*a + (1 - a) not a unit, sorted as `spec` sorts."""
+    elems = tuple(rg.enumerate_elements(r))
+    zero, one = rg.zero(r), rg.one(r)
+    idem = [e for e in elems if e * e == e]
+    primitive = [a for a in idem if a != zero and all(a * b in (zero, a) for b in idem)]
+    primes = [frozenset(x for x in elems if not rg.is_unit(r, x * a + one - a))
+              for a in primitive]
+    primes.sort(key=lambda I: (len(I), tuple(sorted(repr(x.payload) for x in I))))
+    return tuple(primes), elems
+
+
+def brute_distinguished(primes, f):
+    return frozenset(i for i, P in enumerate(primes) if f not in P)
+
+
+def brute_based_space(primes, elems):
+    base = {brute_distinguished(primes, f) for f in elems}
+    return BasedSpace(len(primes), tuple(sorted(base, key=lambda B: (len(B), sorted(B)))))
+
+
+def brute_cells_outside(sp, avoid):
+    """{cell of f : f not in avoid}, by a scan of every element."""
+    return frozenset(sp.lattice.cell_of_element(f) for f in rg.enumerate_elements(sp.ring)
+                     if f not in avoid)
+
+
+def brute_embed_phi(r):
+    """(point map, checks) of `commbridge.embed_phi` by element loops: every
+    element's cell, distinguished open and localization."""
+    primes, elems = brute_spec(r)
+    sp = ncspec(r)
+    lat, up = sp.lattice, sp.space.up
+    point_map = {pi: sp.space.point_of(brute_cells_outside(sp, P)) for pi, P in enumerate(primes)}
+    image = frozenset(point_map.values())
+    checks = {"injective": len(image) == len(point_map)}
+    checks["preimage_formula"] = all(
+        frozenset(pi for pi, x in point_map.items() if x in up[lat.cell_of_element(g)])
+        == brute_distinguished(primes, g) for g in elems)
+    checks["homeomorphism_onto_image"] = all(
+        frozenset(point_map[pi] for pi in brute_distinguished(primes, g))
+        == image & up[lat.cell_of_element(g)] for g in elems)
+    checks["comap_isomorphism"] = all(
+        localize(r, (g,)).result == sp.sheaf.assignment[lat.cell_of_element(g)] for g in elems)
+    checks["dense_in_complement_of_generic"] = brute_dense_off_point(up, sp.generic, image)
+    return point_map, checks
+
+
+def brute_union_of_primes_bijection(r) -> dict:
+    """`commbridge.union_of_primes_bijection` over the element unions of
+    every set of primes, each mapped to the cells of the elements outside."""
+    primes, _elems = brute_spec(r)
+    sp = ncspec(r)
+    unions = {}
+    for mask in range(2 ** len(primes)):
+        chosen = [primes[i] for i in range(len(primes)) if mask >> i & 1]
+        unions.setdefault(frozenset().union(*chosen), mask)
+    closed_sets = {sp.space.down(x) for x in range(sp.space.n)}
+    mapped, ok = {}, True
+    for u in unions:
+        members = brute_cells_outside(sp, u)
+        ok &= members in closed_sets and members not in mapped.values()
+        mapped[u] = members
+    bijection = ok and len(unions) == len(closed_sets)
+    return {"status": "pass" if bijection else "fail", "union_count": len(unions),
+            "irreducible_closed_count": len(closed_sets), "bijection": bijection}
+
+
+def brute_spec_exponential_iso(r) -> dict:
+    """(status, gamma) of `commbridge.spec_exponential_iso` by element loops:
+    the base read off every element, gamma through element unions and the
+    base check on every element."""
+    primes, elems = brute_spec(r)
+    sp = ncspec(r)
+    X = brute_based_space(primes, elems)
+    E = exponential(X)
+    gamma = {}
+    for p in range(E.n):
+        u = frozenset().union(*[primes[i] for i in E.reps[p]])
+        gamma[p] = sp.space.point_of(brute_cells_outside(sp, u))
+    ok = len(set(gamma.values())) == E.n == sp.space.n
+    for f in elems:
+        bi = X.base.index(brute_distinguished(primes, f))
+        ok &= frozenset(gamma[p] for p in E.base[bi]) == sp.space.up[sp.lattice.cell_of_element(f)]
+    for p in range(E.n):
+        for q in range(E.n):
+            meet = sp.space.down(gamma[p]) & sp.space.down(gamma[q])
+            ok &= sp.space.down(gamma[E.join(p, q)]) == meet
+    return {"status": "pass" if ok else "fail", "gamma": gamma}
 
 
 def brute_sections_limit(sp, U):

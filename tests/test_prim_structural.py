@@ -1,8 +1,9 @@
-"""Induced morphisms and prim checks by generators and local probes,
+"""Induced morphisms and prim checks by local-factor maps and local probes,
 against the exhaustive paths they replace.
 
-`hom_descend` between products of cyclic rings reads the descended map
-off the generators; the table descent over every element is the oracle.
+`descend_by_local_maps` between products of cyclic rings reads the
+descended map off the local maps; the table descent over every element
+is the oracle.
 `all_homs` lists the target's idempotents by CRT; the enumeration of the
 target is the oracle.  The square walk reads each right leg off the
 minimal cells of the preimages; the restriction that recomputes the
@@ -54,14 +55,14 @@ def outcome(fn, *args):
 
 
 # ---------------------------------------------------------------------------
-# descent by generators
+# descent by local maps
 
 @cache
 def structural_descents():
-    """(alpha, psi) pairs that descend by generators: every grid insertion
-    against every insertion of the same ring (a restriction when the cells
-    compare, a clash when they do not), and every quotient of Z/n,
-    n <= 60, against every hom out of Z/n into a small cyclic ring."""
+    """(alpha, psi) pairs of products of cyclic rings with alpha onto: every
+    grid insertion against every insertion of the same ring (a restriction
+    when the cells compare, a clash when they do not), and every quotient
+    of Z/n, n <= 60, against every hom out of Z/n into a small cyclic ring."""
     cases = []
     for r in cyclic_grid():
         cells = sheafspec.ncspec(r).lattice.cells
@@ -76,8 +77,9 @@ def structural_descents():
 
 
 def table_descents():
-    """The not-onto diagonal of `test_hom_images`, and an onto map whose
-    target generator is no image of a generator: both take the table."""
+    """The not-onto diagonal of `test_hom_images`, which has no descent, and
+    the onto CRT map Z/2 x Z/3 -> Z/6, whose target generator is no image
+    of a generator."""
     z2 = ModularRing(2)
     diagonal = rg.hom_validate(rg.hom_from_callable(
         z2, cyclic(2, 2), lambda x: rg.RingElement(cyclic(2, 2), (x.payload, x.payload))))
@@ -85,28 +87,29 @@ def table_descents():
     return [(diagonal, rg.identity_hom(z2)), (crt, rg.identity_hom(cyclic(2, 3)))]
 
 
-def test_descent_by_generators_matches_the_table_descent():
+def local_descent(alpha, psi):
+    return localization.descend_by_local_maps(alpha, psi.local_map, psi.target)
+
+
+def test_descent_by_local_maps_matches_the_table_descent():
     seen = {"ok": 0, "UnsupportedClass": 0}
     for alpha, psi in structural_descents() + tuple(table_descents()):
-        got = outcome(rg.hom_descend, alpha, psi)
+        phi = local_descent(alpha, psi)
         want = outcome(brute_hom_descend, alpha, psi)
-        assert got[0] == want[0], (alpha, psi, got, want)
-        if got[0] == "ok":
-            phi = got[1]
+        assert want[0] == ("UnsupportedClass" if phi is None else "ok"), (alpha, psi, want)
+        if phi is not None:
             assert phi.validated and phi == want[1]
             assert phi.as_table() == want[1].as_table()
-        else:
-            assert got == want
-        seen[got[0]] += 1
+        seen[want[0]] += 1
     assert seen["ok"] > 1000 and seen["UnsupportedClass"] > 1000, seen
 
 
-def test_descent_by_generators_enumerates_nothing(monkeypatch):
+def test_descent_by_local_maps_enumerates_nothing(monkeypatch):
     cases = structural_descents()
     calls = []
     monkeypatch.setattr(rg, "enumerate_elements", lambda r: calls.append(r) or [])
     for alpha, psi in cases:
-        outcome(rg.hom_descend, alpha, psi)
+        local_descent(alpha, psi)
     assert calls == []
 
 

@@ -455,11 +455,12 @@ def test_sheaf_equals_a_fresh_twin_after_a_restriction():
     assert sp.sheaf == twin and repr(sp.sheaf) == repr(twin)
 
 
-# Wrong cell maps under the identity of Z/6: one breaks join preservation,
-# the other swaps the two middle cells so the comaps land in the wrong
+# Wrong cell maps under the identity of Z/6, injected where
+# `ncspec_morphism` reads its cell map: one breaks join preservation, the
+# other swaps the two middle cells so the comaps land in the wrong
 # sections.  A restriction to an open that is not smaller is refused too.
 MORPHISM_CHECKS = """
-from ncspec import latspace, sheafspec
+from ncspec import sheafspec
 from ncspec import rings as rg
 from ncspec.errors import NCSpecError
 
@@ -467,7 +468,7 @@ z6 = rg.ModularRing(6)
 sp = sheafspec.ncspec(z6)
 lat = sp.lattice
 two, three = [i for i in range(lat.n) if i not in (lat.bottom, lat.top)]
-cell_of_subset = latspace.LocalizationLattice.cell_of_subset
+cell_map = sheafspec._cell_map
 
 
 def error_name(fn, *args):
@@ -479,14 +480,13 @@ def error_name(fn, *args):
 
 
 def with_cell_map(remap):
-    def wrong(self, E):
-        i = cell_of_subset(self, E)
-        return remap.get(i, i)
-    latspace.LocalizationLattice.cell_of_subset = wrong
+    def wrong(theta, Y, X):
+        return {i: remap.get(c, c) for i, c in cell_map(theta, Y, X).items()}
+    sheafspec._cell_map = wrong
     try:
         return error_name(sheafspec.ncspec_morphism, rg.identity_hom(z6))
     finally:
-        latspace.LocalizationLattice.cell_of_subset = cell_of_subset
+        sheafspec._cell_map = cell_map
 
 
 print(with_cell_map({lat.bottom: two}), with_cell_map({two: three, three: two}),
