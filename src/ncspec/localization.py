@@ -15,12 +15,13 @@ the image of B, so `_localized` is the only per-class code.
 """
 
 import operator
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
 
 from . import qpoly, skewpoly
 from . import rings as rg
 from .errors import (
+    CompositionMismatch,
     NonMonomialSkewSubset,
     NotAHomomorphism,
     NotComparable,
@@ -251,9 +252,14 @@ def descend_by_local_maps(alpha: RingHom, psi_map: tuple, target):
     factor i of alpha.target and 0 on the others: on factor Z/n of the
     target that is `unit_idempotent(n, c)`, with c the product of the
     primes of n fed by other factors.  Its `CyclicImagesRule` is
-    certified by `hom_validate`, and phi's own local map, composed with
-    alpha's, is compared with psi_map.  Into the zero ring phi is the
-    collapse.
+    certified by `hom_validate`.  The certified images are orthogonal
+    idempotents summing to 1, so the local factor l = (j, p, q) of the
+    target is fed by the one factor whose image is 1 mod q at j, at its
+    local factor of prime p.  phi.local_map[l] is therefore the intended
+    position exactly when the image of e_owner[l] is 1 mod q at j and that
+    position is a local factor of prime p; phi keeps this map, which
+    `RingHom.local_map` would read back off the images.  Into the zero
+    ring phi is the collapse.
     """
     lmap = alpha.local_map
     if len(set(lmap)) != len(lmap) or not set(psi_map) <= set(lmap):
@@ -261,19 +267,21 @@ def descend_by_local_maps(alpha: RingHom, psi_map: tuple, target):
     if isinstance(target, ZeroRing):
         return rg.to_zero_hom(alpha.target, target)
     source, mods = alpha.target, rg.cyclic_moduli(target)
-    owner = [source.local_factors[lmap.index(s)][0] for s in psi_map]
-    images = tuple(
-        rg.cyclic_element(target, [
-            rg.unit_idempotent(n, prod(p for (f, p, _q), o in zip(target.local_factors, owner)
-                                       if f == j and o != i))
-            for j, n in enumerate(mods)]).payload
-        for i in range(len(rg.cyclic_moduli(source))))
+    positions = tuple(lmap.index(s) for s in psi_map)
+    owner = [source.local_factors[s][0] for s in positions]
+    comps = [[rg.unit_idempotent(n, prod(p for (f, p, _q), o in zip(target.local_factors, owner)
+                                          if f == j and o != i))
+              for j, n in enumerate(mods)]
+             for i in range(len(rg.cyclic_moduli(source)))]
+    images = tuple(rg.cyclic_element(target, c).payload for c in comps)
     try:
         phi = hom_validate(RingHom(source, target, rg.CyclicImagesRule(images)))
     except NotAHomomorphism:
         return None
-    if tuple(lmap[s] for s in phi.local_map) != psi_map:
+    if not all(comps[o][j] % q == 1 and source.local_factors[s][1] == p
+               for (j, p, q), o, s in zip(target.local_factors, owner, positions)):
         return None
+    phi.local_map = positions
     return phi
 
 
@@ -294,14 +302,24 @@ class LocalizationSquare:
         return (self.top.source, self.top.target, self.left.target, self.bottom.target)
 
     def commutes(self) -> bool:
+        """Whether right . top == bottom . left, decided once per square."""
+        return self._commutation
+
+    @cached_property
+    def _commutation(self) -> bool:
         """right . top == bottom . left; on finite legs, validated first,
         both sides are additive, so comparing them on the generators of TL
         suffices, and when all four corners are products of cyclic rings
         the homs compare by their local maps: (g . f).local_map[l] is
         f.local_map[g.local_map[l]].  On infinite legs the two composites
         are compared, and legs that `hom_compose` cannot compose raise its
-        UnsupportedClass."""
+        UnsupportedClass.  Legs whose ends do not meet raise
+        CompositionMismatch."""
         tl = self.top.source
+        if (self.left.source != tl or self.right.source != self.top.target
+                or self.bottom.source != self.left.target
+                or self.right.target != self.bottom.target):
+            raise CompositionMismatch(f"the legs of {self!r} do not form a square")
         if rg.is_finite(tl):
             for h in (self.top, self.left, self.bottom, self.right):
                 rg.hom_validate(h)
@@ -386,9 +404,14 @@ def is_pushout(sq: LocalizationSquare, probes=None) -> bool:
 
 
 def _hom_is_identity(h: RingHom) -> bool:
-    """A validated finite hom is the identity iff it fixes the generators."""
+    """A validated finite hom is the identity iff it fixes the generators;
+    between products of cyclic rings, iff every local factor feeds itself
+    (the hom is x -> x mod q on each)."""
     if h.source != h.target:
         return False
+    factors = h.source.local_factors
+    if factors is not None:
+        return h.local_map == tuple(range(len(factors)))
     if rg.is_finite(h.source):
         return h.images == h.source.generators
     return isinstance(h.rule, IdentityRule)

@@ -10,6 +10,8 @@ supports of its charts.
 """
 
 
+from types import MappingProxyType
+
 from . import rings as rg
 from .errors import (
     NotACover,
@@ -189,15 +191,29 @@ def sections(sp: NCSpecSpace, U):
 # ---------------------------------------------------------------------------
 # morphisms of the sober ringed spaces
 
-@record
+@record(frozen=True)
 class RingedSpaceMorphism:
     """point_map sends points of the source space to the target's;
-    comap[j] is the ring map on the basic open at target cell j."""
+    comap[j] is the ring map on the basic open at target cell j.
+
+    The record is frozen and keeps read-only copies of both maps, so what
+    the walks of `verify` and the prim check cache on it cannot go stale:
+    the preimage of each target cell with its minimal cells, and the
+    restriction square of each pair, which keeps its commutation
+    verdict.
+    """
 
     source: NCSpecSpace
     target: NCSpecSpace
-    point_map: dict     # source point index -> target point index
-    comap: dict         # target cell index -> RingHom
+    point_map: MappingProxyType     # source point index -> target point index
+    comap: MappingProxyType         # target cell index -> RingHom
+
+    def __post_init__(self):
+        put = object.__setattr__
+        put(self, "point_map", MappingProxyType(dict(self.point_map)))
+        put(self, "comap", MappingProxyType(dict(self.comap)))
+        put(self, "_preimages", {})     # target cell -> (preimage, its minimal cells)
+        put(self, "_squares", {})       # (j1, j2) -> restriction square
 
     def preimage_base_open(self, target_open) -> frozenset:
         """The preimage of an open of the target, an open of the source."""
@@ -208,6 +224,15 @@ class RingedSpaceMorphism:
         if not self.source.space.is_open(U):
             raise NotOpen("preimage is not open; the point map is not continuous")
         return U
+
+    def preimage_of_cell(self, j: int):
+        """(preimage of the basic open at target cell j, its minimal cells),
+        computed once per cell."""
+        got = self._preimages.get(j)
+        if got is None:
+            U = self.preimage_base_open(self.target.basic_open(j))
+            got = self._preimages[j] = (U, self.source.space.minimal_elements(U))
+        return got
 
     def verify(self) -> bool:
         """Continuity plus compatibility of the comaps with restrictions.
@@ -224,34 +249,41 @@ class RingedSpaceMorphism:
         (Cohn), so the square (j1, j2) commutes.
         """
         Y, X = self.target, self.source
-        pre = {}
-        for j in range(Y.lattice.n):
-            pre[j] = self.preimage_base_open(Y.basic_open(j))
+        cells = range(Y.lattice.n)
+        for j in cells:
+            U, mins = self.preimage_of_cell(j)
             h = self.comap[j]
-            if h.source != Y.sheaf.assignment[j] or h.target != sections(X, pre[j]):
+            if h.source != Y.sheaf.assignment[j] or h.target != _sections_at_minima(X, U, mins):
                 return False
-        squares = self.restriction_squares(pre, lows=(Y.lattice.bottom,))
+        squares = self.restriction_squares(cells, (Y.lattice.bottom,))
         return all(sq.commutes() for _pair, sq in squares)
 
-    def restriction_squares(self, pre: dict, lows=None):
-        """((j1, j2), square) for each comparable pair j1 <= j2 of the cells of
-        `pre` (target cell -> its preimage), in `pre` order, with j1 drawn
-        from `lows` when given: comap[j1] on top, the target's restriction
-        on the left, comap[j2] at the bottom and the source's restriction
-        between the two preimages on the right.  The minimal cells of each
-        preimage are computed once."""
-        Y, X = self.target, self.source
-        mins = {j: X.space.minimal_elements(U) for j, U in pre.items()}
-        for j1 in (pre if lows is None else lows):
-            pre1 = pre[j1]
-            for j2, pre2 in pre.items():
-                if Y.lattice.leq(j1, j2):
-                    yield (j1, j2), LocalizationSquare(
-                        top=self.comap[j1],
-                        left=Y.sheaf.restriction(j1, j2),
-                        bottom=self.comap[j2],
-                        right=_restriction_at_minima(X, pre1, mins[j1], pre2, mins[j2]),
-                    )
+    def restriction_squares(self, cells, lows=None):
+        """((j1, j2), square) for each comparable pair j1 <= j2 of the target
+        cells `cells`, in their order, with j1 drawn from `lows` when given:
+        comap[j1] on top, the target's restriction on the left, comap[j2]
+        at the bottom and the source's restriction between the two
+        preimages on the right.  Each square is built once per morphism."""
+        cells = tuple(cells)
+        leq = self.target.lattice.leq
+        for j1 in (cells if lows is None else lows):
+            for j2 in cells:
+                if leq(j1, j2):
+                    yield (j1, j2), self._square(j1, j2)
+
+    def _square(self, j1: int, j2: int) -> LocalizationSquare:
+        sq = self._squares.get((j1, j2))
+        if sq is None:
+            Y, X = self.target, self.source
+            pre1, mins1 = self.preimage_of_cell(j1)
+            pre2, mins2 = self.preimage_of_cell(j2)
+            sq = self._squares[j1, j2] = LocalizationSquare(
+                top=self.comap[j1],
+                left=Y.sheaf.restriction(j1, j2),
+                bottom=self.comap[j2],
+                right=_restriction_at_minima(X, pre1, mins1, pre2, mins2),
+            )
+        return sq
 
     def key(self):
         return (
@@ -267,6 +299,11 @@ class RingedSpaceMorphism:
         return hash(self.key())
 
 
+def _sections_at_minima(sp: NCSpecSpace, U, mins):
+    """sections(sp, U) of an open U with minimal cells mins."""
+    return sp.sheaf.assignment[mins[0]] if len(mins) == 1 else sections(sp, U)
+
+
 def _restriction_at_minima(sp: NCSpecSpace, U, minsU, V, minsV) -> RingHom:
     """Restriction map of sp's sheaf between opens V <= U (principal or
     empty), given the minimal cells of each: between principal opens the
@@ -275,7 +312,7 @@ def _restriction_at_minima(sp: NCSpecSpace, U, minsU, V, minsV) -> RingHom:
         raise NotComparable("restriction goes to a smaller open")
     if len(minsU) == 1 and len(minsV) == 1:
         return sp.sheaf.restriction(minsU[0], minsV[0])
-    SU = sp.sheaf.assignment[minsU[0]] if len(minsU) == 1 else sections(sp, U)
+    SU = _sections_at_minima(sp, U, minsU)
     if not V:
         return to_zero_hom(SU, ZeroRing())
     sections(sp, V)  # a non-basic open without section ring raises here first
@@ -364,8 +401,7 @@ def check_functoriality(theta: RingHom, phi: RingHom) -> dict:
 
 
 def _cell_of_preimage(m: RingedSpaceMorphism, j: int) -> int:
-    pre = m.preimage_base_open(m.target.basic_open(j))
-    mins = m.source.space.minimal_elements(pre)
+    pre, mins = m.preimage_of_cell(j)
     if len(mins) != 1:
         raise NotIrreducibleCertificate(
             f"the preimage of basic open {j} is not a basic open: {sorted(pre)}")
@@ -399,17 +435,68 @@ def is_prim_report(m: RingedSpaceMorphism, probes=None) -> dict:
 
 
 def _prim_witness(m: RingedSpaceMorphism, cells, probes):
+    """The first failing prim condition on the target cells `cells`, or None.
+
+    Every preimage must be completely union-irreducible, and then the
+    restriction square of every comparable pair j1 <= j2 of cells must
+    push out (`is_pushout` with the probes).  The full walk checks every
+    pair in cell order, so a failure names the first failing pair.
+
+    The pasting law for pushouts (Mac Lane, III.4) shortens the walk.
+    Let l <= j1 <= j2 be cells, and let the square (l, j1) push out.
+    Pasting (l, j1) on top of (j1, j2) gives the square (l, j2), by the
+    presheaf laws on both sides, so (j1, j2) pushes out exactly when
+    (l, j2) does.  Every cell lies above a minimal cell of `cells` (the
+    lows), so all squares push out when the squares (l, j) with l a low
+    do: 2^k squares instead of 3^k at k local factors over the whole
+    space, whose one low is the bottom, and there they are the squares
+    `verify` checks.  The law is about true pushouts, so it holds for the
+    walk only where every square verdict is exact, which
+    `_pasting_decides` checks: both rings and every probe are products of
+    cyclic rings, every local factor Z/p^c of the two rings is itself a
+    probe (`default_prim_probes` lists every section ring, so it always
+    is), and every comap of the walk is validated with the endpoints of
+    its cell.  The squares then commute after their legs, and the check
+    by the local probes decides the true pushout of such a square: it
+    compares Hom(-, Z/p^c) of the bottom corner with that of the tensor
+    product of the mid corners, both products of local factors Z/p^c of
+    the rings.  When a shortened walk fails, or the scope does not hold,
+    the full walk runs, so a witness is always the full walk's.
+    """
     Y, X = m.target, m.source
-    pre = {}
+    cells = tuple(cells)
     for j in cells:
-        pre[j] = m.preimage_base_open(Y.basic_open(j))
-        if not is_completely_union_irreducible(X.space, pre[j]):
+        U, _mins = m.preimage_of_cell(j)
+        if not is_completely_union_irreducible(X.space, U):
             return {"condition": "preimage_not_union_irreducible",
-                    "basic_open": j, "preimage": sorted(pre[j])}
-    for pair, sq in m.restriction_squares(pre):
+                    "basic_open": j, "preimage": sorted(U)}
+    if _pasting_decides(m, cells, probes):
+        lows = Y.space.minimal_elements(cells)
+        if all(is_pushout(sq, probes) for _pair, sq in m.restriction_squares(cells, lows)):
+            return None
+    for pair, sq in m.restriction_squares(cells):
         if not is_pushout(sq, probes):
             return {"condition": "restriction_square_not_pushout", "pair": pair}
     return None
+
+
+def _pasting_decides(m: RingedSpaceMorphism, cells, probes) -> bool:
+    """Whether every square verdict of the walk over `cells` is exact, so
+    that the pasting law applies (see `_prim_witness`); every preimage is
+    principal."""
+    Y, X = m.target, m.source
+    rings = (X.ring, Y.ring)
+    if not _all_cyclic(rings) or not _all_cyclic(probes):
+        return False
+    local = {T.local_factors[0][1:] for T in probes if len(T.local_factors) == 1}
+    if not all(f[1:] in local for r in rings for f in r.local_factors):
+        return False
+    for j in cells:
+        h, (_U, mins) = m.comap[j], m.preimage_of_cell(j)
+        if not (h.validated and h.source == Y.sheaf.assignment[j]
+                and h.target == X.sheaf.assignment[mins[0]]):
+            return False
+    return True
 
 
 def prim_is_local_check(m: RingedSpaceMorphism, cover) -> bool:

@@ -1,0 +1,253 @@
+"""The prim check by pushout pasting and the per-morphism walk state,
+against the full pair walk they replace.
+
+Where every square verdict is exact, `is_prim_report` checks only the
+squares out of the minimal cells and falls back to the full walk when one
+fails; `conftest.brute_prim_witness`, which builds every square of every
+comparable pair from fresh preimages, is the oracle for verdict, witness
+and exception type.  `verify` and the prim check share one square per
+pair, and each square decides its commutation once.  The comaps that
+`descend_by_local_maps` builds keep the local map it certified; the
+readback off their images is the oracle.
+"""
+
+from collections import Counter
+from itertools import product
+
+import pytest
+
+from conftest import brute_prim_witness
+from test_acceptance import _crafted_negatives
+from test_cellwise import mutants
+from test_prim_structural import _grid_homs, outcome
+from test_sheafspec import (
+    crafted_swapped_global_comap,
+    crafted_z3_to_bottom_point,
+    crafted_zero_to_closed_point,
+    discontinuous_endomorphisms,
+)
+
+from ncspec import localization, sheafspec
+from ncspec import rings as rg
+from ncspec.errors import PresheafLawViolation
+from ncspec.latspace import is_completely_union_irreducible
+from ncspec.records import FrozenInstanceError
+from ncspec.rings import ModularRing, PrimeField, SemisimpleAlgebra, ZeroRing
+
+z = ModularRing
+# the golden prim-check lists (Z/6 without its factor Z/3; Z/6 with both
+# factors and a semisimple probe), none, one local factor, and the local
+# factors of Z/36 and Z/6 only
+PROBE_LISTS = (
+    (z(6), z(2), ZeroRing()),
+    (z(6), z(2), z(3), SemisimpleAlgebra(PrimeField(2), (1, 2))),
+    (),
+    (z(2),),
+    (z(2), z(4), z(3), z(9)),
+)
+
+
+def induced_morphisms():
+    homs = _grid_homs() + [rg.quotient_hom(n, m) for n, m in ((2310, 210), (36, 6), (72, 12))]
+    return [sheafspec.ncspec_morphism(theta) for theta in homs]
+
+
+def crafted_morphisms():
+    return ([crafted_zero_to_closed_point(), crafted_z3_to_bottom_point(),
+             crafted_swapped_global_comap()]
+            + discontinuous_endomorphisms() + _crafted_negatives())
+
+
+def prim_outcome(m, probes):
+    """("ok", the witness of `is_prim_report`), or the name and message of
+    what it raises."""
+    got = outcome(sheafspec.is_prim_report, m, probes)
+    if got[0] != "ok":
+        return got
+    assert got[1]["prim"] is (got[1]["witness"] is None)
+    assert got[1]["probes"] == [repr(p) for p in probes]
+    return "ok", got[1]["witness"]
+
+
+def kind(result):
+    if result[0] != "ok":
+        return result[0]
+    return "prim" if result[1] is None else result[1]["condition"]
+
+
+def test_prim_by_pasting_matches_the_full_walk():
+    seen = Counter()
+    pasted = Counter()
+    for m in induced_morphisms() + crafted_morphisms():
+        n = m.target.lattice.n
+        for probes in (sheafspec.default_prim_probes(m),) + PROBE_LISTS:
+            got = prim_outcome(m, probes)
+            assert got == outcome(brute_prim_witness, m, range(n), probes), (m, probes)
+            seen[kind(got)] += 1
+            if got[0] == "ok" and kind(got) != "preimage_not_union_irreducible":
+                pasted[sheafspec._pasting_decides(m, range(n), probes), kind(got)] += 1
+    assert set(seen) == {"prim", "restriction_square_not_pushout",
+                         "preimage_not_union_irreducible", "NotOpen", "UnverifiableSquare"}, seen
+    # the shortened walk ran on prim and on non-prim morphisms, and the
+    # full walk on both as well
+    assert set(pasted) == {(decides, k) for decides in (True, False)
+                           for k in ("prim", "restriction_square_not_pushout")}, pasted
+
+
+def test_prim_by_pasting_matches_the_full_walk_on_one_comap_mutants():
+    seen = Counter()
+    for theta in _grid_homs() + [rg.quotient_hom(2310, 210)]:
+        for mm in mutants(sheafspec.ncspec_morphism(theta)):
+            n = mm.target.lattice.n
+            for probes in (sheafspec.default_prim_probes(mm), (z(2),)):
+                got = prim_outcome(mm, probes)
+                assert got == outcome(brute_prim_witness, mm, range(n), probes), (theta, probes)
+                seen[kind(got)] += 1
+    # a comap with the ends of another cell makes a square whose legs do
+    # not meet; one with the right ends is no longer induced, so not prim
+    assert set(seen) == {"restriction_square_not_pushout", "CompositionMismatch"}, seen
+    assert seen["restriction_square_not_pushout"] >= 20, seen
+
+
+def enumerated_morphisms(source, target):
+    """Every morphism NCSpec(source) -> NCSpec(target) of products of cyclic
+    rings whose preimages of basic opens are principal, with every choice
+    of comaps between the section rings."""
+    X, Y = sheafspec.ncspec(source), sheafspec.ncspec(target)
+    out = []
+    for images in product(range(Y.space.n), repeat=X.space.n):
+        point_map = dict(enumerate(images))
+        pre = [frozenset(x for x, y in point_map.items() if y in Y.space.up[j])
+               for j in range(Y.lattice.n)]
+        if not all(X.space.is_open(U) and is_completely_union_irreducible(X.space, U)
+                   for U in pre):
+            continue
+        choices = [rg.all_homs(Y.sheaf.assignment[j], sheafspec.sections(X, U))
+                   for j, U in enumerate(pre)]
+        out += [sheafspec.RingedSpaceMorphism(X, Y, point_map, dict(enumerate(comap)))
+                for comap in product(*choices)]
+    return out
+
+
+def test_prim_by_pasting_matches_the_full_walk_on_enumerated_morphisms():
+    """Among these, a square with an identity leg can fail while the
+    squares out of the bottom pass a probe list that misses a local
+    factor, so there only the full walk gives the verdict."""
+    seen = Counter()
+    for target in (ModularRing(30), rg.product_ring([z(2), z(6)])):
+        for m in enumerated_morphisms(z(6), target):
+            for probes in (sheafspec.default_prim_probes(m), (ZeroRing(),)) + PROBE_LISTS:
+                got = prim_outcome(m, probes)
+                assert got == outcome(brute_prim_witness, m, range(m.target.lattice.n), probes)
+                seen[kind(got), sheafspec._pasting_decides(m, range(m.target.lattice.n), probes)] += 1
+    assert set(seen) == {(k, decides) for decides in (True, False)
+                         for k in ("prim", "restriction_square_not_pushout")}, seen
+
+
+def covers(m):
+    """The whole space alone, with every principal open, and with the
+    union of every two principal opens (a piece with two minimal cells)."""
+    Y = m.target.space
+    whole, ups = Y.carrier(), sorted(set(Y.up), key=sorted)
+    return ([whole], [whole] + ups,
+            [whole] + [a | b for a in ups for b in ups if a != b and a | b != whole])
+
+
+def brute_locality(m, cover, probes):
+    """`prim_is_local_check` by the full walk over the whole and each piece."""
+    whole = brute_prim_witness(m, range(m.target.lattice.n), probes) is None
+    pieces = all(brute_prim_witness(m, sorted(frozenset(U)), probes) is None for U in cover)
+    if whole != pieces:
+        raise PresheafLawViolation(
+            f"primness must be a local property: {whole} on the whole, {pieces} on the cover")
+    return whole
+
+
+def test_prim_locality_by_pasting_matches_the_full_walk():
+    morphisms = [m for m in induced_morphisms() + crafted_morphisms()
+                 if m.target.lattice.n <= 8]
+    verdicts = Counter()
+    for m in morphisms:
+        probes = sheafspec.default_prim_probes(m)
+        for cover in covers(m):
+            for U in cover:
+                cells = sorted(frozenset(U))
+                assert (outcome(sheafspec._prim_witness, m, cells, probes)
+                        == outcome(brute_prim_witness, m, cells, probes)), (m, U)
+            got = outcome(sheafspec.prim_is_local_check, m, cover)
+            assert got == outcome(brute_locality, m, cover, probes), (m, cover)
+            verdicts[got[1] if got[0] == "ok" else got[0]] += 1
+    assert verdicts[True] > 50 and verdicts[False] > 3, verdicts
+    assert PresheafLawViolation.__name__ not in verdicts, verdicts
+
+
+def test_warm_quotient_query_builds_decides_and_pulls_back_once_per_cell(monkeypatch):
+    def query():
+        m = sheafspec.ncspec_morphism(rg.quotient_hom(30, 6))
+        return m.verify(), sheafspec.is_prim_report(m)["prim"]
+
+    assert query() == (True, True)
+    calls = Counter()
+    square = sheafspec.LocalizationSquare
+    commutation = vars(localization.LocalizationSquare)["_commutation"]
+    commutes = commutation.func
+    preimage = sheafspec.RingedSpaceMorphism.preimage_base_open
+
+    def built(**legs):
+        calls["squares"] += 1
+        return square(**legs)
+
+    def decided(sq):
+        calls["commutes"] += 1
+        return commutes(sq)
+
+    def pulled_back(m, U):
+        calls["preimages"] += 1
+        return preimage(m, U)
+
+    monkeypatch.setattr(sheafspec, "LocalizationSquare", built)
+    monkeypatch.setattr(commutation, "func", decided)
+    monkeypatch.setattr(sheafspec.RingedSpaceMorphism, "preimage_base_open", pulled_back)
+    assert query() == (True, True)
+    assert calls == Counter(squares=8, commutes=8, preimages=8), calls
+
+
+def test_verify_stops_at_the_first_bad_comap_before_later_preimages(monkeypatch):
+    m = sheafspec.ncspec_morphism(rg.quotient_hom(30, 6))
+    first = min(m.comap)
+    wrong = next(h for j, h in m.comap.items() if h.source != m.comap[first].source)
+    bad = sheafspec.RingedSpaceMorphism(m.source, m.target, m.point_map,
+                                        {**m.comap, first: wrong})
+    pulled = []
+    preimage = sheafspec.RingedSpaceMorphism.preimage_base_open
+    monkeypatch.setattr(sheafspec.RingedSpaceMorphism, "preimage_base_open",
+                        lambda mm, U: pulled.append(U) or preimage(mm, U))
+    assert bad.verify() is False
+    assert pulled == [m.target.basic_open(first)]
+
+
+def test_morphisms_are_frozen_with_read_only_maps():
+    m = sheafspec.ncspec_morphism(rg.quotient_hom(6, 3))
+    for name in ("source", "target", "point_map", "comap"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(m, name, None)
+    for mapping in (m.point_map, m.comap):
+        with pytest.raises(TypeError):
+            mapping[next(iter(mapping))] = None
+    # the maps are copies, so changing the dicts it was built from does not reach it
+    point_map, comap = dict(m.point_map), dict(m.comap)
+    twin = sheafspec.RingedSpaceMorphism(m.source, m.target, point_map, comap)
+    comap[next(iter(comap))] = None
+    assert twin == m and twin.verify() and sheafspec.is_prim(twin)
+
+
+def test_comaps_keep_the_local_map_their_images_give():
+    stored = 0
+    for theta in _grid_homs() + [rg.quotient_hom(2310, 210)]:
+        for h in sheafspec.ncspec_morphism(theta).comap.values():
+            if rg.is_zero_ring(h.target):
+                continue
+            assert "local_map" in vars(h), h
+            assert h.local_map == rg.RingHom.local_map.func(h), h
+            stored += 1
+    assert stored > 100, stored

@@ -177,9 +177,7 @@ def _grid_homs():
 
 
 def _squares(m):
-    Y = m.target
-    pre = {j: m.preimage_base_open(Y.basic_open(j)) for j in range(Y.lattice.n)}
-    return [sq for _pair, sq in m.restriction_squares(pre)]
+    return [sq for _pair, sq in m.restriction_squares(range(m.target.lattice.n))]
 
 
 def _two_mediating_square(n):
