@@ -121,17 +121,51 @@ class NCSpecSpace:
         return self.space.n
 
 
+# NCSpec memoized as a functor: spaces by ring, induced morphisms by their
+# validated hom.  Each memo is a plain dict kept in least-recently-used
+# order (a hit moves its entry to the end) and holds at most CACHE_BOUND
+# entries.  The largest morphism the tests build, Z/30030 -> Z/2310, holds
+# 0.17 MB after `verify` and `is_prim_report` (its 64 squares and its
+# verdicts; tracemalloc, Python 3.11), and NCSpec(Z/30030) holds 1.1 MB.
+# So 32 morphisms of that size keep about 5 MB of their own, and 32 spaces
+# of that size about 35 MB; a morphism also keeps its two spaces alive.
+# A warm session over Z/12 and Z/30 touches 10 morphisms and 9 spaces.
+CACHE_BOUND = 32
+
 _ncspec_cache: dict = {}
+_morphism_cache: dict = {}
+
+
+def _memo_get(cache: dict, key):
+    """The value cached under key, now the most recently used, or None."""
+    value = cache.pop(key, None)
+    if value is not None:
+        cache[key] = value
+    return value
+
+
+def _memo_put(cache: dict, key, value):
+    """Cache value under key, evicting the least recently used entries past
+    the bound; returns value."""
+    cache[key] = value
+    while len(cache) > CACHE_BOUND:
+        del cache[next(iter(cache))]
+    return value
+
+
+def clear_caches():
+    """Empty the memo of spaces and the memo of induced morphisms."""
+    _ncspec_cache.clear()
+    _morphism_cache.clear()
 
 
 def ncspec(r) -> "NCSpecSpace | PidNCSpec":
-    if r in _ncspec_cache:
-        return _ncspec_cache[r]
+    sp = _memo_get(_ncspec_cache, r)
+    if sp is not None:
+        return sp
     lat = build_semilattice(r)
     if isinstance(lat, PidLattice):
-        sp = PidNCSpec(r, lat)
-        _ncspec_cache[r] = sp
-        return sp
+        return _memo_put(_ncspec_cache, r, PidNCSpec(r, lat))
     X = soberify(lat.space)
     assignment = tuple(c.localized.result for c in lat.cells)
     sheaf = SheafOnBase(lat, assignment)
@@ -139,8 +173,7 @@ def ncspec(r) -> "NCSpecSpace | PidNCSpec":
     sp = NCSpecSpace(r, lat, X, sheaf)
     if assignment[lat.bottom] != r:
         raise PresheafLawViolation("global sections must be the ring itself")
-    _ncspec_cache[r] = sp
-    return sp
+    return _memo_put(_ncspec_cache, r, sp)
 
 
 @record
@@ -198,9 +231,11 @@ class RingedSpaceMorphism:
 
     The record is frozen and keeps read-only copies of both maps, so what
     the walks of `verify` and the prim check cache on it cannot go stale:
-    the preimage of each target cell with its minimal cells, and the
-    restriction square of each pair, which keeps its commutation
-    verdict.
+    the preimage of each target cell with its minimal cells, the
+    restriction square of each pair, which keeps its commutation verdict,
+    the result of `verify`, the default prim probes and the prim witness
+    of each probe tuple.  Only returned values are kept, so a check that
+    raises raises again when asked again.
     """
 
     source: NCSpecSpace
@@ -214,6 +249,7 @@ class RingedSpaceMorphism:
         put(self, "comap", MappingProxyType(dict(self.comap)))
         put(self, "_preimages", {})     # target cell -> (preimage, its minimal cells)
         put(self, "_squares", {})       # (j1, j2) -> restriction square
+        put(self, "_verdicts", {})      # "verify", "probes", ("prim", probes) -> result
 
     def preimage_base_open(self, target_open) -> frozenset:
         """The preimage of an open of the target, an open of the source."""
@@ -247,7 +283,15 @@ class RingedSpaceMorphism:
         by the square (b, j2).  Now res(b, j1) is the insertion of the
         cell j1, a universal localization and hence an epimorphism
         (Cohn), so the square (j1, j2) commutes.
+
+        The walk runs once per morphism; later calls return its result.
         """
+        verdict = self._verdicts.get("verify")
+        if verdict is None:
+            verdict = self._verdicts["verify"] = self._verify()
+        return verdict
+
+    def _verify(self) -> bool:
         Y, X = self.target, self.source
         cells = range(Y.lattice.n)
         for j in cells:
@@ -320,8 +364,23 @@ def _restriction_at_minima(sp: NCSpecSpace, U, minsU, V, minsV) -> RingHom:
 
 
 def ncspec_morphism(theta: RingHom) -> RingedSpaceMorphism:
-    """The induced morphism NCSpec(target) -> NCSpec(source) of a ring hom."""
+    """The induced morphism NCSpec(target) -> NCSpec(source) of a ring hom.
+
+    theta is validated on every call.  The morphism is then memoized on
+    theta, at most `CACHE_BOUND` (32) of them: validated homs are equal
+    exactly when they have the same source, target and images of the
+    generators, so equal homs share one immutable morphism together with
+    the verdicts it keeps.  The largest morphism the tests build, Z/30030
+    -> Z/2310, holds 0.17 MB with its squares and verdicts.
+    """
     hom_validate(theta)
+    m = _memo_get(_morphism_cache, theta)
+    if m is None:
+        m = _memo_put(_morphism_cache, theta, _induced_morphism(theta))
+    return m
+
+
+def _induced_morphism(theta: RingHom) -> RingedSpaceMorphism:
     Y = ncspec(theta.source)
     X = ncspec(theta.target)
     if isinstance(Y, PidNCSpec) or isinstance(X, PidNCSpec):
@@ -409,14 +468,19 @@ def _cell_of_preimage(m: RingedSpaceMorphism, j: int) -> int:
 
 
 def default_prim_probes(m: RingedSpaceMorphism):
-    probes = []
-    for sp in (m.target, m.source):
-        for d in sp.sheaf.assignment:
-            if d not in probes:
-                probes.append(d)
-    if ZeroRing() not in probes:
-        probes.append(ZeroRing())
-    return tuple(probes)
+    """Every section ring of both spaces, then the zero ring; computed once
+    per morphism."""
+    probes = m._verdicts.get("probes")
+    if probes is None:
+        probes = []
+        for sp in (m.target, m.source):
+            for d in sp.sheaf.assignment:
+                if d not in probes:
+                    probes.append(d)
+        if ZeroRing() not in probes:
+            probes.append(ZeroRing())
+        probes = m._verdicts["probes"] = tuple(probes)
+    return probes
 
 
 def is_prim(m: RingedSpaceMorphism, probes=None) -> bool:
@@ -426,10 +490,17 @@ def is_prim(m: RingedSpaceMorphism, probes=None) -> bool:
 
 
 def is_prim_report(m: RingedSpaceMorphism, probes=None) -> dict:
-    """Like is_prim, but a failing check names its witness."""
-    if probes is None:
-        probes = default_prim_probes(m)
-    witness = _prim_witness(m, range(m.target.lattice.n), probes)
+    """Like is_prim, but a failing check names its witness.
+
+    The witness of each probe tuple is found once per morphism; every call
+    returns a fresh report."""
+    probes = default_prim_probes(m) if probes is None else tuple(probes)
+    key = ("prim", probes)
+    if key not in m._verdicts:
+        m._verdicts[key] = _prim_witness(m, range(m.target.lattice.n), probes)
+    witness = m._verdicts[key]
+    if witness is not None:     # a copy the caller may change
+        witness = {k: list(v) if isinstance(v, list) else v for k, v in witness.items()}
     return {"prim": witness is None, "witness": witness,
             "probes": [repr(p) for p in probes]}
 

@@ -22,19 +22,25 @@ Terms = dict    # ExpVec -> Fraction, no zero values
 
 
 def twist(lam: dict, a: ExpVec, b: ExpVec) -> Fraction:
-    """Scalar picked up when normalizing x^a * x^b."""
-    t = Fraction(1)
-    n = len(a)
-    for i in range(n):
-        ai = a[i]
+    """Scalar picked up when normalizing x^a * x^b: the product over j < i
+    of lam[(j, i)] ** (-a_i b_j), accumulated as one integer numerator and
+    denominator and reduced once."""
+    num = den = 1
+    for i, ai in enumerate(a):
         if ai == 0:
             continue
         for j in range(i):
-            bj = b[j]
-            if bj == 0:
+            e = -ai * b[j]
+            if e == 0:
                 continue
-            t *= lam[(j, i)] ** (-ai * bj)
-    return t
+            q = lam[(j, i)]
+            if e > 0:
+                num *= q.numerator ** e
+                den *= q.denominator ** e
+            else:
+                num *= q.denominator ** -e
+                den *= q.numerator ** -e
+    return Fraction(num, den)
 
 
 def term_mul(lam: dict, a: ExpVec, ca: Fraction, b: ExpVec, cb: Fraction):

@@ -91,6 +91,8 @@ def test_verify_one_square_per_cell_matches_the_pair_loop():
 
 
 def test_verify_builds_one_square_per_target_cell(monkeypatch):
+    # a fresh build: a memoized morphism keeps its squares and its verdict
+    sheafspec.clear_caches()
     m = sheafspec.ncspec_morphism(rg.quotient_hom(30, 6))
     built = []
     square = sheafspec.LocalizationSquare
@@ -120,6 +122,8 @@ def test_warm_quotient_query_descends_localizes_and_locates_nothing(monkeypatch)
     counting(rg, "hom_descend")
     counting(localization, "_localize_cached")
     counting(latspace.LocalizationLattice, "cell_of_subset")
+    # warm spaces, a fresh morphism
+    sheafspec._morphism_cache.clear()
     assert query() == (True, True, True)
     assert calls == []
 

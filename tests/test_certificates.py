@@ -140,6 +140,7 @@ def pairwise_calls(monkeypatch):
 
     monkeypatch.setattr(rg, "_check_all_pairs", counted)
     monkeypatch.setattr(sheafspec, "_ncspec_cache", {})
+    sheafspec._morphism_cache.clear()
     localization._localize_cached.cache_clear()
     rg.all_homs.cache_clear()
     return calls

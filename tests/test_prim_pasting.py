@@ -208,6 +208,8 @@ def test_warm_quotient_query_builds_decides_and_pulls_back_once_per_cell(monkeyp
     monkeypatch.setattr(sheafspec, "LocalizationSquare", built)
     monkeypatch.setattr(commutation, "func", decided)
     monkeypatch.setattr(sheafspec.RingedSpaceMorphism, "preimage_base_open", pulled_back)
+    # a fresh build: a memoized morphism keeps its squares and its verdicts
+    sheafspec.clear_caches()
     assert query() == (True, True)
     assert calls == Counter(squares=8, commutes=8, preimages=8), calls
 

@@ -77,6 +77,25 @@ def test_twist_cocycle_random_triples(rng):
         assert lhs == rhs
 
 
+def fraction_power_twist(lam, a, b):
+    """The twist as a product of Fraction powers, one per pair j < i."""
+    t = Fraction(1)
+    for i in range(len(a)):
+        for j in range(i):
+            t *= lam[(j, i)] ** (-a[i] * b[j])
+    return t
+
+
+def test_twist_matches_the_fraction_power_product(rng):
+    values = [Fraction(2), Fraction(-3), Fraction(2, 3), Fraction(-5, 7), Fraction(1), Fraction(-1)]
+    for n in (1, 2, 3, 4):
+        for _ in range(60):
+            lam = {(j, i): rng.choice(values) for i in range(n) for j in range(i)}
+            a, b = (tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(2))
+            got = skewpoly.twist(lam, a, b)
+            assert type(got) is Fraction and got == fraction_power_twist(lam, a, b), (lam, a, b)
+
+
 def test_associativity_on_random_elements(rng):
     def rand_poly():
         terms = {}
