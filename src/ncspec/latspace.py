@@ -201,8 +201,15 @@ class LocalizationLattice:
     """Materialized localization semilattice of a finite-sided ring.
 
     `up[i]` lists the cells j >= i; the order and its joins are those of
-    `self.space`, the Alexandrov space on the cells.
+    `self.space`, the Alexandrov space on the cells.  It is a function of
+    the ring (`build_semilattice`), so it compares and hashes by the ring.
     """
+
+    def __eq__(self, other):
+        return isinstance(other, LocalizationLattice) and self.ring == other.ring
+
+    def __hash__(self):
+        return hash(self.ring)
 
     def __init__(self, ring, cells, up, key_of_element):
         self.ring = ring

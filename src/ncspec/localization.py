@@ -9,9 +9,9 @@ Matrix rings localize to themselves or collapse to the zero ring;
 semisimple algebras localize to the sub-product indexed by the blocks
 that every member of E leaves nonsingular; Q[x] localizes symbolically to
 the fraction class of the squarefree part of prod(E); skew Laurent rings
-localize at monomials by enlarging the inverted cone.  For A <= B the
-connecting map loc(R, A) -> loc(R, B) is the insertion of loc(R, A) at
-the image of B, so `_localized` is the only per-class code.
+localize at monomials by enlarging the inverted cone.  `connecting_map`
+re-localizes, so `_localized` is the only per-class code; the restrictions
+and comaps of the sheaf come from one descent, `induced_between`.
 """
 
 import operator
@@ -198,43 +198,49 @@ def _under_map(LA: Localization, LB: Localization) -> RingHom:
     return p
 
 
-def _ssa_kept(h: RingHom):
-    if isinstance(h.rule, rg.SsaProjRule):
-        return tuple(h.rule.kept)
-    return tuple(range(len(h.source.dims)))
-
-
 def induced_map(theta: RingHom, A) -> RingHom:
-    """theta_A: loc(R, A) -> loc(S, theta(A)) closing the localization square.
-
-    Between products of cyclic rings it is read off the local maps
-    (`descend_by_local_maps`); on any other finite source it is
-    LB.insertion . theta descended through the onto insertion of
-    loc(R, A), certified by `hom_descend`.
-    """
+    """theta_A: loc(R, A) -> loc(S, theta(A)) closing the localization square."""
     hom_validate(theta)
-    LA = localize(theta.source, tuple(A))
-    LB = localize(theta.target, tuple(theta(a) for a in A))
-    if isinstance(LB.result, ZeroRing):
+    phi = induced_between(theta, localize(theta.source, A), localize(theta.target, map(theta, A)))
+    if phi is None:
+        raise UnsupportedClass(f"no induced map of {theta!r} at {list(A)!r}")
+    return phi
+
+
+def induced_between(theta: RingHom, LA: Localization, LB: Localization):
+    """The validated phi: LA.result -> LB.result with phi . alpha = beta .
+    theta for the insertions alpha, beta of LA, LB, or None if there is
+    none; alpha is an epimorphism (Cohn), so phi is unique.  It is the
+    collapse into the zero ring, beta . theta out of an identity
+    insertion, read off local maps between products of cyclic rings, the
+    projection onto kept positions between semisimple block projections,
+    a table descent on other finite sources (`hom_descend`), and for
+    theta = id on infinite ones `_under_map`, which raises NotComparable.
+    """
+    alpha, beta = LA.insertion, LB.insertion
+    if rg.is_zero_ring(LB.result):
         return rg.to_zero_hom(LA.result, LB.result)
+    identity = isinstance(theta.rule, IdentityRule)
+    if isinstance(alpha.rule, IdentityRule):
+        return hom_compose(beta, theta)
     if _all_cyclic((theta.source, theta.target)):
-        phi = descend_by_local_maps(
-            LA.insertion, tuple(theta.local_map[s] for s in LB.insertion.local_map), LB.result)
-        if phi is None:
-            raise UnsupportedClass(
-                f"{LB.insertion!r} . {theta!r} is not constant on the fibres of {LA.insertion!r}")
-        return phi
-    if rg.is_finite(theta.source):
-        return rg.hom_descend(LA.insertion, hom_compose(LB.insertion, theta))
-    if isinstance(theta.rule, IdentityRule):
-        return _under_map(LA, LB)
-    if isinstance(theta.source, SemisimpleAlgebra) and isinstance(LB.result, SemisimpleAlgebra):
-        # all four maps are block projections, so kept positions compose
-        keptA = _ssa_kept(LA.insertion)
-        kept_abs = _ssa_kept(hom_compose(LB.insertion, theta))
-        positions = tuple(keptA.index(b) for b in kept_abs)
+        psi_map = beta.local_map if identity else tuple(theta.local_map[s] for s in beta.local_map)
+        return descend_by_local_maps(alpha, psi_map, LB.result)
+    psi = hom_compose(beta, theta)
+    if isinstance(alpha.rule, rg.SsaProjRule) and isinstance(psi.rule, rg.SsaProjRule):
+        kept = alpha.rule.kept
+        if not set(psi.rule.kept) <= set(kept):
+            return None
+        positions = tuple(kept.index(b) for b in psi.rule.kept)
+        if positions == tuple(range(len(kept))):   # infinite homs compare by rule
+            return rg.identity_hom(LA.result)
         return hom_validate(RingHom(LA.result, LB.result, rg.SsaProjRule(positions)))
-    raise UnsupportedClass(f"induced map unsupported for {theta!r}")
+    if rg.is_finite(theta.source):
+        try:
+            return rg.hom_descend(alpha, psi)
+        except UnsupportedClass:
+            return None
+    return _under_map(LA, LB) if identity else None
 
 
 def descend_by_local_maps(alpha: RingHom, psi_map: tuple, target):

@@ -849,13 +849,13 @@ class Rule:
 
     A `TableRule` is a table.  One given from outside (a document, a test)
     is checked exhaustively by `hom_validate`; one read off validated homs
-    by `hom_descend`, or built by `hom_compose` from validated factors, is
-    certified as built.  Every other rule is certified by its
-    construction: its `check(h)` is complete, so it raises
-    NotAHomomorphism exactly when `apply` does not compute a ring hom
-    h.source -> h.target, and it looks at the descriptors and the rule's
-    data only, never at the elements of the source.  `table` is the lookup
-    table of a TableRule and None for every other rule.
+    by `hom_descend` (in `localization.induced_between`), or built by
+    `hom_compose` from validated factors, is certified as built.  Any other
+    rule is certified by its construction: its `check(h)` is complete, so
+    it raises NotAHomomorphism exactly when `apply` does not compute a ring
+    hom h.source -> h.target, and it looks at the descriptors and the
+    rule's data only, never at the elements of the source.  `table` is the
+    lookup table of a TableRule and None for every other rule.
     """
 
     table = None
@@ -892,7 +892,7 @@ class ToZeroRule(Rule):
 
 @record(frozen=True)
 class SsaProjRule(Rule):
-    """Semisimple localization insertion a -> a * sum of kept idempotents."""
+    """Block projection a -> a * sum of kept idempotents (semisimple)."""
     kept: tuple
 
     def apply(self, h, x):
@@ -1228,8 +1228,8 @@ def hom_descend(alpha: RingHom, psi: RingHom) -> RingHom:
     psi(y) = psi(x + y) = phi(alpha(x) + alpha(y)), likewise for
     products, and phi(1) = psi(1) = 1.  So it is certified after |R|
     evaluations, not |R|^2.  Raises UnsupportedClass when no descent
-    exists.  Between products of cyclic rings,
-    `localization.descend_by_local_maps` reads phi off local maps instead.
+    exists.  `localization.induced_between` calls it on finite sources
+    with neither local maps nor block projections to read phi off.
     """
     if alpha.source != psi.source:
         raise CompositionMismatch(f"{alpha.source!r} != {psi.source!r}")

@@ -2,11 +2,11 @@
 space of a ring, induced morphisms, and the pushout-characterized maps.
 
 A basic open is a principal upper set of the semilattice and carries the
-localization at the cell's subset; restriction maps are the connecting
-maps under the ring.  Sections over a non-basic open are the limit of the
-basic sections inside it, read off in closed form: the product of the
-local factors (the blocks, for a semisimple algebra) in the union of the
-supports of its charts.
+localization at the cell's subset; restrictions and comaps come from one
+descent (`localization.induced_between`).  Sections over a non-basic
+open are the limit of the basic sections inside it, read off in closed
+form: the product of the local factors (the blocks, for a semisimple
+algebra) in the union of the supports of its charts.
 """
 
 
@@ -34,9 +34,7 @@ from .localization import (
     LocalizationSquare,
     _all_cyclic,
     canonical_modular_product,
-    connecting_map,
-    descend_by_local_maps,
-    induced_map,
+    induced_between,
     is_pushout,
     localize,
 )
@@ -63,14 +61,14 @@ class SheafOnBase:
         """res from the basic open at cell i into the smaller one at cell j >= i."""
         if not self.lattice.leq(i, j):
             raise NotComparable("restriction goes to a smaller basic open")
-        key = (i, j)
-        if key not in self._res_cache:
-            self._res_cache[key] = connecting_map(
-                self.lattice.ring,
-                self.lattice.cells[i].representative,
-                self.lattice.cells[j].representative,
-            )
-        return self._res_cache[key]
+        if (i, j) not in self._res_cache:
+            cells = self.lattice.cells
+            res = induced_between(rg.identity_hom(self.lattice.ring),
+                                  cells[i].localized, cells[j].localized)
+            if res is None:
+                raise PresheafLawViolation(f"no restriction from cell {i} to cell {j}")
+            self._res_cache[i, j] = res
+        return self._res_cache[i, j]
 
     def check_presheaf_laws(self):
         """res(i, j) . ins_i = ins_j for every cell i and every j >= i.
@@ -414,23 +412,10 @@ def _cell_map(theta: RingHom, Y: NCSpecSpace, X: NCSpecSpace) -> dict:
 
 
 def _comap(theta: RingHom, Y: NCSpecSpace, X: NCSpecSpace, j: int, tj: int) -> RingHom:
-    """The induced map from the sections of cell j of Y into those of cell
-    tj of X, which must close the square ins_tj . theta = comap . ins_j.
-
-    Between products of cyclic rings it is read off the local maps of
-    theta and the two insertions (`descend_by_local_maps`), which also
-    compares both sides of the square; a square that no map closes
-    raises PresheafLawViolation.
-    """
-    cell, image = Y.lattice.cells[j], X.lattice.cells[tj]
-    if _all_cyclic((theta.source, theta.target)):
-        ins = image.localized.insertion
-        h = descend_by_local_maps(cell.localized.insertion,
-                                  tuple(theta.local_map[s] for s in ins.local_map), ins.target)
-    else:
-        h = induced_map(theta, cell.representative)
-        if h.target != image.localized.result:
-            h = None
+    """The map from the sections of cell j of Y into those of cell tj of X
+    closing ins_tj . theta = comap . ins_j (`induced_between`), or
+    PresheafLawViolation when none does."""
+    h = induced_between(theta, Y.lattice.cells[j].localized, X.lattice.cells[tj].localized)
     if h is None:
         raise PresheafLawViolation(f"induced map at cell {j} must land in the sections of cell {tj}")
     return h

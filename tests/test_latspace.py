@@ -517,3 +517,18 @@ def test_order_and_point_checks_are_typed_errors(flags):
     out = python_stdout(flags, LATSPACE_CHECKS)
     assert out.split() == ["NotAPartialOrder"] * 5 + [
         "NotJoinPreserving", "NotIrreducibleCertificate", "NotIrreducibleCertificate"]
+
+
+def test_two_builds_of_one_ring_are_equal_spaces():
+    rings = (ModularRing(6), SemisimpleAlgebra(PrimeField(2), (1, 1)), MatrixRing(PrimeField(2), 2))
+    for r in rings:
+        sheafspec.clear_caches()
+        first = sheafspec.ncspec(r)
+        sheafspec.clear_caches()
+        again = sheafspec.ncspec(r)
+        assert again is not first and again.lattice is not first.lattice, r
+        assert again == first and again.lattice == first.lattice, r
+        assert hash(again.lattice) == hash(first.lattice), r
+    lattices = [sheafspec.ncspec(r).lattice for r in rings]
+    assert all(a != b for i, a in enumerate(lattices) for b in lattices[i + 1:])
+    assert sheafspec.ncspec(rings[0]) != sheafspec.ncspec(rings[1])

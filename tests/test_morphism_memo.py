@@ -82,7 +82,7 @@ def test_a_repeated_query_descends_verifies_and_pushes_out_nothing(monkeypatch):
         fn = getattr(sheafspec, name)
         monkeypatch.setattr(sheafspec, name, lambda *a: calls.append(name) or fn(*a))
 
-    counting("descend_by_local_maps")
+    counting("induced_between")
     counting("is_pushout")
     walk = sheafspec.RingedSpaceMorphism._verify
     monkeypatch.setattr(sheafspec.RingedSpaceMorphism, "_verify",
@@ -95,7 +95,7 @@ def test_a_repeated_query_descends_verifies_and_pushes_out_nothing(monkeypatch):
     for make in (lambda: rg.quotient_hom(30, 6), crt_hom):
         sheafspec.clear_caches()
         assert query(make()) == (True, True, True)
-        assert {"descend_by_local_maps", "is_pushout", "_verify"} <= set(calls)
+        assert {"induced_between", "is_pushout", "_verify"} <= set(calls)
         calls.clear()
         assert query(make()) == (True, True, True)
         assert calls == []

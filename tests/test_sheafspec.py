@@ -426,16 +426,16 @@ def test_wrong_restriction_is_a_typed_presheaf_law_error(monkeypatch):
     p22 = rg.product_ring([ModularRing(2), ModularRing(2)])
     swap = rg.hom_validate(rg.hom_from_callable(
         p22, p22, lambda x: rg.element(p22, (x.payload[1], x.payload[0]))))
-    connecting_map = sheafspec.connecting_map
+    induced_between = sheafspec.induced_between
 
-    def twisted(r, A, B):
+    def twisted(theta, LA, LB):
         # restrictions out of the global sections precomposed with the swap
-        p = connecting_map(r, A, B)
+        p = induced_between(theta, LA, LB)
         return rg.hom_compose(p, swap) if p.source == p22 else p
 
     monkeypatch.setattr(sheafspec, "_ncspec_cache", {})
-    monkeypatch.setattr(sheafspec, "connecting_map", twisted)
-    with pytest.raises(PresheafLawViolation):
+    monkeypatch.setattr(sheafspec, "induced_between", twisted)
+    with pytest.raises(PresheafLawViolation, match="does not commute with the insertions"):
         ncspec(p22)
 
 
