@@ -29,6 +29,7 @@ from .errors import (
 )
 from .localization import (
     Localization,
+    _hom_is_iso,
     connecting_map,
     localize,
 )
@@ -420,9 +421,9 @@ class ChartIso:
 def ore_chart_iso(r, E, certificate: OreCertificate = None) -> ChartIso:
     """Identify the basic open at E with the whole space of loc(r, E).
 
-    The point map sends the cell of F to the cell of the image of F; for
-    finite lattices bijectivity and the section-ring isomorphisms are
-    verified cell by cell.
+    The point map sends the cell of F to the cell of the image of F;
+    bijectivity and the section-ring isomorphisms are verified cell by
+    cell, the latter by `_hom_is_iso` (a lookup on block maps).
     """
     E = tuple(E)
     if certificate is not None and certificate.subset != E:
@@ -448,13 +449,7 @@ def ore_chart_iso(r, E, certificate: OreCertificate = None) -> ChartIso:
     # ring-level comparison on every chart cell: the induced map of the
     # insertion must be an isomorphism onto the chart's assigned sections
     alpha_hat = ncspec_morphism(L.insertion)  # chart space -> ambient space
-    rings_ok = True
-    for i in inside:
-        ind = alpha_hat.comap[i]
-        if rg.is_finite(ind.source):
-            img = {ind(x) for x in rg.enumerate_elements(ind.source)}
-            if not len(img) == rg.cardinality(ind.source) == rg.cardinality(ind.target):
-                rings_ok = False
+    rings_ok = all(_hom_is_iso(alpha_hat.comap[i]) for i in inside)
 
     # triangle: inclusion of the open equals the induced morphism after the
     # iso; points are cells, so the point map is the cell map

@@ -5,8 +5,9 @@ invertibility.  A finite ring here is a product of blocks (the local
 factors Z/p^a of a product of cyclic rings, the matrix blocks of a
 semisimple algebra, the one block of a matrix ring), and loc(R, E) keeps
 the blocks where every member of E is a unit.  So a cell is keyed by the
-frozenset of blocks it keeps, and its subset is one idempotent: for a
-product of cyclic rings the CRT idempotent (`rings.unit_idempotent`).
+frozenset of the indices in `Descriptor.blocks` of the blocks it keeps,
+and its subset is one idempotent: for a product of cyclic rings the CRT
+idempotent (`rings.unit_idempotent`).
 A materialized lattice carries one poset, the finite Alexandrov space on
 its cells, which holds the order, the joins and the law checks.  That
 space is already sober, so it is its own soberification: point i stands
@@ -279,9 +280,10 @@ def build_semilattice(r):
     mods = rg.cyclic_moduli(r)
     if mods is not None:
         primes = [rg.prime_factors(n) for n in mods]
+        factors = r.local_factors
 
         def kept(comps):
-            return frozenset((i, p) for i, ps in enumerate(primes) for p in ps if comps[i] % p)
+            return frozenset(s for s, (i, p, _q) in enumerate(factors) if comps[i] % p)
 
         # The least f in Z/n that is a unit exactly at a set S of primes is
         # 0 for S empty and otherwise the product of the primes outside S.

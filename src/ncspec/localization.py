@@ -12,6 +12,9 @@ the fraction class of the squarefree part of prod(E); skew Laurent rings
 localize at monomials by enlarging the inverted cone.  `connecting_map`
 re-localizes, so `_localized` is the only per-class code; the restrictions
 and comaps of the sheaf come from one descent, `induced_between`.
+Between block rings (`rings.Descriptor.blocks`) descents, squares,
+identity and iso tests read block maps (`rings.RingHom.block_map`);
+generator evaluation and tables remain for homs without one.
 """
 
 import operator
@@ -211,83 +214,77 @@ def induced_between(theta: RingHom, LA: Localization, LB: Localization):
     """The validated phi: LA.result -> LB.result with phi . alpha = beta .
     theta for the insertions alpha, beta of LA, LB, or None if there is
     none; alpha is an epimorphism (Cohn), so phi is unique.  It is the
-    collapse into the zero ring, beta . theta out of an identity
-    insertion, read off local maps between products of cyclic rings, the
-    projection onto kept positions between semisimple block projections,
-    a table descent on other finite sources (`hom_descend`), and for
-    theta = id on infinite ones `_under_map`, which raises NotComparable.
+    collapse into the zero ring, read off block maps when theta and both
+    insertions have them (`descend_by_block_maps`, with psi = beta . theta
+    by lookup), beta . theta out of an identity insertion, a table descent
+    on other finite sources (`hom_descend`), and for theta = id on
+    infinite ones `_under_map`, which raises NotComparable.
     """
     alpha, beta = LA.insertion, LB.insertion
     if rg.is_zero_ring(LB.result):
         return rg.to_zero_hom(LA.result, LB.result)
-    identity = isinstance(theta.rule, IdentityRule)
+    tmap, bmap = theta.block_map, beta.block_map
+    if tmap is not None and bmap is not None and alpha.block_map is not None:
+        return descend_by_block_maps(alpha, tuple(tmap[s] for s in bmap), LB.result)
     if isinstance(alpha.rule, IdentityRule):
         return hom_compose(beta, theta)
-    if _all_cyclic((theta.source, theta.target)):
-        psi_map = beta.local_map if identity else tuple(theta.local_map[s] for s in beta.local_map)
-        return descend_by_local_maps(alpha, psi_map, LB.result)
-    psi = hom_compose(beta, theta)
-    if isinstance(alpha.rule, rg.SsaProjRule) and isinstance(psi.rule, rg.SsaProjRule):
-        kept = alpha.rule.kept
-        if not set(psi.rule.kept) <= set(kept):
-            return None
-        positions = tuple(kept.index(b) for b in psi.rule.kept)
-        if positions == tuple(range(len(kept))):   # infinite homs compare by rule
-            return rg.identity_hom(LA.result)
-        return hom_validate(RingHom(LA.result, LB.result, rg.SsaProjRule(positions)))
     if rg.is_finite(theta.source):
         try:
-            return rg.hom_descend(alpha, psi)
+            return rg.hom_descend(alpha, hom_compose(beta, theta))
         except UnsupportedClass:
             return None
-    return _under_map(LA, LB) if identity else None
+    return _under_map(LA, LB) if isinstance(theta.rule, IdentityRule) else None
 
 
-def descend_by_local_maps(alpha: RingHom, psi_map: tuple, target):
+def descend_by_block_maps(alpha: RingHom, psi_map: tuple, target):
     """The validated hom phi: alpha.target -> target with phi . alpha = psi,
-    where psi: R -> target is given by its local map (see
-    `RingHom.local_map`); None when there is none.
+    where psi: R -> target is given by its block map (see
+    `RingHom.block_map`); None when there is none.
 
-    All rings are products of cyclic rings and alpha is validated.  alpha
-    must be onto, so that phi is unique; it is onto exactly when no local
-    factor of R feeds two of alpha's target (the image of Z/p^a in
-    Z/p^b x Z/p^c is the diagonal).  (phi . alpha).local_map[l] =
-    alpha.local_map[phi.local_map[l]], so phi.local_map[l] is the
-    position of psi_map[l] in alpha.local_map.  Then phi sends e_i to the
-    idempotent that is 1 on the local factors of the target fed by
-    factor i of alpha.target and 0 on the others: on factor Z/n of the
-    target that is `unit_idempotent(n, c)`, with c the product of the
-    primes of n fed by other factors.  Its `CyclicImagesRule` is
-    certified by `hom_validate`.  The certified images are orthogonal
-    idempotents summing to 1, so the local factor l = (j, p, q) of the
-    target is fed by the one factor whose image is 1 mod q at j, at its
-    local factor of prime p.  phi.local_map[l] is therefore the intended
-    position exactly when the image of e_owner[l] is 1 mod q at j and that
-    position is a local factor of prime p; phi keeps this map, which
-    `RingHom.local_map` would read back off the images.  Into the zero
-    ring phi is the collapse.
+    alpha must be onto, so that phi is unique; a hom with a block map is
+    onto exactly when no block of R feeds two of alpha's target (the image
+    of Z/p^a in Z/p^b x Z/p^c is the diagonal).  (phi . alpha).block_map[l]
+    = alpha.block_map[phi.block_map[l]], so phi.block_map[l] is the
+    position of psi_map[l] in alpha.block_map.  Into the zero ring phi is
+    the collapse, and when every block keeps its place in the same ring it
+    is the identity hom (homs out of infinite rings compare by rule).  On a
+    semisimple algebra phi is the block projection onto the positions.  On
+    a product of cyclic rings phi sends e_i to the idempotent that is 1 on
+    the local factors of the target fed by factor i and 0 on the others:
+    on factor Z/n of the target that is `unit_idempotent(n, c)`, with c the
+    product of the primes of n fed by other factors.  Once certified, the
+    images are orthogonal idempotents summing to 1, so the local factor
+    l = (j, p, q) of the target is fed by the one factor whose image is 1
+    mod q at j, at its local factor of prime p; phi has the intended block
+    map exactly when that is factor owner[l] at the position's prime.  The
+    rule is certified by `hom_validate`, and phi keeps its block map.
     """
-    lmap = alpha.local_map
-    if len(set(lmap)) != len(lmap) or not set(psi_map) <= set(lmap):
+    amap, source = alpha.block_map, alpha.target
+    if len(set(amap)) != len(amap) or not set(psi_map) <= set(amap):
         return None
-    if isinstance(target, ZeroRing):
-        return rg.to_zero_hom(alpha.target, target)
-    source, mods = alpha.target, rg.cyclic_moduli(target)
-    positions = tuple(lmap.index(s) for s in psi_map)
-    owner = [source.local_factors[s][0] for s in positions]
-    comps = [[rg.unit_idempotent(n, prod(p for (f, p, _q), o in zip(target.local_factors, owner)
-                                          if f == j and o != i))
-              for j, n in enumerate(mods)]
-             for i in range(len(rg.cyclic_moduli(source)))]
-    images = tuple(rg.cyclic_element(target, c).payload for c in comps)
+    if rg.is_zero_ring(target):
+        return rg.to_zero_hom(source, target)
+    positions = tuple(amap.index(s) for s in psi_map)
+    if source == target and positions == tuple(range(len(source.blocks))):
+        return rg.identity_hom(source)
+    factors = source.local_factors
+    if factors is None:
+        rule = rg.SsaProjRule(positions)
+    else:
+        owner = [factors[s][0] for s in positions]
+        comps = [[rg.unit_idempotent(n, prod(p for (f, p, _q), o in zip(target.local_factors, owner)
+                                              if f == j and o != i))
+                  for j, n in enumerate(rg.cyclic_moduli(target))]
+                 for i in range(len(rg.cyclic_moduli(source)))]
+        if not all(comps[o][j] % q == 1 and factors[s][1] == p
+                   for (j, p, q), o, s in zip(target.local_factors, owner, positions)):
+            return None
+        rule = rg.CyclicImagesRule(tuple(rg.cyclic_element(target, c).payload for c in comps))
     try:
-        phi = hom_validate(RingHom(source, target, rg.CyclicImagesRule(images)))
+        phi = hom_validate(RingHom(source, target, rule))
     except NotAHomomorphism:
         return None
-    if not all(comps[o][j] % q == 1 and source.local_factors[s][1] == p
-               for (j, p, q), o, s in zip(target.local_factors, owner, positions)):
-        return None
-    phi.local_map = positions
+    phi.block_map = positions
     return phi
 
 
@@ -313,12 +310,12 @@ class LocalizationSquare:
 
     @cached_property
     def _commutation(self) -> bool:
-        """right . top == bottom . left; on finite legs, validated first,
-        both sides are additive, so comparing them on the generators of TL
-        suffices, and when all four corners are products of cyclic rings
-        the homs compare by their local maps: (g . f).local_map[l] is
-        f.local_map[g.local_map[l]].  On infinite legs the two composites
-        are compared, and legs that `hom_compose` cannot compose raise its
+        """right . top == bottom . left.  When all four legs have block maps
+        the homs compare by them: (g . f).block_map[l] is
+        f.block_map[g.block_map[l]].  Otherwise, on finite legs, validated
+        first, both sides are additive, so comparing them on the generators
+        of TL suffices; on infinite legs the two composites are compared,
+        and legs that `hom_compose` cannot compose raise its
         UnsupportedClass.  Legs whose ends do not meet raise
         CompositionMismatch."""
         tl = self.top.source
@@ -326,13 +323,13 @@ class LocalizationSquare:
                 or self.bottom.source != self.left.target
                 or self.right.target != self.bottom.target):
             raise CompositionMismatch(f"the legs of {self!r} do not form a square")
+        legs = (self.top, self.left, self.bottom, self.right)
+        top, left, bottom, right = (h.block_map for h in legs)
+        if None not in (top, left, bottom, right):
+            return all(top[r] == left[b] for r, b in zip(right, bottom))
         if rg.is_finite(tl):
-            for h in (self.top, self.left, self.bottom, self.right):
+            for h in legs:
                 rg.hom_validate(h)
-            if _all_cyclic(self.corners):
-                top, left = self.top.local_map, self.left.local_map
-                return all(top[r] == left[b] for r, b in
-                           zip(self.right.local_map, self.bottom.local_map))
             return all(self.right(self.top(x)) == self.bottom(self.left(x))
                        for x in rg.generator_elements(tl))
         return hom_compose(self.right, self.top) == hom_compose(self.bottom, self.left)
@@ -410,14 +407,13 @@ def is_pushout(sq: LocalizationSquare, probes=None) -> bool:
 
 
 def _hom_is_identity(h: RingHom) -> bool:
-    """A validated finite hom is the identity iff it fixes the generators;
-    between products of cyclic rings, iff every local factor feeds itself
-    (the hom is x -> x mod q on each)."""
+    """A hom with a block map is the identity iff every block feeds itself;
+    any other validated finite hom iff it fixes the generators."""
     if h.source != h.target:
         return False
-    factors = h.source.local_factors
-    if factors is not None:
-        return h.local_map == tuple(range(len(factors)))
+    bmap = h.block_map
+    if bmap is not None:
+        return bmap == tuple(range(len(h.source.blocks)))
     if rg.is_finite(h.source):
         return h.images == h.source.generators
     return isinstance(h.rule, IdentityRule)
@@ -426,20 +422,19 @@ def _hom_is_identity(h: RingHom) -> bool:
 def _hom_is_iso(h: RingHom):
     """True/False when decidable, None otherwise.
 
-    A validated hom between products of cyclic rings is x -> x mod q^c
-    from the source factor `local_map` names into each target factor
-    Z/q^c (see `RingHom.local_map`), so it is bijective iff every source
-    factor feeds exactly one target factor, of the same prime power.
+    A hom with a block map maps a source block canonically onto each
+    target block (see `RingHom.block_map`), so it is bijective iff every
+    source block feeds exactly one target block, of the same size.
     """
+    bmap = h.block_map
+    if bmap is not None:
+        src = h.source.blocks
+        return (sorted(bmap) == list(range(len(src)))
+                and all(src[s] == b for s, b in zip(bmap, h.target.blocks)))
     if isinstance(h.rule, IdentityRule):
         return True
     if isinstance(h.rule, ToZeroRule):
         return rg.is_zero_ring(h.source)
-    src, tgt = h.source.local_factors, h.target.local_factors
-    if src is not None and tgt is not None:
-        hom_validate(h)
-        return (sorted(h.local_map) == list(range(len(src)))
-                and all(src[s][2] == q for s, (_j, _p, q) in zip(h.local_map, tgt)))
     if rg.is_finite(h.source) and rg.is_finite(h.target):
         image = {h(x) for x in rg.enumerate_elements(h.source)}
         return (len(image) == rg.cardinality(h.source)
@@ -499,15 +494,15 @@ def _local_phi(sq: LocalizationSquare, p, q):
     Hom(X, Z/q) is one hom per local factor Z/p^a of X with q | p^a (the
     projection onto it), so a hom into Z/q is the index of its factor in
     `X.local_factors`, and composing it with a leg h is the lookup
-    h.local_map[index].
+    h.block_map[index].
     """
     _tl, tr, bl, br = sq.corners
 
     def homs(X):
         return [s for s, (_j, pp, qq) in enumerate(X.local_factors) if pp == p and qq % q == 0]
 
-    top, left = sq.top.local_map, sq.left.local_map
-    right, bottom = sq.right.local_map, sq.bottom.local_map
+    top, left = sq.top.block_map, sq.left.block_map
+    right, bottom = sq.right.block_map, sq.bottom.block_map
     pairs = {(lam, mu) for lam in homs(tr) for mu in homs(bl) if top[lam] == left[mu]}
     rhos = homs(br)
     image = {(right[rho], bottom[rho]) for rho in rhos}

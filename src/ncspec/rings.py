@@ -93,10 +93,12 @@ class Descriptor:
     `from_int(k)`, `add(a, b)`, `neg(a)`, `mul(a, b)`, `is_unit(a)`,
     `inverse(a)` (called on units only) and `is_commutative()`; every
     payload it returns is canonical.  The defaults below fit an infinite
-    carrier; a finite class overrides `cardinality()` and `elements()`
-    (every canonical payload once, in a fixed order) and may override
-    `generators`.  `show(a)` renders a payload.  `one` and `zero` are
-    the elements 1 and 0, built once per descriptor.
+    carrier.  A finite class overrides `cardinality()` and `elements()`
+    (every canonical payload once, in a fixed order) and defines
+    `generators`: the payloads of an additive generating set, so that a
+    hom out of the ring, being additive, is fixed by its images of them.
+    A block ring names its `blocks`.  `show(a)` renders a payload.  `one`
+    and `zero` are the elements 1 and 0, built once per descriptor.
     """
 
     def cardinality(self):
@@ -106,16 +108,6 @@ class Descriptor:
         raise InfiniteRing(f"{self!r} has an infinite carrier")
 
     @cached_property
-    def generators(self):
-        """Payloads of an additive generating set of a finite carrier.
-
-        A hom out of the ring is additive, so it is fixed by its images of
-        these.  The default is every element.  The tuple is cached on the
-        descriptor, so it lives exactly as long as the descriptor does.
-        """
-        return tuple(self.elements())
-
-    @cached_property
     def local_factors(self):
         """The local factors Z/p^b of a product of cyclic rings, or None.
 
@@ -123,13 +115,22 @@ class Descriptor:
         p^b the largest power of p dividing n_j, by factor and then by
         prime; () for the zero ring and None for every other descriptor.
         By CRT the ring is the product of its Z/p^b.  The tuple is cached
-        on the descriptor, like `generators`.
+        on the descriptor, so it lives exactly as long as the descriptor does.
         """
         mods = cyclic_moduli(self)
         if mods is None:
             return None
         return tuple((j, p, n // unit_part(n, p))
                      for j, n in enumerate(mods) for p in prime_factors(n))
+
+    @cached_property
+    def blocks(self):
+        """The sizes of the blocks of a block ring, of which it is the
+        product: p^b per local factor of a product of cyclic rings (none for
+        the zero ring), the matrix size per block of a matrix ring or a
+        semisimple algebra.  None for every other descriptor."""
+        factors = self.local_factors
+        return None if factors is None else tuple(q for _j, _p, q in factors)
 
     @cached_property
     def one(self):
@@ -349,6 +350,8 @@ class MatrixRing(Descriptor):
                            for r in range(n))
                      for i in range(n) for j in range(n))
 
+    blocks = property(lambda self: (self.size,))
+
     def __repr__(self):
         return f"M{self.size}({self.base!r})"
 
@@ -366,6 +369,8 @@ class SemisimpleAlgebra(_Componentwise):
     def factors(self):
         """The matrix blocks; a payload is the tuple of their payloads."""
         return tuple(MatrixRing(self.base, d) for d in self.dims)
+
+    blocks = property(lambda self: self.dims)
 
     def elements(self):
         if self.base.order is None:
@@ -856,9 +861,14 @@ class Rule:
     hom h.source -> h.target, and it looks at the descriptors and the
     rule's data only, never at the elements of the source.  `table` is the
     lookup table of a TableRule and None for every other rule.
+    `block_map(h)` is the block map of a certified hom h between block
+    rings when the rule alone fixes it (see `RingHom.block_map`), else None.
     """
 
     table = None
+
+    def block_map(self, h):
+        return None
 
 
 @record(frozen=True)
@@ -879,6 +889,9 @@ class IdentityRule(Rule):
         if h.source != h.target:
             raise NotAHomomorphism("identity rule between distinct descriptors")
 
+    def block_map(self, h):
+        return tuple(range(len(h.source.blocks)))
+
 
 @record(frozen=True)
 class ToZeroRule(Rule):
@@ -888,6 +901,9 @@ class ToZeroRule(Rule):
     def check(self, h):
         if not is_zero_ring(h.target):
             raise NotAHomomorphism("collapse rule into a nonzero ring")
+
+    def block_map(self, h):
+        return ()
 
 
 @record(frozen=True)
@@ -910,6 +926,9 @@ class SsaProjRule(Rule):
         image = SemisimpleAlgebra(r.base, dims)
         if h.target != image:
             raise NotAHomomorphism(f"projection lands in {image!r}, not {h.target!r}")
+
+    def block_map(self, h):
+        return self.kept
 
 
 @record(frozen=True)
@@ -1010,9 +1029,10 @@ class RingHom:
     compares correctly with an oracle table.  The hash is always the
     images (equal tables give equal images), so it does not change when
     a hom is validated or its table is filled in.  Homs out of infinite
-    rings compare by rule.  `validated` is set only by `hom_validate`,
-    `hom_compose` (a composite of validated homs) and `hom_descend` (a
-    map read off validated homs).
+    rings compare by rule.  Where a hom has a `block_map`, readers compare,
+    compose and invert it by lookups on that map.  `validated` is set only
+    by `hom_validate`, `hom_compose` (a composite of validated homs) and
+    `hom_descend` (a map read off validated homs).
     """
 
     validated = False
@@ -1049,23 +1069,31 @@ class RingHom:
         return tuple(self(x).payload for x in generator_elements(self.source))
 
     @cached_property
-    def local_map(self):
-        """Which local factor of the source feeds each local factor of the target.
-
-        For a validated hom between products of cyclic rings: entry l is
-        the index in `source.local_factors` of the factor feeding the l-th
-        of `target.local_factors`.  The images t_i of the e_i are
-        orthogonal idempotents summing to 1, so on a local factor Z/q^c
-        of the target, whose only idempotents are 0 and 1, exactly one t_i
-        is 1; and n_i t_i = 0 makes q^c divide n_i, so factor i has a
-        local factor at q, of exponent at least c.  The hom is x -> x mod
-        q^c on that factor, so it is fixed by this map, and
-        (g . f).local_map[l] = f.local_map[g.local_map[l]].
+    def block_map(self):
+        """Entry l is the source block (`Descriptor.blocks`) that feeds
+        target block l, or None.  The hom maps that block onto block l
+        canonically (x -> x mod q^c, or the identity of a matrix block), so
+        it is fixed by this map, and (g . f).block_map[l] =
+        f.block_map[g.block_map[l]].  The hom is validated first.  The rule
+        gives the map where it fixes it (`Rule.block_map`), over any base
+        field.  Otherwise a hom between products of cyclic rings has one:
+        its images are orthogonal idempotents t_i summing to 1, so on a
+        local factor Z/q^c of the target, whose only idempotents are 0 and
+        1, exactly one t_i is 1, and n_i t_i = 0 makes q^c divide n_i, so
+        factor i has a local factor at q, of exponent at least c.  Any
+        other hom has None: a table between semisimple algebras may twist a
+        block by an automorphism, which no block map records.
         """
-        index = {(i, p): s for s, (i, p, _q) in enumerate(self.source.local_factors)}
-        images = [cyclic_components(RingElement(self.target, t)) for t in self.images]
+        source, target = self.source, self.target
+        if source.blocks is None or target.blocks is None:
+            return None
+        bmap = hom_validate(self).rule.block_map(self)
+        if bmap is not None or None in (source.local_factors, target.local_factors):
+            return bmap
+        index = {(i, p): s for s, (i, p, _q) in enumerate(source.local_factors)}
+        images = [cyclic_components(RingElement(target, t)) for t in self.images]
         return tuple(index[next(i for i, t in enumerate(images) if t[j] % q == 1), p]
-                     for j, p, q in self.target.local_factors)
+                     for j, p, q in target.local_factors)
 
     def __eq__(self, other):
         if not isinstance(other, RingHom):
@@ -1229,7 +1257,7 @@ def hom_descend(alpha: RingHom, psi: RingHom) -> RingHom:
     products, and phi(1) = psi(1) = 1.  So it is certified after |R|
     evaluations, not |R|^2.  Raises UnsupportedClass when no descent
     exists.  `localization.induced_between` calls it on finite sources
-    with neither local maps nor block projections to read phi off.
+    with no block maps to read phi off.
     """
     if alpha.source != psi.source:
         raise CompositionMismatch(f"{alpha.source!r} != {psi.source!r}")

@@ -3,16 +3,15 @@ space of a ring, induced morphisms, and the pushout-characterized maps.
 
 A basic open is a principal upper set of the semilattice and carries the
 localization at the cell's subset; restrictions and comaps come from one
-descent (`localization.induced_between`).  Sections over a non-basic
-open are the limit of the basic sections inside it, read off in closed
-form: the product of the local factors (the blocks, for a semisimple
-algebra) in the union of the supports of its charts.
+descent (`localization.induced_between`) and are checked by their block
+maps.  Sections over a non-basic open are the limit of the basic sections
+inside it: the product of the blocks in the union of the keys of its cells.
 """
 
 
+from functools import lru_cache
 from types import MappingProxyType
 
-from . import rings as rg
 from .errors import (
     NotACover,
     NotComparable,
@@ -33,6 +32,7 @@ from .latspace import (
 from .localization import (
     LocalizationSquare,
     _all_cyclic,
+    _localize_cached,
     canonical_modular_product,
     induced_between,
     is_pushout,
@@ -41,7 +41,6 @@ from .localization import (
 from .records import field, record
 from .rings import (
     RingHom,
-    SemisimpleAlgebra,
     ZeroRing,
     hom_compose,
     hom_validate,
@@ -63,8 +62,9 @@ class SheafOnBase:
             raise NotComparable("restriction goes to a smaller basic open")
         if (i, j) not in self._res_cache:
             cells = self.lattice.cells
-            res = induced_between(rg.identity_hom(self.lattice.ring),
-                                  cells[i].localized, cells[j].localized)
+            # the bottom cell inverts units only: its insertion is the identity
+            identity = cells[self.lattice.bottom].localized.insertion
+            res = induced_between(identity, cells[i].localized, cells[j].localized)
             if res is None:
                 raise PresheafLawViolation(f"no restriction from cell {i} to cell {j}")
             self._res_cache[i, j] = res
@@ -79,13 +79,19 @@ class SheafOnBase:
         res(i, i) = id.  For i <= j <= k both res(j, k) . res(i, j) and
         res(i, k) give ins_k after ins_i, so they are equal.  One check
         per comparable pair thus implies both presheaf laws.
+        Each hom here has a block map, which fixes it, so each check is a
+        lookup; a restriction without one fails.
         """
         lat = self.lattice
         for i, cell in enumerate(lat.cells):
             ins_i = cell.localized.insertion
             for j in lat.space.up[i]:
                 ins_j = lat.cells[j].localized.insertion
-                if hom_compose(self.restriction(i, j), ins_i) != ins_j:
+                res = self.restriction(i, j)
+                outer, inner = res.block_map, ins_i.block_map
+                if ((res.source, res.target) != (ins_i.target, ins_j.target)
+                        or None in (outer, inner)
+                        or tuple(inner[s] for s in outer) != ins_j.block_map):
                     raise PresheafLawViolation(
                         f"restriction {i} -> {j} does not commute with the insertions")
 
@@ -120,8 +126,7 @@ class NCSpecSpace:
 
 
 # NCSpec memoized as a functor: spaces by ring, induced morphisms by their
-# validated hom.  Each memo is a plain dict kept in least-recently-used
-# order (a hit moves its entry to the end) and holds at most CACHE_BOUND
+# validated hom, each in a `functools.lru_cache` of at most CACHE_BOUND
 # entries.  The largest morphism the tests build, Z/30030 -> Z/2310, holds
 # 0.17 MB after `verify` and `is_prim_report` (its 64 squares and its
 # verdicts; tracemalloc, Python 3.11), and NCSpec(Z/30030) holds 1.1 MB.
@@ -130,40 +135,12 @@ class NCSpecSpace:
 # A warm session over Z/12 and Z/30 touches 10 morphisms and 9 spaces.
 CACHE_BOUND = 32
 
-_ncspec_cache: dict = {}
-_morphism_cache: dict = {}
 
-
-def _memo_get(cache: dict, key):
-    """The value cached under key, now the most recently used, or None."""
-    value = cache.pop(key, None)
-    if value is not None:
-        cache[key] = value
-    return value
-
-
-def _memo_put(cache: dict, key, value):
-    """Cache value under key, evicting the least recently used entries past
-    the bound; returns value."""
-    cache[key] = value
-    while len(cache) > CACHE_BOUND:
-        del cache[next(iter(cache))]
-    return value
-
-
-def clear_caches():
-    """Empty the memo of spaces and the memo of induced morphisms."""
-    _ncspec_cache.clear()
-    _morphism_cache.clear()
-
-
+@lru_cache(maxsize=CACHE_BOUND)
 def ncspec(r) -> "NCSpecSpace | PidNCSpec":
-    sp = _memo_get(_ncspec_cache, r)
-    if sp is not None:
-        return sp
     lat = build_semilattice(r)
     if isinstance(lat, PidLattice):
-        return _memo_put(_ncspec_cache, r, PidNCSpec(r, lat))
+        return PidNCSpec(r, lat)
     X = soberify(lat.space)
     assignment = tuple(c.localized.result for c in lat.cells)
     sheaf = SheafOnBase(lat, assignment)
@@ -171,7 +148,7 @@ def ncspec(r) -> "NCSpecSpace | PidNCSpec":
     sp = NCSpecSpace(r, lat, X, sheaf)
     if assignment[lat.bottom] != r:
         raise PresheafLawViolation("global sections must be the ring itself")
-    return _memo_put(_ncspec_cache, r, sp)
+    return sp
 
 
 @record
@@ -194,9 +171,9 @@ def sections(sp: NCSpecSpace, U):
     at the cell of an idempotent e carries eR, the product of the local
     factors R_l in the support of e, and two charts of U agree exactly on
     the factors in the overlap of their supports.  So the limit is the
-    product of the local factors in the union of the supports: the cells
-    of U just below the top.  For a semisimple algebra that is the block
-    union; for a product of cyclic rings each local factor is Z/p^k.
+    product of the blocks in the union of the keys of the cells of U: the
+    section ring of the cell keeping that union for a semisimple algebra,
+    and those local factors Z/p^k, largest first, for cyclic rings.
     """
     U = frozenset(U)
     if not sp.space.is_open(U):
@@ -206,17 +183,12 @@ def sections(sp: NCSpecSpace, U):
     mins = sp.space.minimal_elements(U)
     if len(mins) == 1:
         return sp.sheaf.assignment[mins[0]]
-    if isinstance(sp.ring, SemisimpleAlgebra):
-        union = frozenset()
-        for c in U:
-            union |= sp.lattice.cells[c].key
-        return sp.lattice.cells[sp.lattice._key_index[union]].localized.result
-    if rg.cyclic_moduli(sp.ring) is not None:
-        top, up = sp.lattice.top, sp.space.up
-        return canonical_modular_product(sorted(
-            (rg.cardinality(sp.sheaf.assignment[c])
-             for c in U if c != top and up[c] == {c, top}), reverse=True))
-    raise UnsupportedClass(f"sections over non-basic opens of {sp.ring!r}")
+    cells = sp.lattice.cells
+    union = frozenset().union(*(cells[c].key for c in U))
+    if sp.ring.local_factors is None:
+        return cells[sp.lattice._key_index[union]].localized.result
+    blocks = sp.ring.blocks
+    return canonical_modular_product(sorted((blocks[s] for s in union), reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -364,20 +336,18 @@ def _restriction_at_minima(sp: NCSpecSpace, U, minsU, V, minsV) -> RingHom:
 def ncspec_morphism(theta: RingHom) -> RingedSpaceMorphism:
     """The induced morphism NCSpec(target) -> NCSpec(source) of a ring hom.
 
-    theta is validated on every call.  The morphism is then memoized on
-    theta, at most `CACHE_BOUND` (32) of them: validated homs are equal
-    exactly when they have the same source, target and images of the
-    generators, so equal homs share one immutable morphism together with
-    the verdicts it keeps.  The largest morphism the tests build, Z/30030
-    -> Z/2310, holds 0.17 MB with its squares and verdicts.
+    theta is validated on every call, before any lookup.  The morphism is
+    then memoized on theta, at most `CACHE_BOUND` (32) of them: validated
+    homs are equal exactly when they have the same source, target and
+    images of the generators, so equal homs share one immutable morphism
+    together with the verdicts it keeps.  The largest morphism the tests
+    build, Z/30030 -> Z/2310, holds 0.17 MB with its squares and verdicts.
     """
     hom_validate(theta)
-    m = _memo_get(_morphism_cache, theta)
-    if m is None:
-        m = _memo_put(_morphism_cache, theta, _induced_morphism(theta))
-    return m
+    return _induced_morphism(theta)
 
 
+@lru_cache(maxsize=CACHE_BOUND)
 def _induced_morphism(theta: RingHom) -> RingedSpaceMorphism:
     Y = ncspec(theta.source)
     X = ncspec(theta.target)
@@ -391,23 +361,33 @@ def _induced_morphism(theta: RingHom) -> RingedSpaceMorphism:
     return RingedSpaceMorphism(X, Y, point_map, comap)
 
 
+# private handles: tracing tools rebind the public names to wrappers
+_CACHED = (ncspec, _induced_morphism, _localize_cached)
+
+
+def clear_caches():
+    """Empty the memos of spaces and induced morphisms and the cache of
+    localizations."""
+    for cached in _CACHED:
+        cached.cache_clear()
+
+
 def _cell_map(theta: RingHom, Y: NCSpecSpace, X: NCSpecSpace) -> dict:
     """Each cell of Y to the cell of X of the image of its subset.
 
-    Between products of cyclic rings theta is x -> x mod q^c from source
-    local factor theta.local_map[l] into target local factor l, and
-    reduction keeps units, so theta(f) is a unit at l exactly when f is
-    a unit at local_map[l].  The cell that keeps the blocks K thus goes
-    to the cell keeping {l : local_map[l] in K}, and nothing evaluates
-    theta.  Otherwise the image of the subset is located by its elements.
+    A hom with a block map sends source block bmap[l] canonically onto
+    target block l (x -> x mod q^c, or the identity of a matrix block),
+    which keeps units, so theta(f) is a unit at l exactly when f is a unit
+    at bmap[l].  The cell that keeps the blocks K thus goes to the cell
+    keeping {l : bmap[l] in K}, and nothing evaluates theta.  Otherwise
+    the image of the subset is located by its elements.
     """
-    if not _all_cyclic((theta.source, theta.target)):
+    bmap = theta.block_map
+    if bmap is None:
         return {i: X.lattice.cell_of_subset(tuple(theta(a) for a in cell.representative))
                 for i, cell in enumerate(Y.lattice.cells)}
-    source = [(j, p) for j, p, _q in theta.source.local_factors]
-    target = [(j, p) for j, p, _q in theta.target.local_factors]
     index = X.lattice._key_index
-    return {i: index[frozenset(b for b, s in zip(target, theta.local_map) if source[s] in cell.key)]
+    return {i: index[frozenset(l for l, s in enumerate(bmap) if s in cell.key)]
             for i, cell in enumerate(Y.lattice.cells)}
 
 

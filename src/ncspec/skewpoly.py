@@ -63,13 +63,6 @@ def neg(p: Terms) -> Terms:
     return {e: -c for e, c in p.items()}
 
 
-def scale(p: Terms, c) -> Terms:
-    c = Fraction(c)
-    if c == 0:
-        return {}
-    return {e: c * v for e, v in p.items()}
-
-
 def mul(lam: dict, p: Terms, q: Terms) -> Terms:
     out: Terms = {}
     for a, ca in p.items():

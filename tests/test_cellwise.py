@@ -123,7 +123,7 @@ def test_warm_quotient_query_descends_localizes_and_locates_nothing(monkeypatch)
     counting(localization, "_localize_cached")
     counting(latspace.LocalizationLattice, "cell_of_subset")
     # warm spaces, a fresh morphism
-    sheafspec._morphism_cache.clear()
+    sheafspec._induced_morphism.cache_clear()
     assert query() == (True, True, True)
     assert calls == []
 

@@ -3,7 +3,7 @@
 import pytest
 from conftest import brute_is_hom, small_commutative_rings
 
-from ncspec import localization, sheafspec
+from ncspec import sheafspec
 from ncspec import rings as rg
 from ncspec.errors import NotAHomomorphism
 from ncspec.rings import (
@@ -139,9 +139,7 @@ def pairwise_calls(monkeypatch):
         check_all_pairs(h)
 
     monkeypatch.setattr(rg, "_check_all_pairs", counted)
-    monkeypatch.setattr(sheafspec, "_ncspec_cache", {})
-    sheafspec._morphism_cache.clear()
-    localization._localize_cached.cache_clear()
+    sheafspec.clear_caches()
     rg.all_homs.cache_clear()
     return calls
 

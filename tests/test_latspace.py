@@ -233,7 +233,7 @@ def test_cyclic_lattices_enumerate_no_element(monkeypatch):
                 calls.append(self)
                 return elements(self)
             monkeypatch.setattr(cls, "elements", counted)
-    monkeypatch.setattr(sheafspec, "_ncspec_cache", {})
+    sheafspec.clear_caches()
     assert sheafspec.ncspec(ModularRing(510510)).point_count() == 128
     assert build_semilattice(cyclic(6, 10, 9)).n == 32
     assert calls == []

@@ -9,6 +9,8 @@ the scan over all opens in `conftest.py`, on good data and on data made
 wrong on purpose.
 """
 
+from itertools import product
+
 import pytest
 
 from conftest import (
@@ -37,6 +39,9 @@ from ncspec.glueqcoh import FiniteModule, GlueDatum, ModuleSheaf, glue, tilde_mo
 from ncspec.latspace import AlexandrovSpace
 from ncspec.rings import MatrixRing, ModularRing, PrimeField, SemisimpleAlgebra, ZeroRing
 from ncspec.sheafspec import SheafOnBase, ncspec
+
+
+F2 = PrimeField(2)
 
 
 def cyclic(*mods):
@@ -72,7 +77,29 @@ def test_presheaf_certificate_agrees_with_the_triple_loop_on_ssa_f2(k):
     assert certificate_passes(sheaf) and brute_presheaf_laws(sheaf)
 
 
-@pytest.mark.parametrize("r", [cyclic(2, 2, 2), cyclic(2, 6), cyclic(2, 2, 3)], ids=repr)
+@pytest.mark.parametrize("r", [SemisimpleAlgebra(PrimeField(3), (1, 2)), MatrixRing(F2, 2),
+                               SemisimpleAlgebra(rg.Rationals(), (1, 1, 1))], ids=repr)
+def test_presheaf_certificate_agrees_with_the_triple_loop_on_other_block_rings(r):
+    sheaf = ncspec(r).sheaf
+    assert certificate_passes(sheaf) and brute_presheaf_laws(sheaf)
+
+
+def block_homs(S, T):
+    """The homs S -> T of products of cyclic rings (`all_homs`), or the
+    block projections of a semisimple algebra S onto T, a block repeated
+    or left out included; over F_p with 1x1 blocks those are all homs."""
+    if not isinstance(S, SemisimpleAlgebra):
+        return rg.all_homs(S, T)
+    if rg.is_zero_ring(T):
+        return [rg.to_zero_hom(S, T)]
+    return [rg.hom_validate(rg.RingHom(S, T, rg.SsaProjRule(kept)))
+            for kept in product(range(len(S.dims)), repeat=len(T.dims))
+            if tuple(S.dims[i] for i in kept) == T.dims]
+
+
+@pytest.mark.parametrize("r", [cyclic(2, 2, 2), cyclic(2, 6), cyclic(2, 2, 3),
+                               SemisimpleAlgebra(F2, (1, 1, 1)),
+                               SemisimpleAlgebra(PrimeField(3), (1, 1, 2))], ids=repr)
 def test_a_wrong_restriction_fails_the_certificate_whenever_it_fails_the_loop(r):
     # every ring hom R_i -> R_j other than the true restriction, put in its
     # place: the certificate rejects each one (ins_i is onto), and so each
@@ -83,7 +110,7 @@ def test_a_wrong_restriction_fails_the_certificate_whenever_it_fails_the_loop(r)
     for i in range(lat.n):
         for j in lat.space.up[i]:
             true = sp.sheaf.restriction(i, j)
-            for h in rg.all_homs(sp.sheaf.assignment[i], sp.sheaf.assignment[j]):
+            for h in block_homs(sp.sheaf.assignment[i], sp.sheaf.assignment[j]):
                 if h == true:
                     continue
                 sheaf = SheafOnBase(lat, sp.sheaf.assignment)

@@ -106,32 +106,34 @@ def test_the_memos_keep_the_bound_and_evict_the_least_recently_used():
     homs = [rg.quotient_hom(n, m) for n in range(2, 61) for m in range(1, n + 1) if n % m == 0]
     assert len(homs) > bound + 1
     sheafspec.clear_caches()
-    first = sheafspec.ncspec_morphism(homs[0])
-    for theta in homs[1:bound]:
-        sheafspec.ncspec_morphism(theta)
-        assert len(sheafspec._morphism_cache) <= bound
-    assert sheafspec.ncspec_morphism(homs[0]) is first      # the oldest, used again
-    sheafspec.ncspec_morphism(homs[bound])
-    assert len(sheafspec._morphism_cache) == bound
-    assert homs[0] in sheafspec._morphism_cache and homs[1] not in sheafspec._morphism_cache
+    first = [sheafspec.ncspec_morphism(theta) for theta in homs[:bound]]
+    assert sheafspec.ncspec_morphism(homs[0]) is first[0]   # the oldest, used again
+    sheafspec.ncspec_morphism(homs[bound])                   # evicts homs[1], now the oldest
+    for theta, m in zip(homs[2:bound], first[2:]):
+        assert sheafspec.ncspec_morphism(theta) is m
+    assert sheafspec.ncspec_morphism(homs[0]) is first[0]
+    rebuilt = sheafspec.ncspec_morphism(homs[1])             # evicts homs[bound]
+    assert rebuilt is not first[1] and rebuilt == first[1]
+    assert all(sheafspec.ncspec_morphism(theta) is m for theta, m in zip(homs[2:bound], first[2:]))
     for theta in homs[bound + 1:]:
         sheafspec.ncspec_morphism(theta)
-        assert len(sheafspec._morphism_cache) == bound
-        assert len(sheafspec._ncspec_cache) <= bound
-    assert list(sheafspec._morphism_cache) == homs[-bound:]
+        assert sheafspec._induced_morphism.cache_info().currsize <= bound
+        assert sheafspec.ncspec.cache_info().currsize <= bound
+    last = [sheafspec.ncspec_morphism(theta) for theta in homs[-bound:]]
+    assert all(sheafspec.ncspec_morphism(theta) is m for theta, m in zip(homs[-bound:], last))
 
     sheafspec.clear_caches()
     rings = [ModularRing(n) for n in range(1, bound + 3)]
     spaces = [sheafspec.ncspec(r) for r in rings[:bound]]
     assert sheafspec.ncspec(rings[0]) is spaces[0]
-    sheafspec.ncspec(rings[bound])
-    assert len(sheafspec._ncspec_cache) == bound
-    assert rings[0] in sheafspec._ncspec_cache and rings[1] not in sheafspec._ncspec_cache
+    sheafspec.ncspec(rings[bound])                           # evicts rings[1]
+    assert sheafspec.ncspec.cache_info().currsize == bound
+    assert sheafspec.ncspec(rings[0]) is spaces[0]
     rebuilt = sheafspec.ncspec(rings[1])
     assert rebuilt is not spaces[1] and rebuilt.sheaf.assignment == spaces[1].sheaf.assignment
 
 
-def test_an_invalid_hom_raises_before_any_lookup(monkeypatch):
+def test_an_invalid_hom_raises_before_any_lookup():
     sheafspec.clear_caches()
     z4, z2 = ModularRing(4), ModularRing(2)
     good = rg.quotient_hom(4, 2)
@@ -140,13 +142,11 @@ def test_an_invalid_hom_raises_before_any_lookup(monkeypatch):
     bad = rg.table_hom(z4, z2, {rg.element(z4, a): rg.element(z2, int(a in (1, 2)))
                                 for a in range(4)})
     assert hash(bad) == hash(good)
-    looked_up = []
-    memo_get = sheafspec._memo_get
-    monkeypatch.setattr(sheafspec, "_memo_get", lambda *a: looked_up.append(a) or memo_get(*a))
+    looked_up = sheafspec._induced_morphism.cache_info()
     for _ in range(2):
         with pytest.raises(NotAHomomorphism):
             sheafspec.ncspec_morphism(bad)
-    assert looked_up == [] and not bad.validated
+    assert sheafspec._induced_morphism.cache_info() == looked_up and not bad.validated
 
 
 def test_prim_reports_take_probe_lists_and_come_fresh():

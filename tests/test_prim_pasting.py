@@ -7,7 +7,7 @@ fails; `conftest.brute_prim_witness`, which builds every square of every
 comparable pair from fresh preimages, is the oracle for verdict, witness
 and exception type.  `verify` and the prim check share one square per
 pair, and each square decides its commutation once.  The comaps that
-`descend_by_local_maps` builds keep the local map it certified; the
+`descend_by_block_maps` builds keep the block map it certified; the
 readback off their images is the oracle.
 """
 
@@ -249,7 +249,7 @@ def test_comaps_keep_the_local_map_their_images_give():
         for h in sheafspec.ncspec_morphism(theta).comap.values():
             if rg.is_zero_ring(h.target):
                 continue
-            assert "local_map" in vars(h), h
-            assert h.local_map == rg.RingHom.local_map.func(h), h
+            assert "block_map" in vars(h) or isinstance(h.rule, rg.IdentityRule), h
+            assert h.block_map == rg.RingHom.block_map.func(h), h
             stored += 1
     assert stored > 100, stored

@@ -1,8 +1,8 @@
 """Induced morphisms and prim checks by local-factor maps and local probes,
 against the exhaustive paths they replace.
 
-`descend_by_local_maps` between products of cyclic rings reads the
-descended map off the local maps; the table descent over every element
+`descend_by_block_maps` between products of cyclic rings reads the
+descended map off the block maps; the table descent over every element
 is the oracle.
 `all_homs` lists the target's idempotents by CRT; the enumeration of the
 target is the oracle.  The square walk reads each right leg off the
@@ -88,7 +88,7 @@ def table_descents():
 
 
 def local_descent(alpha, psi):
-    return localization.descend_by_local_maps(alpha, psi.local_map, psi.target)
+    return localization.descend_by_block_maps(alpha, psi.block_map, psi.target)
 
 
 def test_descent_by_local_maps_matches_the_table_descent():
@@ -118,28 +118,19 @@ def test_ore_chart_enumerates_once_per_chart_cell(monkeypatch):
     E = (rg.element(z, 2),)
     sheafspec.ncspec(z)
     sheafspec.ncspec(localize(z, E).result)
-    calls, inside = [], []
+    calls = []
     for cls in vars(rg).values():
         if isinstance(cls, type) and "elements" in vars(cls):
             def counted(self, elements=vars(cls)["elements"]):
-                calls.append((self, bool(inside)))
+                calls.append(self)
                 return elements(self)
             monkeypatch.setattr(cls, "elements", counted)
     descend = rg.hom_descend
-
-    def watched(alpha, psi):
-        inside.append(True)
-        try:
-            return descend(alpha, psi)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(rg, "hom_descend", watched)
+    monkeypatch.setattr(rg, "hom_descend", lambda *a: calls.append(a) or descend(*a))
     report = glueqcoh.ore_chart_iso(z, E).report
     assert report["status"] == "pass" and report["open_points"] == 16
-    # the section-iso check enumerates each chart cell once; descent nothing
-    assert len(calls) == report["open_points"]
-    assert not any(in_descent for _ring, in_descent in calls)
+    # the section isos are read off block maps: no element, no table descent
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +288,13 @@ def test_local_maps_compose_and_decide_isos_as_element_tables():
         for x in rg.enumerate_elements(h.source):
             xs, ys = rg.cyclic_components(x), rg.cyclic_components(h(x))
             assert all(ys[j] % q == xs[src[s][0]] % q
-                       for s, (j, _p, q) in zip(h.local_map, tgt)), (h, x)
+                       for s, (j, _p, q) in zip(h.block_map, tgt)), (h, x)
     composed = kinds = 0
     iso_kinds = set()
     for f in small:
         for g in by_source.get(f.target, ()):
             gf = rg.hom_compose(g, f)
-            assert gf.local_map == tuple(f.local_map[k] for k in g.local_map), (f, g)
+            assert gf.block_map == tuple(f.block_map[k] for k in g.block_map), (f, g)
             composed += 1
     for f in homs:
         identity = f.source == f.target and f.as_table() == {

@@ -433,7 +433,7 @@ def test_wrong_restriction_is_a_typed_presheaf_law_error(monkeypatch):
         p = induced_between(theta, LA, LB)
         return rg.hom_compose(p, swap) if p.source == p22 else p
 
-    monkeypatch.setattr(sheafspec, "_ncspec_cache", {})
+    sheafspec.clear_caches()
     monkeypatch.setattr(sheafspec, "induced_between", twisted)
     with pytest.raises(PresheafLawViolation, match="does not commute with the insertions"):
         ncspec(p22)
