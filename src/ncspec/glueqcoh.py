@@ -129,13 +129,13 @@ def _certify_ore_skew(r, E, bound, side) -> OreCertificate:
             t_ab = skewpoly.twist(lam, a_exp, b)
             if side == "right":
                 r2 = rg.element(r, {b: cb * t_ba / t_ab})
-                s2 = s
-                assert x * s2 == s * r2
+                holds = x * s == s * r2
             else:
                 r2 = rg.element(r, {b: cb * t_ab / t_ba})
-                s2 = s
-                assert s2 * x == r2 * s
-            witnesses.append((x, s, r2, s2))
+                holds = s * x == r2 * s
+            if not holds:
+                raise OreConditionFails(f"the twist law fails at ({x!r}, {s!r})", witness=(x, s))
+            witnesses.append((x, s, r2, s))
     return OreCertificate(r, E, (), bound, side, tuple(witnesses),
                           degenerate=False, structural=True)
 
@@ -277,24 +277,18 @@ def tensor_module(theta: RingHom, M: FiniteModule) -> TensorModule:
 def tensor_restriction(T1: TensorModule, T2: TensorModule, p: RingHom):
     """The map p (x) 1 between base changes along theta and p∘theta.
 
-    Each target factor is fed by exactly the source factor whose idempotent
-    p keeps; returns the map as a function on elements.
+    Each target factor must be fed by one source factor: the one that feeds
+    its local factors in `p.block_map`.  A Z/1 factor has no local factor,
+    and its residues are all 0.  Returns the map as a function on elements.
     """
-    src_moduli = rg.cyclic_moduli(T1.hom.target)
-    feeder = []
-    for jj, m in enumerate(rg.cyclic_moduli(T2.hom.target)):
-        hits = []
-        for par in range(len(src_moduli)):
-            # reduced, so the idempotent of a Z/1 factor is its 0
-            e_par = rg.cyclic_element(
-                T1.hom.target, [int(i == par) % mi for i, mi in enumerate(src_moduli)])
-            if rg.cyclic_components(p(e_par))[jj] % m == 1 % m:
-                hits.append(par)
-        if len(hits) != 1:
-            raise UnsupportedClass(
-                f"target factor {jj} must come from one source factor, not {len(hits)}")
-        feeder.append(hits[0])
-    return lambda x: tuple(_reduce(x[par], o) for par, o in zip(feeder, T2.orders))
+    if (p.source, p.target) != (T1.hom.target, T2.hom.target):
+        raise CompositionMismatch(f"{p!r} does not map {T1.hom.target!r} to {T2.hom.target!r}")
+    src, feeder = T1.hom.target.local_factors, {}
+    for (j, _p, _q), s in zip(T2.hom.target.local_factors, p.block_map):
+        if feeder.setdefault(j, src[s][0]) != src[s][0]:
+            raise UnsupportedClass(f"target factor {j} must come from one source factor")
+    return lambda x: tuple(_reduce(x[feeder[j]], o) if j in feeder else (0,) * len(o)
+                           for j, o in enumerate(T2.orders))
 
 
 def tensor_induced(T1: TensorModule, T2: TensorModule, f: ModuleHom):

@@ -3,23 +3,23 @@
 A product of cyclic rings localizes by a closed form: Z/n[1/f] = Z/m,
 where m is the largest divisor of n prime to f (`rings.unit_part`).  So
 with f = prod(E), factor i keeps the part of n_i prime to the coordinate
-f_i, a factor that keeps 1 drops, and the insertion is the
-`CyclicImagesRule` sending e_i to the unit of its kept factor or to 0.
-Matrix rings localize to themselves or collapse to the zero ring;
-semisimple algebras localize to the sub-product indexed by the blocks
-that every member of E leaves nonsingular; Q[x] localizes symbolically to
+f_i, a factor that keeps 1 drops, and the insertion is the `BlockRule`
+that feeds each kept local factor from itself.  Matrix rings localize to
+themselves or collapse to the zero ring; semisimple algebras localize to
+the sub-product of the blocks that every member of E leaves nonsingular,
+by the `BlockRule` of those blocks; Q[x] localizes symbolically to
 the fraction class of the squarefree part of prod(E); skew Laurent rings
 localize at monomials by enlarging the inverted cone.  `connecting_map`
 re-localizes, so `_localized` is the only per-class code; the restrictions
 and comaps of the sheaf come from one descent, `induced_between`.
-Between block rings (`rings.Descriptor.blocks`) descents, squares,
-identity and iso tests read block maps (`rings.RingHom.block_map`);
-generator evaluation and tables remain for homs without one.
+Between block rings (`rings.Descriptor.blocks`) a hom with a block map
+is built as a `BlockRule`, and descents, squares, identity and iso tests
+read block maps (`rings.RingHom.block_map`); generator evaluation and
+tables remain for homs without one.
 """
 
 import operator
 from functools import cached_property, lru_cache
-from math import prod
 
 from . import qpoly, skewpoly
 from . import rings as rg
@@ -102,11 +102,9 @@ def _localized(r, E):
         for a in E:
             f = f * a
         units = [rg.unit_part(n, c) for n, c in zip(mods, rg.cyclic_components(f))]
-        result = canonical_modular_product(units)
-        # e_i goes to the unit of its slot in the result, or to 0 if dropped
-        slots = iter(result.generators)
-        images = tuple(next(slots) if m > 1 else result.zero.payload for m in units)
-        return result, rg.CyclicImagesRule(images)
+        # the result's local factors are the kept ones, in the same order
+        feeds = tuple(s for s, (i, p, _q) in enumerate(r.local_factors) if units[i] % p == 0)
+        return canonical_modular_product(units), rg.BlockRule(feeds)
 
     if isinstance(r, MatrixRing):
         # some member is singular: the usual rank-one collapse kills 1
@@ -120,7 +118,7 @@ def _localized(r, E):
         if not kept:
             return ZeroRing(), None
         return (SemisimpleAlgebra(r.base, tuple(r.dims[j] for j in kept)),
-                rg.SsaProjRule(tuple(kept)))
+                rg.BlockRule(tuple(kept)))
 
     if isinstance(r, UnivariatePolyRing):
         f = qpoly.ONE
@@ -247,17 +245,9 @@ def descend_by_block_maps(alpha: RingHom, psi_map: tuple, target):
     = alpha.block_map[phi.block_map[l]], so phi.block_map[l] is the
     position of psi_map[l] in alpha.block_map.  Into the zero ring phi is
     the collapse, and when every block keeps its place in the same ring it
-    is the identity hom (homs out of infinite rings compare by rule).  On a
-    semisimple algebra phi is the block projection onto the positions.  On
-    a product of cyclic rings phi sends e_i to the idempotent that is 1 on
-    the local factors of the target fed by factor i and 0 on the others:
-    on factor Z/n of the target that is `unit_idempotent(n, c)`, with c the
-    product of the primes of n fed by other factors.  Once certified, the
-    images are orthogonal idempotents summing to 1, so the local factor
-    l = (j, p, q) of the target is fed by the one factor whose image is 1
-    mod q at j, at its local factor of prime p; phi has the intended block
-    map exactly when that is factor owner[l] at the position's prime.  The
-    rule is certified by `hom_validate`, and phi keeps its block map.
+    is the identity hom (homs out of infinite rings compare by rule).
+    Otherwise phi is the `BlockRule` of the positions, whose check decides
+    whether each block fits the one it feeds.
     """
     amap, source = alpha.block_map, alpha.target
     if len(set(amap)) != len(amap) or not set(psi_map) <= set(amap):
@@ -267,25 +257,10 @@ def descend_by_block_maps(alpha: RingHom, psi_map: tuple, target):
     positions = tuple(amap.index(s) for s in psi_map)
     if source == target and positions == tuple(range(len(source.blocks))):
         return rg.identity_hom(source)
-    factors = source.local_factors
-    if factors is None:
-        rule = rg.SsaProjRule(positions)
-    else:
-        owner = [factors[s][0] for s in positions]
-        comps = [[rg.unit_idempotent(n, prod(p for (f, p, _q), o in zip(target.local_factors, owner)
-                                              if f == j and o != i))
-                  for j, n in enumerate(rg.cyclic_moduli(target))]
-                 for i in range(len(rg.cyclic_moduli(source)))]
-        if not all(comps[o][j] % q == 1 and factors[s][1] == p
-                   for (j, p, q), o, s in zip(target.local_factors, owner, positions)):
-            return None
-        rule = rg.CyclicImagesRule(tuple(rg.cyclic_element(target, c).payload for c in comps))
     try:
-        phi = hom_validate(RingHom(source, target, rule))
+        return hom_validate(RingHom(source, target, rg.BlockRule(positions)))
     except NotAHomomorphism:
         return None
-    phi.block_map = positions
-    return phi
 
 
 @record(frozen=True)

@@ -15,7 +15,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product as iproduct
 from math import gcd as igcd
-from math import prod
 
 from . import qpoly, skewpoly
 from .errors import (
@@ -350,7 +349,7 @@ class MatrixRing(Descriptor):
                            for r in range(n))
                      for i in range(n) for j in range(n))
 
-    blocks = property(lambda self: (self.size,))
+    blocks = cached_property(lambda self: (self.size,))
 
     def __repr__(self):
         return f"M{self.size}({self.base!r})"
@@ -370,7 +369,7 @@ class SemisimpleAlgebra(_Componentwise):
         """The matrix blocks; a payload is the tuple of their payloads."""
         return tuple(MatrixRing(self.base, d) for d in self.dims)
 
-    blocks = property(lambda self: self.dims)
+    blocks = cached_property(lambda self: self.dims)
 
     def elements(self):
         if self.base.order is None:
@@ -834,6 +833,7 @@ def prime_factors(n):
     return primes + [n] if n > 1 else primes
 
 
+@lru_cache(maxsize=4096)
 def unit_idempotent(n, c):
     """The idempotent of Z/n that is 1 on the prime-power parts of n prime to c
     and 0 on the others, which is the one idempotent among the powers of c.
@@ -861,8 +861,10 @@ class Rule:
     hom h.source -> h.target, and it looks at the descriptors and the
     rule's data only, never at the elements of the source.  `table` is the
     lookup table of a TableRule and None for every other rule.
-    `block_map(h)` is the block map of a certified hom h between block
-    rings when the rule alone fixes it (see `RingHom.block_map`), else None.
+    Every hom with a block map that the library builds is a `BlockRule`,
+    an `IdentityRule` or a `ToZeroRule`; `block_map(h)` is the block map of
+    a certified hom h between block rings when the rule alone fixes it (see
+    `RingHom.block_map`), else None.
     """
 
     table = None
@@ -907,28 +909,58 @@ class ToZeroRule(Rule):
 
 
 @record(frozen=True)
-class SsaProjRule(Rule):
-    """Block projection a -> a * sum of kept idempotents (semisimple)."""
-    kept: tuple
+class BlockRule(Rule):
+    """Source block feeds[l] onto target block l, canonically (see
+    `RingHom.block_map`): a local factor Z/p^c takes the residue mod p^c
+    of the block that feeds it, put back together with the other local
+    factors of its modulus by CRT, and a matrix block takes the block that
+    feeds it; into the zero ring it is the collapse, whatever the feeds.
+    A map into a product is a hom iff each block is, and a block is one
+    exactly when the target's prime power divides the source's (so they
+    share their prime), or both are matrix blocks of one size and base.
+    So the O(blocks) `check` is complete.  Feeds index the source blocks
+    as Python does, negative ones too.
+    """
+    feeds: tuple
 
     def apply(self, h, x):
-        return RingElement(h.target, tuple(x.payload[i] for i in self.kept))
+        S, T = h.source, h.target
+        factors = T.local_factors
+        if not factors:
+            if not T.blocks:
+                return T.zero
+            parts = (x.payload,) if isinstance(S, MatrixRing) else x.payload
+            if isinstance(T, MatrixRing):
+                (s,) = self.feeds
+                return RingElement(T, parts[s])
+            return RingElement(T, tuple([parts[s] for s in self.feeds]))
+        src, comps, mods = S.local_factors, cyclic_components(x), cyclic_moduli(T)
+        acc = [0] * len(mods)
+        for (j, _p, q), s in zip(factors, self.feeds, strict=True):
+            i, _ps, qs = src[s]
+            acc[j] += comps[i] % qs * unit_idempotent(mods[j], mods[j] // q)
+        return cyclic_element(T, [a % m for a, m in zip(acc, mods)])
 
     def check(self, h):
-        r = h.source
-        if not isinstance(r, SemisimpleAlgebra) or not self.kept:
-            raise NotAHomomorphism("projection rule needs a semisimple source and a kept block")
+        S, T = h.source, h.target
+        src, factors, feeds = S.local_factors, T.local_factors, self.feeds
+        if not (factors or T.blocks) and is_zero_ring(T):  # no block: the collapse
+            return
         try:
-            dims = tuple(r.dims[i] for i in self.kept)
+            if factors is not None:
+                fits = len(feeds) == len(factors) and all(
+                    src[s][2] % q == 0 for s, (_j, _p, q) in zip(feeds, factors))
+            else:
+                fits = (src is None and None not in (S.blocks, T.blocks) and S.base == T.base
+                        and [S.blocks[s] for s in feeds] == list(T.blocks))
         except (IndexError, TypeError):
-            raise NotAHomomorphism(f"projection rule {self.kept} names a block "
-                                   f"that {r!r} does not have") from None
-        image = SemisimpleAlgebra(r.base, dims)
-        if h.target != image:
-            raise NotAHomomorphism(f"projection lands in {image!r}, not {h.target!r}")
+            fits = False
+        if not fits:
+            raise NotAHomomorphism(f"{self} maps no block of {S!r} onto one of {T!r}")
 
     def block_map(self, h):
-        return self.kept
+        k = len(h.source.blocks)
+        return tuple([s % k for s in self.feeds]) if h.target.blocks else ()
 
 
 @record(frozen=True)
@@ -940,7 +972,8 @@ class CyclicImagesRule(Rule):
     n_i t_i = 0 and sum to 1, in any target: integers are central, so in
     h(x) h(y) = sum x_i y_j t_i t_j only the terms i = j survive, and
     n_i t_i = 0 makes x_i t_i independent of the residue chosen.  So the
-    O(k^2) `check` is complete.
+    O(k^2) `check` is complete.  The library builds one only where no
+    block map exists, as out of a product of cyclic rings into M2(F2).
     """
     images: tuple  # one target payload per cyclic factor of the source
 
@@ -1076,18 +1109,19 @@ class RingHom:
         it is fixed by this map, and (g . f).block_map[l] =
         f.block_map[g.block_map[l]].  The hom is validated first.  The rule
         gives the map where it fixes it (`Rule.block_map`), over any base
-        field.  Otherwise a hom between products of cyclic rings has one:
-        its images are orthogonal idempotents t_i summing to 1, so on a
-        local factor Z/q^c of the target, whose only idempotents are 0 and
-        1, exactly one t_i is 1, and n_i t_i = 0 makes q^c divide n_i, so
-        factor i has a local factor at q, of exponent at least c.  Any
-        other hom has None: a table between semisimple algebras may twist a
-        block by an automorphism, which no block map records.
+        field, as a `BlockRule` is built from it.  Otherwise a hom between
+        products of cyclic rings (a table) has one, read off its images:
+        they are orthogonal idempotents t_i summing to 1, so on a local
+        factor Z/q^c of the target, whose only idempotents are 0 and 1,
+        exactly one t_i is 1, and n_i t_i = 0 makes q^c divide n_i, so
+        factor i has a local factor at q, of exponent at least c.  Any other
+        hom has None: a table between semisimple algebras may twist a block
+        by an automorphism, which no block map records.
         """
         source, target = self.source, self.target
         if source.blocks is None or target.blocks is None:
             return None
-        bmap = hom_validate(self).rule.block_map(self)
+        bmap = (self if self.validated else hom_validate(self)).rule.block_map(self)
         if bmap is not None or None in (source.local_factors, target.local_factors):
             return bmap
         index = {(i, p): s for s, (i, p, _q) in enumerate(source.local_factors)}
@@ -1127,9 +1161,12 @@ def to_zero_hom(r, z=None) -> RingHom:
 
 
 def quotient_hom(n: int, m: int) -> RingHom:
+    """Z/n -> Z/m, x -> x mod m, for m dividing n: Z/m keeps the local factors of its primes."""
     if n % m:
         raise NotAHomomorphism(f"{m} does not divide {n}")
-    return hom_validate(RingHom(ModularRing(n), ModularRing(m), CyclicImagesRule((1 % m,))))
+    source = ModularRing(n)
+    feeds = tuple(s for s, (_i, p, _q) in enumerate(source.local_factors) if m % p == 0)
+    return hom_validate(RingHom(source, ModularRing(m), BlockRule(feeds)))
 
 
 def table_hom(source, target, mapping) -> RingHom:
@@ -1192,13 +1229,13 @@ def hom_compose(g: RingHom, f: RingHom) -> RingHom:
     """g after f, validated.
 
     An identity factor gives the other factor itself, validated, a
-    collapse gives the collapse, and block projections compose by index.
-    A composite of ring homs is a ring hom, so when f and g are both
-    validated the composite is certified as built: out of a product of
-    cyclic rings it is the `CyclicImagesRule` of the g(f(e_i)), whose
-    check costs O(k^2), and out of any other finite ring a table.  A
-    finite composite of unvalidated factors is a table, checked pair by
-    pair.
+    collapse gives the collapse, and two `BlockRule`s, or two validated
+    homs with block maps, compose by index into a `BlockRule`.  A
+    composite of ring homs is a ring hom, so any other composite of
+    validated factors is certified as built: out of a product of cyclic
+    rings it is the `CyclicImagesRule` of the g(f(e_i)), whose check costs
+    O(k^2), and out of any other finite ring a table.  A finite composite
+    of unvalidated factors is a table, checked pair by pair.
     """
     if f.target != g.source:
         raise CompositionMismatch(f"{f.target!r} != {g.source!r}")
@@ -1210,11 +1247,10 @@ def hom_compose(g: RingHom, f: RingHom) -> RingHom:
         return hom_validate(f)
     if isinstance(f.rule, ToZeroRule) or isinstance(g.rule, ToZeroRule):
         return to_zero_hom(f.source, g.target)
-    if isinstance(f.rule, SsaProjRule) and isinstance(g.rule, SsaProjRule):
-        hom_validate(f)
-        hom_validate(g)
-        kept = tuple(f.rule.kept[p] for p in g.rule.kept)
-        return hom_validate(RingHom(f.source, g.target, SsaProjRule(kept)))
+    if ((isinstance(f.rule, BlockRule) and isinstance(g.rule, BlockRule))
+            or (f.validated and g.validated and None not in (f.block_map, g.block_map))):
+        feeds = tuple(f.block_map[s] for s in g.block_map)
+        return hom_validate(RingHom(f.source, g.target, BlockRule(feeds)))
     if f.validated and g.validated and cyclic_moduli(f.source) is not None:
         images = tuple(g(f(x)).payload for x in generator_elements(f.source))
         return hom_validate(RingHom(f.source, g.target, CyclicImagesRule(images)))
@@ -1281,57 +1317,25 @@ def hom_descend(alpha: RingHom, psi: RingHom) -> RingHom:
 
 @lru_cache(maxsize=None)
 def all_homs(source, target) -> tuple:
-    """Every unital ring homomorphism source -> target, validated.
+    """Every unital ring homomorphism source -> target, validated, in the
+    order of their `images`.
 
-    Supported for the zero ring and finite products of cyclic rings; a hom
-    out of a product is determined by an orthogonal idempotent
-    decomposition of 1 in the target, one idempotent per factor, killed by
-    the factor's characteristic.  Each such choice is a `CyclicImagesRule`,
-    certified by its check.  The candidates are the target's idempotents
-    (`cyclic_idempotents`), in the order the target enumerates them.
+    Supported for the zero ring and finite products of cyclic rings.  Such
+    a hom is fixed by its block map (see `RingHom.block_map`), and local
+    factor Z/p^c of the target may be fed by any local factor Z/p^b of the
+    source with p^c dividing p^b, so the homs are the `BlockRule`s of the
+    product of those choices.
     """
     if is_zero_ring(target):
         return (to_zero_hom(source, target),)
     if is_zero_ring(source):
         return ()
-    mods = cyclic_moduli(source)
-    if mods is None or cyclic_moduli(target) is None:
+    if cyclic_moduli(source) is None or cyclic_moduli(target) is None:
         raise UnsupportedClass(
             f"hom enumeration needs products of cyclic rings, got {source!r} -> {target!r}")
-    z = zero(target)
-    idem = cyclic_idempotents(target)
-    out = []
-
-    def rec(i, chosen, remaining):
-        if i == len(mods):
-            if remaining == z:
-                rule = CyclicImagesRule(tuple(t.payload for t in chosen))
-                out.append(hom_validate(RingHom(source, target, rule)))
-            return
-        for t in idem:
-            # orthogonal to everything chosen, killed by the factor modulus
-            if any((t * c) != z for c in chosen):
-                continue
-            if from_int(target, mods[i]) * t != z:
-                continue
-            rec(i + 1, chosen + [t], remaining - t)
-
-    rec(0, [], one(target))
-    return tuple(out)
-
-
-def cyclic_idempotents(r):
-    """The idempotents of a product of cyclic rings r, in element order.
-
-    By CRT an idempotent of Z/n is 1 on some prime-power parts of n and 0
-    on the others, so Z/n has one per set of primes of n: the
-    `unit_idempotent` at their product.  An idempotent of a product is
-    one per factor, and `elements` lists a product lexicographically.
-    """
-    per_factor = []
-    for n in cyclic_moduli(r):
-        primes = prime_factors(n)
-        per_factor.append(sorted(
-            unit_idempotent(n, prod(p for p, keep in zip(primes, mask) if keep))
-            for mask in iproduct((0, 1), repeat=len(primes))))
-    return [cyclic_element(r, comps) for comps in iproduct(*per_factor)]
+    src = source.local_factors
+    choices = [[s for s, (_i, _p, qs) in enumerate(src) if qs % q == 0]
+               for _j, _p, q in target.local_factors]
+    homs = [hom_validate(RingHom(source, target, BlockRule(feeds)))
+            for feeds in iproduct(*choices)]
+    return tuple(sorted(homs, key=lambda h: h.images))

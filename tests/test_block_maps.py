@@ -18,13 +18,13 @@ from ncspec import localization, sheafspec
 from ncspec import rings as rg
 from ncspec.localization import LocalizationSquare, _hom_is_identity, _hom_is_iso
 from ncspec.rings import (
+    BlockRule,
     MatrixRing,
     ModularRing,
     PrimeField,
     Rationals,
     RingHom,
     SemisimpleAlgebra,
-    SsaProjRule,
     ZeroRing,
 )
 
@@ -44,7 +44,7 @@ def block_homs(r):
         for k in range(1, n + 1):
             for kept in product(range(n), repeat=k):
                 target = SemisimpleAlgebra(r.base, tuple(r.dims[i] for i in kept))
-                homs.append(rg.hom_validate(RingHom(r, target, SsaProjRule(kept))))
+                homs.append(rg.hom_validate(RingHom(r, target, BlockRule(kept))))
     return tuple(homs)
 
 

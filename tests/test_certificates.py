@@ -7,13 +7,13 @@ from ncspec import sheafspec
 from ncspec import rings as rg
 from ncspec.errors import NotAHomomorphism
 from ncspec.rings import (
+    BlockRule,
     CyclicImagesRule,
     MatrixRing,
     ModularRing,
     PrimeField,
     RingHom,
     SemisimpleAlgebra,
-    SsaProjRule,
     ZeroRing,
 )
 
@@ -78,9 +78,47 @@ def quotient_instances(rng, count):
         yield RingHom(source, target, CyclicImagesRule((1 % m,)))
 
 
+# products of cyclic rings with every shape of local factor: shared
+# primes, prime powers, Z/1 factors and the zero ring
+CYCLIC_BLOCK_RINGS = small_commutative_rings() + [
+    _cyclic_product(m) for m in ((1,), (1, 4), (6, 1), (2, 1, 3), (4, 2), (9, 3))]
+
+
+def cyclic_block_instances(rng, count):
+    """Random BlockRule homs between products of cyclic rings.  The target
+    is a product of divisors of source moduli, Z/1 included, or a wrong
+    ring.  Each of its local factors is fed by a source local factor of its
+    prime and a power it divides, or by a random index: another prime, a
+    smaller power, out of range or negative.  Feeds repeat where two target
+    factors come from one source factor, and some lists lose, gain or drop
+    all their feeds."""
+    for _ in range(count):
+        source = rng.choice(CYCLIC_BLOCK_RINGS)
+        src, mods = source.local_factors, rg.cyclic_moduli(source)
+        picks = [rng.choice(mods) for _ in range(rng.randint(1, 3))] if mods else []
+        target = _cyclic_product([rng.choice([d for d in range(1, n + 1) if n % d == 0])
+                                  for n in picks])
+        if rng.random() < 0.25:
+            target = rng.choice(CYCLIC_BLOCK_RINGS)
+        feeds = []
+        for _j, p, q in target.local_factors:
+            fitting = [s for s, (_i, ps, qs) in enumerate(src) if ps == p and qs % q == 0]
+            feeds.append(rng.choice(fitting) if fitting and rng.random() < 0.8
+                         else rng.randint(-len(src) - 1, len(src)))
+        tamper = rng.random()
+        if tamper < 0.05:
+            feeds = []
+        elif tamper < 0.1:
+            feeds.append(rng.randint(-1, len(src)))
+        elif tamper < 0.15:
+            feeds = feeds[1:]
+        yield RingHom(source, target, BlockRule(tuple(feeds)))
+
+
 def ssa_proj_instances(rng, count):
-    """Random SsaProjRule homs: kept blocks in range or not, empty or
-    repeated, and the target the blocks name or a wrong one."""
+    """Random BlockRule homs between semisimple algebras: kept blocks in
+    range or not, empty or repeated, and the target the blocks name or a
+    wrong one."""
     for _ in range(count):
         source = rng.choice(SMALL_SSAS)
         k = len(source.dims)
@@ -92,11 +130,11 @@ def ssa_proj_instances(rng, count):
             target = rng.choice(SSA_TARGETS)
         if rng.random() < 0.3:
             target = rng.choice(SSA_TARGETS)
-        yield RingHom(source, target, SsaProjRule(kept))
+        yield RingHom(source, target, BlockRule(kept))
 
 
 @pytest.mark.parametrize("instances", [comm_loc_instances, quotient_instances,
-                                       ssa_proj_instances])
+                                       cyclic_block_instances, ssa_proj_instances])
 def test_rule_checks_agree_with_the_exhaustive_oracle(rng, instances):
     seen = {True: 0, False: 0}
     for h in instances(rng, 400):

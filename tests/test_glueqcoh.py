@@ -8,6 +8,7 @@ from ncspec import glueqcoh
 from ncspec import rings as rg
 from ncspec.errors import (
     CocycleViolation,
+    CompositionMismatch,
     NotAHomomorphism,
     NotAModule,
     OreConditionFails,
@@ -203,6 +204,10 @@ def test_module_checks_are_typed_errors():
         FiniteModule(MatrixRing(PrimeField(2), 1), (2,))
     with pytest.raises(NotAHomomorphism):
         ModuleHom(FiniteModule(Z6, (2,)), FiniteModule(Z6, (3,)), ((1,),))
+    # a restriction between other rings than the two base changes
+    T = tensor_module(rg.identity_hom(Z6), FiniteModule(Z6, (6,)))
+    with pytest.raises(CompositionMismatch):
+        tensor_restriction(T, T, rg.quotient_hom(6, 3))
 
 
 # Each input or law check of the module layer, run in a child process so the

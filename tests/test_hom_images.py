@@ -2,8 +2,8 @@
 
 A validated hom out of a finite ring is compared, hashed and composed by
 its images of an additive generating set; induced maps are descended
-through onto insertions; `all_homs` builds idempotent rules.  Each of
-these is checked here against full tables, the pairwise check or the
+through onto insertions; `all_homs` builds block rules.  Each of these
+is checked here against full tables, the pairwise check or the
 exhaustive `brute_is_hom`.
 """
 
@@ -180,13 +180,13 @@ def test_rule_shortcuts_also_take_unvalidated_factors():
     collapse = rg.hom_compose(RingHom(z4, ZeroRing(), rg.ToZeroRule()), f)
     assert collapse.validated and collapse == rg.to_zero_hom(z12)
     ssa = SemisimpleAlgebra(F2, (1, 2, 1))
-    outer = RingHom(ssa, SemisimpleAlgebra(F2, (2, 1)), rg.SsaProjRule((1, 2)))
-    inner = RingHom(SemisimpleAlgebra(F2, (2, 1)), SemisimpleAlgebra(F2, (1,)), rg.SsaProjRule((1,)))
+    outer = RingHom(ssa, SemisimpleAlgebra(F2, (2, 1)), rg.BlockRule((1, 2)))
+    inner = RingHom(SemisimpleAlgebra(F2, (2, 1)), SemisimpleAlgebra(F2, (1,)), rg.BlockRule((1,)))
     comp = rg.hom_compose(inner, outer)
-    assert comp.rule == rg.SsaProjRule((2,)) and comp.validated
+    assert comp.rule == rg.BlockRule((2,)) and comp.validated
     with pytest.raises(NotAHomomorphism):
         rg.hom_compose(RingHom(SemisimpleAlgebra(F2, (2, 1)), SemisimpleAlgebra(F2, (1,)),
-                               rg.SsaProjRule((5,))), outer)
+                               rg.BlockRule((5,))), outer)
 
 
 def test_morphisms_compare_by_hom_equality_of_their_comaps():

@@ -101,10 +101,37 @@ def test_assert_owner_detector():
 
 
 def test_module_layer_checks_are_not_asserts():
-    # asserts vanish under python -O; only the twist-law invariants of the
-    # skew Ore witnesses stay asserts in glueqcoh
-    owners = assert_owners((PACKAGE / "glueqcoh.py").read_text(encoding="utf-8"))
-    assert set(owners) <= {"_certify_ore_skew"}
+    # asserts vanish under python -O, the twist law of the skew Ore witnesses too
+    assert assert_owners((PACKAGE / "glueqcoh.py").read_text(encoding="utf-8")) == []
+
+
+# A twist that answers a new scalar on every call breaks the twist law the
+# structural Ore witnesses rest on.
+ORE_TWIST_CHECK = """
+from fractions import Fraction
+from itertools import count
+
+from ncspec import glueqcoh, skewpoly
+from ncspec import rings as rg
+from ncspec.errors import OreConditionFails
+
+ring = rg.skew_ring(2, {(0, 1): 2})
+E = (rg.element(ring, skewpoly.variable(2, 0)),)
+print(len(glueqcoh.certify_ore(ring, E, 2).witnesses))
+calls = count(2)
+skewpoly.twist = lambda lam, a, b: Fraction(next(calls))
+for side in ("right", "left"):
+    try:
+        glueqcoh.certify_ore(ring, E, 2, side)
+    except OreConditionFails as exc:
+        print(type(exc).__name__, len(exc.witness))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_a_broken_twist_law_is_a_typed_ore_error(flags):
+    out = python_stdout(flags, ORE_TWIST_CHECK)
+    assert out.split() == ["2", "OreConditionFails", "2", "OreConditionFails", "2"]
 
 
 @pytest.mark.parametrize("name", ["commbridge.py", "latspace.py", "sheafspec.py", "rings.py",

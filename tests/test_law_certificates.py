@@ -92,7 +92,7 @@ def block_homs(S, T):
         return rg.all_homs(S, T)
     if rg.is_zero_ring(T):
         return [rg.to_zero_hom(S, T)]
-    return [rg.hom_validate(rg.RingHom(S, T, rg.SsaProjRule(kept)))
+    return [rg.hom_validate(rg.RingHom(S, T, rg.BlockRule(kept)))
             for kept in product(range(len(S.dims)), repeat=len(T.dims))
             if tuple(S.dims[i] for i in kept) == T.dims]
 

@@ -31,6 +31,7 @@ from ncspec.localization import (
     subset_leq,
 )
 from ncspec.rings import (
+    BlockRule,
     IdentityRule,
     LocalizedPolyRing,
     MatrixRing,
@@ -43,7 +44,6 @@ from ncspec.rings import (
     RingHom,
     SemisimpleAlgebra,
     SkewExpandRule,
-    SsaProjRule,
     ToZeroRule,
     UnivariatePolyRing,
     ZeroRing,
@@ -274,10 +274,10 @@ def test_quotient_squares_of_semisimple_algebras_are_decided_by_kernels():
     F2 = PrimeField(2)
     pair, one_block = SemisimpleAlgebra(F2, (1, 1)), SemisimpleAlgebra(F2, (1,))
     theta = rg.hom_validate(RingHom(SemisimpleAlgebra(F2, (1, 2)), SemisimpleAlgebra(F2, (2,)),
-                                    SsaProjRule((1,))))
+                                    BlockRule((1,))))
     assert is_prim_report(ncspec_morphism(theta))["prim"]
     # F2 <- F2 x F2 -> F2 by the same projection pushes out to F2, not to 0
-    proj = rg.hom_validate(RingHom(pair, one_block, SsaProjRule((0,))))
+    proj = rg.hom_validate(RingHom(pair, one_block, BlockRule((0,))))
     collapse = rg.to_zero_hom(one_block)
     sq = LocalizationSquare(top=proj, left=proj, bottom=collapse, right=collapse)
     assert sq.commutes() and not is_pushout(sq)
@@ -458,9 +458,9 @@ def test_connecting_maps_of_infinite_classes_are_pinned():
         (qx, (x,), (rg.zero(qx),), ToZeroRule, ZeroRing()),
         (sk, (), (u,), SkewExpandRule, skew_ring(2, {(0, 1): 2}, (0,))),
         (sk, (u,), (u, v), SkewExpandRule, skew_ring(2, {(0, 1): 2}, (0, 1))),
-        (ssa, (), (_ssa_element(ssa, 1, 2),), SsaProjRule, SemisimpleAlgebra(Q, (1, 2))),
+        (ssa, (), (_ssa_element(ssa, 1, 2),), BlockRule, SemisimpleAlgebra(Q, (1, 2))),
         (ssa, (_ssa_element(ssa, 1, 2),), (_ssa_element(ssa, 1, 2), _ssa_element(ssa, 0, 2)),
-         SsaProjRule, SemisimpleAlgebra(Q, (2,))),
+         BlockRule, SemisimpleAlgebra(Q, (2,))),
         (ssa, (_ssa_element(ssa, 1, 2),), (_ssa_element(ssa, 1, 2), _ssa_element(ssa, 0)),
          ToZeroRule, ZeroRing()),
         (m2, (), (rg.matrix_element(m2, [[1, 0], [0, 0]]),), ToZeroRule, ZeroRing()),
@@ -471,7 +471,7 @@ def test_connecting_maps_of_infinite_classes_are_pinned():
         assert type(p.rule) is rule and p.target == target, (r, A, B)
         assert p.source == localize(r, A).result and p.validated
     # kept blocks are positions in the source cell: block 2 sits at position 1
-    assert connecting_map(ssa, cases[7][1], cases[7][2]).rule.kept == (1,)
+    assert connecting_map(ssa, cases[7][1], cases[7][2]).rule.feeds == (1,)
 
 
 def test_composites_of_connecting_maps_are_the_direct_maps():
@@ -485,7 +485,7 @@ def test_composites_of_connecting_maps_are_the_direct_maps():
     chains = [
         (qx, [(), (x,), (x, x1), (x, x1, x2)]),      # PolyInsert, then PolyFrac twice
         (sk, [(), (g[0],), (g[0], g[1]), tuple(g)]),  # SkewExpand three times
-        (ssa, [(), (s12,), (s12, s02)]),              # SsaProj twice
+        (ssa, [(), (s12,), (s12, s02)]),              # BlockRule twice
         (z60, [(), E(z60, 2), E(z60, 2, 3), E(z60, 2, 3, 5)]),
     ]
     for r, subsets in chains:

@@ -6,9 +6,9 @@ squares out of the minimal cells and falls back to the full walk when one
 fails; `conftest.brute_prim_witness`, which builds every square of every
 comparable pair from fresh preimages, is the oracle for verdict, witness
 and exception type.  `verify` and the prim check share one square per
-pair, and each square decides its commutation once.  The comaps that
-`descend_by_block_maps` builds keep the block map it certified; the
-readback off their images is the oracle.
+pair, and each square decides its commutation once.  Every hom the
+library builds between block rings carries its block map in its rule;
+the readback off the images of the block idempotents is the oracle.
 """
 
 from collections import Counter
@@ -19,6 +19,7 @@ import pytest
 from conftest import brute_prim_witness
 from test_acceptance import _crafted_negatives
 from test_cellwise import mutants
+from test_block_maps import block_homs
 from test_prim_structural import _grid_homs, outcome
 from test_sheafspec import (
     crafted_swapped_global_comap,
@@ -32,7 +33,7 @@ from ncspec import rings as rg
 from ncspec.errors import PresheafLawViolation
 from ncspec.latspace import is_completely_union_irreducible
 from ncspec.records import FrozenInstanceError
-from ncspec.rings import ModularRing, PrimeField, SemisimpleAlgebra, ZeroRing
+from ncspec.rings import MatrixRing, ModularRing, PrimeField, SemisimpleAlgebra, ZeroRing
 
 z = ModularRing
 # the golden prim-check lists (Z/6 without its factor Z/3; Z/6 with both
@@ -243,13 +244,47 @@ def test_morphisms_are_frozen_with_read_only_maps():
     assert twin == m and twin.verify() and sheafspec.is_prim(twin)
 
 
+def _block_unit(r, s):
+    """The idempotent of the block ring r that is 1 on block s and 0 on the others."""
+    if r.local_factors is None:
+        if isinstance(r, MatrixRing):
+            return r.one
+        return rg.RingElement(r, tuple(f.from_int(int(k == s)) for k, f in enumerate(r.factors)))
+    i, _p, q = r.local_factors[s]
+    return rg.cyclic_element(r, [rg.unit_idempotent(n, n // q) if k == i else 0
+                                 for k, n in enumerate(rg.cyclic_moduli(r))])
+
+
+def block_map_off_images(h):
+    """Entry l is the one source block whose idempotent h sends to 1 on target block l."""
+    images = [h(_block_unit(h.source, s)) for s in range(len(h.source.blocks))]
+    bmap = []
+    for l in range(len(h.target.blocks)):
+        unit = _block_unit(h.target, l)
+        (s,) = [s for s, x in enumerate(images) if x * unit == unit]
+        bmap.append(s)
+    return tuple(bmap)
+
+
 def test_comaps_keep_the_local_map_their_images_give():
-    stored = 0
-    for theta in _grid_homs() + [rg.quotient_hom(2310, 210)]:
-        for h in sheafspec.ncspec_morphism(theta).comap.values():
-            if rg.is_zero_ring(h.target):
-                continue
-            assert "block_map" in vars(h) or isinstance(h.rule, rg.IdentityRule), h
-            assert h.block_map == rg.RingHom.block_map.func(h), h
-            stored += 1
-    assert stored > 100, stored
+    """Every comap, restriction, cell insertion, `quotient_hom` and
+    `all_homs` output between block rings is built from its block map."""
+    rings = [ModularRing(2310), rg.product_ring([ModularRing(12), ModularRing(10)]),
+             SemisimpleAlgebra(PrimeField(2), (1, 1, 1)), SemisimpleAlgebra(PrimeField(3), (1, 2)),
+             MatrixRing(PrimeField(2), 2)]
+    homs = _grid_homs() + [rg.quotient_hom(2310, 210)]
+    homs += [h for r in rings[2:] for h in block_homs(r)]
+    built = list(homs)
+    for theta in homs:
+        built += sheafspec.ncspec_morphism(theta).comap.values()
+    for r in rings:
+        sheaf, lat = sheafspec.ncspec(r).sheaf, sheafspec.ncspec(r).lattice
+        built += [cell.localized.insertion for cell in lat.cells]
+        built += [sheaf.restriction(i, j) for i in range(lat.n) for j in range(lat.n)
+                  if lat.leq(i, j)]
+    rules = Counter()
+    for h in built:
+        assert isinstance(h.rule, (rg.BlockRule, rg.IdentityRule, rg.ToZeroRule)), h
+        assert h.block_map == block_map_off_images(h), h
+        rules[type(h.rule).__name__] += 1
+    assert min(rules.values()) > 100 and rules["BlockRule"] > 500, rules

@@ -4,10 +4,10 @@ against the exhaustive paths they replace.
 `descend_by_block_maps` between products of cyclic rings reads the
 descended map off the block maps; the table descent over every element
 is the oracle.
-`all_homs` lists the target's idempotents by CRT; the enumeration of the
-target is the oracle.  The square walk reads each right leg off the
-minimal cells of the preimages; the restriction that recomputes the
-section rings of both opens is the oracle.  Squares of products of
+`all_homs` lists the homs by their block maps; the search over the
+target's idempotents is the oracle.  The square walk reads each right
+leg off the minimal cells of the preimages; the restriction that
+recomputes the section rings of both opens is the oracle.  Squares of products of
 cyclic rings commute and push out by the local-factor maps of their legs;
 composites, element tables and the probe loop over every hom into every
 probe are the oracles.
@@ -134,13 +134,7 @@ def test_ore_chart_enumerates_once_per_chart_cell(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# all_homs by CRT idempotents
-
-def test_idempotents_by_crt_match_the_enumeration():
-    for r in cyclic_grid():
-        want = [t for t in rg.enumerate_elements(r) if t * t == t]
-        assert rg.cyclic_idempotents(r) == want, r
-
+# all_homs by block maps
 
 def test_all_homs_match_the_enumeration_oracle_in_order():
     count = 0

@@ -145,10 +145,10 @@ def test_equality_agrees_with_dataclasses_on_every_pair():
 
 
 def test_equal_fields_in_different_classes_compare_unequal():
-    assert rg.SsaProjRule((0, 1)) != rg.CyclicImagesRule((0, 1))
-    assert rg.SsaProjRule((0, 1)) == rg.SsaProjRule((0, 1))
+    assert rg.BlockRule((0, 1)) != rg.CyclicImagesRule((0, 1))
+    assert rg.BlockRule((0, 1)) == rg.BlockRule((0, 1))
     assert rg.IdentityRule() != rg.ToZeroRule()
-    assert hash(rg.SsaProjRule((0, 1))) == hash(rg.CyclicImagesRule((0, 1)))
+    assert hash(rg.BlockRule((0, 1))) == hash(rg.CyclicImagesRule((0, 1)))
 
 
 def test_assignment_to_a_frozen_record_raises():

@@ -59,10 +59,10 @@ def test_the_descent_closes_the_square_of_a_block_projection():
     # SSA Q^3 -> Q^2 keeping blocks 0 and 2; at the cell keeping blocks 1
     # and 2 the induced map keeps the second of them
     r, s = ssa(rg.Rationals(), (1, 1, 1)), ssa(rg.Rationals(), (1, 1))
-    theta = rg.hom_validate(rg.RingHom(r, s, rg.SsaProjRule((0, 2))))
+    theta = rg.hom_validate(rg.RingHom(r, s, rg.BlockRule((0, 2))))
     f = rg.element(r, tuple(((Fraction(v),),) for v in (0, 1, 1)))
     phi = localization.induced_map(theta, (f,))
-    assert phi.rule == rg.SsaProjRule((1,))
+    assert phi.rule == rg.BlockRule((1,))
     assert phi.target == ssa(rg.Rationals(), (1,))
     LA, LB = localization.localize(r, (f,)), localization.localize(s, (theta(f),))
     assert rg.hom_compose(phi, LA.insertion) == rg.hom_compose(LB.insertion, theta)
