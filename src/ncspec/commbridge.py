@@ -6,6 +6,16 @@ base-membership signature; its points form a complete join-semilattice
 where the join of classes is the class of the union.  For garden-variety
 spectra this reproduces the sober localization space exactly, which is
 what the bridge checks.
+
+The bridge checks (`embed_phi`, `union_of_primes_bijection`,
+`spec_exponential_iso`) depend on the ring only, so each runs once per
+memoized space `ncspec(r)` and keeps its result on the space: the
+spectrum, the point map or gamma, the check verdicts and the exponential,
+as tuples and frozen records.  They live as long as the space does in the
+`ncspec` memo, and `sheafspec.clear_caches()` drops them with it.  Every
+call builds fresh dicts from them, so a caller that changes a report does
+not change the next answer.  Only returned values are kept: a check that
+raises raises again.  `spec` itself is not kept, so it builds no space.
 """
 
 from functools import cached_property
@@ -31,7 +41,7 @@ from .sheafspec import NCSpecSpace, ncspec
 # ---------------------------------------------------------------------------
 # prime spectra
 
-@record
+@record(frozen=True)
 class PrimeSpectrum:
     """The primes of a finite commutative ring, one per local factor.
 
@@ -83,6 +93,13 @@ def _prime_ideal(r, a, elems) -> frozenset:
     return frozenset(x for x in elems if not rg.is_unit(r, x * a + one - a))
 
 
+def _require_finite_commutative(r):
+    if not rg.is_finite(r):
+        raise InfiniteRing(f"{r!r}")
+    if not rg.is_commutative(r):
+        raise NotCommutative(f"{r!r}")
+
+
 def spec(r) -> PrimeSpectrum:
     """The prime ideals of a finite commutative ring, one per local factor.
 
@@ -102,10 +119,7 @@ def spec(r) -> PrimeSpectrum:
     The primes are sorted by size and then by the reprs of their
     elements; those are built only for primes of equal size.
     """
-    if not rg.is_finite(r):
-        raise InfiniteRing(f"{r!r}")
-    if not rg.is_commutative(r):
-        raise NotCommutative(f"{r!r}")
+    _require_finite_commutative(r)
     mods = rg.cyclic_moduli(r)
     if mods is not None:
         idem = [rg.cyclic_element(r, [rg.unit_idempotent(n, n // q) if i == j else 0
@@ -160,7 +174,7 @@ class BasedSpace:
         return frozenset(i for i, B in enumerate(self.base) if subset <= B)
 
 
-@record
+@record(frozen=True)
 class ExponentialSpace:
     """The exponential of a based space: subsets modulo base signature."""
 
@@ -277,6 +291,18 @@ def _dense_off_point(X, g: int, S) -> bool:
     return all((X.up[x] - {g}) & S for x in range(X.n) if x != g)
 
 
+def _memoized(r, name, compute):
+    """(ncspec(r), compute(r, ncspec(r))), computed once per memoized space
+    and kept on it under `name` (see the module docstring).  The ring is
+    checked as `spec` checks it before any space is built."""
+    _require_finite_commutative(r)
+    sp = ncspec(r)
+    got = sp._bridge.get(name)
+    if got is None:
+        got = sp._bridge[name] = compute(r, sp)
+    return sp, got
+
+
 def embed_phi(r) -> SpecEmbedding:
     """The continuous one-to-one map P -> {cells inverted away from P},
     with all the comparison checks the bridge promises.
@@ -285,10 +311,18 @@ def embed_phi(r) -> SpecEmbedding:
     compare objects of an element f that depend on f only through its
     cell: D(f) (see `_cell_elements`), the basic open of its cell, and
     loc(R, f), since Z/n[1/f] = Z/unit_part(n, f) keeps the factors
-    where f is a unit.  So each runs on one f per cell.
+    where f is a unit.  So each runs on one f per cell.  They run once
+    per memoized space; every call returns fresh dicts.
     """
+    sp, (spectrum, points, checks) = _memoized(r, "embed_phi", _embed_phi)
+    checks = dict(checks)
+    report = {"status": "pass" if all(checks.values()) else "fail", "checks": checks}
+    return SpecEmbedding(spectrum, sp, dict(enumerate(points)), report)
+
+
+def _embed_phi(r, sp: NCSpecSpace) -> tuple:
+    """(spectrum, the image of each prime, the (name, verdict) checks)."""
     spectrum = spec(r)
-    sp = ncspec(r)
     up = sp.space.up
     elems = _cell_elements(sp)
     supports = tuple(map(spectrum.distinguished, elems))
@@ -314,9 +348,7 @@ def embed_phi(r) -> SpecEmbedding:
         localize(r, (f,)).result == sp.sheaf.assignment[c] for c, f in enumerate(elems))
 
     checks["dense_in_complement_of_generic"] = _dense_off_point(sp.space, sp.generic, image)
-
-    report = {"status": "pass" if all(checks.values()) else "fail", "checks": checks}
-    return SpecEmbedding(spectrum, sp, point_map, report)
+    return spectrum, tuple(point_map.values()), tuple(checks.items())
 
 
 def spec_functor_map(theta: RingHom):
@@ -341,21 +373,24 @@ def union_of_primes_bijection(r) -> dict:
     Whether f lies in a union of primes depends on f only through its
     cell (see `_cell_elements`), and every cell holds an element, so a
     union is fixed by the cells outside it, and two unions are equal
-    exactly when those cell sets are.
+    exactly when those cell sets are.  Counted once per memoized space;
+    every call returns a fresh dict.
     """
+    _sp, items = _memoized(r, "union_of_primes_bijection", _union_of_primes_bijection)
+    return dict(items)
+
+
+def _union_of_primes_bijection(r, sp: NCSpecSpace) -> tuple:
     spectrum = spec(r)
-    sp = ncspec(r)
     supports = tuple(map(spectrum.distinguished, _cell_elements(sp)))
     unions = {_cells_outside(supports, (i for i in range(spectrum.n) if mask >> i & 1))
               for mask in range(2 ** spectrum.n)}
     closed_sets = {sp.space.down(x) for x in range(sp.space.n)}
     bijection = unions <= closed_sets and len(unions) == len(closed_sets)
-    return {
-        "status": "pass" if bijection else "fail",
-        "union_count": len(unions),
-        "irreducible_closed_count": len(closed_sets),
-        "bijection": bijection,
-    }
+    return (("status", "pass" if bijection else "fail"),
+            ("union_count", len(unions)),
+            ("irreducible_closed_count", len(closed_sets)),
+            ("bijection", bijection))
 
 
 def spec_exponential_iso(r) -> dict:
@@ -364,10 +399,18 @@ def spec_exponential_iso(r) -> dict:
     gamma sends the class of a set of primes to the sober point of its
     union; the check verifies a bijection matching base opens both ways.
     The base check depends on f only through D(f) and f's cell, so it
-    runs on one f per cell (see `_cell_elements`).
+    runs on one f per cell (see `_cell_elements`).  The check runs once
+    per memoized space; every call returns a fresh dict and `gamma`.
     """
+    sp, (ok, gamma, E, spectrum) = _memoized(r, "spec_exponential_iso", _spec_exponential_iso)
+    return {"status": "pass" if ok else "fail",
+            "exponential_points": E.n, "sober_points": sp.space.n,
+            "gamma": dict(enumerate(gamma)), "exponential": E, "space": sp, "spectrum": spectrum}
+
+
+def _spec_exponential_iso(r, sp: NCSpecSpace) -> tuple:
+    """(whether gamma is an isomorphism, gamma by class, E, spectrum)."""
     spectrum = spec(r)
-    sp = ncspec(r)
     X = spectrum.based_space()
     E = exponential(X)
     supports = tuple(map(spectrum.distinguished, _cell_elements(sp)))
@@ -388,9 +431,7 @@ def spec_exponential_iso(r) -> dict:
             meet = sp.space.down(gamma[p]) & sp.space.down(gamma[q])
             if sp.space.down(gamma[j]) != meet:
                 ok = False
-    return {"status": "pass" if ok else "fail",
-            "exponential_points": E.n, "sober_points": sp.space.n,
-            "gamma": gamma, "exponential": E, "space": sp, "spectrum": spectrum}
+    return ok, tuple(gamma.values()), E, spectrum
 
 
 def exp_functor_map(f_points: dict, EX: ExponentialSpace, EY: ExponentialSpace) -> dict:

@@ -114,13 +114,11 @@ class Descriptor:
         p^b the largest power of p dividing n_j, by factor and then by
         prime; () for the zero ring and None for every other descriptor.
         By CRT the ring is the product of its Z/p^b.  The tuple is cached
-        on the descriptor, so it lives exactly as long as the descriptor does.
+        on the descriptor and per moduli tuple (`_local_factors`), so a
+        fresh descriptor of known moduli does no trial division.
         """
         mods = cyclic_moduli(self)
-        if mods is None:
-            return None
-        return tuple((j, p, n // unit_part(n, p))
-                     for j, n in enumerate(mods) for p in prime_factors(n))
+        return None if mods is None else _local_factors(mods)
 
     @cached_property
     def blocks(self):
@@ -831,6 +829,13 @@ def prime_factors(n):
             n = unit_part(n, p)
         p += 1
     return primes + [n] if n > 1 else primes
+
+
+@lru_cache(maxsize=4096)
+def _local_factors(mods: tuple) -> tuple:
+    """`Descriptor.local_factors` of the product of the Z/n for n in mods."""
+    return tuple((j, p, n // unit_part(n, p))
+                 for j, n in enumerate(mods) for p in prime_factors(n))
 
 
 @lru_cache(maxsize=4096)

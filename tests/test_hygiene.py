@@ -1,7 +1,9 @@
 """Source hygiene checks on `src/ncspec`, using only the standard library."""
 
 import ast
+import gc
 import importlib
+import weakref
 from pathlib import Path
 
 import pytest
@@ -233,3 +235,54 @@ def test_traced_entry_points_resolve():
         if not callable(obj):
             missing.append((modname, dotted))
     assert names and missing == []
+
+
+# Caches still without a bound; ROADMAP item 6 tracks bounding them or
+# tying them to the memoized space.
+UNBOUNDED_CACHES = {"localization._localize_cached", "rings.lam_map", "rings.all_homs"}
+
+
+def lru_caches() -> dict:
+    """The maxsize of every `functools.lru_cache` defined at module level
+    in `ncspec.*`, by 'module.name'."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem.startswith("__"):     # importing __main__ runs the CLI
+            continue
+        mod = importlib.import_module(f"ncspec.{path.stem}")
+        for name, obj in vars(mod).items():
+            if hasattr(obj, "cache_parameters") and obj.__module__ == mod.__name__:
+                found[f"{path.stem}.{name}"] = obj.cache_parameters()["maxsize"]
+    return found
+
+
+def test_every_cache_has_a_bound_or_is_listed():
+    caches = lru_caches()
+    assert {"sheafspec.ncspec", "rings.unit_idempotent"} <= set(caches)
+    assert {name for name, size in caches.items() if size is None} == UNBOUNDED_CACHES
+
+
+def test_clear_caches_frees_every_space_and_morphism():
+    from ncspec import commbridge, sheafspec
+    from ncspec import rings as rg
+
+    def build():
+        """Weak references to a morphism and the spaces of Z/30 and Z/6, after
+        its verdicts and the bridge answers of Z/30."""
+        m = sheafspec.ncspec_morphism(rg.quotient_hom(30, 6))
+        m.verify()
+        sheafspec.is_prim_report(m)
+        r = rg.ModularRing(30)
+        for check in (commbridge.embed_phi, commbridge.union_of_primes_bijection,
+                      commbridge.spec_exponential_iso):
+            check(r)
+        assert sheafspec.ncspec(r) is m.target
+        return [weakref.ref(x) for x in (m, m.source, m.target)]
+
+    sheafspec.clear_caches()
+    refs = build()
+    gc.collect()
+    assert None not in [ref() for ref in refs]      # the memos hold them
+    sheafspec.clear_caches()
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
