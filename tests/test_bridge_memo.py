@@ -53,9 +53,16 @@ def test_a_memo_hit_equals_a_cold_computation(r):
     assert first[0][3]["status"] == first[1]["status"] == first[2]["status"] == "pass"
 
 
+def copied(r):
+    """Copies of the dicts of every bridge answer of r."""
+    (_spectrum, _sp, point_map, report), union, iso = answers(r)
+    return (dict(point_map), dict(report["checks"]), report["status"], dict(union),
+            dict(iso["gamma"]), iso["status"])
+
+
 def test_returned_dicts_are_fresh():
     r = ModularRing(30)
-    want = answers(r)
+    want = copied(r)
     emb = commbridge.embed_phi(r)
     emb.point_map[0] = -1
     emb.report["checks"]["injective"] = False
@@ -64,8 +71,7 @@ def test_returned_dicts_are_fresh():
     iso = commbridge.spec_exponential_iso(r)
     iso["gamma"].clear()
     iso["status"] = "fail"
-    assert answers(r) == want
-    assert commbridge.embed_phi(r).point_map is not commbridge.embed_phi(r).point_map
+    assert copied(r) == want
 
 
 def test_a_warm_call_does_no_bridge_work(monkeypatch):
