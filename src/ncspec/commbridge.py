@@ -30,7 +30,6 @@ from .errors import (
     NotIrreducibleCertificate,
     NotT0,
     NotTComplete,
-    UnsupportedClass,
 )
 from .localization import localize
 from .records import record
@@ -211,19 +210,20 @@ class ExponentialSpace:
 
 
 def exponential(X: BasedSpace) -> ExponentialSpace:
-    if X.n > 16:
-        raise UnsupportedClass("exponential materializes the power set; carrier too large")
-    groups = {}
-    order = []
-    for mask in range(2 ** X.n):
-        A = frozenset(i for i in range(X.n) if mask >> i & 1)
-        s = X.signature(A)
-        if s not in groups:
-            groups[s] = A
-            order.append(s)
-    order.sort(key=lambda s: (-len(s), sorted(s)))
-    sigs = tuple(order)
-    reps = tuple(groups[s] for s in order)
+    """The classes of subsets of X by signature.  sig(A u B) = sig(A) n
+    sig(B), so the signatures are the closure of sig({}) under n with each
+    sig({x}), in O(|E| n) intersections, and each class keeps the union
+    that first reached it, not always its least member.  Any member does:
+    gamma (`_spec_exponential_iso`), `exp_functor_map` and
+    `exp_factorization` read off a representative only which base members
+    hold it, and that is its signature, fixed by its class."""
+    groups = {X.signature(()): frozenset()}
+    for x in range(X.n):
+        sx = X.signature((x,))
+        for s, A in list(groups.items()):
+            groups.setdefault(s & sx, A | {x})
+    sigs = tuple(sorted(groups, key=lambda s: (-len(s), sorted(s))))
+    reps = tuple(groups[s] for s in sigs)
     base_imgs = tuple(
         frozenset(p for p, s in enumerate(sigs) if bi in s)
         for bi in range(len(X.base))

@@ -5,9 +5,11 @@ Finite modules over Z/n are sums of cyclic groups Z/d_i with the integer
 action.  Base change along a ring map into a product of cyclic rings Z/m_j
 has the closed form M (x) Z/m_j = sum_i Z/gcd(d_i, m_j): a ring map out of
 Z/n is reduction, so the bilinearity relations span m_j M, and a tensor
-element is one residue vector per cyclic factor.  Cocycle data for glued
-spaces are plain lookup tables checked against the identity, inverse,
-triple, and semilinearity conditions.
+element is one residue vector per cyclic factor.  The ring isos of a
+glue are checked as homs, extended to the double overlaps by
+`localization.induced_between` for the triple condition; module cocycle
+data are lookup tables checked against the identity, inverse, triple,
+and semilinearity conditions.
 """
 
 from itertools import product as iproduct
@@ -29,8 +31,10 @@ from .errors import (
 )
 from .localization import (
     Localization,
+    _hom_is_identity,
     _hom_is_iso,
     connecting_map,
+    induced_between,
     localize,
 )
 from .records import record
@@ -40,6 +44,7 @@ from .rings import (
     RingHom,
     SkewLaurentRing,
     descend,
+    hom_compose,
     hom_validate,
 )
 from .sheafspec import NCSpecSpace, ncspec, ncspec_morphism
@@ -112,7 +117,7 @@ def certify_ore(r, E, bound: int, side: str = "right") -> OreCertificate:
 
 def _certify_ore_skew(r, E, bound, side) -> OreCertificate:
     """Monomials quasi-commute, so witnesses are twist-scaled monomials."""
-    lam = rg.lam_map(r)
+    lam = r.lam_map
     mono = []
     for a in E:
         terms = skewpoly.from_canonical(a.payload)
@@ -589,6 +594,7 @@ def glue(d: GlueDatum) -> GluedSpace:
 
 
 def _check_glue_cocycles(d: GlueDatum, locs):
+    """The identity, inverse and triple conditions, compared as validated homs."""
     k = len(d.pieces)
     for a in range(k):
         E_aa = d.overlaps.get((a, a))
@@ -599,16 +605,14 @@ def _check_glue_cocycles(d: GlueDatum, locs):
             continue
         if (b, a) not in d.overlaps:
             raise CocycleViolation(f"missing opposite overlap for ({a}, {b})")
+        for s, t in ((a, b), (b, a)):
+            iso = hom_validate(d.ring_isos[(s, t)])
+            if iso.source != locs[(s, t)].result or iso.target != locs[(t, s)].result:
+                raise CocycleViolation(f"iso endpoints wrong for ({s}, {t})")
         iso = d.ring_isos[(a, b)]
-        iso_back = d.ring_isos[(b, a)]
-        hom_validate(iso)
-        hom_validate(iso_back)
-        if iso.source != locs[(a, b)].result or iso.target != locs[(b, a)].result:
-            raise CocycleViolation(f"iso endpoints wrong for ({a}, {b})")
-        if rg.is_finite(iso.source):
-            for x in rg.enumerate_elements(iso.source):
-                if iso_back(iso(x)) != x:
-                    raise CocycleViolation("inverse condition fails", witness=(a, b, x))
+        if rg.is_finite(iso.source) and not _hom_is_identity(
+                hom_compose(d.ring_isos[(b, a)], iso)):
+            raise CocycleViolation("inverse condition fails", witness=(a, b))
     # triple condition on the pushed isomorphisms
     for a in range(k):
         for b in range(k):
@@ -620,29 +624,21 @@ def _check_glue_cocycles(d: GlueDatum, locs):
                 ab_c = _extend_iso(d, locs, a, b, c)
                 bc_a = _extend_iso(d, locs, b, c, a)
                 ac_b = _extend_iso(d, locs, a, c, b)
-                src = _double_loc(d, a, b, c)
-                for x in rg.enumerate_elements(src.result):
-                    if bc_a[ab_c[x]] != ac_b[x]:
-                        raise CocycleViolation("triple condition fails",
-                                               witness=(a, b, c))
+                if hom_compose(bc_a, ab_c) != ac_b:
+                    raise CocycleViolation("triple condition fails", witness=(a, b, c))
 
 
-def _double_loc(d: GlueDatum, a, b, c) -> Localization:
-    E = tuple(d.overlaps[(a, b)]) + tuple(d.overlaps[(a, c)])
-    return localize(d.pieces[a], E)
-
-
-def _extend_iso(d: GlueDatum, locs, a, b, c) -> dict:
-    """psi_ab extended to the double overlap, as an element table."""
-    iso = d.ring_isos[(a, b)]
-    La, Lb = locs[(a, b)], locs[(b, a)]
-    Da, Db = _double_loc(d, a, b, c), _double_loc(d, b, a, c)
-    pa = connecting_map(d.pieces[a], La.subset, Da.subset)
-    pb = connecting_map(d.pieces[b], Lb.subset, Db.subset)
-    pairs = ((pa(y), pb(iso(y))) for y in rg.enumerate_elements(La.result))
-    return descend(pairs, rg.cardinality(Da.result), CocycleViolation,
-                   "extension to the double overlap is inconsistent",
-                   "extension is not total on the double overlap")
+def _extend_iso(d: GlueDatum, locs, a, b, c) -> RingHom:
+    """psi_ab extended to the double overlaps by `induced_between`: from
+    loc(R_a, E_ab) at the image of E_ac to loc(R_b, E_ba) at that of E_bc."""
+    ends = []
+    for s, t, u in ((a, b, c), (b, a, c)):
+        L = locs[(s, t)]
+        ends.append(localize(L.result, tuple(L.insertion(x) for x in d.overlaps[(s, u)])))
+    phi = induced_between(d.ring_isos[(a, b)], *ends)
+    if phi is None:
+        raise CocycleViolation("extension to the double overlap is inconsistent")
+    return phi
 
 
 # ---------------------------------------------------------------------------

@@ -472,6 +472,8 @@ class SkewLaurentRing(Descriptor):
         if any(i < 0 or i >= self.nvars for i in self.inverted):
             raise ValueError("inverted index out of range")
 
+    lam_map = cached_property(lambda self: dict(self.lam))  # (i, j) -> scalar, for `skewpoly`
+
     def canonical(self, payload):
         terms = skewpoly.from_canonical(payload) if not isinstance(payload, dict) else payload
         for e in terms:
@@ -491,7 +493,7 @@ class SkewLaurentRing(Descriptor):
 
     def mul(self, a, b):
         return skewpoly.canonical(skewpoly.mul(
-            lam_map(self), skewpoly.from_canonical(a), skewpoly.from_canonical(b)))
+            self.lam_map, skewpoly.from_canonical(a), skewpoly.from_canonical(b)))
 
     def is_unit(self, a):
         terms = skewpoly.from_canonical(a)
@@ -503,7 +505,7 @@ class SkewLaurentRing(Descriptor):
     def inverse(self, a):
         (e, c), = skewpoly.from_canonical(a).items()
         einv = tuple(-v for v in e)
-        t = skewpoly.twist(lam_map(self), e, einv)
+        t = skewpoly.twist(self.lam_map, e, einv)
         return self.canonical({einv: 1 / (c * t)})
 
     def is_commutative(self):
@@ -531,11 +533,6 @@ def product_ring(factors):
     if len(factors) == 1:
         return factors[0]
     return ProductRing(factors)
-
-
-@lru_cache(maxsize=None)
-def lam_map(r: SkewLaurentRing) -> dict:
-    return dict(r.lam)
 
 
 def _locpoly_normalize(num, den):
@@ -857,15 +854,15 @@ def unit_idempotent(n, c):
 class Rule:
     """How a hom computes: `apply(h, x)` is h(x).
 
-    A `TableRule` is a table.  One given from outside (a document, a test)
-    is checked exhaustively by `hom_validate`; one read off validated homs
-    by `hom_descend` (in `localization.induced_between`), or built by
-    `hom_compose` from validated factors, is certified as built.  Any other
-    rule is certified by its construction: its `check(h)` is complete, so
-    it raises NotAHomomorphism exactly when `apply` does not compute a ring
-    hom h.source -> h.target, and it looks at the descriptors and the
-    rule's data only, never at the elements of the source.  `table` is the
-    lookup table of a TableRule and None for every other rule.
+    Every rule's `check(h)` is complete: it raises NotAHomomorphism exactly
+    when the rule does not compute an additive and multiplicative map
+    h.source -> h.target (`hom_validate` adds 1 -> 1 and 0 -> 0).  A
+    `TableRule`'s check reads its table against the source's generators;
+    every other check looks at the descriptors and the rule's data only,
+    never at the elements of the source.  A table read off validated homs
+    by `hom_descend`, or built by `hom_compose` from validated factors, is
+    certified as built and never checked.  `table` is the lookup table of
+    a TableRule and None for every other rule.
     Every hom with a block map that the library builds is a `BlockRule`,
     an `IdentityRule` or a `ToZeroRule`; `block_map(h)` is the block map of
     a certified hom h between block rings when the rule alone fixes it (see
@@ -885,6 +882,27 @@ class TableRule(Rule):
 
     def __post_init__(self):
         object.__setattr__(self, "table", dict(self.pairs))
+
+    def check(self, h):
+        """Every element is a sum of generators, so the table is additive
+        iff h(x + g) = h(x) + h(g) for every element x and generator g, and
+        then h(xy) and h(x)h(y) are both biadditive, so it is multiplicative
+        iff they agree on every pair of generators.  O(|R| k + k^2) lookups
+        for k generators, where a check on every pair costs O(|R|^2)."""
+        gens = generator_elements(h.source)
+        try:
+            for x in enumerate_elements(h.source):
+                for g in gens:
+                    if h(x + g) != h(x) + h(g):
+                        raise NotAHomomorphism(
+                            f"additivity fails at ({x!r}, {g!r})", witness=(x, g))
+            for g in gens:
+                for g2 in gens:
+                    if h(g * g2) != h(g) * h(g2):
+                        raise NotAHomomorphism(
+                            f"multiplicativity fails at ({g!r}, {g2!r})", witness=(g, g2))
+        except KeyError as exc:
+            raise NotAHomomorphism(f"the table has no image of {exc}") from None
 
 
 @record(frozen=True)
@@ -1190,10 +1208,8 @@ def hom_from_callable(source, target, fn) -> RingHom:
 def hom_validate(h: RingHom) -> RingHom:
     """Certify that h is a ring hom and set its `validated` flag; returns h.
 
-    A `TableRule` hom is checked exhaustively, pair by pair, which costs
-    O(|source|^2).  Every other rule is certified by its complete
-    `rule.check(h)`, which runs first, so `apply` never sees a shape its
-    rule was not built for.  The 1 -> 1 and 0 -> 0 checks run on every hom.
+    The rule's complete `check(h)` runs first, so `apply` never sees a
+    shape its rule was not built for; then the 1 -> 1 and 0 -> 0 checks.
 
     Units need no check of their own: a map that keeps 1 and products
     keeps units, because uv = vu = 1 gives h(u)h(v) = h(v)h(u) = 1.
@@ -1203,31 +1219,14 @@ def hom_validate(h: RingHom) -> RingHom:
     """
     if h.validated:
         return h
-    by_table = isinstance(h.rule, TableRule)
-    if not by_table:
-        h.rule.check(h)
+    h.rule.check(h)
     source, target = h.source, h.target
     if h(source.one) != target.one:
         raise IdentityNotPreserved(f"1 -> {h(source.one)!r}", witness=source.one)
     if h(source.zero) != target.zero:
         raise NotAHomomorphism("0 not preserved", witness=source.zero)
-    if by_table:
-        _check_all_pairs(h)
     h.validated = True
     return h
-
-
-def _check_all_pairs(h: RingHom):
-    """Additivity and multiplicativity of a table hom on every pair of elements."""
-    elems = enumerate_elements(h.source)
-    for x in elems:
-        for y in elems:
-            if h(x + y) != h(x) + h(y):
-                raise NotAHomomorphism(
-                    f"additivity fails at ({x!r}, {y!r})", witness=(x, y))
-            if h(x * y) != h(x) * h(y):
-                raise NotAHomomorphism(
-                    f"multiplicativity fails at ({x!r}, {y!r})", witness=(x, y))
 
 
 def hom_compose(g: RingHom, f: RingHom) -> RingHom:
@@ -1240,7 +1239,7 @@ def hom_compose(g: RingHom, f: RingHom) -> RingHom:
     validated factors is certified as built: out of a product of cyclic
     rings it is the `CyclicImagesRule` of the g(f(e_i)), whose check costs
     O(k^2), and out of any other finite ring a table.  A finite composite
-    of unvalidated factors is a table, checked pair by pair.
+    of unvalidated factors is a table, checked by `TableRule.check`.
     """
     if f.target != g.source:
         raise CompositionMismatch(f"{f.target!r} != {g.source!r}")

@@ -136,7 +136,7 @@ class RawSpace:
 
 def _raw_space(pres: GradedModulePresentation, S, d: int, box: int) -> RawSpace:
     n = pres.ring.nvars
-    lam = rg.lam_map(pres.ring)
+    lam = pres.ring.lam_map
     columns = []
     for t, gdeg in enumerate(pres.gen_degrees):
         for a in _cone(n, S, d - gdeg, box):
@@ -224,7 +224,7 @@ def chart_ring_descriptor(r: SkewLaurentRing, i: int):
         gens.append(tuple(e))
     if len(gens) == 1:
         return UnivariatePolyRing(), tuple(gens)
-    lam = rg.lam_map(r)
+    lam = r.lam_map
     table = {}
     for a in range(len(gens)):
         for b in range(a + 1, len(gens)):
@@ -246,7 +246,7 @@ def build_proj(r: SkewLaurentRing) -> ProjSpace:
     if r.inverted:
         raise UnsupportedClass("the Proj cover starts from the uninverted ring")
     n = r.nvars
-    lam = rg.lam_map(r)
+    lam = r.lam_map
     charts, gens = [], []
     for i in range(n):
         desc, g = chart_ring_descriptor(r, i)
@@ -402,7 +402,7 @@ def _base_changed_span(M, piece: StablePiece, ov: StablePiece, S, box) -> Echelo
     """Span of the chart piece under degree-zero overlap multipliers, inside
     the overlap space (products leaving the truncation are skipped; the
     reference comparison keeps that honest)."""
-    lam = rg.lam_map(M.ring)
+    lam = M.ring.lam_map
     n = M.ring.nvars
     span = Echelon(len(ov.raw.columns))
     multipliers = _cone(n, S, 0, box)
@@ -611,7 +611,7 @@ def is_torsion(M: GradedModulePresentation, elt, bound: int, box: int = 2) -> bo
     other outcome with surviving powers means the bound or the box was too
     small.
     """
-    lam = rg.lam_map(M.ring)
+    lam = M.ring.lam_map
     n = M.ring.nvars
     d = elt["degree"]
     survivors = []
@@ -666,7 +666,7 @@ def _cokernel_torsion(M, g, d, hi, img_echs):
 
 def _multiply_section(M, sec: SectionSpace, vec, i, k, sec_target):
     """x_i^k times a section, re-expressed in the target degree's coordinates."""
-    lam = rg.lam_map(M.ring)
+    lam = M.ring.lam_map
     n = M.ring.nvars
     power = tuple(k if v == i else 0 for v in range(n))
     coords = {}

@@ -147,21 +147,22 @@ def brute_all_homs(source, target):
 
 
 def brute_is_hom(h) -> bool:
-    """Whether h's rule computes a unital ring hom, checked on every pair.
+    """Whether h computes a unital ring hom, checked on every pair.
 
-    The rule is applied to each element of the finite source; a rule that
-    fails to produce an element of the target there defines no map.
+    h is applied to each element of the finite source (its rule, or its
+    table for a `TableRule`); a rule that fails to produce an element of
+    the target there, or a table that misses an element, defines no map.
     """
     S, T = h.source, h.target
     elems = rg.enumerate_elements(S)
     try:
-        img = {x.payload: h.rule.apply(h, x) for x in elems}
+        img = {x.payload: h(x) for x in elems}
         if img[rg.one(S).payload] != rg.one(T) or img[rg.zero(S).payload] != rg.zero(T):
             return False
         return all(img[(x + y).payload] == img[x.payload] + img[y.payload]
                    and img[(x * y).payload] == img[x.payload] * img[y.payload]
                    for x in elems for y in elems)
-    except (ArithmeticError, IndexError, TypeError, ValueError):
+    except (ArithmeticError, LookupError, TypeError, ValueError):
         return False
 
 

@@ -1,5 +1,8 @@
 """Homs certified by construction: rule checks against the exhaustive oracle."""
 
+import time
+from itertools import product as iproduct
+
 import pytest
 from conftest import brute_is_hom, small_commutative_rings
 
@@ -153,6 +156,140 @@ def test_rule_checks_agree_with_the_exhaustive_oracle(rng, instances):
     assert min(seen.values()) >= 40, seen
 
 
+M2F2 = MatrixRing(F2, 2)
+TABLE_RINGS = [ModularRing(2), ModularRing(4), ModularRing(6), _cyclic_product((2, 2)),
+               _cyclic_product((2, 3)), SemisimpleAlgebra(F2, (1, 2)), M2F2,
+               rg.product_ring([ModularRing(2), M2F2])]
+
+
+def _conjugated(u, x):
+    """x with its M2(F2) part (all of x, or its last factor) conjugated by u."""
+    ui = rg.inverse(M2F2, u)
+    if x.owner == M2F2:
+        return u * x * ui
+    m = rg.RingElement(M2F2, x.payload[-1])
+    return rg.RingElement(x.owner, x.payload[:-1] + ((u * m * ui).payload,))
+
+
+def _real_homs(S, T):
+    """Ring homs S -> T built by certified rules: identities, block maps,
+    idempotent images, the inner automorphisms of M2(F2), and the two
+    projections of Z/2 x M2(F2)."""
+    rules = [rg.IdentityRule()] if S == T else []
+    if S.blocks and T.blocks:
+        rules += [BlockRule(f) for f in iproduct(range(len(S.blocks)), repeat=len(T.blocks))]
+    if rg.cyclic_moduli(S) is not None:
+        idem = [t for t in T.elements() if T.mul(t, t) == t]
+        rules += [CyclicImagesRule(ims) for ims in iproduct(idem, repeat=len(S.generators))]
+    homs = []
+    for rule in rules:
+        try:
+            homs.append(rg.hom_validate(RingHom(S, T, rule)))
+        except NotAHomomorphism:
+            pass
+    if S == T and M2F2 in getattr(S, "factors", (S,)):
+        for u in rg.enumerate_elements(M2F2):
+            if rg.is_unit(M2F2, u):
+                homs.append(rg.hom_from_callable(S, T, lambda x, u=u: _conjugated(u, x)))
+    if isinstance(S, rg.ProductRing) and T in S.factors and T != S:
+        k = S.factors.index(T)
+        homs.append(rg.hom_from_callable(S, T, lambda x: rg.RingElement(T, x.payload[k])))
+    return homs
+
+
+def _additive_table(rng, S, T) -> dict:
+    """A random additive map S -> T: each generator g goes to a random t
+    with ord(g) t = 0, extended along sums of generators.  The additive
+    group of S is the direct sum of the cyclic groups of its generators,
+    so the extension is well defined."""
+    elems = rg.enumerate_elements(T)
+    table = {rg.zero(S): rg.zero(T)}
+    for g in rg.generator_elements(S):
+        order = next(n for n in range(1, rg.cardinality(S) + 1)
+                     if rg.from_int(S, n) * g == rg.zero(S))
+        t = rng.choice([t for t in elems if rg.from_int(T, order) * t == rg.zero(T)])
+        for x, y in list(table.items()):
+            for c in range(1, order):
+                table[x + rg.from_int(S, c) * g] = y + rg.from_int(T, c) * t
+    return table
+
+
+def table_instances(rng, count):
+    """Random table homs between the TABLE_RINGS: real homs, additive maps
+    (mostly not multiplicative), and either of them with one image moved,
+    with the images moved on a coset of the first generator (which keeps
+    h(x + g) = h(x) + h(g) for that g only), with 0 sent to a nonzero
+    element, or with 1 sent to 0."""
+    for _ in range(count):
+        S, T = rng.choice(TABLE_RINGS), rng.choice(TABLE_RINGS)
+        homs = _real_homs(S, T)
+        if homs and rng.random() < 0.4:
+            h = rng.choice(homs)
+            table = {x: h(x) for x in rg.enumerate_elements(S)}
+        else:
+            table = _additive_table(rng, S, T)
+        nonzero = [t for t in rg.enumerate_elements(T) if t != rg.zero(T)]
+        tamper = rng.random()
+        if tamper < 0.2:
+            x = rng.choice(list(table))
+            table[x] = rng.choice([t for t in rg.enumerate_elements(T) if t != table[x]])
+        elif tamper < 0.3:
+            g, delta = rg.generator_elements(S)[0], rng.choice(nonzero)
+            line = {rg.from_int(S, c) * g for c in range(rg.cardinality(S))}
+            y = rng.choice(list(table))
+            if y not in line:
+                for z in line:
+                    table[y + z] = table[y + z] + delta
+        elif tamper < 0.4:
+            table[rg.zero(S)] = rng.choice(nonzero)
+        elif tamper < 0.5:
+            table[rg.one(S)] = rg.zero(T)
+        yield rg.table_hom(S, T, table)
+
+
+def test_table_check_agrees_with_the_exhaustive_oracle(rng):
+    seen = {True: 0, False: 0}
+    for h in table_instances(rng, 300):
+        try:
+            certified = rg.hom_validate(h).validated
+        except NotAHomomorphism:
+            certified = False
+        assert certified == brute_is_hom(h), (h, certified)
+        seen[certified] += 1
+    assert min(seen.values()) >= 40, seen
+
+
+@pytest.mark.parametrize("table,error", [
+    # additive, but h(1, 0) h(0, 1) = (1, 1)(0, 1) is not h(0) = 0
+    ({(a, b): (a % 2, (a + b) % 2) for a in range(4) for b in range(2)}, "multiplicativity"),
+    # h(1, 0) + h(1, 0) = 0 is not h(2, 0) = (1, 0)
+    ({(a, b): (min(a, 1), b) for a in range(4) for b in range(2)}, "additivity"),
+])
+def test_table_check_names_the_broken_law(table, error):
+    S, T = _cyclic_product((4, 2)), _cyclic_product((2, 2))
+    h = rg.table_hom(S, T, {rg.RingElement(S, x): rg.RingElement(T, y) for x, y in table.items()})
+    assert not brute_is_hom(h)
+    with pytest.raises(NotAHomomorphism, match=error):
+        rg.hom_validate(h)
+
+
+def test_a_table_that_misses_an_element_is_no_hom():
+    z2 = ModularRing(2)
+    h = rg.table_hom(ModularRing(4), z2, {rg.RingElement(ModularRing(4), x): rg.element(z2, x)
+                                          for x in range(3)})
+    assert not brute_is_hom(h)
+    with pytest.raises(NotAHomomorphism, match="no image"):
+        rg.hom_validate(h)
+
+
+def test_identity_table_of_z600_is_checked_on_its_generator():
+    z600 = ModularRing(600)
+    h = rg.table_hom(z600, z600, {x: x for x in rg.enumerate_elements(z600)})
+    start = time.perf_counter()
+    assert rg.hom_validate(h) == rg.identity_hom(z600)
+    assert time.perf_counter() - start < 0.5   # every pair would take seconds
+
+
 def test_composite_with_an_unvalidated_non_hom_is_rejected():
     z6 = ModularRing(6)
     square = rg.table_hom(z6, z6, {x: x * x for x in rg.enumerate_elements(z6)})
@@ -167,16 +304,17 @@ def test_composite_with_an_unvalidated_non_hom_is_rejected():
 
 
 @pytest.fixture
-def pairwise_calls(monkeypatch):
-    """The homs checked pair by pair from here on, with every hom cache cleared."""
+def table_checks(monkeypatch):
+    """The homs whose table is checked (`TableRule.check`) from here on,
+    with every hom cache cleared."""
     calls = []
-    check_all_pairs = rg._check_all_pairs
+    check = rg.TableRule.check
 
-    def counted(h):
+    def counted(rule, h):
         calls.append(h)
-        check_all_pairs(h)
+        check(rule, h)
 
-    monkeypatch.setattr(rg, "_check_all_pairs", counted)
+    monkeypatch.setattr(rg.TableRule, "check", counted)
     sheafspec.clear_caches()
     rg.all_homs.cache_clear()
     return calls
@@ -186,17 +324,17 @@ def pairwise_calls(monkeypatch):
     (ModularRing(210), 16),
     (SemisimpleAlgebra(F2, (1, 1, 1, 1, 1)), 32),
 ])
-def test_ncspec_makes_no_pairwise_checks(pairwise_calls, ring, points):
-    calls = pairwise_calls
+def test_ncspec_makes_no_pairwise_checks(table_checks, ring, points):
+    calls = table_checks
     assert sheafspec.ncspec(ring).point_count() == points
     assert calls == []
-    # the counter sees the tables that are still checked pairwise
+    # the counter sees the tables given from outside, which are checked
     z4, z2 = ModularRing(4), ModularRing(2)
     rg.hom_validate(rg.hom_from_callable(z4, z2, lambda x: rg.element(z2, x.payload)))
     assert len(calls) == 1
 
 
-def test_a_quotient_query_makes_no_pairwise_checks(pairwise_calls):
+def test_a_quotient_query_makes_no_pairwise_checks(table_checks):
     # the queries of a warm session: the induced morphism, its check, its
     # primness with the pushout probes, and the recovered hom
     theta = rg.quotient_hom(30, 6)
@@ -209,4 +347,4 @@ def test_a_quotient_query_makes_no_pairwise_checks(pairwise_calls):
     probes = sheafspec.default_prim_probes(m)
     homs = [h for S in probes for T in probes for h in rg.all_homs(S, T)]
     assert len(homs) > len(probes) and all(h.validated for h in homs)
-    assert pairwise_calls == []
+    assert table_checks == []

@@ -197,6 +197,17 @@ def test_cli_embed_and_exp(tmp_path, capsys):
     assert code == 0 and json.loads(out)["payload"]["idempotence"]
 
 
+@pytest.mark.parametrize("n,primes", [(2310, 5), (30030, 6)])
+def test_cli_exp_past_sixteen_points(tmp_path, capsys, n, primes):
+    # the exponential of Spec of n squarefree has one point per set of primes
+    ring = write(tmp_path, "r.json", {"schema": "ncspec.ring/1", "kind": "modular", "n": n})
+    code, out = run_cli(capsys, "exp", "--ring", ring)
+    rep = json.loads(out)
+    assert code == 0 and rep["status"] == "pass", rep
+    assert rep["payload"]["exponential_points"] == rep["payload"]["sober_points"] == 2 ** primes
+    assert rep["payload"]["idempotence"] is True
+
+
 def test_cli_glue(tmp_path, capsys):
     doc = {
         "schema": "ncspec.glue/1",

@@ -471,6 +471,41 @@ def test_glue_rejects_broken_inverse():
         glue(datum)
 
 
+def _p22_swap():
+    p22 = rg.product_ring([ModularRing(2), ModularRing(2)])
+    return p22, rg.hom_validate(rg.hom_from_callable(
+        p22, p22, lambda x: rg.element(p22, (x.payload[1], x.payload[0]))))
+
+
+def test_glue_rejects_a_broken_triple_condition_alone():
+    # three copies of Z/2 x Z/2 glued along everything: the swap between
+    # pieces 0 and 1 is its own inverse, but it disagrees with going round
+    # through piece 2 by identities
+    p22, swap = _p22_swap()
+    ident = rg.identity_hom(p22)
+    pairs = [(a, b) for a in range(3) for b in range(3) if a != b]
+    datum = GlueDatum(
+        (p22, p22, p22),
+        {pair: (rg.one(p22),) for pair in pairs},
+        {pair: swap if set(pair) == {0, 1} else ident for pair in pairs},
+    )
+    with pytest.raises(CocycleViolation, match="triple"):
+        glue(datum)
+    glue(GlueDatum(datum.pieces, datum.overlaps, {pair: ident for pair in pairs}))
+
+
+@pytest.mark.parametrize("wrong", [(0, 1), (1, 0)])
+def test_glue_rejects_an_iso_with_wrong_endpoints(wrong):
+    # either iso of a pair may have the wrong ends; both are checked before
+    # they are composed for the inverse condition
+    p22, _swap = _p22_swap()
+    isos = {(0, 1): rg.identity_hom(p22), (1, 0): rg.identity_hom(p22)}
+    isos[wrong] = rg.identity_hom(ModularRing(2))
+    datum = GlueDatum((p22, p22), {(0, 1): (rg.one(p22),), (1, 0): (rg.one(p22),)}, isos)
+    with pytest.raises(CocycleViolation, match="endpoints"):
+        glue(datum)
+
+
 def test_qcoh_cocycle_check_finite_charts():
     z3 = ModularRing(3)
     id3 = rg.identity_hom(z3)

@@ -239,7 +239,7 @@ def test_traced_entry_points_resolve():
 
 # Caches still without a bound; ROADMAP item 6 tracks bounding them or
 # tying them to the memoized space.
-UNBOUNDED_CACHES = {"localization._localize_cached", "rings.lam_map", "rings.all_homs"}
+UNBOUNDED_CACHES = {"localization._localize_cached", "rings.all_homs"}
 
 
 def lru_caches() -> dict:

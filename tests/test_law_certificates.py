@@ -249,6 +249,24 @@ def test_closure_check_agrees_with_the_triple_loop_on_random_signatures():
     assert outcomes == {True, False}
 
 
+def test_exponential_closure_agrees_with_the_power_set():
+    # the closure under intersection with the points' signatures reaches
+    # the signature of every subset, and each representative is in its class
+    rnd = seeded_random()
+    checked = 0
+    for _ in range(200):
+        X = random_based_space(rnd, rnd.randint(1, 7))
+        if X is None:
+            continue
+        E = exponential(X)
+        subsets = (frozenset(x for x in range(X.n) if m >> x & 1) for m in range(2 ** X.n))
+        assert set(E.sigs) == {X.signature(A) for A in subsets} and len(set(E.sigs)) == E.n
+        assert [X.signature(A) for A in E.reps] == list(E.sigs)
+        assert E.reps[E.bottom()] == frozenset()
+        checked += 1
+    assert checked > 100, checked
+
+
 # ---------------------------------------------------------------------------
 # density off the generic point by basic opens
 

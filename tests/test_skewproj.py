@@ -67,7 +67,7 @@ def test_owner_mismatch():
 
 
 def test_twist_cocycle_random_triples(rng):
-    lam = rg.lam_map(SK3)
+    lam = SK3.lam_map
     for _ in range(40):
         a, b, c = (tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(3))
         lhs = skewpoly.twist(lam, a, b) * skewpoly.twist(lam, tuple(
@@ -235,7 +235,7 @@ def test_serre_unit_torsion_module():
 def test_serre_unit_ideal_module_has_torsion_cokernel():
     """The module generated by the two variables: its sheaf saturates to the
     structure sheaf, the missing degree-zero section is a torsion cokernel."""
-    lam = rg.lam_map(SK2)[(0, 1)]
+    lam = SK2.lam_map[(0, 1)]
     rows = [[{(0, 1): 1}, {(1, 0): -1 / lam}]]   # the skew syzygy of (x, y)
     ideal = presentation_from_rows(SK2, (1, 1), rows)
     X = build_proj(SK2)
