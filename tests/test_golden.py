@@ -184,6 +184,8 @@ CALLS = (
     + [("proj-gamma", "SK2", _window(0, 4, "--format", "text"))]
     # larger lattices: 32 cells for the embedding, 16 infinite cells for the sheaf
     + [("embed", "Z2310", ()), ("ncspec", "SSA-Q-1-1-1-1", ())]
+    # exponentials of 32 and 64 points
+    + [("exp", "Z2310", ()), ("exp", "Z30030", ())]
     # the cell order of cyclic products: 64 cells, a shared prime with a
     # prime square, a Z/1 factor; and a noncommutative semisimple algebra
     + [("ncspec", "Z30030", ()), ("semilattice", "Z30030", ("--format", "text")),
