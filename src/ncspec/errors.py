@@ -127,10 +127,6 @@ class NotAModule(NCSpecError):
 
 # skew Proj level
 
-class OwnerMismatch(NCSpecError):
-    pass
-
-
 class InhomogeneousRelation(NCSpecError):
     pass
 

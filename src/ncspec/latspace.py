@@ -135,20 +135,6 @@ class AlexandrovSpace:
                 if j != i and self.up[i] & self._downs[j] == {i, j}]
 
 
-def upper_set(X: AlexandrovSpace, seed) -> frozenset:
-    out = frozenset()
-    for i in seed:
-        out |= X.up[i]
-    return out
-
-
-def lower_set(X: AlexandrovSpace, seed) -> frozenset:
-    out = frozenset()
-    for i in seed:
-        out |= X.down(i)
-    return out
-
-
 def is_completely_union_irreducible(X: AlexandrovSpace, U) -> bool:
     """True exactly for the principal upper sets; the empty set is a union
     of the empty cover, hence excluded."""

@@ -91,13 +91,6 @@ class Echelon:
         return _sparse({pivots[j]: x for j, x in vec.items() if j in pivots})
 
 
-def rank(rows, width: int) -> int:
-    ech = Echelon(width)
-    for r in rows:
-        ech.add(r)
-    return ech.rank
-
-
 def kernel_basis(rows, width: int) -> list[dict]:
     """Basis of {x : A x = 0} for the matrix with the given rows, one
     vector per free column in increasing order."""

@@ -40,7 +40,6 @@ from .rings import (
     PolyFracRule,
     PolyInsertRule,
     ProductRing,
-    RingElement,
     RingHom,
     SemisimpleAlgebra,
     SkewExpandRule,
@@ -60,12 +59,6 @@ class Localization:
     result: object                # canonical descriptor of loc(source, subset)
     insertion: RingHom            # alpha: source -> result
     inverse_witnesses: tuple      # ((element, inverse-in-result), ...)
-
-    def witness(self, a: RingElement) -> RingElement:
-        for x, w in self.inverse_witnesses:
-            if x == a:
-                return w
-        raise KeyError(f"{a!r} not in localized subset")
 
 
 def _subset_key(E):

@@ -18,7 +18,6 @@ from math import gcd as igcd
 
 from . import qpoly, skewpoly
 from .errors import (
-    ArityMismatch,
     CompositionMismatch,
     ElementOwnershipMismatch,
     IdentityNotPreserved,
@@ -657,11 +656,6 @@ def matrix_element(r, rows) -> RingElement:
     return RingElement(r, rows)
 
 
-def canonical_payload(r, payload):
-    """Normalize a raw payload into canonical form for descriptor r."""
-    return r.canonical(payload)
-
-
 def element(r, payload) -> RingElement:
     return RingElement(r, r.canonical(payload))
 
@@ -692,33 +686,6 @@ def neg(r, x: RingElement) -> RingElement:
 def mul(r, x: RingElement, y: RingElement) -> RingElement:
     _check_owner(r, x, y)
     return RingElement(r, r.mul(x.payload, y.payload))
-
-
-_ARITY = {"add": 2, "mul": 2, "neg": 1, "eq": 2, "one": 0, "zero": 0}
-
-
-def ring_eval(r, op: str, args):
-    """Uniform dispatcher over the element operations.
-
-    `eq` returns a bool; everything else returns a RingElement in
-    canonical form.
-    """
-    if op not in _ARITY:
-        raise ArityMismatch(f"unknown op {op}")
-    if len(args) != _ARITY[op]:
-        raise ArityMismatch(f"{op} expects {_ARITY[op]} arguments, got {len(args)}")
-    _check_owner(r, *args)
-    if op == "add":
-        return add(r, *args)
-    if op == "mul":
-        return mul(r, *args)
-    if op == "neg":
-        return neg(r, *args)
-    if op == "one":
-        return one(r)
-    if op == "zero":
-        return zero(r)
-    return args[0] == args[1]
 
 
 def is_unit(r, x: RingElement) -> bool:
@@ -855,11 +822,13 @@ class Rule:
     """How a hom computes: `apply(h, x)` is h(x).
 
     Every rule's `check(h)` is complete: it raises NotAHomomorphism exactly
-    when the rule does not compute an additive and multiplicative map
-    h.source -> h.target (`hom_validate` adds 1 -> 1 and 0 -> 0).  A
-    `TableRule`'s check reads its table against the source's generators;
-    every other check looks at the descriptors and the rule's data only,
-    never at the elements of the source.  A table read off validated homs
+    when the rule does not compute a unital ring hom h.source -> h.target,
+    so it is the hom's whole certificate (`hom_validate` runs nothing
+    else).  A `TableRule`'s check reads its table against the source's
+    generators and looks up the images of 1 and 0; every other check looks
+    at the descriptors and the rule's data only, never at the elements of
+    the source, and each rule's docstring says why it keeps 1 (0 -> 0
+    follows from additivity).  A table read off validated homs
     by `hom_descend`, or built by `hom_compose` from validated factors, is
     certified as built and never checked.  `table` is the lookup table of
     a TableRule and None for every other rule.
@@ -888,10 +857,13 @@ class TableRule(Rule):
         iff h(x + g) = h(x) + h(g) for every element x and generator g, and
         then h(xy) and h(x)h(y) are both biadditive, so it is multiplicative
         iff they agree on every pair of generators.  O(|R| k + k^2) lookups
-        for k generators, where a check on every pair costs O(|R|^2)."""
-        gens = generator_elements(h.source)
+        for k generators, where a check on every pair costs O(|R|^2).  The
+        laws leave the image of 1 free (a table may send 1 to 0), so the
+        images of 1 and 0 are looked up last (IdentityNotPreserved for 1)."""
+        source, target = h.source, h.target
+        gens = generator_elements(source)
         try:
-            for x in enumerate_elements(h.source):
+            for x in enumerate_elements(source):
                 for g in gens:
                     if h(x + g) != h(x) + h(g):
                         raise NotAHomomorphism(
@@ -901,12 +873,18 @@ class TableRule(Rule):
                     if h(g * g2) != h(g) * h(g2):
                         raise NotAHomomorphism(
                             f"multiplicativity fails at ({g!r}, {g2!r})", witness=(g, g2))
+            if h(source.one) != target.one:
+                raise IdentityNotPreserved(f"1 -> {h(source.one)!r}", witness=source.one)
+            if h(source.zero) != target.zero:
+                raise NotAHomomorphism("0 not preserved", witness=source.zero)
         except KeyError as exc:
             raise NotAHomomorphism(f"the table has no image of {exc}") from None
 
 
 @record(frozen=True)
 class IdentityRule(Rule):
+    """R -> R, x -> x: it keeps 1."""
+
     def apply(self, h, x):
         return RingElement(h.target, x.payload)
 
@@ -920,6 +898,8 @@ class IdentityRule(Rule):
 
 @record(frozen=True)
 class ToZeroRule(Rule):
+    """R -> 0, the collapse: in the zero ring 1 = 0, so it keeps 1."""
+
     def apply(self, h, x):
         return zero(h.target)
 
@@ -941,8 +921,10 @@ class BlockRule(Rule):
     A map into a product is a hom iff each block is, and a block is one
     exactly when the target's prime power divides the source's (so they
     share their prime), or both are matrix blocks of one size and base.
-    So the O(blocks) `check` is complete.  Feeds index the source blocks
-    as Python does, negative ones too.
+    So the O(blocks) `check` is complete.  It keeps 1: each block's 1 goes
+    to the target block's 1, and the 1 of a modulus is the CRT sum of the
+    1s of its local factors.  Feeds index the source blocks as Python does,
+    negative ones too.
     """
     feeds: tuple
 
@@ -994,9 +976,10 @@ class CyclicImagesRule(Rule):
     idempotents t_i that are pairwise orthogonal both ways, satisfy
     n_i t_i = 0 and sum to 1, in any target: integers are central, so in
     h(x) h(y) = sum x_i y_j t_i t_j only the terms i = j survive, and
-    n_i t_i = 0 makes x_i t_i independent of the residue chosen.  So the
-    O(k^2) `check` is complete.  The library builds one only where no
-    block map exists, as out of a product of cyclic rings into M2(F2).
+    n_i t_i = 0 makes x_i t_i independent of the residue chosen; it keeps
+    1 = sum_i e_i as sum_i t_i = 1.  So the O(k^2) `check` is complete.
+    The library builds one only where no block map exists, as out of a
+    product of cyclic rings into M2(F2).
     """
     images: tuple  # one target payload per cyclic factor of the source
 
@@ -1035,7 +1018,7 @@ class CyclicImagesRule(Rule):
 
 @record(frozen=True)
 class PolyInsertRule(Rule):
-    """Q[x] -> Q[x][1/g], p -> p/1."""
+    """Q[x] -> Q[x][1/g], p -> p/1, so 1 -> 1/1."""
 
     def apply(self, h, x):
         return RingElement(h.target, (x.payload, qpoly.ONE))
@@ -1048,7 +1031,8 @@ class PolyInsertRule(Rule):
 
 @record(frozen=True)
 class PolyFracRule(Rule):
-    """Q[x][1/g1] -> Q[x][1/g2] (requires sf(g1) | g2): identity on fractions."""
+    """Q[x][1/g1] -> Q[x][1/g2] (requires sf(g1) | g2): identity on
+    fractions, so 1 -> 1/1."""
 
     def apply(self, h, x):
         return element(h.target, x.payload)
@@ -1061,7 +1045,8 @@ class PolyFracRule(Rule):
 
 @record(frozen=True)
 class SkewExpandRule(Rule):
-    """Skew ring into the same ring with a larger inverted cone."""
+    """Skew ring into the same ring with a larger inverted cone; it keeps
+    payloads, so 1 -> 1."""
 
     def apply(self, h, x):
         return RingElement(h.target, x.payload)
@@ -1087,8 +1072,9 @@ class RingHom:
     a hom is validated or its table is filled in.  Homs out of infinite
     rings compare by rule.  Where a hom has a `block_map`, readers compare,
     compose and invert it by lookups on that map.  `validated` is set only
-    by `hom_validate`, `hom_compose` (a composite of validated homs) and
-    `hom_descend` (a map read off validated homs).
+    by `hom_validate` (its rule's check passed), `hom_compose` (a
+    composite of validated homs) and `hom_descend` (a map read off
+    validated homs).
     """
 
     validated = False
@@ -1208,8 +1194,9 @@ def hom_from_callable(source, target, fn) -> RingHom:
 def hom_validate(h: RingHom) -> RingHom:
     """Certify that h is a ring hom and set its `validated` flag; returns h.
 
-    The rule's complete `check(h)` runs first, so `apply` never sees a
-    shape its rule was not built for; then the 1 -> 1 and 0 -> 0 checks.
+    The certificate is the rule's complete `check(h)` and nothing else
+    (see `Rule`): only a `TableRule` evaluates elements, and `apply` never
+    runs on a shape its rule was not built for.
 
     Units need no check of their own: a map that keeps 1 and products
     keeps units, because uv = vu = 1 gives h(u)h(v) = h(v)h(u) = 1.
@@ -1217,15 +1204,9 @@ def hom_validate(h: RingHom) -> RingHom:
     Raises NotAHomomorphism (with a witness where there is one) or its
     subclass IdentityNotPreserved.
     """
-    if h.validated:
-        return h
-    h.rule.check(h)
-    source, target = h.source, h.target
-    if h(source.one) != target.one:
-        raise IdentityNotPreserved(f"1 -> {h(source.one)!r}", witness=source.one)
-    if h(source.zero) != target.zero:
-        raise NotAHomomorphism("0 not preserved", witness=source.zero)
-    h.validated = True
+    if not h.validated:
+        h.rule.check(h)
+        h.validated = True
     return h
 
 
@@ -1319,7 +1300,6 @@ def hom_descend(alpha: RingHom, psi: RingHom) -> RingHom:
 # ---------------------------------------------------------------------------
 # hom enumeration (finite commutative classes)
 
-@lru_cache(maxsize=None)
 def all_homs(source, target) -> tuple:
     """Every unital ring homomorphism source -> target, validated, in the
     order of their `images`.

@@ -231,10 +231,12 @@ def parse_morphism(doc, path="morphism") -> RingHom:
 
 
 def _parse_table(source, target, pairs, path) -> RingHom:
-    """A validated table hom that lists every element of the source."""
+    """A validated table hom that lists every element of the source once."""
     mapping = {}
     for i, pair in enumerate(pairs):
         src = parse_element(source, pair[0], f"{path}.pairs[{i}][0]")
+        if src in mapping:
+            raise SchemaViolation(f"a table rule lists {src!r} twice", f"{path}.pairs[{i}]")
         mapping[src] = parse_element(target, pair[1], f"{path}.pairs[{i}][1]")
     if len(mapping) != rg.cardinality(source):
         raise SchemaViolation(f"a table rule must list every element of {source!r}", path)

@@ -14,28 +14,17 @@ overlap; a stability re-run with a deeper box guards the truncation.
 from fractions import Fraction
 
 from . import skewpoly
-from . import rings as rg
 from .errors import (
     ArityMismatch,
     BoundInconclusive,
     BoxTooSmall,
     CocycleViolation,
     InhomogeneousRelation,
-    OwnerMismatch,
     UnsupportedClass,
 )
 from .linalg import Echelon, kernel_basis
 from .records import record
-from .rings import RingElement, SkewLaurentRing, UnivariatePolyRing, skew_ring
-
-
-# ---------------------------------------------------------------------------
-# elementary skew operations re-exported at the Proj surface
-
-def skew_mul(p: RingElement, q: RingElement) -> RingElement:
-    if p.owner != q.owner:
-        raise OwnerMismatch(f"{p.owner!r} vs {q.owner!r}")
-    return rg.mul(p.owner, p, q)
+from .rings import SkewLaurentRing, UnivariatePolyRing, skew_ring
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Homs certified by construction: rule checks against the exhaustive oracle."""
 
+import sys
 import time
 from itertools import product as iproduct
 
@@ -251,7 +252,8 @@ def test_table_check_agrees_with_the_exhaustive_oracle(rng):
     seen = {True: 0, False: 0}
     for h in table_instances(rng, 300):
         try:
-            certified = rg.hom_validate(h).validated
+            h.rule.check(h)
+            certified = True
         except NotAHomomorphism:
             certified = False
         assert certified == brute_is_hom(h), (h, certified)
@@ -306,7 +308,7 @@ def test_composite_with_an_unvalidated_non_hom_is_rejected():
 @pytest.fixture
 def table_checks(monkeypatch):
     """The homs whose table is checked (`TableRule.check`) from here on,
-    with every hom cache cleared."""
+    with every memo of spaces and morphisms cleared."""
     calls = []
     check = rg.TableRule.check
 
@@ -316,7 +318,6 @@ def table_checks(monkeypatch):
 
     monkeypatch.setattr(rg.TableRule, "check", counted)
     sheafspec.clear_caches()
-    rg.all_homs.cache_clear()
     return calls
 
 
@@ -348,3 +349,44 @@ def test_a_quotient_query_makes_no_pairwise_checks(table_checks):
     homs = [h for S in probes for T in probes for h in rg.all_homs(S, T)]
     assert len(homs) > len(probes) and all(h.validated for h in homs)
     assert table_checks == []
+
+
+@pytest.fixture
+def applies_in_validation(monkeypatch):
+    """The (rule, hom) of every `apply` of a non-table rule made while
+    `hom_validate` runs, from here on, with every memo cleared."""
+    calls = []
+    validate = rg.hom_validate.__code__
+    rules = [c for c in vars(rg).values()
+             if isinstance(c, type) and issubclass(c, rg.Rule) and "apply" in vars(c)]
+    assert rg.TableRule not in rules and len(rules) >= 7
+
+    for cls in rules:
+        def counted(rule, h, x, apply=cls.apply):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not validate:
+                frame = frame.f_back
+            if frame is not None:
+                calls.append((rule, h))
+            return apply(rule, h, x)
+
+        monkeypatch.setattr(cls, "apply", counted)
+    sheafspec.clear_caches()
+    return calls
+
+
+def test_only_a_table_is_evaluated_to_certify_it(applies_in_validation, monkeypatch):
+    # every rule but a table keeps 1 and 0 by its check (see `Rule`), so
+    # the certificate evaluates no element of the source
+    assert sheafspec.ncspec(ModularRing(210)).point_count() == 16
+    assert sheafspec.ncspec(SemisimpleAlgebra(F2, (1, 1, 1, 1, 1))).point_count() == 32
+    quotients = [rg.quotient_hom(n, m) for n in (12, 30, 210) for m in range(1, n + 1)
+                 if n % m == 0]
+    assert all(h.validated for h in quotients) and len(quotients) == 30
+    assert quotients[-1](rg.element(ModularRing(210), 7)).payload == 7   # not counted
+    assert applies_in_validation == []
+    # the counter sees an apply made inside hom_validate
+    monkeypatch.setattr(rg.IdentityRule, "check", lambda rule, h: h(h.source.one))
+    z6 = ModularRing(6)
+    rg.hom_validate(RingHom(z6, z6, rg.IdentityRule()))
+    assert len(applies_in_validation) == 1

@@ -276,6 +276,21 @@ def test_cli_serre_check(tmp_path, capsys):
                for v in rep["payload"]["degrees"].values())
 
 
+def test_cli_serre_check_inconclusive(tmp_path, capsys):
+    # the ideal (x, y): its degree-0 cokernel is seen in no degree of the window
+    skew = {"kind": "skew_laurent", "nvars": 2, "lambda": [[1, 2, "2"]], "inverted": []}
+    ring = write(tmp_path, "skew.json", dict(skew, schema="ncspec.ring/1"))
+    module = write(tmp_path, "ideal.json", {
+        "schema": "ncspec.module/1", "generators": [{"degree": 1}, {"degree": 1}],
+        "relations": [[[[[0, 1], "1"]], [[[1, 0], "-1/2"]]]]})
+    code, out = run_cli(capsys, "serre-check", "--ring", ring, "--module", module,
+                        "--window", "0", "0")
+    rep = json.loads(out)
+    assert code == 1 and rep["status"] == "inconclusive", rep
+    deg0 = rep["payload"]["degrees"]["0"]
+    assert deg0["cokernel_dim"] == 1 and deg0["cokernel_torsion"] is None
+
+
 def _z6_glue(overlap_from=0, iso_from=0, subset=(2,), pairs=((0, 0), (1, 1), (2, 2))):
     """Two copies of Z/6 glued along their Z/3 charts by table isos."""
     z6 = {"kind": "modular", "n": 6}
@@ -294,6 +309,33 @@ def test_cli_glue_along_table_isos(tmp_path, capsys):
     code, out = run_cli(capsys, "glue", "--glue", write(tmp_path, "g.json", _z6_glue()))
     assert code == 0
     assert json.loads(out)["payload"]["points"] == 6
+
+
+def _schema_violation(capsys, *argv):
+    code, out = run_cli(capsys, *argv)
+    rep = json.loads(out)
+    assert code == 2 and rep["payload"]["error"] == "SchemaViolation", rep
+    return rep["payload"]["message"]
+
+
+def test_cli_rejects_a_table_that_lists_an_element_twice(tmp_path, capsys):
+    z2 = {"kind": "modular", "n": 2}
+    doc = {"schema": "ncspec.morphism/1", "source": z2, "target": z2,
+           "rule": {"kind": "table", "pairs": [[0, 0], [1, 0], [1, 1]]}}
+    path = write(tmp_path, "twice.json", doc)
+    assert "lists 1 twice" in _schema_violation(capsys, "morphism", "--morphism", path)
+    with pytest.raises(SchemaViolation) as err:
+        ser.parse_morphism(doc)
+    assert err.value.path == "morphism.rule.pairs[2]"
+
+
+def test_cli_rejects_a_glue_iso_table_that_lists_an_element_twice(tmp_path, capsys):
+    doc = _z6_glue(pairs=((0, 0), (1, 1), (2, 2), (1, 2)))
+    path = write(tmp_path, "twice.json", doc)
+    assert "lists 1 twice" in _schema_violation(capsys, "glue", "--glue", path)
+    with pytest.raises(SchemaViolation) as err:
+        ser.parse_glue(doc)
+    assert err.value.path == "glue.isos[0].rule.pairs[3]"
 
 
 def test_cli_parse_error_exit_code(tmp_path, capsys):

@@ -237,9 +237,9 @@ def test_traced_entry_points_resolve():
     assert names and missing == []
 
 
-# Caches still without a bound; ROADMAP item 6 tracks bounding them or
-# tying them to the memoized space.
-UNBOUNDED_CACHES = {"localization._localize_cached", "rings.all_homs"}
+# The one cache still without a bound; ROADMAP item 6 tracks bounding it
+# or tying it to the memoized space.
+UNBOUNDED_CACHES = {"localization._localize_cached"}
 
 
 def lru_caches() -> dict:

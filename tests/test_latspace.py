@@ -32,12 +32,10 @@ from ncspec.latspace import (
     build_semilattice,
     generic_pid_point,
     is_completely_union_irreducible,
-    lower_set,
     pid_point_in_open,
     prime_set_point,
     sober_map_from_join_hom,
     soberify,
-    upper_set,
     zero_ideal_point,
 )
 from ncspec.localization import subset_leq
@@ -239,18 +237,13 @@ def test_cyclic_lattices_enumerate_no_element(monkeypatch):
     assert calls == []
 
 
-def test_upper_and_lower_sets():
-    X = CHAIN3
-    assert upper_set(X, []) == frozenset()
-    assert upper_set(X, [1]) == frozenset({1, 2})
-    assert lower_set(X, [1]) == frozenset({0, 1})
-    D = diamond()
+def test_alexandrov_opens_against_bruteforce():
+    # the open and the closed set a point generates
+    assert CHAIN3.up[1] == frozenset({1, 2})
+    assert CHAIN3.down(1) == frozenset({0, 1})
     lat = build_semilattice(ModularRing(6))
     c2 = lat.cell_of_element(rg.element(ModularRing(6), 2))
-    assert upper_set(D, [c2]) == frozenset({c2, lat.top})
-
-
-def test_alexandrov_opens_against_bruteforce():
+    assert diamond().up[c2] == frozenset({c2, lat.top})
     for X in (CHAIN3, ANTICHAIN2, diamond()):
         assert set(X.all_open_sets()) == set(brute_upper_sets(X.up))
         # unions and intersections of opens stay open

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from conftest import DenseEchelon, dense_kernel_basis, dense_solve
 
-from ncspec.linalg import Echelon, kernel_basis, rank, solve
+from ncspec.linalg import Echelon, kernel_basis, solve
 
 
 def dense(vec, width):
@@ -59,7 +59,7 @@ def test_echelon_matches_dense_oracle(rng):
         ech, ref = Echelon(width), DenseEchelon(width)
         for r in rows:
             assert ech.add(sparse(r)) == ref.add(r)
-        assert ech.rank == ref.rank == rank([sparse(r) for r in rows], width)
+        assert ech.rank == ref.rank
         assert ech.pivots == ref.pivots
         assert [dense(r, width) for r in ech.rows] == ref.rows
         for row in ech.rows:

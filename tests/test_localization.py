@@ -355,7 +355,7 @@ def test_skew_localization_grows_cone():
     x = rg.element(sk, {(1, 0): 1})
     L = localize(sk, (x,))
     assert L.result.inverted == frozenset({0})
-    w = L.witness(x)
+    w = dict(L.inverse_witnesses)[x]
     assert L.insertion(x) * w == rg.one(L.result)
     xy = rg.element(sk, {(1, 1): 1})
     Lxy = localize(sk, (xy,))

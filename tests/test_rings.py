@@ -7,7 +7,6 @@ from conftest import brute_is_unit
 from ncspec import qpoly
 from ncspec import rings as rg
 from ncspec.errors import (
-    ArityMismatch,
     ElementOwnershipMismatch,
     IdentityNotPreserved,
     InfiniteRing,
@@ -34,7 +33,13 @@ def test_modular_arithmetic_against_int_oracle():
             x, y = rg.element(z6, a), rg.element(z6, b)
             assert (x + y).payload == (a + b) % 6
             assert (x * y).payload == (a * b) % 6
+            assert (x == y) is (a == b)
     assert (rg.element(z6, 4) + rg.element(z6, 5)).payload == 3
+    # an element of another ring is refused by name, not computed with
+    other = rg.element(ModularRing(5), 1)
+    for op in (rg.add, rg.mul):
+        with pytest.raises(ElementOwnershipMismatch):
+            op(z6, rg.element(z6, 4), other)
 
 
 def test_identity_law_everywhere():
@@ -51,17 +56,6 @@ def test_zero_ring_one_equals_zero():
     z = ZeroRing()
     assert rg.one(z) == rg.zero(z)
     assert rg.is_unit(z, rg.zero(z))
-
-
-def test_ring_eval_dispatch_and_errors():
-    z6 = ModularRing(6)
-    a = rg.element(z6, 4)
-    assert rg.ring_eval(z6, "add", [a, rg.element(z6, 5)]).payload == 3
-    assert rg.ring_eval(z6, "eq", [a, rg.element(z6, 4)]) is True
-    with pytest.raises(ArityMismatch):
-        rg.ring_eval(z6, "add", [a])
-    with pytest.raises(ElementOwnershipMismatch):
-        rg.ring_eval(z6, "add", [a, rg.element(ModularRing(5), 1)])
 
 
 def test_is_unit_matches_gcd_and_brute_inverse():
@@ -264,7 +258,7 @@ def test_per_class_outputs_pinned():
         xs = [rg.element(r, s) for s in samples]
         assert [rg.element_str(x) for x in xs] == shown, r
         for x in xs:
-            assert rg.canonical_payload(r, x.payload) == x.payload, r
+            assert r.canonical(x.payload) == x.payload, r
         u = rg.element(r, unit)
         w = rg.inverse(r, u)
         assert w * u == rg.one(r) and u * w == rg.one(r), r
