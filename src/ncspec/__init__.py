@@ -8,34 +8,8 @@ for commutative rings, Ore-chart gluing with quasicoherent module data,
 and global sections over skew-polynomial Proj covers.  All arithmetic is
 exact (arbitrary-precision rationals and residues); there is no floating
 point anywhere.
+
+Importing the package loads none of its modules; each caller imports
+the layers it uses (`ncspec.rings`, `ncspec.sheafspec`, ...), and the CLI
+imports a subcommand's layers inside its handler.
 """
-
-from . import (  # noqa: F401
-    commbridge,
-    errors,
-    glueqcoh,
-    latspace,
-    localization,
-    qpoly,
-    records,
-    rings,
-    serialize,
-    sheafspec,
-    skewpoly,
-    skewproj,
-)
-
-__all__ = [
-    "commbridge",
-    "errors",
-    "glueqcoh",
-    "latspace",
-    "localization",
-    "qpoly",
-    "records",
-    "rings",
-    "serialize",
-    "sheafspec",
-    "skewpoly",
-    "skewproj",
-]

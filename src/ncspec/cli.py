@@ -11,9 +11,7 @@ import sys
 from . import rings as rg
 from . import serialize as ser
 from .errors import NCSpecError, ParseError, SchemaViolation
-from .latspace import PidLattice, build_semilattice
 from .rings import SkewLaurentRing
-from .sheafspec import PidNCSpec, ncspec, ncspec_morphism, recover_hom
 
 
 def _load(path):
@@ -66,6 +64,7 @@ def cmd_ring_validate(args):
 
 
 def cmd_semilattice(args):
+    from .latspace import PidLattice, build_semilattice
     r = ser.parse_ring(_load(args.ring))
     lat = build_semilattice(r)
     if isinstance(lat, PidLattice):
@@ -86,6 +85,7 @@ def cmd_semilattice(args):
 
 
 def cmd_ncspec(args):
+    from .sheafspec import PidNCSpec, ncspec
     r = ser.parse_ring(_load(args.ring))
     sp = ncspec(r)
     if isinstance(sp, PidNCSpec):
@@ -106,6 +106,7 @@ def cmd_ncspec(args):
 
 
 def cmd_morphism(args):
+    from .sheafspec import ncspec_morphism, recover_hom
     theta = ser.parse_morphism(_load(args.morphism))
     m = ncspec_morphism(theta)
     ok = m.verify()
@@ -121,7 +122,7 @@ def cmd_morphism(args):
 
 
 def cmd_prim_check(args):
-    from .sheafspec import is_prim_report
+    from .sheafspec import is_prim_report, ncspec_morphism
     theta = ser.parse_morphism(_load(args.morphism))
     m = ncspec_morphism(theta)
     probes = None
@@ -354,8 +355,10 @@ def main(argv=None):
             raise _no_rendering(args)
         return args.fn(args)
     except NCSpecError as exc:
-        report = _report(args.subcommand, "fail",
-                         {"error": type(exc).__name__, "message": str(exc)})
+        payload = {"error": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, SchemaViolation) and exc.path:
+            payload["path"] = exc.path
+        report = _report(args.subcommand, "fail", payload)
         sys.stdout.write(json.dumps(report, indent=2) + "\n")
         return 2
 

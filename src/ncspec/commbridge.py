@@ -112,31 +112,37 @@ def spec(r) -> PrimeSpectrum:
     m_a = {x : x*a + (1 - a) is not a unit}.
 
     On a product of cyclic rings the local factors are the Z/p^c of
-    `local_factors`, a is the CRT idempotent that is 1 on Z/p^c, and m_a
-    holds the |R|/p elements whose coordinate there is divisible by p.
-    Other rings find their primitive idempotents among their elements.
-    The primes are sorted by size and then by the reprs of their
-    elements; those are built only for primes of equal size.
+    `local_factors`, a is the CRT idempotent that is 1 on Z/p^c
+    (`rings.block_units`), and m_a holds the |R|/p elements whose
+    coordinate there is divisible by p.  Other rings find their primitive
+    idempotents among their elements.  The primes are sorted by size and
+    then by the sorted reprs of their elements' payloads.
+
+    On a product of cyclic rings that tie order is the local-factor index,
+    so no element is built.  Two primes of size |R|/p cut local factors at
+    p in moduli i < i'.  A payload's repr sorts as the tuple of its
+    coordinates' decimal strings (", " and ")" sort below every digit),
+    and two sorted lists compare at the least element of their symmetric
+    difference, which the list that holds it puts first.  The factor-i
+    prime minus the other holds an element that is 0 in every coordinate
+    but i', while every element of the other difference has x_i prime to
+    p, so x_i != 0 and sorts after "0": that least element lies in the
+    factor-i prime.
     """
     _require_finite_commutative(r)
-    mods = rg.cyclic_moduli(r)
-    if mods is not None:
-        idem = [rg.cyclic_element(r, [rg.unit_idempotent(n, n // q) if i == j else 0
-                                      for i, n in enumerate(mods)])
-                for j, _p, q in r.local_factors]
+    if r.local_factors is not None:
+        idem = rg.block_units(r)
         sizes = [rg.cardinality(r) // p for _j, p, _q in r.local_factors]
-    else:
-        elems = rg.enumerate_elements(r)
-        zero = rg.zero(r)
-        every = [e for e in elems if e * e == e]
-        idem = [a for a in every if a != zero and all(a * b in (zero, a) for b in every)]
-        sizes = [len(_prime_ideal(r, a, elems)) for a in idem]
+        return PrimeSpectrum(r, tuple(idem[i] for i in sorted(range(len(idem)),
+                                                              key=sizes.__getitem__)))
+    elems = rg.enumerate_elements(r)
+    zero = rg.zero(r)
+    every = [e for e in elems if e * e == e]
+    idem = [a for a in every if a != zero and all(a * b in (zero, a) for b in every)]
+    primes = [_prime_ideal(r, a, elems) for a in idem]
 
     def order(i):
-        if sizes.count(sizes[i]) == 1:
-            return sizes[i], ()
-        ideal = _prime_ideal(r, idem[i], rg.enumerate_elements(r))
-        return sizes[i], tuple(sorted(repr(x.payload) for x in ideal))
+        return len(primes[i]), tuple(sorted(repr(x.payload) for x in primes[i]))
 
     return PrimeSpectrum(r, tuple(idem[i] for i in sorted(range(len(idem)), key=order)))
 

@@ -13,12 +13,12 @@ localize at monomials by enlarging the inverted cone.  `connecting_map`
 re-localizes, so `_localized` is the only per-class code; the restrictions
 and comaps of the sheaf come from one descent, `induced_between`.
 Between block rings (`rings.Descriptor.blocks`) a hom with a block map
-is built as a `BlockRule`, and descents, squares, identity and iso tests
-read block maps (`rings.RingHom.block_map`); generator evaluation and
-tables remain for homs without one.
+is built as a `BlockRule`, and descents, squares and identity tests read
+block maps (`rings.RingHom.block_map`).  Isos, quotient pushouts and the
+descents of homs without a block map are decided by kernels, which are
+sums of blocks (`rings.kernel`); no question here enumerates a ring.
 """
 
-import operator
 from functools import cached_property, lru_cache
 
 from . import qpoly, skewpoly
@@ -207,24 +207,45 @@ def induced_between(theta: RingHom, LA: Localization, LB: Localization):
     none; alpha is an epimorphism (Cohn), so phi is unique.  It is the
     collapse into the zero ring, read off block maps when theta and both
     insertions have them (`descend_by_block_maps`, with psi = beta . theta
-    by lookup), beta . theta out of an identity insertion, a table descent
-    on other finite sources (`hom_descend`), and for theta = id on
-    infinite ones `_under_map`, which raises NotComparable.
+    by lookup), and for theta = id on rings that are not block rings
+    `_under_map`, which raises NotComparable.
+
+    Otherwise theta, out of a finite block ring R, twists a matrix block
+    or changes the kind of ring.  The insertion alpha of a block ring is
+    the projection onto the blocks it keeps, so its kernel is the sum of
+    the blocks it drops, and phi exists iff psi = beta . theta kills each
+    of them (`rings.kernel`).  Then phi is psi on the kept blocks: a table
+    of |alpha.target| evaluations, certified by `hom_validate`.
     """
     alpha, beta = LA.insertion, LB.insertion
     if rg.is_zero_ring(LB.result):
         return rg.to_zero_hom(LA.result, LB.result)
-    tmap, bmap = theta.block_map, beta.block_map
-    if tmap is not None and bmap is not None and alpha.block_map is not None:
+    amap, tmap, bmap = alpha.block_map, theta.block_map, beta.block_map
+    if None not in (amap, tmap, bmap):
         return descend_by_block_maps(alpha, tuple(tmap[s] for s in bmap), LB.result)
-    if isinstance(alpha.rule, IdentityRule):
-        return hom_compose(beta, theta)
-    if rg.is_finite(theta.source):
-        try:
-            return rg.hom_descend(alpha, hom_compose(beta, theta))
-        except UnsupportedClass:
+    if amap is not None:
+        if any(k for s, k in enumerate(rg.kernel(beta, theta)) if s not in amap):
             return None
+        return hom_validate(rg.hom_from_callable(
+            alpha.target, LB.result, lambda y: beta(theta(_lift(alpha, y)))))
     return _under_map(LA, LB) if isinstance(theta.rule, IdentityRule) else None
+
+
+def _lift(alpha: RingHom, y):
+    """The x with alpha(x) = y that is 0 on every block the block
+    projection alpha drops: target block l of y put back at source block
+    alpha.block_map[l]."""
+    R, amap = alpha.source, alpha.block_map
+    if R.local_factors is not None:
+        comps, units = rg.cyclic_components(y), rg.block_units(R)
+        return sum((rg.from_int(R, comps[j]) * units[s]
+                    for (j, _p, _q), s in zip(alpha.target.local_factors, amap)), R.zero)
+    if isinstance(R, MatrixRing):
+        return rg.RingElement(R, y.payload)  # alpha keeps the one block
+    parts = [f.from_int(0) for f in R.factors]
+    for l, part in enumerate(rg.block_parts(alpha.target, y.payload)):
+        parts[amap[l]] = part
+    return rg.RingElement(R, tuple(parts))
 
 
 def descend_by_block_maps(alpha: RingHom, psi_map: tuple, target):
@@ -390,24 +411,24 @@ def _hom_is_identity(h: RingHom) -> bool:
 def _hom_is_iso(h: RingHom):
     """True/False when decidable, None otherwise.
 
-    A hom with a block map maps a source block canonically onto each
-    target block (see `RingHom.block_map`), so it is bijective iff every
-    source block feeds exactly one target block, of the same size.
+    A hom between block rings is bijective iff its kernel is 0 (every
+    entry of `rings.kernel` is its block's size) and its target is as
+    large: for a finite one |source| = |target|, and one between rings
+    over Q has a block map, which then feeds each block from one of as
+    many source blocks.  Iso rings have as many blocks, each an
+    indecomposable ring.  O(blocks) lookups, or evaluations of the block
+    units for a hom without a block map.
     """
-    bmap = h.block_map
-    if bmap is not None:
-        src = h.source.blocks
-        return (sorted(bmap) == list(range(len(src)))
-                and all(src[s] == b for s, b in zip(bmap, h.target.blocks)))
     if isinstance(h.rule, IdentityRule):
         return True
     if isinstance(h.rule, ToZeroRule):
         return rg.is_zero_ring(h.source)
-    if rg.is_finite(h.source) and rg.is_finite(h.target):
-        image = {h(x) for x in rg.enumerate_elements(h.source)}
-        return (len(image) == rg.cardinality(h.source)
-                and len(image) == rg.cardinality(h.target))
-    return None
+    S, T = h.source, h.target
+    kept = rg.kernel(h)
+    if kept is None or T.blocks is None:
+        return None
+    return (kept == S.blocks and len(S.blocks) == len(T.blocks)
+            and rg.cardinality(S) == rg.cardinality(T))
 
 
 def _pushout_by_probes(sq: LocalizationSquare, probes) -> bool:
@@ -479,35 +500,17 @@ def _local_phi(sq: LocalizationSquare, p, q):
 
 
 def _pushout_by_kernels(sq: LocalizationSquare) -> bool:
-    """Surjective case: BR must be TL / (ker top + ker left)."""
-    tl = sq.top.source
-    elems = rg.enumerate_elements(tl)
-    for h in (sq.top, sq.left, sq.bottom, sq.right):
-        if len({h(x) for x in rg.enumerate_elements(h.source)}) != rg.cardinality(h.target):
-            raise UnsupportedClass("square is not of quotient type")
-    ker = {x for x in elems if sq.top(x) == rg.zero(sq.top.target)}
-    ker |= {x for x in elems if sq.left(x) == rg.zero(sq.left.target)}
-    ideal = subgroup_closure(rg.zero(tl), ker, operator.add)
-    kappa = {x: sq.bottom(sq.left(x)) for x in elems}
-    if len(set(kappa.values())) != rg.cardinality(sq.bottom.target):
-        return False
-    kernel_of_kappa = {x for x, v in kappa.items() if v == rg.zero(sq.bottom.target)}
-    return kernel_of_kappa == ideal
-
-
-def subgroup_closure(zero, gens, add):
-    """Closure of gens and zero under add in a finite group (an ideal when
-    gens come from hom kernels).
-
-    Each generator g joins by cosets: with H the subgroup built so far,
-    H + g, H + 2g, ... are new until the first multiple of g in H, and
-    their union with H is the subgroup generated by H and g.
-    """
-    acc = {zero}
-    for g in gens:
-        base = list(acc)
-        x = g
-        while x not in acc:
-            acc |= {add(a, x) for a in base}
-            x = add(x, g)
-    return frozenset(acc)
+    """Quotient case: every leg is onto, and then the pushout of top and
+    left is TL / (ker top + ker left), so the square pushes out iff
+    kappa = bottom . left, onto as both legs are, has exactly that kernel.
+    The corners are finite block rings, whose kernels are read block by
+    block (`rings.kernel`); a leg h is onto iff |source / ker h| =
+    |target|, and a sum of two kernels keeps the smaller entry at each
+    block, so this is O(blocks).  Raises UnsupportedClass outside that
+    case."""
+    legs = (sq.top, sq.left, sq.bottom, sq.right)
+    kernels = [rg.kernel(h) for h in legs]
+    if None in kernels or any(rg.quotient_order(h.source, k) != rg.cardinality(h.target)
+                              for h, k in zip(legs, kernels)):
+        raise UnsupportedClass("square is not of quotient type")
+    return rg.kernel(sq.bottom, sq.left) == tuple(map(min, kernels[0], kernels[1]))

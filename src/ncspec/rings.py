@@ -816,6 +816,85 @@ def unit_idempotent(n, c):
 
 
 # ---------------------------------------------------------------------------
+# block rings: blocks, their units, kernels
+
+def block_parts(r, payload) -> tuple:
+    """The matrix blocks of a payload of a matrix ring or a semisimple algebra."""
+    return (payload,) if isinstance(r, MatrixRing) else payload
+
+
+def block_units(r) -> list:
+    """The central idempotent u_s of each block s of a block ring (see
+    `Descriptor.blocks`): 1 on block s and 0 on the others.  On a local
+    factor Z/q of Z/n it is the CRT idempotent that is 1 mod q and 0 mod
+    n / q."""
+    factors = r.local_factors
+    if factors is not None:
+        mods = cyclic_moduli(r)
+        return [cyclic_element(r, [unit_idempotent(n, n // q) if i == j else 0
+                                   for i, n in enumerate(mods)])
+                for j, _p, q in factors]
+    if isinstance(r, MatrixRing):
+        return [r.one]
+    return [RingElement(r, tuple(f.from_int(int(s == t)) for t, f in enumerate(r.factors)))
+            for s in range(len(r.dims))]
+
+
+def kernel(*homs):
+    """The kernel of the composite homs[0] . homs[1] . ... of validated homs
+    out of a block ring, block by block; None when the source is not one.
+
+    Every two-sided ideal of a block ring is the product of one ideal per
+    block (CRT, Wedderburn-Artin): p^e Z/p^a in a local factor Z/p^a, 0 or
+    all of a matrix block.  Entry s is the size (as in `blocks`) of what
+    the quotient keeps of block s, p^e or the matrix size, and 0 when all
+    of block s lies in the kernel.  So the kernel is 0 iff the entries are
+    `source.blocks`, and a sum of two kernels keeps the smaller entry.
+
+    With block maps, block s feeds each target block l with
+    block_map[l] = s by x -> x mod q_l (or the identity of a matrix
+    block), so entry s is the largest such q_l.  Otherwise entry s is read
+    off the image t of the unit u_s (`block_units`): k u_s lies in the
+    kernel iff k t = 0, so on a local factor the entry is the additive
+    order p^e of t, and a matrix block, a simple ring, is kept unless t = 0.
+    O(blocks) lookups or evaluations.
+    """
+    source = homs[-1].source
+    if source.blocks is None:
+        return None
+    kept = [0] * len(source.blocks)
+    maps = [h.block_map for h in homs]
+    if None not in maps:
+        for l, q in enumerate(homs[0].target.blocks):
+            s = l
+            for bmap in maps:
+                s = bmap[s]
+            kept[s] = max(kept[s], q)
+        return tuple(kept)
+    factors = source.local_factors
+    for s, u in enumerate(block_units(source)):
+        t = u
+        for h in reversed(homs):
+            t = h(t)
+        k = 1
+        while factors and from_int(t.owner, k) * t != t.owner.zero:
+            k *= factors[s][1]
+        if t != t.owner.zero:
+            kept[s] = k if factors else source.blocks[s]
+    return tuple(kept)
+
+
+def quotient_order(r, kept) -> int:
+    """|r / I| for a finite block ring r and the ideal I that `kernel`
+    describes by kept: Z/k of a local factor and all of a matrix block
+    over F_q, q^(d^2) elements, for each nonzero entry."""
+    order = 1
+    for k in filter(None, kept):
+        order *= k if r.local_factors is not None else r.base.order ** (k * k)
+    return order
+
+
+# ---------------------------------------------------------------------------
 # homomorphism rules
 
 class Rule:
@@ -828,10 +907,9 @@ class Rule:
     generators and looks up the images of 1 and 0; every other check looks
     at the descriptors and the rule's data only, never at the elements of
     the source, and each rule's docstring says why it keeps 1 (0 -> 0
-    follows from additivity).  A table read off validated homs
-    by `hom_descend`, or built by `hom_compose` from validated factors, is
-    certified as built and never checked.  `table` is the lookup table of
-    a TableRule and None for every other rule.
+    follows from additivity).  A table built by `hom_compose` from
+    validated factors is certified as built and never checked.  `table`
+    is the lookup table of a TableRule and None for every other rule.
     Every hom with a block map that the library builds is a `BlockRule`,
     an `IdentityRule` or a `ToZeroRule`; `block_map(h)` is the block map of
     a certified hom h between block rings when the rule alone fixes it (see
@@ -934,7 +1012,7 @@ class BlockRule(Rule):
         if not factors:
             if not T.blocks:
                 return T.zero
-            parts = (x.payload,) if isinstance(S, MatrixRing) else x.payload
+            parts = block_parts(S, x.payload)
             if isinstance(T, MatrixRing):
                 (s,) = self.feeds
                 return RingElement(T, parts[s])
@@ -1072,9 +1150,8 @@ class RingHom:
     a hom is validated or its table is filled in.  Homs out of infinite
     rings compare by rule.  Where a hom has a `block_map`, readers compare,
     compose and invert it by lookups on that map.  `validated` is set only
-    by `hom_validate` (its rule's check passed), `hom_compose` (a
-    composite of validated homs) and `hom_descend` (a map read off
-    validated homs).
+    by `hom_validate` (its rule's check passed) and `hom_compose` (a
+    composite of validated homs).
     """
 
     validated = False
@@ -1123,20 +1200,35 @@ class RingHom:
         they are orthogonal idempotents t_i summing to 1, so on a local
         factor Z/q^c of the target, whose only idempotents are 0 and 1,
         exactly one t_i is 1, and n_i t_i = 0 makes q^c divide n_i, so
-        factor i has a local factor at q, of exponent at least c.  Any other
-        hom has None: a table between semisimple algebras may twist a block
-        by an automorphism, which no block map records.
+        factor i has a local factor at q, of exponent at least c.  A table
+        between matrix rings or semisimple algebras over one field has one
+        when each target block l is the projection onto one source block s:
+        the images of the matrix units of block s are those units at l, and
+        the other source blocks' units go to 0 at l.  An additive map is
+        fixed by the generators, so this is always found when it holds; on
+        1x1 blocks it always holds, as F_p has no other automorphism.  Any
+        other hom has None: a table may twist a matrix block by an inner
+        automorphism, which no block map records.
         """
         source, target = self.source, self.target
         if source.blocks is None or target.blocks is None:
             return None
         bmap = (self if self.validated else hom_validate(self)).rule.block_map(self)
-        if bmap is not None or None in (source.local_factors, target.local_factors):
+        if bmap is not None:
             return bmap
-        index = {(i, p): s for s, (i, p, _q) in enumerate(source.local_factors)}
-        images = [cyclic_components(RingElement(target, t)) for t in self.images]
-        return tuple(index[next(i for i, t in enumerate(images) if t[j] % q == 1), p]
-                     for j, p, q in target.local_factors)
+        src, tgt = source.local_factors, target.local_factors
+        if src is not None and tgt is not None:
+            index = {(i, p): s for s, (i, p, _q) in enumerate(src)}
+            images = [cyclic_components(RingElement(target, t)) for t in self.images]
+            return tuple(index[next(i for i, t in enumerate(images) if t[j] % q == 1), p]
+                         for j, p, q in tgt)
+        if src is not None or tgt is not None or source.base != target.base:
+            return None
+        pairs = [(block_parts(source, g), block_parts(target, t))
+                 for g, t in zip(source.generators, self.images)]
+        bmap = [next((s for s in range(len(source.blocks)) if all(g[s] == t[l] for g, t in pairs)),
+                     None) for l in range(len(target.blocks))]
+        return None if None in bmap else tuple(bmap)
 
     def __eq__(self, other):
         if not isinstance(other, RingHom):
@@ -1265,36 +1357,6 @@ def descend(pairs, size, error, clash, partial) -> dict:
     if len(table) != size:
         raise error(partial)
     return table
-
-
-def hom_descend(alpha: RingHom, psi: RingHom) -> RingHom:
-    """The hom phi with phi after alpha = psi, for homs out of one finite ring R.
-
-    alpha and psi are validated first, and phi is read off the pairs
-    (alpha(x), psi(x)) of all x in R.  When no alpha(x) meets two values
-    and every element of alpha's target is met (alpha is onto), phi is a
-    ring hom by construction: phi(alpha(x)) + phi(alpha(y)) = psi(x) +
-    psi(y) = psi(x + y) = phi(alpha(x) + alpha(y)), likewise for
-    products, and phi(1) = psi(1) = 1.  So it is certified after |R|
-    evaluations, not |R|^2.  Raises UnsupportedClass when no descent
-    exists.  `localization.induced_between` calls it on finite sources
-    with no block maps to read phi off.
-    """
-    if alpha.source != psi.source:
-        raise CompositionMismatch(f"{alpha.source!r} != {psi.source!r}")
-    hom_validate(alpha)
-    hom_validate(psi)
-
-    def clash():
-        # formatted only when raised: the reprs cost more than a descent
-        return f"{psi!r} is not constant on the fibres of {alpha!r}"
-
-    pairs = ((alpha(x).payload, psi(x).payload) for x in enumerate_elements(alpha.source))
-    table = descend(pairs, cardinality(alpha.target), lambda msg: UnsupportedClass(msg()),
-                    clash, lambda: f"{alpha!r} is not onto")
-    phi = RingHom(alpha.target, psi.target, TableRule(tuple(sorted(table.items()))))
-    phi.validated = True
-    return phi
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from fractions import Fraction
 
 from . import rings as rg
 from .errors import ParseError, SchemaViolation
-from .latspace import AlexandrovSpace
 from .rings import (
     MatrixRing,
     ModularRing,
@@ -358,6 +357,7 @@ def space_dot(sp) -> str:
 
 
 def glued_dot(gl) -> str:
+    from .latspace import AlexandrovSpace
     labels = tuple(",".join(f"{a}:{p}" for a, p in sorted(members)) for members in gl.classes)
     lines = ["digraph glued {", "  rankdir=BT;"]
     for c, label in enumerate(labels):

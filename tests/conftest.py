@@ -23,12 +23,10 @@ from ncspec.errors import (
 from ncspec.latspace import is_completely_union_irreducible, sober_map_from_join_hom
 from ncspec.localization import (
     LocalizationSquare,
-    _pushout_by_kernels,
     canonical_modular_product,
     default_probes,
     is_pushout,
     localize,
-    subgroup_closure,
 )
 from ncspec.records import _MISSING
 from ncspec.rings import MatrixRing, ModularRing, PrimeField, SemisimpleAlgebra, ZeroRing
@@ -104,10 +102,28 @@ def brute_under_map(r, A, B):
     return rg.table_hom(LA.result, LB.result, table)
 
 
+def subgroup_closure(zero, gens, add):
+    """Closure of gens and zero under add in a finite group (an ideal when
+    gens come from hom kernels).
+
+    Each generator g joins by cosets: with H the subgroup built so far,
+    H + g, H + 2g, ... are new until the first multiple of g in H, and
+    their union with H is the subgroup generated by H and g.
+    """
+    acc = {zero}
+    for g in gens:
+        base = list(acc)
+        x = g
+        while x not in acc:
+            acc |= {add(a, x) for a in base}
+            x = add(x, g)
+    return frozenset(acc)
+
+
 def brute_hom_descend(alpha, psi):
     """The hom phi with phi . alpha = psi, read off the pairs (alpha(x), psi(x))
-    of every element of the finite source; raises UnsupportedClass with
-    the messages of `rings.hom_descend` on a clash or a map that is not onto."""
+    of every element of the finite source; raises UnsupportedClass on a
+    clash or a map that is not onto."""
     rg.hom_validate(alpha)
     rg.hom_validate(psi)
     pairs = ((alpha(x).payload, psi(x).payload) for x in rg.enumerate_elements(alpha.source))
@@ -421,10 +437,49 @@ def brute_pushout_by_probes(sq, probes) -> bool:
     return True
 
 
+def brute_ideal(r, kept) -> set:
+    """The elements of the ideal of a finite block ring r that
+    `rings.kernel` describes by kept: the sums of one element per block s,
+    taken from the multiples of kept[s] in block s of a product of cyclic
+    rings (all of it when kept[s] is 0), and from all of block s or 0 in a
+    matrix block.  Block s is r times its unit, found by elements."""
+    elems = rg.enumerate_elements(r)
+    parts = []
+    for s, u in enumerate(rg.block_units(r)):
+        block = {x * u for x in elems}
+        if kept[s] == 0:
+            parts.append(block)
+        elif r.local_factors is None:
+            parts.append({r.zero})
+        else:
+            parts.append({rg.from_int(r, kept[s]) * y for y in block})
+    return {sum(xs, r.zero) for xs in product(*parts)}
+
+
+def brute_pushout_by_kernels(sq) -> bool:
+    """The quotient case by elements: every leg onto by the image of every
+    element, else UnsupportedClass; then the square pushes out iff kappa =
+    bottom . left is onto with kernel the subgroup closure of ker top and
+    ker left."""
+    tl = sq.top.source
+    elems = rg.enumerate_elements(tl)
+    for h in (sq.top, sq.left, sq.bottom, sq.right):
+        if len({h(x) for x in rg.enumerate_elements(h.source)}) != rg.cardinality(h.target):
+            raise UnsupportedClass("square is not of quotient type")
+    ker = {x for x in elems if sq.top(x) == rg.zero(sq.top.target)}
+    ker |= {x for x in elems if sq.left(x) == rg.zero(sq.left.target)}
+    ideal = subgroup_closure(rg.zero(tl), ker, lambda x, y: x + y)
+    kappa = {x: sq.bottom(sq.left(x)) for x in elems}
+    if len(set(kappa.values())) != rg.cardinality(sq.bottom.target):
+        return False
+    kernel_of_kappa = {x for x, v in kappa.items() if v == rg.zero(sq.bottom.target)}
+    return kernel_of_kappa == ideal
+
+
 def brute_is_pushout(sq, probes=None) -> bool:
     """`localization.is_pushout` with commutation by composites, the identity
-    leg by comparison with `identity_hom`, invertibility by element images
-    and `brute_pushout_by_probes`; the kernel check is the library's."""
+    leg by comparison with `identity_hom`, invertibility by element images,
+    `brute_pushout_by_probes` and `brute_pushout_by_kernels`."""
     if not brute_commutes(sq):
         return False
     if probes is None:
@@ -440,7 +495,7 @@ def brute_is_pushout(sq, probes=None) -> bool:
         pass
     if all(rg.is_finite(c) for c in sq.corners):
         try:
-            return _pushout_by_kernels(sq)
+            return brute_pushout_by_kernels(sq)
         except UnsupportedClass as exc:
             raise UnverifiableSquare(str(exc))
     raise UnverifiableSquare(f"no decision procedure applies to corners {sq.corners!r}")

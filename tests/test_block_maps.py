@@ -12,11 +12,23 @@ rings, and `tests/test_law_certificates.py` checks the presheaf laws.
 from functools import cache
 from itertools import product
 
-from conftest import brute_commutes, brute_is_iso
+from conftest import (
+    brute_commutes,
+    brute_hom_descend,
+    brute_ideal,
+    brute_is_iso,
+    brute_pushout_by_kernels,
+)
 
 from ncspec import localization, sheafspec
 from ncspec import rings as rg
-from ncspec.localization import LocalizationSquare, _hom_is_identity, _hom_is_iso
+from ncspec.errors import NCSpecError
+from ncspec.localization import (
+    LocalizationSquare,
+    _hom_is_identity,
+    _hom_is_iso,
+    _pushout_by_kernels,
+)
 from ncspec.rings import (
     BlockRule,
     MatrixRing,
@@ -48,20 +60,55 @@ def block_homs(r):
     return tuple(homs)
 
 
-def twisted_homs():
-    """Validated tables with no block map: the inner automorphism of M2(F2)
-    by [[1, 1], [0, 1]] and the swap of F2 x F2 as a semisimple algebra."""
+def table_homs():
+    """Validated tables between semisimple algebras: the inner automorphism
+    of M2(F2) by g = [[1, 1], [0, 1]], which twists its block and has no
+    block map, and the swap of F2 x F2 and the flip of the first two blocks
+    of F2^3, whose block maps are read off their tables."""
     g = rg.matrix_element(M2, ((1, 1), (0, 1)))
     conj = rg.hom_validate(rg.hom_from_callable(M2, M2, lambda x: g * x * g))
-    f22 = SemisimpleAlgebra(F2, (1, 1))
+    f22, f222 = SemisimpleAlgebra(F2, (1, 1)), SemisimpleAlgebra(F2, (1, 1, 1))
     swap = rg.hom_validate(rg.hom_from_callable(
         f22, f22, lambda x: rg.RingElement(f22, (x.payload[1], x.payload[0]))))
-    return [conj, swap]
+    flip = rg.hom_validate(rg.hom_from_callable(
+        f222, f222, lambda x: rg.RingElement(f222, (x.payload[1], x.payload[0], x.payload[2]))))
+    return [conj, swap, flip]
+
+
+@cache
+def unmapped_homs():
+    """Validated homs between block rings without a block map: conjugation
+    by g on the M2 block of M2(F2) x F2, the diagonal F2 x F2 -> M2(F2),
+    the projection of F2 x F2 (a semisimple algebra) onto Z/2, Z/2 x Z/2
+    onto F2 x F2, and Z/6 -> M2(F2) and Z/4 -> M2(F2), x -> x 1, which
+    kill Z/3 and 2 Z/4."""
+    g = rg.matrix_element(M2, ((1, 1), (0, 1)))
+    m2f2, f22 = SemisimpleAlgebra(F2, (2, 1)), SemisimpleAlgebra(F2, (1, 1))
+    z2, z22 = ModularRing(2), rg.ProductRing((ModularRing(2), ModularRing(2)))
+
+    def conj(x):
+        a, b = x.payload
+        return rg.RingElement(m2f2, ((g * rg.RingElement(M2, a) * g).payload, b))
+
+    return (
+        rg.hom_validate(rg.hom_from_callable(m2f2, m2f2, conj)),
+        rg.hom_validate(rg.hom_from_callable(f22, M2, lambda x: rg.matrix_element(
+            M2, ((x.payload[0][0][0], 0), (0, x.payload[1][0][0]))))),
+        rg.hom_validate(rg.hom_from_callable(f22, z2, lambda x: rg.element(
+            z2, x.payload[0][0][0]))),
+        rg.hom_validate(RingHom(z22, f22, rg.CyclicImagesRule(f22.generators))),
+        rg.hom_validate(RingHom(ModularRing(6), M2, rg.CyclicImagesRule((M2.one.payload,)))),
+        rg.hom_validate(RingHom(ModularRing(4), M2, rg.CyclicImagesRule((M2.one.payload,)))),
+    )
+
+
+SMALL_CYCLIC = [ModularRing(n) for n in (2, 4, 8, 9, 12)] + [
+    rg.ProductRing((ModularRing(4), ModularRing(2))), rg.ProductRing((ModularRing(2), ModularRing(6)))]
 
 
 def finite_homs():
     homs = [h for r in SSA_RINGS[:-1] + [M2, ZeroRing()] for h in block_homs(r)]
-    return homs + twisted_homs()
+    return homs + table_homs() + list(unmapped_homs())
 
 
 def over_f2(h):
@@ -72,14 +119,19 @@ def over_f2(h):
 
 
 def test_block_maps_come_from_the_rule_and_fix_the_hom():
+    conj, swap, flip = table_homs()
+    unmapped = unmapped_homs() + (conj,)
     for h in finite_homs():
         bmap = h.block_map
-        if isinstance(h.rule, rg.TableRule):
-            assert bmap is None, h
+        assert (bmap is None) == (h in unmapped), h
+        if bmap is None:
             continue
-        assert bmap == h.rule.block_map(h), h
+        if not isinstance(h.rule, rg.TableRule):
+            assert bmap == h.rule.block_map(h), h
         blocks = h.source.blocks
         assert [blocks[s] for s in bmap] == list(h.target.blocks), h
+        assert RingHom(h.source, h.target, BlockRule(bmap)).as_table() == h.as_table(), h
+    assert (swap.block_map, flip.block_map) == ((1, 0), (1, 0, 2))
     for h in block_homs(SSA_RINGS[-1]):
         assert h.block_map == over_f2(h).block_map, h
     assert rg.identity_hom(rg.UnivariatePolyRing()).block_map is None
@@ -107,16 +159,34 @@ def test_identity_and_iso_tests_match_the_tables():
         assert _hom_is_iso(h) == brute_is_iso(h), h
         kinds.add((identity, brute_is_iso(h), h.block_map is None))
     assert kinds == {(True, True, False), (False, True, False), (False, False, False),
-                     (False, True, True)}, kinds
-    for h in block_homs(SSA_RINGS[-1]):
+                     (False, True, True), (False, False, True)}, kinds
+    # over Q also Q x Q -> Q^3, (a, b) -> (a, b, b): injective, not onto
+    q2, q3 = SemisimpleAlgebra(Q, (1, 1)), SSA_RINGS[-1]
+    repeat = rg.hom_validate(RingHom(q2, q3, BlockRule((0, 1, 1))))
+    for h in block_homs(q3) + (repeat,):
         assert _hom_is_iso(h) == brute_is_iso(over_f2(h)), h
         assert _hom_is_identity(h) == _hom_is_identity(over_f2(h)), h
+
+
+def test_kernels_are_the_element_kernels():
+    """`rings.kernel` of every finite hom here and of the homs between
+    small grid products of cyclic rings, against the elements that each
+    hom sends to 0."""
+    homs = finite_homs() + [h for S in SMALL_CYCLIC for T in SMALL_CYCLIC for h in rg.all_homs(S, T)]
+    partial = 0
+    for h in homs:
+        kept = rg.kernel(h)
+        assert brute_ideal(h.source, kept) == {x for x in rg.enumerate_elements(h.source)
+                                                if h(x) == h.target.zero}, (h, kept)
+        partial += any(0 < k < b for k, b in zip(kept, h.source.blocks))
+    assert partial >= 8, partial
 
 
 def morphism_squares(r):
     """Every restriction square of the morphism of each block hom out of r."""
     squares = []
-    for theta in block_homs(r) + tuple(h for h in twisted_homs() if h.source == r):
+    for theta in block_homs(r) + tuple(h for h in table_homs() + list(unmapped_homs())
+                                       if h.source == r):
         m = sheafspec.ncspec_morphism(theta)
         squares += [sq for _pair, sq in m.restriction_squares(range(m.target.lattice.n))]
     return squares
@@ -138,6 +208,61 @@ def test_squares_of_block_projections_commute_as_their_composites():
             assert got == brute_commutes(sq), sq
             seen[got] += 1
     assert seen[True] > 300 and seen[False] > 100, seen
+
+
+def outcome(fn, *args):
+    """("ok", value) or the NCSpecError's class name and message."""
+    try:
+        return "ok", fn(*args)
+    except NCSpecError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_quotient_pushouts_by_block_kernels_match_the_element_kernels():
+    """Every commuting square of the restriction squares of the block,
+    table and unmapped homs out of the finite rings, with every leg swapped
+    for every other block hom between its corners; over Q, the legs'
+    kernels read as over F2."""
+    seen = {}
+    for r in SSA_RINGS[:-1] + [M2, SemisimpleAlgebra(F2, (2, 1)), ModularRing(6),
+                               rg.ProductRing((ModularRing(2),) * 2)]:
+        squares = morphism_squares(r)
+        legs = ("top", "left", "bottom", "right")
+        squares += [LocalizationSquare(**{**{k: getattr(sq, k) for k in legs}, leg: other})
+                    for sq in list(squares) for leg in legs
+                    for other in block_homs(getattr(sq, leg).source)
+                    if other.target == getattr(sq, leg).target and other != getattr(sq, leg)]
+        for sq in squares:
+            if sq.commutes():
+                got = outcome(_pushout_by_kernels, sq)
+                assert got == outcome(brute_pushout_by_kernels, sq), sq
+                seen[got] = seen.get(got, 0) + 1
+    assert set(seen) == {("ok", True), ("ok", False),
+                         ("UnsupportedClass", "square is not of quotient type")}, seen
+    assert min(seen.values()) > 10, seen
+    for sq in morphism_squares(SSA_RINGS[-1]):
+        for h in (sq.top, sq.left, sq.bottom, sq.right):
+            assert rg.kernel(h) == rg.kernel(over_f2(h)), h
+
+
+def test_induced_maps_of_unmapped_homs_match_the_table_descent():
+    """induced_between against the descent over every element, for the
+    table and unmapped homs and every pair of a source and a target cell
+    (a pair with no descent among them)."""
+    seen = {}
+    for theta in table_homs() + list(unmapped_homs()):
+        sources = sheafspec.ncspec(theta.source).lattice.cells
+        for a in sources:
+            for b in sheafspec.ncspec(theta.target).lattice.cells:
+                LA, LB = a.localized, b.localized
+                got = localization.induced_between(theta, LA, LB)
+                want = outcome(brute_hom_descend, LA.insertion,
+                               rg.hom_compose(LB.insertion, theta))
+                assert want[0] == ("UnsupportedClass" if got is None else "ok"), (theta, a, b)
+                if got is not None:
+                    assert got.validated and got.as_table() == want[1].as_table()
+                seen[want[0]] = seen.get(want[0], 0) + 1
+    assert seen["ok"] > 20 and seen["UnsupportedClass"] > 20, seen
 
 
 def test_cold_ncspec_composes_no_hom(monkeypatch):

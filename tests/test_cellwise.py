@@ -10,6 +10,9 @@ pair.  `spec`, `embed_phi`, `union_of_primes_bijection` and
 oracles loop over every element.
 """
 
+from itertools import product
+from math import prod
+
 from conftest import (
     brute_based_space,
     brute_distinguished,
@@ -119,7 +122,7 @@ def test_warm_quotient_query_descends_localizes_and_locates_nothing(monkeypatch)
         fn = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a: calls.append(name) or fn(*a))
 
-    counting(rg, "hom_descend")
+    counting(rg, "hom_from_callable")
     counting(localization, "_localize_cached")
     counting(latspace.LocalizationLattice, "cell_of_subset")
     # warm spaces, a fresh morphism
@@ -163,13 +166,32 @@ def test_spec_exponential_iso_matches_the_element_loops():
         assert iso["status"] == "pass", r
 
 
+def test_spec_orders_ties_by_local_factor_as_by_reprs():
+    """`spec` sorts primes of equal size by local-factor index; the repr
+    sort of their elements (`brute_spec`) is the oracle, on products of
+    2-4 cyclic rings, most with ties."""
+    rings = ([cyclic(a, b) for a in range(2, 13) for b in range(2, 13)]
+             + [cyclic(a, b, c) for a in range(2, 7) for b in range(2, 7) for c in (2, 3, 4, 6)]
+             + [cyclic(*mods) for mods in product((2, 3, 4, 6), repeat=4)
+                if prod(mods) <= 150])
+    ties = 0
+    for r in rings:
+        sizes = [rg.cardinality(r) // p for _j, p, _q in r.local_factors]
+        ties += len(set(sizes)) < len(sizes)
+        assert commbridge.spec(r).primes == brute_spec(r)[0], r
+    assert ties > 100, ties
+
+
 def test_bridge_enumerates_no_element(monkeypatch):
-    rings = (ModularRing(30), ModularRing(2310), cyclic(4, 15))
+    # cyclic(6, 10), cyclic(2, 6, 9) and cyclic(30, 210) have primes of equal size
+    rings = (ModularRing(30), ModularRing(2310), cyclic(4, 15), cyclic(6, 10), cyclic(2, 6, 9),
+             cyclic(30, 210))
     for r in rings:
         sheafspec.ncspec(r)
     calls = []
     monkeypatch.setattr(rg, "enumerate_elements", lambda r: calls.append(r) or [])
     for r in rings:
+        assert [a.payload for a in commbridge.spec(r).idempotents]
         assert commbridge.embed_phi(r).report["status"] == "pass"
         assert commbridge.union_of_primes_bijection(r)["status"] == "pass"
         assert commbridge.spec_exponential_iso(r)["status"] == "pass"

@@ -338,6 +338,26 @@ def test_cli_rejects_a_glue_iso_table_that_lists_an_element_twice(tmp_path, caps
     assert err.value.path == "glue.isos[0].rule.pairs[3]"
 
 
+def test_cli_failure_report_names_the_error_path(tmp_path, capsys):
+    """A SchemaViolation's path reaches the report; an error without one
+    (a map that is no hom) adds no path field."""
+    z2 = {"kind": "modular", "n": 2}
+    twice = write(tmp_path, "twice.json", {
+        "schema": "ncspec.morphism/1", "source": z2, "target": z2,
+        "rule": {"kind": "table", "pairs": [[0, 0], [1, 1], [0, 0]]}})
+    for sub in ("morphism", "prim-check"):
+        code, out = run_cli(capsys, sub, "--morphism", twice)
+        payload = json.loads(out)["payload"]
+        assert code == 2 and payload["error"] == "SchemaViolation", payload
+        assert payload["path"] == "morphism.rule.pairs[2]" and "lists 0 twice" in payload["message"]
+    not_a_hom = write(tmp_path, "z6z4.json", {
+        "schema": "ncspec.morphism/1", "source": {"kind": "modular", "n": 6},
+        "target": {"kind": "modular", "n": 4}, "rule": {"kind": "canonical_quotient"}})
+    code, out = run_cli(capsys, "morphism", "--morphism", not_a_hom)
+    payload = json.loads(out)["payload"]
+    assert code == 2 and list(payload) == ["error", "message"], payload
+
+
 def test_cli_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")

@@ -12,11 +12,17 @@ from functools import cache
 from itertools import combinations
 
 import pytest
-from conftest import brute_is_hom, finite_commutative_grid, small_commutative_rings
+from conftest import (
+    brute_hom_descend,
+    brute_is_hom,
+    finite_commutative_grid,
+    small_commutative_rings,
+    subgroup_closure,
+)
 
 from ncspec import rings as rg
 from ncspec.errors import NotAHomomorphism, UnsupportedClass
-from ncspec.localization import induced_map, localize, subgroup_closure
+from ncspec.localization import descend_by_block_maps, induced_map, localize
 from ncspec.rings import (
     CyclicImagesRule,
     MatrixRing,
@@ -236,14 +242,20 @@ def test_descended_induced_maps_pass_the_pairwise_check():
 
 def test_descent_rejects_clashes_and_maps_that_are_not_onto():
     z6, z2 = ModularRing(6), ModularRing(2)
+
+    def descend(alpha, psi):
+        return descend_by_block_maps(alpha, psi.block_map, psi.target)
+
     # the identity of Z/6 is not constant on the fibres of Z/6 -> Z/3
+    assert descend(rg.quotient_hom(6, 3), rg.identity_hom(z6)) is None
     with pytest.raises(UnsupportedClass, match="fibres"):
-        rg.hom_descend(rg.quotient_hom(6, 3), rg.identity_hom(z6))
+        brute_hom_descend(rg.quotient_hom(6, 3), rg.identity_hom(z6))
     diagonal = rg.hom_validate(rg.hom_from_callable(
         z2, cyclic(2, 2), lambda x: rg.RingElement(cyclic(2, 2), (x.payload, x.payload))))
+    assert descend(diagonal, rg.identity_hom(z2)) is None
     with pytest.raises(UnsupportedClass, match="onto"):
-        rg.hom_descend(diagonal, rg.identity_hom(z2))
-    phi = rg.hom_descend(rg.quotient_hom(12, 6), rg.quotient_hom(12, 3))
+        brute_hom_descend(diagonal, rg.identity_hom(z2))
+    phi = descend(rg.quotient_hom(12, 6), rg.quotient_hom(12, 3))
     assert phi.validated and phi == rg.quotient_hom(6, 3)
 
 

@@ -71,12 +71,11 @@ def test_validated_writer_detector():
 
 
 def test_only_validation_and_composition_certify_homs():
-    # a hom is marked validated only after a check, by composing validated
-    # homs, or by descending one validated hom through another
+    # a hom is marked validated only after a check or by composing validated homs
     for path in sorted(PACKAGE.glob("*.py")):
         writers = validated_writers(path.read_text(encoding="utf-8"))
         if path.name == "rings.py":
-            assert sorted(set(writers)) == ["hom_compose", "hom_descend", "hom_validate"]
+            assert sorted(set(writers)) == ["hom_compose", "hom_validate"]
         else:
             assert writers == [], path.name
 

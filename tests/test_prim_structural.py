@@ -125,11 +125,11 @@ def test_ore_chart_enumerates_once_per_chart_cell(monkeypatch):
                 calls.append(self)
                 return elements(self)
             monkeypatch.setattr(cls, "elements", counted)
-    descend = rg.hom_descend
-    monkeypatch.setattr(rg, "hom_descend", lambda *a: calls.append(a) or descend(*a))
+    table = rg.hom_from_callable
+    monkeypatch.setattr(rg, "hom_from_callable", lambda *a: calls.append(a) or table(*a))
     report = glueqcoh.ore_chart_iso(z, E).report
     assert report["status"] == "pass" and report["open_points"] == 16
-    # the section isos are read off block maps: no element, no table descent
+    # the section isos are read off block maps: no element, no table
     assert calls == []
 
 
@@ -298,6 +298,17 @@ def test_local_maps_compose_and_decide_isos_as_element_tables():
         assert localization._hom_is_iso(f) == brute_is_iso(f), f
         iso_kinds.add(brute_is_iso(f))
     assert composed > 1000 and kinds > 20 and iso_kinds == {True, False}, (composed, kinds)
+
+
+def test_prim_check_with_a_semisimple_probe_enumerates_no_element(monkeypatch):
+    """The semisimple probe leaves every square with a nonzero middle corner
+    to the kernel check, which reads the block maps of the legs."""
+    sheafspec._induced_morphism.cache_clear()
+    m = sheafspec.ncspec_morphism(rg.quotient_hom(2310, 210))
+    calls = []
+    monkeypatch.setattr(rg, "enumerate_elements", lambda r: calls.append(r) or [])
+    report = sheafspec.is_prim_report(m, (z(6), z(2), z(3), SemisimpleAlgebra(F2, (1, 2))))
+    assert report["prim"] and calls == []
 
 
 def test_warm_prim_check_builds_no_hom(monkeypatch):
