@@ -1,13 +1,15 @@
 """The localization semilattice of a ring and its Alexandrov topology.
 
 Cells of the lattice are localizations at finite subsets up to mutual
-invertibility.  A finite ring here is a product of blocks (the local
-factors Z/p^a of a product of cyclic rings, the matrix blocks of a
-semisimple algebra, the one block of a matrix ring), and loc(R, E) keeps
-the blocks where every member of E is a unit.  So a cell is keyed by the
-frozenset of the indices in `Descriptor.blocks` of the blocks it keeps,
-and its subset is one idempotent: for a product of cyclic rings the CRT
-idempotent (`rings.unit_idempotent`).
+invertibility.  A finite ring here is a block ring, the product of its
+blocks (`rings.Descriptor.blocks`: the local factors Z/p^a of a product of
+cyclic rings, the matrix blocks of a semisimple algebra, the one block of
+a matrix ring), and loc(R, E) keeps the blocks where every member of E is
+a unit.  So a cell is keyed by the frozenset of the blocks it keeps, every
+set of blocks is one cell, its subset is the idempotent that is 1 on
+exactly those blocks, and an element lies in the cell of its
+`unit_blocks`.  Only the order of the cells depends on the kind of ring
+(`_cell_order`).
 A materialized lattice carries one poset, the finite Alexandrov space on
 its cells, which holds the order, the joins and the law checks.  That
 space is already sober, so it is its own soberification: point i stands
@@ -16,8 +18,7 @@ Q[x] gets a lazy lattice driven by squarefree divisibility plus the
 symbolic point model for its soberification.
 """
 
-from itertools import combinations, product as iproduct
-from math import prod
+from itertools import combinations
 
 from . import qpoly
 from . import rings as rg
@@ -30,12 +31,7 @@ from .errors import (
 )
 from .localization import Localization, localize
 from .records import field, record
-from .rings import (
-    MatrixRing,
-    RingElement,
-    SemisimpleAlgebra,
-    UnivariatePolyRing,
-)
+from .rings import RingElement, UnivariatePolyRing
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +194,10 @@ class LocalizationLattice:
     def __hash__(self):
         return hash(self.ring)
 
-    def __init__(self, ring, cells, up, key_of_element):
+    def __init__(self, ring, cells, up):
         self.ring = ring
         self.cells = cells
         self.space = AlexandrovSpace(tuple(up), tuple(c.label for c in cells))
-        self._key_of_element = key_of_element
         self._key_index = {c.key: i for i, c in enumerate(cells)}
         whole = self.space.carrier()
         bottoms = [i for i in range(self.n) if self.space.up[i] == whole]
@@ -223,7 +218,7 @@ class LocalizationLattice:
         return self.space.join(i, j)
 
     def cell_of_element(self, f: RingElement) -> int:
-        return self._key_index[self._key_of_element(f)]
+        return self._key_index[self.ring.unit_blocks(f.payload)]
 
     def cell_of_subset(self, E) -> int:
         """The cell of loc(R, E): the blocks where every member of E is a unit."""
@@ -231,7 +226,7 @@ class LocalizationLattice:
         rg._check_owner(self.ring, *E)
         key = self.cells[self.bottom].key
         for a in E:
-            key = key & self._key_of_element(a)
+            key = key & self.ring.unit_blocks(a.payload)
         return self._key_index[key]
 
     def hasse_edges(self):
@@ -256,62 +251,45 @@ class LocalizationLattice:
 
 
 def build_semilattice(r):
-    """The localization semilattice; lazy for Q[x], materialized otherwise."""
+    """The localization semilattice; lazy for Q[x], materialized for a
+    block ring: one cell per set of kept blocks, in `_cell_order`, whose
+    subset is the idempotent that is 1 on them (`rings.block_idempotent`), and
+    cell j >= i iff j keeps a subset of the blocks i keeps.  The zero ring
+    has one cell, at the empty subset."""
     if isinstance(r, UnivariatePolyRing):
         return PidLattice(r)
-
-    if rg.cardinality(r) == 1:
-        return _block_lattice(r, [(frozenset(), ())], lambda f: frozenset())
-
-    mods = rg.cyclic_moduli(r)
-    if mods is not None:
-        primes = [rg.prime_factors(n) for n in mods]
-        factors = r.local_factors
-
-        def kept(comps):
-            return frozenset(s for s, (i, p, _q) in enumerate(factors) if comps[i] % p)
-
-        # The least f in Z/n that is a unit exactly at a set S of primes is
-        # 0 for S empty and otherwise the product of the primes outside S.
-        # A product lists its elements lexicographically, so this is the
-        # order in which the cells' keys first occur among the elements.
-        firsts = [[0] + sorted(prod(T) for k in range(len(ps)) for T in combinations(ps, k))
-                  for ps in primes]
-        return _block_lattice(r, [
-            (kept(f), (rg.cyclic_element(r, map(rg.unit_idempotent, mods, f)),))
-            for f in iproduct(*firsts)], lambda f: kept(rg.cyclic_components(f)))
-
-    if isinstance(r, SemisimpleAlgebra):
-        # larger block sets first, each size in lexicographic order
-        blocks = range(len(r.dims))
-        subsets = [frozenset(Z) for k in reversed(range(len(r.dims) + 1))
-                   for Z in combinations(blocks, k)]
-
-        def idem(Z):
-            return RingElement(r, tuple(
-                f.from_int(1 if i in Z else 0) for i, f in enumerate(r.factors)))
-
-        return _block_lattice(r, [(Z, (idem(Z),)) for Z in subsets], lambda f: frozenset(
-            i for i, b, x in zip(blocks, r.factors, f.payload) if b.is_unit(x)))
-
-    if isinstance(r, MatrixRing):
-        block = frozenset({0})
-        return _block_lattice(r, [(block, (rg.one(r),)), (frozenset(), (rg.zero(r),))],
-                              lambda f: block if rg.is_unit(r, f) else frozenset())
-
-    raise UnsupportedClass(f"no semilattice construction for {r!r}")
-
-
-def _block_lattice(r, blocks_and_subsets, key_of) -> LocalizationLattice:
-    """The lattice of the given (kept blocks, subset) cells: j >= i iff cell
-    j keeps a subset of the blocks cell i keeps.  key_of(f) is the set of
-    blocks where f is a unit."""
+    if r.blocks is None:
+        raise UnsupportedClass(f"no semilattice construction for {r!r}")
+    n = len(r.blocks)
+    keys = [frozenset(Z) for k in range(n + 1) for Z in combinations(range(n), k)]
     cells = []
-    for key, E in blocks_and_subsets:
+    for key in sorted(keys, key=_cell_order(r)):
+        E = (rg.block_idempotent(r, key),) if n else ()
         label = "R[" + ",".join(rg.element_str(a) for a in E) + "]" if E else "R"
         cells.append(LocalizationCell(E, localize(r, E), label, key))
     up = [frozenset(j for j, b in enumerate(cells) if b.key <= a.key) for a in cells]
-    return LocalizationLattice(r, cells, up, key_of)
+    return LocalizationLattice(r, cells, up)
+
+
+def _cell_order(r):
+    """The sort key of the cells of r by their kept blocks, which fixes the
+    cell indices, labels and representatives.  A product of cyclic rings
+    lists its cells in the order their idempotents first occur among its
+    elements: per modulus, the key is 0 if the cell keeps none of its
+    blocks and otherwise the product of its dropped primes, the least
+    element that is a unit exactly on the kept ones.  Any other block ring
+    lists larger kept sets first, each size in lexicographic order."""
+    factors = r.local_factors
+    if factors is None:
+        return lambda key: (-len(key), sorted(key))
+
+    def first(key):
+        moduli = {}
+        for s, (j, p, _q) in enumerate(factors):
+            kept, dropped = moduli.get(j, (False, 1))
+            moduli[j] = (kept or s in key, dropped if s in key else dropped * p)
+        return [dropped if kept else 0 for kept, dropped in moduli.values()]
+    return first
 
 
 # ---------------------------------------------------------------------------

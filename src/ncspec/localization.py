@@ -1,19 +1,17 @@
 """Universal localization at finite subsets for the supported ring classes.
 
-A product of cyclic rings localizes by a closed form: Z/n[1/f] = Z/m,
-where m is the largest divisor of n prime to f (`rings.unit_part`).  So
-with f = prod(E), factor i keeps the part of n_i prime to the coordinate
-f_i, a factor that keeps 1 drops, and the insertion is the `BlockRule`
-that feeds each kept local factor from itself.  Matrix rings localize to
-themselves or collapse to the zero ring; semisimple algebras localize to
-the sub-product of the blocks that every member of E leaves nonsingular,
-by the `BlockRule` of those blocks; Q[x] localizes symbolically to
-the fraction class of the squarefree part of prod(E); skew Laurent rings
-localize at monomials by enlarging the inverted cone.  `connecting_map`
-re-localizes, so `_localized` is the only per-class code; the restrictions
-and comaps of the sheaf come from one descent, `induced_between`.
-Between block rings (`rings.Descriptor.blocks`) a hom with a block map
-is built as a `BlockRule`, and descents, squares and identity tests read
+A block ring (`rings.Descriptor.blocks`: a product of cyclic rings, a
+matrix ring or a semisimple algebra) localizes onto its blocks: every
+block is local or simple, so it keeps the blocks where every member of E
+is a unit (`unit_blocks`), as `keep` builds them, and the insertion is
+the `BlockRule` that feeds each kept block from itself.  For Z/n this is
+Z/n[1/f] = Z/m, with m the largest divisor of n prime to f.  Q[x]
+localizes symbolically to the fraction class of the squarefree part of
+prod(E); skew Laurent rings localize at monomials by enlarging the
+inverted cone.  `connecting_map` re-localizes, so `_localized` is the only
+per-class code, with one branch for every block ring; the restrictions
+and comaps of the sheaf come from one descent, `induced_between`.  Between block rings a hom with a block map is
+built as a `BlockRule`, and descents, squares and identity tests read
 block maps (`rings.RingHom.block_map`).  Isos, quotient pushouts and the
 descents of homs without a block map are decided by kernels, which are
 sums of blocks (`rings.kernel`); no question here enumerates a ring.
@@ -35,13 +33,9 @@ from .records import record
 from .rings import (
     IdentityRule,
     LocalizedPolyRing,
-    MatrixRing,
-    ModularRing,
     PolyFracRule,
     PolyInsertRule,
-    ProductRing,
     RingHom,
-    SemisimpleAlgebra,
     SkewExpandRule,
     SkewLaurentRing,
     ToZeroRule,
@@ -89,29 +83,12 @@ def _localize_cached(r, E: tuple) -> Localization:
 
 def _localized(r, E):
     """(loc(r, E), insertion rule) when E holds a non-unit; the rule of a zero result is unused."""
-    mods = rg.cyclic_moduli(r)
-    if mods is not None:
-        f = rg.one(r)
+    if r.blocks is not None:
+        kept = frozenset(range(len(r.blocks)))
         for a in E:
-            f = f * a
-        units = [rg.unit_part(n, c) for n, c in zip(mods, rg.cyclic_components(f))]
-        # the result's local factors are the kept ones, in the same order
-        feeds = tuple(s for s, (i, p, _q) in enumerate(r.local_factors) if units[i] % p == 0)
-        return canonical_modular_product(units), rg.BlockRule(feeds)
-
-    if isinstance(r, MatrixRing):
-        # some member is singular: the usual rank-one collapse kills 1
-        return ZeroRing(), None
-
-    if isinstance(r, SemisimpleAlgebra):
-        kept = [
-            j for j in range(len(r.dims))
-            if all(rg.mat_det(r.base, a.payload[j]) != 0 for a in E)
-        ]
-        if not kept:
-            return ZeroRing(), None
-        return (SemisimpleAlgebra(r.base, tuple(r.dims[j] for j in kept)),
-                rg.BlockRule(tuple(kept)))
+            kept &= r.unit_blocks(a.payload)
+        kept = tuple(sorted(kept))
+        return r.keep(kept), rg.BlockRule(kept)
 
     if isinstance(r, UnivariatePolyRing):
         f = qpoly.ONE
@@ -143,16 +120,6 @@ def _localized(r, E):
         return SkewLaurentRing(r.nvars, r.lam, frozenset(new_inverted)), SkewExpandRule()
 
     raise UnsupportedClass(f"cannot localize {r!r}")
-
-
-def canonical_modular_product(mods):
-    """Canonical descriptor for a product of Z/m factors (drop m = 1)."""
-    mods = [m for m in mods if m > 1]
-    if not mods:
-        return ZeroRing()
-    if len(mods) == 1:
-        return ModularRing(mods[0])
-    return ProductRing(tuple(ModularRing(m) for m in mods))
 
 
 def _finish(r, E, result, insertion) -> Localization:
@@ -235,17 +202,11 @@ def _lift(alpha: RingHom, y):
     """The x with alpha(x) = y that is 0 on every block the block
     projection alpha drops: target block l of y put back at source block
     alpha.block_map[l]."""
-    R, amap = alpha.source, alpha.block_map
-    if R.local_factors is not None:
-        comps, units = rg.cyclic_components(y), rg.block_units(R)
-        return sum((rg.from_int(R, comps[j]) * units[s]
-                    for (j, _p, _q), s in zip(alpha.target.local_factors, amap)), R.zero)
-    if isinstance(R, MatrixRing):
-        return rg.RingElement(R, y.payload)  # alpha keeps the one block
-    parts = [f.from_int(0) for f in R.factors]
-    for l, part in enumerate(rg.block_parts(alpha.target, y.payload)):
-        parts[amap[l]] = part
-    return rg.RingElement(R, tuple(parts))
+    R = alpha.source
+    parts = [B.from_int(0) for B in R.block_rings]
+    for s, part in zip(alpha.block_map, alpha.target.split(y.payload)):
+        parts[s] = part
+    return rg.RingElement(R, R.join(parts))
 
 
 def descend_by_block_maps(alpha: RingHom, psi_map: tuple, target):
@@ -387,7 +348,7 @@ def is_pushout(sq: LocalizationSquare, probes=None) -> bool:
         return _pushout_by_probes(sq, probes)
     except UnsupportedClass:
         pass
-    if all(rg.is_finite(c) for c in (tl, tr, bl, br)):
+    if all(rg.is_finite(c) or c.blocks is not None for c in (tl, tr, bl, br)):
         try:
             return _pushout_by_kernels(sq)
         except UnsupportedClass as exc:
@@ -503,14 +464,23 @@ def _pushout_by_kernels(sq: LocalizationSquare) -> bool:
     """Quotient case: every leg is onto, and then the pushout of top and
     left is TL / (ker top + ker left), so the square pushes out iff
     kappa = bottom . left, onto as both legs are, has exactly that kernel.
-    The corners are finite block rings, whose kernels are read block by
-    block (`rings.kernel`); a leg h is onto iff |source / ker h| =
-    |target|, and a sum of two kernels keeps the smaller entry at each
-    block, so this is O(blocks).  Raises UnsupportedClass outside that
-    case."""
+    The corners are block rings, whose kernels are read block by block
+    (`rings.kernel`).  A leg with a block map is onto iff no source block
+    feeds two target blocks (the image of one block in two is the
+    diagonal), and a finite leg without one iff |source / ker h| =
+    |target|.  A sum of two kernels keeps the smaller entry at each block,
+    so this is O(blocks).  Raises UnsupportedClass outside that case."""
     legs = (sq.top, sq.left, sq.bottom, sq.right)
     kernels = [rg.kernel(h) for h in legs]
-    if None in kernels or any(rg.quotient_order(h.source, k) != rg.cardinality(h.target)
-                              for h, k in zip(legs, kernels)):
+    if None in kernels or not all(map(_is_onto, legs, kernels)):
         raise UnsupportedClass("square is not of quotient type")
     return rg.kernel(sq.bottom, sq.left) == tuple(map(min, kernels[0], kernels[1]))
+
+
+def _is_onto(h: RingHom, kept) -> bool:
+    bmap = h.block_map
+    if bmap is not None:
+        return len(set(bmap)) == len(bmap)
+    if not rg.is_finite(h.source):
+        raise UnsupportedClass(f"no onto test for {h!r}")
+    return rg.quotient_order(h.source, kept) == rg.cardinality(h.target)

@@ -95,8 +95,18 @@ class Descriptor:
     (every canonical payload once, in a fixed order) and defines
     `generators`: the payloads of an additive generating set, so that a
     hom out of the ring, being additive, is fixed by its images of them.
-    A block ring names its `blocks`.  `show(a)` renders a payload.  `one`
-    and `zero` are the elements 1 and 0, built once per descriptor.
+    `show(a)` renders a payload.  `one` and `zero` are the elements 1 and
+    0, built once per descriptor.
+
+    A block ring (the zero ring, Z/n, a product of Z/n's, a matrix ring or
+    a semisimple algebra) is the product of its `blocks`, and owns the
+    protocol every reader of blocks goes through: `block_rings`, the ring
+    of each block; `split(a)`, the tuple of a's parts in them, and its
+    inverse `join(parts)`, which refuses a wrong part count; and
+    `keep(kept)`, the canonical product of the kept blocks.  The zero ring
+    and Z/n define `split` and `join` by CRT, a matrix ring is its one
+    block, and a product concatenates its factors' parts.  Every other
+    descriptor has no blocks.
     """
 
     def cardinality(self):
@@ -127,6 +137,29 @@ class Descriptor:
         semisimple algebra.  None for every other descriptor."""
         factors = self.local_factors
         return None if factors is None else tuple(q for _j, _p, q in factors)
+
+    @cached_property
+    def block_rings(self):
+        """The ring of each block: Z/p^b per local factor of a product of
+        cyclic rings (a matrix ring or a semisimple algebra gives its matrix
+        blocks); None off block rings."""
+        factors = self.local_factors
+        return None if factors is None else tuple(ModularRing(q) for _j, _p, q in factors)
+
+    def unit_blocks(self, a):
+        """The frozenset of the blocks on which the payload a is a unit."""
+        return frozenset([s for s, (B, x) in enumerate(zip(self.block_rings, self.split(a)))
+                          if B.is_unit(x)])
+
+    def keep(self, kept):
+        """The canonical product of the blocks in kept, for a product of
+        cyclic rings: the kept local factors of each modulus n_j give one
+        factor Z/m_j, and a modulus that keeps none drops out."""
+        units = [1] * len(cyclic_moduli(self))
+        for s in kept:
+            j, _p, q = self.local_factors[s]
+            units[j] *= q
+        return canonical_modular_product(units)
 
     @cached_property
     def one(self):
@@ -168,6 +201,13 @@ class ZeroRing(Descriptor):
 
     generators = ()
     show = staticmethod(str)
+
+    def split(self, a):
+        return ()
+
+    def join(self, parts):
+        () = parts  # the zero ring has no block
+        return 0
 
     def __repr__(self):
         return "0-ring"
@@ -215,6 +255,18 @@ class ModularRing(Descriptor):
         return (self.canonical(1),)
 
     show = staticmethod(str)
+
+    def split(self, a):
+        return tuple([a % q for _j, _p, q in self.local_factors])
+
+    def join(self, parts):
+        """CRT: part x of local factor Z/q contributes x e_q, where e_q is
+        1 mod q and 0 mod n / q (`unit_idempotent`)."""
+        return sum(x * e for x, e in zip(parts, self._crt_units, strict=True)) % self.n
+
+    @cached_property
+    def _crt_units(self):
+        return tuple(unit_idempotent(self.n, self.n // q) for _j, _p, q in self.local_factors)
 
     def __repr__(self):
         return f"Z/{self.n}"
@@ -265,6 +317,15 @@ class _Componentwise(Descriptor):
         zeros = self.from_int(0)
         return tuple(zeros[:i] + (g,) + zeros[i + 1:]
                      for i, f in enumerate(self.factors) for g in f.generators)
+
+    def split(self, a):
+        return tuple([x for f, p in zip(self.factors, a) for x in f.split(p)])
+
+    def join(self, parts):
+        if len(parts) != len(self.blocks):
+            raise ValueError(f"{len(parts)} parts for the {len(self.blocks)} blocks of {self!r}")
+        rest = iter(parts)
+        return tuple([f.join([next(rest) for _ in f.blocks]) for f in self.factors])
 
 
 @record(frozen=True)
@@ -347,6 +408,17 @@ class MatrixRing(Descriptor):
                      for i in range(n) for j in range(n))
 
     blocks = cached_property(lambda self: (self.size,))
+    block_rings = cached_property(lambda self: (self,))
+
+    def split(self, A):
+        return (A,)
+
+    def join(self, parts):
+        (A,) = parts
+        return A
+
+    def keep(self, kept):
+        return self if kept else ZeroRing()
 
     def __repr__(self):
         return f"M{self.size}({self.base!r})"
@@ -367,6 +439,11 @@ class SemisimpleAlgebra(_Componentwise):
         return tuple(MatrixRing(self.base, d) for d in self.dims)
 
     blocks = cached_property(lambda self: self.dims)
+    block_rings = cached_property(lambda self: self.factors)
+
+    def keep(self, kept):
+        dims = tuple(self.dims[s] for s in sorted(kept))
+        return SemisimpleAlgebra(self.base, dims) if dims else ZeroRing()
 
     def elements(self):
         if self.base.order is None:
@@ -532,6 +609,14 @@ def product_ring(factors):
     if len(factors) == 1:
         return factors[0]
     return ProductRing(factors)
+
+
+def canonical_modular_product(mods):
+    """Canonical descriptor for a product of Z/m factors (drop m = 1)."""
+    mods = [m for m in mods if m > 1]
+    if not mods:
+        return ZeroRing()
+    return product_ring(ModularRing(m) for m in mods)
 
 
 def _locpoly_normalize(num, den):
@@ -757,20 +842,6 @@ def cyclic_components(x: RingElement) -> tuple:
     return () if isinstance(x.owner, ZeroRing) else (x.payload,)
 
 
-def cyclic_element(r, comps) -> RingElement:
-    """The element of a product of cyclic rings r with the given coordinates.
-
-    A bare Z/n takes exactly one coordinate and the zero ring none.
-    """
-    if isinstance(r, ProductRing):
-        return RingElement(r, tuple(comps))
-    if isinstance(r, ZeroRing):
-        () = comps
-        return RingElement(r, 0)
-    (c,) = comps
-    return RingElement(r, c)
-
-
 def unit_part(n, c):
     """The largest divisor of n prime to c, so that Z/n[1/c] = Z/unit_part(n, c).
 
@@ -818,26 +889,16 @@ def unit_idempotent(n, c):
 # ---------------------------------------------------------------------------
 # block rings: blocks, their units, kernels
 
-def block_parts(r, payload) -> tuple:
-    """The matrix blocks of a payload of a matrix ring or a semisimple algebra."""
-    return (payload,) if isinstance(r, MatrixRing) else payload
+def block_idempotent(r, kept) -> RingElement:
+    """The central idempotent of a block ring (see `Descriptor.blocks`)
+    that is 1 on the blocks in kept and 0 on the others."""
+    parts = [B.from_int(int(s in kept)) for s, B in enumerate(r.block_rings)]
+    return RingElement(r, r.join(parts))
 
 
 def block_units(r) -> list:
-    """The central idempotent u_s of each block s of a block ring (see
-    `Descriptor.blocks`): 1 on block s and 0 on the others.  On a local
-    factor Z/q of Z/n it is the CRT idempotent that is 1 mod q and 0 mod
-    n / q."""
-    factors = r.local_factors
-    if factors is not None:
-        mods = cyclic_moduli(r)
-        return [cyclic_element(r, [unit_idempotent(n, n // q) if i == j else 0
-                                   for i, n in enumerate(mods)])
-                for j, _p, q in factors]
-    if isinstance(r, MatrixRing):
-        return [r.one]
-    return [RingElement(r, tuple(f.from_int(int(s == t)) for t, f in enumerate(r.factors)))
-            for s in range(len(r.dims))]
+    """The unit u_s = block_idempotent(r, {s}) of each block s of a block ring."""
+    return [block_idempotent(r, {s}) for s in range(len(r.blocks))]
 
 
 def kernel(*homs):
@@ -992,46 +1053,29 @@ class ToZeroRule(Rule):
 @record(frozen=True)
 class BlockRule(Rule):
     """Source block feeds[l] onto target block l, canonically (see
-    `RingHom.block_map`): a local factor Z/p^c takes the residue mod p^c
-    of the block that feeds it, put back together with the other local
-    factors of its modulus by CRT, and a matrix block takes the block that
-    feeds it; into the zero ring it is the collapse, whatever the feeds.
-    A map into a product is a hom iff each block is, and a block is one
-    exactly when the target's prime power divides the source's (so they
-    share their prime), or both are matrix blocks of one size and base.
-    So the O(blocks) `check` is complete.  It keeps 1: each block's 1 goes
-    to the target block's 1, and the 1 of a modulus is the CRT sum of the
-    1s of its local factors.  Feeds index the source blocks as Python does,
-    negative ones too.
+    `RingHom.block_map`): the part of x in block feeds[l] (`split`) is the
+    part of h(x) in block l (`join`), which reduces it mod p^c on a local
+    factor Z/p^c and keeps it on a matrix block.  A map into a product is a
+    hom iff each block is, and a block is one exactly when the target's
+    prime power divides the source's (so they share their prime), or both
+    are matrix blocks of one size and base; into the zero ring, with no
+    feed, it is the collapse.  So the O(blocks) `check` is complete.  It
+    keeps 1: each block's 1 goes to the target block's 1, and the 1 of a
+    modulus is the CRT sum of the 1s of its local factors.  Feeds index
+    the source blocks as Python does, negative ones too.
     """
     feeds: tuple
 
     def apply(self, h, x):
-        S, T = h.source, h.target
-        factors = T.local_factors
-        if not factors:
-            if not T.blocks:
-                return T.zero
-            parts = block_parts(S, x.payload)
-            if isinstance(T, MatrixRing):
-                (s,) = self.feeds
-                return RingElement(T, parts[s])
-            return RingElement(T, tuple([parts[s] for s in self.feeds]))
-        src, comps, mods = S.local_factors, cyclic_components(x), cyclic_moduli(T)
-        acc = [0] * len(mods)
-        for (j, _p, q), s in zip(factors, self.feeds, strict=True):
-            i, _ps, qs = src[s]
-            acc[j] += comps[i] % qs * unit_idempotent(mods[j], mods[j] // q)
-        return cyclic_element(T, [a % m for a, m in zip(acc, mods)])
+        parts = h.source.split(x.payload)
+        return RingElement(h.target, h.target.join([parts[s] for s in self.feeds]))
 
     def check(self, h):
         S, T = h.source, h.target
         src, factors, feeds = S.local_factors, T.local_factors, self.feeds
-        if not (factors or T.blocks) and is_zero_ring(T):  # no block: the collapse
-            return
         try:
             if factors is not None:
-                fits = len(feeds) == len(factors) and all(
+                fits = S.blocks is not None and len(feeds) == len(factors) and all(
                     src[s][2] % q == 0 for s, (_j, _p, q) in zip(feeds, factors))
             else:
                 fits = (src is None and None not in (S.blocks, T.blocks) and S.base == T.base
@@ -1043,7 +1087,7 @@ class BlockRule(Rule):
 
     def block_map(self, h):
         k = len(h.source.blocks)
-        return tuple([s % k for s in self.feeds]) if h.target.blocks else ()
+        return tuple([s % k for s in self.feeds])
 
 
 @record(frozen=True)
@@ -1195,20 +1239,18 @@ class RingHom:
         it is fixed by this map, and (g . f).block_map[l] =
         f.block_map[g.block_map[l]].  The hom is validated first.  The rule
         gives the map where it fixes it (`Rule.block_map`), over any base
-        field, as a `BlockRule` is built from it.  Otherwise a hom between
-        products of cyclic rings (a table) has one, read off its images:
-        they are orthogonal idempotents t_i summing to 1, so on a local
-        factor Z/q^c of the target, whose only idempotents are 0 and 1,
-        exactly one t_i is 1, and n_i t_i = 0 makes q^c divide n_i, so
-        factor i has a local factor at q, of exponent at least c.  A table
-        between matrix rings or semisimple algebras over one field has one
-        when each target block l is the projection onto one source block s:
-        the images of the matrix units of block s are those units at l, and
-        the other source blocks' units go to 0 at l.  An additive map is
-        fixed by the generators, so this is always found when it holds; on
-        1x1 blocks it always holds, as F_p has no other automorphism.  Any
-        other hom has None: a table may twist a matrix block by an inner
-        automorphism, which no block map records.
+        field, as a `BlockRule` is built from it.  Otherwise the map is read
+        off the images of the source's block units (`block_units`): they
+        are orthogonal idempotents summing to 1, so block l can only be fed
+        by the one s whose unit goes to 1 in it, and the map exists iff the
+        `BlockRule` of those feeds passes its check and has the hom's
+        images, as an additive map is fixed by the generators.  Between
+        products of cyclic rings it always exists: a local factor Z/p^c has
+        no idempotent but 0 and 1, so exactly one u_s goes to 1 in it, and
+        q_s u_s = 0 makes p^c divide q_s.  Between matrix blocks it exists
+        on 1x1 blocks, as F_p has no other automorphism, but a table may
+        twist a larger block by an inner automorphism, which no block map
+        records, and a hom between kinds of block ring has none.
         """
         source, target = self.source, self.target
         if source.blocks is None or target.blocks is None:
@@ -1216,19 +1258,15 @@ class RingHom:
         bmap = (self if self.validated else hom_validate(self)).rule.block_map(self)
         if bmap is not None:
             return bmap
-        src, tgt = source.local_factors, target.local_factors
-        if src is not None and tgt is not None:
-            index = {(i, p): s for s, (i, p, _q) in enumerate(src)}
-            images = [cyclic_components(RingElement(target, t)) for t in self.images]
-            return tuple(index[next(i for i, t in enumerate(images) if t[j] % q == 1), p]
-                         for j, p, q in tgt)
-        if src is not None or tgt is not None or source.base != target.base:
+        images = [target.split(self(u).payload) for u in block_units(source)]
+        feeds = tuple(next((s for s, parts in enumerate(images) if parts[l] == B.from_int(1)), 0)
+                      for l, B in enumerate(target.block_rings))
+        candidate = RingHom(source, target, BlockRule(feeds))
+        try:
+            hom_validate(candidate)
+        except NotAHomomorphism:
             return None
-        pairs = [(block_parts(source, g), block_parts(target, t))
-                 for g, t in zip(source.generators, self.images)]
-        bmap = [next((s for s in range(len(source.blocks)) if all(g[s] == t[l] for g, t in pairs)),
-                     None) for l in range(len(target.blocks))]
-        return None if None in bmap else tuple(bmap)
+        return feeds if candidate.images == self.images else None
 
     def __eq__(self, other):
         if not isinstance(other, RingHom):

@@ -33,7 +33,6 @@ from .localization import (
     LocalizationSquare,
     _all_cyclic,
     _localize_cached,
-    canonical_modular_product,
     induced_between,
     is_pushout,
     localize,
@@ -42,6 +41,7 @@ from .records import field, record
 from .rings import (
     RingHom,
     ZeroRing,
+    canonical_modular_product,
     hom_compose,
     hom_validate,
     to_zero_hom,
@@ -177,7 +177,7 @@ def sections(sp: NCSpecSpace, U):
     factors R_l in the support of e, and two charts of U agree exactly on
     the factors in the overlap of their supports.  So the limit is the
     product of the blocks in the union of the keys of the cells of U: the
-    section ring of the cell keeping that union for a semisimple algebra,
+    ring's `keep` of that union for a matrix ring or a semisimple algebra,
     and those local factors Z/p^k, largest first, for cyclic rings.
     """
     U = frozenset(U)
@@ -191,7 +191,7 @@ def sections(sp: NCSpecSpace, U):
     cells = sp.lattice.cells
     union = frozenset().union(*(cells[c].key for c in U))
     if sp.ring.local_factors is None:
-        return cells[sp.lattice._key_index[union]].localized.result
+        return sp.ring.keep(union)
     blocks = sp.ring.blocks
     return canonical_modular_product(sorted((blocks[s] for s in union), reverse=True))
 

@@ -21,15 +21,16 @@ from ncspec.errors import (
     UnverifiableSquare,
 )
 from ncspec.latspace import is_completely_union_irreducible, sober_map_from_join_hom
-from ncspec.localization import (
-    LocalizationSquare,
-    canonical_modular_product,
-    default_probes,
-    is_pushout,
-    localize,
-)
+from ncspec.localization import LocalizationSquare, default_probes, is_pushout, localize
 from ncspec.records import _MISSING
-from ncspec.rings import MatrixRing, ModularRing, PrimeField, SemisimpleAlgebra, ZeroRing
+from ncspec.rings import (
+    MatrixRing,
+    ModularRing,
+    PrimeField,
+    SemisimpleAlgebra,
+    ZeroRing,
+    canonical_modular_product,
+)
 from ncspec.sheafspec import RingedSpaceMorphism, ncspec, sections
 
 

@@ -111,6 +111,13 @@ def finite_homs():
     return homs + table_homs() + list(unmapped_homs())
 
 
+def over_q(h):
+    """The same rule between the same block shapes over Q."""
+    def q(r):
+        return type(r)(Q, r.dims if isinstance(r, SemisimpleAlgebra) else r.size)
+    return rg.hom_validate(RingHom(q(h.source), q(h.target), h.rule))
+
+
 def over_f2(h):
     """The same rule between the same block shapes over F2."""
     def f2(r):
@@ -243,6 +250,39 @@ def test_quotient_pushouts_by_block_kernels_match_the_element_kernels():
     for sq in morphism_squares(SSA_RINGS[-1]):
         for h in (sq.top, sq.left, sq.bottom, sq.right):
             assert rg.kernel(h) == rg.kernel(over_f2(h)), h
+
+
+def prim_verdict(theta):
+    """(prim, witness) of the morphism of theta, or the error's class name."""
+    try:
+        report = sheafspec.is_prim_report(sheafspec.ncspec_morphism(theta))
+    except NCSpecError as exc:
+        return type(exc).__name__
+    return report["prim"], report["witness"]
+
+
+def test_prim_over_q_matches_its_f2_twin():
+    """Every block projection between small semisimple algebras, and the
+    projection Q x M2(Q) -> M2(Q) onto a matrix ring, answers the prim
+    check over Q as the same rule does over F2: the legs of their squares
+    have block maps, so the kernel check decides them over either field."""
+    shapes = [(1,), (2,), (1, 1), (1, 2), (2, 1), (1, 1, 1)]
+    pairs = [(SemisimpleAlgebra(F2, a), SemisimpleAlgebra(F2, b), BlockRule(feeds))
+             for a, b in product(shapes, repeat=2)
+             for feeds in product(range(len(a)), repeat=len(b))]
+    pairs.append((SemisimpleAlgebra(F2, (1, 2)), MatrixRing(F2, 2), BlockRule((1,))))
+    seen = {}
+    for S, T, rule in pairs:
+        try:
+            h = rg.hom_validate(RingHom(S, T, rule))
+        except NCSpecError:
+            continue
+        got = prim_verdict(h)
+        assert prim_verdict(over_q(h)) == got, h
+        seen[got] = seen.get(got, 0) + 1
+    assert seen[True, None] > 20 and seen["UnverifiableSquare"] > 20, seen
+    S, T, rule = pairs[-1]
+    assert prim_verdict(over_q(rg.hom_validate(RingHom(S, T, rule)))) == (True, None)
 
 
 def test_induced_maps_of_unmapped_homs_match_the_table_descent():

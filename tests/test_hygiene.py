@@ -39,6 +39,37 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+BLOCK_RING_CLASSES = {"ZeroRing", "ModularRing", "ProductRing", "MatrixRing", "SemisimpleAlgebra"}
+
+
+def block_ring_kind_tests(source: str) -> list:
+    """The lines that pass a block-ring class to `isinstance`, by name or
+    as `module.Name`, alone or in a tuple."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            spec = node.args[1]
+            for cls in spec.elts if isinstance(spec, ast.Tuple) else [spec]:
+                name = cls.attr if isinstance(cls, ast.Attribute) else getattr(cls, "id", None)
+                if name in BLOCK_RING_CLASSES:
+                    found.append((node.lineno, name))
+    return found
+
+
+def test_block_ring_kind_detector():
+    src = ("isinstance(r, MatrixRing)\nisinstance(r, (rg.ZeroRing, Foo))\n"
+           "isinstance(r, UnivariatePolyRing)\nMatrixRing(base, 2)\n")
+    assert block_ring_kind_tests(src) == [(1, "MatrixRing"), (2, "ZeroRing")]
+
+
+@pytest.mark.parametrize("name", ["localization.py", "latspace.py", "sheafspec.py"])
+def test_block_ring_readers_do_not_test_the_ring_kind(name):
+    # a block ring's own `split`, `join`, `unit_blocks` and `keep` answer
+    # every question these modules ask of its blocks
+    assert block_ring_kind_tests((PACKAGE / name).read_text(encoding="utf-8")) == []
+
+
 def validated_writers(source: str) -> list:
     """The functions that assign a `.validated` attribute (None at module level)."""
     writers = []

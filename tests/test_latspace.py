@@ -326,12 +326,12 @@ def test_join_check_rejects_every_changed_order_of_a_grid_lattice():
         if lat.n > 16:
             continue
         up = lat.space.up
-        LocalizationLattice(lat.ring, lat.cells, list(up), lat._key_of_element)
+        LocalizationLattice(lat.ring, lat.cells, list(up))
         for i in range(lat.n):
             for j in range(lat.n):
                 changed = list(toggled(up, i, j))
                 with pytest.raises((NotAPartialOrder, NotJoinPreserving, UnsupportedClass)):
-                    LocalizationLattice(lat.ring, lat.cells, changed, lat._key_of_element)
+                    LocalizationLattice(lat.ring, lat.cells, changed)
 
 
 def test_irreducible_closed_sets_match_bruteforce():
@@ -493,8 +493,7 @@ cells = [lat.cells[i] for i in (lat.bottom, two, three, lat.top)]
 
 
 def lattice(cells, up):
-    return latspace.LocalizationLattice(
-        lat.ring, cells, [frozenset(U) for U in up], lat._key_of_element)
+    return latspace.LocalizationLattice(lat.ring, cells, [frozenset(U) for U in up])
 
 
 print(error_name(space, {0, 5}), error_name(space, {1}, {1}),

@@ -251,8 +251,9 @@ def _block_unit(r, s):
             return r.one
         return rg.RingElement(r, tuple(f.from_int(int(k == s)) for k, f in enumerate(r.factors)))
     i, _p, q = r.local_factors[s]
-    return rg.cyclic_element(r, [rg.unit_idempotent(n, n // q) if k == i else 0
-                                 for k, n in enumerate(rg.cyclic_moduli(r))])
+    comps = tuple(rg.unit_idempotent(n, n // q) if k == i else 0
+                  for k, n in enumerate(rg.cyclic_moduli(r)))
+    return rg.RingElement(r, comps if isinstance(r, rg.ProductRing) else comps[0])
 
 
 def block_map_off_images(h):
