@@ -2,10 +2,12 @@
 module data at desk scale.
 
 Finite modules over Z/n are sums of cyclic groups Z/d_i with the integer
-action.  Base change along a ring map into a product of cyclic rings Z/m_j
-has the closed form M (x) Z/m_j = sum_i Z/gcd(d_i, m_j): a ring map out of
-Z/n is reduction, so the bilinearity relations span m_j M, and a tensor
-element is one residue vector per cyclic factor.  The ring isos of a
+action.  Base change along a ring map into a product of cyclic rings is
+read block by block: by CRT the target is the product of its blocks Z/q_l,
+and M (x) Z/q_l = sum_i Z/gcd(d_i, q_l), since a ring map out of Z/n is
+reduction, so the bilinearity relations span q_l M.  A tensor element is
+one residue vector per block, and a restriction reduces the vector of the
+block that feeds each target block.  The ring isos of a
 glue are checked as homs, extended to the double overlaps by
 `localization.induced_between` for the triple condition; module cocycle
 data are lookup tables checked against the identity, inverse, triple,
@@ -233,13 +235,14 @@ def module_homs(M: FiniteModule, N: FiniteModule):
 class TensorModule:
     """Base change of a finite module along a hom into a product of cyclics.
 
-    Factor j is M / m_j M = sum_i Z/gcd(d_i, m_j), and an element holds one
-    residue vector per factor.
+    Factor l is M / q_l M = sum_i Z/gcd(d_i, q_l) for block Z/q_l of the
+    target (`Descriptor.blocks`), and an element holds one residue vector
+    per block.
     """
 
     hom: RingHom          # theta: M.ring -> product of cyclic rings (or zero)
     module: FiniteModule
-    orders: tuple         # per cyclic factor m_j of the target: (gcd(d_i, m_j))_i
+    orders: tuple         # per block q_l of the target: (gcd(d_i, q_l))_i
 
     def zero(self):
         return tuple((0,) * len(o) for o in self.orders)
@@ -249,8 +252,8 @@ class TensorModule:
 
     def pure(self, l: RingElement, m) -> tuple:
         """The class of the pure tensor l (x) m."""
-        comps = rg.cyclic_components(l)
-        return tuple(_reduce((c * a for a in m), o) for c, o in zip(comps, self.orders))
+        parts = l.owner.split(l.payload)
+        return tuple(_reduce((c * a for a in m), o) for c, o in zip(parts, self.orders))
 
     def size(self):
         return prod(prod(o) for o in self.orders)
@@ -259,41 +262,37 @@ class TensorModule:
         return tuple(_reduce(map(sum, zip(a, b)), o) for a, b, o in zip(x, y, self.orders))
 
     def act(self, t: RingElement, x):
-        comps = rg.cyclic_components(t)
-        return tuple(_reduce((c * v for v in a), o) for c, a, o in zip(comps, x, self.orders))
+        parts = t.owner.split(t.payload)
+        return tuple(_reduce((c * v for v in a), o) for c, a, o in zip(parts, x, self.orders))
 
 
 def tensor_module(theta: RingHom, M: FiniteModule) -> TensorModule:
-    """TensorModule for theta: R -> T with T a product of cyclic rings Z/m_j.
+    """TensorModule for theta: R -> T with T a product of cyclic rings.
 
-    A ring hom out of Z/n sends 1 to 1, so its factor j is reduction mod
-    m_j, and the relations r m = theta_j(r) m span m_j M.
+    A ring hom out of Z/n sends 1 to 1, so its part in block Z/q_l is
+    reduction mod q_l, and the relations r m = theta_l(r) m span q_l M.
     """
     hom_validate(theta)
     if theta.source != M.ring:
         raise CompositionMismatch(f"base change along a hom out of {theta.source!r} "
                                   f"of a module over {M.ring!r}")
-    moduli = rg.cyclic_moduli(theta.target)
-    if moduli is None:
+    if theta.target.local_factors is None:
         raise UnsupportedClass(f"{theta.target!r} is not a product of cyclic rings")
-    return TensorModule(theta, M, tuple(tuple(gcd(d, m) for d in M.orders) for m in moduli))
+    return TensorModule(theta, M, tuple(tuple(gcd(d, q) for d in M.orders)
+                                        for q in theta.target.blocks))
 
 
 def tensor_restriction(T1: TensorModule, T2: TensorModule, p: RingHom):
     """The map p (x) 1 between base changes along theta and p∘theta.
 
-    Each target factor must be fed by one source factor: the one that feeds
-    its local factors in `p.block_map`.  A Z/1 factor has no local factor,
-    and its residues are all 0.  Returns the map as a function on elements.
+    Block l of the target is fed by block s = p.block_map[l] of the source,
+    which p reduces mod q_l, so the factor at l is the residue vector at s
+    reduced mod T2.orders[l].  Returns the map as a function on elements.
     """
     if (p.source, p.target) != (T1.hom.target, T2.hom.target):
         raise CompositionMismatch(f"{p!r} does not map {T1.hom.target!r} to {T2.hom.target!r}")
-    src, feeder = T1.hom.target.local_factors, {}
-    for (j, _p, _q), s in zip(T2.hom.target.local_factors, p.block_map):
-        if feeder.setdefault(j, src[s][0]) != src[s][0]:
-            raise UnsupportedClass(f"target factor {j} must come from one source factor")
-    return lambda x: tuple(_reduce(x[feeder[j]], o) if j in feeder else (0,) * len(o)
-                           for j, o in enumerate(T2.orders))
+    feeds = p.block_map
+    return lambda x: tuple(_reduce(x[s], o) for s, o in zip(feeds, T2.orders))
 
 
 def tensor_induced(T1: TensorModule, T2: TensorModule, f: ModuleHom):
@@ -328,7 +327,7 @@ def tilde_module(r, M) -> "ModuleSheaf":
 
     The presheaf laws are checked through q_i: M -> T_i, m -> 1 (x) m,
     which is onto T_i = M / m_i M.  Both q_i and the restriction maps
-    (reductions of the kept factors) are additive, so
+    (reductions of the kept blocks) are additive, so
     res(i, j) . q_i = q_j on the cyclic generators of M gives it on all of
     M.  Since q_i is onto, that fixes res(i, i) = id, and for i <= j <= k
     it makes res(j, k) . res(i, j) and res(i, k) agree, as both give q_k

@@ -397,14 +397,14 @@ def _pushout_by_probes(sq: LocalizationSquare, probes) -> bool:
     == mu . left}, rho -> (rho . right, rho . bottom), is a bijection for
     every probe T; the square commutes, so Phi_T lands in that set.
 
-    A probe that is a product of cyclic rings is the product of its local
-    factors T_l = Z/p^c, and Hom(X, T1 x T2) = Hom(X, T1) x Hom(X, T2)
-    naturally in X, so Phi_T is the product of the Phi_{T_l}.  A product
-    of maps is a bijection iff some domain and some codomain are empty
-    (both products are empty), or every domain and codomain is nonempty
-    and every factor is a bijection.  The zero ring, an empty product, is
-    always decided True: every ring has exactly one hom into it.  Each
-    distinct Z/p^c is decided once per square by `_local_phi`.
+    A probe that is a product of cyclic rings is the product of its blocks
+    T_l = Z/q_l, and Hom(X, T1 x T2) = Hom(X, T1) x Hom(X, T2) naturally
+    in X, so Phi_T is the product of the Phi_{T_l}.  A product of maps is
+    a bijection iff some domain and some codomain are empty (both products
+    are empty), or every domain and codomain is nonempty and every factor
+    is a bijection.  The zero ring, an empty product, is always decided
+    True: every ring has exactly one hom into it.  Each distinct q is
+    decided once per square by `_local_phi`.
 
     A probe that is not a product of cyclic rings raises UnsupportedClass
     where it stands in the list, unless TR, BL and BR are all zero rings
@@ -416,19 +416,18 @@ def _pushout_by_probes(sq: LocalizationSquare, probes) -> bool:
     cyclic = _all_cyclic(sq.corners)
     decided = {}
     for T in probes:
-        factors = T.local_factors
-        if factors == () or (factors is None and rg.is_zero_ring(T)):
+        if rg.is_zero_ring(T):
             continue
-        if factors is None or not cyclic:
+        if T.local_factors is None or not cyclic:
             if all(rg.is_zero_ring(c) for c in (tr, bl, br)):
                 continue
             raise UnsupportedClass(f"no local maps into {T!r} for corners {sq.corners!r}")
         dom_empty = cod_empty = False
         every = True
-        for _j, p, q in factors:
-            phi = decided.get((p, q))
+        for q in T.blocks:
+            phi = decided.get(q)
             if phi is None:
-                phi = decided[p, q] = _local_phi(sq, p, q)
+                phi = decided[q] = _local_phi(sq, q)
             dom_empty |= phi[0]
             cod_empty |= phi[1]
             every &= phi[2]
@@ -437,19 +436,19 @@ def _pushout_by_probes(sq: LocalizationSquare, probes) -> bool:
     return True
 
 
-def _local_phi(sq: LocalizationSquare, p, q):
+def _local_phi(sq: LocalizationSquare, q):
     """(domain empty, codomain empty, bijective with both nonempty) for
     Phi_{Z/q}, q = p^c.
 
-    Hom(X, Z/q) is one hom per local factor Z/p^a of X with q | p^a (the
-    projection onto it), so a hom into Z/q is the index of its factor in
-    `X.local_factors`, and composing it with a leg h is the lookup
-    h.block_map[index].
+    Hom(X, Z/q) is one hom per block Z/q_s of X with q | q_s (the
+    projection onto it), and q divides q_s only when p is q_s's prime.
+    So a hom into Z/q is the index s of its block in `X.blocks`, and
+    composing it with a leg h is the lookup h.block_map[s].
     """
     _tl, tr, bl, br = sq.corners
 
     def homs(X):
-        return [s for s, (_j, pp, qq) in enumerate(X.local_factors) if pp == p and qq % q == 0]
+        return [s for s, qs in enumerate(X.blocks) if qs % q == 0]
 
     top, left = sq.top.block_map, sq.left.block_map
     right, bottom = sq.right.block_map, sq.bottom.block_map

@@ -835,13 +835,6 @@ def cyclic_moduli(r):
     return None
 
 
-def cyclic_components(x: RingElement) -> tuple:
-    """The coordinates of x, one per modulus of cyclic_moduli(x.owner)."""
-    if isinstance(x.owner, ProductRing):
-        return x.payload
-    return () if isinstance(x.owner, ZeroRing) else (x.payload,)
-
-
 def unit_part(n, c):
     """The largest divisor of n prime to c, so that Z/n[1/c] = Z/unit_part(n, c).
 
@@ -972,7 +965,8 @@ class Rule:
     validated factors is certified as built and never checked.  `table`
     is the lookup table of a TableRule and None for every other rule.
     Every hom with a block map that the library builds is a `BlockRule`,
-    an `IdentityRule` or a `ToZeroRule`; `block_map(h)` is the block map of
+    an `IdentityRule` or a `ToZeroRule`, and every other finite hom it
+    builds is a table; `block_map(h)` is the block map of
     a certified hom h between block rings when the rule alone fixes it (see
     `RingHom.block_map`), else None.
     """
@@ -1072,14 +1066,9 @@ class BlockRule(Rule):
 
     def check(self, h):
         S, T = h.source, h.target
-        src, factors, feeds = S.local_factors, T.local_factors, self.feeds
         try:
-            if factors is not None:
-                fits = S.blocks is not None and len(feeds) == len(factors) and all(
-                    src[s][2] % q == 0 for s, (_j, _p, q) in zip(feeds, factors))
-            else:
-                fits = (src is None and None not in (S.blocks, T.blocks) and S.base == T.base
-                        and [S.blocks[s] for s in feeds] == list(T.blocks))
+            fits = S.blocks is not None and len(self.feeds) == len(T.blocks) and all(
+                _maps_onto(S.block_rings[s], C) for s, C in zip(self.feeds, T.block_rings))
         except (IndexError, TypeError):
             fits = False
         if not fits:
@@ -1090,52 +1079,12 @@ class BlockRule(Rule):
         return tuple([s % k for s in self.feeds])
 
 
-@record(frozen=True)
-class CyclicImagesRule(Rule):
-    """prod Z/n_i -> T, x -> sum_i x_i t_i, where t_i is the image of e_i.
-
-    A ring hom out of a product of cyclic rings is exactly a choice of
-    idempotents t_i that are pairwise orthogonal both ways, satisfy
-    n_i t_i = 0 and sum to 1, in any target: integers are central, so in
-    h(x) h(y) = sum x_i y_j t_i t_j only the terms i = j survive, and
-    n_i t_i = 0 makes x_i t_i independent of the residue chosen; it keeps
-    1 = sum_i e_i as sum_i t_i = 1.  So the O(k^2) `check` is complete.
-    The library builds one only where no block map exists, as out of a
-    product of cyclic rings into M2(F2).
-    """
-    images: tuple  # one target payload per cyclic factor of the source
-
-    def apply(self, h, x):
-        T = h.target
-        acc = T.from_int(0)
-        for c, t in zip(cyclic_components(x), self.images, strict=True):
-            acc = T.add(acc, T.mul(T.from_int(c), t))
-        return RingElement(T, acc)
-
-    def check(self, h):
-        mods, T = cyclic_moduli(h.source), h.target
-        if mods is None or len(mods) != len(self.images):
-            raise NotAHomomorphism(
-                f"{len(self.images)} images do not fit the factors of {h.source!r}")
-        try:
-            # apply reduces every product, so only the canonical forms matter
-            ts = [T.canonical(t) for t in self.images]
-        except (TypeError, ValueError):
-            raise NotAHomomorphism(f"the images are not elements of {T!r}") from None
-        zero = T.from_int(0)
-        for i, (n, t) in enumerate(zip(mods, ts)):
-            if T.mul(t, t) != t:
-                raise NotAHomomorphism(f"the image of e_{i} is not idempotent")
-            if T.mul(T.from_int(n), t) != zero:
-                raise NotAHomomorphism(f"{n} does not kill the image of e_{i}")
-            for j, s in enumerate(ts[:i]):
-                if T.mul(s, t) != zero or T.mul(t, s) != zero:
-                    raise NotAHomomorphism(f"the images of e_{j} and e_{i} are not orthogonal")
-        total = zero
-        for t in ts:
-            total = T.add(total, t)
-        if total != T.from_int(1):
-            raise NotAHomomorphism("the images of the e_i do not sum to 1")
+def _maps_onto(B, C) -> bool:
+    """Whether block ring B maps onto block ring C canonically: C is B, or
+    Z/q_l is a quotient of Z/q_s.  A prime power q_l divides the prime
+    power q_s only when q_s is a power of q_l's prime."""
+    return B == C or (isinstance(B, ModularRing) and isinstance(C, ModularRing)
+                      and B.n % C.n == 0)
 
 
 @record(frozen=True)
@@ -1346,10 +1295,8 @@ def hom_compose(g: RingHom, f: RingHom) -> RingHom:
     An identity factor gives the other factor itself, validated, a
     collapse gives the collapse, and two `BlockRule`s, or two validated
     homs with block maps, compose by index into a `BlockRule`.  A
-    composite of ring homs is a ring hom, so any other composite of
-    validated factors is certified as built: out of a product of cyclic
-    rings it is the `CyclicImagesRule` of the g(f(e_i)), whose check costs
-    O(k^2), and out of any other finite ring a table.  A finite composite
+    composite of ring homs is a ring hom, so any other finite composite of
+    validated factors is a table certified as built.  A finite composite
     of unvalidated factors is a table, checked by `TableRule.check`.
     """
     if f.target != g.source:
@@ -1366,9 +1313,6 @@ def hom_compose(g: RingHom, f: RingHom) -> RingHom:
             or (f.validated and g.validated and None not in (f.block_map, g.block_map))):
         feeds = tuple(f.block_map[s] for s in g.block_map)
         return hom_validate(RingHom(f.source, g.target, BlockRule(feeds)))
-    if f.validated and g.validated and cyclic_moduli(f.source) is not None:
-        images = tuple(g(f(x)).payload for x in generator_elements(f.source))
-        return hom_validate(RingHom(f.source, g.target, CyclicImagesRule(images)))
     if is_finite(f.source):
         comp = hom_from_callable(f.source, g.target, lambda x: g(f(x)))
         if f.validated and g.validated:
@@ -1405,10 +1349,10 @@ def all_homs(source, target) -> tuple:
     order of their `images`.
 
     Supported for the zero ring and finite products of cyclic rings.  Such
-    a hom is fixed by its block map (see `RingHom.block_map`), and local
-    factor Z/p^c of the target may be fed by any local factor Z/p^b of the
-    source with p^c dividing p^b, so the homs are the `BlockRule`s of the
-    product of those choices.
+    a hom is fixed by its block map (see `RingHom.block_map`), and block
+    Z/q of the target may be fed by any block Z/q_s of the source with q
+    dividing q_s (then q_s is a power of q's prime), so the homs are the
+    `BlockRule`s of the product of those choices.
     """
     if is_zero_ring(target):
         return (to_zero_hom(source, target),)
@@ -1417,9 +1361,7 @@ def all_homs(source, target) -> tuple:
     if cyclic_moduli(source) is None or cyclic_moduli(target) is None:
         raise UnsupportedClass(
             f"hom enumeration needs products of cyclic rings, got {source!r} -> {target!r}")
-    src = source.local_factors
-    choices = [[s for s, (_i, _p, qs) in enumerate(src) if qs % q == 0]
-               for _j, _p, q in target.local_factors]
+    choices = [[s for s, qs in enumerate(source.blocks) if qs % q == 0] for q in target.blocks]
     homs = [hom_validate(RingHom(source, target, BlockRule(feeds)))
             for feeds in iproduct(*choices)]
     return tuple(sorted(homs, key=lambda h: h.images))

@@ -43,6 +43,13 @@ def _require_keys(doc, required, optional=(), path=""):
         raise SchemaViolation(f"unknown fields {sorted(unknown)} at {path or '.'}", path)
 
 
+def parse_list(v, path="") -> list:
+    """A JSON list; anything else is a SchemaViolation at path."""
+    if not isinstance(v, list):
+        raise SchemaViolation(f"expected a list at {path or '.'}", path)
+    return v
+
+
 def parse_rational(v, path="") -> Fraction:
     try:
         if isinstance(v, bool):
@@ -123,6 +130,11 @@ def parse_ring(doc, path="ring", *, top=True):
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaViolation(f"bad ring document: {exc}", path)
     raise SchemaViolation(f"unknown ring kind {kind!r}", path)
+
+
+def parse_inner_ring(doc, path):
+    """A ring document inside another one, with or without its schema field."""
+    return parse_ring(doc, path, top=isinstance(doc, dict) and "schema" in doc)
 
 
 def ring_doc(r, *, top=True) -> dict:
@@ -209,10 +221,8 @@ def parse_morphism(doc, path="morphism") -> RingHom:
     _require_keys(doc, ["schema", "source", "target", "rule"], (), path)
     if doc["schema"] != MORPHISM_SCHEMA:
         raise SchemaViolation(f"expected schema {MORPHISM_SCHEMA}", path)
-    source = parse_ring(doc["source"], f"{path}.source", top=False) \
-        if "schema" not in doc["source"] else parse_ring(doc["source"], f"{path}.source")
-    target = parse_ring(doc["target"], f"{path}.target", top=False) \
-        if "schema" not in doc["target"] else parse_ring(doc["target"], f"{path}.target")
+    source = parse_inner_ring(doc["source"], f"{path}.source")
+    target = parse_inner_ring(doc["target"], f"{path}.target")
     rule = doc["rule"]
     _require_keys(rule, ["kind"], ["pairs", "m"], f"{path}.rule")
     kind = rule["kind"]
@@ -232,7 +242,9 @@ def parse_morphism(doc, path="morphism") -> RingHom:
 def _parse_table(source, target, pairs, path) -> RingHom:
     """A validated table hom that lists every element of the source once."""
     mapping = {}
-    for i, pair in enumerate(pairs):
+    for i, pair in enumerate(parse_list(pairs, f"{path}.pairs")):
+        if len(parse_list(pair, f"{path}.pairs[{i}]")) != 2:
+            raise SchemaViolation("table pairs are [source, target]", f"{path}.pairs[{i}]")
         src = parse_element(source, pair[0], f"{path}.pairs[{i}][0]")
         if src in mapping:
             raise SchemaViolation(f"a table rule lists {src!r} twice", f"{path}.pairs[{i}]")
@@ -267,7 +279,7 @@ def parse_graded_module(r, doc, path="module"):
     if doc["schema"] != MODULE_SCHEMA:
         raise SchemaViolation(f"expected schema {MODULE_SCHEMA}", path)
     degrees = []
-    for i, g in enumerate(doc["generators"]):
+    for i, g in enumerate(parse_list(doc["generators"], f"{path}.generators")):
         _require_keys(g, ["degree"], (), f"{path}.generators[{i}]")
         degrees.append(parse_int(g["degree"], f"{path}.generators[{i}].degree"))
     rows = []
@@ -289,17 +301,17 @@ def parse_glue(doc, path="glue"):
     if doc["schema"] != GLUE_SCHEMA:
         raise SchemaViolation(f"expected schema {GLUE_SCHEMA}", path)
     pieces = tuple(parse_ring(p, f"{path}.pieces[{i}]", top=False)
-                   for i, p in enumerate(doc["pieces"]))
+                   for i, p in enumerate(parse_list(doc["pieces"], f"{path}.pieces")))
     overlaps = {}
-    for i, ov in enumerate(doc["overlaps"]):
+    for i, ov in enumerate(parse_list(doc["overlaps"], f"{path}.overlaps")):
         _require_keys(ov, ["from", "to", "subset"], (), f"{path}.overlaps[{i}]")
         a = _piece_index(ov, "from", pieces, f"{path}.overlaps[{i}]")
         b = _piece_index(ov, "to", pieces, f"{path}.overlaps[{i}]")
         overlaps[(a, b)] = tuple(
             parse_element(pieces[a], e, f"{path}.overlaps[{i}].subset[{k}]")
-            for k, e in enumerate(ov["subset"]))
+            for k, e in enumerate(parse_list(ov["subset"], f"{path}.overlaps[{i}].subset")))
     isos = {}
-    for i, iso in enumerate(doc["isos"]):
+    for i, iso in enumerate(parse_list(doc["isos"], f"{path}.isos")):
         _require_keys(iso, ["from", "to", "rule"], (), f"{path}.isos[{i}]")
         a = _piece_index(iso, "from", pieces, f"{path}.isos[{i}]")
         b = _piece_index(iso, "to", pieces, f"{path}.isos[{i}]")
@@ -322,6 +334,12 @@ def parse_glue(doc, path="glue"):
         if a != b and (a, b) not in isos:
             raise SchemaViolation(f"overlap ({a}, {b}) has no iso", f"{path}.isos")
     return GlueDatum(pieces, overlaps, isos)
+
+
+def parse_probes(doc, path="probes") -> tuple:
+    """A probe family: a list of ring documents, each with or without its
+    schema field."""
+    return tuple(parse_inner_ring(d, f"{path}[{i}]") for i, d in enumerate(parse_list(doc, path)))
 
 
 def _piece_index(doc, key, pieces, path) -> int:

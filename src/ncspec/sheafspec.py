@@ -524,13 +524,14 @@ def _prim_witness(m: RingedSpaceMorphism, cells, probes):
 def _pasting_decides(m: RingedSpaceMorphism, cells, probes) -> bool:
     """Whether every square verdict of the walk over `cells` is exact, so
     that the pasting law applies (see `_prim_witness`); every preimage is
-    principal."""
+    principal.  A block Z/q of a product of cyclic rings is a probe when
+    some probe is the single block q, as q = p^c names its prime."""
     Y, X = m.target, m.source
     rings = (X.ring, Y.ring)
     if not _all_cyclic(rings) or not _all_cyclic(probes):
         return False
-    local = {T.local_factors[0][1:] for T in probes if len(T.local_factors) == 1}
-    if not all(f[1:] in local for r in rings for f in r.local_factors):
+    local = {T.blocks[0] for T in probes if len(T.blocks) == 1}
+    if not all(q in local for r in rings for q in r.blocks):
         return False
     for j in cells:
         h, (_U, mins) = m.comap[j], m.preimage_of_cell(j)

@@ -157,9 +157,9 @@ def _raw_space(pres: GradedModulePresentation, S, d: int, box: int) -> RawSpace:
 
 @record
 class StablePiece:
-    """Image of the depth-box space inside the deeper space at box + k_max."""
+    """Image of the depth-box space inside the deeper space at box + 1."""
 
-    raw: RawSpace        # the big space at box + k_max
+    raw: RawSpace        # the big space at box + 1
     span: Echelon        # the image in reduced row echelon form over raw.columns
 
     @property
@@ -171,8 +171,8 @@ class StablePiece:
         return self.span.rank
 
 
-def _stable_piece(pres, S, d, box, k_max: int = 1) -> StablePiece:
-    big = _raw_space(pres, S, d, box + max(1, k_max))
+def _stable_piece(pres, S, d, box) -> StablePiece:
+    big = _raw_space(pres, S, d, box + 1)
     img = Echelon(len(big.columns))
     n = pres.ring.nvars
     for t, gdeg in enumerate(pres.gen_degrees):
@@ -195,7 +195,6 @@ class ProjSpace:
     chart_generators: tuple  # per chart: exponent vectors of its generators
     overlaps: tuple          # pairs (i, j), i < j
     triples: tuple           # triples (i, j, k), i < j < k
-    psi_report: dict
 
     @property
     def n(self):
@@ -230,11 +229,10 @@ def chart_ring_descriptor(r: SkewLaurentRing, i: int):
 
 
 def build_proj(r: SkewLaurentRing) -> ProjSpace:
-    """Charts at each variable, pairwise overlaps and triples, and the
-    report on the cocycle identities of the chart identifications.
+    """Charts at each variable, pairwise overlaps and triples.
 
-    Those identities hold on every ring, so the report always reads pass.
-    A product of monomials is the monomial of the summed exponents times a
+    The cocycle identities of the chart identifications hold on every
+    ring, so the cover carries no report on them.  A product of monomials is the monomial of the summed exponents times a
     twist (`skewpoly.term_mul`), so x_k x_i^-1 re-expresses across overlap
     (i, j) as a scalar times (x_k x_j^-1)(x_j x_i^-1), the overlap
     generator x_j x_i^-1 inverts to a scalar times x_i x_j^-1, and a chain
@@ -254,8 +252,7 @@ def build_proj(r: SkewLaurentRing) -> ProjSpace:
     overlaps = tuple((i, j) for i in range(n) for j in range(i + 1, n))
     triples = tuple(
         (i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n))
-    report = {"status": "pass", "failures": []}
-    return ProjSpace(r, tuple(charts), tuple(gens), overlaps, triples, report)
+    return ProjSpace(r, tuple(charts), tuple(gens), overlaps, triples)
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +383,8 @@ class SectionSpace:
         return len(self.vectors)
 
 
-def _sections_once(M: GradedModulePresentation, nvars, d, box, k_max=1) -> SectionSpace:
-    pieces = [_stable_piece(M, frozenset({i}), d, box, k_max) for i in range(nvars)]
+def _sections_once(M: GradedModulePresentation, nvars, d, box) -> SectionSpace:
+    pieces = [_stable_piece(M, frozenset({i}), d, box) for i in range(nvars)]
     dims = [p.dim for p in pieces]
     offsets = [0]
     for k in dims:
@@ -395,7 +392,7 @@ def _sections_once(M: GradedModulePresentation, nvars, d, box, k_max=1) -> Secti
     rows = []
     for i in range(nvars):
         for j in range(i + 1, nvars):
-            ov = _raw_space(M, frozenset({i, j}), d, box + max(1, k_max))
+            ov = _raw_space(M, frozenset({i, j}), d, box + 1)
             # one row per overlap column: chart i's coefficient minus chart j's
             by_col = {}
             for k, sign in ((i, 1), (j, -1)):
@@ -408,13 +405,12 @@ def _sections_once(M: GradedModulePresentation, nvars, d, box, k_max=1) -> Secti
                         tuple(vectors))
 
 
-def gamma(X: ProjSpace, M: GradedModulePresentation, window, box: int = 2,
-          k_max: int = 1) -> dict:
+def gamma(X: ProjSpace, M: GradedModulePresentation, window, box: int = 2) -> dict:
     """Per-degree dimensions of the global sections over the window.
 
-    `box` bounds the negative-exponent depth of the truncation; `k_max`
-    is the saturation depth (honest classes are images of the depth-box
-    space under k_max more steps).  Every degree is always computed again
+    `box` bounds the negative-exponent depth of the truncation; honest
+    classes are the images of the depth-box space in the space one step
+    deeper (`_stable_piece`).  Every degree is always computed again
     with the box enlarged by one, and a drift in its dimension raises
     BoxTooSmall.
     """
@@ -422,14 +418,13 @@ def gamma(X: ProjSpace, M: GradedModulePresentation, window, box: int = 2,
     dims = {}
     spaces = {}
     for d in range(lo, hi + 1):
-        s = _sections_once(M, X.n, d, box, k_max)
+        s = _sections_once(M, X.n, d, box)
         spaces[d] = s
         dims[d] = s.dim
-        again = _sections_once(M, X.n, d, box + 1, k_max)
+        again = _sections_once(M, X.n, d, box + 1)
         if again.dim != s.dim:
             raise BoxTooSmall(f"degree {d}: dimension moved {s.dim} -> {again.dim}")
-    return {"window": (lo, hi), "box": box, "k_max": k_max,
-            "dims": dims, "spaces": spaces}
+    return {"window": (lo, hi), "box": box, "dims": dims, "spaces": spaces}
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +453,7 @@ def _gamma_image(amb: RawSpace, col: int, sec: SectionSpace) -> dict:
 
 
 def serre_unit(X: ProjSpace, M: GradedModulePresentation, window,
-               box: int = 2, k_max: int = 1, torsion_bound: int = 3) -> dict:
+               box: int = 2, torsion_bound: int = 3) -> dict:
     """Degree-wise kernel/cokernel data of the map module -> sections.
 
     Kernel elements are certified annihilated by high powers of every
@@ -467,9 +462,8 @@ def serre_unit(X: ProjSpace, M: GradedModulePresentation, window,
     inconclusive.
     """
     lo, hi = window
-    g = gamma(X, M, window, box, k_max)
-    out = {"window": (lo, hi), "box": box, "k_max": k_max,
-           "torsion_bound": torsion_bound, "degrees": {}}
+    g = gamma(X, M, window, box)
+    out = {"window": (lo, hi), "box": box, "torsion_bound": torsion_bound, "degrees": {}}
     # the image of every degree first: the cokernel probes of a degree
     # test membership in the images of the degrees above it
     parts = {}

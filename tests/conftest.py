@@ -134,11 +134,29 @@ def brute_hom_descend(alpha, psi):
     return rg.RingHom(alpha.target, psi.target, rg.TableRule(tuple(sorted(table.items()))))
 
 
+def cyclic_coordinates(x) -> tuple:
+    """The coordinates of an element of a product of cyclic rings, one per
+    modulus of `rings.cyclic_moduli`, read off its payload."""
+    if isinstance(x.owner, rg.ProductRing):
+        return x.payload
+    return () if isinstance(x.owner, ZeroRing) else (x.payload,)
+
+
+def images_table(source, target, images):
+    """The table of x -> sum_i x_i t_i out of a product of cyclic rings,
+    for the coordinates x_i of x and the image payloads t_i in target."""
+    def apply(x):
+        terms = zip(cyclic_coordinates(x), images)
+        return sum((rg.from_int(target, c) * rg.element(target, t) for c, t in terms),
+                   target.zero)
+    return rg.hom_from_callable(source, target, apply)
+
+
 def brute_all_homs(source, target):
     """Every hom out of a product of cyclic rings into another, in the order
     of `rings.all_homs`: one idempotent per factor, drawn from an
     enumeration of the target, orthogonal to those before it and killed by
-    the factor's modulus, with sum 1."""
+    the factor's modulus, with sum 1, as the table of `images_table`."""
     if rg.is_zero_ring(target):
         return [rg.to_zero_hom(source, target)]
     if rg.is_zero_ring(source):
@@ -152,8 +170,7 @@ def brute_all_homs(source, target):
         i = len(chosen)
         if i == len(mods):
             if remaining == z:
-                rule = rg.CyclicImagesRule(tuple(t.payload for t in chosen))
-                out.append(rg.hom_validate(rg.RingHom(source, target, rule)))
+                out.append(images_table(source, target, [t.payload for t in chosen]))
             return
         for t in idem:
             if all(t * c == z for c in chosen) and rg.from_int(target, mods[i]) * t == z:
@@ -184,7 +201,8 @@ def brute_is_hom(h) -> bool:
 
 
 def brute_tensor_factor(M, theta, j) -> dict:
-    """Factor j of M (x) T along theta: R -> T, as coset indices of M.
+    """Factor j of M (x) T along theta: R -> T, as coset indices of M, for
+    block j of T (its part theta_j(r) in `split`).
 
     The bilinearity relations r*m - theta_j(r)*m over every scalar r and
     element m generate a subgroup N of M; each element maps to the index
@@ -197,8 +215,8 @@ def brute_tensor_factor(M, theta, j) -> dict:
         return tuple((a + b) % d for a, b, d in zip(x, y, orders))
 
     elems = list(product(*map(range, orders)))
-    shifts = {r - rg.cyclic_components(theta(rg.element(M.ring, r)))[j]
-              for r in range(M.ring.n)}
+    T = theta.target
+    shifts = {r - T.split(theta(rg.element(M.ring, r)).payload)[j] for r in range(M.ring.n)}
     gens = {tuple(k * a % d for a, d in zip(m, orders)) for k in shifts for m in elems}
     N = subgroup_closure((0,) * len(orders), gens, add)
     coset_of, count = {}, 0
@@ -570,7 +588,7 @@ def brute_cyclic_cell_idempotents(r):
     element: the CRT idempotents (`rings.unit_idempotent` per coordinate)
     as coordinate tuples, in the order they first occur."""
     mods = rg.cyclic_moduli(r)
-    return list(dict.fromkeys(tuple(map(rg.unit_idempotent, mods, rg.cyclic_components(f)))
+    return list(dict.fromkeys(tuple(map(rg.unit_idempotent, mods, cyclic_coordinates(f)))
                               for f in rg.enumerate_elements(r)))
 
 

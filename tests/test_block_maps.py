@@ -96,9 +96,12 @@ def unmapped_homs():
             M2, ((x.payload[0][0][0], 0), (0, x.payload[1][0][0]))))),
         rg.hom_validate(rg.hom_from_callable(f22, z2, lambda x: rg.element(
             z2, x.payload[0][0][0]))),
-        rg.hom_validate(RingHom(z22, f22, rg.CyclicImagesRule(f22.generators))),
-        rg.hom_validate(RingHom(ModularRing(6), M2, rg.CyclicImagesRule((M2.one.payload,)))),
-        rg.hom_validate(RingHom(ModularRing(4), M2, rg.CyclicImagesRule((M2.one.payload,)))),
+        rg.hom_validate(rg.hom_from_callable(z22, f22, lambda x: rg.element(
+            f22, tuple(((c,),) for c in x.payload)))),
+        rg.hom_validate(rg.hom_from_callable(ModularRing(6), M2, lambda x: rg.from_int(
+            M2, x.payload))),
+        rg.hom_validate(rg.hom_from_callable(ModularRing(4), M2, lambda x: rg.from_int(
+            M2, x.payload))),
     )
 
 

@@ -2,17 +2,17 @@
 
 import sys
 import time
+from functools import cache
 from itertools import product as iproduct
 
 import pytest
-from conftest import brute_is_hom, small_commutative_rings
+from conftest import brute_is_hom, cyclic_coordinates, images_table, small_commutative_rings
 
 from ncspec import sheafspec
 from ncspec import rings as rg
 from ncspec.errors import NotAHomomorphism
 from ncspec.rings import (
     BlockRule,
-    CyclicImagesRule,
     MatrixRing,
     ModularRing,
     PrimeField,
@@ -48,11 +48,10 @@ def _units_sum(target, slots):
 
 
 def comm_loc_instances(rng, count):
-    """Random CyclicImagesRule homs shaped like a localization insertion:
-    each (factor index, modulus) of `kept` is one factor of the target,
-    whose unit is the image of e_i.  Kept moduli divide n_i or not, an
-    index out of range leaves its unit nobody's image, and the target is
-    the one the images name or a wrong one."""
+    """Random table homs shaped like a localization insertion, x -> sum_i
+    x_i t_i (`images_table`): each (factor index, modulus) of `kept` is
+    one factor of the target, whose unit is in t_i.  Kept moduli divide n_i
+    or not, and an index out of range leaves its unit nobody's image."""
     rings = small_commutative_rings()
     for _ in range(count):
         source = rng.choice(rings)
@@ -65,21 +64,20 @@ def comm_loc_instances(rng, count):
         target = _cyclic_product([m for _, m in kept])
         images = tuple(_units_sum(target, [j for j, (k, _) in enumerate(kept) if k == i])
                        for i in range(len(mods)))
-        if rng.random() < 0.3:
-            target = rng.choice(rings)
-        yield RingHom(source, target, CyclicImagesRule(images))
+        yield images_table(source, target, images)
 
 
 def quotient_instances(rng, count):
-    """Random quotient-shaped CyclicImagesRule homs, e_0 -> 1 mod m, over
-    cyclic and non-cyclic sources."""
+    """Random quotient-shaped table homs, x -> x_0 mod m for the first
+    coordinate x_0 of x, over the zero ring, cyclic rings and products."""
     rings = small_commutative_rings()
     for _ in range(count):
         source = rng.choice(rings)
         n = rg.cardinality(source)
         m = _divisor_or_not(rng, n)
         target = ModularRing(m) if rng.random() < 0.7 else rng.choice(rings)
-        yield RingHom(source, target, CyclicImagesRule((1 % m,)))
+        yield rg.hom_from_callable(source, target, lambda x, T=target: rg.from_int(
+            T, (cyclic_coordinates(x) or (0,))[0]))
 
 
 # products of cyclic rings with every shape of local factor: shared
@@ -172,20 +170,24 @@ def _conjugated(u, x):
     return rg.RingElement(x.owner, x.payload[:-1] + ((u * m * ui).payload,))
 
 
+@cache
 def _real_homs(S, T):
     """Ring homs S -> T built by certified rules: identities, block maps,
-    idempotent images, the inner automorphisms of M2(F2), and the two
+    the tables of idempotent images out of a product of cyclic rings
+    (`images_table`), the inner automorphisms of M2(F2), and the two
     projections of Z/2 x M2(F2)."""
     rules = [rg.IdentityRule()] if S == T else []
     if S.blocks and T.blocks:
         rules += [BlockRule(f) for f in iproduct(range(len(S.blocks)), repeat=len(T.blocks))]
+    candidates = [RingHom(S, T, rule) for rule in rules]
     if rg.cyclic_moduli(S) is not None:
         idem = [t for t in T.elements() if T.mul(t, t) == t]
-        rules += [CyclicImagesRule(ims) for ims in iproduct(idem, repeat=len(S.generators))]
+        candidates += [images_table(S, T, ims)
+                       for ims in iproduct(idem, repeat=len(S.generators))]
     homs = []
-    for rule in rules:
+    for h in candidates:
         try:
-            homs.append(rg.hom_validate(RingHom(S, T, rule)))
+            homs.append(rg.hom_validate(h))
         except NotAHomomorphism:
             pass
     if S == T and M2F2 in getattr(S, "factors", (S,)):
@@ -359,7 +361,7 @@ def applies_in_validation(monkeypatch):
     validate = rg.hom_validate.__code__
     rules = [c for c in vars(rg).values()
              if isinstance(c, type) and issubclass(c, rg.Rule) and "apply" in vars(c)]
-    assert rg.TableRule not in rules and len(rules) >= 7
+    assert rg.TableRule not in rules and len(rules) >= 6
 
     for cls in rules:
         def counted(rule, h, x, apply=cls.apply):

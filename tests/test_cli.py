@@ -338,6 +338,41 @@ def test_cli_rejects_a_glue_iso_table_that_lists_an_element_twice(tmp_path, caps
     assert err.value.path == "glue.isos[0].rule.pairs[3]"
 
 
+def test_cli_rejects_malformed_lists_with_their_path(tmp_path, capsys):
+    # each of these once escaped as a TypeError or IndexError traceback
+    z2, z6 = {"kind": "modular", "n": 2}, {"kind": "modular", "n": 6}
+    ident = {"schema": "ncspec.morphism/1", "source": z6, "target": z6,
+             "rule": {"kind": "identity"}}
+
+    def table(pairs):
+        return {"schema": "ncspec.morphism/1", "source": z2, "target": z2,
+                "rule": {"kind": "table", "pairs": pairs}}
+
+    cases = [
+        ("glue", "--glue", dict(_z6_glue(), pieces=5), "glue.pieces"),
+        ("glue", "--glue", dict(_z6_glue(), overlaps=5), "glue.overlaps"),
+        ("glue", "--glue", dict(_z6_glue(), isos={"from": 0}), "glue.isos"),
+        ("morphism", "--morphism", table(5), "morphism.rule.pairs"),
+        ("morphism", "--morphism", table([[0], [1, 1]]), "morphism.rule.pairs[0]"),
+        ("morphism", "--morphism", dict(table([]), source=5), "morphism.source"),
+        ("qcoh-check", "--datum", {"schema": "ncspec.qcoh/1", "ring": 5, "module": {},
+                                   "scalars": []}, "qcoh.ring"),
+        ("prim-check", "--probes", 5, "probes"),
+        ("prim-check", "--probes", [1], "probes[0]"),
+    ]
+    morphism = write(tmp_path, "ident.json", ident)
+    for k, (sub, flag, doc, path) in enumerate(cases):
+        argv = (sub, flag, write(tmp_path, f"bad{k}.json", doc))
+        if sub == "prim-check":
+            argv += ("--morphism", morphism)
+        code, out = run_cli(capsys, *argv)
+        payload = json.loads(out)["payload"]
+        assert code == 2 and payload["error"] == "SchemaViolation", (argv, payload)
+        assert payload["path"] == path, payload
+    with pytest.raises(SchemaViolation):
+        ser.parse_probes({"kind": "zero"})
+
+
 def test_cli_failure_report_names_the_error_path(tmp_path, capsys):
     """A SchemaViolation's path reaches the report; an error without one
     (a map that is no hom) adds no path field."""
@@ -371,10 +406,8 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     cases = [
         ("proj-gamma", "--ring", ring, "--window", "3", "1"),
         ("proj-gamma", *window, "--box", "-1"),
-        ("proj-gamma", *window, "--k-max", "0"),
         ("serre-check", "--ring", ring, "--window", "2", "0"),
         ("serre-check", *window, "--box", "-1"),
-        ("serre-check", *window, "--k-max", "0"),
         ("serre-check", *window, "--torsion-bound", "0"),
     ]
     for k, box in enumerate((-1, True, "2")):

@@ -16,6 +16,7 @@ from conftest import (
     brute_hom_descend,
     brute_is_hom,
     finite_commutative_grid,
+    images_table,
     small_commutative_rings,
     subgroup_closure,
 )
@@ -24,7 +25,7 @@ from ncspec import rings as rg
 from ncspec.errors import NotAHomomorphism, UnsupportedClass
 from ncspec.localization import descend_by_block_maps, induced_map, localize
 from ncspec.rings import (
-    CyclicImagesRule,
+    BlockRule,
     MatrixRing,
     ModularRing,
     PrimeField,
@@ -145,13 +146,29 @@ def test_symbolic_composites_match_table_composites_on_grid_lattices():
     assert triples > 1500, triples
 
 
+def test_cross_kind_composite_is_the_brute_table():
+    # Z/2 x Z/2 -> M2(F2) onto the diagonal, then conjugation by a unit:
+    # neither leg has a block map, so the composite is a certified table
+    m2 = MatrixRing(F2, 2)
+    f = rg.hom_validate(images_table(cyclic(2, 2), m2, (((1, 0), (0, 0)), ((0, 0), (0, 1)))))
+    u = rg.matrix_element(m2, ((1, 1), (0, 1)))
+    ui = rg.inverse(m2, u)
+    g = rg.hom_validate(rg.hom_from_callable(m2, m2, lambda x: u * x * ui))
+    assert f.block_map is None and g.block_map is None
+    comp = rg.hom_compose(g, f)
+    assert comp.validated and isinstance(comp.rule, rg.TableRule)
+    brute = {(a, b): (u * rg.matrix_element(m2, ((a, 0), (0, b))) * ui).payload
+             for a in range(2) for b in range(2)}
+    assert comp.as_table() == brute and brute_is_hom(comp)
+
+
 def test_composites_of_idempotent_rules_match_their_tables():
     rings = [cyclic(2, 2), cyclic(2, 3), ModularRing(6), ModularRing(12), cyclic(2, 2, 2),
              ModularRing(2), ZeroRing()]
     # homs into non-commutative targets: orthogonal idempotents of M2(F2)
     m2 = MatrixRing(F2, 2)
     e11, e22 = ((1, 0), (0, 0)), ((0, 0), (0, 1))
-    into_m2 = rg.hom_validate(RingHom(cyclic(2, 2), m2, CyclicImagesRule((e11, e22))))
+    into_m2 = rg.hom_validate(images_table(cyclic(2, 2), m2, (e11, e22)))
     count = 0
     for A in rings:
         for B in rings:
@@ -260,8 +277,9 @@ def test_descent_rejects_clashes_and_maps_that_are_not_onto():
 
 
 def _idempotent_rule_instances(rng, count):
-    """Random CyclicImagesRule homs: images that form a real hom, random
-    idempotents, random elements, non-canonical payloads and wrong counts."""
+    """Random tables of idempotent images (`images_table`): images that
+    form a real hom, random idempotents, random elements, non-canonical
+    payloads and one image too many or too few."""
     sources = small_commutative_rings(12)
     targets = small_commutative_rings(8) + NONCOMMUTATIVE + [SemisimpleAlgebra(F3, (1, 1))]
     for _ in range(count):
@@ -281,7 +299,7 @@ def _idempotent_rule_instances(rng, count):
             images = images + (rng.choice(elems),) if rng.random() < 0.5 else images[1:]
         if isinstance(T, ModularRing) and images and rng.random() < 0.1:
             images = (images[0] + T.n,) + images[1:]
-        yield RingHom(S, T, CyclicImagesRule(images))
+        yield images_table(S, T, images)
 
 
 def _certified(h):
@@ -312,25 +330,20 @@ def test_idempotent_rule_check_agrees_with_the_exhaustive_oracle(rng):
     (cyclic(2, 3), ModularRing(6), (3,)),
 ])
 def test_idempotent_rule_rejects_each_broken_law(source, target, images):
-    h = RingHom(source, target, CyclicImagesRule(images))
+    h = images_table(source, target, images)
     assert not brute_is_hom(h)
     with pytest.raises(NotAHomomorphism):
         rg.hom_validate(h)
-
-
-def test_non_canonical_images_certify_the_map_they_compute():
-    h = RingHom(ModularRing(3), ModularRing(3), CyclicImagesRule((4,)))
-    assert brute_is_hom(h) and rg.hom_validate(h) == rg.identity_hom(ModularRing(3))
 
 
 def test_hash_is_fixed_by_the_images():
     z12, z4, p = ModularRing(12), ModularRing(4), cyclic(2, 3)
 
     def fresh():
-        return [RingHom(z12, z4, CyclicImagesRule((1,))),
+        return [RingHom(z12, z4, BlockRule((0,))),
                 rg.table_hom(z12, z4, {x: rg.RingElement(z4, x.payload % 4)
                                        for x in rg.enumerate_elements(z12)}),
-                RingHom(p, ModularRing(6), CyclicImagesRule((3, 4)))]
+                RingHom(p, ModularRing(6), BlockRule((0, 1)))]
 
     want = [hash(h) for h in fresh()]
     assert want[0] == want[1]

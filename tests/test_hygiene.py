@@ -70,6 +70,50 @@ def test_block_ring_readers_do_not_test_the_ring_kind(name):
     assert block_ring_kind_tests((PACKAGE / name).read_text(encoding="utf-8")) == []
 
 
+def local_factor_reads(source: str) -> list:
+    """(line, enclosing function) of each `.local_factors` that is not
+    tested with `is None` or `is not None` (function None at module level)."""
+    tree = ast.parse(source)
+    tested = {id(node.left) for node in ast.walk(tree)
+              if isinstance(node, ast.Compare) and len(node.ops) == 1
+              and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+              and isinstance(node.comparators[0], ast.Constant)
+              and node.comparators[0].value is None}
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "local_factors"
+                and id(node) not in tested):
+            found.append((node.lineno, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_local_factor_read_detector():
+    src = ("x = r.local_factors\ndef f(r):\n    if r.local_factors is None:\n"
+           "        return r.local_factors is not None\n    return r.local_factors[0][1]\n"
+           "def g(T):\n    return [q for _j, _p, q in T.local_factors]\n")
+    assert local_factor_reads(src) == [(1, None), (5, "f"), (7, "g")]
+
+
+# the two policies that read the (modulus, prime, prime power) triples
+LOCAL_FACTOR_READERS = {"latspace.py": {"_cell_order"}, "commbridge.py": {"spec"}}
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "rings.py"],
+                         ids=lambda p: p.name)
+def test_products_of_cyclic_rings_are_read_through_their_blocks(path):
+    # everywhere else `blocks` (with `split` for coordinates) is the view
+    allowed = LOCAL_FACTOR_READERS.get(path.name, set())
+    reads = local_factor_reads(path.read_text(encoding="utf-8"))
+    assert [(line, func) for line, func in reads if func not in allowed] == []
+
+
 def validated_writers(source: str) -> list:
     """The functions that assign a `.validated` attribute (None at module level)."""
     writers = []

@@ -24,7 +24,7 @@ def crt_hom():
     """Z/6 x Z/5 -> Z/2 x Z/15, (a, b) -> (a mod 2, the residue of a mod 3
     and b mod 5): an isomorphism by the Chinese remainder theorem."""
     S, T = cyclic(6, 5), cyclic(2, 15)
-    return rg.hom_validate(rg.RingHom(S, T, rg.CyclicImagesRule(((1, 10), (0, 6)))))
+    return rg.hom_validate(rg.RingHom(S, T, rg.BlockRule((0, 1, 2))))
 
 
 def crt_table_hom():

