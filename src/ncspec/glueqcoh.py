@@ -15,7 +15,7 @@ and semilinearity conditions.
 """
 
 from itertools import product as iproduct
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from . import rings as rg
 from .errors import (
@@ -258,6 +258,16 @@ class TensorModule:
     def size(self):
         return prod(prod(o) for o in self.orders)
 
+    def unit_map_is_iso(self) -> bool:
+        """Whether m -> 1 (x) m is an isomorphism from the module onto this
+        base change.  The map is additive, and coordinate i of its value
+        reads m_i alone, so it is injective iff 1 (x) e_i has order d_i for
+        every generator e_i.  That element is 1 mod gcd(d_i, q_l) in each
+        block l, so its order is the lcm of those gcds.  With both sides of
+        one size the map is then onto too."""
+        return self.size() == self.module.size() and all(
+            lcm(*[o[i] for o in self.orders]) == d for i, d in enumerate(self.module.orders))
+
     def add(self, x, y):
         return tuple(_reduce(map(sum, zip(a, b)), o) for a, b, o in zip(x, y, self.orders))
 
@@ -362,8 +372,7 @@ def qcoh_roundtrip(r, M: FiniteModule) -> dict:
     """Gamma of the sheaf of M is M, and base-changing Gamma rebuilds the sheaf."""
     sheaf = tilde_module(r, M)
     bottom = global_sections_module(sheaf)
-    gamma_iso = bottom.size() == M.size() == len(
-        {bottom.pure(rg.one(r), m) for m in M.elements()})
+    gamma_iso = bottom.unit_map_is_iso()
     rebuild_ok = True
     for i, cell in enumerate(sheaf.space.lattice.cells):
         T = sheaf.stalks[i]

@@ -1144,7 +1144,9 @@ class RingHom:
     rings compare by rule.  Where a hom has a `block_map`, readers compare,
     compose and invert it by lookups on that map.  `validated` is set only
     by `hom_validate` (its rule's check passed) and `hom_compose` (a
-    composite of validated homs).
+    composite of validated homs).  A hom may be shared (`quotient_hom`
+    returns one per pair of moduli), so nothing changes a hom after it is
+    built but its caches and that flag.
     """
 
     validated = False
@@ -1218,6 +1220,8 @@ class RingHom:
         return feeds if candidate.images == self.images else None
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, RingHom):
             return False
         if (self.source, self.target) != (other.source, other.target):
@@ -1248,10 +1252,33 @@ def to_zero_hom(r, z=None) -> RingHom:
     return hom_validate(RingHom(r, z if z is not None else ZeroRing(), ToZeroRule()))
 
 
+# The bound of each memo of spaces, morphisms and quotient homs; the sizes
+# it rests on are given in `sheafspec`.
+CACHE_BOUND = 32
+
+
 def quotient_hom(n: int, m: int) -> RingHom:
-    """Z/n -> Z/m, x -> x mod m, for m dividing n: Z/m keeps the local factors of its primes."""
+    """Z/n -> Z/m, x -> x mod m, for positive ints m dividing n: Z/m keeps
+    the local factors of its primes.
+
+    The hom is shared: every call with one (n, m) returns the same
+    validated RingHom, from a memo of at most `CACHE_BOUND` (32) pairs
+    that `sheafspec.clear_caches()` empties, so its `images` and
+    `block_map` are computed once per session.  Its only mutable state is
+    caches and the `validated` flag, which is never unset.  The moduli are
+    checked before the memo: a bool is not a modulus (True == 1 would
+    share the entry of 1), and m = 0 divides no n.
+    """
+    for k in (n, m):
+        if type(k) is not int or k < 1:
+            raise NotAHomomorphism(f"a quotient Z/n -> Z/m needs positive int moduli, got {k!r}")
     if n % m:
         raise NotAHomomorphism(f"{m} does not divide {n}")
+    return _quotient_hom(n, m)
+
+
+@lru_cache(maxsize=CACHE_BOUND)
+def _quotient_hom(n: int, m: int) -> RingHom:
     source = ModularRing(n)
     feeds = tuple(s for s, (_i, p, _q) in enumerate(source.local_factors) if m % p == 0)
     return hom_validate(RingHom(source, ModularRing(m), BlockRule(feeds)))

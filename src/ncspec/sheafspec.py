@@ -39,8 +39,10 @@ from .localization import (
 )
 from .records import field, record
 from .rings import (
+    CACHE_BOUND,
     RingHom,
     ZeroRing,
+    _quotient_hom,
     canonical_modular_product,
     hom_compose,
     hom_validate,
@@ -130,15 +132,18 @@ class NCSpecSpace:
 
 # NCSpec memoized as a functor: spaces by ring, induced morphisms by their
 # validated hom, each in a `functools.lru_cache` of at most CACHE_BOUND
-# entries.  The largest morphism the tests build, Z/30030 -> Z/2310, holds
-# 0.17 MB after `verify` and `is_prim_report` (its 64 squares and its
-# verdicts; tracemalloc, Python 3.11), and NCSpec(Z/30030) holds 1.1 MB.
+# (`rings.CACHE_BOUND`, 32) entries.  The largest morphism the tests
+# build, Z/30030 -> Z/2310, holds 0.17 MB after `verify` and
+# `is_prim_report` (its 64 squares and its verdicts; tracemalloc, Python
+# 3.11), and NCSpec(Z/30030) holds 1.1 MB.
 # So 32 morphisms of that size keep about 5 MB of their own, and 32 spaces
 # of that size about 35 MB; a morphism also keeps its two spaces alive.
 # The Spec-bridge verdicts a space keeps (`NCSpecSpace._bridge`) add
 # 0.13 MB on Z/30030 after all three checks, so about 4 MB over 32 spaces.
-# A warm session over Z/12 and Z/30 touches 10 morphisms and 9 spaces.
-CACHE_BOUND = 32
+# A warm session over Z/12 and Z/30 touches 10 morphisms, 9 spaces and
+# the 10 quotient homs of those morphisms (`rings.quotient_hom`, a memo of
+# the same bound; a quotient hom with its two descriptors and their cached
+# blocks holds 3-8 KB, for Z/12 -> Z/4 up to Z/30030 -> Z/2310).
 
 
 @lru_cache(maxsize=CACHE_BOUND)
@@ -208,9 +213,10 @@ class RingedSpaceMorphism:
     the walks of `verify` and the prim check cache on it cannot go stale:
     the preimage of each target cell with its minimal cells, the
     restriction square of each pair, which keeps its commutation verdict,
-    the result of `verify`, the default prim probes and the prim witness
-    of each probe tuple.  Only returned values are kept, so a check that
-    raises raises again when asked again.
+    the result of `verify`, the default prim probes, the prim witness
+    of each probe tuple, and the default probes' witness with their
+    reprs.  Only returned values are kept, so a check that raises raises
+    again when asked again.
     """
 
     source: NCSpecSpace
@@ -224,7 +230,7 @@ class RingedSpaceMorphism:
         put(self, "comap", MappingProxyType(dict(self.comap)))
         put(self, "_preimages", {})     # target cell -> (preimage, its minimal cells)
         put(self, "_squares", {})       # (j1, j2) -> restriction square
-        put(self, "_verdicts", {})      # "verify", "probes", ("prim", probes) -> result
+        put(self, "_verdicts", {})      # "verify", "probes", "prim", ("prim", probes) -> result
 
     def preimage_base_open(self, target_open) -> frozenset:
         """The preimage of an open of the target, an open of the source."""
@@ -367,12 +373,12 @@ def _induced_morphism(theta: RingHom) -> RingedSpaceMorphism:
 
 
 # private handles: tracing tools rebind the public names to wrappers
-_CACHED = (ncspec, _induced_morphism, _localize_cached)
+_CACHED = (ncspec, _induced_morphism, _localize_cached, _quotient_hom)
 
 
 def clear_caches():
-    """Empty the memos of spaces and induced morphisms and the cache of
-    localizations."""
+    """Empty the memos of spaces, induced morphisms and quotient homs
+    (`rings.quotient_hom`) and the cache of localizations."""
     for cached in _CACHED:
         cached.cache_clear()
 
@@ -462,17 +468,29 @@ def is_prim(m: RingedSpaceMorphism, probes=None) -> bool:
 def is_prim_report(m: RingedSpaceMorphism, probes=None) -> dict:
     """Like is_prim, but a failing check names its witness.
 
-    The witness of each probe tuple is found once per morphism; every call
-    returns a fresh report."""
-    probes = default_prim_probes(m) if probes is None else tuple(probes)
+    The witness of each probe tuple is found once per morphism, and the
+    default probes' witness is kept with their reprs under one key, so a
+    repeated default call is a lookup; every call returns a fresh report."""
+    if probes is None:
+        kept = m._verdicts.get("prim")
+        if kept is None:
+            probes = default_prim_probes(m)
+            kept = m._verdicts["prim"] = (_prim_verdict(m, probes), tuple(map(repr, probes)))
+    else:
+        probes = tuple(probes)
+        kept = (_prim_verdict(m, probes), tuple(map(repr, probes)))
+    witness, shown = kept
+    if witness is not None:     # a copy the caller may change
+        witness = {k: list(v) if isinstance(v, list) else v for k, v in witness.items()}
+    return {"prim": witness is None, "witness": witness, "probes": list(shown)}
+
+
+def _prim_verdict(m: RingedSpaceMorphism, probes: tuple):
+    """The prim witness of m for a probe tuple, found once per morphism."""
     key = ("prim", probes)
     if key not in m._verdicts:
         m._verdicts[key] = _prim_witness(m, range(m.target.lattice.n), probes)
-    witness = m._verdicts[key]
-    if witness is not None:     # a copy the caller may change
-        witness = {k: list(v) if isinstance(v, list) else v for k, v in witness.items()}
-    return {"prim": witness is None, "witness": witness,
-            "probes": [repr(p) for p in probes]}
+    return m._verdicts[key]
 
 
 def _prim_witness(m: RingedSpaceMorphism, cells, probes):

@@ -227,6 +227,13 @@ def brute_tensor_factor(M, theta, j) -> dict:
     return coset_of
 
 
+def brute_unit_map_is_iso(T) -> bool:
+    """Whether m -> 1 (x) m maps the module of the base change T onto T
+    bijectively, by building the pure tensor of every element."""
+    M = T.module
+    return T.size() == M.size() == len({T.pure(rg.one(T.hom.target), m) for m in M.elements()})
+
+
 def brute_module_axioms(M) -> bool:
     """The module laws of M over its ring, checked on every scalar and element."""
     scalars = rg.enumerate_elements(M.ring)

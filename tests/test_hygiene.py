@@ -311,7 +311,7 @@ def test_traced_entry_points_resolve():
     assert names and missing == []
 
 
-# The one cache still without a bound; ROADMAP item 6 tracks bounding it
+# The one cache still without a bound; ROADMAP item 7 tracks bounding it
 # or tying it to the memoized space.
 UNBOUNDED_CACHES = {"localization._localize_cached"}
 
@@ -333,6 +333,7 @@ def lru_caches() -> dict:
 def test_every_cache_has_a_bound_or_is_listed():
     caches = lru_caches()
     assert {"sheafspec.ncspec", "rings.unit_idempotent"} <= set(caches)
+    assert caches["rings._quotient_hom"] == caches["sheafspec.ncspec"] == 32
     assert {name for name, size in caches.items() if size is None} == UNBOUNDED_CACHES
 
 
@@ -341,9 +342,10 @@ def test_clear_caches_frees_every_space_and_morphism():
     from ncspec import rings as rg
 
     def build():
-        """Weak references to a morphism and the spaces of Z/30 and Z/6, after
-        its verdicts and the bridge answers of Z/30."""
-        m = sheafspec.ncspec_morphism(rg.quotient_hom(30, 6))
+        """Weak references to a morphism, its quotient hom and the spaces of
+        Z/30 and Z/6, after its verdicts and the bridge answers of Z/30."""
+        theta = rg.quotient_hom(30, 6)
+        m = sheafspec.ncspec_morphism(theta)
         m.verify()
         sheafspec.is_prim_report(m)
         r = rg.ModularRing(30)
@@ -351,7 +353,7 @@ def test_clear_caches_frees_every_space_and_morphism():
                       commbridge.spec_exponential_iso):
             check(r)
         assert sheafspec.ncspec(r) is m.target
-        return [weakref.ref(x) for x in (m, m.source, m.target)]
+        return [weakref.ref(x) for x in (m, theta, m.source, m.target)]
 
     sheafspec.clear_caches()
     refs = build()

@@ -68,6 +68,40 @@ def test_memoized_morphisms_match_a_fresh_build():
     assert prim == len(kept), prim
 
 
+def fresh_quotient(n, m):
+    """Z/n -> Z/m built and validated anew: each target block p^c is fed
+    by the source block it divides, the one of the prime p."""
+    S, T = ModularRing(n), ModularRing(m)
+    feeds = tuple(next(s for s, q in enumerate(S.blocks) if q % t == 0) for t in T.blocks)
+    return rg.hom_validate(rg.RingHom(S, T, rg.BlockRule(feeds)))
+
+
+def test_quotient_homs_are_shared_and_match_a_fresh_build():
+    assert rg.quotient_hom(30, 6) is rg.quotient_hom(30, 6)
+    for n in range(1, 61):
+        for m in (m for m in range(1, n + 1) if n % m == 0):
+            sheafspec.clear_caches()
+            memo = rg.quotient_hom(n, m)
+            first = answers(sheafspec.ncspec_morphism(memo))
+            assert rg.quotient_hom(n, m) is memo and memo.validated
+            sheafspec.clear_caches()
+            fresh = fresh_quotient(n, m)
+            assert rg.quotient_hom(n, m) is not memo
+            assert (fresh.images, fresh.block_map) == (memo.images, memo.block_map), (n, m)
+            assert fresh == memo and hash(fresh) == hash(memo)
+            assert answers(sheafspec.ncspec_morphism(fresh)) == first, (n, m)
+
+
+@pytest.mark.parametrize("n, m", [(6, 0), (0, 6), (-6, 3), (6, -3), (True, 1), (2, True),
+                                  (6.0, 3), (6, 3.0), ("6", 3)])
+def test_quotient_moduli_are_checked_before_the_memo(n, m):
+    with pytest.raises(NotAHomomorphism, match="positive int moduli"):
+        rg.quotient_hom(n, m)
+    with pytest.raises(NotAHomomorphism, match="does not divide"):
+        rg.quotient_hom(6, 4)
+    assert type(rg.quotient_hom(1, 1).source.n) is int     # True did not enter the memo
+
+
 def test_equal_homs_share_one_morphism():
     sheafspec.clear_caches()
     m = sheafspec.ncspec_morphism(crt_hom())
@@ -166,6 +200,13 @@ def test_prim_reports_take_probe_lists_and_come_fresh():
     report["witness"].clear()
     report["probes"].clear()
     assert sheafspec.is_prim_report(bad) == want and want["witness"]
+    # a warm default report is a lookup, and still a copy the caller may change
+    warm = sheafspec.is_prim_report(bad)
+    warm["witness"]["preimage"].append(-1)
+    warm["witness"].clear()
+    warm["probes"].append("changed")
+    assert sheafspec.is_prim_report(bad) == want
+    assert sheafspec.is_prim_report(bad, sheafspec.default_prim_probes(bad)) == want
 
 
 def test_a_check_that_raises_raises_again(monkeypatch):
