@@ -216,27 +216,28 @@ def cmd_qcoh_check(args):
                                provenance={"box": datum.box}))
 
 
-def _proj_window(args):
-    """The --window pair, after checking it and the truncation bounds."""
+def _proj_inputs(args):
+    """The window, the skew ring, its module (free by default) and the Proj
+    cover of a `proj-gamma` or `serre-check` call.  The --window pair and
+    the bounds are checked first, then the documents are read."""
+    from .skewproj import build_proj, free_presentation
     lo, hi = args.window
     if lo > hi:
         raise ParseError(f"--window {lo} {hi}: the low degree exceeds the high one")
     if args.box < 0:
         raise ParseError(f"--box {args.box}: the truncation depth must be >= 0")
-    return lo, hi
+    if getattr(args, "torsion_bound", 1) < 1:
+        raise ParseError(f"--torsion-bound {args.torsion_bound}: the bound must be >= 1")
+    r = ser.parse_ring(_load(args.ring))
+    if not isinstance(r, SkewLaurentRing):
+        raise ParseError(f"{args.subcommand} expects a skew Laurent ring")
+    M = ser.parse_graded_module(r, _load(args.module)) if args.module else free_presentation(r)
+    return (lo, hi), r, M, build_proj(r)
 
 
 def cmd_proj_gamma(args):
-    from .skewproj import build_proj, free_presentation, gamma
-    window = _proj_window(args)
-    r = ser.parse_ring(_load(args.ring))
-    if not isinstance(r, SkewLaurentRing):
-        raise ParseError("proj-gamma expects a skew Laurent ring")
-    if args.module:
-        M = ser.parse_graded_module(r, _load(args.module))
-    else:
-        M = free_presentation(r)
-    X = build_proj(r)
+    from .skewproj import gamma
+    window, r, M, X = _proj_inputs(args)
     g = gamma(X, M, window, box=args.box)
     dims = {str(d): g["dims"][d] for d in sorted(g["dims"])}
     # the chart cocycle identities hold on every ring (see `build_proj`)
@@ -250,18 +251,8 @@ def cmd_proj_gamma(args):
 
 
 def cmd_serre_check(args):
-    from .skewproj import build_proj, free_presentation, serre_unit
-    window = _proj_window(args)
-    if args.torsion_bound < 1:
-        raise ParseError(f"--torsion-bound {args.torsion_bound}: the bound must be >= 1")
-    r = ser.parse_ring(_load(args.ring))
-    if not isinstance(r, SkewLaurentRing):
-        raise ParseError("serre-check expects a skew Laurent ring")
-    if args.module:
-        M = ser.parse_graded_module(r, _load(args.module))
-    else:
-        M = free_presentation(r)
-    X = build_proj(r)
+    from .skewproj import serre_unit
+    window, r, M, X = _proj_inputs(args)
     rep = serre_unit(X, M, window, box=args.box, torsion_bound=args.torsion_bound)
     degrees = {}
     ok = True

@@ -63,7 +63,9 @@ def localize(r, E) -> Localization:
     return _localize_cached(r, _subset_key(tuple(E)))
 
 
-@lru_cache(maxsize=None)
+# the 4096-entry bound of `rings.unit_idempotent`: a warm session over Z/12
+# and Z/30 keeps a few hundred localizations
+@lru_cache(maxsize=4096)
 def _localize_cached(r, E: tuple) -> Localization:
     for a in E:
         if a.owner != r:

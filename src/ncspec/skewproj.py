@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedClass,
 )
 from .linalg import Echelon, kernel_basis
-from .records import record
+from .records import field, record
 from .rings import SkewLaurentRing, UnivariatePolyRing, skew_ring
 
 
@@ -33,36 +33,39 @@ from .rings import SkewLaurentRing, UnivariatePolyRing, skew_ring
 @record(frozen=True)
 class GradedModulePresentation:
     """Generators with degrees and homogeneous relation rows (one skew
-    polynomial per generator, padded with zero)."""
+    polynomial per generator, padded with zero).
+
+    Each row is read once: `rows` keeps every nonzero relation as its
+    degree and its ((generator, exponent), coefficient) terms, the form
+    the raw spaces multiply by monomials (`_shift`)."""
 
     ring: SkewLaurentRing
     gen_degrees: tuple
     relations: tuple   # rows; each row is a tuple of canonical skew payloads
+    rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ring.inverted:
             raise UnsupportedClass("presentations live over the uninverted ring")
+        rows = []
         for row in self.relations:
             if len(row) != len(self.gen_degrees):
                 raise ArityMismatch(f"relation row has {len(row)} entries for "
                                     f"{len(self.gen_degrees)} generators")
-            degs = set()
+            degs, terms = set(), []
             for t, payload in enumerate(row):
-                terms = skewpoly.from_canonical(payload)
-                if not terms:
+                poly = skewpoly.from_canonical(payload)
+                if not poly:
                     continue
-                if not skewpoly.is_homogeneous(terms):
+                if not skewpoly.is_homogeneous(poly):
                     raise InhomogeneousRelation(f"entry {t} is not homogeneous")
-                degs.add(skewpoly.degree(terms) + self.gen_degrees[t])
+                degs.add(skewpoly.degree(poly) + self.gen_degrees[t])
+                terms.extend(((t, e), c) for e, c in poly.items())
             if len(degs) > 1:
                 raise InhomogeneousRelation(f"row mixes degrees {sorted(degs)}")
-
-    def row_degree(self, row) -> int:
-        for t, payload in enumerate(row):
-            terms = skewpoly.from_canonical(payload)
             if terms:
-                return skewpoly.degree(terms) + self.gen_degrees[t]
-        return None
+                rows.append((degs.pop(), tuple(terms)))
+        object.__setattr__(self, "rows", tuple(rows))
 
 
 def free_presentation(r: SkewLaurentRing, degrees=(0,)) -> GradedModulePresentation:
@@ -71,10 +74,8 @@ def free_presentation(r: SkewLaurentRing, degrees=(0,)) -> GradedModulePresentat
 
 def quotient_by_variables(r: SkewLaurentRing) -> GradedModulePresentation:
     """R modulo all the variables: the degree-zero simple module."""
-    rows = []
-    for i in range(r.nvars):
-        rows.append((skewpoly.canonical(skewpoly.variable(r.nvars, i)),))
-    return GradedModulePresentation(r, (0,), tuple(rows))
+    rows = tuple((skewpoly.canonical(skewpoly.variable(r.nvars, i)),) for i in range(r.nvars))
+    return GradedModulePresentation(r, (0,), rows)
 
 
 def presentation_from_rows(r: SkewLaurentRing, gen_degrees, rows) -> GradedModulePresentation:
@@ -123,36 +124,35 @@ class RawSpace:
     ech: Echelon
 
 
+def _shift(lam, b, terms, index):
+    """x^b times an element given by its ((generator, exponent),
+    coefficient) terms, as a vector over the columns of `index`; None when
+    a product falls outside the truncation.  The terms hold distinct
+    (generator, exponent) pairs, and x^b x^e has exponent b + e, so no two
+    land on one column."""
+    vec = {}
+    for (t, e), c in terms:
+        e2, x = skewpoly.term_mul(lam, b, 1, e, c)
+        col = index.get((t, e2))
+        if col is None:
+            return None
+        vec[col] = x
+    return vec
+
+
 def _raw_space(pres: GradedModulePresentation, S, d: int, box: int) -> RawSpace:
     n = pres.ring.nvars
     lam = pres.ring.lam_map
-    columns = []
-    for t, gdeg in enumerate(pres.gen_degrees):
-        for a in _cone(n, S, d - gdeg, box):
-            columns.append((t, a))
+    columns = tuple((t, a) for t, gdeg in enumerate(pres.gen_degrees)
+                    for a in _cone(n, S, d - gdeg, box))
     index = {c: i for i, c in enumerate(columns)}
     ech = Echelon(len(columns))
-
-    def relation_vector(b, entries):
-        vec = {}
-        for t, terms in entries:
-            for e, c in skewpoly.mul(lam, {b: Fraction(1)}, terms).items():
-                col = index.get((t, e))
-                if col is None:
-                    return None   # the product fell outside the truncation
-                vec[col] = vec.get(col, 0) + c
-        return vec
-
-    for row in pres.relations:
-        D = pres.row_degree(row)
-        if D is None:
-            continue
-        entries = [(t, skewpoly.from_canonical(payload)) for t, payload in enumerate(row)]
+    for D, terms in pres.rows:
         for b in _cone(n, S, d - D, box):
-            vec = relation_vector(b, entries)
+            vec = _shift(lam, b, terms, index)
             if vec is not None:
                 ech.add(vec)
-    return RawSpace(tuple(columns), index, ech)
+    return RawSpace(columns, index, ech)
 
 
 @record
@@ -348,18 +348,10 @@ def _base_changed_span(M, piece: StablePiece, ov: StablePiece, S, box) -> Echelo
     span = Echelon(len(ov.raw.columns))
     multipliers = _cone(n, S, 0, box)
     for v in piece.basis:
+        terms = [(piece.raw.columns[ci], c) for ci, c in v.items()]
         for w in multipliers:
-            out = {}
-            ok = True
-            for ci, c in v.items():
-                t, e = piece.raw.columns[ci]
-                e2, x = skewpoly.term_mul(lam, w, 1, e, c)
-                col = ov.raw.index.get((t, e2))
-                if col is None:
-                    ok = False
-                    break
-                out[col] = out.get(col, 0) + x
-            if ok:
+            out = _shift(lam, w, terms, ov.raw.index)
+            if out is not None:
                 span.add(ov.raw.ech.reduce(out))
     return span
 
@@ -489,10 +481,9 @@ def serre_unit(X: ProjSpace, M: GradedModulePresentation, window,
                 for c, x in v.items():
                     coeff_rows.setdefault(c, {})[m] = x
             for cv in kernel_basis(list(coeff_rows.values()), len(basis_cols)):
-                kernel_elts.append(_columns_to_element(M, amb, basis_cols, cv, d))
+                kernel_elts.append([(amb.columns[basis_cols[m]], c) for m, c in cv.items()])
 
-        kernel_torsion = all(
-            is_torsion(M, elt, torsion_bound, box) for elt in kernel_elts) if kernel_elts else True
+        kernel_torsion = all(_torsion(M, terms, d, torsion_bound, box) for terms in kernel_elts)
 
         cokernel_dim = sec.dim - img_ech.rank
         cok_torsion = None
@@ -512,32 +503,29 @@ def serre_unit(X: ProjSpace, M: GradedModulePresentation, window,
     return out
 
 
-def _columns_to_element(M, amb: RawSpace, basis_cols, coeffs, d):
-    """A kernel coefficient vector as a per-generator skew polynomial."""
-    polys = [dict() for _ in M.gen_degrees]
-    for m, c in coeffs.items():
-        t, e = amb.columns[basis_cols[m]]
-        polys[t][e] = c
-    return {"degree": d, "components": tuple(skewpoly.canonical(p) for p in polys)}
-
-
 def element_from_payloads(M: GradedModulePresentation, payloads, degree: int):
     return {"degree": degree, "components": tuple(
         skewpoly.canonical(skewpoly.from_canonical(p) if not isinstance(p, dict) else p)
         for p in payloads)}
 
 
-def _element_vector(space: RawSpace, elt) -> dict:
-    """An element's coordinates over the columns of a raw space."""
-    return {space.index[(t, e)]: c
-            for t, payload in enumerate(elt["components"])
-            for e, c in skewpoly.from_canonical(payload).items()}
-
-
-def _reduce_element(M: GradedModulePresentation, elt) -> dict:
-    """The ambient-space coordinates of an element, reduced by the relations."""
-    amb = _ambient_space(M, elt["degree"])
-    return amb.ech.reduce(_element_vector(amb, elt))
+def _element_terms(M: GradedModulePresentation, elt) -> list:
+    """An element's ((generator, exponent), coefficient) terms, each checked
+    to lie in the degree-d piece of the free module on the generators."""
+    d, comps = elt["degree"], elt["components"]
+    n, degs = M.ring.nvars, M.gen_degrees
+    if len(comps) != len(degs):
+        raise ArityMismatch(f"element has {len(comps)} components for {len(degs)} generators")
+    terms = []
+    for t, payload in enumerate(comps):
+        for e, c in skewpoly.from_canonical(payload).items():
+            if len(e) != n:
+                raise ArityMismatch(f"exponent {e} of component {t} has {len(e)} entries, not {n}")
+            if min(e) < 0 or sum(e) + degs[t] != d:
+                raise InhomogeneousRelation(
+                    f"term {e} of component {t} is not a monomial of degree {d - degs[t]}")
+            terms.append(((t, e), c))
+    return terms
 
 
 def is_torsion(M: GradedModulePresentation, elt, bound: int, box: int = 2) -> bool:
@@ -547,28 +535,24 @@ def is_torsion(M: GradedModulePresentation, elt, bound: int, box: int = 2) -> bo
     variable decides: an image that is nonzero at depth `box` and again at
     `box + 1` (the stability rule of `gamma`) certifies non-torsion; any
     other outcome with surviving powers means the bound or the box was too
-    small.
+    small.  An element outside the module's degree-d piece raises
+    ArityMismatch (component or exponent count) or InhomogeneousRelation.
     """
+    return _torsion(M, _element_terms(M, elt), elt["degree"], bound, box)
+
+
+def _torsion(M: GradedModulePresentation, terms, d: int, bound: int, box: int) -> bool:
+    """`is_torsion` on the checked terms of a degree-d element."""
     lam = M.ring.lam_map
     n = M.ring.nvars
-    d = elt["degree"]
-    survivors = []
-    for i in range(n):
-        power = [0] * n
-        power[i] = bound
-        shifted = []
-        for payload in elt["components"]:
-            terms = skewpoly.from_canonical(payload)
-            shifted.append(skewpoly.canonical(
-                skewpoly.mul(lam, {tuple(power): Fraction(1)}, terms)))
-        moved = {"degree": d + bound, "components": tuple(shifted)}
-        if _reduce_element(M, moved):
-            survivors.append(i)
+    amb = _ambient_space(M, d + bound)
+    survivors = [i for i in range(n) if amb.ech.reduce(
+        _shift(lam, tuple(bound if v == i else 0 for v in range(n)), terms, amb.index))]
     if not survivors:
         return True
     for i in survivors:
         probes = (_stable_piece(M, frozenset({i}), d, b) for b in (box, box + 1))
-        if all(p.raw.ech.reduce(_element_vector(p.raw, elt)) for p in probes):
+        if all(p.raw.ech.reduce({p.raw.index[k]: c for k, c in terms}) for p in probes):
             return False
     raise BoundInconclusive(
         f"powers up to {bound} neither kill the element nor show it alive")
@@ -616,16 +600,10 @@ def _multiply_section(M, sec: SectionSpace, vec, i, k, sec_target):
             if c:
                 for ci, x in bv.items():
                     chart_vec[ci] = chart_vec.get(ci, 0) + c * x
-        lifted = {}
-        for ci, c in chart_vec.items():
-            if not c:
-                continue
-            t, e = piece.raw.columns[ci]
-            e2, x = skewpoly.term_mul(lam, power, 1, e, c)
-            col = piece_t.raw.index.get((t, e2))
-            if col is None:
-                return None
-            lifted[col] = lifted.get(col, 0) + x
+        lifted = _shift(lam, power, [(piece.raw.columns[ci], c)
+                                     for ci, c in chart_vec.items() if c], piece_t.raw.index)
+        if lifted is None:
+            return None
         sol = piece_t.span.coordinates(piece_t.raw.ech.reduce(lifted))
         if sol is None:
             return None

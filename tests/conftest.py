@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from ncspec import rings as rg
+from ncspec import skewpoly
 from ncspec.commbridge import BasedSpace, exponential
 from ncspec.errors import (
     NotComparable,
@@ -20,7 +21,9 @@ from ncspec.errors import (
     UnsupportedClass,
     UnverifiableSquare,
 )
+from ncspec.glueqcoh import FiniteModule, tensor_module
 from ncspec.latspace import is_completely_union_irreducible, sober_map_from_join_hom
+from ncspec.linalg import Echelon
 from ncspec.localization import LocalizationSquare, default_probes, is_pushout, localize
 from ncspec.records import _MISSING
 from ncspec.rings import (
@@ -32,6 +35,7 @@ from ncspec.rings import (
     canonical_modular_product,
 )
 from ncspec.sheafspec import RingedSpaceMorphism, ncspec, sections
+from ncspec.skewproj import graded_piece_basis
 
 
 def python_stdout(flags, source) -> str:
@@ -232,6 +236,35 @@ def brute_unit_map_is_iso(T) -> bool:
     bijectively, by building the pure tensor of every element."""
     M = T.module
     return T.size() == M.size() == len({T.pure(rg.one(T.hom.target), m) for m in M.elements()})
+
+
+def elementary_divisors(orders) -> list:
+    """The prime-power orders of the cyclic summands of sum Z/d: two finite
+    abelian groups are isomorphic iff these lists agree."""
+    out = []
+    for d in orders:
+        p = 2
+        while d > 1:
+            q = 1
+            while d % p == 0:
+                d, q = d // p, q * p
+            if q > 1:
+                out.append(q)
+            p += 1
+    return sorted(out)
+
+
+def brute_reconstruction(sheaf) -> bool:
+    """Whether base-changing Gamma (the bottom stalk, read as a module over
+    the ring) along each cell's insertion rebuilds that cell's stalk, up
+    to isomorphism of finite abelian groups."""
+    gamma = sheaf.stalks[sheaf.space.lattice.bottom]
+    G = FiniteModule(sheaf.module.ring, tuple(d for o in gamma.orders for d in o if d > 1))
+    return all(
+        elementary_divisors(d for o in tensor_module(cell.localized.insertion, G).orders
+                            for d in o)
+        == elementary_divisors(d for o in T.orders for d in o)
+        for cell, T in zip(sheaf.space.lattice.cells, sheaf.stalks))
 
 
 def brute_module_axioms(M) -> bool:
@@ -915,6 +948,38 @@ def dense_solve(rows, width: int, target):
     if any(red[j] != 0 for j in range(width)):
         return None
     return [-red[width + j] for j in range(n)]
+
+
+def brute_shift(r, b, components, index):
+    """x^b times an element given as one skew payload per generator, by the
+    payload path: `skewpoly.mul`, back through `from_canonical`, then the
+    column of each (generator, exponent); None when a column is missing."""
+    vec = {}
+    for t, payload in enumerate(components):
+        prod = skewpoly.mul(r.lam_map, {tuple(b): Fraction(1)}, skewpoly.from_canonical(payload))
+        for e, c in skewpoly.from_canonical(skewpoly.canonical(prod)).items():
+            if (t, e) not in index:
+                return None
+            vec[index[(t, e)]] = c
+    return vec
+
+
+def brute_relation_echelon(pres, index, S, d, box) -> Echelon:
+    """The relation echelon of the degree-d raw space over the columns of
+    `index`: every relation row, re-read from its payloads, times every
+    monomial of the cone that keeps it inside the truncation."""
+    ech = Echelon(len(index))
+    for row in pres.relations:
+        polys = [skewpoly.from_canonical(payload) for payload in row]
+        degrees = {skewpoly.degree(q) + g for q, g in zip(polys, pres.gen_degrees) if q}
+        if not degrees:
+            continue
+        (D,) = degrees
+        for b in graded_piece_basis(pres.ring, S, d - D, box):
+            vec = brute_shift(pres.ring, b, row, index)
+            if vec is not None:
+                ech.add(vec)
+    return ech
 
 
 def seeded_random():

@@ -393,6 +393,36 @@ def test_cli_failure_report_names_the_error_path(tmp_path, capsys):
     assert code == 2 and list(payload) == ["error", "message"], payload
 
 
+def test_skew_commands_check_their_inputs_in_order(tmp_path, capsys):
+    """`proj-gamma` and `serre-check` check the window, the box and the
+    torsion bound before reading a document, then the ring, then the module."""
+    skew = write(tmp_path, "skew.json", RING_DOCS[-1])
+    z6 = write(tmp_path, "z6.json", RING_DOCS[1])
+    missing = str(tmp_path / "missing.json")
+    window = ("--window", "0", "1")
+    cases = [
+        (("proj-gamma", "--ring", missing, "--window", "2", "1", "--box", "-1"),
+         "--window 2 1: the low degree exceeds the high one"),
+        (("serre-check", "--ring", missing, "--window", "2", "1", "--torsion-bound", "0"),
+         "--window 2 1: the low degree exceeds the high one"),
+        (("serre-check", "--ring", missing, *window, "--box", "-1", "--torsion-bound", "0"),
+         "--box -1: the truncation depth must be >= 0"),
+        (("serre-check", "--ring", missing, *window, "--torsion-bound", "0"),
+         "--torsion-bound 0: the bound must be >= 1"),
+        (("proj-gamma", "--ring", z6, *window, "--module", missing),
+         "proj-gamma expects a skew Laurent ring"),
+        (("serre-check", "--ring", z6, *window, "--module", missing),
+         "serre-check expects a skew Laurent ring"),
+        (("serre-check", "--ring", skew, *window, "--module", missing),
+         f"cannot read {missing}: "),
+    ]
+    for argv, message in cases:
+        code, out = run_cli(capsys, *argv)
+        payload = json.loads(out)["payload"]
+        assert code == 2 and payload["error"] == "ParseError", argv
+        assert payload["message"].startswith(message), (argv, payload)
+
+
 def test_cli_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")

@@ -4,7 +4,13 @@ from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
-from conftest import brute_module_axioms, brute_tensor_factor, brute_unit_map_is_iso, python_stdout
+from conftest import (
+    brute_module_axioms,
+    brute_reconstruction,
+    brute_tensor_factor,
+    brute_unit_map_is_iso,
+    python_stdout,
+)
 
 from ncspec import glueqcoh
 from ncspec import rings as rg
@@ -349,7 +355,8 @@ def test_qcoh_roundtrip_reports():
 def test_gamma_iso_on_generators_matches_the_enumeration():
     """Every module over Z/n, n <= 60, of 1-3 cyclic summands (orders in
     non-decreasing order) with at most 1000 elements: the generator test
-    agrees with building every pure tensor, on Gamma and on every stalk."""
+    agrees with building every pure tensor, on Gamma and on every stalk,
+    and the reconstruction verdict with rebuilding every stalk from Gamma."""
     verdicts = Counter()
     for n in range(2, 61):
         r = ModularRing(n)
@@ -364,8 +371,10 @@ def test_gamma_iso_on_generators_matches_the_enumeration():
                 assert got == [brute_unit_map_is_iso(T) for T in sheaf.stalks], (n, orders)
                 verdicts.update(got)
                 # Gamma is the stalk of the bottom cell, whose insertion is the identity
-                assert qcoh_roundtrip(r, M)["gamma_isomorphism"] is got[
+                report = qcoh_roundtrip(r, M)
+                assert report["gamma_isomorphism"] is got[
                     sheaf.space.lattice.bottom] is True, (n, orders)
+                assert report["reconstruction"] is brute_reconstruction(sheaf), (n, orders)
     assert verdicts[True] > 1000 and verdicts[False] > 1000, verdicts
 
 

@@ -311,9 +311,8 @@ def test_traced_entry_points_resolve():
     assert names and missing == []
 
 
-# The one cache still without a bound; ROADMAP item 7 tracks bounding it
-# or tying it to the memoized space.
-UNBOUNDED_CACHES = {"localization._localize_cached"}
+# Every cache of the package has a bound.
+UNBOUNDED_CACHES = set()
 
 
 def lru_caches() -> dict:
@@ -334,6 +333,7 @@ def test_every_cache_has_a_bound_or_is_listed():
     caches = lru_caches()
     assert {"sheafspec.ncspec", "rings.unit_idempotent"} <= set(caches)
     assert caches["rings._quotient_hom"] == caches["sheafspec.ncspec"] == 32
+    assert caches["localization._localize_cached"] == caches["rings.unit_idempotent"] == 4096
     assert {name for name, size in caches.items() if size is None} == UNBOUNDED_CACHES
 
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from conftest import brute_relation_echelon, brute_shift
 
 from ncspec import rings as rg
 from ncspec import skewpoly
@@ -15,6 +16,7 @@ from ncspec.errors import (
 )
 from ncspec.rings import UnivariatePolyRing, skew_ring
 from ncspec.skewproj import (
+    GradedModulePresentation,
     SkewQcohDatum,
     build_proj,
     element_from_payloads,
@@ -29,6 +31,7 @@ from ncspec.skewproj import (
     serre_unit,
     twist,
 )
+from ncspec.skewproj import _raw_space, _shift
 
 SK2 = skew_ring(2, {(0, 1): 2})
 SK3 = skew_ring(3, {(0, 1): 2, (0, 2): 3, (1, 2): 5})
@@ -127,6 +130,68 @@ def test_presentation_homogeneity_checks():
         presentation_from_rows(SK2, (0,), [[{(1, 0): 1}, {(0, 1): 1}]])
     with pytest.raises(UnsupportedClass):
         free_presentation(skew_ring(2, {(0, 1): 2}, inverted=[0]))
+
+
+def random_presentation(rng, r):
+    """1-2 generators in degrees -1..2 and 1-3 homogeneous relation rows,
+    each entry 0-2 monomials; coefficients may be 0, so rows may vanish."""
+    degs = tuple(rng.randint(-1, 2) for _ in range(rng.randint(1, 2)))
+    rows = []
+    for _ in range(rng.randint(1, 3)):
+        D = rng.randint(max(degs), max(degs) + 2)
+        row = []
+        for g in degs:
+            monomials = graded_piece_basis(r, set(), D - g, 0)
+            picked = rng.sample(monomials, min(len(monomials), rng.randint(0, 2)))
+            row.append({e: Fraction(rng.choice((1, -1, 2, 0, Fraction(1, 3)))) for e in picked})
+        rows.append(row)
+    return presentation_from_rows(r, degs, rows)
+
+
+def nonzero_relations(pres):
+    return [row for row in pres.relations if any(skewpoly.from_canonical(p) for p in row)]
+
+
+def test_parsed_rows_match_the_relations(rng):
+    """`rows` holds each nonzero relation once, as its degree and terms; it
+    is neither compared nor shown."""
+    for r in (SK2, SK3):
+        for pres in [quotient_by_variables(r)] + [random_presentation(rng, r) for _ in range(30)]:
+            relations = nonzero_relations(pres)
+            assert len(pres.rows) == len(relations)
+            for (D, terms), row in zip(pres.rows, relations):
+                polys = [{} for _ in pres.gen_degrees]
+                for (t, e), c in terms:
+                    assert e not in polys[t] and c and sum(e) + pres.gen_degrees[t] == D
+                    polys[t][e] = c
+                assert polys == [skewpoly.from_canonical(p) for p in row]
+            twin = GradedModulePresentation(r, pres.gen_degrees, pres.relations)
+            assert twin == pres and hash(twin) == hash(pres) and "rows" not in repr(pres)
+    assert quotient_by_variables(SK3).rows == tuple(
+        (1, (((0, tuple(int(k == i) for k in range(3))), 1),)) for i in range(3))
+
+
+def test_shift_and_relation_echelon_match_the_payload_path(rng):
+    """`_shift` against `skewpoly.mul` + `from_canonical` + column lookup,
+    with multipliers one step past the box so products cross the
+    truncation; `_raw_space`'s relation echelon against the same path."""
+    crossed = landed = ranks = 0
+    for r in (SK2, SK3):
+        for _ in range(30):
+            pres = random_presentation(rng, r)
+            S = frozenset(rng.sample(range(r.nvars), rng.randint(0, r.nvars)))
+            d, box = rng.randint(0, 3), rng.randint(0, 2)
+            raw = _raw_space(pres, S, d, box)
+            for (D, terms), row in zip(pres.rows, nonzero_relations(pres)):
+                for b in graded_piece_basis(r, S, d - D, box + 1):
+                    got = _shift(r.lam_map, b, terms, raw.index)
+                    assert got == brute_shift(r, b, row, raw.index), (pres, S, d, box, b)
+                    crossed += got is None
+                    landed += got is not None
+            ech = brute_relation_echelon(pres, raw.index, S, d, box)
+            assert raw.ech.rows == ech.rows and raw.ech.pivots == ech.pivots
+            ranks += ech.rank
+    assert crossed > 20 and landed > 20 and ranks > 20, (crossed, landed, ranks)
 
 
 # --- the Proj cover -----------------------------------------------------------
@@ -295,6 +360,24 @@ def test_is_torsion_classification():
         serre_unit(X, deep, (0, 0), box=3, torsion_bound=2)
     assert serre_unit(X, deep, (0, 0), box=3, torsion_bound=4)["degrees"][0][
         "kernel_torsion"] is True
+
+
+def test_is_torsion_rejects_elements_outside_the_degree_piece():
+    """Typed errors, where each case raised a bare KeyError before."""
+    free = free_presentation(SK2)
+    cases = [
+        ([{(1, 0): 1}], 2, InhomogeneousRelation),      # x1 is not in degree 2
+        ([{(-1, 3): 1}], 2, InhomogeneousRelation),     # a negative exponent
+        ([{(1, 0): 1}, {(2, 1): 1}], 1, ArityMismatch),  # two components, one generator
+        ([{(1,): 1}], 1, ArityMismatch),                # one exponent for two variables
+    ]
+    for components, degree, error in cases:
+        with pytest.raises(error):
+            is_torsion(free, element_from_payloads(free, components, degree), 2)
+    two = free_presentation(SK2, degrees=(0, 1))
+    with pytest.raises(InhomogeneousRelation):
+        is_torsion(two, element_from_payloads(two, [{(1, 0): 1}, {(1, 0): 1}], 1), 1)
+    assert is_torsion(two, element_from_payloads(two, [{(1, 0): 1}, {(0, 0): 3}], 1), 1) is False
 
 
 # --- twists and cocycle data ----------------------------------------------------
