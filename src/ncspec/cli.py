@@ -125,11 +125,8 @@ def cmd_prim_check(args):
     from .sheafspec import is_prim_report, ncspec_morphism
     theta = ser.parse_morphism(_load(args.morphism))
     m = ncspec_morphism(theta)
-    probes = ser.parse_probes(_load(args.probes)) if args.probes else None
-    rep = is_prim_report(m, probes)
-    payload = {"prim": rep["prim"], "witness": rep["witness"]}
-    return _emit(args, _report("prim-check", "pass" if rep["prim"] else "fail",
-                               payload, provenance={"probes": rep["probes"]}))
+    rep = is_prim_report(m)
+    return _emit(args, _report("prim-check", "pass" if rep["prim"] else "fail", rep))
 
 
 def cmd_spec(args):
@@ -292,8 +289,6 @@ def build_parser():
     common(sp); sp.set_defaults(fn=cmd_morphism)
 
     sp = sub.add_parser("prim-check"); sp.add_argument("--morphism", required=True)
-    sp.add_argument("--probes", default=None,
-                    help="JSON file with a list of probe ring documents")
     common(sp); sp.set_defaults(fn=cmd_prim_check)
 
     sp = sub.add_parser("spec"); sp.add_argument("--ring", required=True)

@@ -12,7 +12,7 @@ inverted cone.  `connecting_map` re-localizes, so `_localized` is the only
 per-class code, with one branch for every block ring; the restrictions
 and comaps of the sheaf come from one descent, `induced_between`.  Between block rings a hom with a block map is
 built as a `BlockRule`, and descents, squares and identity tests read
-block maps (`rings.RingHom.block_map`).  Isos, quotient pushouts and the
+block maps (`rings.RingHom.block_map`).  Isos, pushouts and the
 descents of homs without a block map are decided by kernels, which are
 sums of blocks (`rings.kernel`); no question here enumerates a ring.
 """
@@ -287,10 +287,6 @@ class LocalizationSquare:
         return hom_compose(self.right, self.top) == hom_compose(self.bottom, self.left)
 
 
-def _all_cyclic(rings) -> bool:
-    return all(r.local_factors is not None for r in rings)
-
-
 def localization_square(theta: RingHom, A, B) -> LocalizationSquare:
     """The square (p_BA, theta_A, theta_B, p over the target); A <= B required."""
     if not subset_leq(theta.source, A, B):
@@ -314,48 +310,31 @@ def localization_square(theta: RingHom, A, B) -> LocalizationSquare:
 # ---------------------------------------------------------------------------
 # pushout verification
 
-def default_probes(sq: LocalizationSquare):
-    probes = []
-    for c in sq.corners + (ZeroRing(),):
-        if c not in probes:
-            probes.append(c)
-    return tuple(probes)
+def is_pushout(sq: LocalizationSquare) -> bool:
+    """Whether the square is a pushout of rings, decided exactly.
 
-
-def is_pushout(sq: LocalizationSquare, probes=None) -> bool:
-    """Bounded pushout check.
-
-    Finite commutative corners: for every probe T and every pair of homs
-    (lam, mu) out of the two mid corners agreeing on the top-left corner,
-    exactly one mediating hom out of the bottom-right corner must restrict
-    to them.  Surjective squares instead compare the bottom-right corner
-    with the quotient by the sum of the two kernels.
+    It must commute.  An identity leg settles it: the pushout of (id, f)
+    is f, so the square pushes out exactly when the opposite leg is
+    invertible; this decides the squares over Q[x].  A ring that receives
+    a map from the zero ring is zero, so a square with a zero mid corner
+    pushes out iff its bottom-right corner is zero.  Every other square
+    goes to the kernel rule (`_pushout_by_kernels`), and one that it
+    cannot read raises UnverifiableSquare.
     """
     if not sq.commutes():
         return False
-    if probes is None:
-        probes = default_probes(sq)
-    tl, tr, bl, br = sq.corners
-    # an identity leg settles the question: the pushout of (id, f) is f,
-    # so the square pushes out exactly when the opposite leg is invertible
-    if _hom_is_identity(sq.top):
-        verdict = _hom_is_iso(sq.bottom)
-        if verdict is not None:
-            return verdict
-    if _hom_is_identity(sq.left):
-        verdict = _hom_is_iso(sq.right)
-        if verdict is not None:
-            return verdict
+    for leg, opposite in ((sq.top, sq.bottom), (sq.left, sq.right)):
+        if _hom_is_identity(leg):
+            verdict = _hom_is_iso(opposite)
+            if verdict is not None:
+                return verdict
+    _tl, tr, bl, br = sq.corners
+    if rg.is_zero_ring(tr) or rg.is_zero_ring(bl):
+        return rg.is_zero_ring(br)
     try:
-        return _pushout_by_probes(sq, probes)
-    except UnsupportedClass:
-        pass
-    if all(rg.is_finite(c) or c.blocks is not None for c in (tl, tr, bl, br)):
-        try:
-            return _pushout_by_kernels(sq)
-        except UnsupportedClass as exc:
-            raise UnverifiableSquare(str(exc))
-    raise UnverifiableSquare(f"no decision procedure applies to corners {sq.corners!r}")
+        return _pushout_by_kernels(sq)
+    except UnsupportedClass as exc:
+        raise UnverifiableSquare(str(exc))
 
 
 def _hom_is_identity(h: RingHom) -> bool:
@@ -394,88 +373,45 @@ def _hom_is_iso(h: RingHom):
             and rg.cardinality(S) == rg.cardinality(T))
 
 
-def _pushout_by_probes(sq: LocalizationSquare, probes) -> bool:
-    """Phi_T: Hom(BR, T) -> {(lam, mu) in Hom(TR, T) x Hom(BL, T) : lam . top
-    == mu . left}, rho -> (rho . right, rho . bottom), is a bijection for
-    every probe T; the square commutes, so Phi_T lands in that set.
-
-    A probe that is a product of cyclic rings is the product of its blocks
-    T_l = Z/q_l, and Hom(X, T1 x T2) = Hom(X, T1) x Hom(X, T2) naturally
-    in X, so Phi_T is the product of the Phi_{T_l}.  A product of maps is
-    a bijection iff some domain and some codomain are empty (both products
-    are empty), or every domain and codomain is nonempty and every factor
-    is a bijection.  The zero ring, an empty product, is always decided
-    True: every ring has exactly one hom into it.  Each distinct q is
-    decided once per square by `_local_phi`.
-
-    A probe that is not a product of cyclic rings raises UnsupportedClass
-    where it stands in the list, unless TR, BL and BR are all zero rings
-    (then Hom(BR, T) and the pairs are both empty), and so does any probe
-    but the zero ring when a corner is not a product of cyclic rings; the
-    caller then hands the square to the kernel check.
-    """
-    _tl, tr, bl, br = sq.corners
-    cyclic = _all_cyclic(sq.corners)
-    decided = {}
-    for T in probes:
-        if rg.is_zero_ring(T):
-            continue
-        if T.local_factors is None or not cyclic:
-            if all(rg.is_zero_ring(c) for c in (tr, bl, br)):
-                continue
-            raise UnsupportedClass(f"no local maps into {T!r} for corners {sq.corners!r}")
-        dom_empty = cod_empty = False
-        every = True
-        for q in T.blocks:
-            phi = decided.get(q)
-            if phi is None:
-                phi = decided[q] = _local_phi(sq, q)
-            dom_empty |= phi[0]
-            cod_empty |= phi[1]
-            every &= phi[2]
-        if not (every or (dom_empty and cod_empty)):
-            return False
-    return True
-
-
-def _local_phi(sq: LocalizationSquare, q):
-    """(domain empty, codomain empty, bijective with both nonempty) for
-    Phi_{Z/q}, q = p^c.
-
-    Hom(X, Z/q) is one hom per block Z/q_s of X with q | q_s (the
-    projection onto it), and q divides q_s only when p is q_s's prime.
-    So a hom into Z/q is the index s of its block in `X.blocks`, and
-    composing it with a leg h is the lookup h.block_map[s].
-    """
-    _tl, tr, bl, br = sq.corners
-
-    def homs(X):
-        return [s for s, qs in enumerate(X.blocks) if qs % q == 0]
-
-    top, left = sq.top.block_map, sq.left.block_map
-    right, bottom = sq.right.block_map, sq.bottom.block_map
-    pairs = {(lam, mu) for lam in homs(tr) for mu in homs(bl) if top[lam] == left[mu]}
-    rhos = homs(br)
-    image = {(right[rho], bottom[rho]) for rho in rhos}
-    return (not rhos, not pairs,
-            bool(rhos) and bool(pairs) and len(image) == len(rhos) and image == pairs)
-
-
 def _pushout_by_kernels(sq: LocalizationSquare) -> bool:
-    """Quotient case: every leg is onto, and then the pushout of top and
-    left is TL / (ker top + ker left), so the square pushes out iff
-    kappa = bottom . left, onto as both legs are, has exactly that kernel.
-    The corners are block rings, whose kernels are read block by block
-    (`rings.kernel`).  A leg with a block map is onto iff no source block
-    feeds two target blocks (the image of one block in two is the
-    diagonal), and a finite leg without one iff |source / ker h| =
-    |target|.  A sum of two kernels keeps the smaller entry at each block,
-    so this is O(blocks).  Raises UnsupportedClass outside that case."""
-    legs = (sq.top, sq.left, sq.bottom, sq.right)
-    kernels = [rg.kernel(h) for h in legs]
-    if None in kernels or not all(map(_is_onto, legs, kernels)):
-        raise UnsupportedClass("square is not of quotient type")
-    return rg.kernel(sq.bottom, sq.left) == tuple(map(min, kernels[0], kernels[1]))
+    """The kernel rule.  Let q: A -> A/I be a leg out of the top-left
+    corner that is onto, f: A -> C the other leg and h: C -> D the leg
+    opposite q.  The pushout of q and f is C/J, J = C f(I) C the two-sided
+    ideal that f(I) generates: a map k out of C and a map g out of A/I
+    with k . f = g . q are exactly a k that kills f(I), hence J, and g is
+    then fixed by k, as q is onto.  The square commutes, so h kills J and
+    factors through C/J, and the square pushes out iff that factor is an
+    isomorphism: iff h is onto with kernel exactly J.  In a restriction
+    square q is the left leg, a block projection, so it is always onto.
+
+    The corners are block rings, whose ideals are read block by block
+    (`rings.kernel`: what the quotient keeps of each block).  When f has a
+    block map, block l of C, of size c_l, is block s = f.block_map[l] of A
+    mapped onto it, so J keeps min(k_s, c_l) of it, where A/I keeps k_s of
+    block s.  When f has none but is onto, J = f(I), whose preimage in A
+    is I + ker f; so h has kernel J iff h . f has kernel I + ker f, which
+    keeps the smaller entry at each block.  A leg with a block map is onto
+    iff no source block feeds two target blocks (the image of one block in
+    two is the diagonal), and a finite leg without one iff |source / ker|
+    = |target|.  O(blocks) lookups, or evaluations of the block units of a
+    leg without a block map.  Raises UnsupportedClass when no leg out of
+    the top-left corner is onto, or when f has no block map and is not
+    onto.
+    """
+    for q, f, h in ((sq.left, sq.top, sq.right), (sq.top, sq.left, sq.bottom)):
+        kept = rg.kernel(q)
+        if kept is not None and _is_onto(q, kept):
+            break
+    else:
+        raise UnsupportedClass("no leg out of the top-left corner is onto")
+    kh = rg.kernel(h)
+    if f.block_map is not None:
+        ideal = tuple(min(kept[s], c) for s, c in zip(f.block_map, f.target.blocks))
+        return _is_onto(h, kh) and kh == ideal
+    kf = rg.kernel(f)
+    if not _is_onto(f, kf):
+        raise UnsupportedClass(f"{f!r} has no block map and is not onto")
+    return _is_onto(h, kh) and rg.kernel(h, f) == tuple(map(min, kept, kf))
 
 
 def _is_onto(h: RingHom, kept) -> bool:

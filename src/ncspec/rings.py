@@ -378,7 +378,7 @@ class MatrixRing(Descriptor):
                       for row in A])
 
     def is_unit(self, A):
-        return mat_det(self.base, A) != 0
+        return mat_inv(self.base, A) is not None
 
     def inverse(self, A):
         return mat_inv(self.base, A)
@@ -551,7 +551,7 @@ class SkewLaurentRing(Descriptor):
     lam_map = cached_property(lambda self: dict(self.lam))  # (i, j) -> scalar, for `skewpoly`
 
     def canonical(self, payload):
-        terms = skewpoly.from_canonical(payload) if not isinstance(payload, dict) else payload
+        terms = skewpoly.from_canonical(payload)
         for e in terms:
             if not skewpoly.in_cone(e, self.inverted):
                 raise ValueError(f"exponent {e} outside the inverted cone of {self!r}")
@@ -629,29 +629,6 @@ def _locpoly_normalize(num, den):
     den = qpoly.divmod_(den, g)[0]
     lead = den[-1]
     return (qpoly.scale(num, 1 / lead), qpoly.scale(den, 1 / lead))
-
-
-def mat_det(base, A):
-    """Exact determinant by Gaussian elimination over a field tag (Q or F_p)."""
-    n = len(A)
-    M = [list(row) for row in A]
-    det = base.scalar(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            return base.scalar(0)
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = base.neg(det)
-        det = base.mul(det, M[col][col])
-        inv = base.inv(M[col][col])
-        for r in range(col + 1, n):
-            f = base.mul(M[r][col], inv)
-            if f == 0:
-                continue
-            for c in range(col, n):
-                M[r][c] = base.add(M[r][c], base.neg(base.mul(f, M[col][c])))
-    return det
 
 
 def mat_inv(base, A):

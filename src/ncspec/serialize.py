@@ -336,12 +336,6 @@ def parse_glue(doc, path="glue"):
     return GlueDatum(pieces, overlaps, isos)
 
 
-def parse_probes(doc, path="probes") -> tuple:
-    """A probe family: a list of ring documents, each with or without its
-    schema field."""
-    return tuple(parse_inner_ring(d, f"{path}[{i}]") for i, d in enumerate(parse_list(doc, path)))
-
-
 def _piece_index(doc, key, pieces, path) -> int:
     i = parse_int(doc[key], f"{path}.{key}")
     if not 0 <= i < len(pieces):

@@ -31,7 +31,6 @@ from .latspace import (
 )
 from .localization import (
     LocalizationSquare,
-    _all_cyclic,
     _localize_cached,
     induced_between,
     is_pushout,
@@ -213,10 +212,9 @@ class RingedSpaceMorphism:
     the walks of `verify` and the prim check cache on it cannot go stale:
     the preimage of each target cell with its minimal cells, the
     restriction square of each pair, which keeps its commutation verdict,
-    the result of `verify`, the default prim probes, the prim witness
-    of each probe tuple, and the default probes' witness with their
-    reprs.  Only returned values are kept, so a check that raises raises
-    again when asked again.
+    and the results of `verify` and of the prim check.  Only returned
+    values are kept, so a check that raises raises again when asked
+    again.
     """
 
     source: NCSpecSpace
@@ -230,7 +228,7 @@ class RingedSpaceMorphism:
         put(self, "comap", MappingProxyType(dict(self.comap)))
         put(self, "_preimages", {})     # target cell -> (preimage, its minimal cells)
         put(self, "_squares", {})       # (j1, j2) -> restriction square
-        put(self, "_verdicts", {})      # "verify", "probes", "prim", ("prim", probes) -> result
+        put(self, "_verdicts", {})      # "verify", "prim" -> result
 
     def preimage_base_open(self, target_open) -> frozenset:
         """The preimage of an open of the target, an open of the source."""
@@ -443,63 +441,32 @@ def _cell_of_preimage(m: RingedSpaceMorphism, j: int) -> int:
     return mins[0]
 
 
-def default_prim_probes(m: RingedSpaceMorphism):
-    """Every section ring of both spaces, then the zero ring; computed once
-    per morphism."""
-    probes = m._verdicts.get("probes")
-    if probes is None:
-        probes = []
-        for sp in (m.target, m.source):
-            for d in sp.sheaf.assignment:
-                if d not in probes:
-                    probes.append(d)
-        if ZeroRing() not in probes:
-            probes.append(ZeroRing())
-        probes = m._verdicts["probes"] = tuple(probes)
-    return probes
-
-
-def is_prim(m: RingedSpaceMorphism, probes=None) -> bool:
+def is_prim(m: RingedSpaceMorphism) -> bool:
     """Preimages of completely union-irreducible opens stay so, and every
     nested pair of them yields a ring pushout."""
-    return is_prim_report(m, probes)["prim"]
+    return is_prim_report(m)["prim"]
 
 
-def is_prim_report(m: RingedSpaceMorphism, probes=None) -> dict:
+def is_prim_report(m: RingedSpaceMorphism) -> dict:
     """Like is_prim, but a failing check names its witness.
 
-    The witness of each probe tuple is found once per morphism, and the
-    default probes' witness is kept with their reprs under one key, so a
-    repeated default call is a lookup; every call returns a fresh report."""
-    if probes is None:
-        kept = m._verdicts.get("prim")
-        if kept is None:
-            probes = default_prim_probes(m)
-            kept = m._verdicts["prim"] = (_prim_verdict(m, probes), tuple(map(repr, probes)))
-    else:
-        probes = tuple(probes)
-        kept = (_prim_verdict(m, probes), tuple(map(repr, probes)))
-    witness, shown = kept
+    The witness is found once per morphism, so a repeated call is a
+    lookup; every call returns a fresh report."""
+    if "prim" not in m._verdicts:
+        m._verdicts["prim"] = _prim_witness(m, range(m.target.lattice.n))
+    witness = m._verdicts["prim"]
     if witness is not None:     # a copy the caller may change
         witness = {k: list(v) if isinstance(v, list) else v for k, v in witness.items()}
-    return {"prim": witness is None, "witness": witness, "probes": list(shown)}
+    return {"prim": witness is None, "witness": witness}
 
 
-def _prim_verdict(m: RingedSpaceMorphism, probes: tuple):
-    """The prim witness of m for a probe tuple, found once per morphism."""
-    key = ("prim", probes)
-    if key not in m._verdicts:
-        m._verdicts[key] = _prim_witness(m, range(m.target.lattice.n), probes)
-    return m._verdicts[key]
-
-
-def _prim_witness(m: RingedSpaceMorphism, cells, probes):
+def _prim_witness(m: RingedSpaceMorphism, cells):
     """The first failing prim condition on the target cells `cells`, or None.
 
     Every preimage must be completely union-irreducible, and then the
     restriction square of every comparable pair j1 <= j2 of cells must
-    push out (`is_pushout` with the probes).  The full walk checks every
-    pair in cell order, so a failure names the first failing pair.
+    push out (`is_pushout`).  The full walk checks every pair in cell
+    order, so a failure names the first failing pair.
 
     The pasting law for pushouts (Mac Lane, III.4) shortens the walk.
     Let l <= j1 <= j2 be cells, and let the square (l, j1) push out.
@@ -509,18 +476,14 @@ def _prim_witness(m: RingedSpaceMorphism, cells, probes):
     lows), so all squares push out when the squares (l, j) with l a low
     do: 2^k squares instead of 3^k at k local factors over the whole
     space, whose one low is the bottom, and there they are the squares
-    `verify` checks.  The law is about true pushouts, so it holds for the
-    walk only where every square verdict is exact, which
-    `_pasting_decides` checks: both rings and every probe are products of
-    cyclic rings, every local factor Z/p^c of the two rings is itself a
-    probe (`default_prim_probes` lists every section ring, so it always
-    is), and every comap of the walk is validated with the endpoints of
-    its cell.  The squares then commute after their legs, and the check
-    by the local probes decides the true pushout of such a square: it
-    compares Hom(-, Z/p^c) of the bottom corner with that of the tensor
-    product of the mid corners, both products of local factors Z/p^c of
-    the rings.  When a shortened walk fails, or the scope does not hold,
-    the full walk runs, so a witness is always the full walk's.
+    `verify` checks.  The law holds for the walk only where every square
+    is decided, which `_pasting_decides` checks: every comap of the walk
+    is validated, has the ends of its cell and has a block map.  Every
+    leg of every square then has a block map (restrictions are block
+    projections), so the kernel rule of `is_pushout` decides each square
+    exactly and raises on none.  When a shortened walk fails, or the
+    scope does not hold, the full walk runs, so a witness is always the
+    full walk's.
     """
     Y, X = m.target, m.source
     cells = tuple(cells)
@@ -529,32 +492,25 @@ def _prim_witness(m: RingedSpaceMorphism, cells, probes):
         if not is_completely_union_irreducible(X.space, U):
             return {"condition": "preimage_not_union_irreducible",
                     "basic_open": j, "preimage": sorted(U)}
-    if _pasting_decides(m, cells, probes):
+    if _pasting_decides(m, cells):
         lows = Y.space.minimal_elements(cells)
-        if all(is_pushout(sq, probes) for _pair, sq in m.restriction_squares(cells, lows)):
+        if all(is_pushout(sq) for _pair, sq in m.restriction_squares(cells, lows)):
             return None
     for pair, sq in m.restriction_squares(cells):
-        if not is_pushout(sq, probes):
+        if not is_pushout(sq):
             return {"condition": "restriction_square_not_pushout", "pair": pair}
     return None
 
 
-def _pasting_decides(m: RingedSpaceMorphism, cells, probes) -> bool:
-    """Whether every square verdict of the walk over `cells` is exact, so
-    that the pasting law applies (see `_prim_witness`); every preimage is
-    principal.  A block Z/q of a product of cyclic rings is a probe when
-    some probe is the single block q, as q = p^c names its prime."""
+def _pasting_decides(m: RingedSpaceMorphism, cells) -> bool:
+    """Whether every square of the walk over `cells` is decided, so that
+    the pasting law applies (see `_prim_witness`); every preimage is
+    principal."""
     Y, X = m.target, m.source
-    rings = (X.ring, Y.ring)
-    if not _all_cyclic(rings) or not _all_cyclic(probes):
-        return False
-    local = {T.blocks[0] for T in probes if len(T.blocks) == 1}
-    if not all(q in local for r in rings for q in r.blocks):
-        return False
     for j in cells:
         h, (_U, mins) = m.comap[j], m.preimage_of_cell(j)
         if not (h.validated and h.source == Y.sheaf.assignment[j]
-                and h.target == X.sheaf.assignment[mins[0]]):
+                and h.target == X.sheaf.assignment[mins[0]] and h.block_map is not None):
             return False
     return True
 
@@ -568,9 +524,8 @@ def prim_is_local_check(m: RingedSpaceMorphism, cover) -> bool:
             raise NotACover(f"{sorted(U)} is not open")
     if covered != Y.space.carrier():
         raise NotACover("the pieces do not cover the space")
-    probes = default_prim_probes(m)
-    whole = is_prim(m, probes)
-    pieces = all(_prim_witness(m, sorted(frozenset(U)), probes) is None for U in cover)
+    whole = is_prim(m)
+    pieces = all(_prim_witness(m, sorted(frozenset(U))) is None for U in cover)
     if whole != pieces:
         raise PresheafLawViolation(
             f"primness must be a local property: {whole} on the whole, {pieces} on the cover")

@@ -124,6 +124,10 @@ def canonical(p: Terms) -> tuple:
 
 
 def from_canonical(items) -> Terms:
+    """The terms of a payload: a canonical tuple, or a dict read as its
+    items; zero coefficients are dropped."""
+    if isinstance(items, dict):
+        items = items.items()
     return {tuple(e): Fraction(c) for e, c in items if Fraction(c) != 0}
 
 

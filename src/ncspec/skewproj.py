@@ -79,10 +79,8 @@ def quotient_by_variables(r: SkewLaurentRing) -> GradedModulePresentation:
 
 
 def presentation_from_rows(r: SkewLaurentRing, gen_degrees, rows) -> GradedModulePresentation:
-    canon = tuple(
-        tuple(skewpoly.canonical(skewpoly.from_canonical(entry) if not isinstance(entry, dict) else entry)
-              for entry in row)
-        for row in rows)
+    canon = tuple(tuple(skewpoly.canonical(skewpoly.from_canonical(entry)) for entry in row)
+                  for row in rows)
     return GradedModulePresentation(r, tuple(gen_degrees), canon)
 
 
@@ -505,8 +503,7 @@ def serre_unit(X: ProjSpace, M: GradedModulePresentation, window,
 
 def element_from_payloads(M: GradedModulePresentation, payloads, degree: int):
     return {"degree": degree, "components": tuple(
-        skewpoly.canonical(skewpoly.from_canonical(p) if not isinstance(p, dict) else p)
-        for p in payloads)}
+        skewpoly.canonical(skewpoly.from_canonical(p)) for p in payloads)}
 
 
 def _element_terms(M: GradedModulePresentation, elt) -> list:

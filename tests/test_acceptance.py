@@ -380,7 +380,7 @@ def test_criterion_08_localization_property_suite():
                             if g != h:
                                 assert any(g(L.insertion(x)) != h(L.insertion(x))
                                            for x in elements)
-        # pushout squares of the induced-map diagrams, default probe family
+        # pushout squares of the induced-map diagrams
         square_cases = [
             (rg.quotient_hom(6, 3), 1, 2),
             (rg.quotient_hom(6, 3), 1, 0),

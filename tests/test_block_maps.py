@@ -18,6 +18,7 @@ from conftest import (
     brute_ideal,
     brute_is_iso,
     brute_pushout_by_kernels,
+    pushout_outcomes_agree,
 )
 
 from ncspec import localization, sheafspec
@@ -114,10 +115,10 @@ def finite_homs():
     return homs + table_homs() + list(unmapped_homs())
 
 
-def over_q(h):
-    """The same rule between the same block shapes over Q."""
+def over_q(h, base=Q):
+    """The same rule between the same block shapes over Q, or over base."""
     def q(r):
-        return type(r)(Q, r.dims if isinstance(r, SemisimpleAlgebra) else r.size)
+        return type(r)(base, r.dims if isinstance(r, SemisimpleAlgebra) else r.size)
     return rg.hom_validate(RingHom(q(h.source), q(h.target), h.rule))
 
 
@@ -231,8 +232,11 @@ def outcome(fn, *args):
 def test_quotient_pushouts_by_block_kernels_match_the_element_kernels():
     """Every commuting square of the restriction squares of the block,
     table and unmapped homs out of the finite rings, with every leg swapped
-    for every other block hom between its corners; over Q, the legs'
-    kernels read as over F2."""
+    for every other block hom between its corners, against the ideal
+    closure by elements; over Q, the legs' kernels read as over F2.  The
+    kernel rule refuses the squares whose leg beside the onto one is the
+    diagonal F2 x F2 -> M2(F2), a table with no block map that is not
+    onto."""
     seen = {}
     for r in SSA_RINGS[:-1] + [M2, SemisimpleAlgebra(F2, (2, 1)), ModularRing(6),
                                rg.ProductRing((ModularRing(2),) * 2)]:
@@ -245,10 +249,12 @@ def test_quotient_pushouts_by_block_kernels_match_the_element_kernels():
         for sq in squares:
             if sq.commutes():
                 got = outcome(_pushout_by_kernels, sq)
-                assert got == outcome(brute_pushout_by_kernels, sq), sq
-                seen[got] = seen.get(got, 0) + 1
-    assert set(seen) == {("ok", True), ("ok", False),
-                         ("UnsupportedClass", "square is not of quotient type")}, seen
+                assert pushout_outcomes_agree(sq, got, outcome(brute_pushout_by_kernels, sq)), sq
+                refused = got[0] != "ok" and got[1].endswith("has no block map and is not onto")
+                key = "refused" if refused else got
+                seen[key] = seen.get(key, 0) + 1
+    assert set(seen) == {("ok", True), ("ok", False), "refused",
+                         ("UnsupportedClass", "no leg out of the top-left corner is onto")}, seen
     assert min(seen.values()) > 10, seen
     for sq in morphism_squares(SSA_RINGS[-1]):
         for h in (sq.top, sq.left, sq.bottom, sq.right):
@@ -267,8 +273,9 @@ def prim_verdict(theta):
 def test_prim_over_q_matches_its_f2_twin():
     """Every block projection between small semisimple algebras, and the
     projection Q x M2(Q) -> M2(Q) onto a matrix ring, answers the prim
-    check over Q as the same rule does over F2: the legs of their squares
-    have block maps, so the kernel check decides them over either field."""
+    check over Q and over F3 as the same rule does over F2: the legs of
+    their squares have block maps, so the kernel rule decides them over
+    any field.  Each of the 70 homs is prim."""
     shapes = [(1,), (2,), (1, 1), (1, 2), (2, 1), (1, 1, 1)]
     pairs = [(SemisimpleAlgebra(F2, a), SemisimpleAlgebra(F2, b), BlockRule(feeds))
              for a, b in product(shapes, repeat=2)
@@ -281,11 +288,26 @@ def test_prim_over_q_matches_its_f2_twin():
         except NCSpecError:
             continue
         got = prim_verdict(h)
-        assert prim_verdict(over_q(h)) == got, h
+        assert prim_verdict(over_q(h)) == prim_verdict(over_q(h, F3)) == got, h
         seen[got] = seen.get(got, 0) + 1
-    assert seen[True, None] > 20 and seen["UnverifiableSquare"] > 20, seen
-    S, T, rule = pairs[-1]
-    assert prim_verdict(over_q(rg.hom_validate(RingHom(S, T, rule)))) == (True, None)
+    assert seen == {(True, None): 70}, seen
+
+
+def test_block_homs_out_of_matrix_blocks_are_prim():
+    """Every block hom out of M2(F2), F2 x M2(F2) and M2(F2) x F2 x M2(F2)
+    into the semisimple algebra of its feeds (one to three of them), and
+    onto M2(F2) itself, is prim, with the diagonals among them."""
+    seen = 0
+    for S in (M2, SemisimpleAlgebra(F2, (1, 2)), SemisimpleAlgebra(F2, (2, 1, 2))):
+        blocks = S.blocks
+        for k in (1, 2, 3):
+            for feeds in product(range(len(blocks)), repeat=k):
+                T = SemisimpleAlgebra(F2, tuple(blocks[s] for s in feeds))
+                for target in [T] + ([M2] if k == 1 and blocks[feeds[0]] == 2 else []):
+                    h = rg.hom_validate(RingHom(S, target, BlockRule(feeds)))
+                    assert prim_verdict(h) == (True, None), h
+                    seen += 1
+    assert seen == 4 + 15 + 41, seen
 
 
 def test_induced_maps_of_unmapped_homs_match_the_table_descent():

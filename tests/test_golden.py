@@ -125,11 +125,6 @@ DOCS = {
                             "ring": {k: v for k, v in _SK2.items() if k != "schema"},
                             "module": _FREE, "scalars": [[1, 2, "2"], [2, 1, "1"]]},
     "SK4-qcoh": _trivial_qcoh(_SK4),
-    # prim-check probe lists: Z/6 without its factor Z/3; Z/6 with both
-    # factors and a probe that is not a product of cyclic rings
-    "probes-Z6-Z2": [_mod(6), _mod(2), {"kind": "zero"}],
-    "probes-Z6-Z2-Z3-SSA": [_mod(6), _mod(2), _mod(3),
-                            {"kind": "semisimple", "base": "f2", "dims": [1, 2]}],
 }
 
 _FLAG = {"morphism": "--morphism", "prim-check": "--morphism", "glue": "--glue",
@@ -145,7 +140,7 @@ def _window(lo, hi, *rest):
     return ("--window", str(lo), str(hi), *rest)
 
 
-# (subcommand, document, extra arguments); a module or a probe list rides in the extras
+# (subcommand, document, extra arguments); a module rides in the extras
 CALLS = (
     # the finite pool of perfbench
     [("ncspec", r, ()) for r in ("Z6", "Z12", "Z30", "Z60", "F2^4", "SSA-F2-1-2",
@@ -193,8 +188,6 @@ CALLS = (
        ("ncspec", "SSA-F2-1-2-1", ())]
     # an induced morphism and its prim check over 32 target cells
     + [(sub, "Z2310-Z210", ()) for sub in ("morphism", "prim-check")]
-    + [("prim-check", m, ("--probes", p)) for m in ("Z30-Z6", "Z6-Z2xZ3", "Z210-Z42")
-       for p in ("probes-Z6-Z2", "probes-Z6-Z2-Z3-SSA")]
 )
 
 
@@ -208,7 +201,7 @@ def call_argv(docdir, sub, doc, extra):
     args = iter(extra)
     for a in args:
         argv.append(a)
-        if a in ("--module", "--probes"):
+        if a == "--module":
             argv.append(str(docdir / f"{next(args)}.json"))
     return argv
 

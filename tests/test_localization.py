@@ -23,7 +23,6 @@ from ncspec.sheafspec import is_prim_report, ncspec_morphism
 from ncspec.localization import (
     LocalizationSquare,
     connecting_map,
-    default_probes,
     induced_map,
     is_pushout,
     localization_square,
@@ -228,8 +227,6 @@ def test_localization_square_commutes_and_pushes_out():
     sq = localization_square(theta, E(z6, 1), E(z6, 2))
     assert sq.commutes()
     assert is_pushout(sq)
-    probes = (ModularRing(2), ModularRing(3), ModularRing(6), ZeroRing())
-    assert is_pushout(sq, probes)
 
 
 def test_pushout_rejects_wrong_corner():
@@ -241,10 +238,10 @@ def test_pushout_rejects_wrong_corner():
         bottom=rg.to_zero_hom(sq.bottom.source),
         right=rg.to_zero_hom(sq.right.source))
     assert bad.commutes()
-    assert not is_pushout(bad, (ModularRing(3), ZeroRing()))
+    assert not is_pushout(bad)
 
 
-def test_probes_reject_a_square_with_two_mediating_maps(monkeypatch):
+def test_pushout_rejects_a_square_with_two_mediating_maps(monkeypatch):
     # Z/2 <- Z/2 x Z/2 -> Z/2 by the first projection, closed by the
     # diagonal into Z/2 x Z/2: both projections out of the corner restrict
     # to the identity, so the corner is not the pushout Z/2
@@ -257,20 +254,20 @@ def test_probes_reject_a_square_with_two_mediating_maps(monkeypatch):
     sq = LocalizationSquare(top=first, left=first, bottom=diag, right=diag)
     assert sq.commutes()
     verdicts = []
-    by_probes = localization._pushout_by_probes
+    by_kernels = localization._pushout_by_kernels
 
-    def spy(square, probes):
-        verdicts.append(by_probes(square, probes))
+    def spy(square):
+        verdicts.append(by_kernels(square))
         return verdicts[-1]
 
-    monkeypatch.setattr(localization, "_pushout_by_probes", spy)
+    # the kernel rule decides it: the leg opposite the onto left leg is
+    # the diagonal, which is not onto
+    monkeypatch.setattr(localization, "_pushout_by_kernels", spy)
     assert is_pushout(sq) is False
     assert verdicts == [False]
 
 
 def test_quotient_squares_of_semisimple_algebras_are_decided_by_kernels():
-    # semisimple algebras have no hom enumeration, so the probes cannot
-    # decide these squares and the kernels of the legs do
     F2 = PrimeField(2)
     pair, one_block = SemisimpleAlgebra(F2, (1, 1)), SemisimpleAlgebra(F2, (1,))
     theta = rg.hom_validate(RingHom(SemisimpleAlgebra(F2, (1, 2)), SemisimpleAlgebra(F2, (2,)),
@@ -281,13 +278,20 @@ def test_quotient_squares_of_semisimple_algebras_are_decided_by_kernels():
     collapse = rg.to_zero_hom(one_block)
     sq = LocalizationSquare(top=proj, left=proj, bottom=collapse, right=collapse)
     assert sq.commutes() and not is_pushout(sq)
-    # a leg that is not onto leaves the square outside the quotient case
+    # no leg out of the top-left corner is onto: the kernel rule has no
+    # quotient to start from
     diag = rg.hom_validate(rg.hom_from_callable(
         one_block, pair, lambda x: RingElement(pair, (x.payload[0], x.payload[0]))))
     sq = LocalizationSquare(top=diag, left=diag, bottom=proj, right=proj)
     assert sq.commutes()
-    with pytest.raises(UnverifiableSquare):
+    with pytest.raises(UnverifiableSquare, match="no leg out of the top-left corner is onto"):
         is_pushout(sq)
+    # one onto leg is enough: the pushout of the first projection and the
+    # swap of F2 x F2 is F2, reached by the second projection
+    swap = rg.hom_validate(RingHom(pair, pair, BlockRule((1, 0))))
+    second = rg.hom_validate(RingHom(pair, one_block, BlockRule((1,))))
+    sq = LocalizationSquare(top=swap, left=proj, bottom=rg.identity_hom(one_block), right=second)
+    assert sq.commutes() and is_pushout(sq)
 
 
 def test_degenerate_identity_square_is_pushout():

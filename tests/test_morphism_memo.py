@@ -1,19 +1,18 @@
 """The memo of induced morphisms and the verdicts a morphism keeps.
 
 `ncspec_morphism` answers an equal hom with the morphism it built before,
-and that morphism keeps the result of `verify` and the prim witness of
-each probe tuple.  Every answer is compared here with a fresh build after
-`clear_caches()`.
+and that morphism keeps the result of `verify` and its prim witness.
+Every answer is compared here with a fresh build after `clear_caches()`.
 """
 
 import pytest
 from test_prim_structural import outcome
-from test_sheafspec import crafted_z3_to_bottom_point, crafted_zero_to_closed_point
+from test_sheafspec import crafted_zero_to_closed_point
 
 from ncspec import rings as rg
 from ncspec import sheafspec
 from ncspec.errors import NotAHomomorphism
-from ncspec.rings import ModularRing, ZeroRing
+from ncspec.rings import ModularRing
 
 
 def cyclic(*mods):
@@ -42,10 +41,8 @@ def memo_homs():
 
 
 def answers(m):
-    """verify, then the prim reports for the default probes and the zero ring."""
-    return (outcome(m.verify),
-            outcome(sheafspec.is_prim_report, m),
-            outcome(sheafspec.is_prim_report, m, (ZeroRing(),)))
+    """verify, then the prim report."""
+    return outcome(m.verify), outcome(sheafspec.is_prim_report, m)
 
 
 def test_memoized_morphisms_match_a_fresh_build():
@@ -183,30 +180,24 @@ def test_an_invalid_hom_raises_before_any_lookup():
     assert sheafspec._induced_morphism.cache_info() == looked_up and not bad.validated
 
 
-def test_prim_reports_take_probe_lists_and_come_fresh():
+def test_prim_reports_are_kept_and_come_fresh(monkeypatch):
     sheafspec.clear_caches()
     m = sheafspec.ncspec_morphism(rg.quotient_hom(12, 4))
-    probes = [ZeroRing(), ModularRing(2), ModularRing(4)]
-    assert sheafspec.is_prim_report(m, probes) == sheafspec.is_prim_report(m, tuple(probes))
-    assert sheafspec.default_prim_probes(m) is sheafspec.default_prim_probes(m)
-    # a verdict is kept per probe tuple: the zero ring alone misses the failing square
-    z3 = crafted_z3_to_bottom_point()
-    assert [sheafspec.is_prim_report(z3, probes)["prim"]
-            for probes in ((ZeroRing(),), None, [ZeroRing()])] == [True, False, True]
+    assert sheafspec.is_prim_report(m) == {"prim": True, "witness": None}
     bad = crafted_zero_to_closed_point()
     report = sheafspec.is_prim_report(bad)
     assert not report["prim"] and report["witness"]
     want = sheafspec.is_prim_report(bad)
     report["witness"].clear()
-    report["probes"].clear()
     assert sheafspec.is_prim_report(bad) == want and want["witness"]
-    # a warm default report is a lookup, and still a copy the caller may change
+    # a warm report is a lookup that walks no square, and still a copy
+    # the caller may change
+    monkeypatch.setattr(sheafspec, "_prim_witness", None)
     warm = sheafspec.is_prim_report(bad)
     warm["witness"]["preimage"].append(-1)
     warm["witness"].clear()
-    warm["probes"].append("changed")
     assert sheafspec.is_prim_report(bad) == want
-    assert sheafspec.is_prim_report(bad, sheafspec.default_prim_probes(bad)) == want
+    assert sheafspec.is_prim_report(m) == {"prim": True, "witness": None}
 
 
 def test_a_check_that_raises_raises_again(monkeypatch):

@@ -19,7 +19,7 @@ import pytest
 from conftest import brute_prim_witness
 from test_acceptance import _crafted_negatives
 from test_cellwise import mutants
-from test_block_maps import block_homs
+from test_block_maps import block_homs, table_homs, unmapped_homs
 from test_prim_structural import _grid_homs, outcome
 from test_sheafspec import (
     crafted_swapped_global_comap,
@@ -33,40 +33,47 @@ from ncspec import rings as rg
 from ncspec.errors import PresheafLawViolation
 from ncspec.latspace import is_completely_union_irreducible
 from ncspec.records import FrozenInstanceError
-from ncspec.rings import MatrixRing, ModularRing, PrimeField, SemisimpleAlgebra, ZeroRing
+from ncspec.rings import MatrixRing, ModularRing, PrimeField, SemisimpleAlgebra
 
 z = ModularRing
-# the golden prim-check lists (Z/6 without its factor Z/3; Z/6 with both
-# factors and a semisimple probe), none, one local factor, and the local
-# factors of Z/36 and Z/6 only
-PROBE_LISTS = (
-    (z(6), z(2), ZeroRing()),
-    (z(6), z(2), z(3), SemisimpleAlgebra(PrimeField(2), (1, 2))),
-    (),
-    (z(2),),
-    (z(2), z(4), z(3), z(9)),
-)
 
 
 def induced_morphisms():
+    """The morphisms of the grid homs, three quotients, and the tables
+    between block rings of `test_block_maps.py`, with or without a block
+    map."""
     homs = _grid_homs() + [rg.quotient_hom(n, m) for n, m in ((2310, 210), (36, 6), (72, 12))]
-    return [sheafspec.ncspec_morphism(theta) for theta in homs]
+    return [sheafspec.ncspec_morphism(theta)
+            for theta in homs + table_homs() + list(unmapped_homs())]
+
+
+def twisted_comaps():
+    """The identity morphisms of M2(F2) and M2(F2) x F2 with their global
+    comap twisted by the inner automorphism of g = [[1, 1], [0, 1]] on the
+    M2(F2) block, a table with no block map: the square out of the bottom
+    into a cell that keeps the M2(F2) block fails to commute."""
+    out = []
+    for conj in (table_homs()[0], unmapped_homs()[0]):
+        m = sheafspec.ncspec_morphism(rg.identity_hom(conj.source))
+        bottom = m.target.lattice.bottom
+        out.append(sheafspec.RingedSpaceMorphism(m.source, m.target, m.point_map,
+                                                 {**m.comap, bottom: conj}))
+    return out
 
 
 def crafted_morphisms():
     return ([crafted_zero_to_closed_point(), crafted_z3_to_bottom_point(),
              crafted_swapped_global_comap()]
-            + discontinuous_endomorphisms() + _crafted_negatives())
+            + discontinuous_endomorphisms() + _crafted_negatives() + twisted_comaps())
 
 
-def prim_outcome(m, probes):
+def prim_outcome(m):
     """("ok", the witness of `is_prim_report`), or the name and message of
     what it raises."""
-    got = outcome(sheafspec.is_prim_report, m, probes)
+    got = outcome(sheafspec.is_prim_report, m)
     if got[0] != "ok":
         return got
-    assert got[1]["prim"] is (got[1]["witness"] is None)
-    assert got[1]["probes"] == [repr(p) for p in probes]
+    assert set(got[1]) == {"prim", "witness"} and got[1]["prim"] is (got[1]["witness"] is None)
     return "ok", got[1]["witness"]
 
 
@@ -81,16 +88,18 @@ def test_prim_by_pasting_matches_the_full_walk():
     pasted = Counter()
     for m in induced_morphisms() + crafted_morphisms():
         n = m.target.lattice.n
-        for probes in (sheafspec.default_prim_probes(m),) + PROBE_LISTS:
-            got = prim_outcome(m, probes)
-            assert got == outcome(brute_prim_witness, m, range(n), probes), (m, probes)
-            seen[kind(got)] += 1
-            if got[0] == "ok" and kind(got) != "preimage_not_union_irreducible":
-                pasted[sheafspec._pasting_decides(m, range(n), probes), kind(got)] += 1
+        got = prim_outcome(m)
+        assert got == outcome(brute_prim_witness, m, range(n)), m
+        seen[kind(got)] += 1
+        if got[0] == "ok" and kind(got) != "preimage_not_union_irreducible":
+            pasted[sheafspec._pasting_decides(m, range(n)), kind(got)] += 1
+    # the two tables without a block map that are not onto, the diagonal
+    # F2 x F2 -> M2(F2) and Z/6 -> M2(F2), leave a square undecided
     assert set(seen) == {"prim", "restriction_square_not_pushout",
                          "preimage_not_union_irreducible", "NotOpen", "UnverifiableSquare"}, seen
+    assert seen["UnverifiableSquare"] == 2, seen
     # the shortened walk ran on prim and on non-prim morphisms, and the
-    # full walk on both as well
+    # full walk, for comaps without a block map, on both as well
     assert set(pasted) == {(decides, k) for decides in (True, False)
                            for k in ("prim", "restriction_square_not_pushout")}, pasted
 
@@ -99,15 +108,13 @@ def test_prim_by_pasting_matches_the_full_walk_on_one_comap_mutants():
     seen = Counter()
     for theta in _grid_homs() + [rg.quotient_hom(2310, 210)]:
         for mm in mutants(sheafspec.ncspec_morphism(theta)):
-            n = mm.target.lattice.n
-            for probes in (sheafspec.default_prim_probes(mm), (z(2),)):
-                got = prim_outcome(mm, probes)
-                assert got == outcome(brute_prim_witness, mm, range(n), probes), (theta, probes)
-                seen[kind(got)] += 1
+            got = prim_outcome(mm)
+            assert got == outcome(brute_prim_witness, mm, range(mm.target.lattice.n)), theta
+            seen[kind(got)] += 1
     # a comap with the ends of another cell makes a square whose legs do
     # not meet; one with the right ends is no longer induced, so not prim
     assert set(seen) == {"restriction_square_not_pushout", "CompositionMismatch"}, seen
-    assert seen["restriction_square_not_pushout"] >= 20, seen
+    assert seen["restriction_square_not_pushout"] == 12, seen
 
 
 def enumerated_morphisms(source, target):
@@ -131,18 +138,28 @@ def enumerated_morphisms(source, target):
 
 
 def test_prim_by_pasting_matches_the_full_walk_on_enumerated_morphisms():
-    """Among these, a square with an identity leg can fail while the
-    squares out of the bottom pass a probe list that misses a local
-    factor, so there only the full walk gives the verdict."""
     seen = Counter()
     for target in (ModularRing(30), rg.product_ring([z(2), z(6)])):
         for m in enumerated_morphisms(z(6), target):
-            for probes in (sheafspec.default_prim_probes(m), (ZeroRing(),)) + PROBE_LISTS:
-                got = prim_outcome(m, probes)
-                assert got == outcome(brute_prim_witness, m, range(m.target.lattice.n), probes)
-                seen[kind(got), sheafspec._pasting_decides(m, range(m.target.lattice.n), probes)] += 1
-    assert set(seen) == {(k, decides) for decides in (True, False)
-                         for k in ("prim", "restriction_square_not_pushout")}, seen
+            got = prim_outcome(m)
+            assert got == outcome(brute_prim_witness, m, range(m.target.lattice.n))
+            seen[kind(got), sheafspec._pasting_decides(m, range(m.target.lattice.n))] += 1
+    assert set(seen) == {("prim", True), ("restriction_square_not_pushout", True)}, seen
+
+
+def test_enumerated_morphisms_that_pass_are_the_induced_ones():
+    """Fullness on every candidate morphism NCSpec(Z/6) -> NCSpec(T): the
+    ones that pass `verify` and `is_prim` are exactly the morphisms of the
+    homs T -> Z/6, and `recover_hom` gives each hom back."""
+    counts = []
+    for T in (z(30), rg.product_ring([z(2), z(6)]), z(12), z(6)):
+        candidates = enumerated_morphisms(z(6), T)
+        passing = {m for m in candidates if m.verify() and sheafspec.is_prim(m)}
+        homs = rg.all_homs(T, z(6))
+        assert passing == {sheafspec.ncspec_morphism(h) for h in homs}, T
+        assert {sheafspec.recover_hom(m) for m in passing} == set(homs), T
+        counts.append((len(candidates), len(passing)))
+    assert counts == [(16, 1), (72, 2), (4, 1), (4, 1)], counts
 
 
 def covers(m):
@@ -154,10 +171,10 @@ def covers(m):
             [whole] + [a | b for a in ups for b in ups if a != b and a | b != whole])
 
 
-def brute_locality(m, cover, probes):
+def brute_locality(m, cover):
     """`prim_is_local_check` by the full walk over the whole and each piece."""
-    whole = brute_prim_witness(m, range(m.target.lattice.n), probes) is None
-    pieces = all(brute_prim_witness(m, sorted(frozenset(U)), probes) is None for U in cover)
+    whole = brute_prim_witness(m, range(m.target.lattice.n)) is None
+    pieces = all(brute_prim_witness(m, sorted(frozenset(U))) is None for U in cover)
     if whole != pieces:
         raise PresheafLawViolation(
             f"primness must be a local property: {whole} on the whole, {pieces} on the cover")
@@ -169,14 +186,13 @@ def test_prim_locality_by_pasting_matches_the_full_walk():
                  if m.target.lattice.n <= 8]
     verdicts = Counter()
     for m in morphisms:
-        probes = sheafspec.default_prim_probes(m)
         for cover in covers(m):
             for U in cover:
                 cells = sorted(frozenset(U))
-                assert (outcome(sheafspec._prim_witness, m, cells, probes)
-                        == outcome(brute_prim_witness, m, cells, probes)), (m, U)
+                assert (outcome(sheafspec._prim_witness, m, cells)
+                        == outcome(brute_prim_witness, m, cells)), (m, U)
             got = outcome(sheafspec.prim_is_local_check, m, cover)
-            assert got == outcome(brute_locality, m, cover, probes), (m, cover)
+            assert got == outcome(brute_locality, m, cover), (m, cover)
             verdicts[got[1] if got[0] == "ok" else got[0]] += 1
     assert verdicts[True] > 50 and verdicts[False] > 3, verdicts
     assert PresheafLawViolation.__name__ not in verdicts, verdicts

@@ -1,5 +1,5 @@
-"""Induced morphisms and prim checks by local-factor maps and local probes,
-against the exhaustive paths they replace.
+"""Induced morphisms and prim checks by local-factor maps and block
+kernels, against the exhaustive paths they replace.
 
 `descend_by_block_maps` between products of cyclic rings reads the
 descended map off the block maps; the table descent over every element
@@ -7,10 +7,11 @@ is the oracle.
 `all_homs` lists the homs by their block maps; the search over the
 target's idempotents is the oracle.  The square walk reads each right
 leg off the minimal cells of the preimages; the restriction that
-recomputes the section rings of both opens is the oracle.  Squares of products of
-cyclic rings commute and push out by the local-factor maps of their legs;
-composites, element tables and the probe loop over every hom into every
-probe are the oracles.
+recomputes the section rings of both opens is the oracle.  Squares
+commute by the block maps of their legs and push out by the kernel rule;
+composites, element tables, the ideal closure by elements and, on
+products of cyclic rings, the probe loop over every hom into every local
+factor of the corners are the oracles.
 """
 
 from collections import Counter
@@ -23,11 +24,15 @@ from conftest import (
     brute_is_iso,
     brute_is_pushout,
     brute_prim_witness,
+    brute_pushout_by_probes,
     brute_sections_restriction,
     cyclic_coordinates,
     finite_commutative_grid,
+    local_probes,
+    pushout_outcomes_agree,
 )
 from test_acceptance import _crafted_negatives
+from test_block_maps import M2, SSA_RINGS, morphism_squares
 
 from ncspec import glueqcoh, localization, sheafspec
 from ncspec import rings as rg
@@ -169,8 +174,9 @@ def _squares(m):
 def _two_mediating_square(n):
     """Z/n <- Z/n x Z/n -> Z/n by the first projection, closed by the
     diagonal into Z/n x Z/n: both projections out of the corner restrict to
-    the identity, so the corner is not the pushout Z/n.  The diagonal is
-    not onto, so the kernels cannot decide the square."""
+    the identity, so the corner is not the pushout Z/n.  The leg opposite
+    the onto left leg is the diagonal, which is not onto, so the kernel
+    rule refutes the square."""
     zn, pnn = ModularRing(n), cyclic(n, n)
     first = rg.hom_validate(rg.hom_from_callable(
         pnn, zn, lambda x: rg.element(zn, x.payload[0])))
@@ -180,65 +186,58 @@ def _two_mediating_square(n):
 
 
 z = ModularRing
-CUSTOM_PROBES = [
-    (z(6), ZeroRing()),                              # Z/6 without its factors
-    (z(6), z(2)),                                    # Z/6 without Z/3
-    (ZeroRing(),),                                   # the zero ring only
-    (z(6),),                                         # Z/6 alone
-    (z(15),),                                        # Z/15 alone
-    (z(4),),                                         # no hom into it from a Z/2
-    (z(12), z(4), z(3), cyclic(2, 2), z(2)),
-    (z(30), z(6), z(2), z(3), z(5), ZeroRing(), z(4), z(12), cyclic(2, 2), z(1)),
-    (z(6), SemisimpleAlgebra(F2, (1, 2)), z(2), z(3)),
-    (z(6), SemisimpleAlgebra(F2, (1, 2)), z(2), z(3), ZeroRing()),
-    (SemisimpleAlgebra(F2, (1, 1)), z(6), z(2), z(3)),
-]
 
 
 @cache
 def pushout_cases():
-    """(square, probe list) pairs: every restriction square of the grid
-    morphisms and of the three crafted non-prim morphisms of
-    `test_acceptance.py`, each with its morphism's default probes and the
-    custom lists; the same squares with one leg swapped for another hom
-    between its corners (most of these fail to commute); and
-    the two-mediating squares over Z/2, Z/3 and Z/6 and a square out of
-    Q[x], with their default probes and the custom lists."""
+    """Every restriction square of the grid morphisms and of the three
+    crafted non-prim morphisms of `test_acceptance.py`; the same squares
+    with one leg swapped for another hom between its corners (most of
+    these fail to commute); the two-mediating squares over Z/2, Z/3 and
+    Z/6; a square out of Q[x]; and every restriction square of the
+    morphisms of the block, table and unmapped homs out of the finite
+    semisimple algebras and M2(F2) of `test_block_maps.py`, whose corners
+    are not products of cyclic rings."""
     squares = {}
     for m in [sheafspec.ncspec_morphism(h) for h in _grid_homs()] + _crafted_negatives():
-        for sq in _squares(m):
-            squares.setdefault(sq, sheafspec.default_prim_probes(m))
+        squares.update(dict.fromkeys(_squares(m)))
     for sq in list(squares):
         for leg in ("top", "left", "bottom", "right"):
             h = getattr(sq, leg)
             for other in rg.all_homs(h.source, h.target):
                 if other != h:
                     legs = {name: getattr(sq, name) for name in ("top", "left", "bottom", "right")}
-                    squares.setdefault(LocalizationSquare(**{**legs, leg: other}), squares[sq])
+                    squares.setdefault(LocalizationSquare(**{**legs, leg: other}))
     for n in (2, 3, 6):
-        sq = _two_mediating_square(n)
-        squares[sq] = localization.default_probes(sq)
-    # Q[x] onto the zero ring: no probe has a hom out of the zero corners,
-    # so even the probe Q[x] decides the square
+        squares.setdefault(_two_mediating_square(n))
+    # Q[x] onto the zero ring: the zero mid corners force the zero ring
     collapse, zero = rg.to_zero_hom(rg.UnivariatePolyRing()), rg.identity_hom(ZeroRing())
-    sq = LocalizationSquare(top=collapse, left=collapse, bottom=zero, right=zero)
-    squares[sq] = localization.default_probes(sq)
-    return tuple((sq, ps) for sq, probes in squares.items() for ps in (probes, *CUSTOM_PROBES))
+    squares.setdefault(LocalizationSquare(top=collapse, left=collapse, bottom=zero, right=zero))
+    for r in SSA_RINGS[:-1] + [M2]:
+        squares.update(dict.fromkeys(morphism_squares(r)))
+    return tuple(squares)
 
 
 def test_pushouts_by_local_maps_match_the_probe_loop():
+    """`is_pushout` against the element oracle on every case, and on the
+    squares of products of cyclic rings against the probe loop over the
+    local factors of the corners too."""
     seen = Counter()
-    for sq, probes in pushout_cases():
-        got = outcome(is_pushout, sq, probes)
-        assert got == outcome(brute_is_pushout, sq, probes), (sq, probes)
+    for sq in pushout_cases():
+        got = outcome(is_pushout, sq)
+        assert pushout_outcomes_agree(sq, got, outcome(brute_is_pushout, sq)), sq
+        if got[0] == "ok" and all(rg.cyclic_moduli(c) is not None for c in sq.corners):
+            assert got[1] == (brute_commutes(sq)
+                              and brute_pushout_by_probes(sq, local_probes(sq))), sq
+            seen["probe loop"] += 1
         seen[got if got[0] == "ok" else got[0]] += 1
-    assert sum(seen.values()) >= 2000, seen
-    assert set(seen) == {("ok", True), ("ok", False), "UnverifiableSquare"}, seen
+    assert sum(seen.values()) - seen["probe loop"] >= 700 and seen["probe loop"] >= 600, seen
+    assert set(seen) == {("ok", True), ("ok", False), "UnverifiableSquare", "probe loop"}, seen
 
 
 def test_squares_commute_by_local_maps_as_by_composites():
     seen = Counter()
-    for sq in dict.fromkeys(sq for sq, _probes in pushout_cases()):
+    for sq in pushout_cases():
         got = sq.commutes()
         assert got == brute_commutes(sq), sq
         seen[got] += 1
@@ -248,23 +247,12 @@ def test_squares_commute_by_local_maps_as_by_composites():
 def test_pushouts_by_local_maps_refuse_what_the_probe_loop_refuses():
     for n in (2, 3, 6):
         sq = _two_mediating_square(n)
-        for ps in (localization.default_probes(sq), *CUSTOM_PROBES):
-            assert outcome(is_pushout, sq, ps) == outcome(brute_is_pushout, sq, ps), (n, ps)
-        assert is_pushout(sq) is False
-    # Z/6 refutes the square over Z/6 before the semisimple probe raises
-    # and leaves it to the kernels, which cannot decide it
-    mixed = (z(6), SemisimpleAlgebra(F2, (1, 2)), z(2), z(3))
-    assert is_pushout(_two_mediating_square(6), mixed) is False
-    # the product rule, not a split into local probes: no corner of the
-    # square over Z/3 maps to Z/2, so Z/6 finds both sides of Phi empty
-    # and passes, while Z/3 sees two mediating maps
-    assert is_pushout(_two_mediating_square(3), (z(6),)) is True
-    assert is_pushout(_two_mediating_square(3), (z(3),)) is False
+        assert outcome(is_pushout, sq) == outcome(brute_is_pushout, sq) == ("ok", False), n
+        assert brute_pushout_by_probes(sq, local_probes(sq)) is False
     for bad in _crafted_negatives():
-        probes = sheafspec.default_prim_probes(bad)
-        witness = sheafspec.is_prim_report(bad, probes)["witness"]
+        witness = sheafspec.is_prim_report(bad)["witness"]
         assert witness is not None
-        assert witness == brute_prim_witness(bad, range(bad.target.lattice.n), probes)
+        assert witness == brute_prim_witness(bad, range(bad.target.lattice.n))
 
 
 def test_local_maps_compose_and_decide_isos_as_element_tables():
@@ -301,15 +289,19 @@ def test_local_maps_compose_and_decide_isos_as_element_tables():
     assert composed > 1000 and kinds > 20 and iso_kinds == {True, False}, (composed, kinds)
 
 
-def test_prim_check_with_a_semisimple_probe_enumerates_no_element(monkeypatch):
-    """The semisimple probe leaves every square with a nonzero middle corner
-    to the kernel check, which reads the block maps of the legs."""
+def test_cold_prim_check_enumerates_no_element(monkeypatch):
+    """The kernel rule reads the block maps of the legs, over products of
+    cyclic rings and over semisimple algebras alike."""
+    F2 = PrimeField(2)
+    diagonal = rg.hom_validate(rg.RingHom(SemisimpleAlgebra(F2, (1, 2)),
+                                          SemisimpleAlgebra(F2, (1, 2, 2)), rg.BlockRule((0, 1, 1))))
     sheafspec._induced_morphism.cache_clear()
-    m = sheafspec.ncspec_morphism(rg.quotient_hom(2310, 210))
+    morphisms = [sheafspec.ncspec_morphism(theta)
+                 for theta in (rg.quotient_hom(2310, 210), diagonal)]
     calls = []
     monkeypatch.setattr(rg, "enumerate_elements", lambda r: calls.append(r) or [])
-    report = sheafspec.is_prim_report(m, (z(6), z(2), z(3), SemisimpleAlgebra(F2, (1, 2))))
-    assert report["prim"] and calls == []
+    assert all(sheafspec.is_prim_report(m)["prim"] for m in morphisms)
+    assert calls == []
 
 
 def test_warm_prim_check_builds_no_hom(monkeypatch):

@@ -345,8 +345,7 @@ def test_square_walk_matches_the_pair_loops():
     for m in morphisms:
         got = outcome(m.verify)
         assert got == outcome(brute_verify, m)
-        probes = sheafspec.default_prim_probes(m)
-        want = outcome(brute_prim_witness, m, range(m.target.lattice.n), probes)
+        want = outcome(brute_prim_witness, m, range(m.target.lattice.n))
         report = outcome(sheafspec.is_prim_report, m)
         assert (report["witness"] if isinstance(report, dict) else report) == want
         kinds.append((answer_kind(got), answer_kind(want)))
@@ -371,13 +370,11 @@ def test_prim_locality_matches_the_pair_loops():
              (m, [sp6.space.carrier(), up[c2], up[c3]]),
              (bad, [bad.target.space.carrier()])]
     for mm, cover in cases:
-        probes = sheafspec.default_prim_probes(mm)
         n = mm.target.lattice.n
-        whole = brute_prim_witness(mm, range(n), probes)
+        whole = brute_prim_witness(mm, range(n))
         for U in cover:
             cells = [j for j in range(n) if j in frozenset(U)]
-            assert (sheafspec._prim_witness(mm, sorted(U), probes)
-                    == brute_prim_witness(mm, cells, probes))
+            assert sheafspec._prim_witness(mm, sorted(U)) == brute_prim_witness(mm, cells)
         assert prim_is_local_check(mm, cover) is (whole is None)
 
 

@@ -171,6 +171,24 @@ def test_parsed_rows_match_the_relations(rng):
         (1, (((0, tuple(int(k == i) for k in range(3))), 1),)) for i in range(3))
 
 
+def test_payloads_drop_zero_coefficients_from_dicts_and_tuples():
+    """A dict payload is read as its items, through the same path as a
+    canonical tuple, so a zero coefficient reaches no canonical form and
+    two spellings of one element, relation or presentation are equal."""
+    x1, x2 = (1, 0), (0, 1)
+    assert rg.element(SK2, {x1: 0}) == rg.element(SK2, ((x1, 0),)) == SK2.zero
+    assert rg.element(SK2, {x1: 0}).payload == ()
+    assert rg.element(SK2, {x1: 0, x2: 3}).payload == ((x2, Fraction(3)),)
+    rows = [[{x1: 1, x2: 0}], [{x2: 0}]]
+    pres = presentation_from_rows(SK2, (2,), rows)
+    assert pres.relations == (((((1, 0), Fraction(1)),),), ((),))
+    twin = presentation_from_rows(SK2, (2,), pres.relations)
+    assert twin == pres and hash(twin) == hash(pres)
+    assert (element_from_payloads(pres, [{x1: 0, x2: 2}], 3)
+            == element_from_payloads(pres, [((x2, 2),)], 3)
+            == {"degree": 3, "components": ((((0, 1), Fraction(2)),),)})
+
+
 def test_shift_and_relation_echelon_match_the_payload_path(rng):
     """`_shift` against `skewpoly.mul` + `from_canonical` + column lookup,
     with multipliers one step past the box so products cross the
