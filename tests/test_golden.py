@@ -20,6 +20,7 @@ import io
 import json
 import sys
 import tempfile
+from itertools import product
 from pathlib import Path
 
 from ncspec.cli import main
@@ -45,6 +46,20 @@ def _morphism(source, target, rule):
 
 def _quotient(n, m):
     return _morphism(_mod(n), _mod(m), {"kind": "canonical_quotient"})
+
+
+def _block_hom_f2(dims, feeds):
+    """The table of the block hom out of the semisimple algebra over F2 of
+    block sizes dims whose target block l is source block feeds[l]."""
+    def ssa(ds):
+        return {"kind": "semisimple", "base": "f2", "dims": list(ds)}
+
+    def matrices(d):
+        return [[list(flat[i * d:(i + 1) * d]) for i in range(d)]
+                for flat in product(range(2), repeat=d * d)]
+
+    pairs = [[list(x), [x[s] for s in feeds]] for x in product(*map(matrices, dims))]
+    return _morphism(ssa(dims), ssa(dims[s] for s in feeds), {"kind": "table", "pairs": pairs})
 
 
 def _skew(nvars, lam):
@@ -91,6 +106,10 @@ DOCS = {
                                                       for k in range(6)]}),
     "Z4-Z2": _morphism(_mod(4), _mod(2),
                        {"kind": "table", "pairs": [[k, k % 2] for k in range(4)]}),
+    # diagonals of semisimple algebras: F2 -> F2 x F2, and F2 x M2(F2) ->
+    # F2 x M2(F2) x M2(F2) with feeds (0, 1, 1)
+    "SSA-F2-1-diagonal": _block_hom_f2((1,), (0, 0)),
+    "SSA-F2-1-2-diagonal": _block_hom_f2((1, 2), (0, 1, 1)),
     "M2-F2-2chart": {
         "schema": "ncspec.glue/1",
         "pieces": [{"kind": "matrix", "base": "f2", "size": 2}] * 2,
@@ -188,6 +207,8 @@ CALLS = (
        ("ncspec", "SSA-F2-1-2-1", ())]
     # an induced morphism and its prim check over 32 target cells
     + [(sub, "Z2310-Z210", ()) for sub in ("morphism", "prim-check")]
+    # prim checks whose squares have legs that are not onto, over matrix blocks
+    + [("prim-check", m, ()) for m in ("SSA-F2-1-diagonal", "SSA-F2-1-2-diagonal")]
 )
 
 
