@@ -50,8 +50,10 @@ def induced_morphisms():
 def twisted_comaps():
     """The identity morphisms of M2(F2) and M2(F2) x F2 with their global
     comap twisted by the inner automorphism of g = [[1, 1], [0, 1]] on the
-    M2(F2) block, a table with no block map: the square out of the bottom
-    into a cell that keeps the M2(F2) block fails to commute."""
+    M2(F2) block, a table with no block map.  Over M2(F2) this is the
+    morphism the automorphism induces, so it is prim; over M2(F2) x F2 the
+    square out of the bottom into the cell keeping the M2(F2) block fails
+    to commute."""
     out = []
     for conj in (table_homs()[0], unmapped_homs()[0]):
         m = sheafspec.ncspec_morphism(rg.identity_hom(conj.source))
