@@ -11,7 +11,6 @@ import sys
 from . import rings as rg
 from . import serialize as ser
 from .errors import NCSpecError, ParseError, SchemaViolation
-from .rings import SkewLaurentRing
 
 
 def _load(path):
@@ -24,10 +23,10 @@ def _load(path):
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
 
 
-def _report(subcommand, status, payload, provenance=None):
+def _report(args, status, payload, provenance=None):
     return {
         "schema": ser.REPORT_SCHEMA,
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "status": status,
         "provenance": provenance or {},
         "payload": payload,
@@ -39,17 +38,18 @@ def _no_rendering(args):
                       f"for this input; use --format json")
 
 
-def _emit(args, report, dot=None, text=None):
-    """Write the report in the requested format; `main` has checked that
-    the subcommand renders it, and a lazy Q[x] report raises ParseError."""
+def _emit(args, status, payload, provenance=None, dot=None, text=None):
+    """Write the report of the call in the requested format; `main` has
+    checked that the subcommand renders it, and a lazy Q[x] report raises
+    ParseError."""
     if args.format == "json":
-        out = json.dumps(report, indent=2, sort_keys=False) + "\n"
+        out = json.dumps(_report(args, status, payload, provenance), indent=2) + "\n"
     else:
         out = dot if args.format == "dot" else text
         if out is None:
             raise _no_rendering(args)
     sys.stdout.write(out)
-    return 0 if report["status"] == "pass" else 1
+    return 0 if status == "pass" else 1
 
 
 def cmd_ring_validate(args):
@@ -60,7 +60,7 @@ def cmd_ring_validate(args):
         "cardinality": rg.cardinality(r),
         "commutative": rg.is_commutative(r),
     }
-    return _emit(args, _report("ring-validate", "pass", payload))
+    return _emit(args, "pass", payload)
 
 
 def cmd_semilattice(args):
@@ -70,7 +70,7 @@ def cmd_semilattice(args):
     if isinstance(lat, PidLattice):
         payload = {"ring": repr(r), "lazy": True,
                    "note": "order answered by squarefree divisibility"}
-        return _emit(args, _report("semilattice", "pass", payload))
+        return _emit(args, "pass", payload)
     payload = {
         "ring": repr(r),
         "cells": [c.label for c in lat.cells],
@@ -80,8 +80,7 @@ def cmd_semilattice(args):
         "joins": [[lat.join(i, j) for j in range(lat.n)] for i in range(lat.n)],
     }
     text = "cells: " + ", ".join(payload["cells"]) + "\n"
-    return _emit(args, _report("semilattice", "pass", payload),
-                 dot=ser.semilattice_dot(lat), text=text)
+    return _emit(args, "pass", payload, dot=ser.semilattice_dot(lat), text=text)
 
 
 def cmd_ncspec(args):
@@ -91,7 +90,7 @@ def cmd_ncspec(args):
     if isinstance(sp, PidNCSpec):
         payload = {"ring": repr(r), "lazy": True,
                    "note": "points are sets of monic irreducibles plus the zero ideal"}
-        return _emit(args, _report("ncspec", "pass", payload))
+        return _emit(args, "pass", payload)
     payload = {
         "ring": repr(r),
         "points": sp.point_count(),
@@ -101,8 +100,7 @@ def cmd_ncspec(args):
         "specialization": [sorted(sp.space.up[i]) for i in range(sp.space.n)],
     }
     text = f"points: {payload['points']}, generic: {payload['generic']}\n"
-    return _emit(args, _report("ncspec", "pass", payload),
-                 dot=ser.space_dot(sp), text=text)
+    return _emit(args, "pass", payload, dot=ser.space_dot(sp), text=text)
 
 
 def cmd_morphism(args):
@@ -118,7 +116,7 @@ def cmd_morphism(args):
         "recovered_equals_input": recover_hom(m) == theta,
     }
     status = "pass" if ok and payload["recovered_equals_input"] else "fail"
-    return _emit(args, _report("morphism", status, payload))
+    return _emit(args, status, payload)
 
 
 def cmd_prim_check(args):
@@ -126,7 +124,7 @@ def cmd_prim_check(args):
     theta = ser.parse_morphism(_load(args.morphism))
     m = ncspec_morphism(theta)
     rep = is_prim_report(m)
-    return _emit(args, _report("prim-check", "pass" if rep["prim"] else "fail", rep))
+    return _emit(args, "pass" if rep["prim"] else "fail", rep)
 
 
 def cmd_spec(args):
@@ -139,7 +137,7 @@ def cmd_spec(args):
         "distinguished_base": {
             str(ser.element_doc(f)): sorted(s.distinguished(f)) for f in s.elements},
     }
-    return _emit(args, _report("spec", "pass", payload))
+    return _emit(args, "pass", payload)
 
 
 def cmd_embed(args):
@@ -151,7 +149,7 @@ def cmd_embed(args):
         "point_map": {str(k): v for k, v in sorted(emb.point_map.items())},
         "checks": emb.report["checks"],
     }
-    return _emit(args, _report("embed", emb.report["status"], payload))
+    return _emit(args, emb.report["status"], payload)
 
 
 def cmd_exp(args):
@@ -167,7 +165,7 @@ def cmd_exp(args):
         "isomorphism": iso["status"] == "pass",
         "idempotence": idem,
     }
-    return _emit(args, _report("exp", status, payload))
+    return _emit(args, status, payload)
 
 
 def cmd_glue(args):
@@ -180,37 +178,16 @@ def cmd_glue(args):
         "sections": [repr(d) for d in gl.sections],
         "order": [sorted(gl.leq[i]) for i in range(gl.n)],
     }
-    return _emit(args, _report("glue", "pass", payload), dot=ser.glued_dot(gl))
+    return _emit(args, "pass", payload, dot=ser.glued_dot(gl))
 
 
 def cmd_qcoh_check(args):
     from .skewproj import SkewQcohDatum, build_proj, qcoh_cocycle_check
-    doc = _load(args.datum)
-    ser._require_keys(doc, ["schema", "ring", "module", "scalars"], ["box"], "qcoh")
-    if doc["schema"] != ser.QCOH_SCHEMA:
-        raise ParseError(f"expected schema {ser.QCOH_SCHEMA}")
-    r = ser.parse_inner_ring(doc["ring"], "qcoh.ring")
-    if not isinstance(r, SkewLaurentRing):
-        raise ParseError("qcoh-check expects a skew Laurent chart cover")
-    M = ser.parse_graded_module(r, doc["module"])
-    scalars = {}
-    for k, triple in enumerate(ser.parse_list(doc["scalars"], "qcoh.scalars")):
-        at = f"qcoh.scalars[{k}]"
-        if not isinstance(triple, list) or len(triple) != 3:
-            raise SchemaViolation("scalars entries are [i, j, value]", at)
-        i, j = (ser.parse_int(v, at) for v in triple[:2])
-        if not (1 <= i <= r.nvars and 1 <= j <= r.nvars):
-            raise SchemaViolation(f"chart index outside 1..{r.nvars}: [{i}, {j}]", at)
-        scalars[(i - 1, j - 1)] = ser.parse_rational(triple[2], at)
-    box = ser.parse_int(doc.get("box", 2), "qcoh.box")
-    if box < 0:
-        raise SchemaViolation("box must be a non-negative integer", "qcoh.box")
+    r, M, scalars, box = ser.parse_qcoh(_load(args.datum))
     X = build_proj(r)
-    datum = SkewQcohDatum(X, M, scalars, box=box)
-    rep = qcoh_cocycle_check(datum)
+    rep = qcoh_cocycle_check(SkewQcohDatum(X, M, scalars, box=box))
     payload = {"failures": rep["failures"], "charts": X.n}
-    return _emit(args, _report("qcoh-check", rep["status"], payload,
-                               provenance={"box": datum.box}))
+    return _emit(args, rep["status"], payload, provenance={"box": box})
 
 
 def _proj_inputs(args):
@@ -226,7 +203,7 @@ def _proj_inputs(args):
     if getattr(args, "torsion_bound", 1) < 1:
         raise ParseError(f"--torsion-bound {args.torsion_bound}: the bound must be >= 1")
     r = ser.parse_ring(_load(args.ring))
-    if not isinstance(r, SkewLaurentRing):
+    if not isinstance(r, rg.SkewLaurentRing):
         raise ParseError(f"{args.subcommand} expects a skew Laurent ring")
     M = ser.parse_graded_module(r, _load(args.module)) if args.module else free_presentation(r)
     return (lo, hi), r, M, build_proj(r)
@@ -241,9 +218,8 @@ def cmd_proj_gamma(args):
     payload = {"ring": repr(r), "dims": dims, "psi_cocycles": "pass"}
     text = "\n".join(f"{d:>4}  {v}" for d, v in dims.items()) + "\n"
     # the sections are one step deeper than the box: saturation depth 1
-    return _emit(args, _report("proj-gamma", "pass", payload,
-                               provenance={"window": args.window, "box": args.box,
-                                           "k_max": 1}),
+    return _emit(args, "pass", payload,
+                 provenance={"window": args.window, "box": args.box, "k_max": 1},
                  text=text)
 
 
@@ -251,81 +227,68 @@ def cmd_serre_check(args):
     from .skewproj import serre_unit
     window, r, M, X = _proj_inputs(args)
     rep = serre_unit(X, M, window, box=args.box, torsion_bound=args.torsion_bound)
-    degrees = {}
-    ok = True
-    for d, info in rep["degrees"].items():
-        degrees[str(d)] = {k: info[k] for k in (
-            "module_dim", "sections_dim", "injective", "surjective",
-            "kernel_dim", "kernel_torsion", "cokernel_dim", "cokernel_torsion")}
-        if not info["kernel_torsion"]:
-            ok = False
-        if info["cokernel_dim"] and info["cokernel_torsion"] is None:
-            ok = None if ok is True else ok
-    status = "pass" if ok is True else ("inconclusive" if ok is None else "fail")
+    degrees = {str(d): {k: info[k] for k in (
+        "module_dim", "sections_dim", "injective", "surjective",
+        "kernel_dim", "kernel_torsion", "cokernel_dim", "cokernel_torsion")}
+        for d, info in rep["degrees"].items()}
+    # a kernel that is not torsion fails; an undecided cokernel is inconclusive
+    infos = degrees.values()
+    status = ("fail" if not all(i["kernel_torsion"] for i in infos) else
+              "inconclusive" if any(i["cokernel_dim"] and i["cokernel_torsion"] is None
+                                    for i in infos) else "pass")
     payload = {"ring": repr(r), "degrees": degrees}
-    return _emit(args, _report("serre-check", status, payload,
-                               provenance={"window": args.window, "box": args.box,
-                                           "torsion_bound": args.torsion_bound}))
+    return _emit(args, status, payload,
+                 provenance={"window": args.window, "box": args.box,
+                             "torsion_bound": args.torsion_bound})
 
 
-def build_parser():
+_WINDOW = (("--module", {"default": None}),
+           ("--window", {"nargs": 2, "type": int, "required": True}),
+           ("--box", {"type": int, "default": 2}))
+
+# name, input flag, further options in the order of their help, the
+# formats besides json that the subcommand renders, handler
+SUBCOMMANDS = (
+    ("ring-validate", "--ring", (), (), cmd_ring_validate),
+    ("semilattice", "--ring", (), ("dot", "text"), cmd_semilattice),
+    ("ncspec", "--ring", (), ("dot", "text"), cmd_ncspec),
+    ("morphism", "--morphism", (), (), cmd_morphism),
+    ("prim-check", "--morphism", (), (), cmd_prim_check),
+    ("spec", "--ring", (), (), cmd_spec),
+    ("embed", "--ring", (), (), cmd_embed),
+    ("exp", "--ring", (), (), cmd_exp),
+    ("glue", "--glue", (), ("dot",), cmd_glue),
+    ("qcoh-check", "--datum", (), (), cmd_qcoh_check),
+    ("proj-gamma", "--ring", _WINDOW, ("text",), cmd_proj_gamma),
+    ("serre-check", "--ring", _WINDOW + (("--torsion-bound", {"type": int, "default": 3}),),
+     (), cmd_serre_check),
+)
+
+
+def build_parser(rows=SUBCOMMANDS):
+    """The parser with a subparser for each row of `SUBCOMMANDS` given.
+    When only some are built, the usage still names every subcommand, so
+    an error of the top parser reads the same."""
     p = argparse.ArgumentParser(prog="ncspec", description=__doc__)
-    sub = p.add_subparsers(dest="subcommand", required=True)
-
-    def common(sp, *renders):
+    every = "{" + ",".join(row[0] for row in SUBCOMMANDS) + "}"
+    sub = p.add_subparsers(dest="subcommand", required=True,
+                           metavar=None if len(rows) == len(SUBCOMMANDS) else every)
+    for name, flag, options, renders, fn in rows:
+        sp = sub.add_parser(name)
+        sp.add_argument(flag, required=True)
+        for option, kwargs in options:
+            sp.add_argument(option, **kwargs)
         sp.add_argument("--format", choices=["json", "dot", "text"], default="json")
-        sp.set_defaults(formats=("json",) + renders)
-
-    sp = sub.add_parser("ring-validate"); sp.add_argument("--ring", required=True)
-    common(sp); sp.set_defaults(fn=cmd_ring_validate)
-
-    sp = sub.add_parser("semilattice"); sp.add_argument("--ring", required=True)
-    common(sp, "dot", "text"); sp.set_defaults(fn=cmd_semilattice)
-
-    sp = sub.add_parser("ncspec"); sp.add_argument("--ring", required=True)
-    common(sp, "dot", "text"); sp.set_defaults(fn=cmd_ncspec)
-
-    sp = sub.add_parser("morphism"); sp.add_argument("--morphism", required=True)
-    common(sp); sp.set_defaults(fn=cmd_morphism)
-
-    sp = sub.add_parser("prim-check"); sp.add_argument("--morphism", required=True)
-    common(sp); sp.set_defaults(fn=cmd_prim_check)
-
-    sp = sub.add_parser("spec"); sp.add_argument("--ring", required=True)
-    common(sp); sp.set_defaults(fn=cmd_spec)
-
-    sp = sub.add_parser("embed"); sp.add_argument("--ring", required=True)
-    common(sp); sp.set_defaults(fn=cmd_embed)
-
-    sp = sub.add_parser("exp"); sp.add_argument("--ring", required=True)
-    common(sp); sp.set_defaults(fn=cmd_exp)
-
-    sp = sub.add_parser("glue"); sp.add_argument("--glue", required=True)
-    common(sp, "dot"); sp.set_defaults(fn=cmd_glue)
-
-    sp = sub.add_parser("qcoh-check"); sp.add_argument("--datum", required=True)
-    common(sp); sp.set_defaults(fn=cmd_qcoh_check)
-
-    sp = sub.add_parser("proj-gamma")
-    sp.add_argument("--ring", required=True)
-    sp.add_argument("--module", default=None)
-    sp.add_argument("--window", nargs=2, type=int, required=True)
-    sp.add_argument("--box", type=int, default=2)
-    common(sp, "text"); sp.set_defaults(fn=cmd_proj_gamma)
-
-    sp = sub.add_parser("serre-check")
-    sp.add_argument("--ring", required=True)
-    sp.add_argument("--module", default=None)
-    sp.add_argument("--window", nargs=2, type=int, required=True)
-    sp.add_argument("--box", type=int, default=2)
-    sp.add_argument("--torsion-bound", type=int, default=3)
-    common(sp); sp.set_defaults(fn=cmd_serre_check)
-
+        sp.set_defaults(formats=("json",) + renders, fn=fn)
     return p
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    """Run one call.  Only the subparser that argv[0] names is built; any
+    other first argument (--help, none, an unknown name) gets all of them."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    rows = [row for row in SUBCOMMANDS if argv[:1] == [row[0]]] or SUBCOMMANDS
+    args = build_parser(rows).parse_args(argv)
     try:
         if args.format not in args.formats:
             raise _no_rendering(args)
@@ -334,8 +297,7 @@ def main(argv=None):
         payload = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, SchemaViolation) and exc.path:
             payload["path"] = exc.path
-        report = _report(args.subcommand, "fail", payload)
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+        sys.stdout.write(json.dumps(_report(args, "fail", payload), indent=2) + "\n")
         return 2
 
 

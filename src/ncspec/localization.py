@@ -18,6 +18,7 @@ sums of blocks (`rings.kernel`); no question here enumerates a ring.
 """
 
 from functools import cached_property, lru_cache
+from math import gcd
 
 from . import qpoly, skewpoly
 from . import rings as rg
@@ -388,15 +389,13 @@ def _pushout_by_kernels(sq: LocalizationSquare) -> bool:
     (`rings.kernel`: what the quotient keeps of each block).  When f has a
     block map, block l of C, of size c_l, is block s = f.block_map[l] of A
     mapped onto it, so J keeps min(k_s, c_l) of it, where A/I keeps k_s of
-    block s.  When f has none but is onto, J = f(I), whose preimage in A
-    is I + ker f; so h has kernel J iff h . f has kernel I + ker f, which
-    keeps the smaller entry at each block.  A leg with a block map is onto
-    iff no source block feeds two target blocks (the image of one block in
-    two is the diagonal), and a finite leg without one iff |source / ker|
-    = |target|.  O(blocks) lookups, or evaluations of the block units of a
-    leg without a block map.  Raises UnsupportedClass when no leg out of
-    the top-left corner is onto, or when f has no block map and is not
-    onto.
+    block s.  Otherwise J is read off the images under f of the generators
+    of I (`_image_ideal`).  A leg with a block map is onto iff no source
+    block feeds two target blocks (the image of one block in two is the
+    diagonal), and a finite leg without one iff |source / ker| = |target|.
+    O(blocks) lookups, or evaluations of the block units of a leg without
+    a block map.  Raises UnsupportedClass when no leg out of the top-left
+    corner is onto.
     """
     for q, f, h in ((sq.left, sq.top, sq.right), (sq.top, sq.left, sq.bottom)):
         kept = rg.kernel(q)
@@ -407,11 +406,38 @@ def _pushout_by_kernels(sq: LocalizationSquare) -> bool:
     kh = rg.kernel(h)
     if f.block_map is not None:
         ideal = tuple(min(kept[s], c) for s, c in zip(f.block_map, f.target.blocks))
-        return _is_onto(h, kh) and kh == ideal
-    kf = rg.kernel(f)
-    if not _is_onto(f, kf):
-        raise UnsupportedClass(f"{f!r} has no block map and is not onto")
-    return _is_onto(h, kh) and rg.kernel(h, f) == tuple(map(min, kept, kf))
+    else:
+        ideal = _image_ideal(f, kept)
+    return _is_onto(h, kh) and kh == ideal
+
+
+def _image_ideal(f: RingHom, kept) -> tuple:
+    """The ideal C f(I) C of the block ring C = f.target, in the terms of
+    `rings.kernel`, for the ideal I of A = f.source that kept describes.
+
+    I is generated by one element per block s of A that it meets: k_s u_s
+    on a local factor that keeps k_s < q_s of Z/q_s, and the block unit
+    u_s (`rings.block_units`) on a block that it takes whole.  f(A) lies
+    in C, so C f(I) C is generated by the images t of those generators.
+    In a local factor Z/c_l of C the ideal that the parts t_l generate is
+    the multiples of their gcd with c_l, which is what the quotient keeps
+    (0 for a gcd of 1, all of the block); a matrix block, a simple ring,
+    is kept unless some t_l is nonzero.
+    """
+    A, C = f.source, f.target
+    if C.blocks is None:
+        raise UnsupportedClass(f"{C!r} is not a block ring")
+    cyclic, ideal = C.local_factors is not None, list(C.blocks)
+    for k, q, u in zip(kept, A.blocks, rg.block_units(A)):
+        if k == q:
+            continue
+        t = f(rg.from_int(A, k or 1) * u)
+        for l, (B, part) in enumerate(zip(C.block_rings, C.split(t.payload))):
+            if cyclic:
+                ideal[l] = gcd(ideal[l], part)
+            elif part != B.from_int(0):
+                ideal[l] = 0
+    return tuple(0 if cyclic and k == 1 else k for k in ideal)
 
 
 def _is_onto(h: RingHom, kept) -> bool:

@@ -294,6 +294,32 @@ def parse_graded_module(r, doc, path="module"):
     return presentation_from_rows(r, degrees, rows)
 
 
+def parse_qcoh(doc, path="qcoh"):
+    """(ring, module, scalars, box) of a quasicoherent datum on a skew
+    Laurent chart cover: the scalars {(i, j): value} of its 1-based chart
+    pairs [i, j, value], read with 0-based indices."""
+    _require_keys(doc, ["schema", "ring", "module", "scalars"], ["box"], path)
+    if doc["schema"] != QCOH_SCHEMA:
+        raise ParseError(f"expected schema {QCOH_SCHEMA}")
+    r = parse_inner_ring(doc["ring"], f"{path}.ring")
+    if not isinstance(r, SkewLaurentRing):
+        raise ParseError("qcoh-check expects a skew Laurent chart cover")
+    M = parse_graded_module(r, doc["module"])
+    scalars = {}
+    for k, triple in enumerate(parse_list(doc["scalars"], f"{path}.scalars")):
+        at = f"{path}.scalars[{k}]"
+        if not isinstance(triple, list) or len(triple) != 3:
+            raise SchemaViolation("scalars entries are [i, j, value]", at)
+        i, j = (parse_int(v, at) for v in triple[:2])
+        if not (1 <= i <= r.nvars and 1 <= j <= r.nvars):
+            raise SchemaViolation(f"chart index outside 1..{r.nvars}: [{i}, {j}]", at)
+        scalars[(i - 1, j - 1)] = parse_rational(triple[2], at)
+    box = parse_int(doc.get("box", 2), f"{path}.box")
+    if box < 0:
+        raise SchemaViolation("box must be a non-negative integer", f"{path}.box")
+    return r, M, scalars, box
+
+
 def parse_glue(doc, path="glue"):
     from .glueqcoh import GlueDatum
     from .localization import localize

@@ -577,19 +577,6 @@ def brute_is_pushout(sq) -> bool:
     raise UnverifiableSquare(f"no decision procedure applies to corners {sq.corners!r}")
 
 
-def pushout_outcomes_agree(sq, got, want) -> bool:
-    """Whether the outcome `got` of `is_pushout(sq)`, or of its kernel
-    rule, is the brute oracle's `want`, or a refusal that the oracle does
-    not share: the kernel rule decides a square through a leg f without a
-    block map only when f is onto."""
-    if got == want:
-        return True
-    f = next(f for q, f in ((sq.left, sq.top), (sq.top, sq.left)) if _brute_onto(q))
-    return (want[0] == "ok" and f.block_map is None and not _brute_onto(f)
-            and got[0] in ("UnverifiableSquare", "UnsupportedClass")
-            and got[1] == f"{f!r} has no block map and is not onto")
-
-
 def brute_module_presheaf_laws(sheaf) -> bool:
     """The presheaf laws of a module sheaf, by the triple loop over every
     element of each stalk."""

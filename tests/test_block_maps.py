@@ -18,7 +18,6 @@ from conftest import (
     brute_ideal,
     brute_is_iso,
     brute_pushout_by_kernels,
-    pushout_outcomes_agree,
 )
 
 from ncspec import localization, sheafspec
@@ -233,10 +232,7 @@ def test_quotient_pushouts_by_block_kernels_match_the_element_kernels():
     """Every commuting square of the restriction squares of the block,
     table and unmapped homs out of the finite rings, with every leg swapped
     for every other block hom between its corners, against the ideal
-    closure by elements; over Q, the legs' kernels read as over F2.  The
-    kernel rule refuses the squares whose leg beside the onto one is the
-    diagonal F2 x F2 -> M2(F2), a table with no block map that is not
-    onto."""
+    closure by elements; over Q, the legs' kernels read as over F2."""
     seen = {}
     for r in SSA_RINGS[:-1] + [M2, SemisimpleAlgebra(F2, (2, 1)), ModularRing(6),
                                rg.ProductRing((ModularRing(2),) * 2)]:
@@ -249,16 +245,31 @@ def test_quotient_pushouts_by_block_kernels_match_the_element_kernels():
         for sq in squares:
             if sq.commutes():
                 got = outcome(_pushout_by_kernels, sq)
-                assert pushout_outcomes_agree(sq, got, outcome(brute_pushout_by_kernels, sq)), sq
-                refused = got[0] != "ok" and got[1].endswith("has no block map and is not onto")
-                key = "refused" if refused else got
-                seen[key] = seen.get(key, 0) + 1
-    assert set(seen) == {("ok", True), ("ok", False), "refused",
+                assert got == outcome(brute_pushout_by_kernels, sq), sq
+                seen[got] = seen.get(got, 0) + 1
+    assert set(seen) == {("ok", True), ("ok", False),
                          ("UnsupportedClass", "no leg out of the top-left corner is onto")}, seen
     assert min(seen.values()) > 10, seen
     for sq in morphism_squares(SSA_RINGS[-1]):
         for h in (sq.top, sq.left, sq.bottom, sq.right):
             assert rg.kernel(h) == rg.kernel(over_f2(h)), h
+
+
+def test_tables_that_are_not_onto_are_prim():
+    """The diagonal F2 x F2 -> M2(F2) and Z/6 -> M2(F2), x -> x 1, tables
+    with no block map that are not onto: the kernel rule reads each of
+    their squares off the images of the generators of the ideal that the
+    left leg kills, as the ideal closure by elements does, and both are
+    prim."""
+    unmapped = 0
+    for theta in (unmapped_homs()[1], unmapped_homs()[4]):
+        assert theta.block_map is None
+        m = sheafspec.ncspec_morphism(theta)
+        for _pair, sq in m.restriction_squares(range(m.target.lattice.n)):
+            assert outcome(_pushout_by_kernels, sq) == outcome(brute_pushout_by_kernels, sq), sq
+            unmapped += sq.top.block_map is None
+        assert prim_verdict(theta) == (True, None), theta
+    assert unmapped == 10, unmapped
 
 
 def prim_verdict(theta):

@@ -1,10 +1,11 @@
+import argparse
 import json
 
 import pytest
 
 from ncspec import rings as rg
 from ncspec import serialize as ser
-from ncspec.cli import main
+from ncspec.cli import SUBCOMMANDS, main
 from ncspec.errors import SchemaViolation
 from ncspec.rings import (
     MatrixRing,
@@ -605,3 +606,48 @@ def test_cli_rejects_malformed_coordinates_and_exponents(tmp_path, capsys):
         code, out = run_cli(capsys, *argv)
         assert code == 2, argv
         assert json.loads(out)["payload"]["error"] == "SchemaViolation", argv
+
+
+NAMES = [row[0] for row in SUBCOMMANDS]
+
+
+def parse_exit(capsys, *argv):
+    """The exit code of a call that argparse ends, and its stdout and stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name, flag", [row[:2] for row in SUBCOMMANDS])
+def test_each_subcommand_has_help_and_requires_its_input(capsys, name, flag):
+    code, out, _err = parse_exit(capsys, name, "-h")
+    assert code == 0 and out.startswith(f"usage: ncspec {name} ") and flag in out
+    code, out, err = parse_exit(capsys, name)
+    assert code == 2 and out == "" and err.startswith(f"usage: ncspec {name} ")
+    assert f"the following arguments are required: {flag}" in err
+
+
+def test_an_unknown_subcommand_lists_all_twelve(capsys):
+    code, _out, err = parse_exit(capsys, "bogus")
+    assert code == 2 and "invalid choice: 'bogus'" in err
+    assert err.count("'") == 2 * (len(NAMES) + 1) and all(f"'{n}'" in err for n in NAMES)
+    assert len(NAMES) == 12
+
+
+@pytest.mark.parametrize("argv", [["--help"], [], ["bogus"], ["--ring", "r.json"]] + [
+    [name, "-h"] for name in NAMES])
+def test_a_call_builds_only_the_subparser_it_names(capsys, monkeypatch, argv):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kw: built.append(name) or add_parser(self, name, **kw))
+    parse_exit(capsys, *argv)
+    assert built == (argv[:1] if argv and argv[0] in NAMES else NAMES), argv
+
+
+def test_an_error_of_the_top_parser_names_every_subcommand(capsys):
+    """With one subparser built, the top parser's usage still lists all twelve."""
+    code, _out, err = parse_exit(capsys, "ring-validate", "--ring", "r.json", "extra")
+    assert code == 2 and "ncspec: error: unrecognized arguments: extra" in err
+    assert "{" + ",".join(NAMES) + "}" in err

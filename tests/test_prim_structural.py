@@ -29,7 +29,6 @@ from conftest import (
     cyclic_coordinates,
     finite_commutative_grid,
     local_probes,
-    pushout_outcomes_agree,
 )
 from test_acceptance import _crafted_negatives
 from test_block_maps import M2, SSA_RINGS, morphism_squares
@@ -225,14 +224,14 @@ def test_pushouts_by_local_maps_match_the_probe_loop():
     seen = Counter()
     for sq in pushout_cases():
         got = outcome(is_pushout, sq)
-        assert pushout_outcomes_agree(sq, got, outcome(brute_is_pushout, sq)), sq
+        assert got == outcome(brute_is_pushout, sq), sq
         if got[0] == "ok" and all(rg.cyclic_moduli(c) is not None for c in sq.corners):
             assert got[1] == (brute_commutes(sq)
                               and brute_pushout_by_probes(sq, local_probes(sq))), sq
             seen["probe loop"] += 1
         seen[got if got[0] == "ok" else got[0]] += 1
     assert sum(seen.values()) - seen["probe loop"] >= 700 and seen["probe loop"] >= 600, seen
-    assert set(seen) == {("ok", True), ("ok", False), "UnverifiableSquare", "probe loop"}, seen
+    assert set(seen) == {("ok", True), ("ok", False), "probe loop"}, seen
 
 
 def test_squares_commute_by_local_maps_as_by_composites():
