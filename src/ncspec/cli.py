@@ -227,15 +227,17 @@ def cmd_serre_check(args):
     from .skewproj import serre_unit
     window, r, M, X = _proj_inputs(args)
     rep = serre_unit(X, M, window, box=args.box, torsion_bound=args.torsion_bound)
-    degrees = {str(d): {k: info[k] for k in (
-        "module_dim", "sections_dim", "injective", "surjective",
-        "kernel_dim", "kernel_torsion", "cokernel_dim", "cokernel_torsion")}
-        for d, info in rep["degrees"].items()}
-    # a kernel that is not torsion fails; an undecided cokernel is inconclusive
-    infos = degrees.values()
-    status = ("fail" if not all(i["kernel_torsion"] for i in infos) else
-              "inconclusive" if any(i["cokernel_dim"] and i["cokernel_torsion"] is None
-                                    for i in infos) else "pass")
+    degrees = {}
+    ok = True
+    for d, info in rep["degrees"].items():
+        degrees[str(d)] = {k: info[k] for k in (
+            "module_dim", "sections_dim", "injective", "surjective",
+            "kernel_dim", "kernel_torsion", "cokernel_dim", "cokernel_torsion")}
+        if not info["kernel_torsion"]:
+            ok = False
+        if info["cokernel_dim"] and info["cokernel_torsion"] is None:
+            ok = None if ok is True else ok
+    status = "pass" if ok is True else ("inconclusive" if ok is None else "fail")
     payload = {"ring": repr(r), "degrees": degrees}
     return _emit(args, status, payload,
                  provenance={"window": args.window, "box": args.box,
@@ -265,15 +267,11 @@ SUBCOMMANDS = (
 )
 
 
-def build_parser(rows=SUBCOMMANDS):
-    """The parser with a subparser for each row of `SUBCOMMANDS` given.
-    When only some are built, the usage still names every subcommand, so
-    an error of the top parser reads the same."""
+def build_parser():
+    """The parser with one subparser per row of `SUBCOMMANDS`."""
     p = argparse.ArgumentParser(prog="ncspec", description=__doc__)
-    every = "{" + ",".join(row[0] for row in SUBCOMMANDS) + "}"
-    sub = p.add_subparsers(dest="subcommand", required=True,
-                           metavar=None if len(rows) == len(SUBCOMMANDS) else every)
-    for name, flag, options, renders, fn in rows:
+    sub = p.add_subparsers(dest="subcommand", required=True)
+    for name, flag, options, renders, fn in SUBCOMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument(flag, required=True)
         for option, kwargs in options:
@@ -284,11 +282,7 @@ def build_parser(rows=SUBCOMMANDS):
 
 
 def main(argv=None):
-    """Run one call.  Only the subparser that argv[0] names is built; any
-    other first argument (--help, none, an unknown name) gets all of them."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    rows = [row for row in SUBCOMMANDS if argv[:1] == [row[0]]] or SUBCOMMANDS
-    args = build_parser(rows).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.format not in args.formats:
             raise _no_rendering(args)

@@ -386,16 +386,13 @@ def _pushout_by_kernels(sq: LocalizationSquare) -> bool:
     square q is the left leg, a block projection, so it is always onto.
 
     The corners are block rings, whose ideals are read block by block
-    (`rings.kernel`: what the quotient keeps of each block).  When f has a
-    block map, block l of C, of size c_l, is block s = f.block_map[l] of A
-    mapped onto it, so J keeps min(k_s, c_l) of it, where A/I keeps k_s of
-    block s.  Otherwise J is read off the images under f of the generators
-    of I (`_image_ideal`).  A leg with a block map is onto iff no source
-    block feeds two target blocks (the image of one block in two is the
-    diagonal), and a finite leg without one iff |source / ker| = |target|.
-    O(blocks) lookups, or evaluations of the block units of a leg without
-    a block map.  Raises UnsupportedClass when no leg out of the top-left
-    corner is onto.
+    (`rings.kernel`: what the quotient keeps of each block), and J is read
+    off the images under f of the generators of I (`_image_ideal`).  A leg
+    with a block map is onto iff no source block feeds two target blocks
+    (the image of one block in two is the diagonal), and a finite leg
+    without one iff |source / ker| = |target|.  O(blocks) lookups and
+    evaluations of f on the generators of I.  Raises UnsupportedClass when
+    no leg out of the top-left corner is onto.
     """
     for q, f, h in ((sq.left, sq.top, sq.right), (sq.top, sq.left, sq.bottom)):
         kept = rg.kernel(q)
@@ -404,11 +401,7 @@ def _pushout_by_kernels(sq: LocalizationSquare) -> bool:
     else:
         raise UnsupportedClass("no leg out of the top-left corner is onto")
     kh = rg.kernel(h)
-    if f.block_map is not None:
-        ideal = tuple(min(kept[s], c) for s, c in zip(f.block_map, f.target.blocks))
-    else:
-        ideal = _image_ideal(f, kept)
-    return _is_onto(h, kh) and kh == ideal
+    return _is_onto(h, kh) and kh == _image_ideal(f, kept)
 
 
 def _image_ideal(f: RingHom, kept) -> tuple:

@@ -11,6 +11,7 @@ rings, and `tests/test_law_certificates.py` checks the presheaf laws.
 
 from functools import cache
 from itertools import product
+from math import gcd
 
 from conftest import (
     brute_commutes,
@@ -270,6 +271,26 @@ def test_tables_that_are_not_onto_are_prim():
             unmapped += sq.top.block_map is None
         assert prim_verdict(theta) == (True, None), theta
     assert unmapped == 10, unmapped
+
+
+def test_quotients_that_keep_part_of_a_local_factor():
+    """Squares of canonical quotients Z/n -> Z/a, Z/n -> Z/b, Z/a -> Z/d
+    and Z/b -> Z/d: where Z/n -> Z/b keeps Z/p^e of a local factor Z/p^c,
+    0 < e < c, the ideal it kills is generated by p^e u_s, not by the
+    block unit u_s.  Each square pushes out iff d = gcd(a, b), as the
+    ideal closure by elements finds."""
+    partial = 0
+    for n in (8, 12, 36):
+        divisors = [d for d in range(2, n + 1) if n % d == 0]
+        for a, b in product(divisors, repeat=2):
+            partial += any(0 < k < q for k, q in zip(rg.kernel(rg.quotient_hom(n, b)),
+                                                   ModularRing(n).blocks))
+            for d in (d for d in divisors if a % d == 0 and b % d == 0):
+                sq = LocalizationSquare(top=rg.quotient_hom(n, a), left=rg.quotient_hom(n, b),
+                                        bottom=rg.quotient_hom(b, d), right=rg.quotient_hom(a, d))
+                got = outcome(_pushout_by_kernels, sq)
+                assert got == outcome(brute_pushout_by_kernels, sq) == ("ok", d == gcd(a, b)), sq
+    assert partial > 20, partial
 
 
 def prim_verdict(theta):

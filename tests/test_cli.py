@@ -1,4 +1,3 @@
-import argparse
 import json
 
 import pytest
@@ -633,21 +632,3 @@ def test_an_unknown_subcommand_lists_all_twelve(capsys):
     assert code == 2 and "invalid choice: 'bogus'" in err
     assert err.count("'") == 2 * (len(NAMES) + 1) and all(f"'{n}'" in err for n in NAMES)
     assert len(NAMES) == 12
-
-
-@pytest.mark.parametrize("argv", [["--help"], [], ["bogus"], ["--ring", "r.json"]] + [
-    [name, "-h"] for name in NAMES])
-def test_a_call_builds_only_the_subparser_it_names(capsys, monkeypatch, argv):
-    built = []
-    add_parser = argparse._SubParsersAction.add_parser
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
-                        lambda self, name, **kw: built.append(name) or add_parser(self, name, **kw))
-    parse_exit(capsys, *argv)
-    assert built == (argv[:1] if argv and argv[0] in NAMES else NAMES), argv
-
-
-def test_an_error_of_the_top_parser_names_every_subcommand(capsys):
-    """With one subparser built, the top parser's usage still lists all twelve."""
-    code, _out, err = parse_exit(capsys, "ring-validate", "--ring", "r.json", "extra")
-    assert code == 2 and "ncspec: error: unrecognized arguments: extra" in err
-    assert "{" + ",".join(NAMES) + "}" in err
