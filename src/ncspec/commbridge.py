@@ -156,7 +156,6 @@ class BasedSpace:
 
     n: int
     base: tuple   # frozensets of point indices; must contain the carrier
-    labels: tuple = None
 
     def __post_init__(self):
         carrier = frozenset(range(self.n))

@@ -1,7 +1,8 @@
 """JSON document schemas and DOT rendering.
 
-Documents carry a `schema` version field and reject unknown keys; rational
-scalars travel as exact strings like "3/4".
+Documents carry a `schema` version field and reject every key that their
+kind does not read (see `KEYS`); rational scalars travel as exact strings
+like "3/4".
 """
 
 from fractions import Fraction
@@ -30,17 +31,45 @@ GLUE_SCHEMA = "ncspec.glue/1"
 QCOH_SCHEMA = "ncspec.qcoh/1"
 REPORT_SCHEMA = "ncspec.report/1"
 
+# The keys each document reads besides its schema, "?" marking an optional
+# one.  A ring or rule document reads "kind" and the keys of its kind.
+KEYS = {
+    "ring": {"zero": "", "modular": "n", "product": "factors", "matrix": "base size",
+             "semisimple": "base dims", "poly": "", "skew_laurent": "nvars lambda inverted?"},
+    "rule": {"identity": "", "to_zero": "", "canonical_quotient": "", "table": "pairs"},
+    "morphism": "source target rule",
+    "module": "generators relations?",
+    "generator": "degree",
+    "qcoh": "ring module scalars box?",
+    "glue": "pieces overlaps isos",
+    "overlap": "from to subset",
+    "iso": "from to rule",
+}
 
-def _require_keys(doc, required, optional=(), path=""):
+
+def _shape(doc, path, name, schema=None):
+    """The kind of the `name` document doc, or None, after checking that doc
+    is an object that carries `schema` (when given), every key its row of
+    KEYS requires and no key the row does not list; anything else is a
+    SchemaViolation at path."""
+    where = path or "."
     if not isinstance(doc, dict):
-        raise SchemaViolation(f"expected an object at {path or '.'}", path)
-    keys = set(doc)
-    missing = set(required) - keys
+        raise SchemaViolation(f"expected an object at {where}", path)
+    if schema and doc.get("schema", schema) != schema:
+        raise SchemaViolation(f"expected schema {schema}", path)
+    keys, kind = KEYS[name], doc.get("kind")
+    if isinstance(keys, dict):
+        if "kind" in doc and not (isinstance(kind, str) and kind in keys):
+            raise SchemaViolation(f"unknown {name} kind {kind!r}", path)
+        keys = "kind " + keys.get(kind, "")
+    keys = (["schema"] if schema else []) + keys.split()
+    missing = {k for k in keys if k[-1] != "?"} - set(doc)
     if missing:
-        raise SchemaViolation(f"missing fields {sorted(missing)} at {path or '.'}", path)
-    unknown = keys - set(required) - set(optional)
+        raise SchemaViolation(f"missing fields {sorted(missing)} at {where}", path)
+    unknown = set(doc) - {k.rstrip("?") for k in keys}
     if unknown:
-        raise SchemaViolation(f"unknown fields {sorted(unknown)} at {path or '.'}", path)
+        raise SchemaViolation(f"unknown fields {sorted(unknown)} at {where}", path)
+    return kind
 
 
 def parse_list(v, path="") -> list:
@@ -87,17 +116,7 @@ def _base_str(b):
 
 
 def parse_ring(doc, path="ring", *, top=True):
-    if top:
-        _require_keys(doc, ["schema", "kind"],
-                      ["n", "factors", "base", "size", "dims", "nvars", "lambda", "inverted"],
-                      path)
-        if doc["schema"] != RING_SCHEMA:
-            raise SchemaViolation(f"expected schema {RING_SCHEMA}", path)
-    else:
-        _require_keys(doc, ["kind"],
-                      ["n", "factors", "base", "size", "dims", "nvars", "lambda", "inverted"],
-                      path)
-    kind = doc["kind"]
+    kind = _shape(doc, path, "ring", RING_SCHEMA if top else None)
     try:
         if kind == "zero":
             return ZeroRing()
@@ -114,22 +133,19 @@ def parse_ring(doc, path="ring", *, top=True):
                                      tuple(parse_int(d, path) for d in doc["dims"]))
         if kind == "poly":
             return UnivariatePolyRing()
-        if kind == "skew_laurent":
-            nvars = parse_int(doc["nvars"], path)
-            lam = {}
-            for triple in doc["lambda"]:
-                if not isinstance(triple, (list, tuple)) or len(triple) != 3:
-                    raise SchemaViolation("lambda entries are [i, j, value]", path)
-                i, j = parse_int(triple[0], path), parse_int(triple[1], path)
-                v = parse_rational(triple[2], path)
-                lam[(i - 1, j - 1)] = v
-            inverted = [parse_int(i, path) - 1 for i in doc.get("inverted", [])]
-            return skew_ring(nvars, lam, inverted)
+        nvars = parse_int(doc["nvars"], path)
+        lam = {}
+        for triple in doc["lambda"]:
+            if not isinstance(triple, (list, tuple)) or len(triple) != 3:
+                raise SchemaViolation("lambda entries are [i, j, value]", path)
+            i, j = parse_int(triple[0], path), parse_int(triple[1], path)
+            lam[(i - 1, j - 1)] = parse_rational(triple[2], path)
+        inverted = [parse_int(i, path) - 1 for i in doc.get("inverted", [])]
+        return skew_ring(nvars, lam, inverted)
     except SchemaViolation:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise SchemaViolation(f"bad ring document: {exc}", path)
-    raise SchemaViolation(f"unknown ring kind {kind!r}", path)
 
 
 def parse_inner_ring(doc, path):
@@ -218,31 +234,28 @@ def element_doc(x: RingElement):
 
 
 def parse_morphism(doc, path="morphism") -> RingHom:
-    _require_keys(doc, ["schema", "source", "target", "rule"], (), path)
-    if doc["schema"] != MORPHISM_SCHEMA:
-        raise SchemaViolation(f"expected schema {MORPHISM_SCHEMA}", path)
+    _shape(doc, path, "morphism", MORPHISM_SCHEMA)
     source = parse_inner_ring(doc["source"], f"{path}.source")
     target = parse_inner_ring(doc["target"], f"{path}.target")
-    rule = doc["rule"]
-    _require_keys(rule, ["kind"], ["pairs", "m"], f"{path}.rule")
-    kind = rule["kind"]
-    if kind == "identity":
-        return rg.hom_validate(RingHom(source, target, rg.IdentityRule()))
-    if kind == "to_zero":
-        return rg.hom_validate(RingHom(source, target, rg.ToZeroRule()))
+    return _parse_rule(doc["rule"], source, target, f"{path}.rule")
+
+
+def _parse_rule(doc, source, target, path, iso=False) -> RingHom:
+    """The validated hom source -> target of a rule document; a glue iso
+    reads identity and table rules, and a table lists every element of the
+    source once."""
+    kind = _shape(doc, path, "rule")
+    if iso and kind not in ("identity", "table"):
+        raise SchemaViolation(f"a glue iso has no {kind} rule", path)
     if kind == "canonical_quotient":
         if not (isinstance(source, ModularRing) and isinstance(target, ModularRing)):
             raise SchemaViolation("canonical_quotient needs modular rings", path)
         return rg.quotient_hom(source.n, target.n)
-    if kind == "table":
-        return _parse_table(source, target, rule["pairs"], f"{path}.rule")
-    raise SchemaViolation(f"unknown rule kind {kind!r}", path)
-
-
-def _parse_table(source, target, pairs, path) -> RingHom:
-    """A validated table hom that lists every element of the source once."""
+    if kind != "table":
+        rule = rg.IdentityRule() if kind == "identity" else rg.ToZeroRule()
+        return rg.hom_validate(RingHom(source, target, rule))
     mapping = {}
-    for i, pair in enumerate(parse_list(pairs, f"{path}.pairs")):
+    for i, pair in enumerate(parse_list(doc["pairs"], f"{path}.pairs")):
         if len(parse_list(pair, f"{path}.pairs[{i}]")) != 2:
             raise SchemaViolation("table pairs are [source, target]", f"{path}.pairs[{i}]")
         src = parse_element(source, pair[0], f"{path}.pairs[{i}][0]")
@@ -275,12 +288,10 @@ def morphism_doc(h: RingHom) -> dict:
 
 def parse_graded_module(r, doc, path="module"):
     from .skewproj import presentation_from_rows
-    _require_keys(doc, ["schema", "generators"], ["relations"], path)
-    if doc["schema"] != MODULE_SCHEMA:
-        raise SchemaViolation(f"expected schema {MODULE_SCHEMA}", path)
+    _shape(doc, path, "module", MODULE_SCHEMA)
     degrees = []
     for i, g in enumerate(parse_list(doc["generators"], f"{path}.generators")):
-        _require_keys(g, ["degree"], (), f"{path}.generators[{i}]")
+        _shape(g, f"{path}.generators[{i}]", "generator")
         degrees.append(parse_int(g["degree"], f"{path}.generators[{i}].degree"))
     rows = []
     try:
@@ -298,13 +309,11 @@ def parse_qcoh(doc, path="qcoh"):
     """(ring, module, scalars, box) of a quasicoherent datum on a skew
     Laurent chart cover: the scalars {(i, j): value} of its 1-based chart
     pairs [i, j, value], read with 0-based indices."""
-    _require_keys(doc, ["schema", "ring", "module", "scalars"], ["box"], path)
-    if doc["schema"] != QCOH_SCHEMA:
-        raise ParseError(f"expected schema {QCOH_SCHEMA}")
+    _shape(doc, path, "qcoh", QCOH_SCHEMA)
     r = parse_inner_ring(doc["ring"], f"{path}.ring")
     if not isinstance(r, SkewLaurentRing):
         raise ParseError("qcoh-check expects a skew Laurent chart cover")
-    M = parse_graded_module(r, doc["module"])
+    M = parse_graded_module(r, doc["module"], f"{path}.module")
     scalars = {}
     for k, triple in enumerate(parse_list(doc["scalars"], f"{path}.scalars")):
         at = f"{path}.scalars[{k}]"
@@ -323,39 +332,28 @@ def parse_qcoh(doc, path="qcoh"):
 def parse_glue(doc, path="glue"):
     from .glueqcoh import GlueDatum
     from .localization import localize
-    _require_keys(doc, ["schema", "pieces", "overlaps", "isos"], (), path)
-    if doc["schema"] != GLUE_SCHEMA:
-        raise SchemaViolation(f"expected schema {GLUE_SCHEMA}", path)
+    _shape(doc, path, "glue", GLUE_SCHEMA)
     pieces = tuple(parse_ring(p, f"{path}.pieces[{i}]", top=False)
                    for i, p in enumerate(parse_list(doc["pieces"], f"{path}.pieces")))
     overlaps = {}
     for i, ov in enumerate(parse_list(doc["overlaps"], f"{path}.overlaps")):
-        _require_keys(ov, ["from", "to", "subset"], (), f"{path}.overlaps[{i}]")
-        a = _piece_index(ov, "from", pieces, f"{path}.overlaps[{i}]")
-        b = _piece_index(ov, "to", pieces, f"{path}.overlaps[{i}]")
+        at = f"{path}.overlaps[{i}]"
+        _shape(ov, at, "overlap")
+        a, b = (_piece_index(ov, key, pieces, at) for key in ("from", "to"))
         overlaps[(a, b)] = tuple(
-            parse_element(pieces[a], e, f"{path}.overlaps[{i}].subset[{k}]")
-            for k, e in enumerate(parse_list(ov["subset"], f"{path}.overlaps[{i}].subset")))
+            parse_element(pieces[a], e, f"{at}.subset[{k}]")
+            for k, e in enumerate(parse_list(ov["subset"], f"{at}.subset")))
     isos = {}
     for i, iso in enumerate(parse_list(doc["isos"], f"{path}.isos")):
-        _require_keys(iso, ["from", "to", "rule"], (), f"{path}.isos[{i}]")
-        a = _piece_index(iso, "from", pieces, f"{path}.isos[{i}]")
-        b = _piece_index(iso, "to", pieces, f"{path}.isos[{i}]")
+        at = f"{path}.isos[{i}]"
+        _shape(iso, at, "iso")
+        a, b = (_piece_index(iso, key, pieces, at) for key in ("from", "to"))
         for pair in ((a, b), (b, a)):
             if pair not in overlaps:
-                raise SchemaViolation(f"iso {a} -> {b} needs an overlap {pair}",
-                                      f"{path}.isos[{i}]")
+                raise SchemaViolation(f"iso {a} -> {b} needs an overlap {pair}", at)
         La = localize(pieces[a], overlaps[(a, b)])
         Lb = localize(pieces[b], overlaps[(b, a)])
-        rule = iso["rule"]
-        _require_keys(rule, ["kind"], ["pairs"], f"{path}.isos[{i}].rule")
-        if rule["kind"] == "identity":
-            isos[(a, b)] = rg.hom_validate(RingHom(La.result, Lb.result, rg.IdentityRule()))
-        elif rule["kind"] == "table":
-            isos[(a, b)] = _parse_table(La.result, Lb.result, rule["pairs"],
-                                        f"{path}.isos[{i}].rule")
-        else:
-            raise SchemaViolation(f"unknown iso rule {rule['kind']!r}", path)
+        isos[(a, b)] = _parse_rule(iso["rule"], La.result, Lb.result, f"{at}.rule", iso=True)
     for a, b in overlaps:
         if a != b and (a, b) not in isos:
             raise SchemaViolation(f"overlap ({a}, {b}) has no iso", f"{path}.isos")
@@ -372,35 +370,27 @@ def _piece_index(doc, key, pieces, path) -> int:
 # ---------------------------------------------------------------------------
 # DOT rendering
 
+def digraph(name, prefix, labels, edges) -> str:
+    """A DOT digraph, drawn bottom to top, with nodes prefix0, prefix1, ...
+    carrying `labels` and the edges (i, j)."""
+    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    lines += [f'  {prefix}{i} [label="{label}"];' for i, label in enumerate(labels)]
+    lines += [f"  {prefix}{i} -> {prefix}{j};" for i, j in edges]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
 def semilattice_dot(lat) -> str:
-    lines = ["digraph semilattice {", "  rankdir=BT;"]
-    for i, cell in enumerate(lat.cells):
-        lines.append(f'  n{i} [label="{cell.label}"];')
-    for i, j in lat.hasse_edges():
-        lines.append(f"  n{i} -> n{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return digraph("semilattice", "n", [cell.label for cell in lat.cells], lat.hasse_edges())
 
 
 def space_dot(sp) -> str:
     """Specialization order of the points, generic on top."""
-    lines = ["digraph space {", "  rankdir=BT;"]
-    for i, cell in enumerate(sp.lattice.cells):
-        mark = " (generic)" if i == sp.generic else ""
-        lines.append(f'  p{i} [label="{cell.label}{mark}"];')
-    for i, j in sorted(sp.space.hasse_edges()):
-        lines.append(f"  p{i} -> p{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    labels = [cell.label + (" (generic)" if i == sp.generic else "")
+              for i, cell in enumerate(sp.lattice.cells)]
+    return digraph("space", "p", labels, sorted(sp.space.hasse_edges()))
 
 
 def glued_dot(gl) -> str:
     from .latspace import AlexandrovSpace
     labels = tuple(",".join(f"{a}:{p}" for a, p in sorted(members)) for members in gl.classes)
-    lines = ["digraph glued {", "  rankdir=BT;"]
-    for c, label in enumerate(labels):
-        lines.append(f'  c{c} [label="{label}"];')
-    for i, j in AlexandrovSpace(gl.leq, labels).hasse_edges():
-        lines.append(f"  c{i} -> c{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return digraph("glued", "c", labels, AlexandrovSpace(gl.leq, labels).hasse_edges())

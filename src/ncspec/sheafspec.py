@@ -478,12 +478,11 @@ def _prim_witness(m: RingedSpaceMorphism, cells):
     space, whose one low is the bottom, and there they are the squares
     `verify` checks.  The law holds for the walk only where every square
     is decided, which `_pasting_decides` checks: every comap of the walk
-    is validated, has the ends of its cell and has a block map.  Every
-    leg of every square then has a block map (restrictions are block
-    projections), so the kernel rule of `is_pushout` decides each square
-    exactly and raises on none.  When a shortened walk fails, or the
-    scope does not hold, the full walk runs, so a witness is always the
-    full walk's.
+    is validated and has the ends of its cell.  The left leg of every
+    square is then a restriction, a block projection and so onto, and
+    the kernel rule of `is_pushout` decides each square exactly and
+    raises on none.  When a shortened walk fails, or the scope does not
+    hold, the full walk runs, so a witness is always the full walk's.
     """
     Y, X = m.target, m.source
     cells = tuple(cells)
@@ -510,7 +509,7 @@ def _pasting_decides(m: RingedSpaceMorphism, cells) -> bool:
     for j in cells:
         h, (_U, mins) = m.comap[j], m.preimage_of_cell(j)
         if not (h.validated and h.source == Y.sheaf.assignment[j]
-                and h.target == X.sheaf.assignment[mins[0]] and h.block_map is not None):
+                and h.target == X.sheaf.assignment[mins[0]]):
             return False
     return True
 

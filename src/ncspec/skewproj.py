@@ -189,10 +189,9 @@ def _map_into(piece_vec, src: RawSpace, dst: RawSpace):
 @record
 class ProjSpace:
     ring: SkewLaurentRing
-    chart_rings: tuple       # descriptor per chart (the degree-zero subring)
-    chart_generators: tuple  # per chart: exponent vectors of its generators
-    overlaps: tuple          # pairs (i, j), i < j
-    triples: tuple           # triples (i, j, k), i < j < k
+    chart_rings: tuple  # descriptor per chart (the degree-zero subring)
+    overlaps: tuple     # pairs (i, j), i < j
+    triples: tuple      # triples (i, j, k), i < j < k
 
     @property
     def n(self):
@@ -209,7 +208,7 @@ def chart_ring_descriptor(r: SkewLaurentRing, i: int):
         e[k], e[i] = 1, -1
         gens.append(tuple(e))
     if len(gens) == 1:
-        return UnivariatePolyRing(), tuple(gens)
+        return UnivariatePolyRing()
     lam = r.lam_map
     table = {}
     for a in range(len(gens)):
@@ -223,7 +222,7 @@ def chart_ring_descriptor(r: SkewLaurentRing, i: int):
                 raise UnsupportedClass(
                     f"chart generators {ua} and {ub} of {r!r} do not quasi-commute")
             table[(a, b)] = c1 / c2
-    return skew_ring(len(gens), table), tuple(gens)
+    return skew_ring(len(gens), table)
 
 
 def build_proj(r: SkewLaurentRing) -> ProjSpace:
@@ -242,15 +241,11 @@ def build_proj(r: SkewLaurentRing) -> ProjSpace:
     if r.inverted:
         raise UnsupportedClass("the Proj cover starts from the uninverted ring")
     n = r.nvars
-    charts, gens = [], []
-    for i in range(n):
-        desc, g = chart_ring_descriptor(r, i)
-        charts.append(desc)
-        gens.append(g)
+    charts = tuple(chart_ring_descriptor(r, i) for i in range(n))
     overlaps = tuple((i, j) for i in range(n) for j in range(i + 1, n))
     triples = tuple(
         (i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n))
-    return ProjSpace(r, tuple(charts), tuple(gens), overlaps, triples)
+    return ProjSpace(r, charts, overlaps, triples)
 
 
 # ---------------------------------------------------------------------------

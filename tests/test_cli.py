@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -361,6 +362,110 @@ def test_cli_rejects_malformed_lists_with_their_path(tmp_path, capsys):
         payload = json.loads(out)["payload"]
         assert code == 2 and payload["error"] == "SchemaViolation", (argv, payload)
         assert payload["path"] == path, payload
+
+
+def _violation(tmp_path, capsys, sub, flag, doc):
+    """The payload of a call on doc that exits 2 with a SchemaViolation."""
+    code, out = run_cli(capsys, sub, flag, write(tmp_path, "doc.json", doc))
+    payload = json.loads(out)["payload"]
+    assert code == 2 and payload["error"] == "SchemaViolation", (doc, payload)
+    return payload
+
+
+RING_KEYS = ("n", "factors", "base", "size", "dims", "nvars", "lambda", "inverted")
+
+
+def test_cli_rejects_a_key_of_another_ring_kind(tmp_path, capsys):
+    """A ring kind reads only its own keys, at the top and inside a product."""
+    for doc in RING_DOCS:
+        for key in RING_KEYS:
+            if key not in doc:
+                payload = _violation(tmp_path, capsys, "ring-validate", "--ring",
+                                     dict(doc, **{key: 2}))
+                assert payload["path"] == "ring", payload
+                assert payload["message"] == f"unknown fields ['{key}'] at ring", payload
+    z6 = dict(RING_DOCS[1], dims=[1, 2], size=-3)
+    assert _violation(tmp_path, capsys, "ring-validate", "--ring", z6)["path"] == "ring"
+    product = dict(RING_DOCS[2], factors=[{"kind": "modular", "n": 2, "dims": [1]}])
+    payload = _violation(tmp_path, capsys, "ring-validate", "--ring", product)
+    assert payload["path"] == "ring.factors[0]", payload
+
+
+def test_cli_rejects_a_rule_key_its_kind_does_not_read(tmp_path, capsys):
+    z6, z3, z2 = ({"kind": "modular", "n": n} for n in (6, 3, 2))
+    cases = [
+        (z6, z3, {"kind": "canonical_quotient", "m": 99, "pairs": "junk"}, "['m', 'pairs']"),
+        (z6, z3, {"kind": "canonical_quotient", "m": 3}, "['m']"),
+        (z2, z2, {"kind": "identity", "pairs": [[0, 0], [1, 1]]}, "['pairs']"),
+        (z6, {"kind": "zero"}, {"kind": "to_zero", "pairs": []}, "['pairs']"),
+        (z2, z2, {"kind": "table", "pairs": [[0, 0], [1, 1]], "m": 2}, "['m']"),
+    ]
+    for source, target, rule, keys in cases:
+        doc = {"schema": "ncspec.morphism/1", "source": source, "target": target, "rule": rule}
+        for sub in ("morphism", "prim-check"):
+            payload = _violation(tmp_path, capsys, sub, "--morphism", doc)
+            assert payload["path"] == "morphism.rule", payload
+            assert payload["message"] == f"unknown fields {keys} at morphism.rule", payload
+
+
+def test_cli_rejects_a_table_rule_without_pairs(tmp_path, capsys):
+    # each of these once escaped as a KeyError traceback
+    z2 = {"kind": "modular", "n": 2}
+    morphism = {"schema": "ncspec.morphism/1", "source": z2, "target": z2,
+                "rule": {"kind": "table"}}
+    glue = _z6_glue()
+    glue["isos"][1]["rule"] = {"kind": "table"}
+    for sub, flag, doc, path in (("morphism", "--morphism", morphism, "morphism.rule"),
+                                 ("glue", "--glue", glue, "glue.isos[1].rule")):
+        payload = _violation(tmp_path, capsys, sub, flag, doc)
+        assert payload["message"] == f"missing fields ['pairs'] at {path}", payload
+
+
+def test_cli_rejects_a_glue_iso_rule_key_its_kind_does_not_read(tmp_path, capsys):
+    identity = _z6_glue()
+    for iso in identity["isos"]:
+        iso["rule"] = {"kind": "identity"}
+    assert run_cli(capsys, "glue", "--glue", write(tmp_path, "g.json", identity))[0] == 0
+    identity["isos"][1]["rule"]["pairs"] = []
+    table = _z6_glue()
+    table["isos"][1]["rule"] = dict(table["isos"][1]["rule"], m=3)
+    for doc, path in ((identity, "glue.isos[1].rule"), (table, "glue.isos[1].rule")):
+        assert _violation(tmp_path, capsys, "glue", "--glue", doc)["path"] == path
+    # an iso reads only identity and table rules
+    to_zero = _z6_glue()
+    to_zero["isos"][0]["rule"] = {"kind": "to_zero"}
+    assert _violation(tmp_path, capsys, "glue", "--glue", to_zero)["path"] == "glue.isos[0].rule"
+
+
+def test_cli_qcoh_errors_name_their_path_in_the_datum(tmp_path, capsys):
+    qcoh = FORMAT_DOCS["qcoh"]
+    degree = dict(qcoh, module={"schema": "ncspec.module/1", "generators": [{"degree": "0"}]})
+    payload = _violation(tmp_path, capsys, "qcoh-check", "--datum", degree)
+    assert payload["path"] == "qcoh.module.generators[0].degree", payload
+    payload = _violation(tmp_path, capsys, "qcoh-check", "--datum",
+                         dict(qcoh, schema="ncspec.qcoh/2"))
+    assert payload == {"error": "SchemaViolation", "message": "expected schema ncspec.qcoh/1",
+                       "path": "qcoh"}, payload
+
+
+def test_readme_documents_table_matches_the_keys():
+    """Each row of the README's Documents table is one row of `serialize.KEYS`."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = {}
+    table = readme.split("### Documents", 1)[1].split("\n\n")[2]
+    for line in table.splitlines()[2:]:
+        cells = line.strip("|").replace("`", "").split("|")
+        doc, kind, required, optional = (c.strip() for c in cells)
+        name = doc.split(".")[1].split("/")[0] if doc.startswith("ncspec.") else doc
+        rows[name, kind] = (required.split(", "), optional.split(", ") if optional else [])
+    expected = {}
+    for name, keys in ser.KEYS.items():
+        kinds = keys.items() if isinstance(keys, dict) else [("", keys)]
+        for kind, spec in kinds:
+            spec = (["kind"] if kind else []) + spec.split()
+            expected[name, kind] = ([k for k in spec if not k.endswith("?")],
+                                    [k[:-1] for k in spec if k.endswith("?")])
+    assert rows == expected
 
 
 def test_cli_failure_report_names_the_error_path(tmp_path, capsys):

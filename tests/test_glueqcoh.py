@@ -15,10 +15,12 @@ from conftest import (
 from ncspec import glueqcoh
 from ncspec import rings as rg
 from ncspec.errors import (
+    ClosureBoundExceeded,
     CocycleViolation,
     CompositionMismatch,
     NotAHomomorphism,
     NotAModule,
+    NotOre,
     OreConditionFails,
     UnsupportedClass,
 )
@@ -99,6 +101,18 @@ def test_non_monomial_skew_subset_fails():
     bad = rg.element(sk, {(1, 0): 1, (0, 1): 1})
     with pytest.raises(OreConditionFails):
         certify_ore(sk, (bad,), 3)
+
+
+def test_a_closure_still_growing_at_the_bound_is_a_typed_error():
+    # the powers 1, 2, 4 of 2 in Z/6 need words of length 2
+    with pytest.raises(ClosureBoundExceeded, match="word length 1"):
+        certify_ore(Z6, (e6(2),), 1)
+    assert len(certify_ore(Z6, (e6(2),), 2).closure) == 3
+
+
+def test_a_certificate_of_another_subset_is_a_typed_error():
+    with pytest.raises(NotOre, match="does not match the subset"):
+        ore_chart_iso(Z6, (e6(2),), certify_ore(Z6, (e6(3),), 4))
 
 
 # --- modules and base change ------------------------------------------------

@@ -94,13 +94,18 @@ def test_prim_by_pasting_matches_the_full_walk():
         assert got == outcome(brute_prim_witness, m, range(n)), m
         seen[kind(got)] += 1
         if got[0] == "ok" and kind(got) != "preimage_not_union_irreducible":
-            pasted[sheafspec._pasting_decides(m, range(n)), kind(got)] += 1
+            validated = all(h.validated for h in m.comap.values())
+            mapped = all(h.block_map is not None for h in m.comap.values())
+            decides = sheafspec._pasting_decides(m, range(n))
+            pasted[validated, mapped, decides, kind(got)] += 1
     assert set(seen) == {"prim", "restriction_square_not_pushout",
                          "preimage_not_union_irreducible", "NotOpen"}, seen
-    # the shortened walk ran on prim and on non-prim morphisms, and the
-    # full walk, for comaps without a block map, on both as well
-    assert set(pasted) == {(decides, k) for decides in (True, False)
-                           for k in ("prim", "restriction_square_not_pushout")}, pasted
+    # every walk whose comaps are validated is shortened, on prim and on
+    # non-prim morphisms, with and without tables that have no block map
+    assert all(decides for validated, _m, decides, _k in pasted if validated), pasted
+    assert {(mapped, k) for validated, mapped, _d, k in pasted if validated} == {
+        (mapped, k) for mapped in (True, False)
+        for k in ("prim", "restriction_square_not_pushout")}, pasted
 
 
 def test_prim_by_pasting_matches_the_full_walk_on_one_comap_mutants():

@@ -53,7 +53,7 @@ VALID_ARGS = {
                         ((frozenset({0}),), ("a",))],
     "PidPoint": [("prime_set", (X,)), ("zero_ideal",)],
     "BasedSpace": [(2, (frozenset({0, 1}), frozenset({1}))),
-                   (2, (frozenset({0, 1}), frozenset({0})), ("p", "q"))],
+                   (2, (frozenset({0, 1}), frozenset({0})))],
     "FiniteModule": [(ModularRing(6), (6, 3)), (ModularRing(4), (2,))],
     "GradedModulePresentation": [(rg.skew_ring(2, {(0, 1): 2}), (0,), ()),
                                  (rg.skew_ring(2, {(0, 1): 2}), (0, 1), ())],
