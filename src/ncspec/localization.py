@@ -2,19 +2,25 @@
 
 A block ring (`rings.Descriptor.blocks`: a product of cyclic rings, a
 matrix ring or a semisimple algebra) localizes onto its blocks: every
-block is local or simple, so it keeps the blocks where every member of E
-is a unit (`unit_blocks`), as `keep` builds them, and the insertion is
-the `BlockRule` that feeds each kept block from itself.  For Z/n this is
-Z/n[1/f] = Z/m, with m the largest divisor of n prime to f.  Q[x]
-localizes symbolically to the fraction class of the squarefree part of
-prod(E); skew Laurent rings localize at monomials by enlarging the
-inverted cone.  `connecting_map` re-localizes, so `_localized` is the only
-per-class code, with one branch for every block ring; the restrictions
-and comaps of the sheaf come from one descent, `induced_between`.  Between block rings a hom with a block map is
-built as a `BlockRule`, and descents, squares and identity tests read
-block maps (`rings.RingHom.block_map`).  Isos, pushouts and the
-descents of homs without a block map are decided by kernels, which are
-sums of blocks (`rings.kernel`); no question here enumerates a ring.
+block is local or simple, so R[E^-1] keeps the blocks where every member
+of E is a unit (`unit_blocks`), and it depends on E only through that
+cell.  `localize` reads the kept blocks off the payloads of E and takes
+(result, insertion) from one memo per (ring, kept blocks),
+`_localize_cell`, which builds it once: the identity when every block is
+kept, the collapse onto the zero ring when none is, and otherwise the
+`BlockRule` that feeds each kept block of `keep` from itself, validated.
+For Z/n this is Z/n[1/f] = Z/m, with m the largest divisor of n prime to
+f.  Per subset what is left is O(blocks) unit tests and the witnessed
+inverse of each image, checked two-sided.  Q[x] localizes
+symbolically to the fraction class of the squarefree part of prod(E);
+skew Laurent rings localize at monomials by enlarging the inverted cone;
+`_localized` is their per-class code.  `connecting_map` re-localizes,
+and the restrictions and comaps of the sheaf come from one descent,
+`induced_between`.  Between block rings a hom with a block map is built
+as a `BlockRule`, and descents, squares and identity tests read block
+maps (`rings.RingHom.block_map`).  Isos, pushouts and the descents of
+homs without a block map are decided by kernels, which are sums of
+blocks (`rings.kernel`); no question here enumerates a ring.
 """
 
 from functools import cached_property, lru_cache
@@ -56,43 +62,62 @@ class Localization:
     inverse_witnesses: tuple      # ((element, inverse-in-result), ...)
 
 
-def _subset_key(E):
-    return tuple(sorted(set(E), key=repr))
-
-
 def localize(r, E) -> Localization:
-    return _localize_cached(r, _subset_key(tuple(E)))
+    """The universal localization of r at the finite subset E, from a memo
+    keyed by r and the payloads of E in canonical order (`_subset_key`)."""
+    return _localize_cached(r, _subset_key(r, E))
+
+
+def _subset_key(r, E) -> tuple:
+    """The payloads of the elements of E, all owned by r, in canonical
+    order: sorted by the elements' `repr`, without repeats."""
+    payloads = []
+    for a in E:
+        if a.owner is not r and a.owner != r:
+            raise rg.ElementOwnershipMismatch(f"{a!r} not owned by {r!r}")
+        payloads.append(a.payload)
+    if len(payloads) < 2:
+        return tuple(payloads)
+    return tuple(sorted(set(payloads), key=r.show))
 
 
 # the 4096-entry bound of `rings.unit_idempotent`: a warm session over Z/12
 # and Z/30 keeps a few hundred localizations
 @lru_cache(maxsize=4096)
-def _localize_cached(r, E: tuple) -> Localization:
-    for a in E:
-        if a.owner != r:
-            raise rg.ElementOwnershipMismatch(f"{a!r} not owned by {r!r}")
-    if all(rg.is_unit(r, a) for a in E):
-        result, rule = r, None
+def _localize_cached(r, payloads: tuple) -> Localization:
+    E = tuple([rg.RingElement(r, p) for p in payloads])
+    if r.blocks is not None:
+        kept = frozenset(range(len(r.blocks))).intersection(*map(r.unit_blocks, payloads))
+        result, insertion = _localize_cell(r, tuple(sorted(kept)))
+    elif all(rg.is_unit(r, a) for a in E):
+        result, insertion = r, rg.identity_hom(r)
     else:
         result, rule = _localized(r, E)
-    if result == r:
-        insertion = rg.identity_hom(r)
-    elif rg.is_zero_ring(result):
-        insertion = rg.to_zero_hom(r, result)
-    else:
-        insertion = hom_validate(RingHom(r, result, rule))
+        if rg.is_zero_ring(result):
+            insertion = rg.to_zero_hom(r, result)
+        else:
+            insertion = hom_validate(RingHom(r, result, rule))
     return _finish(r, E, result, insertion)
 
 
-def _localized(r, E):
-    """(loc(r, E), insertion rule) when E holds a non-unit; the rule of a zero result is unused."""
-    if r.blocks is not None:
-        kept = frozenset(range(len(r.blocks)))
-        for a in E:
-            kept &= r.unit_blocks(a.payload)
-        kept = tuple(sorted(kept))
-        return r.keep(kept), rg.BlockRule(kept)
+# the bound of `_localize_cached`: a ring has at most as many cells as subsets
+@lru_cache(maxsize=4096)
+def _localize_cell(r, kept: tuple):
+    """(loc(r, E), insertion) for every subset E of the block ring r whose
+    members are all units on exactly the blocks in kept: the identity when
+    it keeps every block, the collapse when the kept product is the zero
+    ring, else the projection `BlockRule(kept)` onto r.keep(kept)."""
+    if len(kept) == len(r.blocks):
+        return r, rg.identity_hom(r)
+    result = r.keep(kept)
+    if rg.is_zero_ring(result):
+        return result, rg.to_zero_hom(r, result)
+    return result, hom_validate(RingHom(r, result, rg.BlockRule(kept)))
 
+
+def _localized(r, E):
+    """(loc(r, E), insertion rule) of a ring that is not a block ring, when
+    E holds a non-unit; the rule of a zero result is unused."""
     if isinstance(r, UnivariatePolyRing):
         f = qpoly.ONE
         for a in E:
@@ -126,6 +151,8 @@ def _localized(r, E):
 
 
 def _finish(r, E, result, insertion) -> Localization:
+    """The Localization with a witnessed inverse of each image, checked
+    two-sided."""
     witnesses = []
     for a in E:
         img = insertion(a)
@@ -135,7 +162,7 @@ def _finish(r, E, result, insertion) -> Localization:
         if img * w != rg.one(result) or w * img != rg.one(result):
             raise UnsupportedClass(f"{w!r} is not a two-sided inverse of {img!r}")
         witnesses.append((a, w))
-    return Localization(r, tuple(E), result, insertion, tuple(witnesses))
+    return Localization(r, E, result, insertion, tuple(witnesses))
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,10 @@ class ModularRing(Descriptor):
     def split(self, a):
         return tuple([a % q for _j, _p, q in self.local_factors])
 
+    def unit_blocks(self, a):
+        """a is a unit in Z/p^b iff p does not divide it."""
+        return frozenset([s for s, (_j, p, _q) in enumerate(self.local_factors) if a % p])
+
     def join(self, parts):
         """CRT: part x of local factor Z/q contributes x e_q, where e_q is
         1 mod q and 0 mod n / q (`unit_idempotent`)."""

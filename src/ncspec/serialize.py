@@ -107,7 +107,7 @@ def _parse_base(v, path):
     if v == "q":
         return Rationals()
     if isinstance(v, str) and v.startswith("f") and v[1:].isdigit():
-        return PrimeField(int(v[1:]))
+        return _built(PrimeField, path, int(v[1:]))
     raise SchemaViolation(f"base must be 'q' or 'f<prime>', got {v!r}", path)
 
 
@@ -115,32 +115,73 @@ def _base_str(b):
     return "q" if isinstance(b, Rationals) else f"f{b.p}"
 
 
+def _built(make, path, *args):
+    """make(*args), with the ValueError of a limit it checks as a
+    SchemaViolation at path, so the limit and its message stay in `rings`."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise SchemaViolation(str(exc), path)
+
+
+def _int_at_least(v, low, message, path) -> int:
+    """An exact integer >= low; anything else is a SchemaViolation at
+    path, with message for an integer below low.  For the limits whose
+    entry no ring error can name (`dims[i]`, and `nvars`, which the
+    `lambda` entries are checked against)."""
+    k = parse_int(v, path)
+    if k < low:
+        raise SchemaViolation(message, path)
+    return k
+
+
 def parse_ring(doc, path="ring", *, top=True):
+    """The ring of a ring document.  A bad value is a SchemaViolation at
+    its key (`ring.n`, `ring.dims[1]`, `ring.lambda[0]`, ...); what no
+    one key holds, as an empty product or a missing commutation scalar,
+    is one at the ring's path."""
     kind = _shape(doc, path, "ring", RING_SCHEMA if top else None)
     try:
         if kind == "zero":
             return ZeroRing()
         if kind == "modular":
-            return ModularRing(parse_int(doc["n"], path))
+            return _built(ModularRing, f"{path}.n", parse_int(doc["n"], f"{path}.n"))
         if kind == "product":
-            factors = [parse_ring(f, f"{path}.factors[{i}]", top=False)
-                       for i, f in enumerate(doc["factors"])]
-            return rg.product_ring(factors)
+            factors = parse_list(doc["factors"], f"{path}.factors")
+            return rg.product_ring([parse_ring(f, f"{path}.factors[{i}]", top=False)
+                                    for i, f in enumerate(factors)])
         if kind == "matrix":
-            return MatrixRing(_parse_base(doc["base"], path), parse_int(doc["size"], path))
+            return _built(MatrixRing, f"{path}.size", _parse_base(doc["base"], f"{path}.base"),
+                          parse_int(doc["size"], f"{path}.size"))
         if kind == "semisimple":
-            return SemisimpleAlgebra(_parse_base(doc["base"], path),
-                                     tuple(parse_int(d, path) for d in doc["dims"]))
+            dims = parse_list(doc["dims"], f"{path}.dims")
+            return SemisimpleAlgebra(_parse_base(doc["base"], f"{path}.base"), tuple(
+                _int_at_least(d, 1, "block sizes must be >= 1", f"{path}.dims[{i}]")
+                for i, d in enumerate(dims)))
         if kind == "poly":
             return UnivariatePolyRing()
-        nvars = parse_int(doc["nvars"], path)
+        nvars = _int_at_least(doc["nvars"], 2, "skew rings need at least two variables",
+                              f"{path}.nvars")
         lam = {}
-        for triple in doc["lambda"]:
+        for k, triple in enumerate(parse_list(doc["lambda"], f"{path}.lambda")):
+            at = f"{path}.lambda[{k}]"
             if not isinstance(triple, (list, tuple)) or len(triple) != 3:
-                raise SchemaViolation("lambda entries are [i, j, value]", path)
-            i, j = parse_int(triple[0], path), parse_int(triple[1], path)
-            lam[(i - 1, j - 1)] = parse_rational(triple[2], path)
-        inverted = [parse_int(i, path) - 1 for i in doc.get("inverted", [])]
+                raise SchemaViolation("lambda entries are [i, j, value]", at)
+            i, j = parse_int(triple[0], at) - 1, parse_int(triple[1], at) - 1
+            if not 0 <= i < j < nvars:
+                raise SchemaViolation(
+                    f"commutation scalar index ({i}, {j}) outside 0 <= i < j < {nvars}", at)
+            value = parse_rational(triple[2], at)
+            if value == 0:
+                raise SchemaViolation(f"zero commutation scalar for ({i}, {j})", at)
+            lam[(i, j)] = value
+        inverted = []
+        for k, v in enumerate(parse_list(doc.get("inverted", []), f"{path}.inverted")):
+            at = f"{path}.inverted[{k}]"
+            i = parse_int(v, at) - 1
+            if not 0 <= i < nvars:
+                raise SchemaViolation("inverted index out of range", at)
+            inverted.append(i)
         return skew_ring(nvars, lam, inverted)
     except SchemaViolation:
         raise
@@ -180,8 +221,13 @@ def ring_doc(r, *, top=True) -> dict:
 
 
 def parse_element(r, doc, path="element") -> RingElement:
+    """The element of r that doc writes (see `element_doc`); a bad
+    coefficient is a SchemaViolation at its entry (`[i][j]` of a matrix,
+    `[i]` of a polynomial or a skew term)."""
     try:
         if isinstance(r, ZeroRing):
+            if parse_int(doc, path) != 0:
+                raise SchemaViolation(f"the zero ring has only the element 0, got {doc!r}", path)
             return rg.zero(r)
         if isinstance(r, ModularRing):
             return rg.element(r, parse_int(doc, path))
@@ -194,9 +240,11 @@ def parse_element(r, doc, path="element") -> RingElement:
                 parse_element(f, d, f"{path}[{i}]").payload
                 for i, (f, d) in enumerate(zip(r.factors, doc))))
         if isinstance(r, MatrixRing):
-            return rg.matrix_element(r, [[parse_rational(v, path) for v in row] for row in doc])
+            return rg.matrix_element(r, [[parse_rational(v, f"{path}[{i}][{j}]")
+                                          for j, v in enumerate(row)]
+                                         for i, row in enumerate(doc)])
         if isinstance(r, UnivariatePolyRing):
-            return rg.element(r, [parse_rational(v, path) for v in doc])
+            return rg.element(r, [parse_rational(v, f"{path}[{i}]") for i, v in enumerate(doc)])
         if isinstance(r, SkewLaurentRing):
             return rg.element(r, _parse_terms(r.nvars, doc, path))
     except SchemaViolation:
@@ -209,10 +257,11 @@ def parse_element(r, doc, path="element") -> RingElement:
 def _parse_terms(nvars, doc, path) -> dict:
     """{exponent vector: coefficient} of a skew polynomial written as [[exps, coeff], ...]."""
     terms = {}
-    for exps, coeff in doc:
+    for k, (exps, coeff) in enumerate(doc):
+        at = f"{path}[{k}]"
         if len(exps) != nvars:
-            raise SchemaViolation(f"exponent vector {exps!r} needs {nvars} entries", path)
-        terms[tuple(parse_int(e, path) for e in exps)] = parse_rational(coeff, path)
+            raise SchemaViolation(f"exponent vector {exps!r} needs {nvars} entries", at)
+        terms[tuple(parse_int(e, at) for e in exps)] = parse_rational(coeff, at)
     return terms
 
 

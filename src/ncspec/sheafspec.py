@@ -32,6 +32,7 @@ from .latspace import (
 from .localization import (
     LocalizationSquare,
     _localize_cached,
+    _localize_cell,
     induced_between,
     is_pushout,
     localize,
@@ -371,12 +372,13 @@ def _induced_morphism(theta: RingHom) -> RingedSpaceMorphism:
 
 
 # private handles: tracing tools rebind the public names to wrappers
-_CACHED = (ncspec, _induced_morphism, _localize_cached, _quotient_hom)
+_CACHED = (ncspec, _induced_morphism, _localize_cached, _localize_cell, _quotient_hom)
 
 
 def clear_caches():
     """Empty the memos of spaces, induced morphisms and quotient homs
-    (`rings.quotient_hom`) and the cache of localizations."""
+    (`rings.quotient_hom`) and the caches of localizations, by subset and
+    by cell of a block ring."""
     for cached in _CACHED:
         cached.cache_clear()
 

@@ -90,6 +90,41 @@ def brute_idempotent_power(x):
     return idem[0]
 
 
+def brute_localize(r, E) -> dict:
+    """loc(r, E) of a finite block ring built from scratch for this subset.
+
+    Block s is kept when every member x of E is a unit there, that is
+    when x u_s + (1 - u_s) is a unit for the block unit u_s.  The
+    insertion is built fresh: the identity when every member is a unit,
+    the collapse when the kept product is the zero ring, else the
+    `BlockRule` of the kept blocks onto `keep`, certified by
+    `hom_validate`.  Each image's inverse is checked two-sided on
+    elements.  Returns the fields of the `Localization`, with the
+    insertion as its images and block map.
+    """
+    units = rg.block_units(r)
+    kept = tuple(s for s, u in enumerate(units)
+                 if all(rg.is_unit(r, x * u + (r.one - u)) for x in E))
+    result = r.keep(kept)
+    if all(rg.is_unit(r, x) for x in E):
+        result, insertion = r, rg.identity_hom(r)
+    elif rg.is_zero_ring(result):
+        insertion = rg.to_zero_hom(r, result)
+    else:
+        insertion = rg.hom_validate(rg.RingHom(r, result, rg.BlockRule(kept)))
+    witnesses = []
+    for x in E:
+        img = insertion(x)
+        w = rg.inverse(result, img)
+        if w is None or img * w != result.one or w * img != result.one:
+            raise AssertionError(f"{x!r} does not invert in {result!r}")
+        witnesses.append((x, w))
+    subset = tuple(sorted(set(E), key=repr))
+    return {"result": result, "subset": subset, "images": insertion.images,
+            "block_map": insertion.block_map,
+            "inverse_witnesses": tuple(sorted(set(witnesses), key=lambda p: repr(p[0])))}
+
+
 def brute_under_map(r, A, B):
     """The map loc(r, A) -> loc(r, B) under a finite r, read off every element.
 

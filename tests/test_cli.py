@@ -391,6 +391,74 @@ def test_cli_rejects_a_key_of_another_ring_kind(tmp_path, capsys):
     assert payload["path"] == "ring.factors[0]", payload
 
 
+def test_cli_rejects_a_zero_ring_element_that_is_not_0(tmp_path, capsys):
+    zero = {"kind": "zero"}
+    doc = {"schema": "ncspec.morphism/1", "source": zero, "target": zero,
+           "rule": {"kind": "table", "pairs": [["junk", {"any": 1}]]}}
+    payload = _violation(tmp_path, capsys, "morphism", "--morphism", doc)
+    assert payload["path"] == "morphism.rule.pairs[0][0]", payload
+    doc["rule"]["pairs"] = [[0, 0]]
+    code, out = run_cli(capsys, "morphism", "--morphism", write(tmp_path, "ok.json", doc))
+    assert code == 0, out
+
+
+_SKEW = {"kind": "skew_laurent", "nvars": 2, "lambda": [[1, 2, "2"]]}
+
+
+@pytest.mark.parametrize("doc, path", [
+    ({"kind": "modular", "n": "12"}, "ring.n"),
+    ({"kind": "modular", "n": 0}, "ring.n"),
+    ({"kind": "product", "factors": 5}, "ring.factors"),
+    ({"kind": "product", "factors": []}, "ring"),
+    ({"kind": "product", "factors": [{"kind": "modular", "n": 0}]}, "ring.factors[0].n"),
+    ({"kind": "matrix", "base": "f4", "size": 2}, "ring.base"),
+    ({"kind": "matrix", "base": "f2", "size": "2"}, "ring.size"),
+    ({"kind": "matrix", "base": "f2", "size": 0}, "ring.size"),
+    ({"kind": "semisimple", "base": "q", "dims": 2}, "ring.dims"),
+    ({"kind": "semisimple", "base": "q", "dims": []}, "ring"),
+    ({"kind": "semisimple", "base": "q", "dims": [1, 0]}, "ring.dims[1]"),
+    ({"kind": "semisimple", "base": "q", "dims": [1, "2"]}, "ring.dims[1]"),
+    (dict(_SKEW, nvars=1), "ring.nvars"),
+    (dict(_SKEW, nvars=True), "ring.nvars"),
+    (dict(_SKEW, **{"lambda": 5}), "ring.lambda"),
+    (dict(_SKEW, **{"lambda": [[1, 2, "2"], [1, 5, "2"]]}), "ring.lambda[1]"),
+    (dict(_SKEW, **{"lambda": [[2, 1, "2"]]}), "ring.lambda[0]"),
+    (dict(_SKEW, **{"lambda": [[1, 2, "0"]]}), "ring.lambda[0]"),
+    (dict(_SKEW, **{"lambda": [[1, 2, "x"]]}), "ring.lambda[0]"),
+    (dict(_SKEW, nvars=3), "ring"),                       # no scalar for (2, 3)
+    (dict(_SKEW, inverted=[1, 3]), "ring.inverted[1]"),
+    (dict(_SKEW, inverted=["1"]), "ring.inverted[0]"),
+])
+def test_cli_reports_a_bad_ring_value_at_its_key(tmp_path, capsys, doc, path):
+    doc = dict(doc, schema="ncspec.ring/1")
+    payload = _violation(tmp_path, capsys, "ring-validate", "--ring", doc)
+    assert payload["path"] == path, payload
+
+
+@pytest.mark.parametrize("r, doc, path", [
+    (ZeroRing(), "junk", "element"),
+    (ZeroRing(), 1, "element"),
+    (MatrixRing(Rationals(), 2), [["1", "0"], ["0", "x"]], "element[1][1]"),
+    (SemisimpleAlgebra(PrimeField(2), (1, 2)), [[[1]], [[1, 0], [None, 1]]], "element[1][1][0]"),
+    (UnivariatePolyRing(), ["1", "1/0"], "element[1]"),
+    (skew_ring(2, {(0, 1): 2}), [[[1, 0], "1"], [[0, 1], "x"]], "element[1]"),
+    (skew_ring(2, {(0, 1): 2}), [[[1, 0, 0], "1"]], "element[0]"),
+])
+def test_a_bad_coefficient_is_reported_at_its_entry(r, doc, path):
+    with pytest.raises(SchemaViolation) as err:
+        ser.parse_element(r, doc)
+    assert err.value.path == path
+
+
+def test_cli_reports_a_bad_table_coefficient_at_its_entry(tmp_path, capsys):
+    m2 = {"kind": "matrix", "base": "f2", "size": 2}
+    pairs = [[[[0, 0], [0, 0]], [[0, 0], [0, 0]]], [[[1, 0], [0, "1/"]], [[1, 0], [0, 1]]]]
+    doc = {"schema": "ncspec.morphism/1", "source": m2, "target": m2,
+           "rule": {"kind": "table", "pairs": pairs}}
+    payload = _violation(tmp_path, capsys, "morphism", "--morphism", doc)
+    assert payload["path"] == "morphism.rule.pairs[1][0][1][1]", payload
+
+
 def test_cli_rejects_a_rule_key_its_kind_does_not_read(tmp_path, capsys):
     z6, z3, z2 = ({"kind": "modular", "n": n} for n in (6, 3, 2))
     cases = [

@@ -334,11 +334,12 @@ def test_every_cache_has_a_bound_or_is_listed():
     assert {"sheafspec.ncspec", "rings.unit_idempotent"} <= set(caches)
     assert caches["rings._quotient_hom"] == caches["sheafspec.ncspec"] == 32
     assert caches["localization._localize_cached"] == caches["rings.unit_idempotent"] == 4096
+    assert caches["localization._localize_cell"] == 4096
     assert {name for name, size in caches.items() if size is None} == UNBOUNDED_CACHES
 
 
 def test_clear_caches_frees_every_space_and_morphism():
-    from ncspec import commbridge, sheafspec
+    from ncspec import commbridge, localization, sheafspec
     from ncspec import rings as rg
 
     def build():
@@ -359,6 +360,9 @@ def test_clear_caches_frees_every_space_and_morphism():
     refs = build()
     gc.collect()
     assert None not in [ref() for ref in refs]      # the memos hold them
+    memos = (localization._localize_cached, localization._localize_cell)
+    assert all(memo.cache_info().currsize > 0 for memo in memos)
     sheafspec.clear_caches()
     gc.collect()
     assert [ref() for ref in refs] == [None] * len(refs)
+    assert [memo.cache_info().currsize for memo in memos] == [0, 0]

@@ -4,15 +4,17 @@ import pytest
 
 from conftest import (
     brute_idempotent_power,
+    brute_localize,
     brute_under_map,
     classic_fraction_localization_size,
     finite_commutative_grid,
     small_commutative_rings,
 )
 
-from ncspec import localization, qpoly
+from ncspec import localization, qpoly, sheafspec
 from ncspec import rings as rg
 from ncspec.errors import (
+    ElementOwnershipMismatch,
     NonMonomialSkewSubset,
     NotComparable,
     UnsupportedClass,
@@ -85,6 +87,42 @@ def test_z6_at_two_is_z3():
     assert e.payload == 4
     for x in rg.enumerate_elements(z6):
         assert L.insertion(x).payload == (4 * x.payload) % 6 % 3
+
+
+def cell_oracle_rings():
+    F2, F3 = PrimeField(2), PrimeField(3)
+    return ([ModularRing(n) for n in range(1, 61)]
+            + [rg.product_ring([ModularRing(2)] * 3),           # F2 x F2 x F2
+               SemisimpleAlgebra(F2, (1, 2)), SemisimpleAlgebra(F3, (1, 1)),
+               MatrixRing(F2, 2)])
+
+
+def test_the_cell_path_matches_a_from_scratch_build_on_every_small_subset():
+    # every subset of one or two elements, in one pass after clear_caches(),
+    # so later subsets of a cell read the pair that earlier ones built
+    sheafspec.clear_caches()
+    for r in cell_oracle_rings():
+        elems = rg.enumerate_elements(r)
+        subsets = [(x,) for x in elems] + [(x, y) for i, x in enumerate(elems) for y in elems[i:]]
+        for Es in subsets:
+            L, want = localize(r, Es), brute_localize(r, Es)
+            got = {"result": L.result, "subset": L.subset, "images": L.insertion.images,
+                   "block_map": L.insertion.block_map,
+                   "inverse_witnesses": L.inverse_witnesses}
+            assert got == want, (r, Es)
+            assert L.source == r and L.insertion.validated, (r, Es)
+    assert localization._localize_cell.cache_info().hits > 0
+
+
+def test_foreign_elements_and_non_units_still_raise():
+    z6, z3 = ModularRing(6), ModularRing(3)
+    with pytest.raises(ElementOwnershipMismatch):
+        localize(z6, E(z3, 1))
+    with pytest.raises(ElementOwnershipMismatch):
+        localize(z6, E(z6, 1) + E(z3, 2))
+    # an image that is not a unit of the result fails its witness
+    with pytest.raises(UnsupportedClass, match="fails to invert"):
+        localization._finish(z6, E(z6, 2), z6, rg.identity_hom(z6))
 
 
 def cyclic_oracle_rings():
