@@ -117,10 +117,6 @@ class CocycleViolation(NCSpecError):
         self.witness = witness
 
 
-class NotOre(NCSpecError):
-    pass
-
-
 class NotAModule(NCSpecError):
     pass
 

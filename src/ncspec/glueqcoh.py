@@ -26,7 +26,6 @@ from .errors import (
     ElementOwnershipMismatch,
     NotAHomomorphism,
     NotAModule,
-    NotOre,
     OreConditionFails,
     PresheafLawViolation,
     UnsupportedClass,
@@ -200,10 +199,6 @@ def _reduce(x, orders):
     return tuple(a % g for a, g in zip(x, orders))
 
 
-def free_module(r: ModularRing) -> FiniteModule:
-    return FiniteModule(r, (r.n,)) if r.n > 1 else FiniteModule(r, ())
-
-
 @record(frozen=True)
 class ModuleHom:
     source: FiniteModule
@@ -221,14 +216,6 @@ class ModuleHom:
         for a, img in zip(x, self.images):
             acc = self.target.add(acc, self.target.smul(a, img))
         return acc
-
-
-def module_homs(M: FiniteModule, N: FiniteModule):
-    """All module maps M -> N (the action is integral, so additive = linear)."""
-    pools = []
-    for d in M.orders:
-        pools.append([x for x in N.elements() if N.smul(d, x) == N.zero()])
-    return [ModuleHom(M, N, combo) for combo in iproduct(*pools)]
 
 
 @record(frozen=True)
@@ -332,8 +319,8 @@ class ModuleSheaf:
 def tilde_module(r, M) -> "ModuleSheaf":
     """Sections over the basic open at a cell are loc (x) M.
 
-    Skew Laurent rings hand off to the graded chart construction; finite
-    cyclic rings get the cell-by-cell base change below.
+    Only Z/n is supported; the sections are the cell-by-cell base change
+    below.
 
     The presheaf laws are checked through q_i: M -> T_i, m -> 1 (x) m,
     which is onto T_i = M / m_i M.  Both q_i and the restriction maps
@@ -343,9 +330,6 @@ def tilde_module(r, M) -> "ModuleSheaf":
     it makes res(j, k) . res(i, j) and res(i, k) agree, as both give q_k
     after q_i.
     """
-    if isinstance(r, SkewLaurentRing):
-        from .skewproj import build_proj, module_sheaf
-        return module_sheaf(build_proj(r), M)
     if not isinstance(r, ModularRing):
         raise UnsupportedClass("module sheaves are built over Z/n here")
     sp = ncspec(r)
@@ -425,21 +409,17 @@ class ChartIso:
     report: dict
 
 
-def ore_chart_iso(r, E, certificate: OreCertificate = None) -> ChartIso:
+def ore_chart_iso(r, E) -> ChartIso:
     """Identify the basic open at E with the whole space of loc(r, E).
 
     The point map sends the cell of F to the cell of the image of F;
     bijectivity and the section-ring isomorphisms are verified cell by
-    cell, the latter by `_hom_is_iso` (a lookup on block maps).
+    cell, the latter by `_hom_is_iso` (a lookup on block maps).  A ring
+    with no finite space, such as a skew Laurent ring, raises
+    `UnsupportedClass` from `ncspec`.
     """
     E = tuple(E)
-    if certificate is not None and certificate.subset != E:
-        raise NotOre("certificate does not match the subset")
     L = localize(r, E)
-    if isinstance(r, SkewLaurentRing):
-        report = {"status": "pass", "symbolic": True,
-                  "structural_certificate": certificate.structural if certificate else False}
-        return ChartIso(None, L, None, {}, report)
     sp = ncspec(r)
     spL = ncspec(L.result)
     lat, latL = sp.lattice, spL.lattice

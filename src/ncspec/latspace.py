@@ -351,14 +351,6 @@ class PidPoint:
                         f"{qpoly.to_string(p)} factors over Q")
 
 
-def generic_pid_point() -> PidPoint:
-    return PidPoint("generic")
-
-
-def zero_ideal_point() -> PidPoint:
-    return PidPoint("zero_ideal")
-
-
 def prime_set_point(polys) -> PidPoint:
     return PidPoint("prime_set", tuple(qpoly.monic(qpoly.poly(p)) for p in polys))
 

@@ -20,7 +20,6 @@ def poly(coeffs) -> Poly:
 
 ZERO: Poly = poly([])
 ONE: Poly = poly([1])
-X: Poly = poly([0, 1])
 
 
 def deg(p: Poly) -> int:
@@ -39,10 +38,6 @@ def add(p: Poly, q: Poly) -> Poly:
 
 def neg(p: Poly) -> Poly:
     return tuple(-c for c in p)
-
-
-def sub(p: Poly, q: Poly) -> Poly:
-    return add(p, neg(q))
 
 
 def mul(p: Poly, q: Poly) -> Poly:

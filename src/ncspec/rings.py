@@ -63,7 +63,13 @@ class PrimeField:
         return self.p
 
     def scalar(self, v):
-        return int(v) % self.p
+        if type(v) is int:
+            return v % self.p
+        # an exact rational a/b is a * b^-1, when p does not divide b
+        v = Fraction(v)
+        if v.denominator % self.p == 0:
+            raise ValueError(f"{v} is not in F{self.p}: {self.p} divides its denominator")
+        return v.numerator * pow(v.denominator, -1, self.p) % self.p
 
     def add(self, a, b):
         return (a + b) % self.p

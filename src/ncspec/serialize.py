@@ -111,10 +111,6 @@ def _parse_base(v, path):
     raise SchemaViolation(f"base must be 'q' or 'f<prime>', got {v!r}", path)
 
 
-def _base_str(b):
-    return "q" if isinstance(b, Rationals) else f"f{b.p}"
-
-
 def _built(make, path, *args):
     """make(*args), with the ValueError of a limit it checks as a
     SchemaViolation at path, so the limit and its message stay in `rings`."""
@@ -171,6 +167,8 @@ def parse_ring(doc, path="ring", *, top=True):
             if not 0 <= i < j < nvars:
                 raise SchemaViolation(
                     f"commutation scalar index ({i}, {j}) outside 0 <= i < j < {nvars}", at)
+            if (i, j) in lam:
+                raise SchemaViolation(f"lambda lists the pair ({i}, {j}) twice", at)
             value = parse_rational(triple[2], at)
             if value == 0:
                 raise SchemaViolation(f"zero commutation scalar for ({i}, {j})", at)
@@ -194,32 +192,6 @@ def parse_inner_ring(doc, path):
     return parse_ring(doc, path, top=isinstance(doc, dict) and "schema" in doc)
 
 
-def ring_doc(r, *, top=True) -> dict:
-    body = {}
-    if isinstance(r, ZeroRing):
-        body = {"kind": "zero"}
-    elif isinstance(r, ModularRing):
-        body = {"kind": "modular", "n": r.n}
-    elif isinstance(r, ProductRing):
-        body = {"kind": "product",
-                "factors": [ring_doc(f, top=False) for f in r.factors]}
-    elif isinstance(r, MatrixRing):
-        body = {"kind": "matrix", "base": _base_str(r.base), "size": r.size}
-    elif isinstance(r, SemisimpleAlgebra):
-        body = {"kind": "semisimple", "base": _base_str(r.base), "dims": list(r.dims)}
-    elif isinstance(r, UnivariatePolyRing):
-        body = {"kind": "poly"}
-    elif isinstance(r, SkewLaurentRing):
-        body = {"kind": "skew_laurent", "nvars": r.nvars,
-                "lambda": [[i + 1, j + 1, rational_str(v)] for (i, j), v in r.lam],
-                "inverted": [i + 1 for i in sorted(r.inverted)]}
-    else:
-        raise ParseError(f"no document form for {r!r}")
-    if top:
-        return {"schema": RING_SCHEMA, **body}
-    return body
-
-
 def parse_element(r, doc, path="element") -> RingElement:
     """The element of r that doc writes (see `element_doc`); a bad
     coefficient is a SchemaViolation at its entry (`[i][j]` of a matrix,
@@ -240,7 +212,7 @@ def parse_element(r, doc, path="element") -> RingElement:
                 parse_element(f, d, f"{path}[{i}]").payload
                 for i, (f, d) in enumerate(zip(r.factors, doc))))
         if isinstance(r, MatrixRing):
-            return rg.matrix_element(r, [[parse_rational(v, f"{path}[{i}][{j}]")
+            return rg.matrix_element(r, [[_scalar(r.base, v, f"{path}[{i}][{j}]")
                                           for j, v in enumerate(row)]
                                          for i, row in enumerate(doc)])
         if isinstance(r, UnivariatePolyRing):
@@ -252,6 +224,12 @@ def parse_element(r, doc, path="element") -> RingElement:
     except (TypeError, ValueError, IndexError) as exc:
         raise SchemaViolation(f"bad element: {exc}", path)
     raise SchemaViolation(f"no element form for {r!r}", path)
+
+
+def _scalar(base, v, path):
+    """The rational v as a scalar of base; one with no value there (a
+    denominator that p divides, over F_p) is a SchemaViolation at path."""
+    return _built(base.scalar, path, parse_rational(v, path))
 
 
 def _parse_terms(nvars, doc, path) -> dict:
@@ -314,25 +292,6 @@ def _parse_rule(doc, source, target, path, iso=False) -> RingHom:
     if len(mapping) != rg.cardinality(source):
         raise SchemaViolation(f"a table rule must list every element of {source!r}", path)
     return rg.hom_validate(rg.table_hom(source, target, mapping))
-
-
-def morphism_doc(h: RingHom) -> dict:
-    if rg.is_finite(h.source):
-        table = h.as_table()
-        pairs = [[element_doc(RingElement(h.source, k)),
-                  element_doc(RingElement(h.target, v))]
-                 for k, v in sorted(table.items(), key=lambda kv: repr(kv[0]))]
-        rule = {"kind": "table", "pairs": pairs}
-    elif isinstance(h.rule, rg.IdentityRule):
-        rule = {"kind": "identity"}
-    elif isinstance(h.rule, rg.ToZeroRule):
-        rule = {"kind": "to_zero"}
-    else:
-        raise ParseError(f"no document form for rule {h.rule!r}")
-    return {"schema": MORPHISM_SCHEMA,
-            "source": ring_doc(h.source, top=False),
-            "target": ring_doc(h.target, top=False),
-            "rule": rule}
 
 
 def parse_graded_module(r, doc, path="module"):

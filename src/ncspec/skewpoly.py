@@ -86,10 +86,6 @@ def monomial(nvars: int, exps, coeff=1) -> Terms:
     return {e: c}
 
 
-def one(nvars: int) -> Terms:
-    return {(0,) * nvars: Fraction(1)}
-
-
 def variable(nvars: int, i: int, power: int = 1) -> Terms:
     e = [0] * nvars
     e[i] = power

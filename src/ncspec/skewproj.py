@@ -72,12 +72,6 @@ def free_presentation(r: SkewLaurentRing, degrees=(0,)) -> GradedModulePresentat
     return GradedModulePresentation(r, tuple(degrees), ())
 
 
-def quotient_by_variables(r: SkewLaurentRing) -> GradedModulePresentation:
-    """R modulo all the variables: the degree-zero simple module."""
-    rows = tuple((skewpoly.canonical(skewpoly.variable(r.nvars, i)),) for i in range(r.nvars))
-    return GradedModulePresentation(r, (0,), rows)
-
-
 def presentation_from_rows(r: SkewLaurentRing, gen_degrees, rows) -> GradedModulePresentation:
     canon = tuple(tuple(skewpoly.canonical(skewpoly.from_canonical(entry)) for entry in row)
                   for row in rows)
@@ -105,12 +99,6 @@ def _cone(n, S, total, box):
 
     rec(0, [], total)
     return out
-
-
-def graded_piece_basis(r: SkewLaurentRing, inverted, d: int, box: int):
-    """Monomial exponents spanning the degree-d piece of the localization of
-    the ring at the given variables, within the depth box."""
-    return _cone(r.nvars, frozenset(inverted), d, box)
 
 
 @record
@@ -494,11 +482,6 @@ def serre_unit(X: ProjSpace, M: GradedModulePresentation, window,
             "cokernel_torsion": cok_torsion,
         }
     return out
-
-
-def element_from_payloads(M: GradedModulePresentation, payloads, degree: int):
-    return {"degree": degree, "components": tuple(
-        skewpoly.canonical(skewpoly.from_canonical(p)) for p in payloads)}
 
 
 def _element_terms(M: GradedModulePresentation, elt) -> list:

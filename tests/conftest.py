@@ -21,7 +21,7 @@ from ncspec.errors import (
     UnsupportedClass,
     UnverifiableSquare,
 )
-from ncspec.glueqcoh import FiniteModule, tensor_module
+from ncspec.glueqcoh import FiniteModule, ModuleHom, tensor_module
 from ncspec.latspace import is_completely_union_irreducible, sober_map_from_join_hom
 from ncspec.linalg import Echelon
 from ncspec.localization import LocalizationSquare, is_pushout, localize
@@ -35,7 +35,7 @@ from ncspec.rings import (
     canonical_modular_product,
 )
 from ncspec.sheafspec import RingedSpaceMorphism, ncspec, sections
-from ncspec.skewproj import graded_piece_basis
+from ncspec.skewproj import GradedModulePresentation
 
 
 def python_stdout(flags, source) -> str:
@@ -300,6 +300,18 @@ def brute_reconstruction(sheaf) -> bool:
                             for d in o)
         == elementary_divisors(d for o in T.orders for d in o)
         for cell, T in zip(sheaf.space.lattice.cells, sheaf.stalks))
+
+
+def free_module(r) -> FiniteModule:
+    """Z/n as a module over itself (no generator for the zero ring Z/1)."""
+    return FiniteModule(r, (r.n,) if r.n > 1 else ())
+
+
+def brute_module_homs(M, N) -> list:
+    """Every module map M -> N: each cyclic generator of M goes to an element
+    of N that its order kills (the action is integral, so additive = linear)."""
+    pools = [[x for x in N.elements() if N.smul(d, x) == N.zero()] for d in M.orders]
+    return [ModuleHom(M, N, combo) for combo in product(*pools)]
 
 
 def brute_module_axioms(M) -> bool:
@@ -1000,6 +1012,29 @@ def dense_solve(rows, width: int, target):
     if any(red[j] != 0 for j in range(width)):
         return None
     return [-red[width + j] for j in range(n)]
+
+
+def graded_piece_basis(r, inverted, d: int, box: int) -> list:
+    """The exponent vectors of total degree d in the localization of the
+    skew ring r at the variables `inverted`, whose exponents reach -box
+    there and 0 elsewhere, in lexicographic order (every vector of the
+    bounding box, filtered by its sum)."""
+    lows = [-box if i in inverted else 0 for i in range(r.nvars)]
+    return [e for e in product(*(range(lo, lo + d - sum(lows) + 1) for lo in lows))
+            if sum(e) == d]
+
+
+def quotient_by_variables(r) -> GradedModulePresentation:
+    """R modulo all the variables: the degree-zero simple module."""
+    rows = tuple((skewpoly.canonical(skewpoly.variable(r.nvars, i)),) for i in range(r.nvars))
+    return GradedModulePresentation(r, (0,), rows)
+
+
+def graded_element(payloads, degree: int) -> dict:
+    """The degree-`degree` element of a graded module with one skew payload
+    (a dict or canonical tuple) per generator, in canonical form."""
+    return {"degree": degree, "components": tuple(
+        skewpoly.canonical(skewpoly.from_canonical(p)) for p in payloads)}
 
 
 def brute_shift(r, b, components, index):

@@ -8,7 +8,7 @@ budget.
 import time
 
 import sympy
-from conftest import hom_corpus
+from conftest import free_module, hom_corpus, quotient_by_variables
 
 from ncspec import rings as rg
 from ncspec.commbridge import (
@@ -28,18 +28,16 @@ from ncspec.errors import NotT0
 from ncspec.glueqcoh import (
     FiniteModule,
     ModuleHom,
-    free_module,
     tensor_induced,
     tensor_module,
     tensor_sequence_report,
     tilde_module,
 )
 from ncspec.latspace import (
+    PidPoint,
     build_semilattice,
-    generic_pid_point,
     pid_point_in_open,
     prime_set_point,
-    zero_ideal_point,
 )
 from ncspec.localization import (
     localization_square,
@@ -73,7 +71,6 @@ from ncspec.skewproj import (
     gamma,
     module_sheaf,
     qcoh_cocycle_check,
-    quotient_by_variables,
     serre_unit,
 )
 
@@ -179,7 +176,7 @@ def test_criterion_04_pid_example():
             assert lat.leq(eh, eg) == want
             assert subset_leq(qx, (eh,), (eg,)) == want
         # the basic open named by 0 holds exactly the generic point
-        gen, zi = generic_pid_point(), zero_ideal_point()
+        gen, zi = PidPoint("generic"), PidPoint("zero_ideal")
         pts = [gen, zi, prime_set_point([[-1, 1]]), prime_set_point([[1, 0, 1]])]
         assert [pid_point_in_open(p, []) for p in pts] == [True, False, False, False]
         # nonzero opens: a point is inside iff none of its primes divides f

@@ -40,9 +40,13 @@ RING_DOCS = [
 
 
 def test_ring_round_trips():
-    for doc in RING_DOCS:
-        r = ser.parse_ring(doc)
-        assert ser.parse_ring(ser.ring_doc(r)) == r
+    # each document of RING_DOCS against the descriptor it names
+    descriptors = [
+        ZeroRing(), ModularRing(6), rg.product_ring([ModularRing(2), ModularRing(3)]),
+        MatrixRing(PrimeField(3), 2), SemisimpleAlgebra(Rationals(), (2, 3)),
+        UnivariatePolyRing(), skew_ring(2, {(0, 1): 2}),
+    ]
+    assert [ser.parse_ring(doc) for doc in RING_DOCS] == descriptors
 
 
 def test_parse_semisimple_example():
@@ -86,19 +90,28 @@ def test_element_round_trips():
     assert ser.element_doc(x) == doc
 
 
+def table_doc(source, target, pairs):
+    return {"schema": "ncspec.morphism/1", "source": source, "target": target,
+            "rule": {"kind": "table", "pairs": pairs}}
+
+
+Z6_DOC = {"kind": "modular", "n": 6}
+# the CRT isomorphism Z/2 x Z/3 -> Z/6, as a table
+CRT_DOC = table_doc(
+    {"kind": "product", "factors": [{"kind": "modular", "n": 2}, {"kind": "modular", "n": 3}]},
+    Z6_DOC, [[[0, 0], 0], [[1, 1], 1], [[0, 2], 2], [[1, 0], 3], [[0, 1], 4], [[1, 2], 5]])
+
+
 def test_morphism_round_trip():
-    h = rg.quotient_hom(6, 3)
-    doc = ser.morphism_doc(h)
-    assert ser.parse_morphism(doc) == h
+    doc = table_doc(Z6_DOC, {"kind": "modular", "n": 3}, [[k, k % 3] for k in range(6)])
+    assert ser.parse_morphism(doc) == rg.quotient_hom(6, 3)
     p23 = rg.product_ring([ModularRing(2), ModularRing(3)])
     (crt,) = rg.all_homs(p23, ModularRing(6))
-    assert ser.parse_morphism(ser.morphism_doc(crt)) == crt
+    assert ser.parse_morphism(CRT_DOC) == crt
 
 
 def test_cli_morphism_with_table_rule(tmp_path, capsys):
-    p23 = rg.product_ring([ModularRing(2), ModularRing(3)])
-    (crt,) = rg.all_homs(p23, ModularRing(6))
-    path = write(tmp_path, "crt.json", ser.morphism_doc(crt))
+    path = write(tmp_path, "crt.json", CRT_DOC)
     code, out = run_cli(capsys, "morphism", "--morphism", path)
     assert code == 0
     payload = json.loads(out)["payload"]
@@ -428,6 +441,7 @@ _SKEW = {"kind": "skew_laurent", "nvars": 2, "lambda": [[1, 2, "2"]]}
     (dict(_SKEW, nvars=3), "ring"),                       # no scalar for (2, 3)
     (dict(_SKEW, inverted=[1, 3]), "ring.inverted[1]"),
     (dict(_SKEW, inverted=["1"]), "ring.inverted[0]"),
+    (dict(_SKEW, **{"lambda": [[1, 2, "2"], [1, 2, "3"]]}), "ring.lambda[1]"),   # a pair twice
 ])
 def test_cli_reports_a_bad_ring_value_at_its_key(tmp_path, capsys, doc, path):
     doc = dict(doc, schema="ncspec.ring/1")
@@ -443,6 +457,7 @@ def test_cli_reports_a_bad_ring_value_at_its_key(tmp_path, capsys, doc, path):
     (UnivariatePolyRing(), ["1", "1/0"], "element[1]"),
     (skew_ring(2, {(0, 1): 2}), [[[1, 0], "1"], [[0, 1], "x"]], "element[1]"),
     (skew_ring(2, {(0, 1): 2}), [[[1, 0, 0], "1"]], "element[0]"),
+    (MatrixRing(PrimeField(2), 2), [["1", "0"], ["0", "1/2"]], "element[1][1]"),
 ])
 def test_a_bad_coefficient_is_reported_at_its_entry(r, doc, path):
     with pytest.raises(SchemaViolation) as err:
@@ -457,6 +472,24 @@ def test_cli_reports_a_bad_table_coefficient_at_its_entry(tmp_path, capsys):
            "rule": {"kind": "table", "pairs": pairs}}
     payload = _violation(tmp_path, capsys, "morphism", "--morphism", doc)
     assert payload["path"] == "morphism.rule.pairs[1][0][1][1]", payload
+
+
+def test_fp_matrix_entries_are_read_as_elements_of_the_field():
+    # 7/2 = 7 * 2^-1 = 1 * 2 = 2 in F3
+    ssa = SemisimpleAlgebra(PrimeField(3), (1,))
+    assert ser.parse_element(ssa, [[["7/2"]]]) == ser.parse_element(ssa, [[[2]]])
+    m2 = MatrixRing(PrimeField(5), 2)
+    assert ser.parse_element(m2, [["1/2", "-1/3"], [4, "10/4"]]).payload == ((3, 3), (4, 0))
+
+
+def test_cli_rejects_an_fp_entry_whose_denominator_p_divides(tmp_path, capsys):
+    m2 = {"kind": "matrix", "base": "f2", "size": 2}
+    pairs = [[[[0, 0], [0, 0]], [[0, 0], [0, 0]]], [[[1, 0], [0, 1]], [[1, 0], [0, "1/2"]]]]
+    doc = {"schema": "ncspec.morphism/1", "source": m2, "target": m2,
+           "rule": {"kind": "table", "pairs": pairs}}
+    payload = _violation(tmp_path, capsys, "morphism", "--morphism", doc)
+    assert payload["path"] == "morphism.rule.pairs[1][1][1][1]", payload
+    assert "2 divides its denominator" in payload["message"]
 
 
 def test_cli_rejects_a_rule_key_its_kind_does_not_read(tmp_path, capsys):

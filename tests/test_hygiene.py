@@ -311,6 +311,125 @@ def test_traced_entry_points_resolve():
     assert names and missing == []
 
 
+def public_definitions(source: str) -> set:
+    """The top-level functions, classes and assigned constants of a module
+    whose names do not start with an underscore."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def module_references(source: str, module=None) -> set:
+    """The (module, name) pairs of `ncspec` that source reads: `from .m import
+    N` (or `from ncspec.m import N`), `a.N` through a module alias `a` (from
+    `from . import m as a`, `from ncspec import m` or `import ncspec.m as a`)
+    and `ncspec.m.N`; when module is given, also a bare name read outside
+    the top-level definition that binds it.  Strings, docstrings included,
+    do not count."""
+    tree = ast.parse(source)
+    aliases, found = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            inside = node.level == 1 or (node.module or "").split(".")[0] == "ncspec"
+            if inside and node.module in (None, "ncspec"):
+                aliases.update((a.asname or a.name, a.name) for a in node.names)
+            elif inside:
+                found.update((node.module.split(".")[-1], a.name) for a in node.names)
+        elif isinstance(node, ast.Import):
+            aliases.update((a.asname, a.name.split(".")[1]) for a in node.names
+                           if a.asname and a.name.startswith("ncspec."))
+
+    def visit(node, owner):
+        if isinstance(node, ast.Attribute):
+            base = node.value
+            if isinstance(base, ast.Name) and base.id in aliases:
+                found.add((aliases[base.id], node.attr))
+                return
+            if (isinstance(base, ast.Attribute) and isinstance(base.value, ast.Name)
+                    and base.value.id == "ncspec"):
+                found.add((base.attr, node.attr))
+                return
+        if (module and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                and node.id != owner):
+            found.add((module, node.id))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for node in tree.body:
+        visit(node, getattr(node, "name", None))
+    return found
+
+
+def test_public_name_detector():
+    src = ("from . import rings as rg\nfrom .m import A\nimport ncspec.k as kk\n"
+           "X = 1\n_Y = 2\n\n\ndef f():\n    'g X'\n    return f() + rg.one + kk.Z + ncspec.q.W\n\n\n"
+           "def g():\n    return X\n\n\nclass C:\n    pass\n")
+    assert public_definitions(src) == {"X", "f", "g", "C"}
+    assert module_references(src, "mod") == {("rings", "one"), ("m", "A"), ("k", "Z"),
+                                             ("q", "W"), ("mod", "X")}
+    assert module_references(src) == {("rings", "one"), ("m", "A"), ("k", "Z"), ("q", "W")}
+
+
+README = PACKAGE.parent.parent / "README.md"
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
+
+
+def readme_uncalled_rows() -> dict:
+    """(module, name) -> (claim, test) of each row of the README table of
+    public names that no library code calls."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("### Public names that no library code calls")
+    rows = {}
+    for line in lines[start + 1:]:
+        if line.startswith("#"):
+            break
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 3:
+            module, name = cells[0].strip("`").split(".")
+            rows[(module, name)] = (cells[1], cells[2].strip("`"))
+    return rows
+
+
+def uncalled_public_names() -> set:
+    """The public names of `src/ncspec` that neither other library code nor
+    the benchmark reads; the benchmark's tracer also names what it wraps
+    in its `SPANS`, `METHODS` and `ARITH` tables."""
+    defined, used = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        defined.update((path.stem, name) for name in public_definitions(source))
+        used |= module_references(source, path.stem)
+    for path in sorted(PERFBENCH.glob("*.py")):
+        used |= module_references(path.read_text(encoding="utf-8"))
+    tables = traced_names((PERFBENCH / "layers.py").read_text(encoding="utf-8"))
+    used.update(tables["SPANS"])
+    used.update((m, cls) for m, cls, _meth, _span in tables["METHODS"])
+    used.update(("rings", f) for f in tables["ARITH"])
+    return defined - used
+
+
+def test_every_public_name_has_a_caller_or_a_readme_row():
+    # test-only code belongs in tests/; a claim or an entry point is listed
+    uncalled, rows = uncalled_public_names(), set(readme_uncalled_rows())
+    assert sorted(uncalled - rows) == [], "public names with no caller and no README row"
+    assert sorted(rows - uncalled) == [], "README rows of names that are gone or have a caller"
+
+
+def test_each_readme_row_names_its_claim_and_an_existing_test():
+    rows = readme_uncalled_rows()
+    assert rows
+    for (module, name), (claim, test) in rows.items():
+        path, _, test_name = test.partition("::")
+        tree = ast.parse((PACKAGE.parent.parent / path).read_text(encoding="utf-8"))
+        tests = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert claim and test_name in tests, (module, name, test)
+
+
 # Every cache of the package has a bound.
 UNBOUNDED_CACHES = set()
 

@@ -30,14 +30,13 @@ from ncspec.latspace import (
     AlexandrovSpace,
     LocalizationLattice,
     PidLattice,
+    PidPoint,
     build_semilattice,
-    generic_pid_point,
     is_completely_union_irreducible,
     pid_point_in_open,
     prime_set_point,
     sober_map_from_join_hom,
     soberify,
-    zero_ideal_point,
 )
 from ncspec.localization import subset_leq
 from ncspec.rings import (
@@ -445,7 +444,7 @@ def test_pid_squarefree_against_sympy(rng):
 
 
 def test_pid_points_and_opens():
-    gen, zi = generic_pid_point(), zero_ideal_point()
+    gen, zi = PidPoint("generic"), PidPoint("zero_ideal")
     pm = prime_set_point([[-1, 1]])          # the maximal ideal at x - 1
     assert pid_point_in_open(gen, [])        # the open named by 0
     assert not pid_point_in_open(zi, [])

@@ -252,7 +252,7 @@ def test_square_whose_legs_do_not_compose_raises():
                 c if i % 2 == 0 else -c for i, c in enumerate(x.payload)))
 
     qx = UnivariatePolyRing()
-    ins = localize(qx, (rg.element(qx, qpoly.X),)).insertion
+    ins = localize(qx, (rg.element(qx, qpoly.poly([0, 1])),)).insertion
     sq = LocalizationSquare(top=RingHom(qx, qx, NegateX()), left=rg.identity_hom(qx),
                             bottom=ins, right=ins)
     with pytest.raises(UnsupportedClass):

@@ -122,7 +122,7 @@ def test_polynomials_match_sympy():
     for a, b in zip(xs, xs[1:] + xs[:1]):
         pa, pb = as_sympy(sympy, x, a.payload), as_sympy(sympy, x, b.payload)
         for got, want in ((qpoly.add(a.payload, b.payload), pa + pb),
-                          (qpoly.sub(a.payload, b.payload), pa - pb),
+                          (qpoly.add(a.payload, qpoly.neg(b.payload)), pa - pb),
                           (qpoly.neg(a.payload), -pa),
                           (qpoly.mul(a.payload, b.payload), pa * pb),
                           ((a + b).payload, pa + pb), ((a * b).payload, pa * pb)):

@@ -2,7 +2,13 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from conftest import brute_relation_echelon, brute_shift
+from conftest import (
+    brute_relation_echelon,
+    brute_shift,
+    graded_element,
+    graded_piece_basis,
+    quotient_by_variables,
+)
 
 from ncspec import rings as rg
 from ncspec import skewpoly
@@ -19,19 +25,16 @@ from ncspec.skewproj import (
     GradedModulePresentation,
     SkewQcohDatum,
     build_proj,
-    element_from_payloads,
     free_presentation,
     gamma,
-    graded_piece_basis,
     is_torsion,
     module_sheaf,
     presentation_from_rows,
     qcoh_cocycle_check,
-    quotient_by_variables,
     serre_unit,
     twist,
 )
-from ncspec.skewproj import _raw_space, _shift
+from ncspec.skewproj import _cone, _raw_space, _shift
 
 SK2 = skew_ring(2, {(0, 1): 2})
 SK3 = skew_ring(3, {(0, 1): 2, (0, 2): 3, (1, 2): 5})
@@ -114,12 +117,15 @@ def test_associativity_on_random_elements(rng):
 # --- graded pieces ------------------------------------------------------------
 
 def test_graded_piece_basis_examples():
-    basis = graded_piece_basis(SK2, {0}, 0, 3)
+    basis = _cone(2, frozenset({0}), 0, 3)
     assert sorted(basis) == [(-3, 3), (-2, 2), (-1, 1), (0, 0)]
-    assert graded_piece_basis(SK2, set(), -1, 3) == []
+    assert _cone(2, frozenset(), -1, 3) == []
     for n, d in ((2, 3), (3, 2), (3, 4)):
         r = skew_ring(n, {(i, j): 2 for i in range(n) for j in range(i + 1, n)})
-        assert len(graded_piece_basis(r, set(), d, d + 1)) == comb(d + n - 1, n - 1)
+        assert len(_cone(n, frozenset(), d, d + 1)) == comb(d + n - 1, n - 1)
+        for S in (frozenset(), frozenset({0}), frozenset(range(n))):
+            for total in (-2, 0, d):
+                assert _cone(n, S, total, 2) == graded_piece_basis(r, S, total, 2)
 
 
 def test_presentation_homogeneity_checks():
@@ -184,8 +190,8 @@ def test_payloads_drop_zero_coefficients_from_dicts_and_tuples():
     assert pres.relations == (((((1, 0), Fraction(1)),),), ((),))
     twin = presentation_from_rows(SK2, (2,), pres.relations)
     assert twin == pres and hash(twin) == hash(pres)
-    assert (element_from_payloads(pres, [{x1: 0, x2: 2}], 3)
-            == element_from_payloads(pres, [((x2, 2),)], 3)
+    assert (graded_element([{x1: 0, x2: 2}], 3)
+            == graded_element([((x2, 2),)], 3)
             == {"degree": 3, "components": ((((0, 1), Fraction(2)),),)})
 
 
@@ -345,11 +351,11 @@ def test_serre_unit_mixed_module():
 
 def test_is_torsion_classification():
     free = free_presentation(SK2)
-    one_elt = element_from_payloads(free, [{(0, 0): 1}], 0)
+    one_elt = graded_element([{(0, 0): 1}], 0)
     for bound in (1, 2, 3):
         assert is_torsion(free, one_elt, bound) is False
     q = quotient_by_variables(SK2)
-    gen = element_from_payloads(q, [{(0, 0): 1}], 0)
+    gen = graded_element([{(0, 0): 1}], 0)
     assert is_torsion(q, gen, 1) is True
     # x * (generator of R/(x^2, y)) dies at the first power
     rows = [
@@ -357,16 +363,16 @@ def test_is_torsion_classification():
         [{(0, 1): 1}],
     ]
     part = presentation_from_rows(SK2, (0,), rows)
-    xgen = element_from_payloads(part, [{(1, 0): 1}], 1)
+    xgen = graded_element([{(1, 0): 1}], 1)
     assert is_torsion(part, xgen, 1) is True
-    gen0 = element_from_payloads(part, [{(0, 0): 1}], 0)
+    gen0 = graded_element([{(0, 0): 1}], 0)
     assert is_torsion(part, gen0, 2) is True
     with pytest.raises(BoundInconclusive):
         is_torsion(part, gen0, 1)
     # R/(x^4, y): x^4 only reaches the degree-0 piece of the x-chart at
     # depth 3, so the localization probe must use the caller's box
     deep = presentation_from_rows(SK2, (0,), [[{(4, 0): 1}], [{(0, 1): 1}]])
-    gen0 = element_from_payloads(deep, [{(0, 0): 1}], 0)
+    gen0 = graded_element([{(0, 0): 1}], 0)
     with pytest.raises(BoundInconclusive):
         is_torsion(deep, gen0, 2, box=3)
     # at the default box the probe is still blind to x^4; the box+1 re-run
@@ -391,11 +397,11 @@ def test_is_torsion_rejects_elements_outside_the_degree_piece():
     ]
     for components, degree, error in cases:
         with pytest.raises(error):
-            is_torsion(free, element_from_payloads(free, components, degree), 2)
+            is_torsion(free, graded_element(components, degree), 2)
     two = free_presentation(SK2, degrees=(0, 1))
     with pytest.raises(InhomogeneousRelation):
-        is_torsion(two, element_from_payloads(two, [{(1, 0): 1}, {(1, 0): 1}], 1), 1)
-    assert is_torsion(two, element_from_payloads(two, [{(1, 0): 1}, {(0, 0): 3}], 1), 1) is False
+        is_torsion(two, graded_element([{(1, 0): 1}, {(1, 0): 1}], 1), 1)
+    assert is_torsion(two, graded_element([{(1, 0): 1}, {(0, 0): 3}], 1), 1) is False
 
 
 # --- twists and cocycle data ----------------------------------------------------
