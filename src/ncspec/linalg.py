@@ -3,32 +3,35 @@
 Row-echelon based primitives used by the section solvers: rank, kernel
 bases, membership of a vector in a row span, coordinates in a reduced
 basis, and coset reduction.  A vector is a dict {column: value} holding
-only its nonzero entries; values are Fraction (int inputs are accepted
-and converted once).  Everything is exact.
+only its nonzero entries.  Values are exact: every value is an int or a
+Fraction, never a float.  Ints stay ints until a pivot other than 1 or -1
+needs a division; since equal ints and Fractions compare and hash equal,
+the type never changes an answer.
 """
 
 from fractions import Fraction
 
 
 def _sparse(vec) -> dict:
-    """A fresh copy of vec without zero entries, every value a Fraction."""
-    return {j: x if type(x) is Fraction else Fraction(x)
-            for j, x in vec.items() if x}
+    """A fresh copy of vec without zero entries."""
+    return {j: x for j, x in vec.items() if x}
 
 
 class Echelon:
     """Reduced row echelon form of a growing set of rows.
 
     Rows are sparse, normalized to a leading 1 (the pivot, their smallest
-    column), and zero in every other row's pivot column.  `pivots` maps
-    pivot column -> row index, in row order.  `width` is the number of
-    columns of the ambient space.
+    column), and zero in every other row's pivot column.  Their values are
+    ints or Fractions, as in `linalg`.  `pivots` maps pivot column -> row
+    index, in row order.  `width` is the number of columns of the ambient
+    space.
     """
 
     def __init__(self, width: int):
         self.width = width
         self.rows: list[dict] = []
         self.pivots: dict[int, int] = {}
+        self._holders: dict[int, set] = {}   # non-pivot column -> rows nonzero there
 
     def reduce(self, vec) -> dict:
         """Return vec reduced modulo the current row span.
@@ -38,6 +41,8 @@ class Echelon:
         """
         v = _sparse(vec)
         pivots, rows = self.pivots, self.rows
+        if not rows:
+            return v
         for col in [j for j in v if j in pivots]:
             c = v.pop(col)
             for j, x in rows[pivots[col]].items():
@@ -55,22 +60,33 @@ class Echelon:
         if not v:
             return False
         lead = min(v)
-        inv = 1 / v[lead]
-        if inv != 1:
+        c = v[lead]
+        if c == -1:
+            v = {j: -x for j, x in v.items()}
+        elif c != 1:
+            inv = Fraction(1, c) if type(c) is int else 1 / c
             v = {j: x * inv for j, x in v.items()}
-        # clear the new pivot column in existing rows
-        for row in self.rows:
-            c = row.pop(lead, None)
-            if c is not None:
-                for j, x in v.items():
-                    if j != lead:
-                        y = row.get(j, 0) - c * x
-                        if y:
-                            row[j] = y
-                        else:
-                            del row[j]
+        # clear the new pivot column in the rows that hold it
+        holders, new = self._holders, len(self.rows)
+        touched = holders.pop(lead, ())
+        for j in v:
+            if j != lead:
+                holders.setdefault(j, set()).add(new)
+        for r in touched:
+            row = self.rows[r]
+            c = row.pop(lead)
+            for j, x in v.items():
+                if j != lead:
+                    y = row.get(j, 0) - c * x
+                    if y:
+                        if j not in row:
+                            holders[j].add(r)
+                        row[j] = y
+                    else:
+                        del row[j]
+                        holders[j].discard(r)
         self.rows.append(v)
-        self.pivots[lead] = len(self.rows) - 1
+        self.pivots[lead] = new
         return True
 
     @property
@@ -97,7 +113,7 @@ def kernel_basis(rows, width: int) -> list[dict]:
     ech = Echelon(width)
     for r in rows:
         ech.add(r)
-    basis = {f: {f: Fraction(1)} for f in range(width) if f not in ech.pivots}
+    basis = {f: {f: 1} for f in range(width) if f not in ech.pivots}
     for col, ri in ech.pivots.items():
         for f, x in ech.rows[ri].items():
             if f != col:

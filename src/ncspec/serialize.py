@@ -179,6 +179,8 @@ def parse_ring(doc, path="ring", *, top=True):
             i = parse_int(v, at) - 1
             if not 0 <= i < nvars:
                 raise SchemaViolation("inverted index out of range", at)
+            if i in inverted:
+                raise SchemaViolation(f"inverted lists the variable {i} twice", at)
             inverted.append(i)
         return skew_ring(nvars, lam, inverted)
     except SchemaViolation:

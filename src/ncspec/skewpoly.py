@@ -21,10 +21,10 @@ ExpVec = tuple  # tuple of int, one slot per variable
 Terms = dict    # ExpVec -> Fraction, no zero values
 
 
-def twist(lam: dict, a: ExpVec, b: ExpVec) -> Fraction:
+def twist(lam: dict, a: ExpVec, b: ExpVec):
     """Scalar picked up when normalizing x^a * x^b: the product over j < i
     of lam[(j, i)] ** (-a_i b_j), accumulated as one integer numerator and
-    denominator and reduced once."""
+    denominator and reduced once; an int when the denominator is 1."""
     num = den = 1
     for i, ai in enumerate(a):
         if ai == 0:
@@ -40,7 +40,7 @@ def twist(lam: dict, a: ExpVec, b: ExpVec) -> Fraction:
             else:
                 num *= q.denominator ** -e
                 den *= q.numerator ** -e
-    return Fraction(num, den)
+    return num if den == 1 else Fraction(num, den)
 
 
 def term_mul(lam: dict, a: ExpVec, ca: Fraction, b: ExpVec, cb: Fraction):

@@ -12,6 +12,8 @@ overlap; a stability re-run with a deeper box guards the truncation.
 """
 
 from fractions import Fraction
+from itertools import combinations, repeat
+from operator import add, sub
 
 from . import skewpoly
 from .errors import (
@@ -82,23 +84,26 @@ def presentation_from_rows(r: SkewLaurentRing, gen_degrees, rows) -> GradedModul
 # monomial cones and the localized graded pieces
 
 def _cone(n, S, total, box):
-    """Exponent vectors with the given sum; coordinates in S may reach -box."""
+    """Exponent vectors with the given sum, in lexicographic order;
+    coordinates in S may reach -box.
+
+    Stars and bars: n - 1 bars among m + n - 1 slots split the
+    m = total - sum(lows) units above the lower bounds, and `combinations`
+    lists the bar positions c in lexicographic order.  The partial sums
+    t_k = e_0 + ... + e_k = c_k - k + lows_0 + ... + lows_k are built a
+    column at a time, and e_k = t_k - t_(k-1) zips back into vectors."""
     lows = [(-box if i in S else 0) for i in range(n)]
-    out = []
-
-    def rec(i, acc, remaining):
-        if i == n - 1:
-            last = remaining
-            if last >= lows[i]:
-                out.append(tuple(acc + [last]))
-            return
-        lo = lows[i]
-        hi = remaining - sum(lows[i + 1:])
-        for v in range(lo, hi + 1):
-            rec(i + 1, acc + [v], remaining - v)
-
-    rec(0, [], total)
-    return out
+    m = total - sum(lows)
+    if m < 0:
+        return []
+    bars = list(combinations(range(m + n - 1), n - 1))
+    size = len(bars)
+    sums, low = [[0] * size], 0
+    for k, col in enumerate(zip(*bars)):
+        low += lows[k]
+        sums.append(list(map(add, col, repeat(low - k, size))))
+    sums.append([total] * size)
+    return list(zip(*(map(sub, hi, lo) for lo, hi in zip(sums, sums[1:]))))
 
 
 @record
@@ -163,7 +168,7 @@ def _stable_piece(pres, S, d, box) -> StablePiece:
     n = pres.ring.nvars
     for t, gdeg in enumerate(pres.gen_degrees):
         for a in _cone(n, S, d - gdeg, box):
-            img.add(big.ech.reduce({big.index[(t, a)]: Fraction(1)}))
+            img.add(big.ech.reduce({big.index[(t, a)]: 1}))
     return StablePiece(big, img)
 
 
@@ -416,7 +421,7 @@ def _gamma_image(amb: RawSpace, col: int, sec: SectionSpace) -> dict:
     """Coordinates of the section induced by an ambient basis column."""
     image = {}
     for i, (piece, off) in enumerate(zip(sec.chart_pieces, sec.offsets)):
-        red = piece.raw.ech.reduce({piece.raw.index[amb.columns[col]]: Fraction(1)})
+        red = piece.raw.ech.reduce({piece.raw.index[amb.columns[col]]: 1})
         coords = piece.span.coordinates(red)
         if coords is None:
             raise BoxTooSmall(f"degree {sec.degree}: module column {amb.columns[col]} "

@@ -1018,10 +1018,11 @@ def graded_piece_basis(r, inverted, d: int, box: int) -> list:
     """The exponent vectors of total degree d in the localization of the
     skew ring r at the variables `inverted`, whose exponents reach -box
     there and 0 elsewhere, in lexicographic order (every vector of the
-    bounding box, filtered by its sum)."""
+    bounding box, filtered by its sum; the sum fixes the last entry, which
+    must stay at or above its bound)."""
     lows = [-box if i in inverted else 0 for i in range(r.nvars)]
-    return [e for e in product(*(range(lo, lo + d - sum(lows) + 1) for lo in lows))
-            if sum(e) == d]
+    heads = product(*(range(lo, lo + d - sum(lows) + 1) for lo in lows[:-1]))
+    return [(*h, d - sum(h)) for h in heads if d - sum(h) >= lows[-1]]
 
 
 def quotient_by_variables(r) -> GradedModulePresentation:

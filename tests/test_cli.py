@@ -74,6 +74,13 @@ def test_malformed_lambda_shape_rejected():
                         "nvars": 2, "lambda": [[1, 5, "2"]]})
 
 
+def test_inverted_variable_listed_twice_rejected():
+    with pytest.raises(SchemaViolation, match="inverted lists the variable 0 twice") as err:
+        ser.parse_ring({"schema": "ncspec.ring/1", "kind": "skew_laurent", "nvars": 2,
+                        "lambda": [[1, 2, "2"]], "inverted": [1, 1]})
+    assert err.value.path == "ring.inverted[1]"
+
+
 def test_element_round_trips():
     cases = [
         (ModularRing(6), 4),

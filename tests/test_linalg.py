@@ -48,8 +48,9 @@ def combination(rng, rows, width):
     return out
 
 
-def assert_fractions(vec):
-    assert all(type(x) is Fraction for x in vec.values())
+def assert_exact(vec):
+    """Every value is an int or a Fraction: exact, never a float or a bool."""
+    assert all(type(x) in (int, Fraction) for x in vec.values())
 
 
 def test_echelon_matches_dense_oracle(rng):
@@ -63,11 +64,11 @@ def test_echelon_matches_dense_oracle(rng):
         assert ech.pivots == ref.pivots
         assert [dense(r, width) for r in ech.rows] == ref.rows
         for row in ech.rows:
-            assert_fractions(row)
+            assert_exact(row)
         for target in (combination(rng, rows, width),
                        [random_entry(rng) for _ in range(width)], [0] * width):
             red = ech.reduce(sparse(target))
-            assert_fractions(red)
+            assert_exact(red)
             assert dense(red, width) == ref.reduce(target)
             assert ech.contains(sparse(target)) == ref.contains(target)
 
@@ -82,7 +83,7 @@ def test_coordinates_read_off_pivots(rng):
             ref.add(r)
         inside = combination(rng, rows, width)
         coords = ech.coordinates(sparse(inside))
-        assert_fractions(coords)
+        assert_exact(coords)
         rebuilt = [Fraction(0)] * width
         for a, c in coords.items():
             rebuilt = [x + c * y for x, y in zip(rebuilt, dense(ech.rows[a], width))]
@@ -98,7 +99,7 @@ def test_kernel_basis_matches_dense_oracle(rng):
         got = kernel_basis([sparse(r) for r in rows], width)
         assert [dense(v, width) for v in got] == dense_kernel_basis(rows, width)
         for v in got:
-            assert_fractions(v)
+            assert_exact(v)
             for r in rows:
                 assert sum(Fraction(a) * b for a, b in zip(r, dense(v, width))) == 0
 
@@ -121,14 +122,36 @@ def test_solve_matches_dense_oracle(rng):
             assert total == target
 
 
-def test_int_inputs_normalize_to_fractions():
+def test_int_inputs_stay_exact():
     ech = Echelon(3)
     assert ech.add({0: 2, 2: 3})
     assert ech.rows == [{0: Fraction(1), 2: Fraction(3, 2)}]
-    assert_fractions(ech.rows[0])
+    assert_exact(ech.rows[0])
     assert not ech.add({0: 4, 1: 0, 2: 6})
     assert not ech.add({})
     assert ech.reduce({1: 5}) == {1: Fraction(5)}
-    assert_fractions(ech.reduce({1: 5}))
+    assert_exact(ech.reduce({1: 5}))
     assert ech.coordinates({0: 4, 2: 6}) == {0: Fraction(4)}
     assert ech.coordinates({1: 1}) is None
+
+
+def test_unit_pivots_keep_int_rows(rng):
+    """Edge vectors e_u - e_v of a directed graph form a 0/+-1 matrix whose
+    pivots are all 1 or -1, so no division happens: rows, reductions and
+    kernel vectors stay ints, equal to the dense oracle's."""
+    for _ in range(200):
+        width = rng.randint(2, 7)
+        rows = []
+        for _ in range(rng.randint(0, 8)):
+            u, v = rng.sample(range(width), 2)
+            row = [0] * width
+            row[u], row[v] = 1, -1
+            rows.append(row)
+        ech, ref = Echelon(width), DenseEchelon(width)
+        for r in rows:
+            assert ech.add(sparse(r)) == ref.add(r)
+        assert [dense(r, width) for r in ech.rows] == ref.rows
+        target = [rng.choice((0, 1, -1)) for _ in range(width)]
+        vecs = ech.rows + [ech.reduce(sparse(target))] + kernel_basis(
+            [sparse(r) for r in rows], width)
+        assert all(type(x) is int for vec in vecs for x in vec.values()), rows
