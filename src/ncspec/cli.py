@@ -174,9 +174,9 @@ def cmd_glue(args):
     gl = glue(datum)
     payload = {
         "pieces": [repr(p) for p in datum.pieces],
-        "points": gl.n,
+        "points": gl.space.n,
         "sections": [repr(d) for d in gl.sections],
-        "order": [sorted(gl.leq[i]) for i in range(gl.n)],
+        "order": [sorted(up) for up in gl.space.up],
     }
     return _emit(args, "pass", payload, dot=ser.glued_dot(gl))
 

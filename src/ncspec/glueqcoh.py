@@ -26,10 +26,12 @@ from .errors import (
     ElementOwnershipMismatch,
     NotAHomomorphism,
     NotAModule,
+    NotAPartialOrder,
     OreConditionFails,
     PresheafLawViolation,
     UnsupportedClass,
 )
+from .latspace import AlexandrovSpace
 from .localization import (
     Localization,
     _hom_is_identity,
@@ -44,7 +46,6 @@ from .rings import (
     RingElement,
     RingHom,
     SkewLaurentRing,
-    descend,
     hom_compose,
     hom_validate,
 )
@@ -61,8 +62,7 @@ class OreCertificate:
     subset: tuple
     closure: tuple            # the multiplicative closure explored (finite case)
     bound: int
-    side: str                 # 'left' | 'right'
-    witnesses: tuple          # ((r, s, r_prime, s_prime), ...)
+    witnesses: tuple          # ((r, s, r_prime, s_prime), ...) with r s' = s r'
     degenerate: bool          # zero crept into the closure
     structural: bool = False  # skew monomial case: witnesses come from the twist law
 
@@ -82,41 +82,28 @@ def _mult_closure(r, E, bound):
     return closure
 
 
-def certify_ore(r, E, bound: int, side: str = "right") -> OreCertificate:
-    """Search Ore witnesses: right means r*s' = s*r' with s' in the closure."""
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+def certify_ore(r, E, bound: int) -> OreCertificate:
+    """Search right Ore witnesses: r*s' = s*r' with s' in the closure."""
     E = tuple(E)
     if isinstance(r, SkewLaurentRing):
-        return _certify_ore_skew(r, E, bound, side)
+        return _certify_ore_skew(r, E, bound)
     if not rg.is_finite(r):
         raise UnsupportedClass(f"need a finite ring or skew monomials, got {r!r}")
-    closure = _mult_closure(r, E, bound)
+    closure = tuple(sorted(_mult_closure(r, E, bound), key=repr))
     sample = rg.enumerate_elements(r)
     witnesses = []
     for a in sample:
-        for s in sorted(closure, key=repr):
-            found = None
-            for s2 in sorted(closure, key=repr):
-                for r2 in sample:
-                    if side == "right" and a * s2 == s * r2:
-                        found = (r2, s2)
-                        break
-                    if side == "left" and s2 * a == r2 * s:
-                        found = (r2, s2)
-                        break
-                if found:
-                    break
+        for s in closure:
+            found = next(((r2, s2) for s2 in closure for r2 in sample if a * s2 == s * r2), None)
             if found is None:
                 raise OreConditionFails(
                     f"no witnesses for ({a!r}, {s!r})", witness=(a, s))
-            witnesses.append((a, s, found[0], found[1]))
-    return OreCertificate(
-        r, E, tuple(sorted(closure, key=repr)), bound, side, tuple(witnesses),
-        degenerate=rg.zero(r) in closure)
+            witnesses.append((a, s, *found))
+    return OreCertificate(r, E, closure, bound, tuple(witnesses),
+                          degenerate=rg.zero(r) in closure)
 
 
-def _certify_ore_skew(r, E, bound, side) -> OreCertificate:
+def _certify_ore_skew(r, E, bound) -> OreCertificate:
     """Monomials quasi-commute, so witnesses are twist-scaled monomials."""
     lam = r.lam_map
     mono = []
@@ -133,16 +120,11 @@ def _certify_ore_skew(r, E, bound, side) -> OreCertificate:
             s = rg.element(r, {a_exp: 1})
             t_ba = skewpoly.twist(lam, b, a_exp)
             t_ab = skewpoly.twist(lam, a_exp, b)
-            if side == "right":
-                r2 = rg.element(r, {b: cb * t_ba / t_ab})
-                holds = x * s == s * r2
-            else:
-                r2 = rg.element(r, {b: cb * t_ab / t_ba})
-                holds = s * x == r2 * s
-            if not holds:
+            r2 = rg.element(r, {b: cb * t_ba / t_ab})
+            if x * s != s * r2:
                 raise OreConditionFails(f"the twist law fails at ({x!r}, {s!r})", witness=(x, s))
             witnesses.append((x, s, r2, s))
-    return OreCertificate(r, E, (), bound, side, tuple(witnesses),
+    return OreCertificate(r, E, (), bound, tuple(witnesses),
                           degenerate=False, structural=True)
 
 
@@ -463,13 +445,9 @@ class GlueDatum:
 class GluedSpace:
     pieces: tuple            # NCSpecSpace per index
     classes: tuple           # frozensets of (piece index, point index)
-    leq: tuple               # leq[c] = frozenset of classes above c
+    space: AlexandrovSpace   # the glued order on the class indices
     sections: tuple          # descriptor per class (basic open at that class)
     embeddings: tuple        # per piece: dict point -> class index
-
-    @property
-    def n(self):
-        return len(self.classes)
 
 
 def glue(d: GlueDatum) -> GluedSpace:
@@ -501,12 +479,11 @@ def glue(d: GlueDatum) -> GluedSpace:
                 raise CocycleViolation(
                     f"overlap ({a}, {b}): the chart of piece {piece} fails {failed}",
                     witness=(a, b))
-        psi_hat = ncspec_morphism(iso)   # chart_b space -> chart_a space
-        inv_b = {v: kk for kk, v in cb.point_map.items()}
-        for pa, qa in ca.point_map.items():
-            qb = next(q for q, p in psi_hat.point_map.items() if p == qa)
-            pb = inv_b[qb]
-            pairs.add(((a, pa), (b, pb)))
+        # point maps: chart_b -> chart_a, and each chart into its piece
+        into_a, into_b = (ncspec_morphism(c.localization.insertion).point_map
+                          for c in (ca, cb))
+        for qb, qa in ncspec_morphism(iso).point_map.items():
+            pairs.add(((a, into_a[qa]), (b, into_b[qb])))
 
     parent = {}
 
@@ -549,12 +526,10 @@ def glue(d: GlueDatum) -> GluedSpace:
             seen |= fresh
             stack.extend(fresh)
         leq_sets.append(frozenset(seen))
-    leq_sets = tuple(leq_sets)
-    for i in range(n):
-        for j in sorted(leq_sets[i]):
-            if i != j and i in leq_sets[j]:
-                raise CocycleViolation("identifications destroy antisymmetry",
-                                       witness=(i, j))
+    try:
+        glued = AlexandrovSpace(tuple(leq_sets))
+    except NotAPartialOrder as exc:
+        raise CocycleViolation("identifications destroy antisymmetry") from exc
 
     # sections at a class: the basic open of any member, via its own piece;
     # members must agree at least in cardinality (they are isomorphic via psi)
@@ -574,11 +549,9 @@ def glue(d: GlueDatum) -> GluedSpace:
         image = set(embeddings[a].values())
         if len(image) != spaces[a].space.n:
             raise CocycleViolation(f"piece {a} fails to embed")
-        # the embedded piece must be open: up-closed in the glued order
-        for c in image:
-            if not leq_sets[c] <= image:
-                raise CocycleViolation(f"piece {a} is not open in the quotient")
-    return GluedSpace(tuple(spaces), classes, leq_sets, tuple(sections), embeddings)
+        if not glued.is_open(image):
+            raise CocycleViolation(f"piece {a} is not open in the quotient")
+    return GluedSpace(tuple(spaces), classes, glued, tuple(sections), embeddings)
 
 
 def _check_glue_cocycles(d: GlueDatum, locs):
@@ -734,6 +707,11 @@ def _extend_cocycle(d: QcohDatum, tensors, a, b, c) -> dict:
     push_a = tensor_restriction(Ta, Da, pa)
     push_b = tensor_restriction(Tb, Db, pb)
     phi = d.cocycles[(a, b)]
-    pairs = ((push_a(y), push_b(phi[y])) for y in Ta.elements())
-    return descend(pairs, Da.size(), CocycleViolation,
-                   "cocycle extension inconsistent", "cocycle extension not total")
+    table = {}
+    for y in Ta.elements():
+        key, val = push_a(y), push_b(phi[y])
+        if table.setdefault(key, val) != val:
+            raise CocycleViolation("cocycle extension inconsistent")
+    if len(table) != Da.size():
+        raise CocycleViolation("cocycle extension not total")
+    return table

@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedClass,
 )
 from .localization import Localization, localize
-from .records import field, record
+from .records import private, record
 from .rings import RingElement, UnivariatePolyRing
 
 
@@ -51,10 +51,9 @@ class AlexandrovSpace:
     """
 
     up: tuple      # up[i] = frozenset of j >= i (reflexive)
-    labels: tuple
-    _downs: tuple = field(init=False, repr=False, compare=False)
-    _by_up: dict = field(init=False, repr=False, compare=False)     # up[i] -> i
-    _by_down: dict = field(init=False, repr=False, compare=False)   # down(i) -> i
+    _downs: tuple = private()
+    _by_up: dict = private()       # up[i] -> i
+    _by_down: dict = private()     # down(i) -> i
 
     def __post_init__(self):
         whole = self.carrier()
@@ -150,22 +149,22 @@ def soberify(X: AlexandrovSpace) -> AlexandrovSpace:
 
 
 def sober_map_from_join_hom(P: AlexandrovSpace, Q: AlexandrovSpace, f):
-    """From a join-preserving f: P -> Q, the continuous map Q -> P sending
-    the point c to the point whose closure is f^{-1}(down(c)).  Returns the
-    point map as a dict point-of-Q -> point-of-P.  Joins are symmetric on
-    both sides, so each unordered pair is checked once."""
-    fmap = dict(f) if not callable(f) else {i: f(i) for i in range(P.n)}
+    """From a join-preserving f: P -> Q, given as a dict point-of-P ->
+    point-of-Q, the continuous map Q -> P sending the point c to the point
+    whose closure is f^{-1}(down(c)).  Returns the point map as a dict
+    point-of-Q -> point-of-P.  Joins are symmetric on both sides, so each
+    unordered pair is checked once."""
     for i in range(P.n):
         for j in range(i, P.n):
-            if Q.join(fmap[i], fmap[j]) != fmap[P.join(i, j)]:
+            if Q.join(f[i], f[j]) != f[P.join(i, j)]:
                 raise NotJoinPreserving(
                     f"join of ({i}, {j}) is not preserved", witness=(i, j))
     point_map = {
-        c: P.point_of(x for x in range(P.n) if fmap[x] in Q.down(c)) for c in range(Q.n)}
+        c: P.point_of(x for x in range(P.n) if f[x] in Q.down(c)) for c in range(Q.n)}
     # preimage formula on every basic open of P
     for a in range(P.n):
-        if frozenset(c for c, p in point_map.items() if p in P.up[a]) != Q.up[fmap[a]]:
-            raise NotOpen(f"the preimage of the basic open of {a} is not that of {fmap[a]}")
+        if frozenset(c for c, p in point_map.items() if p in P.up[a]) != Q.up[f[a]]:
+            raise NotOpen(f"the preimage of the basic open of {a} is not that of {f[a]}")
     return point_map
 
 
@@ -197,7 +196,7 @@ class LocalizationLattice:
     def __init__(self, ring, cells, up):
         self.ring = ring
         self.cells = cells
-        self.space = AlexandrovSpace(tuple(up), tuple(c.label for c in cells))
+        self.space = AlexandrovSpace(tuple(up))
         self._key_index = {c.key: i for i, c in enumerate(cells)}
         whole = self.space.carrier()
         bottoms = [i for i in range(self.n) if self.space.up[i] == whole]

@@ -166,7 +166,7 @@ def is_irreducible_low_degree(p: Poly) -> bool:
     raise ValueError("only degrees 1..3 are decided here")
 
 
-def to_string(p: Poly, var: str = "x") -> str:
+def to_string(p: Poly) -> str:
     if is_zero(p):
         return "0"
     parts = []
@@ -176,7 +176,7 @@ def to_string(p: Poly, var: str = "x") -> str:
         if i == 0:
             parts.append(str(c))
         elif i == 1:
-            parts.append(f"{var}" if c == 1 else f"{c}*{var}")
+            parts.append("x" if c == 1 else f"{c}*x")
         else:
-            parts.append(f"{var}^{i}" if c == 1 else f"{c}*{var}^{i}")
+            parts.append(f"x^{i}" if c == 1 else f"{c}*x^{i}")
     return " + ".join(parts)

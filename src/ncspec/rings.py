@@ -25,7 +25,7 @@ from .errors import (
     NotAHomomorphism,
     UnsupportedClass,
 )
-from .records import FrozenInstanceError, field, record
+from .records import FrozenInstanceError, private, record
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +672,6 @@ class RingElement:
     """
 
     __slots__ = ("owner", "payload")
-    __match_args__ = __slots__
 
     def __init__(self, owner, payload):
         _set_owner(self, owner)
@@ -967,7 +966,7 @@ class Rule:
 @record(frozen=True)
 class TableRule(Rule):
     pairs: tuple  # sorted tuple of (source payload, target payload)
-    table: dict = field(init=False, repr=False, compare=False)
+    table: dict = private()
 
     def __post_init__(self):
         object.__setattr__(self, "table", dict(self.pairs))
@@ -1337,22 +1336,6 @@ def hom_compose(g: RingHom, f: RingHom) -> RingHom:
         # g keeps payloads: g after f is f's rule into g's target, checked by that rule
         return hom_validate(RingHom(f.source, g.target, f.rule))
     raise UnsupportedClass(f"cannot compose {f.rule!r} with {g.rule!r}")
-
-
-def descend(pairs, size, error, clash, partial) -> dict:
-    """The table map read off (key, value) pairs.
-
-    Raises error(clash) when a key meets two values and error(partial)
-    when the keys miss some of the `size` elements of the domain.
-    """
-    table = {}
-    for key, val in pairs:
-        if key in table and table[key] != val:
-            raise error(clash)
-        table[key] = val
-    if len(table) != size:
-        raise error(partial)
-    return table
 
 
 # ---------------------------------------------------------------------------

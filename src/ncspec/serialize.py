@@ -401,6 +401,5 @@ def space_dot(sp) -> str:
 
 
 def glued_dot(gl) -> str:
-    from .latspace import AlexandrovSpace
-    labels = tuple(",".join(f"{a}:{p}" for a, p in sorted(members)) for members in gl.classes)
-    return digraph("glued", "c", labels, AlexandrovSpace(gl.leq, labels).hasse_edges())
+    labels = [",".join(f"{a}:{p}" for a, p in sorted(members)) for members in gl.classes]
+    return digraph("glued", "c", labels, gl.space.hasse_edges())

@@ -37,7 +37,7 @@ from .localization import (
     is_pushout,
     localize,
 )
-from .records import field, record
+from .records import private, record
 from .rings import (
     CACHE_BOUND,
     RingHom,
@@ -56,7 +56,7 @@ class SheafOnBase:
 
     lattice: LocalizationLattice
     assignment: tuple                 # cell index -> descriptor
-    _res_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _res_cache: dict = private(dict)
 
     def restriction(self, i: int, j: int) -> RingHom:
         """res from the basic open at cell i into the smaller one at cell j >= i."""
@@ -111,7 +111,7 @@ class NCSpecSpace:
     lattice: LocalizationLattice
     space: AlexandrovSpace
     sheaf: SheafOnBase
-    _bridge: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _bridge: dict = private(dict)
 
     @property
     def generic(self) -> int:

@@ -86,9 +86,9 @@ def monomial(nvars: int, exps, coeff=1) -> Terms:
     return {e: c}
 
 
-def variable(nvars: int, i: int, power: int = 1) -> Terms:
+def variable(nvars: int, i: int) -> Terms:
     e = [0] * nvars
-    e[i] = power
+    e[i] = 1
     return {tuple(e): Fraction(1)}
 
 
@@ -127,15 +127,12 @@ def from_canonical(items) -> Terms:
     return {tuple(e): Fraction(c) for e, c in items if Fraction(c) != 0}
 
 
-def to_string(p: Terms, names=None) -> str:
+def to_string(p: Terms) -> str:
     if not p:
         return "0"
-    nvars = len(next(iter(p)))
-    if names is None:
-        names = [f"x{i + 1}" for i in range(nvars)]
     parts = []
     for e, c in sorted(p.items()):
-        vs = [f"{names[i]}^{v}" if v != 1 else names[i] for i, v in enumerate(e) if v]
+        vs = [f"x{i + 1}^{v}" if v != 1 else f"x{i + 1}" for i, v in enumerate(e) if v]
         body = "*".join(vs)
         if not body:
             parts.append(str(c))

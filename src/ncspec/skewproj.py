@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedClass,
 )
 from .linalg import Echelon, kernel_basis
-from .records import field, record
+from .records import private, record
 from .rings import SkewLaurentRing, UnivariatePolyRing, skew_ring
 
 
@@ -44,7 +44,7 @@ class GradedModulePresentation:
     ring: SkewLaurentRing
     gen_degrees: tuple
     relations: tuple   # rows; each row is a tuple of canonical skew payloads
-    rows: tuple = field(init=False, repr=False, compare=False)
+    rows: tuple = private()
 
     def __post_init__(self):
         if self.ring.inverted:
@@ -134,12 +134,14 @@ def _shift(lam, b, terms, index):
 def _raw_space(pres: GradedModulePresentation, S, d: int, box: int) -> RawSpace:
     n = pres.ring.nvars
     lam = pres.ring.lam_map
-    columns = tuple((t, a) for t, gdeg in enumerate(pres.gen_degrees)
-                    for a in _cone(n, S, d - gdeg, box))
+    # one cone per distinct generator or relation degree e, of total d - e
+    degrees = {*pres.gen_degrees, *(D for D, _ in pres.rows)}
+    cones = {e: _cone(n, S, d - e, box) for e in degrees}
+    columns = tuple((t, a) for t, gdeg in enumerate(pres.gen_degrees) for a in cones[gdeg])
     index = {c: i for i, c in enumerate(columns)}
     ech = Echelon(len(columns))
     for D, terms in pres.rows:
-        for b in _cone(n, S, d - D, box):
+        for b in cones[D]:
             vec = _shift(lam, b, terms, index)
             if vec is not None:
                 ech.add(vec)
@@ -166,8 +168,9 @@ def _stable_piece(pres, S, d, box) -> StablePiece:
     big = _raw_space(pres, S, d, box + 1)
     img = Echelon(len(big.columns))
     n = pres.ring.nvars
+    cones = {e: _cone(n, S, d - e, box) for e in set(pres.gen_degrees)}
     for t, gdeg in enumerate(pres.gen_degrees):
-        for a in _cone(n, S, d - gdeg, box):
+        for a in cones[gdeg]:
             img.add(big.ech.reduce({big.index[(t, a)]: 1}))
     return StablePiece(big, img)
 
@@ -279,9 +282,8 @@ class TwistedSheaf:
     base: SkewQcohDatum
     n: int
 
-    def chart_piece(self, i: int, box=None) -> StablePiece:
-        box = box if box is not None else self.base.box
-        return _stable_piece(self.base.presentation, frozenset({i}), self.n, box)
+    def chart_piece(self, i: int) -> StablePiece:
+        return _stable_piece(self.base.presentation, frozenset({i}), self.n, self.base.box)
 
 
 def twist(d: SkewQcohDatum, n: int) -> TwistedSheaf:

@@ -25,7 +25,7 @@ from ncspec.glueqcoh import FiniteModule, ModuleHom, tensor_module
 from ncspec.latspace import is_completely_union_irreducible, sober_map_from_join_hom
 from ncspec.linalg import Echelon
 from ncspec.localization import LocalizationSquare, is_pushout, localize
-from ncspec.records import _MISSING
+from ncspec.records import private
 from ncspec.rings import (
     MatrixRing,
     ModularRing,
@@ -52,19 +52,21 @@ def dataclass_twin(cls, frozen: bool):
 
     The members `record` made (functions of `ncspec.records`) are left
     out, so `dataclass` makes its own; a method the class defines itself,
-    such as `__repr__` or `__post_init__`, is kept.
+    such as `__repr__` or `__post_init__`, is kept, and so is a plain
+    default, a class attribute.  A `private` field becomes
+    `field(init=False, repr=False, compare=False)`, with its factory as
+    the `default_factory`.
     """
-    made = ("__dict__", "__weakref__", "__match_args__", "__record_fields__")
+    made = ("__dict__", "__weakref__", "__record_fields__")
     ns = {k: v for k, v in vars(cls).items()
           if k not in made and (k, v) != ("__hash__", None)
           and getattr(v, "__module__", None) != "ncspec.records"}
-    for name, f in cls.__record_fields__.items():
-        spec = {"init": f.init, "repr": f.repr, "compare": f.compare}
-        if f.default is not _MISSING:
-            spec["default"] = f.default
-        if f.default_factory is not _MISSING:
-            spec["default_factory"] = f.default_factory
-        ns[name] = dataclasses.field(**spec)
+    for name, spec in cls.__record_fields__.items():
+        if isinstance(spec, private):
+            hidden = {"init": False, "repr": False, "compare": False}
+            if spec.factory is not None:
+                hidden["default_factory"] = spec.factory
+            ns[name] = dataclasses.field(**hidden)
     ns["__qualname__"] = cls.__qualname__
     return dataclasses.dataclass(frozen=frozen)(type(cls.__name__, cls.__bases__, ns))
 
@@ -166,10 +168,13 @@ def brute_hom_descend(alpha, psi):
     clash or a map that is not onto."""
     rg.hom_validate(alpha)
     rg.hom_validate(psi)
-    pairs = ((alpha(x).payload, psi(x).payload) for x in rg.enumerate_elements(alpha.source))
-    table = rg.descend(pairs, rg.cardinality(alpha.target), UnsupportedClass,
-                       f"{psi!r} is not constant on the fibres of {alpha!r}",
-                       f"{alpha!r} is not onto")
+    table = {}
+    for x in rg.enumerate_elements(alpha.source):
+        key, val = alpha(x).payload, psi(x).payload
+        if table.setdefault(key, val) != val:
+            raise UnsupportedClass(f"{psi!r} is not constant on the fibres of {alpha!r}")
+    if len(table) != rg.cardinality(alpha.target):
+        raise UnsupportedClass(f"{alpha!r} is not onto")
     return rg.RingHom(alpha.target, psi.target, rg.TableRule(tuple(sorted(table.items()))))
 
 

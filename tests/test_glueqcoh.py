@@ -288,7 +288,7 @@ ident = gq.ModuleHom(M, M, ((1,),))
 def error_name(fn, *args):
     try:
         fn(*args)
-    except (NCSpecError, ValueError) as exc:
+    except NCSpecError as exc:
         return type(exc).__name__
     return None
 
@@ -316,8 +316,7 @@ print(error_name(M.act, rg.element(z4, 1), (1,)),
       with_restriction(lambda T1, T2, m: (lambda x: nudge(T2, m(x)))
                        if (T1.size(), T2.size()) == (30, 5) else m),
       error_name(gq.tensor_sequence_report, rg.identity_hom(z6), ident,
-                 gq.ModuleHom(gq.FiniteModule(z6, (2,)), M, ((3,),))),
-      error_name(gq.certify_ore, z6, (rg.element(z6, 2),), 4, "middle"))
+                 gq.ModuleHom(gq.FiniteModule(z6, (2,)), M, ((3,),))))
 """
 
 
@@ -328,7 +327,7 @@ def test_module_checks_survive_optimization(flags):
     assert out.split() == [
         "ElementOwnershipMismatch", "CompositionMismatch", "None",
         "ArityMismatch", "PresheafLawViolation", "PresheafLawViolation",
-        "CompositionMismatch", "ValueError"]
+        "CompositionMismatch"]
 
 
 def test_tilde_module_rejects_skew_rings():
@@ -493,18 +492,18 @@ def sierpinski_datum(pieces=2):
 def test_glue_single_piece_is_itself():
     m2 = MatrixRing(PrimeField(2), 2)
     gl = glue(GlueDatum((m2,), {}, {}))
-    assert gl.n == ncspec(m2).space.n
+    assert gl.space.n == ncspec(m2).space.n
 
 
 def test_glue_two_sierpinski_along_generic():
     gl = glue(sierpinski_datum(2))
-    assert gl.n == 3
+    assert gl.space.n == 3
     assert sorted(repr(s) for s in gl.sections).count("0-ring") == 1
 
 
 def test_glue_three_pieces_with_triple_condition():
     gl = glue(sierpinski_datum(3))
-    assert gl.n == 4
+    assert gl.space.n == 4
 
 
 def test_glue_z6_along_mid_chart():
@@ -518,7 +517,7 @@ def test_glue_z6_along_mid_chart():
     )
     gl = glue(datum)
     # 4 + 4 points, 2 identified pairs
-    assert gl.n == 6
+    assert gl.space.n == 6
 
 
 @pytest.mark.parametrize("side", [0, 1])

@@ -196,18 +196,17 @@ E = (rg.element(ring, skewpoly.variable(2, 0)),)
 print(len(glueqcoh.certify_ore(ring, E, 2).witnesses))
 calls = count(2)
 skewpoly.twist = lambda lam, a, b: Fraction(next(calls))
-for side in ("right", "left"):
-    try:
-        glueqcoh.certify_ore(ring, E, 2, side)
-    except OreConditionFails as exc:
-        print(type(exc).__name__, len(exc.witness))
+try:
+    glueqcoh.certify_ore(ring, E, 2)
+except OreConditionFails as exc:
+    print(type(exc).__name__, len(exc.witness))
 """
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
 def test_a_broken_twist_law_is_a_typed_ore_error(flags):
     out = python_stdout(flags, ORE_TWIST_CHECK)
-    assert out.split() == ["2", "OreConditionFails", "2", "OreConditionFails", "2"]
+    assert out.split() == ["2", "OreConditionFails", "2"]
 
 
 @pytest.mark.parametrize("name", ["commbridge.py", "latspace.py", "sheafspec.py", "rings.py",

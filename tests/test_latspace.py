@@ -50,8 +50,8 @@ from ncspec.rings import (
 )
 
 CHAIN3 = AlexandrovSpace(
-    (frozenset({0, 1, 2}), frozenset({1, 2}), frozenset({2})), ("a", "b", "c"))
-ANTICHAIN2 = AlexandrovSpace((frozenset({0}), frozenset({1})), ("a", "b"))
+    (frozenset({0, 1, 2}), frozenset({1, 2}), frozenset({2})))
+ANTICHAIN2 = AlexandrovSpace((frozenset({0}), frozenset({1})))
 GRID2x3 = AlexandrovSpace(
     (
         frozenset({0, 1, 2, 3, 4, 5}),   # (0,0)
@@ -60,8 +60,7 @@ GRID2x3 = AlexandrovSpace(
         frozenset({3, 4, 5}),             # (1,0)
         frozenset({4, 5}),                # (1,1)
         frozenset({5}),                   # (1,2)
-    ),
-    tuple("abcdef"))
+    ))
 
 
 def diamond():
@@ -303,7 +302,7 @@ def test_typed_law_checks_match_the_oracle_on_perturbed_orders(rng):
         for i, j in flips:
             changed = toggled(up, i, j)
             try:
-                X = AlexandrovSpace(changed, lat.space.labels)
+                X = AlexandrovSpace(changed)
             except NotAPartialOrder:
                 assert not brute_poset_laws(changed), (lat.ring, i, j)
                 continue
@@ -380,7 +379,7 @@ def test_soberification_topology_bijection():
 
 
 def test_sierpinski_soberification_is_itself():
-    X = AlexandrovSpace((frozenset({0, 1}), frozenset({1})), ("closed", "open"))
+    X = AlexandrovSpace((frozenset({0, 1}), frozenset({1})))
     S = soberify(X)
     assert S.n == 2
     assert {S.point_of(X.down(x)) for x in range(2)} == {0, 1}
@@ -397,7 +396,7 @@ def test_sober_map_restriction_to_principal_ideal():
     D = diamond()
     lat = build_semilattice(ModularRing(6))
     c2 = lat.cell_of_element(rg.element(ModularRing(6), 2))
-    P = AlexandrovSpace((frozenset({0, 1}), frozenset({1})), ("bot", "mid"))
+    P = AlexandrovSpace((frozenset({0, 1}), frozenset({1})))
     pm = sober_map_from_join_hom(P, D, {0: lat.bottom, 1: c2})
     SD, SP = soberify(D), soberify(P)
     for ci in range(SD.n):
@@ -407,7 +406,7 @@ def test_sober_map_restriction_to_principal_ideal():
 
 def test_join_breaking_map_rejected():
     vee = AlexandrovSpace(
-        (frozenset({0, 2}), frozenset({1, 2}), frozenset({2})), ("a", "b", "t"))
+        (frozenset({0, 2}), frozenset({1, 2}), frozenset({2})))
     with pytest.raises(NotJoinPreserving):
         sober_map_from_join_hom(vee, vee, {0: 0, 1: 0, 2: 2})
     # identity is fine
@@ -484,7 +483,7 @@ def error_name(fn, *args):
 
 
 def space(*up):
-    return latspace.AlexandrovSpace(tuple(map(frozenset, up)), tuple("abc"[:len(up)]))
+    return latspace.AlexandrovSpace(tuple(map(frozenset, up)))
 
 
 lat = latspace.build_semilattice(rg.ModularRing(6))

@@ -281,7 +281,7 @@ def random_poset_with_top(rnd, n):
         for j in sorted(up[i]):
             if j != i:
                 up[i] |= up[j]
-    return AlexandrovSpace(tuple(map(frozenset, up)), tuple(map(str, range(n))))
+    return AlexandrovSpace(tuple(map(frozenset, up)))
 
 
 def test_density_by_basic_opens_agrees_with_all_opens_on_random_posets():
@@ -335,4 +335,4 @@ def test_glued_order_is_the_closure_of_the_piece_orders(datum):
     generated = {(gl.embeddings[a][p], gl.embeddings[a][q])
                  for a, sp in enumerate(gl.pieces)
                  for p in range(sp.space.n) for q in sp.space.up[p]}
-    assert gl.leq == brute_order_closure(gl.n, generated)
+    assert gl.space.up == brute_order_closure(gl.space.n, generated)
