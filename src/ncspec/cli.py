@@ -1,12 +1,23 @@
 """Command-line interface: parse documents, dispatch, report.
 
+    ncspec <subcommand> <input flag> <path> [options] [--format json|dot|text]
+
 Reports are JSON with a fixed field order; exit status 0 means every
-asserted check in the run passed.
+asserted check in the run passed, 1 that a check failed or was
+inconclusive, and 2 that a document was rejected (the report names the
+error).
+
+Each subcommand takes the options of its row of `SUBCOMMANDS`.  An
+option takes its values as the next tokens, or one value as
+`--opt=value`; a unique prefix of an option names it; a repeated option
+keeps its last value; a negative number is a value, and any other token
+that starts with `-` is an option.  A bad command line writes a usage
+line and the error to stderr, nothing to stdout, and exits 2.
 """
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from . import rings as rg
 from . import serialize as ser
@@ -244,9 +255,12 @@ def cmd_serre_check(args):
                              "torsion_bound": args.torsion_bound})
 
 
-_WINDOW = (("--module", {"default": None}),
-           ("--window", {"nargs": 2, "type": int, "required": True}),
-           ("--box", {"type": int, "default": 2}))
+# an option: flag, number of values, their type (int, str, or a tuple of
+# the allowed values), default, required
+_WINDOW = (("--module", 1, str, None, False),
+           ("--window", 2, int, None, True),
+           ("--box", 1, int, 2, False))
+_FORMAT = ("--format", 1, ("json", "dot", "text"), "json", False)
 
 # name, input flag, further options in the order of their help, the
 # formats besides json that the subcommand renders, handler
@@ -262,27 +276,120 @@ SUBCOMMANDS = (
     ("glue", "--glue", (), ("dot",), cmd_glue),
     ("qcoh-check", "--datum", (), (), cmd_qcoh_check),
     ("proj-gamma", "--ring", _WINDOW, ("text",), cmd_proj_gamma),
-    ("serre-check", "--ring", _WINDOW + (("--torsion-bound", {"type": int, "default": 3}),),
+    ("serre-check", "--ring", _WINDOW + (("--torsion-bound", 1, int, 3, False),),
      (), cmd_serre_check),
 )
 
 
-def build_parser():
-    """The parser with one subparser per row of `SUBCOMMANDS`."""
-    p = argparse.ArgumentParser(prog="ncspec", description=__doc__)
-    sub = p.add_subparsers(dest="subcommand", required=True)
-    for name, flag, options, renders, fn in SUBCOMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument(flag, required=True)
-        for option, kwargs in options:
-            sp.add_argument(option, **kwargs)
-        sp.add_argument("--format", choices=["json", "dot", "text"], default="json")
-        sp.set_defaults(formats=("json",) + renders, fn=fn)
-    return p
+def _dest(flag):
+    return flag[2:].replace("-", "_")
+
+
+def _usage_part(option):
+    """`--flag META...` of an option: the dest in capitals, or the allowed
+    values in braces."""
+    flag, arity, kind, _default, _required = option
+    meta = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else _dest(flag).upper()
+    return " ".join((flag,) + (meta,) * arity)
+
+
+def _is_flag(token):
+    """Whether a token names an option: it starts with `-` and is not a
+    negative number."""
+    return token[:1] == "-" and not token[1:].isdecimal()
+
+
+def _exit(usage, prog, message):
+    sys.stderr.write(f"{usage}\n{prog}: error: {message}\n")
+    sys.exit(2)
+
+
+def _help(usage, options):
+    lines = [usage, "", "options:", "  -h, --help"]
+    for option in options:
+        note = "  (required)" if option[4] else (
+            "" if option[3] is None else f"  (default {option[3]})")
+        lines.append(f"  {_usage_part(option)}{note}")
+    sys.stdout.write("\n".join(lines) + "\n")
+    sys.exit(0)
+
+
+def _value(prog, usage, option, token):
+    flag, _arity, kind, _default, _required = option
+    if isinstance(kind, tuple):
+        if token not in kind:
+            _exit(usage, prog, f"argument {flag}: invalid choice: {token!r} "
+                               f"(choose from {', '.join(map(repr, kind))})")
+        return token
+    try:
+        return kind(token)
+    except ValueError:
+        _exit(usage, prog, f"argument {flag}: invalid int value: {token!r}")
+
+
+def parse_args(argv):
+    """The parsed command line: `subcommand`, `format`, `formats`, `fn` and
+    each option of the subcommand's row under its dest name.  `-h` writes
+    the help to stdout and exits 0; a bad command line writes the usage
+    line and the error to stderr and exits 2."""
+    rows = {row[0]: row for row in SUBCOMMANDS}
+    top = "usage: ncspec [-h] {" + ",".join(rows) + "} ..."
+    head = argv[0] if argv else None
+    if head in ("-h", "--help"):
+        sys.stdout.write(f"{top}\n\n{__doc__}")
+        sys.exit(0)
+    if head is None:
+        _exit(top, "ncspec", "the following arguments are required: subcommand")
+    if head not in rows:
+        if _is_flag(head):
+            _exit(top, "ncspec", f"unrecognized arguments: {head}")
+        _exit(top, "ncspec", f"argument subcommand: invalid choice: {head!r} "
+                             f"(choose from {', '.join(map(repr, rows))})")
+    name, flag, options, renders, fn = rows[head]
+    options = ((flag, 1, str, None, True),) + options + (_FORMAT,)
+    prog = f"ncspec {name}"
+    usage = f"usage: {prog} [-h] " + " ".join(
+        part if option[4] else f"[{part}]"
+        for option, part in zip(options, map(_usage_part, options)))
+    args = SimpleNamespace(subcommand=name, formats=("json",) + renders, fn=fn)
+    for option in options:
+        setattr(args, _dest(option[0]), option[3])
+    given = set()
+    i = 1
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if not _is_flag(token):
+            _exit(usage, prog, f"unrecognized arguments: {token}")
+        key, eq, inline = token.partition("=")
+        if key == "-h" or (len(key) > 2 and "--help".startswith(key)):
+            _help(usage, options)
+        # the flag itself, or else the one flag that the key begins
+        matches = ([o for o in options if o[0] == key]
+                   or [o for o in options if len(key) > 2 and o[0].startswith(key)])
+        if len(matches) != 1:
+            _exit(usage, prog, f"unrecognized arguments: {token}")
+        option = matches[0]
+        arity = option[1]
+        if eq:
+            values = [inline]
+        else:
+            values = argv[i:i + arity]
+            i += arity
+        if len(values) != arity or (not eq and any(map(_is_flag, values))):
+            _exit(usage, prog, f"argument {option[0]}: expected "
+                  + ("one argument" if arity == 1 else f"{arity} arguments"))
+        values = [_value(prog, usage, option, v) for v in values]
+        setattr(args, _dest(option[0]), values[0] if arity == 1 else values)
+        given.add(option[0])
+    missing = [o[0] for o in options if o[4] and o[0] not in given]
+    if missing:
+        _exit(usage, prog, f"the following arguments are required: {', '.join(missing)}")
+    return args
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         if args.format not in args.formats:
             raise _no_rendering(args)

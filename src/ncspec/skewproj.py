@@ -113,6 +113,7 @@ class RawSpace:
     columns: tuple       # (generator index, exponent vector)
     index: dict
     ech: Echelon
+    cones: dict          # degree e -> the cone of total d - e
 
 
 def _shift(lam, b, terms, index):
@@ -145,7 +146,7 @@ def _raw_space(pres: GradedModulePresentation, S, d: int, box: int) -> RawSpace:
             vec = _shift(lam, b, terms, index)
             if vec is not None:
                 ech.add(vec)
-    return RawSpace(columns, index, ech)
+    return RawSpace(columns, index, ech, cones)
 
 
 @record
@@ -164,11 +165,14 @@ class StablePiece:
         return self.span.rank
 
 
-def _stable_piece(pres, S, d, box) -> StablePiece:
+def _stable_piece(pres, S, d, box, cones=None) -> StablePiece:
+    """The piece at depth `box`; `cones` are its depth-box cones by degree
+    when the caller has them, as the `raw.cones` of the piece at `box - 1`."""
     big = _raw_space(pres, S, d, box + 1)
     img = Echelon(len(big.columns))
-    n = pres.ring.nvars
-    cones = {e: _cone(n, S, d - e, box) for e in set(pres.gen_degrees)}
+    if cones is None:
+        n = pres.ring.nvars
+        cones = {e: _cone(n, S, d - e, box) for e in set(pres.gen_degrees)}
     for t, gdeg in enumerate(pres.gen_degrees):
         for a in cones[gdeg]:
             img.add(big.ech.reduce({big.index[(t, a)]: 1}))
@@ -363,8 +367,11 @@ class SectionSpace:
         return len(self.vectors)
 
 
-def _sections_once(M: GradedModulePresentation, nvars, d, box) -> SectionSpace:
-    pieces = [_stable_piece(M, frozenset({i}), d, box) for i in range(nvars)]
+def _sections_once(M: GradedModulePresentation, nvars, d, box, shallow=None) -> SectionSpace:
+    """The sections at depth `box`; `shallow`, the sections at `box - 1`,
+    has listed the depth-box cones of the chart pieces."""
+    cones = [p.raw.cones for p in shallow.chart_pieces] if shallow else [None] * nvars
+    pieces = [_stable_piece(M, frozenset({i}), d, box, cones[i]) for i in range(nvars)]
     dims = [p.dim for p in pieces]
     offsets = [0]
     for k in dims:
@@ -401,7 +408,7 @@ def gamma(X: ProjSpace, M: GradedModulePresentation, window, box: int = 2) -> di
         s = _sections_once(M, X.n, d, box)
         spaces[d] = s
         dims[d] = s.dim
-        again = _sections_once(M, X.n, d, box + 1)
+        again = _sections_once(M, X.n, d, box + 1, s)
         if again.dim != s.dim:
             raise BoxTooSmall(f"degree {d}: dimension moved {s.dim} -> {again.dim}")
     return {"window": (lo, hi), "box": box, "dims": dims, "spaces": spaces}
@@ -532,9 +539,14 @@ def _torsion(M: GradedModulePresentation, terms, d: int, bound: int, box: int) -
         _shift(lam, tuple(bound if v == i else 0 for v in range(n)), terms, amb.index))]
     if not survivors:
         return True
+
+    def alive(p):
+        return p.raw.ech.reduce({p.raw.index[k]: c for k, c in terms})
+
     for i in survivors:
-        probes = (_stable_piece(M, frozenset({i}), d, b) for b in (box, box + 1))
-        if all(p.raw.ech.reduce({p.raw.index[k]: c for k, c in terms}) for p in probes):
+        S = frozenset({i})
+        shallow = _stable_piece(M, S, d, box)
+        if alive(shallow) and alive(_stable_piece(M, S, d, box + 1, shallow.raw.cones)):
             return False
     raise BoundInconclusive(
         f"powers up to {bound} neither kill the element nor show it alive")

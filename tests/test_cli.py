@@ -824,7 +824,8 @@ NAMES = [row[0] for row in SUBCOMMANDS]
 
 
 def parse_exit(capsys, *argv):
-    """The exit code of a call that argparse ends, and its stdout and stderr."""
+    """The exit code of a call that the command-line parser ends, and its
+    stdout and stderr."""
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     captured = capsys.readouterr()
@@ -845,3 +846,72 @@ def test_an_unknown_subcommand_lists_all_twelve(capsys):
     assert code == 2 and "invalid choice: 'bogus'" in err
     assert err.count("'") == 2 * (len(NAMES) + 1) and all(f"'{n}'" in err for n in NAMES)
     assert len(NAMES) == 12
+
+
+def test_an_option_takes_its_value_after_an_equals_sign(tmp_path, capsys):
+    ring = write(tmp_path, "z6.json", RING_DOCS[1])
+    code, out = run_cli(capsys, "ring-validate", f"--ring={ring}")
+    assert code == 0 and json.loads(out)["payload"]["ring"] == "Z/6"
+
+
+def test_a_unique_prefix_names_its_option(tmp_path, capsys):
+    ring = write(tmp_path, "z6.json", RING_DOCS[1])
+    code, out = run_cli(capsys, "ncspec", "--ring", ring, "--form", "text")
+    assert (code, out) == (0, "points: 4, generic: 0\n")
+    skew = write(tmp_path, "skew.json", RING_DOCS[-1])
+    code, out = run_cli(capsys, "serre-check", "--r", skew, "--w", "0", "1", "--t", "2")
+    assert code == 0 and json.loads(out)["provenance"]["torsion_bound"] == 2
+
+
+def test_a_negative_number_is_a_value(tmp_path, capsys):
+    skew = write(tmp_path, "skew.json", RING_DOCS[-1])
+    code, out = run_cli(capsys, "proj-gamma", "--ring", skew, "--window", "0", "1",
+                        "--box", "-1")
+    payload = json.loads(out)["payload"]
+    assert code == 2 and payload["error"] == "ParseError"
+    assert payload["message"].startswith("--box -1: the truncation depth")
+    code, out = run_cli(capsys, "proj-gamma", "--ring", skew, "--window", "-1", "0")
+    assert code == 0 and json.loads(out)["provenance"]["window"] == [-1, 0]
+
+
+def test_a_repeated_option_keeps_its_last_value(tmp_path, capsys):
+    skew = write(tmp_path, "skew.json", RING_DOCS[-1])
+    code, out = run_cli(capsys, "proj-gamma", "--ring", skew, "--window", "0", "1",
+                        "--box", "5", "--box", "1")
+    assert code == 0 and json.loads(out)["provenance"]["box"] == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("ring-validate", "--ring", "-x.json"), "argument --ring: expected one argument"),
+    (("proj-gamma", "--ring", "s.json", "--window", "0"),
+     "argument --window: expected 2 arguments"),
+    (("proj-gamma", "--ring", "s.json", "--window=0", "1"),
+     "argument --window: expected 2 arguments"),
+    (("proj-gamma", "--ring", "s.json", "--window", "a", "1"),
+     "argument --window: invalid int value: 'a'"),
+    (("proj-gamma", "--ring", "s.json", "--window", "0", "1", "--box", "x"),
+     "argument --box: invalid int value: 'x'"),
+    (("serre-check", "--ring", "s.json", "--window", "0", "1", "--torsion-bound", "1.5"),
+     "argument --torsion-bound: invalid int value: '1.5'"),
+    (("ring-validate", "--ring", "r.json", "--format", "xml"),
+     "argument --format: invalid choice: 'xml' (choose from 'json', 'dot', 'text')"),
+    (("prim-check", "--morphism", "m.json", "--probes", "p.json"),
+     "unrecognized arguments: --probes"),
+    (("ring-validate", "--ring", "r.json", "extra"), "unrecognized arguments: extra"),
+    (("ring-validate", "--ring", "r.json", "--box", "3"), "unrecognized arguments: --box"),
+])
+def test_a_bad_command_line_exits_2_with_its_usage(capsys, argv, message):
+    code, out, err = parse_exit(capsys, *argv)
+    usage, error = err.splitlines()
+    assert code == 2 and out == ""
+    assert usage.startswith(f"usage: ncspec {argv[0]} [-h] ")
+    assert error == f"ncspec {argv[0]}: error: {message}"
+
+
+def test_help_names_each_option_and_its_default(capsys):
+    code, out, _err = parse_exit(capsys, "serre-check", "--ring", "s.json", "--help")
+    assert code == 0 and out.startswith("usage: ncspec serre-check [-h] --ring RING ")
+    assert "--window WINDOW WINDOW  (required)" in out
+    assert "--box BOX  (default 2)" in out and "--torsion-bound TORSION_BOUND  (default 3)" in out
+    code, out, _err = parse_exit(capsys, "--help")
+    assert code == 0 and out.startswith("usage: ncspec [-h] {ring-validate,")

@@ -557,6 +557,29 @@ def test_glue_rejects_broken_inverse():
         glue(datum)
 
 
+def test_glue_names_the_broken_inverse_condition():
+    # the swap one way and the identity back compose to the swap, not 1
+    p22, swap = _p22_swap()
+    datum = GlueDatum((p22, p22), {(0, 1): (rg.one(p22),), (1, 0): (rg.one(p22),)},
+                      {(0, 1): swap, (1, 0): rg.identity_hom(p22)})
+    with pytest.raises(CocycleViolation, match="inverse condition fails"):
+        glue(datum)
+
+
+def test_glue_checks_the_inverse_condition_over_q():
+    # Q x Q glued to itself: the block swap is its own inverse, and the map
+    # (x, y) -> (x, x) is not invertible, which the inverse condition sees
+    qq = rg.SemisimpleAlgebra(rg.Rationals(), (1, 1))
+    overlaps = {(0, 1): (rg.one(qq),), (1, 0): (rg.one(qq),)}
+    L = localize(qq, (rg.one(qq),)).result
+    swap, diag = (rg.hom_validate(rg.RingHom(L, L, rg.BlockRule(feeds)))
+                  for feeds in ((1, 0), (0, 0)))
+    glued = glue(GlueDatum((qq, qq), overlaps, {(0, 1): swap, (1, 0): swap}))
+    assert glued.space.n == ncspec(qq).space.n
+    with pytest.raises(CocycleViolation, match="inverse condition fails"):
+        glue(GlueDatum((qq, qq), overlaps, {(0, 1): diag, (1, 0): diag}))
+
+
 def _p22_swap():
     p22 = rg.product_ring([ModularRing(2), ModularRing(2)])
     return p22, rg.hom_validate(rg.hom_from_callable(

@@ -274,11 +274,26 @@ def test_no_generated_code(path):
     assert generated_code(path.read_text(encoding="utf-8")) == []
 
 
+# modules a cold CLI call must not load: code generation, and the
+# command-line parser of the standard library with its translation lookups
+COLD_CLI_UNLOADED = ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize',
+                     'argparse', 'gettext', 'locale')
+
+
 def test_cli_import_loads_no_code_generation_modules():
     out = python_stdout([], "import sys, ncspec.cli\n"
-                            "print(*[m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize')"
-                            " if m in sys.modules])")
+                            f"print(*[m for m in {COLD_CLI_UNLOADED!r} if m in sys.modules])")
     assert out.split() == []
+
+
+def test_a_cli_call_loads_no_code_generation_modules(tmp_path):
+    ring = tmp_path / "z6.json"
+    ring.write_text('{"schema": "ncspec.ring/1", "kind": "modular", "n": 6}', encoding="utf-8")
+    out = python_stdout([], "import io, sys, contextlib, ncspec.cli\n"
+                            "with contextlib.redirect_stdout(io.StringIO()):\n"
+                            f"    code = ncspec.cli.main(['ring-validate', '--ring', {str(ring)!r}])\n"
+                            f"print(code, *[m for m in {COLD_CLI_UNLOADED!r} if m in sys.modules])")
+    assert out.split() == ["0"]
 
 
 def traced_names(source: str) -> dict:

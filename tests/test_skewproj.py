@@ -13,7 +13,7 @@ from conftest import (
 )
 
 from ncspec import rings as rg
-from ncspec import skewpoly
+from ncspec import skewpoly, skewproj
 from ncspec.errors import (
     ArityMismatch,
     BoundInconclusive,
@@ -478,3 +478,18 @@ def test_quotient_module_sheaf_is_zero_datum():
     datum = module_sheaf(X, q)
     for i in range(2):
         assert twist(datum, 0).chart_piece(i).dim == 0
+
+
+@pytest.mark.parametrize("r, hi, calls", [(SK2, 10, 88), (SK3, 5, 90)])
+def test_gamma_lists_each_cone_once(monkeypatch, r, hi, calls):
+    """The box + 1 stability run takes the cones that the box run listed."""
+    seen = []
+
+    def counted(n, S, total, box):
+        seen.append((n, S, total, box))
+        return _cone(n, S, total, box)
+
+    monkeypatch.setattr(skewproj, "_cone", counted)
+    g = gamma(build_proj(r), free_presentation(r), (0, hi))
+    assert len(seen) == len(set(seen)) == calls
+    assert g["dims"] == {d: comb(d + r.nvars - 1, r.nvars - 1) for d in range(hi + 1)}
