@@ -4,8 +4,8 @@
 
 Reports are JSON with a fixed field order; exit status 0 means every
 asserted check in the run passed, 1 that a check failed or was
-inconclusive, and 2 that a document was rejected (the report names the
-error).
+inconclusive, 2 that a document or the command line was rejected (the
+report names the error), and 74 that the report could not be written.
 
 Each subcommand takes the options of its row of `SUBCOMMANDS`.  An
 option takes its values as the next tokens, or one value as
@@ -15,7 +15,9 @@ that starts with `-` is an option.  A bad command line writes a usage
 line and the error to stderr, nothing to stdout, and exits 2.
 """
 
+import gc
 import json
+import os
 import sys
 from types import SimpleNamespace
 
@@ -402,5 +404,27 @@ def main(argv=None):
         return 2
 
 
+def entry():
+    """The process entry of `ncspec`, `python -m ncspec` and `python -m
+    ncspec.cli`: run `main`, flush the report, then freeze the heap, so
+    that the interpreter's final collection skips every live object
+    (the atexit handlers still run).  A report that cannot be written
+    exits 74, EX_IOERR, with one line on stderr.  `main` itself changes
+    nothing of the process, for its in-process callers."""
+    try:
+        try:
+            code = main()
+        except SystemExit as exc:  # -h or a bad command line
+            code = exc.code
+        sys.stdout.flush()
+    except OSError as exc:
+        sys.stderr.write(f"ncspec: cannot write the report: {exc.strerror or exc}\n")
+        # what stdout still holds goes nowhere, not to a second failed flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 74
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

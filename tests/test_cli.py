@@ -1,4 +1,9 @@
+import gc
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -915,3 +920,96 @@ def test_help_names_each_option_and_its_default(capsys):
     assert "--box BOX  (default 2)" in out and "--torsion-bound TORSION_BOUND  (default 3)" in out
     code, out, _err = parse_exit(capsys, "--help")
     assert code == 0 and out.startswith("usage: ncspec [-h] {ring-validate,")
+
+
+# -- the process entry ------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+# `python -m ncspec.cli` with a last atexit hook that appends the freeze
+# count to stderr
+ENTRY_CHILD = ("import atexit, gc, os, runpy\n"
+               "atexit.register(lambda: os.write(2, b'\\nfrozen %d' % gc.get_freeze_count()))\n"
+               "runpy.run_module('ncspec.cli', run_name='__main__')\n")
+
+
+def cold(argv, **kwargs):
+    """A finished `python -m ncspec.cli <argv>` child, stderr as text."""
+    return subprocess.run([sys.executable, "-m", "ncspec.cli", *argv], env=CHILD_ENV,
+                          stderr=subprocess.PIPE, text=True, timeout=120, **kwargs)
+
+
+def entry_cases(tmp_path):
+    bad_scalar = {"schema": "ncspec.qcoh/1", "ring": {k: v for k, v in RING_DOCS[-1].items()
+                                                      if k != "schema"},
+                  "module": {"schema": "ncspec.module/1", "generators": [{"degree": 0}]},
+                  "scalars": [[1, 2, "2"], [2, 1, "1"]]}
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json", encoding="utf-8")
+    return {"pass": ["ring-validate", "--ring", write(tmp_path, "z6.json", RING_DOCS[1])],
+            "failing check": ["qcoh-check", "--datum", write(tmp_path, "q.json", bad_scalar)],
+            "rejected document": ["ncspec", "--ring", str(bad)],
+            "bad command line": ["ring-validate"]}
+
+
+@pytest.mark.parametrize("case, want", [("pass", 0), ("failing check", 1),
+                                        ("rejected document", 2), ("bad command line", 2)])
+def test_the_entry_freezes_the_heap_and_reports_as_main(tmp_path, capsys, case, want):
+    argv = entry_cases(tmp_path)[case]
+    frozen = gc.get_freeze_count()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert gc.get_freeze_count() == frozen
+    out = capsys.readouterr().out
+    child = subprocess.run([sys.executable, "-c", ENTRY_CHILD, *argv], env=CHILD_ENV,
+                           capture_output=True, text=True, timeout=120)
+    assert (child.returncode, child.stdout) == (code, out) and code == want
+    assert int(child.stderr.rsplit("\nfrozen ", 1)[1]) > 0
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [["ring-validate", "--ring", "{z6}"],
+                                  ["ncspec", "--ring", "{z6}", "--format", "dot"],
+                                  ["ring-validate", "-h"]])
+def test_a_report_that_cannot_be_written_exits_74(tmp_path, argv):
+    z6 = write(tmp_path, "z6.json", RING_DOCS[1])
+    with open("/dev/full", "w") as full:
+        child = cold([a.format(z6=z6) for a in argv], stdout=full)
+    assert (child.returncode, child.stderr) == (
+        74, "ncspec: cannot write the report: No space left on device\n")
+
+
+def test_a_report_to_a_closed_pipe_exits_74(tmp_path):
+    z6 = write(tmp_path, "z6.json", RING_DOCS[1])
+    read, written = os.pipe()
+    os.close(read)
+    try:
+        child = cold(["ring-validate", "--ring", z6], stdout=written)
+    finally:
+        os.close(written)
+    assert (child.returncode, child.stderr) == (74, "ncspec: cannot write the report: "
+                                                    "Broken pipe\n")
+
+
+def test_every_process_caller_runs_the_one_entry():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    cli = (ROOT / "src" / "ncspec" / "cli.py").read_text(encoding="utf-8")
+    package_main = (ROOT / "src" / "ncspec" / "__main__.py").read_text(encoding="utf-8")
+    # the console script, `python -m ncspec.cli` and `python -m ncspec`
+    script = re.search(r'^\[project\.scripts\]\nncspec = "ncspec\.cli:(\w+)"$',
+                       pyproject, re.M)
+    cli_block = re.search(r'^if __name__ == "__main__":\n    sys\.exit\((\w+)\(\)\)\n\Z',
+                          cli, re.M)
+    package = re.fullmatch(r"import sys\n\nfrom \.cli import (\w+)\n\nsys\.exit\((\w+)\(\)\)\n",
+                           package_main)
+    assert script and cli_block and package
+    names = {script[1], cli_block[1], package[1], package[2]}
+    assert len(names) == 1
+    entry = re.search(rf"^def {names.pop()}\(\):\n(?:    .*\n|\n)+", cli, re.M)
+    assert entry and "gc.freeze()" in entry[0]
+    # no other copy of the entry freezes the heap
+    assert sum(p.read_text(encoding="utf-8").count("gc.freeze(")
+               for p in (ROOT / "src" / "ncspec").glob("*.py")) == 1
