@@ -2,24 +2,33 @@
 
 Coefficients are ascending tuples of Fraction with no trailing zeros, so
 structural equality is arithmetic equality.  The zero polynomial is the
-empty tuple.
+empty tuple.  Only a function that makes a Fraction imports `fractions`,
+so importing this module does not load it.
 """
-
-from fractions import Fraction
 
 Poly = tuple  # tuple of Fraction, ascending degree
 
 
 def poly(coeffs) -> Poly:
     """Build a normalized polynomial from an iterable of rational-likes."""
-    cs = [Fraction(c) for c in coeffs]
+    import fractions
+    cs = [fractions.Fraction(c) for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
 
 
-ZERO: Poly = poly([])
-ONE: Poly = poly([1])
+ZERO: Poly = ()
+
+
+def __getattr__(name):
+    # ONE holds a Fraction, so it is made on first use: an int 1 would
+    # turn the divisions of `divmod_` and `monic` into float ones
+    if name == "ONE":
+        global ONE
+        ONE = poly([1])
+        return ONE
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def deg(p: Poly) -> int:
@@ -43,7 +52,7 @@ def neg(p: Poly) -> Poly:
 def mul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return ZERO
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):
             out[i + j] += a * b
@@ -51,7 +60,7 @@ def mul(p: Poly, q: Poly) -> Poly:
 
 
 def scale(p: Poly, c) -> Poly:
-    c = Fraction(c)
+    """p times the rational c; the coefficients of p keep the product exact."""
     if c == 0:
         return ZERO
     return tuple(a * c for a in p)
@@ -61,7 +70,7 @@ def divmod_(p: Poly, q: Poly):
     if is_zero(q):
         raise ZeroDivisionError("polynomial division by zero")
     r = list(p)
-    quot = [Fraction(0)] * max(0, len(p) - len(q) + 1)
+    quot = [0] * max(0, len(p) - len(q) + 1)
     dq, lead = deg(q), q[-1]
     while len(r) - 1 >= dq and any(c != 0 for c in r):
         while r and r[-1] == 0:
@@ -107,7 +116,7 @@ def squarefree_part(p: Poly) -> Poly:
     if is_zero(p):
         return ZERO
     if deg(p) == 0:
-        return ONE
+        return poly([1])
     g = gcd(p, derivative(p))
     q, r = divmod_(p, g)
     if not is_zero(r):
@@ -115,10 +124,11 @@ def squarefree_part(p: Poly) -> Poly:
     return monic(q)
 
 
-def evaluate(p: Poly, x) -> Fraction:
-    acc = Fraction(0)
+def evaluate(p: Poly, x):
+    import fractions
+    acc = fractions.Fraction(0)
     for c in reversed(p):
-        acc = acc * Fraction(x) + c
+        acc = acc * fractions.Fraction(x) + c
     return acc
 
 
@@ -130,6 +140,7 @@ def _divisors(n: int):
 
 def rational_roots(p: Poly):
     """All rational roots of a nonzero polynomial, via the rational root bound."""
+    import fractions
     if is_zero(p):
         raise ZeroDivisionError("zero polynomial")
     # strip trailing x factors
@@ -138,7 +149,7 @@ def rational_roots(p: Poly):
         shift += 1
     roots = set()
     if shift:
-        roots.add(Fraction(0))
+        roots.add(fractions.Fraction(0))
         p = p[shift:]
     if deg(p) == 0:
         return sorted(roots)
@@ -150,7 +161,7 @@ def rational_roots(p: Poly):
     for num in _divisors(a0):
         for d in _divisors(an):
             for s in (1, -1):
-                cand = Fraction(s * num, d)
+                cand = fractions.Fraction(s * num, d)
                 if evaluate(p, cand) == 0:
                     roots.add(cand)
     return sorted(roots)

@@ -7,14 +7,15 @@ element carries its owner descriptor and a canonical payload, so equality
 is structural equality of canonical forms.  Each descriptor class owns
 its payload arithmetic (see `Descriptor`), and each hom rule class owns
 how it applies and how it is certified (see `Rule`); the module-level
-functions check ownership and delegate.
+functions check ownership and delegate.  Only the code that reads or
+computes a rational imports `fractions`, so a call on Z/n, or on a ring
+over F_p whose entries are written as integers, never loads it.
 """
 
 import operator
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product as iproduct
-from math import gcd as igcd
+from math import gcd as igcd, isqrt
 
 from . import qpoly, skewpoly
 from .errors import (
@@ -36,10 +37,14 @@ class Rationals:
     """The field Q: scalars are Fractions; `order` is None (infinite)."""
 
     order = None
-    scalar = staticmethod(Fraction)
     add = staticmethod(operator.add)
     neg = staticmethod(operator.neg)
     mul = staticmethod(operator.mul)
+
+    @staticmethod
+    def scalar(v):
+        import fractions
+        return fractions.Fraction(v)
 
     def inv(self, a):
         return 1 / a
@@ -55,7 +60,7 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
-        if self.p < 2 or any(self.p % d == 0 for d in range(2, int(self.p ** 0.5) + 1)):
+        if self.p < 2 or any(self.p % d == 0 for d in range(2, isqrt(self.p) + 1)):
             raise ValueError(f"{self.p} is not prime")
 
     @property
@@ -66,7 +71,8 @@ class PrimeField:
         if type(v) is int:
             return v % self.p
         # an exact rational a/b is a * b^-1, when p does not divide b
-        v = Fraction(v)
+        import fractions
+        v = fractions.Fraction(v)
         if v.denominator % self.p == 0:
             raise ValueError(f"{v} is not in F{self.p}: {self.p} divides its denominator")
         return v.numerator * pow(v.denominator, -1, self.p) % self.p
@@ -543,6 +549,7 @@ class SkewLaurentRing(Descriptor):
     inverted: frozenset
 
     def __post_init__(self):
+        import fractions
         if self.nvars < 2:
             raise ValueError("skew rings need at least two variables")
         seen = dict(self.lam)
@@ -553,7 +560,7 @@ class SkewLaurentRing(Descriptor):
         for i in range(self.nvars):
             for j in range(i + 1, self.nvars):
                 v = seen.get((i, j))
-                if v is None or Fraction(v) == 0:
+                if v is None or fractions.Fraction(v) == 0:
                     raise ValueError(f"missing or zero commutation scalar for ({i}, {j})")
         if any(i < 0 or i >= self.nvars for i in self.inverted):
             raise ValueError("inverted index out of range")
@@ -607,7 +614,9 @@ class SkewLaurentRing(Descriptor):
 
 def skew_ring(nvars, lam_entries, inverted=()) -> SkewLaurentRing:
     """Build a skew Laurent descriptor from {(i, j): scalar} with i < j."""
-    lam = tuple(sorted(((i, j), Fraction(v)) for (i, j), v in dict(lam_entries).items()))
+    import fractions
+    lam = tuple(sorted(((i, j), fractions.Fraction(v))
+                       for (i, j), v in dict(lam_entries).items()))
     return SkewLaurentRing(nvars, lam, frozenset(inverted))
 
 

@@ -5,8 +5,6 @@ kind does not read (see `KEYS`); rational scalars travel as exact strings
 like "3/4".
 """
 
-from fractions import Fraction
-
 from . import rings as rg
 from .errors import ParseError, SchemaViolation
 from .rings import (
@@ -79,14 +77,15 @@ def parse_list(v, path="") -> list:
     return v
 
 
-def parse_rational(v, path="") -> Fraction:
+def parse_rational(v, path=""):
+    """The Fraction that v writes: a JSON integer, or a string of an
+    integer, a ratio "a/b" or a plain decimal.  A bool, a float, or a
+    string in exponent notation (whose value "1e10000000" would take
+    seconds to build) is a SchemaViolation at path."""
+    import fractions
     try:
-        if isinstance(v, bool):
-            raise ValueError
-        if isinstance(v, int):
-            return Fraction(v)
-        if isinstance(v, str):
-            return Fraction(v)
+        if type(v) is int or isinstance(v, str) and "e" not in v and "E" not in v:
+            return fractions.Fraction(v)
     except (ValueError, ZeroDivisionError):
         pass
     raise SchemaViolation(f"not an exact rational: {v!r}", path)
@@ -99,8 +98,9 @@ def parse_int(v, path="") -> int:
     return v
 
 
-def rational_str(q: Fraction) -> str:
-    return str(Fraction(q))
+def rational_str(q) -> str:
+    """An int or a Fraction as the exact string that `parse_rational` reads."""
+    return str(q)
 
 
 def _parse_base(v, path):
@@ -230,8 +230,9 @@ def parse_element(r, doc, path="element") -> RingElement:
 
 def _scalar(base, v, path):
     """The rational v as a scalar of base; one with no value there (a
-    denominator that p divides, over F_p) is a SchemaViolation at path."""
-    return _built(base.scalar, path, parse_rational(v, path))
+    denominator that p divides, over F_p) is a SchemaViolation at path.
+    A JSON integer goes to base.scalar as it is, so no Fraction is made."""
+    return _built(base.scalar, path, v if type(v) is int else parse_rational(v, path))
 
 
 def _parse_terms(nvars, doc, path) -> dict:

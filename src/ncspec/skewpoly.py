@@ -12,10 +12,9 @@ Reordering the concatenation of two ordered words only transposes pairs
     twist(a, b) = prod over j < i of lam(j, i) ** (-a_i * b_j).
 
 Variables are 0-indexed here; lam is a mapping {(i, j): Fraction} for
-i < j (0-based).
+i < j (0-based).  Only a function that makes a Fraction imports
+`fractions`, so importing this module does not load it.
 """
-
-from fractions import Fraction
 
 ExpVec = tuple  # tuple of int, one slot per variable
 Terms = dict    # ExpVec -> Fraction, no zero values
@@ -40,10 +39,15 @@ def twist(lam: dict, a: ExpVec, b: ExpVec):
             else:
                 num *= q.denominator ** -e
                 den *= q.numerator ** -e
-    return num if den == 1 else Fraction(num, den)
+    if den == 1:
+        return num
+    # once `fractions` is loaded, this import is one dictionary lookup;
+    # `from fractions import Fraction` would cost several times more a call
+    import fractions
+    return fractions.Fraction(num, den)
 
 
-def term_mul(lam: dict, a: ExpVec, ca: Fraction, b: ExpVec, cb: Fraction):
+def term_mul(lam: dict, a: ExpVec, ca, b: ExpVec, cb):
     exp = tuple(x + y for x, y in zip(a, b))
     return exp, ca * cb * twist(lam, a, b)
 
@@ -51,7 +55,7 @@ def term_mul(lam: dict, a: ExpVec, ca: Fraction, b: ExpVec, cb: Fraction):
 def add(p: Terms, q: Terms) -> Terms:
     out = dict(p)
     for e, c in q.items():
-        s = out.get(e, Fraction(0)) + c
+        s = out.get(e, 0) + c
         if s:
             out[e] = s
         else:
@@ -68,7 +72,7 @@ def mul(lam: dict, p: Terms, q: Terms) -> Terms:
     for a, ca in p.items():
         for b, cb in q.items():
             e, c = term_mul(lam, a, ca, b, cb)
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
@@ -77,7 +81,8 @@ def mul(lam: dict, p: Terms, q: Terms) -> Terms:
 
 
 def monomial(nvars: int, exps, coeff=1) -> Terms:
-    c = Fraction(coeff)
+    import fractions
+    c = fractions.Fraction(coeff)
     if c == 0:
         return {}
     e = tuple(exps)
@@ -87,9 +92,10 @@ def monomial(nvars: int, exps, coeff=1) -> Terms:
 
 
 def variable(nvars: int, i: int) -> Terms:
+    import fractions
     e = [0] * nvars
     e[i] = 1
-    return {tuple(e): Fraction(1)}
+    return {tuple(e): fractions.Fraction(1)}
 
 
 def total_degree_terms(p: Terms):
@@ -122,9 +128,10 @@ def canonical(p: Terms) -> tuple:
 def from_canonical(items) -> Terms:
     """The terms of a payload: a canonical tuple, or a dict read as its
     items; zero coefficients are dropped."""
+    import fractions
     if isinstance(items, dict):
         items = items.items()
-    return {tuple(e): Fraction(c) for e, c in items if Fraction(c) != 0}
+    return {tuple(e): fractions.Fraction(c) for e, c in items if fractions.Fraction(c) != 0}
 
 
 def to_string(p: Terms) -> str:

@@ -106,6 +106,22 @@ def _cone(n, S, total, box):
     return list(zip(*(map(sub, hi, lo) for lo, hi in zip(sums, sums[1:]))))
 
 
+class _Cones(dict):
+    """The cones of one top-level call in n variables, keyed by (S, total,
+    box): `cones[S, total, box]` is `_cone(n, S, total, box)`, listed on
+    first use.  Each of `gamma`, `serre_unit`, `qcoh_cocycle_check`,
+    `is_torsion` and `TwistedSheaf.chart_piece` makes its own table, so a
+    cone is listed once per call and none outlives it."""
+
+    def __init__(self, n):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, key):
+        cone = self[key] = _cone(self.n, *key)
+        return cone
+
+
 @record
 class RawSpace:
     """Degree-d monomial columns over a cone plus the relation echelon."""
@@ -113,7 +129,6 @@ class RawSpace:
     columns: tuple       # (generator index, exponent vector)
     index: dict
     ech: Echelon
-    cones: dict          # degree e -> the cone of total d - e
 
 
 def _shift(lam, b, terms, index):
@@ -132,21 +147,19 @@ def _shift(lam, b, terms, index):
     return vec
 
 
-def _raw_space(pres: GradedModulePresentation, S, d: int, box: int) -> RawSpace:
-    n = pres.ring.nvars
+def _raw_space(pres: GradedModulePresentation, S, d: int, box: int, cones: _Cones) -> RawSpace:
     lam = pres.ring.lam_map
-    # one cone per distinct generator or relation degree e, of total d - e
-    degrees = {*pres.gen_degrees, *(D for D, _ in pres.rows)}
-    cones = {e: _cone(n, S, d - e, box) for e in degrees}
-    columns = tuple((t, a) for t, gdeg in enumerate(pres.gen_degrees) for a in cones[gdeg])
+    # a generator or relation of degree e spans the cone of total d - e
+    columns = tuple((t, a) for t, gdeg in enumerate(pres.gen_degrees)
+                    for a in cones[S, d - gdeg, box])
     index = {c: i for i, c in enumerate(columns)}
     ech = Echelon(len(columns))
     for D, terms in pres.rows:
-        for b in cones[D]:
+        for b in cones[S, d - D, box]:
             vec = _shift(lam, b, terms, index)
             if vec is not None:
                 ech.add(vec)
-    return RawSpace(columns, index, ech, cones)
+    return RawSpace(columns, index, ech)
 
 
 @record
@@ -165,16 +178,11 @@ class StablePiece:
         return self.span.rank
 
 
-def _stable_piece(pres, S, d, box, cones=None) -> StablePiece:
-    """The piece at depth `box`; `cones` are its depth-box cones by degree
-    when the caller has them, as the `raw.cones` of the piece at `box - 1`."""
-    big = _raw_space(pres, S, d, box + 1)
+def _stable_piece(pres, S, d, box, cones: _Cones) -> StablePiece:
+    big = _raw_space(pres, S, d, box + 1, cones)
     img = Echelon(len(big.columns))
-    if cones is None:
-        n = pres.ring.nvars
-        cones = {e: _cone(n, S, d - e, box) for e in set(pres.gen_degrees)}
     for t, gdeg in enumerate(pres.gen_degrees):
-        for a in cones[gdeg]:
+        for a in cones[S, d - gdeg, box]:
             img.add(big.ech.reduce({big.index[(t, a)]: 1}))
     return StablePiece(big, img)
 
@@ -287,7 +295,8 @@ class TwistedSheaf:
     n: int
 
     def chart_piece(self, i: int) -> StablePiece:
-        return _stable_piece(self.base.presentation, frozenset({i}), self.n, self.base.box)
+        M = self.base.presentation
+        return _stable_piece(M, frozenset({i}), self.n, self.base.box, _Cones(M.ring.nvars))
 
 
 def twist(d: SkewQcohDatum, n: int) -> TwistedSheaf:
@@ -304,6 +313,7 @@ def qcoh_cocycle_check(d: SkewQcohDatum, degree: int = 0) -> dict:
     failures = []
     X, M = d.proj, d.presentation
     n = X.n
+    cones = _Cones(n)
     for i in range(n):
         if d.scalars.get((i, i), Fraction(1)) != 1:
             failures.append({"condition": "identity", "chart": i})
@@ -317,11 +327,13 @@ def qcoh_cocycle_check(d: SkewQcohDatum, degree: int = 0) -> dict:
         if None in (cij, cjk, cik) or cij * cjk != cik:
             failures.append({"condition": "triple", "triple": (i, j, k)})
 
-    pieces = [_stable_piece(M, frozenset({i}), degree, d.box) for i in range(n)]
+    pieces = [_stable_piece(M, frozenset({i}), degree, d.box, cones) for i in range(n)]
     for (i, j) in X.overlaps:
-        ov = _stable_piece(M, frozenset({i, j}), degree, d.box)
-        span_i = _base_changed_span(M, pieces[i], ov, frozenset({i, j}), d.box)
-        span_j = _base_changed_span(M, pieces[j], ov, frozenset({i, j}), d.box)
+        S = frozenset({i, j})
+        ov = _stable_piece(M, S, degree, d.box, cones)
+        multipliers = cones[S, 0, d.box]
+        span_i = _base_changed_span(M, pieces[i], ov, multipliers)
+        span_j = _base_changed_span(M, pieces[j], ov, multipliers)
         # both sides must generate the stable overlap window (the two spans
         # also carry truncation fringe beyond the window, which may differ)
         covers = all(span_i.contains(r) for r in ov.basis) and all(
@@ -331,14 +343,12 @@ def qcoh_cocycle_check(d: SkewQcohDatum, degree: int = 0) -> dict:
     return {"status": "pass" if not failures else "fail", "failures": failures}
 
 
-def _base_changed_span(M, piece: StablePiece, ov: StablePiece, S, box) -> Echelon:
-    """Span of the chart piece under degree-zero overlap multipliers, inside
-    the overlap space (products leaving the truncation are skipped; the
-    reference comparison keeps that honest)."""
+def _base_changed_span(M, piece: StablePiece, ov: StablePiece, multipliers) -> Echelon:
+    """Span of the chart piece under the degree-zero overlap `multipliers`,
+    inside the overlap space (products leaving the truncation are skipped;
+    the reference comparison keeps that honest)."""
     lam = M.ring.lam_map
-    n = M.ring.nvars
     span = Echelon(len(ov.raw.columns))
-    multipliers = _cone(n, S, 0, box)
     for v in piece.basis:
         terms = [(piece.raw.columns[ci], c) for ci, c in v.items()]
         for w in multipliers:
@@ -367,11 +377,9 @@ class SectionSpace:
         return len(self.vectors)
 
 
-def _sections_once(M: GradedModulePresentation, nvars, d, box, shallow=None) -> SectionSpace:
-    """The sections at depth `box`; `shallow`, the sections at `box - 1`,
-    has listed the depth-box cones of the chart pieces."""
-    cones = [p.raw.cones for p in shallow.chart_pieces] if shallow else [None] * nvars
-    pieces = [_stable_piece(M, frozenset({i}), d, box, cones[i]) for i in range(nvars)]
+def _sections_once(M: GradedModulePresentation, nvars, d, box, cones: _Cones) -> SectionSpace:
+    """The sections at depth `box`."""
+    pieces = [_stable_piece(M, frozenset({i}), d, box, cones) for i in range(nvars)]
     dims = [p.dim for p in pieces]
     offsets = [0]
     for k in dims:
@@ -379,7 +387,7 @@ def _sections_once(M: GradedModulePresentation, nvars, d, box, shallow=None) -> 
     rows = []
     for i in range(nvars):
         for j in range(i + 1, nvars):
-            ov = _raw_space(M, frozenset({i, j}), d, box + 1)
+            ov = _raw_space(M, frozenset({i, j}), d, box + 1, cones)
             # one row per overlap column: chart i's coefficient minus chart j's
             by_col = {}
             for k, sign in ((i, 1), (j, -1)):
@@ -401,14 +409,19 @@ def gamma(X: ProjSpace, M: GradedModulePresentation, window, box: int = 2) -> di
     with the box enlarged by one, and a drift in its dimension raises
     BoxTooSmall.
     """
+    return _gamma(X, M, window, box, _Cones(X.n))
+
+
+def _gamma(X: ProjSpace, M: GradedModulePresentation, window, box, cones: _Cones) -> dict:
+    """`gamma` with the cones of the caller's table."""
     lo, hi = window
     dims = {}
     spaces = {}
     for d in range(lo, hi + 1):
-        s = _sections_once(M, X.n, d, box)
+        s = _sections_once(M, X.n, d, box, cones)
         spaces[d] = s
         dims[d] = s.dim
-        again = _sections_once(M, X.n, d, box + 1, s)
+        again = _sections_once(M, X.n, d, box + 1, cones)
         if again.dim != s.dim:
             raise BoxTooSmall(f"degree {d}: dimension moved {s.dim} -> {again.dim}")
     return {"window": (lo, hi), "box": box, "dims": dims, "spaces": spaces}
@@ -417,9 +430,9 @@ def gamma(X: ProjSpace, M: GradedModulePresentation, window, box: int = 2) -> di
 # ---------------------------------------------------------------------------
 # the unit map from the module to its sections
 
-def _ambient_space(M: GradedModulePresentation, d: int) -> RawSpace:
+def _ambient_space(M: GradedModulePresentation, d: int, cones: _Cones) -> RawSpace:
     """The exact degree-d piece of the module itself (no truncation involved)."""
-    return _raw_space(M, frozenset(), d, 0)
+    return _raw_space(M, frozenset(), d, 0, cones)
 
 
 def _ambient_basis(space: RawSpace):
@@ -449,13 +462,14 @@ def serre_unit(X: ProjSpace, M: GradedModulePresentation, window,
     inconclusive.
     """
     lo, hi = window
-    g = gamma(X, M, window, box)
+    cones = _Cones(X.n)
+    g = _gamma(X, M, window, box, cones)
     out = {"window": (lo, hi), "box": box, "torsion_bound": torsion_bound, "degrees": {}}
     # the image of every degree first: the cokernel probes of a degree
     # test membership in the images of the degrees above it
     parts = {}
     for d in range(lo, hi + 1):
-        amb = _ambient_space(M, d)
+        amb = _ambient_space(M, d, cones)
         basis_cols = _ambient_basis(amb)
         images = [_gamma_image(amb, c, g["spaces"][d]) for c in basis_cols]
         img_ech = Echelon(sum(g["spaces"][d].chart_dims))
@@ -478,7 +492,8 @@ def serre_unit(X: ProjSpace, M: GradedModulePresentation, window,
             for cv in kernel_basis(list(coeff_rows.values()), len(basis_cols)):
                 kernel_elts.append([(amb.columns[basis_cols[m]], c) for m, c in cv.items()])
 
-        kernel_torsion = all(_torsion(M, terms, d, torsion_bound, box) for terms in kernel_elts)
+        kernel_torsion = all(_torsion(M, terms, d, torsion_bound, box, cones)
+                             for terms in kernel_elts)
 
         cokernel_dim = sec.dim - img_ech.rank
         cok_torsion = None
@@ -527,14 +542,15 @@ def is_torsion(M: GradedModulePresentation, elt, bound: int, box: int = 2) -> bo
     small.  An element outside the module's degree-d piece raises
     ArityMismatch (component or exponent count) or InhomogeneousRelation.
     """
-    return _torsion(M, _element_terms(M, elt), elt["degree"], bound, box)
+    return _torsion(M, _element_terms(M, elt), elt["degree"], bound, box, _Cones(M.ring.nvars))
 
 
-def _torsion(M: GradedModulePresentation, terms, d: int, bound: int, box: int) -> bool:
+def _torsion(M: GradedModulePresentation, terms, d: int, bound: int, box: int,
+             cones: _Cones) -> bool:
     """`is_torsion` on the checked terms of a degree-d element."""
     lam = M.ring.lam_map
     n = M.ring.nvars
-    amb = _ambient_space(M, d + bound)
+    amb = _ambient_space(M, d + bound, cones)
     survivors = [i for i in range(n) if amb.ech.reduce(
         _shift(lam, tuple(bound if v == i else 0 for v in range(n)), terms, amb.index))]
     if not survivors:
@@ -545,8 +561,8 @@ def _torsion(M: GradedModulePresentation, terms, d: int, bound: int, box: int) -
 
     for i in survivors:
         S = frozenset({i})
-        shallow = _stable_piece(M, S, d, box)
-        if alive(shallow) and alive(_stable_piece(M, S, d, box + 1, shallow.raw.cones)):
+        if (alive(_stable_piece(M, S, d, box, cones))
+                and alive(_stable_piece(M, S, d, box + 1, cones))):
             return False
     raise BoundInconclusive(
         f"powers up to {bound} neither kill the element nor show it alive")

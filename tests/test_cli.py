@@ -141,6 +141,22 @@ def test_rationals_as_strings():
     assert ser.rational_str(Fraction(-7, 2)) == "-7/2"
 
 
+def test_every_rational_form_keeps_its_value():
+    from fractions import Fraction
+    for v, want in [(5, 5), (-3, -3), ("7", 7), ("-10/4", Fraction(-5, 2)),
+                    ("0.25", Fraction(1, 4)), ("-.5", Fraction(-1, 2)), ("3.", 3)]:
+        got = ser.parse_rational(v)
+        assert type(got) is Fraction and got == want, (v, got)
+
+
+@pytest.mark.parametrize("v", ["1e10000000", "1E3", "2.5e-1", "1/2e3", 1.0])
+def test_exponent_notation_and_floats_are_not_exact_rationals(v):
+    # "1e10000000" is 10 ** 10 ** 7: building it took seconds
+    with pytest.raises(SchemaViolation) as err:
+        ser.parse_rational(v, "ring.lambda[0]")
+    assert err.value.path == "ring.lambda[0]"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -454,6 +470,9 @@ _SKEW = {"kind": "skew_laurent", "nvars": 2, "lambda": [[1, 2, "2"]]}
     (dict(_SKEW, inverted=[1, 3]), "ring.inverted[1]"),
     (dict(_SKEW, inverted=["1"]), "ring.inverted[0]"),
     (dict(_SKEW, **{"lambda": [[1, 2, "2"], [1, 2, "3"]]}), "ring.lambda[1]"),   # a pair twice
+    # 10^400 - 1 is divisible by 3; its square root is past a float's range
+    ({"kind": "matrix", "base": "f" + "9" * 400, "size": 2}, "ring.base"),
+    (dict(_SKEW, **{"lambda": [[1, 2, "1e10000000"]]}), "ring.lambda[0]"),
 ])
 def test_cli_reports_a_bad_ring_value_at_its_key(tmp_path, capsys, doc, path):
     doc = dict(doc, schema="ncspec.ring/1")
@@ -470,6 +489,9 @@ def test_cli_reports_a_bad_ring_value_at_its_key(tmp_path, capsys, doc, path):
     (skew_ring(2, {(0, 1): 2}), [[[1, 0], "1"], [[0, 1], "x"]], "element[1]"),
     (skew_ring(2, {(0, 1): 2}), [[[1, 0, 0], "1"]], "element[0]"),
     (MatrixRing(PrimeField(2), 2), [["1", "0"], ["0", "1/2"]], "element[1][1]"),
+    (MatrixRing(PrimeField(2), 2), [[1, 0], [0, True]], "element[1][1]"),
+    (MatrixRing(Rationals(), 2), [[True, 0], [0, 1]], "element[0][0]"),
+    (MatrixRing(Rationals(), 2), [["1e2", 0], [0, 1]], "element[0][0]"),
 ])
 def test_a_bad_coefficient_is_reported_at_its_entry(r, doc, path):
     with pytest.raises(SchemaViolation) as err:
@@ -492,6 +514,30 @@ def test_fp_matrix_entries_are_read_as_elements_of_the_field():
     assert ser.parse_element(ssa, [[["7/2"]]]) == ser.parse_element(ssa, [[[2]]])
     m2 = MatrixRing(PrimeField(5), 2)
     assert ser.parse_element(m2, [["1/2", "-1/3"], [4, "10/4"]]).payload == ((3, 3), (4, 0))
+
+
+def test_an_int_matrix_entry_is_the_same_scalar_as_its_string(tmp_path, capsys):
+    """An F_p entry written 1 or "1" gives the same report, and an int
+    entry over Q is still read as a Fraction."""
+    from fractions import Fraction
+
+    def diagonal(one):
+        def ssa(dims):
+            return {"kind": "semisimple", "base": "f2", "dims": dims}
+        return {"schema": "ncspec.morphism/1", "source": ssa([1]), "target": ssa([1, 1]),
+                "rule": {"kind": "table", "pairs": [[[[[0]]], [[[0]], [[0]]]],
+                                                    [[[[one]]], [[[one]], [[one]]]]]}}
+
+    reports = []
+    for one in (1, "1"):
+        code, out = run_cli(capsys, "prim-check", "--morphism",
+                            write(tmp_path, "diagonal.json", diagonal(one)))
+        assert code == 0, out
+        reports.append(out)
+    assert reports[0] == reports[1]
+    m2q = ser.parse_element(MatrixRing(Rationals(), 2), [[1, 0], ["-3", "1/2"]])
+    assert all(type(v) is Fraction for row in m2q.payload for v in row)
+    assert m2q.payload == ((1, 0), (-3, Fraction(1, 2)))
 
 
 def test_cli_rejects_an_fp_entry_whose_denominator_p_divides(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import ast
 import gc
 import importlib
+import json
 import weakref
 from pathlib import Path
 
@@ -294,6 +295,76 @@ def test_a_cli_call_loads_no_code_generation_modules(tmp_path):
                             f"    code = ncspec.cli.main(['ring-validate', '--ring', {str(ring)!r}])\n"
                             f"print(code, *[m for m in {COLD_CLI_UNLOADED!r} if m in sys.modules])")
     assert out.split() == ["0"]
+
+
+# what `fractions` loads: a call that makes no rational must load none of it
+RATIONAL_MODULES = ("fractions", "decimal", "numbers")
+
+
+def _ring(**body):
+    return {"schema": "ncspec.ring/1", **body}
+
+
+_M2F2 = {"kind": "matrix", "base": "f2", "size": 2}
+_ZERO_2X2 = [[0, 0], [0, 0]]
+
+# one call of each finite shape of the benchmark's cold CLI pool
+FINITE_CALLS = (
+    ("ncspec", "--ring", _ring(kind="modular", n=6)),
+    ("ncspec", "--ring", _ring(kind="product", factors=[{"kind": "modular", "n": 2}] * 4)),
+    ("ncspec", "--ring", _ring(kind="semisimple", base="f2", dims=[1, 2])),
+    ("ncspec", "--ring", _ring(**_M2F2)),
+    ("semilattice", "--ring", _ring(kind="modular", n=60)),
+    ("spec", "--ring", _ring(kind="modular", n=30)),
+    ("embed", "--ring", _ring(kind="modular", n=12)),
+    ("exp", "--ring", _ring(kind="modular", n=6)),
+    ("morphism", "--morphism", {"schema": "ncspec.morphism/1",
+                                "source": {"kind": "modular", "n": 6},
+                                "target": {"kind": "modular", "n": 3},
+                                "rule": {"kind": "canonical_quotient"}}),
+    ("prim-check", "--morphism", {"schema": "ncspec.morphism/1",
+                                  "source": {"kind": "modular", "n": 30},
+                                  "target": {"kind": "modular", "n": 6},
+                                  "rule": {"kind": "canonical_quotient"}}),
+    ("glue", "--glue", {"schema": "ncspec.glue/1", "pieces": [_M2F2] * 2,
+                        "overlaps": [{"from": 0, "to": 1, "subset": [_ZERO_2X2]},
+                                     {"from": 1, "to": 0, "subset": [_ZERO_2X2]}],
+                        "isos": [{"from": 0, "to": 1, "rule": {"kind": "identity"}},
+                                 {"from": 1, "to": 0, "rule": {"kind": "identity"}}]}),
+)
+
+# two calls that do make a Fraction, so the check above is not vacuous
+RATIONAL_CALLS = (
+    ("ncspec", "--ring", _ring(kind="semisimple", base="q", dims=[2, 3])),
+    ("proj-gamma", "--ring", _ring(kind="skew_laurent", nvars=2, **{"lambda": [[1, 2, "2"]]}),
+     "--window", "0", "2"),
+)
+
+
+def rational_modules_after(tmp_path, calls) -> list:
+    """[exit code, the RATIONAL_MODULES loaded] after each of calls, run in
+    order by `cli.main` in one fresh interpreter."""
+    argvs = []
+    for k, (sub, flag, doc, *extra) in enumerate(calls):
+        path = tmp_path / f"doc{k}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argvs.append([sub, flag, str(path), *extra])
+    out = python_stdout([], "import io, json, sys, contextlib, ncspec.cli\n"
+                            f"for argv in {argvs!r}:\n"
+                            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                            "        code = ncspec.cli.main(argv)\n"
+                            f"    loaded = [m for m in {RATIONAL_MODULES!r} if m in sys.modules]\n"
+                            "    print(json.dumps([code, loaded]))\n")
+    return [json.loads(line) for line in out.splitlines()]
+
+
+def test_a_finite_ring_call_loads_no_fractions(tmp_path):
+    assert rational_modules_after(tmp_path, FINITE_CALLS) == [[0, []]] * len(FINITE_CALLS)
+
+
+@pytest.mark.parametrize("call", RATIONAL_CALLS, ids=lambda c: c[0])
+def test_a_call_that_makes_a_fraction_loads_fractions(tmp_path, call):
+    assert rational_modules_after(tmp_path, [call]) == [[0, list(RATIONAL_MODULES)]]
 
 
 def traced_names(source: str) -> dict:

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -14,6 +15,7 @@ from conftest import (
 
 from ncspec import rings as rg
 from ncspec import skewpoly, skewproj
+from ncspec.cli import main
 from ncspec.errors import (
     ArityMismatch,
     BoundInconclusive,
@@ -36,7 +38,7 @@ from ncspec.skewproj import (
     serre_unit,
     twist,
 )
-from ncspec.skewproj import _cone, _raw_space, _shift
+from ncspec.skewproj import _cone, _Cones, _raw_space, _shift
 
 SK2 = skew_ring(2, {(0, 1): 2})
 SK3 = skew_ring(3, {(0, 1): 2, (0, 2): 3, (1, 2): 5})
@@ -219,7 +221,7 @@ def test_shift_and_relation_echelon_match_the_payload_path(rng):
             pres = random_presentation(rng, r)
             S = frozenset(rng.sample(range(r.nvars), rng.randint(0, r.nvars)))
             d, box = rng.randint(0, 3), rng.randint(0, 2)
-            raw = _raw_space(pres, S, d, box)
+            raw = _raw_space(pres, S, d, box, _Cones(r.nvars))
             for (D, terms), row in zip(pres.rows, nonzero_relations(pres)):
                 for b in graded_piece_basis(r, S, d - D, box + 1):
                     got = _shift(r.lam_map, b, terms, raw.index)
@@ -482,7 +484,7 @@ def test_quotient_module_sheaf_is_zero_datum():
 
 @pytest.mark.parametrize("r, hi, calls", [(SK2, 10, 88), (SK3, 5, 90)])
 def test_gamma_lists_each_cone_once(monkeypatch, r, hi, calls):
-    """The box + 1 stability run takes the cones that the box run listed."""
+    """The box + 1 stability run reads the cones that the box run listed."""
     seen = []
 
     def counted(n, S, total, box):
@@ -493,3 +495,55 @@ def test_gamma_lists_each_cone_once(monkeypatch, r, hi, calls):
     g = gamma(build_proj(r), free_presentation(r), (0, hi))
     assert len(seen) == len(set(seen)) == calls
     assert g["dims"] == {d: comb(d + r.nvars - 1, r.nvars - 1) for d in range(hi + 1)}
+
+
+_SK2_DOC = {"kind": "skew_laurent", "nvars": 2, "lambda": [[1, 2, "2"]], "inverted": []}
+_SK4_DOC = {"kind": "skew_laurent", "nvars": 4, "inverted": [],
+            "lambda": [[i, j, "2"] for i in range(1, 5) for j in range(i + 1, 5)]}
+
+
+def _trivial_qcoh(ring):
+    n = ring["nvars"]
+    return {"schema": "ncspec.qcoh/1", "ring": ring,
+            "module": {"schema": "ncspec.module/1", "generators": [{"degree": 0}]},
+            "scalars": [[i, j, "1"] for i in range(1, n + 1) for j in range(1, n + 1) if i != j]}
+
+
+_SK2_RING = dict(_SK2_DOC, schema="ncspec.ring/1")
+
+# the benchmark's skew jobs whose module or overlaps once listed a cone twice
+CONE_JOBS = {
+    "proj-gamma SK2 ideal": (
+        ["proj-gamma", "--ring", _SK2_RING, "--window", "0", "6", "--module",
+         {"schema": "ncspec.module/1", "generators": [{"degree": 1}, {"degree": 1}],
+          "relations": [[[[[0, 1], "1"]], [[[1, 0], "-1/2"]]]]}], 62),
+    "serre-check SK2 torsion": (
+        ["serre-check", "--ring", _SK2_RING, "--window", "0", "3", "--module",
+         {"schema": "ncspec.module/1", "generators": [{"degree": 0}, {"degree": 0}],
+          "relations": [[[], [[[1, 0], "1"]]], [[], [[[0, 1], "1"]]]]}], 43),
+    "qcoh-check SK2": (["qcoh-check", "--datum", _trivial_qcoh(_SK2_DOC)], 6),
+    "qcoh-check SK4": (["qcoh-check", "--datum", _trivial_qcoh(_SK4_DOC)], 20),
+}
+
+
+@pytest.mark.parametrize("job", CONE_JOBS)
+def test_a_cli_call_lists_each_cone_once(tmp_path, monkeypatch, capsys, job):
+    """One cone table per call: the relation cone of one degree is the
+    generator cone of another, and `serre_unit` reads the cones of its
+    `gamma` again in its torsion test."""
+    argv, calls = CONE_JOBS[job]
+    argv = list(argv)
+    for k, v in enumerate(argv):
+        if isinstance(v, dict):
+            path = tmp_path / f"doc{k}.json"
+            path.write_text(json.dumps(v), encoding="utf-8")
+            argv[k] = str(path)
+    seen = []
+
+    def counted(n, S, total, box):
+        seen.append((n, S, total, box))
+        return _cone(n, S, total, box)
+
+    monkeypatch.setattr(skewproj, "_cone", counted)
+    assert main(argv) == 0, capsys.readouterr().out
+    assert len(seen) == len(set(seen)) == calls
