@@ -77,10 +77,10 @@ def cmd_ring_validate(args):
 
 
 def cmd_semilattice(args):
-    from .latspace import PidLattice, build_semilattice
+    from .latspace import LocalizationLattice, build_semilattice
     r = ser.parse_ring(_load(args.ring))
     lat = build_semilattice(r)
-    if isinstance(lat, PidLattice):
+    if not isinstance(lat, LocalizationLattice):
         payload = {"ring": repr(r), "lazy": True,
                    "note": "order answered by squarefree divisibility"}
         return _emit(args, "pass", payload)
@@ -215,8 +215,9 @@ def _proj_inputs(args):
         raise ParseError(f"--box {args.box}: the truncation depth must be >= 0")
     if getattr(args, "torsion_bound", 1) < 1:
         raise ParseError(f"--torsion-bound {args.torsion_bound}: the bound must be >= 1")
-    r = ser.parse_ring(_load(args.ring))
-    if not isinstance(r, rg.SkewLaurentRing):
+    doc = _load(args.ring)
+    r = ser.parse_ring(doc)
+    if doc["kind"] != "skew_laurent":
         raise ParseError(f"{args.subcommand} expects a skew Laurent ring")
     M = ser.parse_graded_module(r, _load(args.module)) if args.module else free_presentation(r)
     return (lo, hi), r, M, build_proj(r)

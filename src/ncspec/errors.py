@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all ncspec modules."""
+"""The exceptions of all ncspec modules, and the readers of JSON numbers."""
 
 
 class NCSpecError(Exception):
@@ -145,3 +145,24 @@ class SchemaViolation(ParseError):
     def __init__(self, message, path=""):
         super().__init__(message)
         self.path = path
+
+
+def parse_int(v, path="") -> int:
+    """An exact JSON integer; bools, strings and floats are rejected."""
+    if type(v) is not int:
+        raise SchemaViolation(f"not an integer: {v!r}", path)
+    return v
+
+
+def parse_rational(v, path=""):
+    """The Fraction that v writes: a JSON integer, or a string of an
+    integer, a ratio "a/b" or a plain decimal.  A bool, a float, or a
+    string in exponent notation (whose value "1e10000000" would take
+    seconds to build) is a SchemaViolation at path."""
+    import fractions
+    try:
+        if type(v) is int or isinstance(v, str) and "e" not in v and "E" not in v:
+            return fractions.Fraction(v)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise SchemaViolation(f"not an exact rational: {v!r}", path)

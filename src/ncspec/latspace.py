@@ -14,13 +14,12 @@ A materialized lattice carries one poset, the finite Alexandrov space on
 its cells, which holds the order, the joins and the law checks.  That
 space is already sober, so it is its own soberification: point i stands
 for the irreducible closed set down(i).
-Q[x] gets a lazy lattice driven by squarefree divisibility plus the
-symbolic point model for its soberification.
+Q[x] gets the lazy lattice of `qpoly.PidLattice`, driven by squarefree
+divisibility, through its descriptor's `lazy_semilattice`.
 """
 
 from itertools import combinations
 
-from . import qpoly
 from . import rings as rg
 from .errors import (
     NotAPartialOrder,
@@ -31,7 +30,7 @@ from .errors import (
 )
 from .localization import Localization, localize
 from .records import private, record
-from .rings import RingElement, UnivariatePolyRing
+from .rings import RingElement
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +249,13 @@ class LocalizationLattice:
 
 
 def build_semilattice(r):
-    """The localization semilattice; lazy for Q[x], materialized for a
-    block ring: one cell per set of kept blocks, in `_cell_order`, whose
-    subset is the idempotent that is 1 on them (`rings.block_idempotent`), and
-    cell j >= i iff j keeps a subset of the blocks i keeps.  The zero ring
-    has one cell, at the empty subset."""
-    if isinstance(r, UnivariatePolyRing):
-        return PidLattice(r)
+    """The localization semilattice; the descriptor's lazy one off block
+    rings (Q[x]), materialized for a block ring: one cell per set of kept
+    blocks, in `_cell_order`, whose subset is the idempotent that is 1 on
+    them (`rings.block_idempotent`), and cell j >= i iff j keeps a subset
+    of the blocks i keeps.  The zero ring has one cell, at the empty subset."""
     if r.blocks is None:
-        raise UnsupportedClass(f"no semilattice construction for {r!r}")
+        return r.lazy_semilattice()
     n = len(r.blocks)
     keys = [frozenset(Z) for k in range(n + 1) for Z in combinations(range(n), k)]
     cells = []
@@ -289,80 +286,3 @@ def _cell_order(r):
             moduli[j] = (kept or s in key, dropped if s in key else dropped * p)
         return [dropped if kept else 0 for kept, dropped in moduli.values()]
     return first
-
-
-# ---------------------------------------------------------------------------
-# the lazy lattice and point model for Q[x]
-
-class PidLattice:
-    """Lazy localization semilattice of Q[x].
-
-    A cell is named by the monic squarefree part of the product of its
-    subset (1 for the bottom, the zero polynomial for the top); order is
-    squarefree divisibility and joins multiply the squarefree parts.
-    """
-
-    def __init__(self, ring: UnivariatePolyRing):
-        self.ring = ring
-
-    def cell_key(self, f: RingElement):
-        return qpoly.squarefree_part(f.payload)
-
-    def leq_keys(self, h, g) -> bool:
-        if qpoly.is_zero(g):
-            return True
-        if qpoly.is_zero(h):
-            return False
-        return qpoly.divides(h, g)
-
-    def leq(self, h: RingElement, g: RingElement) -> bool:
-        return self.leq_keys(self.cell_key(h), self.cell_key(g))
-
-
-@record(frozen=True)
-class PidPoint:
-    """A point of the soberification of the Q[x] lattice.
-
-    kind 'generic' is the empty set of primes; 'zero_ideal' is the point
-    made of the zero ideal alone; 'prime_set' carries monic irreducibles
-    cutting out maximal ideals.
-    """
-
-    kind: str                      # 'generic' | 'zero_ideal' | 'prime_set'
-    primes: tuple = ()             # monic irreducible polynomials (qpoly tuples)
-
-    def __post_init__(self):
-        if self.kind not in ("generic", "zero_ideal", "prime_set"):
-            raise NotIrreducibleCertificate(f"no point kind {self.kind!r}")
-        if self.kind == "prime_set":
-            if not self.primes:
-                raise NotIrreducibleCertificate("an empty prime list is the generic point")
-            seen = set()
-            for p in self.primes:
-                if qpoly.deg(p) < 1 or p[-1] != 1:
-                    raise NotIrreducibleCertificate(
-                        f"{qpoly.to_string(p)} is not monic nonconstant")
-                if p in seen:
-                    raise NotIrreducibleCertificate("duplicate prime listed")
-                seen.add(p)
-                if qpoly.deg(p) <= 3 and not qpoly.is_irreducible_low_degree(p):
-                    raise NotIrreducibleCertificate(
-                        f"{qpoly.to_string(p)} factors over Q")
-
-
-def prime_set_point(polys) -> PidPoint:
-    return PidPoint("prime_set", tuple(qpoly.monic(qpoly.poly(p)) for p in polys))
-
-
-def pid_point_in_open(p: PidPoint, f) -> bool:
-    """Membership of the point in the basic open named by the polynomial f.
-
-    For f = 0 the basic open is just the generic point; otherwise a point
-    is inside iff none of its primes divides f.
-    """
-    f = qpoly.poly(f) if not isinstance(f, tuple) else f
-    if qpoly.is_zero(f):
-        return p.kind == "generic"
-    if p.kind in ("generic", "zero_ideal"):
-        return True
-    return not any(qpoly.divides(q, f) for q in p.primes)

@@ -11,10 +11,9 @@ kept, the collapse onto the zero ring when none is, and otherwise the
 `BlockRule` that feeds each kept block of `keep` from itself, validated.
 For Z/n this is Z/n[1/f] = Z/m, with m the largest divisor of n prime to
 f.  Per subset what is left is O(blocks) unit tests and the witnessed
-inverse of each image, checked two-sided.  Q[x] localizes
-symbolically to the fraction class of the squarefree part of prod(E);
-skew Laurent rings localize at monomials by enlarging the inverted cone;
-`_localized` is their per-class code.  `connecting_map` re-localizes,
+inverse of each image, checked two-sided.  Any other ring localizes by
+its descriptor's `localized`: Q[x] at the squarefree part of prod(E), a
+skew Laurent ring by enlarging its inverted cone.  `connecting_map` re-localizes,
 and the restrictions and comaps of the sheaf come from one descent,
 `induced_between`.  Between block rings a hom with a block map is built
 as a `BlockRule`, and descents, squares and identity tests read block
@@ -26,31 +25,16 @@ blocks (`rings.kernel`); no question here enumerates a ring.
 from functools import cached_property, lru_cache
 from math import gcd
 
-from . import qpoly, skewpoly
 from . import rings as rg
 from .errors import (
     CompositionMismatch,
-    NonMonomialSkewSubset,
     NotAHomomorphism,
     NotComparable,
     UnsupportedClass,
     UnverifiableSquare,
 )
 from .records import record
-from .rings import (
-    IdentityRule,
-    LocalizedPolyRing,
-    PolyFracRule,
-    PolyInsertRule,
-    RingHom,
-    SkewExpandRule,
-    SkewLaurentRing,
-    ToZeroRule,
-    UnivariatePolyRing,
-    ZeroRing,
-    hom_compose,
-    hom_validate,
-)
+from .rings import IdentityRule, RingHom, ToZeroRule, hom_compose, hom_validate
 
 
 @record(frozen=True)
@@ -92,7 +76,8 @@ def _localize_cached(r, payloads: tuple) -> Localization:
     elif all(rg.is_unit(r, a) for a in E):
         result, insertion = r, rg.identity_hom(r)
     else:
-        result, rule = _localized(r, E)
+        # E holds a non-unit; the rule of a zero result is unused
+        result, rule = r.localized(E)
         if rg.is_zero_ring(result):
             insertion = rg.to_zero_hom(r, result)
         else:
@@ -113,41 +98,6 @@ def _localize_cell(r, kept: tuple):
     if rg.is_zero_ring(result):
         return result, rg.to_zero_hom(r, result)
     return result, hom_validate(RingHom(r, result, rg.BlockRule(kept)))
-
-
-def _localized(r, E):
-    """(loc(r, E), insertion rule) of a ring that is not a block ring, when
-    E holds a non-unit; the rule of a zero result is unused."""
-    if isinstance(r, UnivariatePolyRing):
-        f = qpoly.ONE
-        for a in E:
-            f = qpoly.mul(f, a.payload)
-        if qpoly.is_zero(f):
-            return ZeroRing(), None
-        return LocalizedPolyRing(qpoly.squarefree_part(f)), PolyInsertRule()
-
-    if isinstance(r, LocalizedPolyRing):
-        sf = r.denominator
-        for a in E:
-            num, _den = a.payload
-            if qpoly.is_zero(num):
-                return ZeroRing(), None
-            sf = qpoly.mul(sf, num)
-        return LocalizedPolyRing(qpoly.squarefree_part(sf)), PolyFracRule()
-
-    if isinstance(r, SkewLaurentRing):
-        new_inverted = set(r.inverted)
-        for a in E:
-            terms = skewpoly.from_canonical(a.payload)
-            if not terms:
-                return ZeroRing(), None
-            if len(terms) != 1:
-                raise NonMonomialSkewSubset(f"{a!r} is not a scalar multiple of a monomial")
-            (e, _c), = terms.items()
-            new_inverted.update(i for i, v in enumerate(e) if v != 0)
-        return SkewLaurentRing(r.nvars, r.lam, frozenset(new_inverted)), SkewExpandRule()
-
-    raise UnsupportedClass(f"cannot localize {r!r}")
 
 
 def _finish(r, E, result, insertion) -> Localization:

@@ -1,34 +1,33 @@
-"""Dense univariate polynomials over the rationals.
+"""Dense univariate polynomials over the rationals, and the ring Q[x].
 
 Coefficients are ascending tuples of Fraction with no trailing zeros, so
 structural equality is arithmetic equality.  The zero polynomial is the
-empty tuple.  Only a function that makes a Fraction imports `fractions`,
-so importing this module does not load it.
+empty tuple.  On them sit the descriptors of Q[x] and its localizations
+with the rules of their maps, the lazy semilattice of Q[x] and its
+symbolic point model.  Only a call on Q[x] or a skew Laurent ring imports
+this module, so it imports `fractions` at the top.
 """
+
+from fractions import Fraction
+from math import lcm
+
+from .errors import NotAHomomorphism, NotIrreducibleCertificate, parse_rational
+from .records import record
+from .rings import Descriptor, RingElement, Rule, ZeroRing, element
 
 Poly = tuple  # tuple of Fraction, ascending degree
 
 
 def poly(coeffs) -> Poly:
     """Build a normalized polynomial from an iterable of rational-likes."""
-    import fractions
-    cs = [fractions.Fraction(c) for c in coeffs]
+    cs = [Fraction(c) for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
 
 
 ZERO: Poly = ()
-
-
-def __getattr__(name):
-    # ONE holds a Fraction, so it is made on first use: an int 1 would
-    # turn the divisions of `divmod_` and `monic` into float ones
-    if name == "ONE":
-        global ONE
-        ONE = poly([1])
-        return ONE
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+ONE: Poly = (Fraction(1),)  # an int 1 would make `divmod_` and `monic` divide in floats
 
 
 def deg(p: Poly) -> int:
@@ -124,57 +123,24 @@ def squarefree_part(p: Poly) -> Poly:
     return monic(q)
 
 
-def evaluate(p: Poly, x):
-    import fractions
-    acc = fractions.Fraction(0)
-    for c in reversed(p):
-        acc = acc * fractions.Fraction(x) + c
-    return acc
-
-
-def _divisors(n: int):
-    n = abs(n)
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
-
-
-def rational_roots(p: Poly):
-    """All rational roots of a nonzero polynomial, via the rational root bound."""
-    import fractions
-    if is_zero(p):
-        raise ZeroDivisionError("zero polynomial")
-    # strip trailing x factors
-    shift = 0
-    while p[shift] == 0:
-        shift += 1
-    roots = set()
-    if shift:
-        roots.add(fractions.Fraction(0))
-        p = p[shift:]
-    if deg(p) == 0:
-        return sorted(roots)
-    # clear denominators to integer coefficients
-    from math import lcm
-    den = lcm(*[c.denominator for c in p]) if len(p) > 1 else p[0].denominator
-    ints = [int(c * den) for c in p]
-    a0, an = ints[0], ints[-1]
-    for num in _divisors(a0):
-        for d in _divisors(an):
-            for s in (1, -1):
-                cand = fractions.Fraction(s * num, d)
-                if evaluate(p, cand) == 0:
-                    roots.add(cand)
-    return sorted(roots)
+def _divisors(n: int) -> list:
+    return [k for k in range(1, abs(n) + 1) if n % k == 0]
 
 
 def is_irreducible_low_degree(p: Poly) -> bool:
-    """Irreducibility over Q for degree 1..3 (a factor would be linear)."""
+    """Irreducibility over Q for degree 1..3: a factor would be linear, so
+    p of degree 2 or 3 is irreducible iff it has no rational root.  A root
+    a/b in lowest terms of the integer multiple c of p has a dividing c's
+    constant term and b its leading coefficient (rational root test)."""
     d = deg(p)
-    if d == 1:
-        return True
-    if d in (2, 3):
-        return not rational_roots(p)
-    raise ValueError("only degrees 1..3 are decided here")
+    if d not in (1, 2, 3):
+        raise ValueError("only degrees 1..3 are decided here")
+    if d == 1 or p[0] == 0:
+        return d == 1
+    den = lcm(*[c.denominator for c in p])
+    c = [int(v * den) for v in p]
+    return not any(sum(v * (s * a) ** i * b ** (d - i) for i, v in enumerate(c)) == 0
+                   for a in _divisors(c[0]) for b in _divisors(c[-1]) for s in (1, -1))
 
 
 def to_string(p: Poly) -> str:
@@ -191,3 +157,212 @@ def to_string(p: Poly) -> str:
         else:
             parts.append(f"x^{i}" if c == 1 else f"{c}*x^{i}")
     return " + ".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# the ring Q[x] and its localizations
+
+@record(frozen=True)
+class UnivariatePolyRing(Descriptor):
+    canonical = staticmethod(poly)
+    add = staticmethod(add)
+    neg = staticmethod(neg)
+    mul = staticmethod(mul)
+    show = staticmethod(to_string)
+
+    def from_int(self, k):
+        return poly([k])
+
+    def is_unit(self, a):
+        return deg(a) == 0
+
+    def inverse(self, a):
+        return poly([1 / a[0]])
+
+    def is_commutative(self):
+        return True
+
+    def read(self, doc, path):
+        return poly([parse_rational(v, f"{path}[{i}]") for i, v in enumerate(doc)])
+
+    def write(self, a):
+        return [str(c) for c in a]
+
+    def localized(self, E):
+        """Q[x][1/g] for g the squarefree part of prod(E), or 0 when prod(E) = 0."""
+        f = ONE
+        for a in E:
+            f = mul(f, a.payload)
+        if is_zero(f):
+            return ZeroRing(), None
+        return LocalizedPolyRing(squarefree_part(f)), PolyInsertRule()
+
+    def lazy_semilattice(self):
+        return PidLattice(self)
+
+    def __repr__(self):
+        return "Q[x]"
+
+
+@record(frozen=True)
+class LocalizedPolyRing(Descriptor):
+    """Q[x] with a squarefree monic denominator inverted (symbolic fraction class)."""
+
+    denominator: tuple  # qpoly, squarefree monic, degree >= 1
+
+    def canonical(self, payload):
+        num, den = payload
+        return _locpoly_normalize(poly(num), poly(den))
+
+    def from_int(self, k):
+        return (poly([k]), ONE)
+
+    def add(self, a, b):
+        (n1, d1), (n2, d2) = a, b
+        return _locpoly_normalize(add(mul(n1, d2), mul(n2, d1)), mul(d1, d2))
+
+    def neg(self, a):
+        num, den = a
+        return (neg(num), den)
+
+    def mul(self, a, b):
+        (n1, d1), (n2, d2) = a, b
+        return _locpoly_normalize(mul(n1, n2), mul(d1, d2))
+
+    def is_unit(self, a):
+        num, _den = a
+        return not is_zero(num) and divides(squarefree_part(num), self.denominator)
+
+    def inverse(self, a):
+        num, den = a
+        return self.canonical((den, num))
+
+    def is_commutative(self):
+        return True
+
+    def localized(self, E):
+        """Q[x][1/g'] for g' the squarefree part of g prod(E), or 0 when prod(E) = 0."""
+        sf = self.denominator
+        for a in E:
+            num, _den = a.payload
+            if is_zero(num):
+                return ZeroRing(), None
+            sf = mul(sf, num)
+        return LocalizedPolyRing(squarefree_part(sf)), PolyFracRule()
+
+    def show(self, a):
+        num, den = a
+        if den == ONE:
+            return to_string(num)
+        return f"({to_string(num)})/({to_string(den)})"
+
+    def __repr__(self):
+        return f"Q[x][1/({to_string(self.denominator)})]"
+
+
+def _locpoly_normalize(num, den):
+    if is_zero(den):
+        raise ZeroDivisionError("zero denominator")
+    if is_zero(num):
+        return (ZERO, ONE)
+    g = gcd(num, den)
+    num = divmod_(num, g)[0]
+    den = divmod_(den, g)[0]
+    lead = den[-1]
+    return (scale(num, 1 / lead), scale(den, 1 / lead))
+
+
+@record(frozen=True)
+class PolyInsertRule(Rule):
+    """Q[x] -> Q[x][1/g], p -> p/1, so 1 -> 1/1."""
+
+    def apply(self, h, x):
+        return RingElement(h.target, (x.payload, ONE))
+
+    def check(self, h):
+        if not (isinstance(h.source, UnivariatePolyRing)
+                and isinstance(h.target, LocalizedPolyRing)):
+            raise NotAHomomorphism("insertion rule shape mismatch")
+
+
+@record(frozen=True)
+class PolyFracRule(Rule):
+    """Q[x][1/g1] -> Q[x][1/g2] (requires sf(g1) | g2): identity on
+    fractions, so 1 -> 1/1."""
+
+    keeps_payloads = True
+
+    def apply(self, h, x):
+        return element(h.target, x.payload)
+
+    def check(self, h):
+        if not divides(squarefree_part(h.source.denominator), h.target.denominator):
+            raise NotAHomomorphism("denominator does not invert in the target cell")
+
+
+# ---------------------------------------------------------------------------
+# the lazy lattice and point model for Q[x]
+
+class PidLattice:
+    """Lazy localization semilattice of Q[x].
+
+    A cell is named by the monic squarefree part of the product of its
+    subset (1 for the bottom, the zero polynomial for the top); order is
+    squarefree divisibility and joins multiply the squarefree parts.
+    """
+
+    def __init__(self, ring: UnivariatePolyRing):
+        self.ring = ring
+
+    def leq(self, h: RingElement, g: RingElement) -> bool:
+        h, g = squarefree_part(h.payload), squarefree_part(g.payload)
+        return is_zero(g) or (not is_zero(h) and divides(h, g))
+
+
+@record(frozen=True)
+class PidPoint:
+    """A point of the soberification of the Q[x] lattice.
+
+    kind 'generic' is the empty set of primes; 'zero_ideal' is the point
+    made of the zero ideal alone; 'prime_set' carries monic irreducibles
+    cutting out maximal ideals.
+    """
+
+    kind: str                      # 'generic' | 'zero_ideal' | 'prime_set'
+    primes: tuple = ()             # monic irreducible polynomials (qpoly tuples)
+
+    def __post_init__(self):
+        if self.kind not in ("generic", "zero_ideal", "prime_set"):
+            raise NotIrreducibleCertificate(f"no point kind {self.kind!r}")
+        if self.kind == "prime_set":
+            if not self.primes:
+                raise NotIrreducibleCertificate("an empty prime list is the generic point")
+            seen = set()
+            for p in self.primes:
+                if deg(p) < 1 or p[-1] != 1:
+                    raise NotIrreducibleCertificate(
+                        f"{to_string(p)} is not monic nonconstant")
+                if p in seen:
+                    raise NotIrreducibleCertificate("duplicate prime listed")
+                seen.add(p)
+                if deg(p) <= 3 and not is_irreducible_low_degree(p):
+                    raise NotIrreducibleCertificate(
+                        f"{to_string(p)} factors over Q")
+
+
+def prime_set_point(polys) -> PidPoint:
+    return PidPoint("prime_set", tuple(monic(poly(p)) for p in polys))
+
+
+def pid_point_in_open(p: PidPoint, f) -> bool:
+    """Membership of the point in the basic open named by the polynomial f.
+
+    For f = 0 the basic open is just the generic point; otherwise a point
+    is inside iff none of its primes divides f.
+    """
+    f = poly(f) if not isinstance(f, tuple) else f
+    if is_zero(f):
+        return p.kind == "generic"
+    if p.kind in ("generic", "zero_ideal"):
+        return True
+    return not any(divides(q, f) for q in p.primes)

@@ -1,30 +1,34 @@
 """Ring descriptors, exact elements, and validated homomorphisms.
 
-Supported classes: the zero ring, Z/n, finite products, matrix rings over
-Q or a prime field, semisimple algebras (products of matrix rings),
-Q[x], and skew Laurent rings with quasi-commuting variables.  Every
-element carries its owner descriptor and a canonical payload, so equality
-is structural equality of canonical forms.  Each descriptor class owns
-its payload arithmetic (see `Descriptor`), and each hom rule class owns
-how it applies and how it is certified (see `Rule`); the module-level
-functions check ownership and delegate.  Only the code that reads or
-computes a rational imports `fractions`, so a call on Z/n, or on a ring
-over F_p whose entries are written as integers, never loads it.
+The classes here: the zero ring, Z/n, finite products, matrix rings over
+Q or a prime field and semisimple algebras; Q[x] lives in `qpoly` and
+skew Laurent rings in `skewpoly`, with their hom rules, so a finite call
+loads neither.  Every element carries its owner descriptor and a
+canonical payload, so equality is structural equality of canonical
+forms.  Each descriptor class owns its payloads: arithmetic, documents
+and localization (see `Descriptor`), and each hom rule class owns how it
+applies and how it is certified (see `Rule`); the module-level functions
+check ownership and delegate.  Only code that reads or computes a
+rational imports `fractions`, so a call on Z/n, or over F_p with integer
+entries, never loads it.
 """
 
 import operator
 from functools import cached_property, lru_cache
 from itertools import product as iproduct
-from math import gcd as igcd, isqrt
+from math import gcd as igcd
 
-from . import qpoly, skewpoly
 from .errors import (
     CompositionMismatch,
     ElementOwnershipMismatch,
     IdentityNotPreserved,
     InfiniteRing,
     NotAHomomorphism,
+    ParseError,
+    SchemaViolation,
     UnsupportedClass,
+    parse_int,
+    parse_rational,
 )
 from .records import FrozenInstanceError, private, record
 
@@ -53,15 +57,34 @@ class Rationals:
         return "Q"
 
 
+# Miller-Rabin on the 13 primes up to 41 is exact below 3317044064679887385961981,
+# the least strong pseudoprime to all of them (Sorenson and Webster, 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 @record(frozen=True)
 class PrimeField:
-    """The field F_p: scalars are ints in range(p); `order` is p."""
+    """The field F_p: scalars are ints in range(p); `order` is p, proved
+    prime by Miller-Rabin on `_PRIME_BASES` below `_PRIME_BOUND`."""
 
     p: int
 
     def __post_init__(self):
-        if self.p < 2 or any(self.p % d == 0 for d in range(2, isqrt(self.p) + 1)):
-            raise ValueError(f"{self.p} is not prime")
+        p = self.p
+        if p < 2 or any(p % b == 0 for b in _PRIME_BASES if b < p):
+            raise ValueError(f"{p} is not prime")
+        if p >= _PRIME_BOUND:
+            raise ValueError(f"{p} is past the primality bound {_PRIME_BOUND}")
+        d = p - 1
+        while d % 2 == 0:
+            d //= 2
+        for b in _PRIME_BASES:  # a strong probable prime: b^d = 1 or some b^(d 2^r) = -1
+            x, e = pow(b, d, p), d
+            while e != p - 1 and x not in (1, p - 1):
+                x, e = x * x % p, 2 * e
+            if b < p and x != p - 1 and e % 2 == 0:
+                raise ValueError(f"{p} is not prime")
 
     @property
     def order(self):
@@ -109,6 +132,12 @@ class Descriptor:
     hom out of the ring, being additive, is fixed by its images of them.
     `show(a)` renders a payload.  `one` and `zero` are the elements 1 and
     0, built once per descriptor.
+
+    `read(doc, path)` is the payload that a JSON value writes (a bad entry
+    is a SchemaViolation at its path), `write(a)` its inverse, `localized(E)`
+    loc(R, E) with its insertion rule off the block rings, for E holding a
+    non-unit, and `lazy_semilattice()` the semilattice of Q[x]; the
+    defaults refuse.
 
     A block ring (the zero ring, Z/n, a product of Z/n's, a matrix ring or
     a semisimple algebra) is the product of its `blocks`, and owns the
@@ -186,13 +215,25 @@ class Descriptor:
     def show(self, a):
         return repr(a)
 
+    def read(self, doc, path):
+        raise SchemaViolation(f"no element form for {self!r}", path)
+
+    def write(self, a):
+        raise ParseError(f"no document form for elements of {self!r}")
+
+    def localized(self, E):
+        raise UnsupportedClass(f"cannot localize {self!r}")
+
+    def lazy_semilattice(self):
+        raise UnsupportedClass(f"no semilattice construction for {self!r}")
+
 
 @record(frozen=True)
 class ZeroRing(Descriptor):
     def canonical(self, payload):
         return 0
 
-    from_int = neg = inverse = canonical
+    from_int = neg = inverse = write = canonical
 
     def add(self, a, b):
         return 0
@@ -213,6 +254,11 @@ class ZeroRing(Descriptor):
 
     generators = ()
     show = staticmethod(str)
+
+    def read(self, doc, path):
+        if parse_int(doc, path) != 0:
+            raise SchemaViolation(f"the zero ring has only the element 0, got {doc!r}", path)
+        return 0
 
     def split(self, a):
         return ()
@@ -267,6 +313,12 @@ class ModularRing(Descriptor):
         return (self.canonical(1),)
 
     show = staticmethod(str)
+
+    def read(self, doc, path):
+        return self.canonical(parse_int(doc, path))
+
+    def write(self, a):
+        return a
 
     def split(self, a):
         return tuple([a % q for _j, _p, q in self.local_factors])
@@ -333,6 +385,16 @@ class _Componentwise(Descriptor):
         zeros = self.from_int(0)
         return tuple(zeros[:i] + (g,) + zeros[i + 1:]
                      for i, f in enumerate(self.factors) for g in f.generators)
+
+    def read(self, doc, path):
+        if len(doc) != len(self.factors):
+            raise SchemaViolation(
+                f"expected {len(self.factors)} coordinates, got {len(doc)}", path)
+        return tuple([read_payload(f, d, f"{path}[{i}]")
+                      for i, (f, d) in enumerate(zip(self.factors, doc))])
+
+    def write(self, a):
+        return [f.write(x) for f, x in zip(self.factors, a)]
 
     def split(self, a):
         return tuple([x for f, p in zip(self.factors, a) for x in f.split(p)])
@@ -423,6 +485,14 @@ class MatrixRing(Descriptor):
                            for r in range(n))
                      for i in range(n) for j in range(n))
 
+    def read(self, doc, path):
+        return matrix_element(self, [[_scalar(self.base, v, f"{path}[{i}][{j}]")
+                                      for j, v in enumerate(row)]
+                                     for i, row in enumerate(doc)]).payload
+
+    def write(self, A):
+        return [[str(v) for v in row] for row in A]
+
     blocks = cached_property(lambda self: (self.size,))
     block_rings = cached_property(lambda self: (self,))
 
@@ -470,156 +540,6 @@ class SemisimpleAlgebra(_Componentwise):
         return " x ".join(f"M{d}({self.base!r})" for d in self.dims)
 
 
-@record(frozen=True)
-class UnivariatePolyRing(Descriptor):
-    canonical = staticmethod(qpoly.poly)
-    add = staticmethod(qpoly.add)
-    neg = staticmethod(qpoly.neg)
-    mul = staticmethod(qpoly.mul)
-    show = staticmethod(qpoly.to_string)
-
-    def from_int(self, k):
-        return qpoly.poly([k])
-
-    def is_unit(self, a):
-        return qpoly.deg(a) == 0
-
-    def inverse(self, a):
-        return qpoly.poly([1 / a[0]])
-
-    def is_commutative(self):
-        return True
-
-    def __repr__(self):
-        return "Q[x]"
-
-
-@record(frozen=True)
-class LocalizedPolyRing(Descriptor):
-    """Q[x] with a squarefree monic denominator inverted (symbolic fraction class)."""
-
-    denominator: tuple  # qpoly, squarefree monic, degree >= 1
-
-    def canonical(self, payload):
-        num, den = payload
-        return _locpoly_normalize(qpoly.poly(num), qpoly.poly(den))
-
-    def from_int(self, k):
-        return (qpoly.poly([k]), qpoly.ONE)
-
-    def add(self, a, b):
-        (n1, d1), (n2, d2) = a, b
-        return _locpoly_normalize(
-            qpoly.add(qpoly.mul(n1, d2), qpoly.mul(n2, d1)), qpoly.mul(d1, d2))
-
-    def neg(self, a):
-        num, den = a
-        return (qpoly.neg(num), den)
-
-    def mul(self, a, b):
-        (n1, d1), (n2, d2) = a, b
-        return _locpoly_normalize(qpoly.mul(n1, n2), qpoly.mul(d1, d2))
-
-    def is_unit(self, a):
-        num, _den = a
-        return (not qpoly.is_zero(num)
-                and qpoly.divides(qpoly.squarefree_part(num), self.denominator))
-
-    def inverse(self, a):
-        num, den = a
-        return self.canonical((den, num))
-
-    def is_commutative(self):
-        return True
-
-    def show(self, a):
-        num, den = a
-        if den == qpoly.ONE:
-            return qpoly.to_string(num)
-        return f"({qpoly.to_string(num)})/({qpoly.to_string(den)})"
-
-    def __repr__(self):
-        return f"Q[x][1/({qpoly.to_string(self.denominator)})]"
-
-
-@record(frozen=True)
-class SkewLaurentRing(Descriptor):
-    nvars: int
-    lam: tuple  # sorted tuple of ((i, j), Fraction) for 0 <= i < j < nvars
-    inverted: frozenset
-
-    def __post_init__(self):
-        import fractions
-        if self.nvars < 2:
-            raise ValueError("skew rings need at least two variables")
-        seen = dict(self.lam)
-        for i, j in seen:
-            if not 0 <= i < j < self.nvars:
-                raise ValueError(
-                    f"commutation scalar index ({i}, {j}) outside 0 <= i < j < {self.nvars}")
-        for i in range(self.nvars):
-            for j in range(i + 1, self.nvars):
-                v = seen.get((i, j))
-                if v is None or fractions.Fraction(v) == 0:
-                    raise ValueError(f"missing or zero commutation scalar for ({i}, {j})")
-        if any(i < 0 or i >= self.nvars for i in self.inverted):
-            raise ValueError("inverted index out of range")
-
-    lam_map = cached_property(lambda self: dict(self.lam))  # (i, j) -> scalar, for `skewpoly`
-
-    def canonical(self, payload):
-        terms = skewpoly.from_canonical(payload)
-        for e in terms:
-            if not skewpoly.in_cone(e, self.inverted):
-                raise ValueError(f"exponent {e} outside the inverted cone of {self!r}")
-        return skewpoly.canonical(terms)
-
-    def from_int(self, k):
-        return skewpoly.canonical(skewpoly.monomial(self.nvars, (0,) * self.nvars, k))
-
-    def add(self, a, b):
-        return skewpoly.canonical(
-            skewpoly.add(skewpoly.from_canonical(a), skewpoly.from_canonical(b)))
-
-    def neg(self, a):
-        return skewpoly.canonical(skewpoly.neg(skewpoly.from_canonical(a)))
-
-    def mul(self, a, b):
-        return skewpoly.canonical(skewpoly.mul(
-            self.lam_map, skewpoly.from_canonical(a), skewpoly.from_canonical(b)))
-
-    def is_unit(self, a):
-        terms = skewpoly.from_canonical(a)
-        if len(terms) != 1:
-            return False
-        (e, c), = terms.items()
-        return c != 0 and all(v == 0 or i in self.inverted for i, v in enumerate(e))
-
-    def inverse(self, a):
-        (e, c), = skewpoly.from_canonical(a).items()
-        einv = tuple(-v for v in e)
-        t = skewpoly.twist(self.lam_map, e, einv)
-        return self.canonical({einv: 1 / (c * t)})
-
-    def is_commutative(self):
-        return all(v == 1 for _, v in self.lam)
-
-    def show(self, a):
-        return skewpoly.to_string(skewpoly.from_canonical(a))
-
-    def __repr__(self):
-        inv = "".join(f",x{i + 1}^-1" for i in sorted(self.inverted))
-        return f"Q_lam[x1..x{self.nvars}{inv}]"
-
-
-def skew_ring(nvars, lam_entries, inverted=()) -> SkewLaurentRing:
-    """Build a skew Laurent descriptor from {(i, j): scalar} with i < j."""
-    import fractions
-    lam = tuple(sorted(((i, j), fractions.Fraction(v))
-                       for (i, j), v in dict(lam_entries).items()))
-    return SkewLaurentRing(nvars, lam, frozenset(inverted))
-
-
 def product_ring(factors):
     """Normalized product: no empty or single-factor products."""
     factors = tuple(factors)
@@ -638,16 +558,13 @@ def canonical_modular_product(mods):
     return product_ring(ModularRing(m) for m in mods)
 
 
-def _locpoly_normalize(num, den):
-    if qpoly.is_zero(den):
-        raise ZeroDivisionError("zero denominator")
-    if qpoly.is_zero(num):
-        return (qpoly.ZERO, qpoly.ONE)
-    g = qpoly.gcd(num, den)
-    num = qpoly.divmod_(num, g)[0]
-    den = qpoly.divmod_(den, g)[0]
-    lead = den[-1]
-    return (qpoly.scale(num, 1 / lead), qpoly.scale(den, 1 / lead))
+def _scalar(base, v, path):
+    """The rational v as a scalar of base, a SchemaViolation at path if it has
+    none there; a JSON integer goes to base.scalar as it is, with no Fraction."""
+    try:
+        return base.scalar(v if type(v) is int else parse_rational(v, path))
+    except ValueError as exc:
+        raise SchemaViolation(str(exc), path)
 
 
 def mat_inv(base, A):
@@ -738,6 +655,14 @@ def matrix_element(r, rows) -> RingElement:
 
 def element(r, payload) -> RingElement:
     return RingElement(r, r.canonical(payload))
+
+
+def read_payload(r, doc, path):
+    """r.read(doc, path), a doc of the wrong shape a SchemaViolation at path."""
+    try:
+        return r.read(doc, path)
+    except (TypeError, ValueError, IndexError) as exc:
+        raise SchemaViolation(f"bad element: {exc}", path)
 
 
 def zero(r) -> RingElement:
@@ -963,10 +888,12 @@ class Rule:
     an `IdentityRule` or a `ToZeroRule`, and every other finite hom it
     builds is a table; `block_map(h)` is the block map of
     a certified hom h between block rings when the rule alone fixes it (see
-    `RingHom.block_map`), else None.
+    `RingHom.block_map`), else None.  A rule that `keeps_payloads` maps each
+    payload to itself in a larger ring, so a hom after it applies the first.
     """
 
     table = None
+    keeps_payloads = False
 
     def block_map(self, h):
         return None
@@ -1080,48 +1007,6 @@ def _maps_onto(B, C) -> bool:
     power q_s only when q_s is a power of q_l's prime."""
     return B == C or (isinstance(B, ModularRing) and isinstance(C, ModularRing)
                       and B.n % C.n == 0)
-
-
-@record(frozen=True)
-class PolyInsertRule(Rule):
-    """Q[x] -> Q[x][1/g], p -> p/1, so 1 -> 1/1."""
-
-    def apply(self, h, x):
-        return RingElement(h.target, (x.payload, qpoly.ONE))
-
-    def check(self, h):
-        if not (isinstance(h.source, UnivariatePolyRing)
-                and isinstance(h.target, LocalizedPolyRing)):
-            raise NotAHomomorphism("insertion rule shape mismatch")
-
-
-@record(frozen=True)
-class PolyFracRule(Rule):
-    """Q[x][1/g1] -> Q[x][1/g2] (requires sf(g1) | g2): identity on
-    fractions, so 1 -> 1/1."""
-
-    def apply(self, h, x):
-        return element(h.target, x.payload)
-
-    def check(self, h):
-        if not qpoly.divides(qpoly.squarefree_part(h.source.denominator),
-                             h.target.denominator):
-            raise NotAHomomorphism("denominator does not invert in the target cell")
-
-
-@record(frozen=True)
-class SkewExpandRule(Rule):
-    """Skew ring into the same ring with a larger inverted cone; it keeps
-    payloads, so 1 -> 1."""
-
-    def apply(self, h, x):
-        return RingElement(h.target, x.payload)
-
-    def check(self, h):
-        r, t = h.source, h.target
-        if not (isinstance(r, SkewLaurentRing) and isinstance(t, SkewLaurentRing)
-                and r.nvars == t.nvars and r.lam == t.lam and r.inverted <= t.inverted):
-            raise NotAHomomorphism("cone expansion shape mismatch")
 
 
 class RingHom:
@@ -1341,7 +1226,7 @@ def hom_compose(g: RingHom, f: RingHom) -> RingHom:
             comp.validated = True
             return comp
         return hom_validate(comp)
-    if isinstance(g.rule, (PolyFracRule, SkewExpandRule)):
+    if g.rule.keeps_payloads:
         # g keeps payloads: g after f is f's rule into g's target, checked by that rule
         return hom_validate(RingHom(f.source, g.target, f.rule))
     raise UnsupportedClass(f"cannot compose {f.rule!r} with {g.rule!r}")

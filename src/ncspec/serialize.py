@@ -6,20 +6,16 @@ like "3/4".
 """
 
 from . import rings as rg
-from .errors import ParseError, SchemaViolation
+from .errors import ParseError, SchemaViolation, parse_int, parse_rational
 from .rings import (
     MatrixRing,
     ModularRing,
     PrimeField,
-    ProductRing,
     Rationals,
     RingElement,
     RingHom,
     SemisimpleAlgebra,
-    SkewLaurentRing,
-    UnivariatePolyRing,
     ZeroRing,
-    skew_ring,
 )
 
 RING_SCHEMA = "ncspec.ring/1"
@@ -74,27 +70,6 @@ def parse_list(v, path="") -> list:
     """A JSON list; anything else is a SchemaViolation at path."""
     if not isinstance(v, list):
         raise SchemaViolation(f"expected a list at {path or '.'}", path)
-    return v
-
-
-def parse_rational(v, path=""):
-    """The Fraction that v writes: a JSON integer, or a string of an
-    integer, a ratio "a/b" or a plain decimal.  A bool, a float, or a
-    string in exponent notation (whose value "1e10000000" would take
-    seconds to build) is a SchemaViolation at path."""
-    import fractions
-    try:
-        if type(v) is int or isinstance(v, str) and "e" not in v and "E" not in v:
-            return fractions.Fraction(v)
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise SchemaViolation(f"not an exact rational: {v!r}", path)
-
-
-def parse_int(v, path="") -> int:
-    """An exact JSON integer; bools, strings and floats are rejected."""
-    if type(v) is not int:
-        raise SchemaViolation(f"not an integer: {v!r}", path)
     return v
 
 
@@ -155,7 +130,9 @@ def parse_ring(doc, path="ring", *, top=True):
                 _int_at_least(d, 1, "block sizes must be >= 1", f"{path}.dims[{i}]")
                 for i, d in enumerate(dims)))
         if kind == "poly":
+            from .qpoly import UnivariatePolyRing
             return UnivariatePolyRing()
+        from .skewpoly import skew_ring
         nvars = _int_at_least(doc["nvars"], 2, "skew rings need at least two variables",
                               f"{path}.nvars")
         lam = {}
@@ -183,8 +160,6 @@ def parse_ring(doc, path="ring", *, top=True):
                 raise SchemaViolation(f"inverted lists the variable {i} twice", at)
             inverted.append(i)
         return skew_ring(nvars, lam, inverted)
-    except SchemaViolation:
-        raise
     except (TypeError, ValueError) as exc:
         raise SchemaViolation(f"bad ring document: {exc}", path)
 
@@ -195,72 +170,15 @@ def parse_inner_ring(doc, path):
 
 
 def parse_element(r, doc, path="element") -> RingElement:
-    """The element of r that doc writes (see `element_doc`); a bad
-    coefficient is a SchemaViolation at its entry (`[i][j]` of a matrix,
-    `[i]` of a polynomial or a skew term)."""
-    try:
-        if isinstance(r, ZeroRing):
-            if parse_int(doc, path) != 0:
-                raise SchemaViolation(f"the zero ring has only the element 0, got {doc!r}", path)
-            return rg.zero(r)
-        if isinstance(r, ModularRing):
-            return rg.element(r, parse_int(doc, path))
-        if isinstance(r, (ProductRing, SemisimpleAlgebra)):
-            # a semisimple algebra is the product of its matrix blocks
-            if len(doc) != len(r.factors):
-                raise SchemaViolation(
-                    f"expected {len(r.factors)} coordinates, got {len(doc)}", path)
-            return RingElement(r, tuple(
-                parse_element(f, d, f"{path}[{i}]").payload
-                for i, (f, d) in enumerate(zip(r.factors, doc))))
-        if isinstance(r, MatrixRing):
-            return rg.matrix_element(r, [[_scalar(r.base, v, f"{path}[{i}][{j}]")
-                                          for j, v in enumerate(row)]
-                                         for i, row in enumerate(doc)])
-        if isinstance(r, UnivariatePolyRing):
-            return rg.element(r, [parse_rational(v, f"{path}[{i}]") for i, v in enumerate(doc)])
-        if isinstance(r, SkewLaurentRing):
-            return rg.element(r, _parse_terms(r.nvars, doc, path))
-    except SchemaViolation:
-        raise
-    except (TypeError, ValueError, IndexError) as exc:
-        raise SchemaViolation(f"bad element: {exc}", path)
-    raise SchemaViolation(f"no element form for {r!r}", path)
-
-
-def _scalar(base, v, path):
-    """The rational v as a scalar of base; one with no value there (a
-    denominator that p divides, over F_p) is a SchemaViolation at path.
-    A JSON integer goes to base.scalar as it is, so no Fraction is made."""
-    return _built(base.scalar, path, v if type(v) is int else parse_rational(v, path))
-
-
-def _parse_terms(nvars, doc, path) -> dict:
-    """{exponent vector: coefficient} of a skew polynomial written as [[exps, coeff], ...]."""
-    terms = {}
-    for k, (exps, coeff) in enumerate(doc):
-        at = f"{path}[{k}]"
-        if len(exps) != nvars:
-            raise SchemaViolation(f"exponent vector {exps!r} needs {nvars} entries", at)
-        terms[tuple(parse_int(e, at) for e in exps)] = parse_rational(coeff, at)
-    return terms
+    """The element of r that doc writes, read by r (`rings.Descriptor.read`);
+    a bad coefficient is a SchemaViolation at its entry (`[i][j]` of a
+    matrix, `[i]` of a polynomial or a skew term)."""
+    return RingElement(r, rg.read_payload(r, doc, path))
 
 
 def element_doc(x: RingElement):
-    r = x.owner
-    if isinstance(r, ZeroRing):
-        return 0
-    if isinstance(r, ModularRing):
-        return x.payload
-    if isinstance(r, (ProductRing, SemisimpleAlgebra)):
-        return [element_doc(RingElement(f, p)) for f, p in zip(r.factors, x.payload)]
-    if isinstance(r, MatrixRing):
-        return [[rational_str(v) for v in row] for row in x.payload]
-    if isinstance(r, UnivariatePolyRing):
-        return [rational_str(v) for v in x.payload]
-    if isinstance(r, SkewLaurentRing):
-        return [[list(e), rational_str(c)] for e, c in x.payload]
-    raise ParseError(f"no document form for elements of {r!r}")
+    """The document of x, which its descriptor writes (`rings.Descriptor.write`)."""
+    return x.owner.write(x.payload)
 
 
 def parse_morphism(doc, path="morphism") -> RingHom:
@@ -278,9 +196,10 @@ def _parse_rule(doc, source, target, path, iso=False) -> RingHom:
     if iso and kind not in ("identity", "table"):
         raise SchemaViolation(f"a glue iso has no {kind} rule", path)
     if kind == "canonical_quotient":
-        if not (isinstance(source, ModularRing) and isinstance(target, ModularRing)):
+        moduli = [rg.cyclic_moduli(x) or () for x in (source, target)]
+        if [len(m) for m in moduli] != [1, 1]:
             raise SchemaViolation("canonical_quotient needs modular rings", path)
-        return rg.quotient_hom(source.n, target.n)
+        return rg.quotient_hom(moduli[0][0], moduli[1][0])
     if kind != "table":
         rule = rg.IdentityRule() if kind == "identity" else rg.ToZeroRule()
         return rg.hom_validate(RingHom(source, target, rule))
@@ -309,7 +228,7 @@ def parse_graded_module(r, doc, path="module"):
         for i, row in enumerate(doc.get("relations", [])):
             if len(row) != len(degrees):
                 raise SchemaViolation("relation row width mismatch", f"{path}.relations[{i}]")
-            rows.append([_parse_terms(r.nvars, entry, f"{path}.relations[{i}][{j}]")
+            rows.append([r.read_terms(entry, f"{path}.relations[{i}][{j}]")
                          for j, entry in enumerate(row)])
     except (TypeError, ValueError) as exc:
         raise SchemaViolation(f"bad relation: {exc}", f"{path}.relations")
@@ -322,7 +241,7 @@ def parse_qcoh(doc, path="qcoh"):
     pairs [i, j, value], read with 0-based indices."""
     _shape(doc, path, "qcoh", QCOH_SCHEMA)
     r = parse_inner_ring(doc["ring"], f"{path}.ring")
-    if not isinstance(r, SkewLaurentRing):
+    if doc["ring"]["kind"] != "skew_laurent":
         raise ParseError("qcoh-check expects a skew Laurent chart cover")
     M = parse_graded_module(r, doc["module"], f"{path}.module")
     scalars = {}

@@ -23,7 +23,6 @@ from .errors import (
 from .latspace import (
     AlexandrovSpace,
     LocalizationLattice,
-    PidLattice,
     build_semilattice,
     is_completely_union_irreducible,
     sober_map_from_join_hom,
@@ -149,7 +148,7 @@ class NCSpecSpace:
 @lru_cache(maxsize=CACHE_BOUND)
 def ncspec(r) -> "NCSpecSpace | PidNCSpec":
     lat = build_semilattice(r)
-    if isinstance(lat, PidLattice):
+    if not isinstance(lat, LocalizationLattice):
         return PidNCSpec(r, lat)
     X = soberify(lat.space)
     assignment = tuple(c.localized.result for c in lat.cells)
@@ -166,7 +165,7 @@ class PidNCSpec:
     """Q[x]: the lazy lattice plus the symbolic point model of the sober space."""
 
     ring: object
-    lattice: PidLattice
+    lattice: object               # a `qpoly.PidLattice`
 
     def basic_sections(self, f) -> object:
         return localize(self.ring, (f,)).result

@@ -25,8 +25,9 @@ from .errors import (
     UnsupportedClass,
 )
 from .linalg import Echelon, kernel_basis
+from .qpoly import UnivariatePolyRing
 from .records import private, record
-from .rings import SkewLaurentRing, UnivariatePolyRing, skew_ring
+from .skewpoly import SkewLaurentRing, skew_ring
 
 
 # ---------------------------------------------------------------------------

@@ -33,27 +33,21 @@ from ncspec.glueqcoh import (
     tensor_sequence_report,
     tilde_module,
 )
-from ncspec.latspace import (
-    PidPoint,
-    build_semilattice,
-    pid_point_in_open,
-    prime_set_point,
-)
+from ncspec.latspace import build_semilattice
 from ncspec.localization import (
     localization_square,
     localize,
     is_pushout,
     subset_leq,
 )
+from ncspec.qpoly import PidPoint, UnivariatePolyRing, pid_point_in_open, prime_set_point
 from ncspec.rings import (
     MatrixRing,
     ModularRing,
     PrimeField,
     Rationals,
     SemisimpleAlgebra,
-    UnivariatePolyRing,
     ZeroRing,
-    skew_ring,
 )
 from ncspec.sheafspec import (
     RingedSpaceMorphism,
@@ -65,6 +59,7 @@ from ncspec.sheafspec import (
     recover_hom,
     sections,
 )
+from ncspec.skewpoly import skew_ring
 from ncspec.skewproj import (
     build_proj,
     free_presentation,

@@ -30,6 +30,7 @@ from ncspec.localization import (
     _hom_is_iso,
     _pushout_by_kernels,
 )
+from ncspec.qpoly import UnivariatePolyRing
 from ncspec.rings import (
     BlockRule,
     MatrixRing,
@@ -145,7 +146,7 @@ def test_block_maps_come_from_the_rule_and_fix_the_hom():
     assert (swap.block_map, flip.block_map) == ((1, 0), (1, 0, 2))
     for h in block_homs(SSA_RINGS[-1]):
         assert h.block_map == over_f2(h).block_map, h
-    assert rg.identity_hom(rg.UnivariatePolyRing()).block_map is None
+    assert rg.identity_hom(UnivariatePolyRing()).block_map is None
 
 
 def test_composition_by_lookup_is_hom_compose():

@@ -8,7 +8,7 @@ from itertools import product as iproduct
 import pytest
 from conftest import brute_is_hom, cyclic_coordinates, images_table, small_commutative_rings
 
-from ncspec import sheafspec
+from ncspec import qpoly, sheafspec, skewpoly
 from ncspec import rings as rg
 from ncspec.errors import NotAHomomorphism
 from ncspec.rings import (
@@ -357,7 +357,7 @@ def applies_in_validation(monkeypatch):
     `hom_validate` runs, from here on, with every memo cleared."""
     calls = []
     validate = rg.hom_validate.__code__
-    rules = [c for c in vars(rg).values()
+    rules = [c for m in (rg, qpoly, skewpoly) for c in vars(m).values()
              if isinstance(c, type) and issubclass(c, rg.Rule) and "apply" in vars(c)]
     assert rg.TableRule not in rules and len(rules) >= 6
 

@@ -11,7 +11,8 @@ import pytest
 from ncspec import rings as rg
 from ncspec import serialize as ser
 from ncspec.cli import SUBCOMMANDS, main
-from ncspec.errors import SchemaViolation
+from ncspec.errors import ParseError, SchemaViolation
+from ncspec.qpoly import LocalizedPolyRing, UnivariatePolyRing, poly
 from ncspec.rings import (
     MatrixRing,
     ModularRing,
@@ -19,10 +20,9 @@ from ncspec.rings import (
     ProductRing,
     Rationals,
     SemisimpleAlgebra,
-    UnivariatePolyRing,
     ZeroRing,
-    skew_ring,
 )
+from ncspec.skewpoly import skew_ring
 
 
 def write(tmp_path, name, doc):
@@ -88,6 +88,8 @@ def test_inverted_variable_listed_twice_rejected():
 
 def test_element_round_trips():
     cases = [
+        (ZeroRing(), 0),
+        (MatrixRing(PrimeField(3), 2), [["1/2", 0], [1, "2"]]),
         (ModularRing(6), 4),
         (rg.product_ring([ModularRing(2), ModularRing(3)]), (1, 2)),
         (UnivariatePolyRing(), ["1/2", 0, 1]),
@@ -100,6 +102,12 @@ def test_element_round_trips():
         assert ser.parse_element(r, ser.element_doc(x)) == x
     # a semisimple element is written block by block
     assert ser.element_doc(x) == doc
+    # Q[x][1/g] has no document form, either way
+    loc = LocalizedPolyRing(poly([-1, 1]))
+    with pytest.raises(SchemaViolation, match="no element form"):
+        ser.parse_element(loc, [["1"], ["1"]])
+    with pytest.raises(ParseError, match="no document form"):
+        ser.element_doc(loc.one)
 
 
 def table_doc(source, target, pairs):
@@ -473,11 +481,23 @@ _SKEW = {"kind": "skew_laurent", "nvars": 2, "lambda": [[1, 2, "2"]]}
     # 10^400 - 1 is divisible by 3; its square root is past a float's range
     ({"kind": "matrix", "base": "f" + "9" * 400, "size": 2}, "ring.base"),
     (dict(_SKEW, **{"lambda": [[1, 2, "1e10000000"]]}), "ring.lambda[0]"),
+    # the next prime after 10^29, past the bound where Miller-Rabin on 2..41 is exact
+    ({"kind": "matrix", "base": "f100000000000000000000000000319", "size": 2}, "ring.base"),
 ])
 def test_cli_reports_a_bad_ring_value_at_its_key(tmp_path, capsys, doc, path):
     doc = dict(doc, schema="ncspec.ring/1")
     payload = _violation(tmp_path, capsys, "ring-validate", "--ring", doc)
     assert payload["path"] == path, payload
+
+
+def test_a_large_prime_base_is_decided_at_once(tmp_path, capsys):
+    # 10^18 + 3 is prime: trial division up to its square root took minutes
+    import time
+    doc = {"schema": "ncspec.ring/1", "kind": "matrix", "base": "f1000000000000000003", "size": 2}
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "ring-validate", "--ring", write(tmp_path, "f.json", doc))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out)["payload"]["ring"] == "M2(F1000000000000000003)"
 
 
 @pytest.mark.parametrize("r, doc, path", [

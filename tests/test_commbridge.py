@@ -28,12 +28,12 @@ from ncspec.errors import (
     NotT0,
     NotTComplete,
 )
+from ncspec.qpoly import UnivariatePolyRing
 from ncspec.rings import (
     MatrixRing,
     ModularRing,
     PrimeField,
     Rationals,
-    UnivariatePolyRing,
     ZeroRing,
 )
 from ncspec.sheafspec import ncspec, ncspec_morphism

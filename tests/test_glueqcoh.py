@@ -49,9 +49,9 @@ from ncspec.rings import (
     PrimeField,
     RingElement,
     ZeroRing,
-    skew_ring,
 )
 from ncspec.sheafspec import ncspec
+from ncspec.skewpoly import skew_ring
 
 
 Z6 = ModularRing(6)

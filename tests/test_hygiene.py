@@ -40,11 +40,12 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-BLOCK_RING_CLASSES = {"ZeroRing", "ModularRing", "ProductRing", "MatrixRing", "SemisimpleAlgebra"}
+DESCRIPTOR_CLASSES = {"ZeroRing", "ModularRing", "ProductRing", "MatrixRing", "SemisimpleAlgebra",
+                      "UnivariatePolyRing", "LocalizedPolyRing", "SkewLaurentRing"}
 
 
-def block_ring_kind_tests(source: str) -> list:
-    """The lines that pass a block-ring class to `isinstance`, by name or
+def ring_kind_tests(source: str) -> list:
+    """The lines that pass a descriptor class to `isinstance`, by name or
     as `module.Name`, alone or in a tuple."""
     found = []
     for node in ast.walk(ast.parse(source)):
@@ -53,7 +54,7 @@ def block_ring_kind_tests(source: str) -> list:
             spec = node.args[1]
             for cls in spec.elts if isinstance(spec, ast.Tuple) else [spec]:
                 name = cls.attr if isinstance(cls, ast.Attribute) else getattr(cls, "id", None)
-                if name in BLOCK_RING_CLASSES:
+                if name in DESCRIPTOR_CLASSES:
                     found.append((node.lineno, name))
     return found
 
@@ -61,14 +62,15 @@ def block_ring_kind_tests(source: str) -> list:
 def test_block_ring_kind_detector():
     src = ("isinstance(r, MatrixRing)\nisinstance(r, (rg.ZeroRing, Foo))\n"
            "isinstance(r, UnivariatePolyRing)\nMatrixRing(base, 2)\n")
-    assert block_ring_kind_tests(src) == [(1, "MatrixRing"), (2, "ZeroRing")]
+    assert ring_kind_tests(src) == [(1, "MatrixRing"), (2, "ZeroRing"), (3, "UnivariatePolyRing")]
 
 
-@pytest.mark.parametrize("name", ["localization.py", "latspace.py", "sheafspec.py"])
+@pytest.mark.parametrize("name", ["localization.py", "latspace.py", "sheafspec.py", "serialize.py"])
 def test_block_ring_readers_do_not_test_the_ring_kind(name):
     # a block ring's own `split`, `join`, `unit_blocks` and `keep` answer
-    # every question these modules ask of its blocks
-    assert block_ring_kind_tests((PACKAGE / name).read_text(encoding="utf-8")) == []
+    # every question these modules ask of its blocks, and each descriptor
+    # reads, writes and localizes its own elements
+    assert ring_kind_tests((PACKAGE / name).read_text(encoding="utf-8")) == []
 
 
 def local_factor_reads(source: str) -> list:
@@ -192,7 +194,7 @@ from ncspec import glueqcoh, skewpoly
 from ncspec import rings as rg
 from ncspec.errors import OreConditionFails
 
-ring = rg.skew_ring(2, {(0, 1): 2})
+ring = skewpoly.skew_ring(2, {(0, 1): 2})
 E = (rg.element(ring, skewpoly.variable(2, 0)),)
 print(len(glueqcoh.certify_ore(ring, E, 2).witnesses))
 calls = count(2)
@@ -222,7 +224,6 @@ def test_bridge_and_sheaf_checks_are_not_asserts(name):
 # so a broken gcd or product stands in for the failure.
 ARITHMETIC_CHECKS = """
 from ncspec import qpoly, skewpoly, skewproj
-from ncspec import rings as rg
 from ncspec.errors import UnsupportedClass
 
 
@@ -238,7 +239,7 @@ print(error_name(skewpoly.monomial, 2, (1, 2, 3)))
 qpoly.gcd = lambda p, q: qpoly.poly([1, 1])
 print(error_name(qpoly.squarefree_part, qpoly.poly([0, 0, 1])))
 skewpoly.mul = lambda lam, p, q: dict(p)
-ring = rg.skew_ring(3, {(0, 1): 2, (0, 2): 3, (1, 2): 5})
+ring = skewpoly.skew_ring(3, {(0, 1): 2, (0, 2): 3, (1, 2): 5})
 print(error_name(skewproj.chart_ring_descriptor, ring, 0))
 """
 
@@ -299,6 +300,8 @@ def test_a_cli_call_loads_no_code_generation_modules(tmp_path):
 
 # what `fractions` loads: a call that makes no rational must load none of it
 RATIONAL_MODULES = ("fractions", "decimal", "numbers")
+# nor does a call on a finite ring load the Q[x] or the skew Laurent code
+FINITE_UNLOADED = RATIONAL_MODULES + ("ncspec.qpoly", "ncspec.skewpoly")
 
 
 def _ring(**body):
@@ -341,9 +344,9 @@ RATIONAL_CALLS = (
 )
 
 
-def rational_modules_after(tmp_path, calls) -> list:
-    """[exit code, the RATIONAL_MODULES loaded] after each of calls, run in
-    order by `cli.main` in one fresh interpreter."""
+def rational_modules_after(tmp_path, calls, modules=RATIONAL_MODULES) -> list:
+    """[exit code, the modules loaded] after each of calls, run in order by
+    `cli.main` in one fresh interpreter."""
     argvs = []
     for k, (sub, flag, doc, *extra) in enumerate(calls):
         path = tmp_path / f"doc{k}.json"
@@ -353,13 +356,17 @@ def rational_modules_after(tmp_path, calls) -> list:
                             f"for argv in {argvs!r}:\n"
                             "    with contextlib.redirect_stdout(io.StringIO()):\n"
                             "        code = ncspec.cli.main(argv)\n"
-                            f"    loaded = [m for m in {RATIONAL_MODULES!r} if m in sys.modules]\n"
+                            f"    loaded = [m for m in {modules!r} if m in sys.modules]\n"
                             "    print(json.dumps([code, loaded]))\n")
     return [json.loads(line) for line in out.splitlines()]
 
 
 def test_a_finite_ring_call_loads_no_fractions(tmp_path):
-    assert rational_modules_after(tmp_path, FINITE_CALLS) == [[0, []]] * len(FINITE_CALLS)
+    out = python_stdout([], "import sys, ncspec.cli\n"
+                            f"print(*[m for m in {FINITE_UNLOADED!r} if m in sys.modules])")
+    assert out.split() == []
+    assert (rational_modules_after(tmp_path, FINITE_CALLS, FINITE_UNLOADED)
+            == [[0, []]] * len(FINITE_CALLS))
 
 
 @pytest.mark.parametrize("call", RATIONAL_CALLS, ids=lambda c: c[0])

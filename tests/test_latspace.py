@@ -29,23 +29,25 @@ from ncspec.errors import (
 from ncspec.latspace import (
     AlexandrovSpace,
     LocalizationLattice,
-    PidLattice,
-    PidPoint,
     build_semilattice,
     is_completely_union_irreducible,
-    pid_point_in_open,
-    prime_set_point,
     sober_map_from_join_hom,
     soberify,
 )
 from ncspec.localization import subset_leq
+from ncspec.qpoly import (
+    PidLattice,
+    PidPoint,
+    UnivariatePolyRing,
+    pid_point_in_open,
+    prime_set_point,
+)
 from ncspec.rings import (
     MatrixRing,
     ModularRing,
     PrimeField,
     Rationals,
     SemisimpleAlgebra,
-    UnivariatePolyRing,
     ZeroRing,
 )
 
@@ -469,7 +471,7 @@ def test_pid_point_certificates():
 # up-sets outside the carrier, the three order laws, an unbounded lattice,
 # a join that is not the union cell, and malformed Q[x] points.
 LATSPACE_CHECKS = """
-from ncspec import latspace
+from ncspec import latspace, qpoly
 from ncspec import rings as rg
 from ncspec.errors import NCSpecError
 
@@ -499,7 +501,7 @@ print(error_name(space, {0, 5}), error_name(space, {1}, {1}),
       error_name(space, {0, 1}, {1, 2}, {2}), error_name(space, {0, 1}, {0, 1}),
       error_name(lattice, cells[1:3], [{0}, {1}]),
       error_name(lattice, cells, [{0, 1, 2, 3}, {1, 2, 3}, {2, 3}, {3}]),
-      error_name(latspace.PidPoint, "bogus"), error_name(latspace.prime_set_point, []))
+      error_name(qpoly.PidPoint, "bogus"), error_name(qpoly.prime_set_point, []))
 """
 
 

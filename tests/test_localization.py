@@ -31,25 +31,21 @@ from ncspec.localization import (
     localize,
     subset_leq,
 )
+from ncspec.qpoly import LocalizedPolyRing, PolyFracRule, PolyInsertRule, UnivariatePolyRing
 from ncspec.rings import (
     BlockRule,
     IdentityRule,
-    LocalizedPolyRing,
     MatrixRing,
     ModularRing,
-    PolyFracRule,
-    PolyInsertRule,
     PrimeField,
     Rationals,
     RingElement,
     RingHom,
     SemisimpleAlgebra,
-    SkewExpandRule,
     ToZeroRule,
-    UnivariatePolyRing,
     ZeroRing,
-    skew_ring,
 )
+from ncspec.skewpoly import SkewExpandRule, skew_ring
 
 
 def E(r, *vals):

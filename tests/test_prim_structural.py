@@ -37,6 +37,7 @@ from ncspec import glueqcoh, localization, sheafspec
 from ncspec import rings as rg
 from ncspec.errors import NCSpecError
 from ncspec.localization import LocalizationSquare, is_pushout, localize
+from ncspec.qpoly import UnivariatePolyRing
 from ncspec.rings import MatrixRing, ModularRing, PrimeField, SemisimpleAlgebra, ZeroRing
 
 F2 = PrimeField(2)
@@ -210,7 +211,7 @@ def pushout_cases():
     for n in (2, 3, 6):
         squares.setdefault(_two_mediating_square(n))
     # Q[x] onto the zero ring: the zero mid corners force the zero ring
-    collapse, zero = rg.to_zero_hom(rg.UnivariatePolyRing()), rg.identity_hom(ZeroRing())
+    collapse, zero = rg.to_zero_hom(UnivariatePolyRing()), rg.identity_hom(ZeroRing())
     squares.setdefault(LocalizationSquare(top=collapse, left=collapse, bottom=zero, right=zero))
     for r in SSA_RINGS[:-1] + [M2]:
         squares.update(dict.fromkeys(morphism_squares(r)))

@@ -14,6 +14,7 @@ from conftest import dataclass_twin
 from ncspec import rings as rg
 from ncspec.records import _MISSING, FrozenInstanceError, private, record
 from ncspec.rings import ModularRing, PrimeField, Rationals
+from ncspec.skewpoly import skew_ring
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ncspec"
 
@@ -54,8 +55,8 @@ VALID_ARGS = {
     "BasedSpace": [(2, (frozenset({0, 1}), frozenset({1}))),
                    (2, (frozenset({0, 1}), frozenset({0})))],
     "FiniteModule": [(ModularRing(6), (6, 3)), (ModularRing(4), (2,))],
-    "GradedModulePresentation": [(rg.skew_ring(2, {(0, 1): 2}), (0,), ()),
-                                 (rg.skew_ring(2, {(0, 1): 2}), (0, 1), ())],
+    "GradedModulePresentation": [(skew_ring(2, {(0, 1): 2}), (0,), ()),
+                                 (skew_ring(2, {(0, 1): 2}), (0, 1), ())],
 }
 
 
@@ -168,7 +169,8 @@ def test_assignment_to_a_frozen_record_raises():
 
 
 def test_defaults_init_false_and_default_factories():
-    from ncspec.latspace import AlexandrovSpace, PidPoint
+    from ncspec.latspace import AlexandrovSpace
+    from ncspec.qpoly import PidPoint
     from ncspec.sheafspec import SheafOnBase
 
     assert PidPoint("generic").primes == () and PidPoint("generic") == PidPoint("generic", ())

@@ -14,21 +14,21 @@ import pytest
 
 from ncspec import qpoly
 from ncspec import rings as rg
+from ncspec.qpoly import LocalizedPolyRing, UnivariatePolyRing
 from ncspec.rings import (
-    LocalizedPolyRing,
     MatrixRing,
     ModularRing,
     PrimeField,
     ProductRing,
     Rationals,
     SemisimpleAlgebra,
-    UnivariatePolyRing,
     ZeroRing,
 )
+from ncspec.skewpoly import skew_ring
 
 F2, F3, Q = PrimeField(2), PrimeField(3), Rationals()
 G = qpoly.poly([-1, 0, 1])      # x^2 - 1, squarefree and monic
-SKEW = rg.skew_ring(3, {(0, 1): 2, (0, 2): Fraction(-1, 3), (1, 2): 5}, inverted={0, 2})
+SKEW = skew_ring(3, {(0, 1): 2, (0, 2): Fraction(-1, 3), (1, 2): 5}, inverted={0, 2})
 
 
 def fraction(rng):

@@ -12,18 +12,17 @@ from ncspec.errors import (
     InfiniteRing,
     NotAHomomorphism,
 )
+from ncspec.qpoly import LocalizedPolyRing, UnivariatePolyRing
 from ncspec.rings import (
-    LocalizedPolyRing,
     MatrixRing,
     ModularRing,
     PrimeField,
     ProductRing,
     Rationals,
     SemisimpleAlgebra,
-    UnivariatePolyRing,
     ZeroRing,
-    skew_ring,
 )
+from ncspec.skewpoly import skew_ring
 
 
 def test_modular_arithmetic_against_int_oracle():
@@ -271,6 +270,25 @@ def test_per_class_outputs_pinned():
             elems = rg.enumerate_elements(r)
             assert (elems[0].payload, elems[-1].payload) == ends, r
             assert len(elems) == card, r
+
+
+def test_prime_field_primality_against_a_sieve():
+    # deterministic Miller-Rabin on the primes 2..41, refused past its bound
+    for n in range(-2, 3000):
+        prime = n > 1 and all(n % q for q in range(2, n))
+        try:
+            assert PrimeField(n).p == n and prime, n
+        except ValueError as exc:
+            assert not prime and str(exc) == f"{n} is not prime", n
+    # strong pseudoprimes to the first 1, 2, 3, 4, 9 and 12 prime bases
+    for n in (2047, 1373653, 25326001, 3215031751, 3825123056546413051,
+              318665857834031151167461):
+        with pytest.raises(ValueError, match=f"^{n} is not prime$"):
+            PrimeField(n)
+    assert PrimeField(10**18 + 3).p == 10**18 + 3
+    # the least strong pseudoprime to all 13 bases is the bound itself
+    with pytest.raises(ValueError, match="past the primality bound 3317044064679887385961981"):
+        PrimeField(3317044064679887385961981)
 
 
 def test_prime_factors_against_a_sieve():

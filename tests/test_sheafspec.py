@@ -12,15 +12,14 @@ from conftest import (
 from ncspec import rings as rg
 from ncspec import sheafspec
 from ncspec.errors import NotACover, NotComparable, NotOpen, PresheafLawViolation
-from ncspec.latspace import PidLattice
 from ncspec.localization import localize
+from ncspec.qpoly import PidLattice, UnivariatePolyRing
 from ncspec.rings import (
     MatrixRing,
     ModularRing,
     PrimeField,
     Rationals,
     SemisimpleAlgebra,
-    UnivariatePolyRing,
     ZeroRing,
 )
 from ncspec.sheafspec import (

@@ -24,7 +24,8 @@ from ncspec.errors import (
     InhomogeneousRelation,
     UnsupportedClass,
 )
-from ncspec.rings import UnivariatePolyRing, skew_ring
+from ncspec.qpoly import UnivariatePolyRing
+from ncspec.skewpoly import skew_ring
 from ncspec.skewproj import (
     GradedModulePresentation,
     SkewQcohDatum,
