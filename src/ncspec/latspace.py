@@ -8,8 +8,8 @@ a matrix ring), and loc(R, E) keeps the blocks where every member of E is
 a unit.  So a cell is keyed by the frozenset of the blocks it keeps, every
 set of blocks is one cell, its subset is the idempotent that is 1 on
 exactly those blocks, and an element lies in the cell of its
-`unit_blocks`.  Only the order of the cells depends on the kind of ring
-(`_cell_order`).
+`unit_blocks`.  Only the order of the cells depends on the kind of ring,
+and the ring answers it (`rings.Descriptor.cell_order`).
 A materialized lattice carries one poset, the finite Alexandrov space on
 its cells, which holds the order, the joins and the law checks.  That
 space is already sober, so it is its own soberification: point i stands
@@ -251,7 +251,7 @@ class LocalizationLattice:
 def build_semilattice(r):
     """The localization semilattice; the descriptor's lazy one off block
     rings (Q[x]), materialized for a block ring: one cell per set of kept
-    blocks, in `_cell_order`, whose subset is the idempotent that is 1 on
+    blocks, in the ring's `cell_order`, whose subset is the idempotent that is 1 on
     them (`rings.block_idempotent`), and cell j >= i iff j keeps a subset
     of the blocks i keeps.  The zero ring has one cell, at the empty subset."""
     if r.blocks is None:
@@ -259,30 +259,10 @@ def build_semilattice(r):
     n = len(r.blocks)
     keys = [frozenset(Z) for k in range(n + 1) for Z in combinations(range(n), k)]
     cells = []
-    for key in sorted(keys, key=_cell_order(r)):
+    for key in sorted(keys, key=r.cell_order):
         E = (rg.block_idempotent(r, key),) if n else ()
         label = "R[" + ",".join(rg.element_str(a) for a in E) + "]" if E else "R"
         cells.append(LocalizationCell(E, localize(r, E), label, key))
     up = [frozenset(j for j, b in enumerate(cells) if b.key <= a.key) for a in cells]
     return LocalizationLattice(r, cells, up)
 
-
-def _cell_order(r):
-    """The sort key of the cells of r by their kept blocks, which fixes the
-    cell indices, labels and representatives.  A product of cyclic rings
-    lists its cells in the order their idempotents first occur among its
-    elements: per modulus, the key is 0 if the cell keeps none of its
-    blocks and otherwise the product of its dropped primes, the least
-    element that is a unit exactly on the kept ones.  Any other block ring
-    lists larger kept sets first, each size in lexicographic order."""
-    factors = r.local_factors
-    if factors is None:
-        return lambda key: (-len(key), sorted(key))
-
-    def first(key):
-        moduli = {}
-        for s, (j, p, _q) in enumerate(factors):
-            kept, dropped = moduli.get(j, (False, 1))
-            moduli[j] = (kept or s in key, dropped if s in key else dropped * p)
-        return [dropped if kept else 0 for kept, dropped in moduli.values()]
-    return first

@@ -23,7 +23,7 @@ blocks (`rings.kernel`); no question here enumerates a ring.
 """
 
 from functools import cached_property, lru_cache
-from math import gcd
+from math import prod
 
 from . import rings as rg
 from .errors import (
@@ -388,26 +388,19 @@ def _image_ideal(f: RingHom, kept) -> tuple:
     I is generated by one element per block s of A that it meets: k_s u_s
     on a local factor that keeps k_s < q_s of Z/q_s, and the block unit
     u_s (`rings.block_units`) on a block that it takes whole.  f(A) lies
-    in C, so C f(I) C is generated by the images t of those generators.
-    In a local factor Z/c_l of C the ideal that the parts t_l generate is
-    the multiples of their gcd with c_l, which is what the quotient keeps
-    (0 for a gcd of 1, all of the block); a matrix block, a simple ring,
-    is kept unless some t_l is nonzero.
+    in C, so C f(I) C is generated by the images t of those generators,
+    and each block l of C answers what the quotient keeps of it from the
+    parts t_l (`rings.Descriptor.kept_by_ideal`): in a local factor Z/c_l
+    the multiples of their gcd with c_l, and a matrix block, a simple
+    ring, unless some t_l is nonzero.
     """
     A, C = f.source, f.target
     if C.blocks is None:
         raise UnsupportedClass(f"{C!r} is not a block ring")
-    cyclic, ideal = C.local_factors is not None, list(C.blocks)
-    for k, q, u in zip(kept, A.blocks, rg.block_units(A)):
-        if k == q:
-            continue
-        t = f(rg.from_int(A, k or 1) * u)
-        for l, (B, part) in enumerate(zip(C.block_rings, C.split(t.payload))):
-            if cyclic:
-                ideal[l] = gcd(ideal[l], part)
-            elif part != B.from_int(0):
-                ideal[l] = 0
-    return tuple(0 if cyclic and k == 1 else k for k in ideal)
+    images = [C.split(f(rg.from_int(A, k or 1) * u).payload)
+              for k, q, u in zip(kept, A.blocks, rg.block_units(A)) if k != q]
+    parts = zip(*images) if images else [()] * len(C.blocks)
+    return tuple(B.kept_by_ideal(xs) for B, xs in zip(C.block_rings, parts))
 
 
 def _is_onto(h: RingHom, kept) -> bool:
@@ -416,4 +409,5 @@ def _is_onto(h: RingHom, kept) -> bool:
         return len(set(bmap)) == len(bmap)
     if not rg.is_finite(h.source):
         raise UnsupportedClass(f"no onto test for {h!r}")
-    return rg.quotient_order(h.source, kept) == rg.cardinality(h.target)
+    order = prod(B.quotient_order(k) for B, k in zip(h.source.block_rings, kept) if k)
+    return order == rg.cardinality(h.target)

@@ -9,11 +9,11 @@ this module, so it imports `fractions` at the top.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from .errors import NotAHomomorphism, NotIrreducibleCertificate, parse_rational
 from .records import record
-from .rings import Descriptor, RingElement, Rule, ZeroRing, element
+from .rings import Descriptor, RingElement, Rule, ZeroRing, element, prime_factors
 
 Poly = tuple  # tuple of Fraction, ascending degree
 
@@ -124,13 +124,19 @@ def squarefree_part(p: Poly) -> Poly:
 
 
 def _divisors(n: int) -> list:
-    return [k for k in range(1, abs(n) + 1) if n % k == 0]
+    """The positive divisors of n != 0, prime by prime: the divisors so far
+    and their products with the powers of the next prime that divide n."""
+    n, divs = abs(n), [1]
+    for p in prime_factors(n):
+        divs += [d * p ** e for d in divs for e in range(1, n.bit_length()) if n % p ** e == 0]
+    return divs
 
 
 def is_irreducible_low_degree(p: Poly) -> bool:
     """Irreducibility over Q for degree 1..3: a factor would be linear, so
-    p of degree 2 or 3 is irreducible iff it has no rational root.  A root
-    a/b in lowest terms of the integer multiple c of p has a dividing c's
+    p of degree 2 or 3 is irreducible iff it has no rational root.  The
+    integer multiple c of a quadratic has one iff its discriminant is a
+    square, and a root a/b in lowest terms of a cubic has a dividing c's
     constant term and b its leading coefficient (rational root test)."""
     d = deg(p)
     if d not in (1, 2, 3):
@@ -139,7 +145,10 @@ def is_irreducible_low_degree(p: Poly) -> bool:
         return d == 1
     den = lcm(*[c.denominator for c in p])
     c = [int(v * den) for v in p]
-    return not any(sum(v * (s * a) ** i * b ** (d - i) for i, v in enumerate(c)) == 0
+    if d == 2:
+        disc = c[1] ** 2 - 4 * c[0] * c[2]
+        return disc < 0 or isqrt(disc) ** 2 != disc
+    return not any(sum(v * (s * a) ** i * b ** (3 - i) for i, v in enumerate(c)) == 0
                    for a in _divisors(c[0]) for b in _divisors(c[-1]) for s in (1, -1))
 
 

@@ -136,19 +136,26 @@ class Descriptor:
     `read(doc, path)` is the payload that a JSON value writes (a bad entry
     is a SchemaViolation at its path), `write(a)` its inverse, `localized(E)`
     loc(R, E) with its insertion rule off the block rings, for E holding a
-    non-unit, and `lazy_semilattice()` the semilattice of Q[x]; the
-    defaults refuse.
+    non-unit, `lazy_semilattice()` the semilattice of Q[x], and
+    `ore_witnesses(E)` the Ore witnesses of skew monomials; the defaults
+    refuse.
 
     A block ring (the zero ring, Z/n, a product of Z/n's, a matrix ring or
     a semisimple algebra) is the product of its `blocks`, and owns the
     protocol every reader of blocks goes through: `block_rings`, the ring
     of each block; `split(a)`, the tuple of a's parts in them, and its
-    inverse `join(parts)`, which refuses a wrong part count; and
-    `keep(kept)`, the canonical product of the kept blocks.  The zero ring
-    and Z/n define `split` and `join` by CRT, a matrix ring is its one
-    block, and a product concatenates its factors' parts.  Every other
-    descriptor has no blocks.
+    inverse `join(parts)`, which refuses a wrong part count; `keep(kept)`,
+    the canonical product of the kept blocks; and the cell policies
+    `cell_order(key)` and `section_ring(kept)`.  The zero ring and Z/n
+    define `split` and `join` by CRT, a matrix ring is its one block, and
+    a product concatenates its factors' parts.  Every other descriptor has
+    no blocks.  The defaults fit a product of cyclic rings, whose `moduli`
+    (None for every other descriptor) fix its `local_factors`.  A block
+    (Z/p^c, a matrix ring) answers `maps_onto(C)`, `quotient_order(k)`,
+    `additive_order(x)`, `kept_by_image(m)` and `kept_by_ideal(parts)`.
     """
+
+    moduli = None
 
     def cardinality(self):
         return None
@@ -158,16 +165,16 @@ class Descriptor:
 
     @cached_property
     def local_factors(self):
-        """The local factors Z/p^b of a product of cyclic rings, or None.
+        """The local factors Z/p^b of a product of cyclic rings, else None.
 
-        One (factor j, prime p, p^b) per prime p of each modulus n_j, with
-        p^b the largest power of p dividing n_j, by factor and then by
-        prime; () for the zero ring and None for every other descriptor.
-        By CRT the ring is the product of its Z/p^b.  The tuple is cached
-        on the descriptor and per moduli tuple (`_local_factors`), so a
-        fresh descriptor of known moduli does no trial division.
+        One (factor j, prime p, p^b) per prime p of each of its `moduli`
+        n_j, with p^b the largest power of p dividing n_j, by factor and
+        then by prime.  By CRT the ring is the product of its Z/p^b.  The
+        tuple is cached on the descriptor and per moduli tuple
+        (`_local_factors`), so a fresh descriptor of known moduli does no
+        trial division.
         """
-        mods = cyclic_moduli(self)
+        mods = self.moduli
         return None if mods is None else _local_factors(mods)
 
     @cached_property
@@ -196,11 +203,27 @@ class Descriptor:
         """The canonical product of the blocks in kept, for a product of
         cyclic rings: the kept local factors of each modulus n_j give one
         factor Z/m_j, and a modulus that keeps none drops out."""
-        units = [1] * len(cyclic_moduli(self))
+        units = [1] * len(self.moduli)
         for s in kept:
             j, _p, q = self.local_factors[s]
             units[j] *= q
         return canonical_modular_product(units)
+
+    def cell_order(self, key):
+        """The sort key of the cell that keeps the blocks in key: the order in
+        which the cells' idempotents first occur among the elements.  Per
+        modulus, 0 if the cell keeps none of its blocks, else the product of
+        its dropped primes, the least element that is a unit exactly there."""
+        moduli = {}
+        for s, (j, p, _q) in enumerate(self.local_factors):
+            kept, dropped = moduli.get(j, (False, 1))
+            moduli[j] = (kept or s in key, dropped if s in key else dropped * p)
+        return [dropped if kept else 0 for kept, dropped in moduli.values()]
+
+    def section_ring(self, kept):
+        """The sections over cells that together keep the blocks in kept:
+        the product of those local factors Z/p^c, largest first."""
+        return canonical_modular_product(sorted((self.blocks[s] for s in kept), reverse=True))
 
     @cached_property
     def one(self):
@@ -226,6 +249,9 @@ class Descriptor:
 
     def lazy_semilattice(self):
         raise UnsupportedClass(f"no semilattice construction for {self!r}")
+
+    def ore_witnesses(self, E):
+        raise UnsupportedClass(f"need a finite ring or skew monomials, got {self!r}")
 
 
 @record(frozen=True)
@@ -253,6 +279,7 @@ class ZeroRing(Descriptor):
         return [0]
 
     generators = ()
+    moduli = ()
     show = staticmethod(str)
 
     def read(self, doc, path):
@@ -313,6 +340,7 @@ class ModularRing(Descriptor):
         return (self.canonical(1),)
 
     show = staticmethod(str)
+    moduli = property(lambda self: (self.n,))
 
     def read(self, doc, path):
         return self.canonical(parse_int(doc, path))
@@ -335,6 +363,24 @@ class ModularRing(Descriptor):
     @cached_property
     def _crt_units(self):
         return tuple(unit_idempotent(self.n, self.n // q) for _j, _p, q in self.local_factors)
+
+    # as a block Z/q, q = p^c, whose ideals are the p^e Z/q: x -> x mod m maps
+    # it onto Z/m iff m | q, and a quotient keeps Z/m (0 for m = 1) when the
+    # image of its unit has additive order m, or m = gcd(q, the ideal's parts)
+    def maps_onto(self, C):
+        return len(C.moduli or ()) == 1 and self.n % C.moduli[0] == 0
+
+    def quotient_order(self, k):
+        return k
+
+    def additive_order(self, x):
+        return self.n // igcd(self.n, x)
+
+    def kept_by_image(self, m):
+        return m if m > 1 else 0
+
+    def kept_by_ideal(self, parts):
+        return self.kept_by_image(igcd(self.n, *parts))
 
     def __repr__(self):
         return f"Z/{self.n}"
@@ -413,8 +459,11 @@ class ProductRing(_Componentwise):
     def __post_init__(self):
         if len(self.factors) < 2:
             raise ValueError("products need at least two factors; use product_ring()")
-        if any(isinstance(f, ProductRing) and len(f.factors) == 1 for f in self.factors):
-            raise ValueError("nested single-factor product")
+
+    @cached_property
+    def moduli(self):
+        mods = [f.moduli for f in self.factors]
+        return tuple(m for (m,) in mods) if all(len(m or ()) == 1 for m in mods) else None
 
     def show(self, a):
         return "(" + ", ".join(f.show(x) for f, x in zip(self.factors, a)) + ")"
@@ -506,6 +555,26 @@ class MatrixRing(Descriptor):
     def keep(self, kept):
         return self if kept else ZeroRing()
 
+    section_ring = keep
+    # larger kept sets first, each size in lexicographic order
+    cell_order = staticmethod(lambda key: (-len(key), sorted(key)))
+
+    # as a block, a simple ring: a quotient keeps all of it (its size) or nothing
+    def maps_onto(self, C):
+        return C == self
+
+    def quotient_order(self, k):
+        return self.cardinality()
+
+    def additive_order(self, A):
+        return 1 if A == self.zero.payload else self.base.order
+
+    def kept_by_image(self, m):
+        return self.size if m > 1 else 0
+
+    def kept_by_ideal(self, parts):
+        return 0 if any(A != self.zero.payload for A in parts) else self.size
+
     def __repr__(self):
         return f"M{self.size}({self.base!r})"
 
@@ -530,6 +599,9 @@ class SemisimpleAlgebra(_Componentwise):
     def keep(self, kept):
         dims = tuple(self.dims[s] for s in sorted(kept))
         return SemisimpleAlgebra(self.base, dims) if dims else ZeroRing()
+
+    section_ring = keep
+    cell_order = staticmethod(MatrixRing.cell_order)
 
     def elements(self):
         if self.base.order is None:
@@ -740,21 +812,6 @@ def element_str(x: RingElement) -> str:
 # ---------------------------------------------------------------------------
 # rings viewed as products of cyclic rings
 
-def cyclic_moduli(r):
-    """The moduli of r as a product of cyclic rings, or None.
-
-    () for the zero ring, (n,) for Z/n and one modulus per factor for a
-    product of Z/n's; None for every other descriptor.
-    """
-    if isinstance(r, ZeroRing):
-        return ()
-    if isinstance(r, ModularRing):
-        return (r.n,)
-    if isinstance(r, ProductRing) and all(isinstance(f, ModularRing) for f in r.factors):
-        return tuple(f.n for f in r.factors)
-    return None
-
-
 def unit_part(n, c):
     """The largest divisor of n prime to c, so that Z/n[1/c] = Z/unit_part(n, c).
 
@@ -816,7 +873,7 @@ def block_units(r) -> list:
 
 def kernel(*homs):
     """The kernel of the composite homs[0] . homs[1] . ... of validated homs
-    out of a block ring, block by block; None when the source is not one.
+    between block rings, block by block; None when an end is not one.
 
     Every two-sided ideal of a block ring is the product of one ideal per
     block (CRT, Wedderburn-Artin): p^e Z/p^a in a local factor Z/p^a, 0 or
@@ -829,43 +886,27 @@ def kernel(*homs):
     block_map[l] = s by x -> x mod q_l (or the identity of a matrix
     block), so entry s is the largest such q_l.  Otherwise entry s is read
     off the image t of the unit u_s (`block_units`): k u_s lies in the
-    kernel iff k t = 0, so on a local factor the entry is the additive
-    order p^e of t, and a matrix block, a simple ring, is kept unless t = 0.
-    O(blocks) lookups or evaluations.
-    """
-    source = homs[-1].source
-    if source.blocks is None:
+    kernel iff k t = 0, so block s answers from the additive order of t,
+    the largest order of its parts in the target's blocks.  O(blocks)
+    lookups or evaluations."""
+    source, target = homs[-1].source, homs[0].target
+    if source.blocks is None or target.blocks is None:
         return None
     kept = [0] * len(source.blocks)
     maps = [h.block_map for h in homs]
     if None not in maps:
-        for l, q in enumerate(homs[0].target.blocks):
+        for l, q in enumerate(target.blocks):
             s = l
             for bmap in maps:
                 s = bmap[s]
             kept[s] = max(kept[s], q)
         return tuple(kept)
-    factors = source.local_factors
-    for s, u in enumerate(block_units(source)):
-        t = u
+    for s, (B, t) in enumerate(zip(source.block_rings, block_units(source))):
         for h in reversed(homs):
             t = h(t)
-        k = 1
-        while factors and from_int(t.owner, k) * t != t.owner.zero:
-            k *= factors[s][1]
-        if t != t.owner.zero:
-            kept[s] = k if factors else source.blocks[s]
+        orders = [C.additive_order(x) for C, x in zip(target.block_rings, target.split(t.payload))]
+        kept[s] = B.kept_by_image(max(orders, default=1))
     return tuple(kept)
-
-
-def quotient_order(r, kept) -> int:
-    """|r / I| for a finite block ring r and the ideal I that `kernel`
-    describes by kept: Z/k of a local factor and all of a matrix block
-    over F_q, q^(d^2) elements, for each nonzero entry."""
-    order = 1
-    for k in filter(None, kept):
-        order *= k if r.local_factors is not None else r.base.order ** (k * k)
-    return order
 
 
 # ---------------------------------------------------------------------------
@@ -990,7 +1031,7 @@ class BlockRule(Rule):
         S, T = h.source, h.target
         try:
             fits = S.blocks is not None and len(self.feeds) == len(T.blocks) and all(
-                _maps_onto(S.block_rings[s], C) for s, C in zip(self.feeds, T.block_rings))
+                S.block_rings[s].maps_onto(C) for s, C in zip(self.feeds, T.block_rings))
         except (IndexError, TypeError):
             fits = False
         if not fits:
@@ -999,14 +1040,6 @@ class BlockRule(Rule):
     def block_map(self, h):
         k = len(h.source.blocks)
         return tuple([s % k for s in self.feeds])
-
-
-def _maps_onto(B, C) -> bool:
-    """Whether block ring B maps onto block ring C canonically: C is B, or
-    Z/q_l is a quotient of Z/q_s.  A prime power q_l divides the prime
-    power q_s only when q_s is a power of q_l's prime."""
-    return B == C or (isinstance(B, ModularRing) and isinstance(C, ModularRing)
-                      and B.n % C.n == 0)
 
 
 class RingHom:
@@ -1249,7 +1282,7 @@ def all_homs(source, target) -> tuple:
         return (to_zero_hom(source, target),)
     if is_zero_ring(source):
         return ()
-    if cyclic_moduli(source) is None or cyclic_moduli(target) is None:
+    if source.moduli is None or target.moduli is None:
         raise UnsupportedClass(
             f"hom enumeration needs products of cyclic rings, got {source!r} -> {target!r}")
     choices = [[s for s, qs in enumerate(source.blocks) if qs % q == 0] for q in target.blocks]

@@ -196,7 +196,7 @@ def _parse_rule(doc, source, target, path, iso=False) -> RingHom:
     if iso and kind not in ("identity", "table"):
         raise SchemaViolation(f"a glue iso has no {kind} rule", path)
     if kind == "canonical_quotient":
-        moduli = [rg.cyclic_moduli(x) or () for x in (source, target)]
+        moduli = [x.moduli or () for x in (source, target)]
         if [len(m) for m in moduli] != [1, 1]:
             raise SchemaViolation("canonical_quotient needs modular rings", path)
         return rg.quotient_hom(moduli[0][0], moduli[1][0])

@@ -42,7 +42,6 @@ from .rings import (
     RingHom,
     ZeroRing,
     _quotient_hom,
-    canonical_modular_product,
     hom_compose,
     hom_validate,
     to_zero_hom,
@@ -180,9 +179,8 @@ def sections(sp: NCSpecSpace, U):
     at the cell of an idempotent e carries eR, the product of the local
     factors R_l in the support of e, and two charts of U agree exactly on
     the factors in the overlap of their supports.  So the limit is the
-    product of the blocks in the union of the keys of the cells of U: the
-    ring's `keep` of that union for a matrix ring or a semisimple algebra,
-    and those local factors Z/p^k, largest first, for cyclic rings.
+    product of the blocks in the union of the keys of the cells of U,
+    which the ring answers (`rings.Descriptor.section_ring`).
     """
     U = frozenset(U)
     if not sp.space.is_open(U):
@@ -192,12 +190,7 @@ def sections(sp: NCSpecSpace, U):
     mins = sp.space.minimal_elements(U)
     if len(mins) == 1:
         return sp.sheaf.assignment[mins[0]]
-    cells = sp.lattice.cells
-    union = frozenset().union(*(cells[c].key for c in U))
-    if sp.ring.local_factors is None:
-        return sp.ring.keep(union)
-    blocks = sp.ring.blocks
-    return canonical_modular_product(sorted((blocks[s] for s in union), reverse=True))
+    return sp.ring.section_ring(frozenset().union(*(sp.lattice.cells[c].key for c in U)))
 
 
 # ---------------------------------------------------------------------------

@@ -24,12 +24,13 @@ from functools import cached_property
 from .errors import (
     NonMonomialSkewSubset,
     NotAHomomorphism,
+    OreConditionFails,
     SchemaViolation,
     parse_int,
     parse_rational,
 )
 from .records import record
-from .rings import Descriptor, RingElement, Rule, ZeroRing
+from .rings import Descriptor, RingElement, Rule, ZeroRing, element
 
 ExpVec = tuple  # tuple of int, one slot per variable
 Terms = dict    # ExpVec -> Fraction, no zero values
@@ -250,6 +251,28 @@ class SkewLaurentRing(Descriptor):
             (e, _c), = terms.items()
             inverted.update(i for i, v in enumerate(e) if v != 0)
         return SkewLaurentRing(self.nvars, self.lam, frozenset(inverted)), SkewExpandRule()
+
+    def ore_witnesses(self, E):
+        """Monomials quasi-commute, so the right Ore witnesses of E are
+        (x, s, r', s) with x s = s r' and r' = x scaled by the twist."""
+        mono = []
+        for a in E:
+            terms = from_canonical(a.payload)
+            if len(terms) != 1:
+                raise OreConditionFails(f"{a!r} is not a monomial", witness=(a,))
+            mono.append(next(iter(terms)))
+        witnesses = []
+        for i in range(self.nvars):
+            (b, cb), = variable(self.nvars, i).items()
+            x = element(self, {b: cb})
+            for a in mono:
+                s = element(self, {a: 1})
+                r2 = element(self, {b: cb * twist(self.lam_map, b, a) / twist(self.lam_map, a, b)})
+                if x * s != s * r2:
+                    raise OreConditionFails(f"the twist law fails at ({x!r}, {s!r})",
+                                            witness=(x, s))
+                witnesses.append((x, s, r2, s))
+        return tuple(witnesses)
 
     def __repr__(self):
         inv = "".join(f",x{i + 1}^-1" for i in sorted(self.inverted))

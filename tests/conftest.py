@@ -180,7 +180,7 @@ def brute_hom_descend(alpha, psi):
 
 def cyclic_coordinates(x) -> tuple:
     """The coordinates of an element of a product of cyclic rings, one per
-    modulus of `rings.cyclic_moduli`, read off its payload."""
+    modulus of `Descriptor.moduli`, read off its payload."""
     if isinstance(x.owner, rg.ProductRing):
         return x.payload
     return () if isinstance(x.owner, ZeroRing) else (x.payload,)
@@ -205,7 +205,7 @@ def brute_all_homs(source, target):
         return [rg.to_zero_hom(source, target)]
     if rg.is_zero_ring(source):
         return []
-    mods = rg.cyclic_moduli(source)
+    mods = source.moduli
     z = rg.zero(target)
     idem = [t for t in rg.enumerate_elements(target) if t * t == t]
     out = []
@@ -555,6 +555,29 @@ def brute_pushout_by_probes(sq, probes) -> bool:
     return True
 
 
+def brute_kernel(*homs) -> tuple:
+    """`rings.kernel` of the composite homs[0] . ... . homs[-1] out of a
+    block ring, by multiplying: k u_s lies in the kernel iff k t = 0 for
+    the image t of the block unit u_s, so a block with t = 0 keeps
+    nothing, a local factor Z/p^c the least power p^e with p^e t = 0,
+    multiplied up from 1, and a matrix block all of itself."""
+    source = homs[-1].source
+    kept = []
+    for s, t in enumerate(rg.block_units(source)):
+        for h in reversed(homs):
+            t = h(t)
+        if t == t.owner.zero:
+            kept.append(0)
+        elif source.local_factors is None:
+            kept.append(source.blocks[s])
+        else:
+            k = 1
+            while rg.from_int(t.owner, k) * t != t.owner.zero:
+                k *= source.local_factors[s][1]
+            kept.append(k)
+    return tuple(kept)
+
+
 def brute_ideal(r, kept) -> set:
     """The elements of the ideal of a finite block ring r that
     `rings.kernel` describes by kept: the sums of one element per block s,
@@ -696,7 +719,7 @@ def brute_cyclic_cell_idempotents(r):
     """The cell order of a product of cyclic rings by a scan of every
     element: the CRT idempotents (`rings.unit_idempotent` per coordinate)
     as coordinate tuples, in the order they first occur."""
-    mods = rg.cyclic_moduli(r)
+    mods = r.moduli
     return list(dict.fromkeys(tuple(map(rg.unit_idempotent, mods, cyclic_coordinates(f)))
                               for f in rg.enumerate_elements(r)))
 

@@ -18,6 +18,7 @@ from conftest import (
     brute_hom_descend,
     brute_ideal,
     brute_is_iso,
+    brute_kernel,
     brute_pushout_by_kernels,
 )
 
@@ -192,6 +193,32 @@ def test_kernels_are_the_element_kernels():
                                                 if h(x) == h.target.zero}, (h, kept)
         partial += any(0 < k < b for k, b in zip(kept, h.source.blocks))
     assert partial >= 8, partial
+
+
+def test_kernels_match_the_multiplying_oracle():
+    """The kept sizes of `rings.kernel`, read off block maps or off the
+    additive orders of the images of the block units, against multiplying
+    those images up to 0: on every hom here and every composable pair of
+    them, on the homs between small grid products of cyclic rings, and on
+    Z/2 -> M2(F2) and Z/9 -> F3 x M2(F3), x -> x 1, and the inner
+    automorphism of M2(F2), which have no block map."""
+    def scalars(n, target):
+        return rg.hom_validate(rg.hom_from_callable(ModularRing(n), target,
+                                                    lambda x: rg.from_int(target, x.payload)))
+
+    z2_m2, z9_f3 = scalars(2, M2), scalars(9, SemisimpleAlgebra(F3, (1, 2)))
+    conj = table_homs()[0]
+    assert None is z2_m2.block_map is z9_f3.block_map is conj.block_map
+    assert rg.kernel(z9_f3) == brute_kernel(z9_f3) == (3,)
+    homs = finite_homs() + [z2_m2, z9_f3] + [
+        h for S in SMALL_CYCLIC for T in SMALL_CYCLIC for h in rg.all_homs(S, T)]
+    for h in homs:
+        assert rg.kernel(h) == brute_kernel(h), h
+    pairs = [(g, f) for f in homs for g in homs if f.target == g.source]
+    for g, f in pairs:
+        assert rg.kernel(g, f) == brute_kernel(g, f), (g, f)
+    assert rg.kernel(conj, z2_m2) == brute_kernel(conj, z2_m2) == (2,)
+    assert len(pairs) > 300, len(pairs)
 
 
 def morphism_squares(r):

@@ -55,7 +55,7 @@ def comm_loc_instances(rng, count):
     rings = small_commutative_rings()
     for _ in range(count):
         source = rng.choice(rings)
-        mods = rg.cyclic_moduli(source)
+        mods = source.moduli
         kept = []
         for _ in range(rng.randint(0, 3)):
             i = rng.randint(-1, len(mods)) if rng.random() < 0.2 else rng.randrange(max(len(mods), 1))
@@ -96,7 +96,7 @@ def cyclic_block_instances(rng, count):
     all their feeds."""
     for _ in range(count):
         source = rng.choice(CYCLIC_BLOCK_RINGS)
-        src, mods = source.local_factors, rg.cyclic_moduli(source)
+        src, mods = source.local_factors, source.moduli
         picks = [rng.choice(mods) for _ in range(rng.randint(1, 3))] if mods else []
         target = _cyclic_product([rng.choice([d for d in range(1, n + 1) if n % d == 0])
                                   for n in picks])
@@ -180,7 +180,7 @@ def _real_homs(S, T):
     if S.blocks and T.blocks:
         rules += [BlockRule(f) for f in iproduct(range(len(S.blocks)), repeat=len(T.blocks))]
     candidates = [RingHom(S, T, rule) for rule in rules]
-    if rg.cyclic_moduli(S) is not None:
+    if S.moduli is not None:
         idem = [t for t in T.elements() if T.mul(t, t) == t]
         candidates += [images_table(S, T, ims)
                        for ims in iproduct(idem, repeat=len(S.generators))]

@@ -586,7 +586,7 @@ def _p22_swap():
         p22, p22, lambda x: rg.element(p22, (x.payload[1], x.payload[0]))))
 
 
-def test_glue_rejects_a_broken_triple_condition_alone():
+def test_glue_rejects_a_broken_triple_condition_alone(monkeypatch):
     # three copies of Z/2 x Z/2 glued along everything: the swap between
     # pieces 0 and 1 is its own inverse, but it disagrees with going round
     # through piece 2 by identities
@@ -598,9 +598,16 @@ def test_glue_rejects_a_broken_triple_condition_alone():
         {pair: (rg.one(p22),) for pair in pairs},
         {pair: swap if set(pair) == {0, 1} else ident for pair in pairs},
     )
-    with pytest.raises(CocycleViolation, match="triple"):
+    with pytest.raises(CocycleViolation, match="triple") as info:
         glue(datum)
+    assert info.value.witness == (0, 1, 2)
+    # given the inverse condition, one ordering of the one triple decides
+    # all six, so the identities extend three isos, not eighteen
+    calls = []
+    extend = glueqcoh._extend_iso
+    monkeypatch.setattr(glueqcoh, "_extend_iso", lambda *args: calls.append(args) or extend(*args))
     glue(GlueDatum(datum.pieces, datum.overlaps, {pair: ident for pair in pairs}))
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("wrong", [(0, 1), (1, 0)])

@@ -188,6 +188,7 @@ CALLS = (
     + [(sub, r, ("--format", fmt)) for sub in ("ncspec", "semilattice")
        for r in _LATTICE_RINGS for fmt in ("json", "dot", "text")]
     + [(sub, "Qx", ()) for sub in ("ncspec", "semilattice", "ring-validate")]
+    + [(sub, "Qx", ("--format", "text")) for sub in ("ncspec", "semilattice")]
     # the commutative bridge
     + [(sub, r, ()) for sub in ("spec", "embed", "exp") for r in _COMMUTATIVE]
     + [("ring-validate", r, ()) for r in _COMMUTATIVE]

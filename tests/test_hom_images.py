@@ -53,13 +53,13 @@ def oracle_table(h):
 def lattice_rings():
     # every grid ring with a localization lattice: all but the mixed product
     return tuple(r for r in finite_commutative_grid()
-                 if not (isinstance(r, rg.ProductRing) and rg.cyclic_moduli(r) is None))
+                 if not (isinstance(r, rg.ProductRing) and r.moduli is None))
 
 
 @cache
 def small_cyclic():
     return tuple(r for r in finite_commutative_grid()
-                 if rg.cyclic_moduli(r) is not None and rg.cardinality(r) <= 24)
+                 if r.moduli is not None and rg.cardinality(r) <= 24)
 
 
 @cache
@@ -284,11 +284,11 @@ def _idempotent_rule_instances(rng, count):
     targets = small_commutative_rings(8) + NONCOMMUTATIVE + [SemisimpleAlgebra(F3, (1, 1))]
     for _ in range(count):
         S, T = rng.choice(sources), rng.choice(targets)
-        k = len(rg.cyclic_moduli(S))
+        k = len(S.moduli)
         elems = list(T.elements())
         idem = [t for t in elems if T.mul(t, t) == t]
         mode = rng.random()
-        homs = rg.all_homs(S, T) if rg.cyclic_moduli(T) is not None else ()
+        homs = rg.all_homs(S, T) if T.moduli is not None else ()
         if mode < 0.35 and homs:
             images = tuple(rng.choice(homs).images)
         elif mode < 0.8:

@@ -44,33 +44,83 @@ DESCRIPTOR_CLASSES = {"ZeroRing", "ModularRing", "ProductRing", "MatrixRing", "S
                       "UnivariatePolyRing", "LocalizedPolyRing", "SkewLaurentRing"}
 
 
-def ring_kind_tests(source: str) -> list:
-    """The lines that pass a descriptor class to `isinstance`, by name or
-    as `module.Name`, alone or in a tuple."""
+def ring_kind_tests(source: str, module_functions_only=False) -> list:
+    """(line, enclosing function, test) of each test of the ring kind: a
+    descriptor class passed to `isinstance`, by name or as `module.Name`,
+    alone or in a tuple, and `.local_factors is None` or `is not None`.
+    A method is named `Class.method`, and module level is None; with
+    module_functions_only, the bodies of classes are skipped."""
     found = []
-    for node in ast.walk(ast.parse(source)):
+
+    def visit(node, func):
+        if isinstance(node, ast.ClassDef) and module_functions_only:
+            return
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = f"{func}.{node.name}" if func else node.name
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id == "isinstance" and len(node.args) == 2):
             spec = node.args[1]
             for cls in spec.elts if isinstance(spec, ast.Tuple) else [spec]:
                 name = cls.attr if isinstance(cls, ast.Attribute) else getattr(cls, "id", None)
                 if name in DESCRIPTOR_CLASSES:
-                    found.append((node.lineno, name))
-    return found
+                    found.append((node.lineno, func, name))
+        if (isinstance(node, ast.Compare) and len(node.ops) == 1
+                and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+                and isinstance(node.left, ast.Attribute) and node.left.attr == "local_factors"
+                and isinstance(node.comparators[0], ast.Constant)
+                and node.comparators[0].value is None):
+            op = "is None" if isinstance(node.ops[0], ast.Is) else "is not None"
+            found.append((node.lineno, func, f"local_factors {op}"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return sorted(found, key=lambda t: t[0])
 
 
 def test_block_ring_kind_detector():
     src = ("isinstance(r, MatrixRing)\nisinstance(r, (rg.ZeroRing, Foo))\n"
-           "isinstance(r, UnivariatePolyRing)\nMatrixRing(base, 2)\n")
-    assert ring_kind_tests(src) == [(1, "MatrixRing"), (2, "ZeroRing"), (3, "UnivariatePolyRing")]
+           "isinstance(r, UnivariatePolyRing)\nMatrixRing(base, 2)\n"
+           "def f(r):\n    return r.local_factors is None or r.local_factors[0]\n"
+           "class C:\n    def g(self, r):\n        return r.local_factors is not None\n")
+    module_level = [(1, None, "MatrixRing"), (2, None, "ZeroRing"),
+                    (3, None, "UnivariatePolyRing"), (6, "f", "local_factors is None")]
+    assert ring_kind_tests(src) == module_level + [(9, "C.g", "local_factors is not None")]
+    assert ring_kind_tests(src, module_functions_only=True) == module_level
 
 
-@pytest.mark.parametrize("name", ["localization.py", "latspace.py", "sheafspec.py", "serialize.py"])
-def test_block_ring_readers_do_not_test_the_ring_kind(name):
-    # a block ring's own `split`, `join`, `unit_blocks` and `keep` answer
-    # every question these modules ask of its blocks, and each descriptor
-    # reads, writes and localizes its own elements
-    assert ring_kind_tests((PACKAGE / name).read_text(encoding="utf-8")) == []
+# The modules that define descriptor classes and their hom rules: there a
+# class answers for its own kind, so only module-level functions are read.
+DESCRIPTOR_MODULES = {"rings.py", "qpoly.py", "skewpoly.py"}
+
+# The kind tests that stay, by module and enclosing function.
+KIND_TESTS_KEPT = {
+    ("commbridge.py", "spec"):
+        "the primes of a cyclic ring are read off its local factors, others search idempotents",
+    ("glueqcoh.py", "FiniteModule.__post_init__"): "finite modules are built over Z/n only",
+    ("glueqcoh.py", "tensor_module"): "base change reads a product of cyclic rings block by block",
+    ("glueqcoh.py", "tilde_module"): "module sheaves are built over Z/n only",
+}
+
+
+def _kind_tests(path):
+    return ring_kind_tests(path.read_text(encoding="utf-8"),
+                           module_functions_only=path.name in DESCRIPTOR_MODULES)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_block_ring_readers_do_not_test_the_ring_kind(path):
+    # each descriptor answers the questions asked of its kind: its blocks
+    # (`split`, `join`, `unit_blocks`, `keep`), its moduli, its cell order
+    # and section rings, what its blocks keep under a quotient, and how it
+    # reads, writes and localizes its elements
+    assert [t for t in _kind_tests(path) if (path.name, t[1]) not in KIND_TESTS_KEPT] == []
+
+
+def test_every_kept_kind_test_is_still_there():
+    found = {(path.name, func) for path in sorted(PACKAGE.glob("*.py"))
+             for _line, func, _test in _kind_tests(path)}
+    assert set(KIND_TESTS_KEPT) <= found
 
 
 def local_factor_reads(source: str) -> list:
@@ -104,8 +154,8 @@ def test_local_factor_read_detector():
     assert local_factor_reads(src) == [(1, None), (5, "f"), (7, "g")]
 
 
-# the two policies that read the (modulus, prime, prime power) triples
-LOCAL_FACTOR_READERS = {"latspace.py": {"_cell_order"}, "commbridge.py": {"spec"}}
+# the one policy outside `rings` that reads the (modulus, prime, prime power) triples
+LOCAL_FACTOR_READERS = {"commbridge.py": {"spec"}}
 
 
 @pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "rings.py"],

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from functools import cache
 
@@ -74,7 +75,7 @@ def grid_lattices():
     """The lattice of every grid ring that has one (all but the mixed
     product) and of F2^k for k <= 6."""
     rings = [r for r in finite_commutative_grid()
-             if not (isinstance(r, rg.ProductRing) and rg.cyclic_moduli(r) is None)]
+             if not (isinstance(r, rg.ProductRing) and r.moduli is None)]
     rings += [SemisimpleAlgebra(PrimeField(2), (1,) * k) for k in range(1, 7)]
     assert len(rings) == 75
     return tuple(build_semilattice(r) for r in rings)
@@ -184,7 +185,7 @@ CYCLIC_EXTRAS = [cyclic(*ms) for ms in ((1, 6), (6, 1), (1, 1, 4), (4, 9), (2, 6
 def test_cyclic_cell_order_is_the_first_occurrence_order():
     # the closed form lists the cells in the order the element scan finds them
     rings = ([ModularRing(n) for n in range(2, 400)] + CYCLIC_EXTRAS
-             + [r for r in finite_commutative_grid() if rg.cyclic_moduli(r) is not None])
+             + [r for r in finite_commutative_grid() if r.moduli is not None])
     for r in rings:
         if rg.cardinality(r) == 1:
             continue
@@ -203,7 +204,7 @@ def random_element(r, rng):
 
 def test_cell_of_subset_agrees_with_the_product_and_fold_oracle(rng):
     f2, q = PrimeField(2), Rationals()
-    rings = ([r for r in finite_commutative_grid() if rg.cyclic_moduli(r) is not None]
+    rings = ([r for r in finite_commutative_grid() if r.moduli is not None]
              + CYCLIC_EXTRAS
              + [SemisimpleAlgebra(f2, dims) for dims in ((1, 2, 1), (2, 2), (1, 1, 1, 1))]
              + [SemisimpleAlgebra(q, dims) for dims in ((1, 2), (2, 1, 1), (1, 1, 1))])
@@ -465,6 +466,24 @@ def test_pid_point_certificates():
     prime_set_point([[1, 0, 0, 0, 1]])
     # degree <= 3 irreducibles pass the check
     prime_set_point([[1, 0, 1], [2, 0, 0, 1]])
+    # cubics, with the verdicts of the rational root test that scanned
+    # every integer up to the constant term
+    for coeffs, irreducible in CUBICS:
+        assert qpoly.is_irreducible_low_degree(qpoly.poly(coeffs)) is irreducible, coeffs
+    # a quadratic is decided by its discriminant and a cubic's divisors come
+    # from its primes, so the time does not grow with the constant
+    start = time.perf_counter()
+    prime_set_point([[10**12 + 1, 0, 1], [10**12 + 1, 0, 0, 1]])
+    for reducible in ([-10**12, 0, 1], [-10**12, 0, 0, 1]):
+        with pytest.raises(NotIrreducibleCertificate):
+            prime_set_point([reducible])
+    assert time.perf_counter() - start < 1
+
+
+# (coefficients, irreducible over Q)
+CUBICS = [([-2, 0, 0, 1], True), ([1, 0, 0, 1], False), ([-6, 11, -6, 1], False),
+          ([1, -3, 0, 2], False), ([3, 0, 0, 4], True), ([Fraction(1, 2), 1, 0, 3], True),
+          ([-12, 0, 0, 18], True), ([5, 7, 0, 1], True)]
 
 
 # Each former assert of latspace, as a typed error that survives python -O:

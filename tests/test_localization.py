@@ -127,7 +127,7 @@ def cyclic_oracle_rings():
     mods = (2, 3, 4, 6, 8, 9, 12)
     pairs = [(a, b) for a in mods for b in mods if a <= b]
     triples = [(2, 2, 3), (2, 3, 4), (2, 4, 8), (3, 3, 4), (2, 6, 9)]
-    return ([r for r in finite_commutative_grid() if rg.cyclic_moduli(r) is not None]
+    return ([r for r in finite_commutative_grid() if r.moduli is not None]
             + [rg.product_ring([ModularRing(m) for m in ms]) for ms in pairs + triples])
 
 

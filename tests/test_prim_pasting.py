@@ -272,7 +272,7 @@ def _block_unit(r, s):
         return rg.RingElement(r, tuple(f.from_int(int(k == s)) for k, f in enumerate(r.factors)))
     i, _p, q = r.local_factors[s]
     comps = tuple(rg.unit_idempotent(n, n // q) if k == i else 0
-                  for k, n in enumerate(rg.cyclic_moduli(r)))
+                  for k, n in enumerate(r.moduli))
     return rg.RingElement(r, comps if isinstance(r, rg.ProductRing) else comps[0])
 
 

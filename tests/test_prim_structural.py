@@ -49,7 +49,7 @@ def cyclic(*mods):
 
 @cache
 def cyclic_grid():
-    return tuple(r for r in finite_commutative_grid() if rg.cyclic_moduli(r) is not None)
+    return tuple(r for r in finite_commutative_grid() if r.moduli is not None)
 
 
 def outcome(fn, *args):
@@ -226,7 +226,7 @@ def test_pushouts_by_local_maps_match_the_probe_loop():
     for sq in pushout_cases():
         got = outcome(is_pushout, sq)
         assert got == outcome(brute_is_pushout, sq), sq
-        if got[0] == "ok" and all(rg.cyclic_moduli(c) is not None for c in sq.corners):
+        if got[0] == "ok" and all(c.moduli is not None for c in sq.corners):
             assert got[1] == (brute_commutes(sq)
                               and brute_pushout_by_probes(sq, local_probes(sq))), sq
             seen["probe loop"] += 1
