@@ -42,10 +42,10 @@ from .sheafspec import NCSpecSpace, ncspec
 
 @record(frozen=True)
 class PrimeSpectrum:
-    """The primes of a finite commutative ring, one per local factor.
+    """The primes of a finite commutative ring, one per block.
 
     Prime i is m_i = {x : x*a_i + (1 - a_i) is not a unit}, where a_i is
-    the primitive idempotent of its local factor (see `spec`).  The
+    the unit of its block, a local factor (see `spec`).  The
     element sets `primes` and `elements` are built on first use, for
     reports; `distinguished` and `based_space` do not need them.
     """
@@ -75,8 +75,8 @@ class PrimeSpectrum:
     def based_space(self) -> "BasedSpace":
         """The distinguished opens D(f) of every f, as a based space.
 
-        D(f) is the set of local factors where f is a unit, and the sum
-        e_S of the a_i over a set S of primes is 1 on those factors and 0
+        D(f) is the set of blocks where f is a unit, and the sum
+        e_S of the a_i over a set S of primes is 1 on those blocks and 0
         on the others, so D(e_S) = S and every D(f) is D(e_{D(f)}).  The
         base is thus read off the 2^n sums e_S.
         """
@@ -100,51 +100,40 @@ def _require_finite_commutative(r):
 
 
 def spec(r) -> PrimeSpectrum:
-    """The prime ideals of a finite commutative ring, one per local factor.
+    """The prime ideals of a finite commutative ring, one per block.
 
     Lifting idempotents splits a finite commutative ring as R = prod R_l of
     local rings (Atiyah-Macdonald ch. 8), one factor per primitive
-    idempotent: an a != 0 with a*b in (0, a) for every idempotent b.  Every
-    prime of R is maximal, so the primes are the m_l, maximal ideal of R_l
-    in factor l and everything in the others.  x*a + (1 - a) is x on the
-    factor of a and 1 on the others, and a unit of R_l is exactly an
-    element outside its maximal ideal, so
+    idempotent.  Every prime of R is maximal, so the primes are the m_l,
+    maximal ideal of R_l in factor l and everything in the others.  x*a +
+    (1 - a) is x on the factor of a and 1 on the others, and a unit of R_l
+    is exactly an element outside its maximal ideal, so
     m_a = {x : x*a + (1 - a) is not a unit}.
 
-    On a product of cyclic rings the local factors are the Z/p^c of
-    `local_factors`, a is the CRT idempotent that is 1 on Z/p^c
-    (`rings.block_units`), and m_a holds the |R|/p elements whose
-    coordinate there is divisible by p.  Other rings find their primitive
-    idempotents among their elements.  The primes are sorted by size and
-    then by the sorted reprs of their elements' payloads.
+    Every finite commutative ring is a block ring whose blocks, Z/p^c and
+    M1(F), are local, so a is the block unit u_l (`rings.block_units`),
+    and m_a holds the |R| / k elements whose part in block l lies in its
+    maximal ideal, k the block's `residue_order` (p on Z/p^c, |F| on
+    M1(F)).  The primes are sorted by size and then by the sorted reprs of
+    their elements' payloads.
 
-    On a product of cyclic rings that tie order is the local-factor index,
-    so no element is built.  Two primes of size |R|/p cut local factors at
-    p in moduli i < i'.  A payload's repr sorts as the tuple of its
-    coordinates' decimal strings (", " and ")" sort below every digit),
-    and two sorted lists compare at the least element of their symmetric
-    difference, which the list that holds it puts first.  The factor-i
-    prime minus the other holds an element that is 0 in every coordinate
-    but i', while every element of the other difference has x_i prime to
-    p, so x_i != 0 and sorts after "0": that least element lies in the
-    factor-i prime.
+    That tie order is the block index, so no element is built.  Two primes
+    of one size |R| / k cut blocks l < l' of residue order k, which lie in
+    different integer entries i < i' of the payload, as one Z/n entry has
+    one block per prime.  A payload's repr sorts as the tuple of its
+    entries' decimal strings (", " and ")" sort below every digit), and
+    two sorted lists compare at the least element of their symmetric
+    difference, which the list that holds it puts first.  Every element
+    of the block-l' prime minus the other has a unit part in block l, so
+    x_i != 0; putting 0 at i and a unit of block l' at i' gives an
+    element of the other difference that sorts before it: that least
+    element lies in the block-l prime.
     """
     _require_finite_commutative(r)
-    if r.local_factors is not None:
-        idem = rg.block_units(r)
-        sizes = [rg.cardinality(r) // p for _j, p, _q in r.local_factors]
-        return PrimeSpectrum(r, tuple(idem[i] for i in sorted(range(len(idem)),
-                                                              key=sizes.__getitem__)))
-    elems = rg.enumerate_elements(r)
-    zero = rg.zero(r)
-    every = [e for e in elems if e * e == e]
-    idem = [a for a in every if a != zero and all(a * b in (zero, a) for b in every)]
-    primes = [_prime_ideal(r, a, elems) for a in idem]
-
-    def order(i):
-        return len(primes[i]), tuple(sorted(repr(x.payload) for x in primes[i]))
-
-    return PrimeSpectrum(r, tuple(idem[i] for i in sorted(range(len(idem)), key=order)))
+    size, blocks = rg.cardinality(r), r.block_rings
+    idem = rg.block_units(r)
+    return PrimeSpectrum(r, tuple(idem[l] for l in sorted(
+        range(len(idem)), key=lambda l: size // blocks[l].residue_order)))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +261,7 @@ def _cell_elements(sp: NCSpecSpace) -> tuple:
     """One element f per cell of the lattice: the product of the cell's subset.
 
     The blocks of a commutative lattice are its local factors, and f is
-    a unit at a local factor exactly when it avoids that factor's prime.
+    a unit at a block exactly when it avoids that block's prime.
     So D(f) is the key of f's cell, read through the primes: it depends
     on f only through its cell, and D of this f stands for every f there.
     """

@@ -2,9 +2,9 @@
 
 Cells of the lattice are localizations at finite subsets up to mutual
 invertibility.  A finite ring here is a block ring, the product of its
-blocks (`rings.Descriptor.blocks`: the local factors Z/p^a of a product of
-cyclic rings, the matrix blocks of a semisimple algebra, the one block of
-a matrix ring), and loc(R, E) keeps the blocks where every member of E is
+blocks (`rings.Descriptor.blocks`: the local factors Z/p^a of Z/n, the
+matrix blocks of a semisimple algebra, the one block of a matrix ring,
+and a product's factors' blocks), and loc(R, E) keeps the blocks where every member of E is
 a unit.  So a cell is keyed by the frozenset of the blocks it keeps, every
 set of blocks is one cell, its subset is the idempotent that is 1 on
 exactly those blocks, and an element lies in the cell of its

@@ -1,7 +1,7 @@
 """Universal localization at finite subsets for the supported ring classes.
 
-A block ring (`rings.Descriptor.blocks`: a product of cyclic rings, a
-matrix ring or a semisimple algebra) localizes onto its blocks: every
+A block ring (`rings.Descriptor.blocks`: Z/n, a matrix ring, a
+semisimple algebra or a product of block rings) localizes onto its blocks: every
 block is local or simple, so R[E^-1] keeps the blocks where every member
 of E is a unit (`unit_blocks`), and it depends on E only through that
 cell.  `localize` reads the kept blocks off the payloads of E and takes

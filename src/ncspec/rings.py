@@ -16,7 +16,7 @@ entries, never loads it.
 import operator
 from functools import cached_property, lru_cache
 from itertools import product as iproduct
-from math import gcd as igcd
+from math import gcd as igcd, prod
 
 from .errors import (
     CompositionMismatch,
@@ -63,28 +63,37 @@ _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIME_BOUND = 3317044064679887385961981
 
 
+def is_prime(n):
+    """Whether n is prime: a base divides it, or it is a strong probable
+    prime to every base (b^d = 1 or some b^(d 2^r) = -1 mod n, with n - 1
+    = d 2^s and d odd).  Exact below `_PRIME_BOUND`, and past it for n
+    with a factor among the bases; any other n past it is refused."""
+    if n < 2 or any(n % b == 0 for b in _PRIME_BASES):
+        return n in _PRIME_BASES
+    if n >= _PRIME_BOUND:
+        raise ValueError(f"{n} is past the primality bound {_PRIME_BOUND}")
+    d = n - 1
+    while d % 2 == 0:
+        d //= 2
+    for b in _PRIME_BASES:
+        x, e = pow(b, d, n), d
+        while e != n - 1 and x not in (1, n - 1):
+            x, e = x * x % n, 2 * e
+        if x != n - 1 and e % 2 == 0:
+            return False
+    return True
+
+
 @record(frozen=True)
 class PrimeField:
     """The field F_p: scalars are ints in range(p); `order` is p, proved
-    prime by Miller-Rabin on `_PRIME_BASES` below `_PRIME_BOUND`."""
+    prime by `is_prime` below `_PRIME_BOUND`."""
 
     p: int
 
     def __post_init__(self):
-        p = self.p
-        if p < 2 or any(p % b == 0 for b in _PRIME_BASES if b < p):
-            raise ValueError(f"{p} is not prime")
-        if p >= _PRIME_BOUND:
-            raise ValueError(f"{p} is past the primality bound {_PRIME_BOUND}")
-        d = p - 1
-        while d % 2 == 0:
-            d //= 2
-        for b in _PRIME_BASES:  # a strong probable prime: b^d = 1 or some b^(d 2^r) = -1
-            x, e = pow(b, d, p), d
-            while e != p - 1 and x not in (1, p - 1):
-                x, e = x * x % p, 2 * e
-            if b < p and x != p - 1 and e % 2 == 0:
-                raise ValueError(f"{p} is not prime")
+        if not is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
 
     @property
     def order(self):
@@ -140,22 +149,26 @@ class Descriptor:
     `ore_witnesses(E)` the Ore witnesses of skew monomials; the defaults
     refuse.
 
-    A block ring (the zero ring, Z/n, a product of Z/n's, a matrix ring or
-    a semisimple algebra) is the product of its `blocks`, and owns the
-    protocol every reader of blocks goes through: `block_rings`, the ring
-    of each block; `split(a)`, the tuple of a's parts in them, and its
+    A block ring (the zero ring, Z/n, a matrix ring, a semisimple algebra,
+    and a product of block rings) is the product of its `blocks`, and owns
+    the protocol every reader of blocks goes through: `block_rings`, the
+    ring of each block; `split(a)`, the tuple of a's parts in them, and its
     inverse `join(parts)`, which refuses a wrong part count; `keep(kept)`,
     the canonical product of the kept blocks; and the cell policies
     `cell_order(key)` and `section_ring(kept)`.  The zero ring and Z/n
     define `split` and `join` by CRT, a matrix ring is its one block, and
-    a product concatenates its factors' parts.  Every other descriptor has
-    no blocks.  The defaults fit a product of cyclic rings, whose `moduli`
-    (None for every other descriptor) fix its `local_factors`.  A block
-    (Z/p^c, a matrix ring) answers `maps_onto(C)`, `quotient_order(k)`,
-    `additive_order(x)`, `kept_by_image(m)` and `kept_by_ideal(parts)`.
+    a product concatenates its factors' blocks and composes their answers.
+    Every other descriptor has no blocks.  Each block ring owns `keep` and
+    `cell_order`; `section_ring` is the product of the kept block rings,
+    largest block first, unless the ring says otherwise.  A block (Z/p^c, a
+    matrix ring) answers `maps_onto(C)`, `quotient_order(k)`,
+    `additive_order(x)`, `kept_by_image(m)`, `kept_by_ideal(parts)` and
+    `residue_order`, the order of its residue field when it is commutative.
+    The `moduli` of a product of cyclic rings Z/n_j are the n_j (None for
+    every other descriptor), and fix its `local_factors`.
     """
 
-    moduli = None
+    moduli = blocks = block_rings = None
 
     def cardinality(self):
         return None
@@ -171,59 +184,22 @@ class Descriptor:
         n_j, with p^b the largest power of p dividing n_j, by factor and
         then by prime.  By CRT the ring is the product of its Z/p^b.  The
         tuple is cached on the descriptor and per moduli tuple
-        (`_local_factors`), so a fresh descriptor of known moduli does no
-        trial division.
+        (`_local_factors`), so a fresh descriptor of known moduli factors
+        nothing.
         """
         mods = self.moduli
         return None if mods is None else _local_factors(mods)
-
-    @cached_property
-    def blocks(self):
-        """The sizes of the blocks of a block ring, of which it is the
-        product: p^b per local factor of a product of cyclic rings (none for
-        the zero ring), the matrix size per block of a matrix ring or a
-        semisimple algebra.  None for every other descriptor."""
-        factors = self.local_factors
-        return None if factors is None else tuple(q for _j, _p, q in factors)
-
-    @cached_property
-    def block_rings(self):
-        """The ring of each block: Z/p^b per local factor of a product of
-        cyclic rings (a matrix ring or a semisimple algebra gives its matrix
-        blocks); None off block rings."""
-        factors = self.local_factors
-        return None if factors is None else tuple(ModularRing(q) for _j, _p, q in factors)
 
     def unit_blocks(self, a):
         """The frozenset of the blocks on which the payload a is a unit."""
         return frozenset([s for s, (B, x) in enumerate(zip(self.block_rings, self.split(a)))
                           if B.is_unit(x)])
 
-    def keep(self, kept):
-        """The canonical product of the blocks in kept, for a product of
-        cyclic rings: the kept local factors of each modulus n_j give one
-        factor Z/m_j, and a modulus that keeps none drops out."""
-        units = [1] * len(self.moduli)
-        for s in kept:
-            j, _p, q = self.local_factors[s]
-            units[j] *= q
-        return canonical_modular_product(units)
-
-    def cell_order(self, key):
-        """The sort key of the cell that keeps the blocks in key: the order in
-        which the cells' idempotents first occur among the elements.  Per
-        modulus, 0 if the cell keeps none of its blocks, else the product of
-        its dropped primes, the least element that is a unit exactly there."""
-        moduli = {}
-        for s, (j, p, _q) in enumerate(self.local_factors):
-            kept, dropped = moduli.get(j, (False, 1))
-            moduli[j] = (kept or s in key, dropped if s in key else dropped * p)
-        return [dropped if kept else 0 for kept, dropped in moduli.values()]
-
     def section_ring(self, kept):
         """The sections over cells that together keep the blocks in kept:
-        the product of those local factors Z/p^c, largest first."""
-        return canonical_modular_product(sorted((self.blocks[s] for s in kept), reverse=True))
+        the product of those block rings, largest block first."""
+        rings = [self.block_rings[s] for s in sorted(kept, key=lambda s: (-self.blocks[s], s))]
+        return product_ring(rings) if rings else ZeroRing()
 
     @cached_property
     def one(self):
@@ -278,9 +254,12 @@ class ZeroRing(Descriptor):
     def elements(self):
         return [0]
 
-    generators = ()
-    moduli = ()
+    generators = blocks = block_rings = moduli = ()
     show = staticmethod(str)
+    cell_order = staticmethod(lambda key: [])
+
+    def keep(self, kept):
+        return self
 
     def read(self, doc, path):
         if parse_int(doc, path) != 0:
@@ -348,8 +327,24 @@ class ModularRing(Descriptor):
     def write(self, a):
         return a
 
+    # the blocks are the local factors Z/p^c
+    blocks = cached_property(lambda self: tuple(q for _j, _p, q in self.local_factors))
+    block_rings = cached_property(lambda self: tuple(ModularRing(q) for q in self.blocks))
+
+    def keep(self, kept):
+        """Z/m, with m the product of the kept local factors; 0 for m = 1."""
+        m = prod(self.blocks[s] for s in kept)
+        return ModularRing(m) if m > 1 else ZeroRing()
+
+    def cell_order(self, key):
+        """The order in which the cells' idempotents first occur among the
+        elements: 0 if the cell keeps no block, else the product of its
+        dropped primes, the least element that is a unit exactly there."""
+        return [prod(p for s, (_j, p, _q) in enumerate(self.local_factors) if s not in key)
+                if key else 0]
+
     def split(self, a):
-        return tuple([a % q for _j, _p, q in self.local_factors])
+        return tuple([a % q for q in self.blocks])
 
     def unit_blocks(self, a):
         """a is a unit in Z/p^b iff p does not divide it."""
@@ -381,6 +376,8 @@ class ModularRing(Descriptor):
 
     def kept_by_ideal(self, parts):
         return self.kept_by_image(igcd(self.n, *parts))
+
+    residue_order = property(lambda self: self.local_factors[0][1])
 
     def __repr__(self):
         return f"Z/{self.n}"
@@ -441,6 +438,33 @@ class _Componentwise(Descriptor):
 
     def write(self, a):
         return [f.write(x) for f, x in zip(self.factors, a)]
+
+    @cached_property
+    def blocks(self):
+        """The factors' blocks, in order; None if a factor has none."""
+        blocks = [f.blocks for f in self.factors]
+        return None if None in blocks else tuple([q for b in blocks for q in b])
+
+    @cached_property
+    def block_rings(self):
+        return None if self.blocks is None else tuple(
+            [B for f in self.factors for B in f.block_rings])
+
+    def _by_factor(self, kept):
+        """(factor, the blocks in kept of the factor, numbered within it)."""
+        start = 0
+        for f in self.factors:
+            yield f, frozenset([s - start for s in kept if 0 <= s - start < len(f.blocks)])
+            start += len(f.blocks)
+
+    def keep(self, kept):
+        """The product of each factor's kept product, zero rings dropped."""
+        rings = [f.keep(k) for f, k in self._by_factor(kept)]
+        rings = [K for K in rings if not is_zero_ring(K)]
+        return product_ring(rings) if rings else ZeroRing()
+
+    def cell_order(self, key):
+        return [x for f, k in self._by_factor(key) for x in f.cell_order(k)]
 
     def split(self, a):
         return tuple([x for f, p in zip(self.factors, a) for x in f.split(p)])
@@ -555,7 +579,6 @@ class MatrixRing(Descriptor):
     def keep(self, kept):
         return self if kept else ZeroRing()
 
-    section_ring = keep
     # larger kept sets first, each size in lexicographic order
     cell_order = staticmethod(lambda key: (-len(key), sorted(key)))
 
@@ -575,6 +598,8 @@ class MatrixRing(Descriptor):
     def kept_by_ideal(self, parts):
         return 0 if any(A != self.zero.payload for A in parts) else self.size
 
+    residue_order = property(lambda self: self.base.order)
+
     def __repr__(self):
         return f"M{self.size}({self.base!r})"
 
@@ -592,9 +617,6 @@ class SemisimpleAlgebra(_Componentwise):
     def factors(self):
         """The matrix blocks; a payload is the tuple of their payloads."""
         return tuple(MatrixRing(self.base, d) for d in self.dims)
-
-    blocks = cached_property(lambda self: self.dims)
-    block_rings = cached_property(lambda self: self.factors)
 
     def keep(self, kept):
         dims = tuple(self.dims[s] for s in sorted(kept))
@@ -620,14 +642,6 @@ def product_ring(factors):
     if len(factors) == 1:
         return factors[0]
     return ProductRing(factors)
-
-
-def canonical_modular_product(mods):
-    """Canonical descriptor for a product of Z/m factors (drop m = 1)."""
-    mods = [m for m in mods if m > 1]
-    if not mods:
-        return ZeroRing()
-    return product_ring(ModularRing(m) for m in mods)
 
 
 def _scalar(base, v, path):
@@ -826,13 +840,19 @@ def unit_part(n, c):
 
 
 def prime_factors(n):
-    """The primes dividing n, in increasing order, by trial division."""
+    """The primes dividing n, in increasing order.  Trial division stops
+    once what is left is 1 or a prime below `_PRIME_BOUND` (`is_prime`),
+    so it runs up to the second largest prime factor of n: one large prime
+    costs nothing, while two large prime factors, or a prime past the
+    bound, still cost trial division up to the square root of n."""
     primes, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            primes.append(p)
-            n = unit_part(n, p)
-        p += 1
+    while n > 1 and not (n < _PRIME_BOUND and is_prime(n)):
+        while n % p and p * p <= n:
+            p += 1
+        if n % p:
+            break  # no factor up to its square root: n is prime
+        primes.append(p)
+        n = unit_part(n, p)
     return primes + [n] if n > 1 else primes
 
 

@@ -32,7 +32,7 @@ from ncspec.rings import (
     PrimeField,
     SemisimpleAlgebra,
     ZeroRing,
-    canonical_modular_product,
+    product_ring,
 )
 from ncspec.sheafspec import RingedSpaceMorphism, ncspec, sections
 from ncspec.skewproj import GradedModulePresentation
@@ -951,7 +951,8 @@ def brute_sections_limit(sp, U):
         total *= k
     if total != len(tuples):
         raise AssertionError("the limit ring is not a product of cyclic blocks")
-    return canonical_modular_product(sorted(orders, reverse=True))
+    orders.sort(reverse=True)
+    return product_ring([ModularRing(k) for k in orders]) if orders else ZeroRing()
 
 
 def sympy_squarefree_part(coeffs):

@@ -26,7 +26,10 @@ from ncspec.rings import (
 F2, F3, Q = PrimeField(2), PrimeField(3), Rationals()
 FINITE = [r for r in finite_commutative_grid() if r.blocks is not None] + [
     SemisimpleAlgebra(F2, (1, 2)), SemisimpleAlgebra(F3, (1, 1)), MatrixRing(F2, 2),
-    ModularRing(1), ZeroRing()]
+    ModularRing(1), ZeroRing()] + [
+    rg.product_ring(fs) for fs in ([ModularRing(2), MatrixRing(F2, 2)],
+                                   [ModularRing(6), SemisimpleAlgebra(F2, (1, 2))],
+                                   [MatrixRing(F2, 2), MatrixRing(F2, 2)])]
 OVER_Q = [SemisimpleAlgebra(Q, (1, 2)), SemisimpleAlgebra(Q, (2, 1, 1)), MatrixRing(Q, 2)]
 
 

@@ -189,15 +189,17 @@ def test_cli_ncspec_dot_diamond(tmp_path, capsys):
     assert "generic" in out
 
 
-def test_cli_mixed_product_is_unsupported(tmp_path, capsys):
+def test_cli_mixed_product_answers(tmp_path, capsys):
+    # Z/2 x F2 in two forms: two blocks, so four cells
     for other in ({"kind": "matrix", "base": "f2", "size": 1},
                   {"kind": "semisimple", "base": "f2", "dims": [1]}):
         ring = write(tmp_path, "mixed.json", {
             "schema": "ncspec.ring/1", "kind": "product",
             "factors": [{"kind": "modular", "n": 2}, other]})
         code, out = run_cli(capsys, "ncspec", "--ring", ring)
-        assert code == 2, other
-        assert json.loads(out)["payload"]["error"] == "UnsupportedClass", other
+        assert code == 0, other
+        report = json.loads(out)
+        assert (report["status"], report["payload"]["points"]) == ("pass", 4), other
 
 
 def test_cli_deterministic_reports(tmp_path, capsys):

@@ -11,7 +11,8 @@ After an intended output change, rewrite the file with
 The corpus is the finite and skew pools of `perfbench`, every output
 format of `ncspec` and `semilattice` on rings with many cells or
 degenerate ones, `spec`, `embed` and `exp` on cyclic products, and
-morphism reports of quotient and table homs.
+morphism reports of quotient and table homs, and products of block rings
+of different kinds.
 """
 
 import contextlib
@@ -34,6 +35,10 @@ def _ring(**body):
 
 def _mod(n):
     return {"kind": "modular", "n": n}
+
+
+def _matrix(base, size):
+    return {"kind": "matrix", "base": base, "size": size}
 
 
 def _product(*mods):
@@ -96,6 +101,8 @@ DOCS = {
     "SSA-Q-2-3": _ring(kind="semisimple", base="q", dims=[2, 3]),
     "SSA-Q-1-1-1-1": _ring(kind="semisimple", base="q", dims=[1, 1, 1, 1]),
     "M2-F2": _ring(kind="matrix", base="f2", size=2),
+    "Z2xM2-F2": _ring(kind="product", factors=[_mod(2), _matrix("f2", 2)]),
+    "Z2xM1-F3": _ring(kind="product", factors=[_mod(2), _matrix("f3", 1)]),
     "Qx": _ring(kind="poly"),
     **{f"Z{n}-Z{m}": _quotient(n, m)
        for n, m in ((6, 3), (30, 6), (12, 4), (12, 6), (100, 10), (210, 42), (8, 2),
@@ -110,6 +117,10 @@ DOCS = {
     # F2 x M2(F2) x M2(F2) with feeds (0, 1, 1)
     "SSA-F2-1-diagonal": _block_hom_f2((1,), (0, 0)),
     "SSA-F2-1-2-diagonal": _block_hom_f2((1, 2), (0, 1, 1)),
+    # the diagonal Z/2 -> Z/2 x M2(F2), a hom between kinds of block ring
+    "Z2-Z2xM2-F2-diagonal": _morphism(
+        _mod(2), {"kind": "product", "factors": [_mod(2), _matrix("f2", 2)]},
+        {"kind": "table", "pairs": [[k, [k, [[k, 0], [0, k]]]] for k in range(2)]}),
     "M2-F2-2chart": {
         "schema": "ncspec.glue/1",
         "pieces": [{"kind": "matrix", "base": "f2", "size": 2}] * 2,
@@ -210,6 +221,10 @@ CALLS = (
     + [(sub, "Z2310-Z210", ()) for sub in ("morphism", "prim-check")]
     # prim checks whose squares have legs that are not onto, over matrix blocks
     + [("prim-check", m, ()) for m in ("SSA-F2-1-diagonal", "SSA-F2-1-2-diagonal")]
+    # products of block rings of different kinds
+    + [("ncspec", "Z2xM2-F2", ("--format", fmt)) for fmt in ("json", "dot")]
+    + [("prim-check", "Z2-Z2xM2-F2-diagonal", ())]
+    + [(sub, "Z2xM1-F3", ()) for sub in ("spec", "embed")]
 )
 
 

@@ -51,9 +51,8 @@ def oracle_table(h):
 
 @cache
 def lattice_rings():
-    # every grid ring with a localization lattice: all but the mixed product
-    return tuple(r for r in finite_commutative_grid()
-                 if not (isinstance(r, rg.ProductRing) and r.moduli is None))
+    # every grid ring: each is a block ring, so each has a localization lattice
+    return tuple(finite_commutative_grid())
 
 
 @cache

@@ -95,8 +95,6 @@ DESCRIPTOR_MODULES = {"rings.py", "qpoly.py", "skewpoly.py"}
 
 # The kind tests that stay, by module and enclosing function.
 KIND_TESTS_KEPT = {
-    ("commbridge.py", "spec"):
-        "the primes of a cyclic ring are read off its local factors, others search idempotents",
     ("glueqcoh.py", "FiniteModule.__post_init__"): "finite modules are built over Z/n only",
     ("glueqcoh.py", "tensor_module"): "base change reads a product of cyclic rings block by block",
     ("glueqcoh.py", "tilde_module"): "module sheaves are built over Z/n only",
@@ -154,8 +152,8 @@ def test_local_factor_read_detector():
     assert local_factor_reads(src) == [(1, None), (5, "f"), (7, "g")]
 
 
-# the one policy outside `rings` that reads the (modulus, prime, prime power) triples
-LOCAL_FACTOR_READERS = {"commbridge.py": {"spec"}}
+# the policies outside `rings` that read the (modulus, prime, prime power) triples: none
+LOCAL_FACTOR_READERS = {}
 
 
 @pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "rings.py"],

@@ -72,12 +72,10 @@ def diamond():
 
 @cache
 def grid_lattices():
-    """The lattice of every grid ring that has one (all but the mixed
-    product) and of F2^k for k <= 6."""
-    rings = [r for r in finite_commutative_grid()
-             if not (isinstance(r, rg.ProductRing) and r.moduli is None)]
-    rings += [SemisimpleAlgebra(PrimeField(2), (1,) * k) for k in range(1, 7)]
-    assert len(rings) == 75
+    """The lattice of every grid ring and of F2^k for k <= 6."""
+    rings = finite_commutative_grid() + [SemisimpleAlgebra(PrimeField(2), (1,) * k)
+                                         for k in range(1, 7)]
+    assert len(rings) == 76
     return tuple(build_semilattice(r) for r in rings)
 
 

@@ -378,14 +378,18 @@ def test_commutative_product_rule():
                     assert L_pair.insertion(x) == L_prod.insertion(x)
 
 
-def test_mixed_finite_products_are_unsupported():
-    # commutative and finite, but not a product of cyclic rings
+def test_mixed_finite_products_localize_as_the_oracle():
+    # commutative and finite, not a product of cyclic rings, yet a block ring
     F2 = PrimeField(2)
     for other in (MatrixRing(F2, 1), SemisimpleAlgebra(F2, (1,))):
         r = rg.product_ring([ModularRing(2), other])
         assert rg.is_commutative(r) and rg.is_finite(r)
-        with pytest.raises(UnsupportedClass):
-            localize(r, (rg.zero(r),))
+        for x in rg.enumerate_elements(r):
+            L = localize(r, (x,))
+            got = {"result": L.result, "subset": L.subset, "images": L.insertion.images,
+                   "block_map": L.insertion.block_map,
+                   "inverse_witnesses": L.inverse_witnesses}
+            assert got == brute_localize(r, (x,)), (r, x)
 
 
 def test_skew_localization_grows_cone():

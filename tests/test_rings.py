@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -296,3 +297,15 @@ def test_prime_factors_against_a_sieve():
         want = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
         assert rg.prime_factors(n) == want, n
     assert rg.prime_factors(9699690) == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def test_one_large_prime_factor_is_found_without_trial_division():
+    # trial division stops once the cofactor is proved prime, so these take
+    # microseconds where a division up to sqrt(p) took seconds to minutes
+    near = next(q for q in range(10**18, 10**18 + 1000) if rg.is_prime(q))
+    for p in (10**14 + 31, near):
+        start = time.perf_counter()
+        assert rg.prime_factors(p) == [p] and rg.prime_factors(12 * p) == [2, 3, p]
+        assert ModularRing(p).blocks == (p,)
+        qpoly.prime_set_point([[p, 0, 0, 1]])
+        assert time.perf_counter() - start < 0.1, p
